@@ -1,8 +1,8 @@
 //! Native (host CPU) counterparts of the paper's experiments, plus the
-//! ablation benches DESIGN.md §5 calls out. Absolute numbers are not
-//! comparable to a 250 MHz Origin2000; the *shapes* (stride cliffs,
-//! multi-pass crossover, radix-family dominance) are what EXPERIMENTS.md
-//! tracks.
+//! ablation benches. Absolute numbers are not comparable to a 250 MHz
+//! Origin2000; the *shapes* (stride cliffs, multi-pass crossover,
+//! radix-family dominance) are what matters. Recorded wall-clock numbers
+//! come from `bench/` (see `bench/README.md`), not from here.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use std::hint::black_box;
@@ -188,7 +188,7 @@ fn bench_index_lookup(c: &mut Criterion) {
     g.finish();
 }
 
-/// DESIGN.md §5.1: the `MemTracker` abstraction must cost nothing when off.
+/// Ablation: the `MemTracker` abstraction must cost nothing when off.
 /// Compares the generic kernel under `NullTracker` against simulation, and
 /// against a hand-specialized untracked loop.
 fn bench_tracker_overhead(c: &mut Criterion) {
@@ -232,7 +232,7 @@ fn bench_tracker_overhead(c: &mut Criterion) {
     g.finish();
 }
 
-/// DESIGN.md §5.4: bucket bits above vs below the radix bits.
+/// Ablation: bucket bits above vs below the radix bits.
 fn bench_hashtable_radix_bits(c: &mut Criterion) {
     let mut g = c.benchmark_group("hashtable_radix_bits");
     g.sample_size(20);
@@ -256,7 +256,7 @@ fn bench_hashtable_radix_bits(c: &mut Criterion) {
     g.finish();
 }
 
-/// DESIGN.md §5.5: void positional reconstruction vs a hash join doing the
+/// Ablation: void positional reconstruction vs a hash join doing the
 /// same tuple reconstruction.
 fn bench_reconstruct_void_vs_hash(c: &mut Criterion) {
     let mut g = c.benchmark_group("reconstruct_void_vs_hash");
@@ -284,7 +284,7 @@ fn bench_reconstruct_void_vs_hash(c: &mut Criterion) {
     g.finish();
 }
 
-/// DESIGN.md §5.6: selection over a byte-encoded column vs a 4-byte column.
+/// Ablation: selection over a byte-encoded column vs a 4-byte column.
 fn bench_select_encoded(c: &mut Criterion) {
     let mut g = c.benchmark_group("select_encoded");
     g.sample_size(20);

@@ -31,10 +31,8 @@ use engine::exec::{execute, AccessNote, ExecOptions, Threads};
 use engine::plan::{Agg, Pred, Query};
 use engine::{AccessMode, CompressMode, PushdownMode};
 use memsim::NullTracker;
-use monet_core::compress::{
-    multi_select_compressed, multi_select_compressed_cands, touched_blocks,
-};
-use monet_core::scan::{multi_select, ScanPred};
+use monet_core::compress::touched_blocks;
+use monet_core::scan::{select, RowSet, ScanCol, ScanPred};
 use monet_core::storage::{ColType, DecomposedTable, Oid, TableBuilder, Value};
 
 use crate::report::{fmt_card, fmt_ms, TextTable};
@@ -128,10 +126,12 @@ pub fn sweep(opts: &RunOpts) -> Vec<Point> {
             assert!(cc.supports(pred), "{col}: representation answers its predicate");
 
             let (unc_lists, unc) = sim(machine, |trk| {
-                multi_select(trk, bat, std::slice::from_ref(pred)).expect("types validated")
+                select(trk, ScanCol::Plain(bat), std::slice::from_ref(pred), RowSet::All)
+                    .expect("types validated")
             });
             let (cmp_lists, cmp) = sim(machine, |trk| {
-                multi_select_compressed(trk, cc, table.seqbase(), std::slice::from_ref(pred))
+                let packed = ScanCol::Packed(cc, table.seqbase());
+                select(trk, packed, std::slice::from_ref(pred), RowSet::All)
                     .expect("supported predicate")
             });
             assert_eq!(unc_lists, cmp_lists, "{col}: compressed select must be bit-identical");
@@ -224,7 +224,8 @@ pub fn pushdown_sweep(opts: &RunOpts) -> Vec<PushdownPoint> {
     let needle_pred = Pred::range_i32("clustered", needle_val, needle_val);
     let needle_cc = table.compressed_of("clustered").expect("clustered run-length-encodes");
     let (needle_lists, needle_full) = sim(machine, |trk| {
-        multi_select_compressed(trk, needle_cc, seqbase, std::slice::from_ref(&needle_kernel))
+        let needle = ScanCol::Packed(needle_cc, seqbase);
+        select(trk, needle, std::slice::from_ref(&needle_kernel), RowSet::All)
             .expect("supported predicate")
     });
     let needle_list = needle_lists.into_iter().next().expect("one predicate, one list");
@@ -244,7 +245,8 @@ pub fn pushdown_sweep(opts: &RunOpts) -> Vec<PushdownPoint> {
         .map(|(col, kernel, wide_pred)| {
             let cc = table.compressed_of(col).expect("wide column compresses");
             let (wide_lists, wide_full) = sim(machine, |trk| {
-                multi_select_compressed(trk, cc, seqbase, std::slice::from_ref(kernel))
+                let wide = ScanCol::Packed(cc, seqbase);
+                select(trk, wide, std::slice::from_ref(kernel), RowSet::All)
                     .expect("supported predicate")
             });
             let wide_list = wide_lists.into_iter().next().expect("one predicate, one list");
@@ -253,24 +255,14 @@ pub fn pushdown_sweep(opts: &RunOpts) -> Vec<PushdownPoint> {
             // frames. Wide first: the needle shrinks to a membership probe
             // of roughly half the rows.
             let (rest, wide_rest) = sim(machine, |trk| {
-                multi_select_compressed_cands(
-                    trk,
-                    cc,
-                    seqbase,
-                    std::slice::from_ref(kernel),
-                    &needle_list,
-                )
-                .expect("supported predicate")
+                let (wide, rows) = (ScanCol::Packed(cc, seqbase), RowSet::Cands(&needle_list));
+                select(trk, wide, std::slice::from_ref(kernel), rows).expect("supported predicate")
             });
             let (rest_rev, needle_rest) = sim(machine, |trk| {
-                multi_select_compressed_cands(
-                    trk,
-                    needle_cc,
-                    seqbase,
-                    std::slice::from_ref(&needle_kernel),
-                    &wide_list,
-                )
-                .expect("supported predicate")
+                let (needle, rows) =
+                    (ScanCol::Packed(needle_cc, seqbase), RowSet::Cands(&wide_list));
+                select(trk, needle, std::slice::from_ref(&needle_kernel), rows)
+                    .expect("supported predicate")
             });
             let expect = intersect(&needle_list, &wide_list);
             assert_eq!(rest[0], expect, "{col}: restricted wide leaf must be bit-identical");

@@ -22,19 +22,20 @@
 //! blocks whose value range cannot intersect the predicate — and emit
 //! blocks the predicate provably covers without unpacking a single word.
 //!
-//! The kernels mirror [`crate::scan`]'s cooperative contract exactly: K
-//! predicate leaves per pass, one ascending candidate-OID list per leaf,
-//! **bit-identical** to the uncompressed scan at every thread count. Under
-//! a counting [`MemTracker`] the memory system is charged the *compressed*
-//! byte spans actually touched (block metadata always; packed payload only
-//! when a block must be unpacked), while the CPU is conservatively charged
-//! one [`Work::ScanIter`] per tuple per predicate — the same asymmetry
-//! `costmodel::scan::packed_scan_cost` prices with its fractional
-//! bits-per-value stride.
+//! The row loops here are the compressed leg of [`crate::scan::select`] and
+//! honour its contract exactly: K predicate leaves per pass over any
+//! [`RowSet`], one ascending candidate-OID list per leaf, **bit-identical**
+//! to the uncompressed scan at every thread count. Under a counting
+//! [`MemTracker`] the memory system is charged the *compressed* byte spans
+//! actually touched (block metadata of every touched block; packed payload
+//! only when a block must be unpacked), while the CPU is conservatively
+//! charged one `Work::ScanIter` per presented tuple per predicate — the
+//! same asymmetry `costmodel::scan::packed_scan_cost` prices with its
+//! fractional bits-per-value stride.
 
-use memsim::{track_read, track_read_slice, MemTracker, Work};
+use memsim::{track_read, track_read_slice, MemTracker};
 
-use crate::scan::ScanPred;
+use crate::scan::{select, Lane, RowSet, Rows, ScanCol, ScanPred};
 use crate::storage::{Codes, Column, Oid, StorageError, ValueType};
 
 /// Values per frame-of-reference frame. Big enough that the 16-byte frame
@@ -520,53 +521,17 @@ impl CompressedColumn {
 
     /// True when `pred` can be evaluated directly on this representation.
     pub fn supports(&self, pred: &ScanPred) -> bool {
-        matches!(
-            (pred, self),
-            (ScanPred::RangeI32 { .. }, CompressedColumn::For(_) | CompressedColumn::Rle(_))
-                | (ScanPred::EqCode { .. }, CompressedColumn::Dict(_))
-        )
+        pred.value_type() == self.value_type()
     }
-}
 
-/// The value type a compressed column logically stores (error reporting).
-fn logical_type(cc: &CompressedColumn) -> ValueType {
-    match cc {
-        CompressedColumn::For(_) | CompressedColumn::Rle(_) => ValueType::I32,
-        CompressedColumn::Dict(_) => ValueType::Str,
-    }
-}
-
-/// The column type a predicate expects (mirrors [`crate::scan`]).
-fn pred_type(p: &ScanPred) -> ValueType {
-    match p {
-        ScanPred::RangeI32 { .. } => ValueType::I32,
-        ScanPred::RangeF64 { .. } => ValueType::F64,
-        ScanPred::EqCode { .. } => ValueType::Str,
-    }
-}
-
-/// Check every predicate is evaluable against `cc` (range over FOR/RLE,
-/// code equality over packed dictionaries; F64 columns are never
-/// compressed).
-fn check_types(cc: &CompressedColumn, preds: &[ScanPred]) -> Result<(), StorageError> {
-    for p in preds {
-        if !cc.supports(p) {
-            return Err(StorageError::TypeMismatch {
-                expected: pred_type(p),
-                got: logical_type(cc),
-            });
+    /// The value type this column logically stores: range predicates run
+    /// over FOR/RLE, code equality over packed dictionaries (F64 columns
+    /// are never compressed).
+    pub fn value_type(&self) -> ValueType {
+        match self {
+            CompressedColumn::For(_) | CompressedColumn::Rle(_) => ValueType::I32,
+            CompressedColumn::Dict(_) => ValueType::Str,
         }
-    }
-    Ok(())
-}
-
-/// The inclusive value-space bounds of a predicate against this column
-/// (codes for dictionaries), as `(lo, hi)` in i64 so code/i32 spaces unify.
-fn pred_bounds(p: &ScanPred) -> (i64, i64) {
-    match p {
-        ScanPred::RangeI32 { lo, hi } => (*lo as i64, *hi as i64),
-        ScanPred::EqCode { code } => (*code as i64, *code as i64),
-        ScanPred::RangeF64 { .. } => unreachable!("check_types rejected this predicate"),
     }
 }
 
@@ -581,7 +546,8 @@ enum BlockFate {
     Test,
 }
 
-fn classify(lo: i64, hi: i64, min: i64, max: i64) -> BlockFate {
+fn classify((lo, hi): (i64, i64), fr: &Frame) -> BlockFate {
+    let (min, max) = (fr.base as i64, fr.max as i64);
     if hi < min || lo > max {
         BlockFate::Skip
     } else if lo <= min && max <= hi {
@@ -591,387 +557,130 @@ fn classify(lo: i64, hi: i64, min: i64, max: i64) -> BlockFate {
     }
 }
 
-/// Evaluate frames `[flo, fhi)` of a FOR-packed stream against every
-/// predicate, charging block metadata always and packed payload only when
-/// a frame must be unpacked.
-#[allow(clippy::too_many_arguments)]
-fn for_chunk<M: MemTracker>(
+/// The FOR/dict layout's row loop: walk the frames `rows` touches, each
+/// presented with its share of the rows (a clipped span or a candidate
+/// sub-slice). Every touched frame pays its header read; only frames the
+/// min/max metadata cannot settle for some predicate pay — and unpack —
+/// their payload. A `TakeAll` frame emits its rows without unpacking, a
+/// `Skip` frame nothing, and frames no row falls in are never visited.
+/// Kept out of line, like the plain row loop, so its registers are not
+/// shared with the caller's dispatch.
+#[inline(never)]
+fn scan_frames<M: MemTracker>(
     trk: &mut M,
     fc: &ForColumn,
     seqbase: Oid,
     bounds: &[(i64, i64)],
-    flo: usize,
-    fhi: usize,
+    mut rows: Rows<'_>,
     out: &mut [Vec<Oid>],
-    scratch: &mut Vec<i32>,
 ) {
-    for f in flo..fhi {
-        let fr = fc.frames[f];
-        if M::ENABLED {
-            track_read(trk, &fc.frames[f]);
-        }
+    let mut scratch = Vec::with_capacity(FRAME_LEN);
+    while let Some(row) = rows.first_row(seqbase) {
+        let f = row / FRAME_LEN;
+        let fr = &fc.frames[f];
+        track_read(trk, fr);
         let (rlo, rhi) = fc.frame_rows(f);
-        let fates: Vec<BlockFate> = bounds
-            .iter()
-            .map(|&(lo, hi)| classify(lo, hi, fr.base as i64, fr.max as i64))
-            .collect();
-        if fates.contains(&BlockFate::Test) {
-            if M::ENABLED {
-                track_read_slice(trk, fc.frame_words(f));
-            }
+        let (here, rest) = rows.split_at_row(rhi, seqbase);
+        rows = rest;
+        if bounds.iter().any(|&b| classify(b, fr) == BlockFate::Test) {
+            track_read_slice(trk, fc.frame_words(f));
             scratch.clear();
-            fc.unpack_frame(f, scratch);
+            fc.unpack_frame(f, &mut scratch);
         }
-        for (k, fate) in fates.iter().enumerate() {
-            match fate {
+        for (&(lo, hi), list) in bounds.iter().zip(out.iter_mut()) {
+            match classify((lo, hi), fr) {
                 BlockFate::Skip => {}
-                BlockFate::TakeAll => {
-                    out[k].extend((rlo..rhi).map(|i| seqbase + i as Oid));
-                }
+                BlockFate::TakeAll => here.emit_all(seqbase, list),
                 BlockFate::Test => {
-                    let (lo, hi) = bounds[k];
-                    for (i, &v) in scratch.iter().enumerate() {
-                        if (lo..=hi).contains(&(v as i64)) {
-                            out[k].push(seqbase + (rlo + i) as Oid);
-                        }
-                    }
+                    let pass = |v: i32| (v as i64).within(lo, hi);
+                    here.emit_passing(seqbase, rlo, &scratch, pass, list)
                 }
             }
         }
     }
 }
 
-/// Evaluate runs `[rlo, rhi)` of an RLE stream against every predicate.
-/// The runs *are* the stream: one 12-byte read per run, whatever K is.
-fn rle_chunk<M: MemTracker>(
+/// The RLE layout's row loop: walk the runs `rows` touches, each presented
+/// with its share of the rows. The runs *are* the stream: a span reads its
+/// runs as one contiguous slice, whatever K is; candidates read only the
+/// runs they fall in (runs and candidates both ascend, so the two merge in
+/// one pass and untouched runs are jumped over by binary search).
+#[inline(never)]
+fn scan_runs<M: MemTracker>(
     trk: &mut M,
     rc: &RleColumn,
     seqbase: Oid,
     bounds: &[(i64, i64)],
-    rlo: usize,
-    rhi: usize,
+    mut rows: Rows<'_>,
     out: &mut [Vec<Oid>],
 ) {
-    if M::ENABLED && rlo < rhi {
-        track_read_slice(trk, &rc.runs[rlo..rhi]);
+    let end = |run: &Run| (run.start + run.len) as usize;
+    let mut r = 0usize;
+    if let Rows::Span(lo, hi) = rows {
+        r = rc.runs.partition_point(|run| end(run) <= lo);
+        let last = rc.runs.partition_point(|run| (run.start as usize) < hi);
+        track_read_slice(trk, &rc.runs[r..last]);
     }
-    for r in &rc.runs[rlo..rhi] {
-        let v = r.value as i64;
-        for (k, &(lo, hi)) in bounds.iter().enumerate() {
-            if (lo..=hi).contains(&v) {
-                out[k].extend((r.start..r.start + r.len).map(|i| seqbase + i));
+    while let Some(row) = rows.first_row(seqbase) {
+        if rc.runs.get(r).is_none_or(|run| end(run) <= row) {
+            r += rc.runs[r..].partition_point(|run| end(run) <= row);
+        }
+        let Some(run) = rc.runs.get(r) else { break };
+        if matches!(rows, Rows::Cands(_)) {
+            track_read(trk, run);
+        }
+        let (here, rest) = rows.split_at_row(end(run), seqbase);
+        rows = rest;
+        let v = run.value as i64;
+        for (&(lo, hi), list) in bounds.iter().zip(out.iter_mut()) {
+            if v.within(lo, hi) {
+                here.emit_all(seqbase, list);
             }
         }
+        r += 1;
     }
 }
 
-/// Evaluate one shard of the compressed column (a contiguous range of
-/// frames or runs) against every predicate.
-fn compressed_chunk<M: MemTracker>(
+/// The compressed leg of [`crate::scan::select`] (which has type-checked
+/// `preds` against `cc` and charged the CPU): dispatch to the layout's row
+/// loop with the predicates lowered into the packed value space.
+pub(crate) fn scan_packed<M: MemTracker>(
     trk: &mut M,
     cc: &CompressedColumn,
     seqbase: Oid,
-    bounds: &[(i64, i64)],
-    lo: usize,
-    hi: usize,
+    preds: &[ScanPred],
+    rows: Rows<'_>,
     out: &mut [Vec<Oid>],
 ) {
+    if let Rows::Cands(cands) = rows {
+        debug_assert!(
+            cands.iter().all(|&c| c >= seqbase && ((c - seqbase) as usize) < cc.len()),
+            "candidates address rows of this column"
+        );
+    }
+    let bounds: Vec<(i64, i64)> = preds.iter().map(i64::bounds).collect();
     match cc {
-        CompressedColumn::For(fc) => {
-            let mut scratch = Vec::with_capacity(FRAME_LEN);
-            for_chunk(trk, fc, seqbase, bounds, lo, hi, out, &mut scratch);
-        }
-        CompressedColumn::Dict(dc) => {
-            let mut scratch = Vec::with_capacity(FRAME_LEN);
-            for_chunk(trk, &dc.packed, seqbase, bounds, lo, hi, out, &mut scratch);
-        }
-        CompressedColumn::Rle(rc) => rle_chunk(trk, rc, seqbase, bounds, lo, hi, out),
+        CompressedColumn::For(fc) => scan_frames(trk, fc, seqbase, &bounds, rows, out),
+        CompressedColumn::Dict(dc) => scan_frames(trk, &dc.packed, seqbase, &bounds, rows, out),
+        CompressedColumn::Rle(rc) => scan_runs(trk, rc, seqbase, &bounds, rows, out),
     }
 }
 
-/// The number of shardable units (frames or runs) of a compressed column.
-fn unit_count(cc: &CompressedColumn) -> usize {
-    match cc {
-        CompressedColumn::For(fc) => fc.frames.len(),
-        CompressedColumn::Dict(dc) => dc.packed.frames.len(),
-        CompressedColumn::Rle(rc) => rc.runs.len(),
-    }
-}
-
-/// One-pass K-predicate scan-select directly on a compressed column (void
-/// head starting at `seqbase`): stream the compressed form once, return one
-/// ascending candidate OID list per predicate — each bit-identical to the
-/// solo *uncompressed* scan-select of that predicate. Under a counting
-/// tracker the memory system is charged the compressed byte spans touched
-/// (block metadata always; packed payload only for blocks the min/max
-/// metadata could not settle) and the CPU one [`Work::ScanIter`] per tuple
-/// per predicate.
+/// [`select`] over a whole compressed column. Pinned by
+/// `bench/src/trace.rs`; goes when a benchmark issue moves that call onto
+/// [`select`].
 pub fn multi_select_compressed<M: MemTracker>(
     trk: &mut M,
     cc: &CompressedColumn,
     seqbase: Oid,
     preds: &[ScanPred],
 ) -> Result<Vec<Vec<Oid>>, StorageError> {
-    check_types(cc, preds)?;
-    let mut out: Vec<Vec<Oid>> = preds.iter().map(|_| Vec::new()).collect();
-    if preds.is_empty() {
-        return Ok(out);
-    }
-    if M::ENABLED {
-        trk.work(Work::ScanIter, (cc.len() * preds.len()) as u64);
-    }
-    let bounds: Vec<(i64, i64)> = preds.iter().map(pred_bounds).collect();
-    compressed_chunk(trk, cc, seqbase, &bounds, 0, unit_count(cc), &mut out);
-    Ok(out)
+    select(trk, ScanCol::Packed(cc, seqbase), preds, RowSet::All)
 }
 
-/// Evaluate the row range `[row_lo, row_hi)` of a FOR-packed stream,
-/// clipping partial frames at both ends: a `TakeAll` frame emits only the
-/// clipped OID span, a `Test` frame unpacks once but tests only the
-/// clipped indices.
-#[allow(clippy::too_many_arguments)]
-fn for_chunk_rows<M: MemTracker>(
-    trk: &mut M,
-    fc: &ForColumn,
-    seqbase: Oid,
-    bounds: &[(i64, i64)],
-    row_lo: usize,
-    row_hi: usize,
-    out: &mut [Vec<Oid>],
-    scratch: &mut Vec<i32>,
-) {
-    let flo = row_lo / FRAME_LEN;
-    let fhi = row_hi.div_ceil(FRAME_LEN).min(fc.frames.len());
-    for f in flo..fhi {
-        let fr = fc.frames[f];
-        if M::ENABLED {
-            track_read(trk, &fc.frames[f]);
-        }
-        let (rlo, rhi) = fc.frame_rows(f);
-        let clo = rlo.max(row_lo);
-        let chi = rhi.min(row_hi);
-        if clo >= chi {
-            continue;
-        }
-        let fates: Vec<BlockFate> = bounds
-            .iter()
-            .map(|&(lo, hi)| classify(lo, hi, fr.base as i64, fr.max as i64))
-            .collect();
-        if fates.contains(&BlockFate::Test) {
-            if M::ENABLED {
-                track_read_slice(trk, fc.frame_words(f));
-            }
-            scratch.clear();
-            fc.unpack_frame(f, scratch);
-        }
-        for (k, fate) in fates.iter().enumerate() {
-            match fate {
-                BlockFate::Skip => {}
-                BlockFate::TakeAll => {
-                    out[k].extend((clo..chi).map(|i| seqbase + i as Oid));
-                }
-                BlockFate::Test => {
-                    let (lo, hi) = bounds[k];
-                    for (i, &v) in scratch[clo - rlo..chi - rlo].iter().enumerate() {
-                        if (lo..=hi).contains(&(v as i64)) {
-                            out[k].push(seqbase + (clo + i) as Oid);
-                        }
-                    }
-                }
-            }
-        }
-    }
-}
-
-/// Evaluate the row range `[row_lo, row_hi)` of an RLE stream, clipping
-/// the first and last runs to the range. Runs are sorted by `start`, so
-/// the first overlapping run is found by binary search.
-fn rle_chunk_rows<M: MemTracker>(
-    trk: &mut M,
-    rc: &RleColumn,
-    seqbase: Oid,
-    bounds: &[(i64, i64)],
-    row_lo: usize,
-    row_hi: usize,
-    out: &mut [Vec<Oid>],
-) {
-    let first = rc.runs.partition_point(|r| (r.start + r.len) as usize <= row_lo);
-    let last = rc.runs.partition_point(|r| (r.start as usize) < row_hi);
-    if first >= last {
-        return;
-    }
-    if M::ENABLED {
-        track_read_slice(trk, &rc.runs[first..last]);
-    }
-    for r in &rc.runs[first..last] {
-        let v = r.value as i64;
-        let clo = (r.start as usize).max(row_lo) as u32;
-        let chi = ((r.start + r.len) as usize).min(row_hi) as u32;
-        for (k, &(lo, hi)) in bounds.iter().enumerate() {
-            if (lo..=hi).contains(&v) {
-                out[k].extend((clo..chi).map(|i| seqbase + i));
-            }
-        }
-    }
-}
-
-/// Chunk-bounded [`multi_select_compressed`]: evaluate every predicate
-/// over the row range `[row_lo, row_hi)` only, clipping partial FOR frames
-/// and RLE runs at the chunk borders. Concatenating the lists of
-/// consecutive chunks in ascending `row_lo` order reproduces the one-shot
-/// kernel (and therefore the uncompressed scan) bit for bit — the
-/// compressed leg of the service's chunked elevator pass.
-pub fn multi_select_compressed_range<M: MemTracker>(
-    trk: &mut M,
-    cc: &CompressedColumn,
-    seqbase: Oid,
-    preds: &[ScanPred],
-    row_lo: usize,
-    row_hi: usize,
-) -> Result<Vec<Vec<Oid>>, StorageError> {
-    check_types(cc, preds)?;
-    let row_hi = row_hi.min(cc.len());
-    let row_lo = row_lo.min(row_hi);
-    let mut out: Vec<Vec<Oid>> = preds.iter().map(|_| Vec::new()).collect();
-    if preds.is_empty() || row_lo == row_hi {
-        return Ok(out);
-    }
-    if M::ENABLED {
-        trk.work(Work::ScanIter, ((row_hi - row_lo) * preds.len()) as u64);
-    }
-    let bounds: Vec<(i64, i64)> = preds.iter().map(pred_bounds).collect();
-    match cc {
-        CompressedColumn::For(fc) => {
-            let mut scratch = Vec::with_capacity(FRAME_LEN);
-            for_chunk_rows(trk, fc, seqbase, &bounds, row_lo, row_hi, &mut out, &mut scratch);
-        }
-        CompressedColumn::Dict(dc) => {
-            let mut scratch = Vec::with_capacity(FRAME_LEN);
-            for_chunk_rows(
-                trk,
-                &dc.packed,
-                seqbase,
-                &bounds,
-                row_lo,
-                row_hi,
-                &mut out,
-                &mut scratch,
-            );
-        }
-        CompressedColumn::Rle(rc) => {
-            rle_chunk_rows(trk, rc, seqbase, &bounds, row_lo, row_hi, &mut out)
-        }
-    }
-    Ok(out)
-}
-
-/// Evaluate only the candidate rows that fall in a FOR-packed stream,
-/// grouped by frame: each *touched* frame pays its header read, and only
-/// frames the min/max metadata cannot settle unpack their payload. A
-/// `TakeAll` frame emits its candidates without unpacking; a `Skip` frame
-/// emits nothing.
-fn for_chunk_cands<M: MemTracker>(
-    trk: &mut M,
-    fc: &ForColumn,
-    seqbase: Oid,
-    bounds: &[(i64, i64)],
-    cands: &[Oid],
-    out: &mut [Vec<Oid>],
-    scratch: &mut Vec<i32>,
-) {
-    let mut i = 0usize;
-    while i < cands.len() {
-        let row = (cands[i] - seqbase) as usize;
-        let f = row / FRAME_LEN;
-        let fr = fc.frames[f];
-        if M::ENABLED {
-            track_read(trk, &fc.frames[f]);
-        }
-        let (rlo, rhi) = fc.frame_rows(f);
-        // The frame's candidate group: ascending OIDs make it contiguous.
-        let end = i + cands[i..].partition_point(|&c| ((c - seqbase) as usize) < rhi);
-        let fates: Vec<BlockFate> = bounds
-            .iter()
-            .map(|&(lo, hi)| classify(lo, hi, fr.base as i64, fr.max as i64))
-            .collect();
-        if fates.contains(&BlockFate::Test) {
-            if M::ENABLED {
-                track_read_slice(trk, fc.frame_words(f));
-            }
-            scratch.clear();
-            fc.unpack_frame(f, scratch);
-        }
-        for (k, fate) in fates.iter().enumerate() {
-            match fate {
-                BlockFate::Skip => {}
-                BlockFate::TakeAll => out[k].extend_from_slice(&cands[i..end]),
-                BlockFate::Test => {
-                    let (lo, hi) = bounds[k];
-                    for &c in &cands[i..end] {
-                        let v = scratch[(c - seqbase) as usize - rlo];
-                        if (lo..=hi).contains(&(v as i64)) {
-                            out[k].push(c);
-                        }
-                    }
-                }
-            }
-        }
-        i = end;
-    }
-}
-
-/// Evaluate only the candidate rows that fall in an RLE stream: runs and
-/// candidates are both ascending, so the two merge in one pass, and only
-/// the *touched* runs pay their 12-byte read — runs without a surviving
-/// candidate are never fetched.
-fn rle_chunk_cands<M: MemTracker>(
-    trk: &mut M,
-    rc: &RleColumn,
-    seqbase: Oid,
-    bounds: &[(i64, i64)],
-    cands: &[Oid],
-    out: &mut [Vec<Oid>],
-) {
-    let mut r = match cands.first() {
-        Some(&c) => {
-            rc.runs.partition_point(|run| (run.start + run.len) as usize <= (c - seqbase) as usize)
-        }
-        None => return,
-    };
-    let mut i = 0usize;
-    while i < cands.len() && r < rc.runs.len() {
-        let run = rc.runs[r];
-        if M::ENABLED {
-            track_read(trk, &rc.runs[r]);
-        }
-        let run_end = (run.start + run.len) as usize;
-        let end = i + cands[i..].partition_point(|&c| ((c - seqbase) as usize) < run_end);
-        let v = run.value as i64;
-        for (k, &(lo, hi)) in bounds.iter().enumerate() {
-            if (lo..=hi).contains(&v) {
-                out[k].extend_from_slice(&cands[i..end]);
-            }
-        }
-        i = end;
-        r += 1;
-        if i < cands.len() {
-            // Jump over runs no candidate touches.
-            let row = (cands[i] - seqbase) as usize;
-            r += rc.runs[r..].partition_point(|run| (run.start + run.len) as usize <= row);
-        }
-    }
-}
-
-/// Candidate-restricted [`multi_select_compressed`] — the pushdown entry
-/// point. `cands` is an ascending OID list a prior predicate leaf already
-/// produced; each returned list is exactly *full-column result ∩ `cands`*,
-/// in ascending OID order, so intersecting leaf results in any evaluation
-/// order is bit-identical to full-column evaluation. The kernel jumps
-/// directly to the FOR/dict frames and RLE runs containing surviving
-/// candidates: untouched blocks pay nothing at all (not even metadata),
-/// touched frames pay their header plus — only when min/max cannot settle
-/// every predicate — their packed payload, and the CPU is charged one
-/// [`Work::ScanIter`] per *candidate* (not per tuple) per predicate.
+/// [`select`] over the candidate rows of a compressed column. Pinned by
+/// `bench/src/trace.rs`; goes when a benchmark issue moves that call onto
+/// [`select`].
 pub fn multi_select_compressed_cands<M: MemTracker>(
     trk: &mut M,
     cc: &CompressedColumn,
@@ -979,37 +688,12 @@ pub fn multi_select_compressed_cands<M: MemTracker>(
     preds: &[ScanPred],
     cands: &[Oid],
 ) -> Result<Vec<Vec<Oid>>, StorageError> {
-    check_types(cc, preds)?;
-    let mut out: Vec<Vec<Oid>> = preds.iter().map(|_| Vec::new()).collect();
-    if preds.is_empty() || cands.is_empty() {
-        return Ok(out);
-    }
-    debug_assert!(cands.windows(2).all(|w| w[0] < w[1]), "candidates ascend");
-    debug_assert!(
-        cands.iter().all(|&c| c >= seqbase && ((c - seqbase) as usize) < cc.len()),
-        "candidates address rows of this column"
-    );
-    if M::ENABLED {
-        trk.work(Work::ScanIter, (cands.len() * preds.len()) as u64);
-    }
-    let bounds: Vec<(i64, i64)> = preds.iter().map(pred_bounds).collect();
-    match cc {
-        CompressedColumn::For(fc) => {
-            let mut scratch = Vec::with_capacity(FRAME_LEN);
-            for_chunk_cands(trk, fc, seqbase, &bounds, cands, &mut out, &mut scratch);
-        }
-        CompressedColumn::Dict(dc) => {
-            let mut scratch = Vec::with_capacity(FRAME_LEN);
-            for_chunk_cands(trk, &dc.packed, seqbase, &bounds, cands, &mut out, &mut scratch);
-        }
-        CompressedColumn::Rle(rc) => rle_chunk_cands(trk, rc, seqbase, &bounds, cands, &mut out),
-    }
-    Ok(out)
+    select(trk, ScanCol::Packed(cc, seqbase), preds, RowSet::Cands(cands))
 }
 
 /// The number of distinct blocks (FOR/dict frames or RLE runs) an ascending
-/// candidate list touches — the exact block count
-/// [`multi_select_compressed_cands`] charges metadata for, and the quantity
+/// candidate list touches — the exact block count a [`RowSet::Cands`]
+/// [`select`] charges metadata for, and the quantity
 /// `costmodel::scan::cand_packed_scan_cost` estimates from |candidates|.
 pub fn touched_blocks(cc: &CompressedColumn, seqbase: Oid, cands: &[Oid]) -> usize {
     let mut n = 0usize;
@@ -1041,72 +725,10 @@ pub fn touched_blocks(cc: &CompressedColumn, seqbase: Oid, cands: &[Oid]) -> usi
     n
 }
 
-/// Sharded parallel [`multi_select_compressed`] (native-only; no tracker):
-/// the frame/run space splits into contiguous chunks, per-predicate lists
-/// merge thread-major — bit-identical to the sequential kernel (and to the
-/// uncompressed scan) at every thread count. Also returns each worker's
-/// total match count summed across the K predicates (the sharded
-/// `rows_per_thread` accounting).
-pub fn par_multi_select_compressed_counted(
-    cc: &CompressedColumn,
-    seqbase: Oid,
-    preds: &[ScanPred],
-    threads: usize,
-) -> Result<(Vec<Vec<Oid>>, Vec<usize>), StorageError> {
-    check_types(cc, preds)?;
-    let units = unit_count(cc);
-    let threads = threads.min(units).max(1);
-    let bounds: Vec<(i64, i64)> = preds.iter().map(pred_bounds).collect();
-    if threads == 1 {
-        let mut out: Vec<Vec<Oid>> = preds.iter().map(|_| Vec::new()).collect();
-        compressed_chunk(&mut memsim::NullTracker, cc, seqbase, &bounds, 0, units, &mut out);
-        let matches = out.iter().map(Vec::len).sum();
-        return Ok((out, vec![matches]));
-    }
-    let chunk = units.div_ceil(threads);
-    let ranges: Vec<(usize, usize)> = (0..threads)
-        .map(|t| (t * chunk, ((t + 1) * chunk).min(units)))
-        .filter(|(a, b)| a < b)
-        .collect();
-    let bounds = &bounds;
-    let mut parts: Vec<Vec<Vec<Oid>>> = Vec::with_capacity(ranges.len());
-    std::thread::scope(|s| {
-        let handles: Vec<_> = ranges
-            .iter()
-            .map(|&(lo, hi)| {
-                s.spawn(move || {
-                    let mut out: Vec<Vec<Oid>> = preds.iter().map(|_| Vec::new()).collect();
-                    compressed_chunk(
-                        &mut memsim::NullTracker,
-                        cc,
-                        seqbase,
-                        bounds,
-                        lo,
-                        hi,
-                        &mut out,
-                    );
-                    out
-                })
-            })
-            .collect();
-        for h in handles {
-            parts.push(h.join().expect("compressed scan worker panicked"));
-        }
-    });
-    let counts: Vec<usize> = parts.iter().map(|p| p.iter().map(Vec::len).sum()).collect();
-    let mut out: Vec<Vec<Oid>> = preds.iter().map(|_| Vec::new()).collect();
-    for part in parts {
-        for (k, list) in part.into_iter().enumerate() {
-            out[k].extend(list);
-        }
-    }
-    Ok((out, counts))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scan::multi_select;
+    use crate::scan::par_select;
     use crate::storage::{Bat, StrColumn};
     use memsim::{NullTracker, SimTracker};
 
@@ -1176,7 +798,7 @@ mod tests {
 
     fn reference(values: Vec<i32>, seqbase: Oid, preds: &[ScanPred]) -> Vec<Vec<Oid>> {
         let bat = Bat::with_void_head(seqbase, Column::I32(values));
-        multi_select(&mut NullTracker, &bat, preds).unwrap()
+        select(&mut NullTracker, ScanCol::Plain(&bat), preds, RowSet::All).unwrap()
     }
 
     #[test]
@@ -1190,11 +812,11 @@ mod tests {
         for values in [uniform(30_000, 11), (0..30_000).map(|i| i / 64).collect::<Vec<i32>>()] {
             let cc = CompressedColumn::encode(&Column::I32(values.clone())).unwrap();
             let expect = reference(values, 500, &preds);
-            let got = multi_select_compressed(&mut NullTracker, &cc, 500, &preds).unwrap();
+            let got =
+                select(&mut NullTracker, ScanCol::Packed(&cc, 500), &preds, RowSet::All).unwrap();
             assert_eq!(got, expect, "{:?}", cc.encoding());
             for threads in [1usize, 2, 4, 7, 64] {
-                let (par, counts) =
-                    par_multi_select_compressed_counted(&cc, 500, &preds, threads).unwrap();
+                let (par, counts) = par_select(ScanCol::Packed(&cc, 500), &preds, threads).unwrap();
                 assert_eq!(par, expect, "{:?} threads={threads}", cc.encoding());
                 assert_eq!(
                     counts.iter().sum::<usize>(),
@@ -1222,9 +844,13 @@ mod tests {
                 let mut lo = 0;
                 while lo < cc.len() {
                     let hi = (lo + chunk).min(cc.len());
-                    let part =
-                        multi_select_compressed_range(&mut NullTracker, &cc, 500, &preds, lo, hi)
-                            .unwrap();
+                    let part = select(
+                        &mut NullTracker,
+                        ScanCol::Packed(&cc, 500),
+                        &preds,
+                        RowSet::Range(lo, hi),
+                    )
+                    .unwrap();
                     for (k, list) in part.into_iter().enumerate() {
                         acc[k].extend(list);
                     }
@@ -1242,13 +868,14 @@ mod tests {
         let cc = CompressedColumn::encode(&Column::Str(sc.clone())).unwrap();
         let bat = Bat::with_void_head(10, Column::Str(sc));
         let preds = [ScanPred::EqCode { code: 2 }, ScanPred::EqCode { code: 0 }];
-        let expect = multi_select(&mut NullTracker, &bat, &preds).unwrap();
+        let expect = select(&mut NullTracker, ScanCol::Plain(&bat), &preds, RowSet::All).unwrap();
         let mut acc: Vec<Vec<Oid>> = preds.iter().map(|_| Vec::new()).collect();
         let mut lo = 0;
         while lo < cc.len() {
             let hi = (lo + 997).min(cc.len());
             let part =
-                multi_select_compressed_range(&mut NullTracker, &cc, 10, &preds, lo, hi).unwrap();
+                select(&mut NullTracker, ScanCol::Packed(&cc, 10), &preds, RowSet::Range(lo, hi))
+                    .unwrap();
             for (k, list) in part.into_iter().enumerate() {
                 acc[k].extend(list);
             }
@@ -1257,7 +884,8 @@ mod tests {
         assert_eq!(acc, expect);
         // Clamped and empty ranges are no-ops.
         let empty =
-            multi_select_compressed_range(&mut NullTracker, &cc, 10, &preds, 9000, 9001).unwrap();
+            select(&mut NullTracker, ScanCol::Packed(&cc, 10), &preds, RowSet::Range(9000, 9001))
+                .unwrap();
         assert!(empty.iter().all(Vec::is_empty));
     }
 
@@ -1269,10 +897,12 @@ mod tests {
         let bat = Bat::with_void_head(10, Column::Str(sc));
         for code in 0..4u32 {
             let preds = [ScanPred::EqCode { code }];
-            let expect = multi_select(&mut NullTracker, &bat, &preds).unwrap();
-            let got = multi_select_compressed(&mut NullTracker, &cc, 10, &preds).unwrap();
+            let expect =
+                select(&mut NullTracker, ScanCol::Plain(&bat), &preds, RowSet::All).unwrap();
+            let got =
+                select(&mut NullTracker, ScanCol::Packed(&cc, 10), &preds, RowSet::All).unwrap();
             assert_eq!(got, expect, "code {code}");
-            let (par, _) = par_multi_select_compressed_counted(&cc, 10, &preds, 4).unwrap();
+            let (par, _) = par_select(ScanCol::Packed(&cc, 10), &preds, 4).unwrap();
             assert_eq!(par, expect);
         }
     }
@@ -1286,12 +916,12 @@ mod tests {
         let run_unc = || {
             let bat = Bat::with_void_head(0, Column::I32(values.clone()));
             let mut trk = SimTracker::for_machine(memsim::profiles::origin2000());
-            multi_select(&mut trk, &bat, &preds).unwrap();
+            select(&mut trk, ScanCol::Plain(&bat), &preds, RowSet::All).unwrap();
             trk.counters()
         };
         let run_cmp = || {
             let mut trk = SimTracker::for_machine(memsim::profiles::origin2000());
-            multi_select_compressed(&mut trk, &cc, 0, &preds).unwrap();
+            select(&mut trk, ScanCol::Packed(&cc, 0), &preds, RowSet::All).unwrap();
             trk.counters()
         };
         let (unc, cmp) = (run_unc(), run_cmp());
@@ -1314,7 +944,7 @@ mod tests {
         let full = [ScanPred::RangeI32 { lo: 0, hi: 100_000 }];
         let count = |preds: &[ScanPred]| {
             let mut trk = SimTracker::for_machine(memsim::profiles::origin2000());
-            let lists = multi_select_compressed(&mut trk, &cc, 0, preds).unwrap();
+            let lists = select(&mut trk, ScanCol::Packed(&cc, 0), preds, RowSet::All).unwrap();
             (lists[0].len(), trk.counters())
         };
         let (n_narrow, c_narrow) = count(&narrow);
@@ -1345,7 +975,8 @@ mod tests {
         for values in [uniform(30_011, 11), (0..30_011).map(|i| i / 64).collect::<Vec<i32>>()] {
             let n = values.len();
             let cc = CompressedColumn::encode(&Column::I32(values.clone())).unwrap();
-            let full = multi_select_compressed(&mut NullTracker, &cc, seqbase, &preds).unwrap();
+            let full = select(&mut NullTracker, ScanCol::Packed(&cc, seqbase), &preds, RowSet::All)
+                .unwrap();
             let cand_shapes: Vec<Vec<Oid>> = vec![
                 vec![],                                                     // empty
                 (0..n).map(|i| seqbase + i as Oid).collect(),               // all-pass
@@ -1354,9 +985,13 @@ mod tests {
                 vec![seqbase, seqbase + (n as Oid) - 1],                    // both ends
             ];
             for cands in &cand_shapes {
-                let got =
-                    multi_select_compressed_cands(&mut NullTracker, &cc, seqbase, &preds, cands)
-                        .unwrap();
+                let got = select(
+                    &mut NullTracker,
+                    ScanCol::Packed(&cc, seqbase),
+                    &preds,
+                    RowSet::Cands(cands),
+                )
+                .unwrap();
                 for (k, list) in got.iter().enumerate() {
                     assert_eq!(
                         *list,
@@ -1372,9 +1007,10 @@ mod tests {
         let strs: Vec<&str> = (0..5003).map(|i| ["AIR", "MAIL", "SHIP", "RAIL"][i % 4]).collect();
         let cc = CompressedColumn::encode(&Column::Str(StrColumn::from_strs(strs))).unwrap();
         let preds = [ScanPred::EqCode { code: 2 }, ScanPred::EqCode { code: 0 }];
-        let full = multi_select_compressed(&mut NullTracker, &cc, 10, &preds).unwrap();
+        let full = select(&mut NullTracker, ScanCol::Packed(&cc, 10), &preds, RowSet::All).unwrap();
         let cands: Vec<Oid> = (0..5003).step_by(7).map(|i| 10 + i as Oid).collect();
-        let got = multi_select_compressed_cands(&mut NullTracker, &cc, 10, &preds, &cands).unwrap();
+        let got = select(&mut NullTracker, ScanCol::Packed(&cc, 10), &preds, RowSet::Cands(&cands))
+            .unwrap();
         for (k, list) in got.iter().enumerate() {
             assert_eq!(*list, intersect_ref(&full[k], &cands), "dict pred {k}");
         }
@@ -1391,12 +1027,12 @@ mod tests {
         assert_eq!(touched_blocks(&cc, 0, &cands), 2);
         let run_full = || {
             let mut trk = SimTracker::for_machine(memsim::profiles::origin2000());
-            multi_select_compressed(&mut trk, &cc, 0, &preds).unwrap();
+            select(&mut trk, ScanCol::Packed(&cc, 0), &preds, RowSet::All).unwrap();
             trk.counters()
         };
         let run_cands = || {
             let mut trk = SimTracker::for_machine(memsim::profiles::origin2000());
-            multi_select_compressed_cands(&mut trk, &cc, 0, &preds, &cands).unwrap();
+            select(&mut trk, ScanCol::Packed(&cc, 0), &preds, RowSet::Cands(&cands)).unwrap();
             trk.counters()
         };
         let (full, restricted) = (run_full(), run_cands());
@@ -1416,12 +1052,11 @@ mod tests {
         assert_eq!(touched_blocks(&rc, 0, &sparse), sparse.len(), "one run per sparse candidate");
         let dense: Vec<Oid> = (128..192).collect(); // inside one 64-row run
         assert_eq!(touched_blocks(&rc, 0, &dense), 1);
-        let got = multi_select_compressed_cands(
+        let got = select(
             &mut NullTracker,
-            &rc,
-            0,
+            ScanCol::Packed(&rc, 0),
             &[ScanPred::RangeI32 { lo: 0, hi: 5 }],
-            &dense,
+            RowSet::Cands(&dense),
         )
         .unwrap();
         assert_eq!(got[0], dense, "run value 2 passes, all candidates survive");
@@ -1430,42 +1065,37 @@ mod tests {
     #[test]
     fn type_mismatches_are_errors() {
         let cc = CompressedColumn::encode(&Column::I32(uniform(2000, 1))).unwrap();
-        let err =
-            multi_select_compressed(&mut NullTracker, &cc, 0, &[ScanPred::EqCode { code: 0 }])
-                .unwrap_err();
+        let col = ScanCol::Packed(&cc, 0);
+        let err = select(&mut NullTracker, col, &[ScanPred::EqCode { code: 0 }], RowSet::All)
+            .unwrap_err();
         assert!(matches!(err, StorageError::TypeMismatch { .. }), "{err:?}");
-        let err = par_multi_select_compressed_counted(
-            &cc,
-            0,
-            &[ScanPred::RangeF64 { lo: 0.0, hi: 1.0 }],
-            2,
-        )
-        .unwrap_err();
+        let err = par_select(col, &[ScanPred::RangeF64 { lo: 0.0, hi: 1.0 }], 2).unwrap_err();
         assert!(matches!(err, StorageError::TypeMismatch { .. }), "{err:?}");
     }
 
     #[test]
     fn empty_and_constant_columns() {
         let empty = CompressedColumn::encode(&Column::I32(vec![])).unwrap();
-        let lists = multi_select_compressed(
+        let lists = select(
             &mut NullTracker,
-            &empty,
-            0,
+            ScanCol::Packed(&empty, 0),
             &[ScanPred::RangeI32 { lo: 0, hi: 10 }],
+            RowSet::All,
         )
         .unwrap();
         assert!(lists[0].is_empty());
         let constant = CompressedColumn::encode(&Column::I32(vec![7; 5000])).unwrap();
-        let lists = multi_select_compressed(
+        let lists = select(
             &mut NullTracker,
-            &constant,
-            100,
+            ScanCol::Packed(&constant, 100),
             &[ScanPred::RangeI32 { lo: 7, hi: 7 }, ScanPred::RangeI32 { lo: 8, hi: 9 }],
+            RowSet::All,
         )
         .unwrap();
         assert_eq!(lists[0].len(), 5000);
         assert_eq!(lists[0][0], 100);
         assert!(lists[1].is_empty());
-        assert!(multi_select_compressed(&mut NullTracker, &constant, 0, &[]).unwrap().is_empty());
+        let none = select(&mut NullTracker, ScanCol::Packed(&constant, 0), &[], RowSet::All);
+        assert!(none.unwrap().is_empty());
     }
 }

@@ -94,7 +94,7 @@ pub fn merge_join_sorted<M: MemTracker>(trk: &mut M, left: &[Bun], right: &[Bun]
 
 /// Tracked top-down mergesort by `tail` — the *comparison-based* sorting
 /// phase a 1999 system would have used (our default [`radix_sort_by_tail`]
-/// is a stronger baseline; see EXPERIMENTS.md). Access pattern per level:
+/// is a stronger baseline). Access pattern per level:
 /// two sequential input runs, one sequential output — log2(n) full sweeps
 /// instead of radix-sort's four.
 pub fn merge_sort_by_tail<M: MemTracker>(trk: &mut M, input: Vec<Bun>) -> Vec<Bun> {

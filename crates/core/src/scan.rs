@@ -1,34 +1,47 @@
-//! Cooperative (multi-predicate) scan-selects: K predicate leaves
-//! evaluated against one column in a **single** stream.
+//! The scan-select kernel: K predicate leaves evaluated against one column
+//! in a **single** stream, over any row set and either physical layout.
 //!
 //! The paper's thesis is that sequential scans are priced by their memory
 //! traffic, not their instruction count — so when K queries each need a
 //! scan-select over the *same* column, streaming the column once and
 //! evaluating all K predicates per tuple pays the cache-miss bill once
 //! instead of K times (the MonetDB/X100 cooperative-scan observation).
-//! [`multi_select`] is that kernel: one pass, K candidate lists out, each
-//! **bit-identical** to the corresponding solo scan-select (same ascending
-//! OID order, because tuples are visited in scan order either way).
+//! [`select`] is that kernel, and the only one: `col` names the physical
+//! representation ([`ScanCol::Plain`] BAT tail or [`ScanCol::Packed`]
+//! compressed column), `rows` the tuples presented ([`RowSet::All`], a
+//! chunk [`RowSet::Range`] of an elevator pass, or the ascending
+//! [`RowSet::Cands`] an earlier conjunction leaf left alive). It returns one
+//! candidate list per predicate, each **bit-identical** to the solo
+//! full-column scan-select of that predicate restricted to `rows` (same
+//! ascending OID order, because tuples are visited in scan order either
+//! way) — so consecutive ranges concatenate to the full scan, and leaf
+//! results intersect to the same set in any evaluation order.
 //!
-//! [`par_multi_select_counted`] is the sharded parallel variant: the index
-//! space splits into contiguous chunks, each worker evaluates all K
-//! predicates over its chunk, and per-predicate lists merge thread-major —
-//! the same determinism discipline as every other parallel kernel in this
-//! workspace. It also returns per-thread match totals, feeding the sharded
-//! `rows_per_thread` accounting of execution reports.
+//! Behind the entry point there is one row loop per physical layout: the
+//! typed slice here, FOR/dict frames and RLE runs in [`crate::compress`].
+//! Predicates are lowered to typed `(lo, hi)` bounds once, outside the row
+//! loop, which is monomorphised per column type.
+//!
+//! [`par_select`] is the parallel driver: `All` splits into block-aligned
+//! contiguous `Range`s, each worker calls the same kernel over its chunk,
+//! and per-predicate lists merge thread-major — the same determinism
+//! discipline as every other parallel kernel in this workspace. It also
+//! returns per-thread match totals, feeding the sharded `rows_per_thread`
+//! accounting of execution reports.
 //!
 //! Under a counting [`MemTracker`] the kernel charges the memory system
-//! once per tuple ([`track_read`]) and the CPU once per tuple *per
-//! predicate* ([`Work::ScanIter`] × K) — exactly the asymmetry
-//! `costmodel::shared` prices.
+//! once per presented tuple ([`track_read`]; compressed layouts charge the
+//! block metadata and packed payload they touch instead) and the CPU once
+//! per presented tuple *per predicate* ([`Work::ScanIter`] × K) — exactly
+//! the asymmetry `costmodel::shared` prices.
 
-use memsim::{track_read, MemTracker, Work};
+use memsim::{track_read, MemTracker, NullTracker, Work};
 
-use crate::storage::{Bat, Codes, Column, Oid, StorageError, ValueType};
+use crate::compress::{CompressedColumn, FRAME_LEN};
+use crate::storage::{Bat, Codes, Column, Head, Oid, StorageError, ValueType};
 
-/// One predicate leaf of a cooperative scan, lowered to kernel form (string
-/// equality arrives as a dictionary code; the re-map happened once,
-/// upstream).
+/// One predicate leaf of a scan, lowered to kernel form (string equality
+/// arrives as a dictionary code; the re-map happened once, upstream).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum ScanPred {
     /// `lo <= x <= hi` over an `I32` column.
@@ -52,294 +65,443 @@ pub enum ScanPred {
     },
 }
 
-/// The column type a predicate can stream over.
-fn expected_type(p: &ScanPred) -> ValueType {
-    match p {
-        ScanPred::RangeI32 { .. } => ValueType::I32,
-        ScanPred::RangeF64 { .. } => ValueType::F64,
-        ScanPred::EqCode { .. } => ValueType::Str,
+impl ScanPred {
+    /// The column type this predicate can stream over.
+    pub fn value_type(&self) -> ValueType {
+        match self {
+            ScanPred::RangeI32 { .. } => ValueType::I32,
+            ScanPred::RangeF64 { .. } => ValueType::F64,
+            ScanPred::EqCode { .. } => ValueType::Str,
+        }
     }
 }
 
-/// Check every predicate is evaluable against `col`, so the scan loops can
-/// match on the column type once, outside the hot loop.
-fn check_types(col: &Column, preds: &[ScanPred]) -> Result<(), StorageError> {
-    for p in preds {
-        let ok = matches!(
-            (p, col),
-            (ScanPred::RangeI32 { .. }, Column::I32(_))
-                | (ScanPred::RangeF64 { .. }, Column::F64(_))
-                | (ScanPred::EqCode { .. }, Column::Str(_))
-        );
-        if !ok {
-            return Err(StorageError::TypeMismatch {
-                expected: expected_type(p),
-                got: col.value_type(),
+/// The physical representation a scan-select streams.
+#[derive(Debug, Clone, Copy)]
+pub enum ScanCol<'a> {
+    /// An uncompressed BAT tail under a void head (what table decomposition
+    /// produces); a materialized head is [`StorageError::NonVoidHead`].
+    Plain(&'a Bat),
+    /// A compressed column under a void head starting at the given OID.
+    Packed(&'a CompressedColumn, Oid),
+}
+
+impl ScanCol<'_> {
+    /// Number of tuples.
+    pub fn len(&self) -> usize {
+        match self {
+            ScanCol::Plain(bat) => bat.len(),
+            ScanCol::Packed(cc, _) => cc.len(),
+        }
+    }
+
+    /// True when the column holds no tuples.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    fn value_type(&self) -> ValueType {
+        match self {
+            ScanCol::Plain(bat) => bat.tail().value_type(),
+            ScanCol::Packed(cc, _) => cc.value_type(),
+        }
+    }
+
+    /// Rows per indivisible block: [`par_select`] cuts chunks at multiples
+    /// of this so no two workers unpack the same frame.
+    fn block_rows(&self) -> usize {
+        match self {
+            ScanCol::Packed(CompressedColumn::For(_) | CompressedColumn::Dict(_), _) => FRAME_LEN,
+            _ => 1,
+        }
+    }
+}
+
+/// Which tuples of the column a scan-select is presented with.
+#[derive(Debug, Clone, Copy)]
+pub enum RowSet<'a> {
+    /// Every tuple.
+    All,
+    /// The positions `[lo, hi)`, clamped to the column.
+    Range(usize, usize),
+    /// An ascending OID list (e.g. the survivors of an earlier conjunction
+    /// leaf); OIDs outside the column match nothing.
+    Cands(&'a [Oid]),
+}
+
+/// A [`RowSet`] resolved against a column: what the row loops walk.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Rows<'a> {
+    /// The positions `[lo, hi)`, within the column.
+    Span(usize, usize),
+    /// Ascending OIDs.
+    Cands(&'a [Oid]),
+}
+
+impl<'a> Rows<'a> {
+    fn of(set: RowSet<'a>, len: usize) -> Self {
+        match set {
+            RowSet::All => Rows::Span(0, len),
+            RowSet::Range(lo, hi) => {
+                let hi = hi.min(len);
+                Rows::Span(lo.min(hi), hi)
+            }
+            RowSet::Cands(cands) => {
+                debug_assert!(cands.windows(2).all(|w| w[0] < w[1]), "candidates ascend");
+                Rows::Cands(cands)
+            }
+        }
+    }
+
+    /// Tuples presented — what the CPU is charged for, per predicate.
+    fn len(&self) -> usize {
+        match self {
+            Rows::Span(lo, hi) => hi - lo,
+            Rows::Cands(cands) => cands.len(),
+        }
+    }
+
+    /// Position of the first presented row under a void head at `seqbase`.
+    pub(crate) fn first_row(&self, seqbase: Oid) -> Option<usize> {
+        match self {
+            Rows::Span(lo, hi) => (lo < hi).then_some(*lo),
+            Rows::Cands(cands) => cands.first().map(|&c| (c - seqbase) as usize),
+        }
+    }
+
+    /// Split into the rows before position `end` and the rest.
+    pub(crate) fn split_at_row(self, end: usize, seqbase: Oid) -> (Self, Self) {
+        match self {
+            Rows::Span(lo, hi) => {
+                let mid = end.clamp(lo, hi);
+                (Rows::Span(lo, mid), Rows::Span(mid, hi))
+            }
+            Rows::Cands(cands) => {
+                let (head, tail) =
+                    cands.split_at(cands.partition_point(|&c| ((c - seqbase) as usize) < end));
+                (Rows::Cands(head), Rows::Cands(tail))
+            }
+        }
+    }
+
+    /// Append the OID of every presented row to `list`.
+    pub(crate) fn emit_all(&self, seqbase: Oid, list: &mut Vec<Oid>) {
+        match self {
+            Rows::Span(lo, hi) => list.extend((*lo..*hi).map(|i| seqbase + i as Oid)),
+            Rows::Cands(cands) => list.extend_from_slice(cands),
+        }
+    }
+
+    /// Append the OID of every presented row whose value passes, where
+    /// `vals[0]` is the value at position `base`.
+    pub(crate) fn emit_passing(
+        &self,
+        seqbase: Oid,
+        base: usize,
+        vals: &[i32],
+        pass: impl Fn(i32) -> bool,
+        list: &mut Vec<Oid>,
+    ) {
+        match self {
+            Rows::Span(lo, hi) => {
+                for (i, &v) in vals[lo - base..hi - base].iter().enumerate() {
+                    if pass(v) {
+                        list.push(seqbase + (lo + i) as Oid);
+                    }
+                }
+            }
+            Rows::Cands(cands) => {
+                for &c in *cands {
+                    if pass(vals[(c - seqbase) as usize - base]) {
+                        list.push(c);
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// A value space a row loop tests in: the element types the plain loop is
+/// monomorphised over, and the packed layouts' widened `i64`.
+pub(crate) trait Lane: Copy {
+    /// `p`'s inclusive bounds in this lane; `p` fits the column (the type
+    /// check ran).
+    fn bounds(p: &ScanPred) -> (Self, Self);
+
+    /// `lo <= self <= hi`.
+    fn within(self, lo: Self, hi: Self) -> bool;
+}
+
+/// The integer lanes test a value with one unsigned compare — given
+/// `lo ≤ hi`, `v ∈ [lo, hi]` ⟺ `(v − lo) mod 2ⁿ ≤ hi − lo` — so the row loop
+/// carries one data-dependent branch per value instead of two.
+macro_rules! int_within {
+    ($t:ty as $u:ty) => {
+        #[inline(always)]
+        fn within(self, lo: $t, hi: $t) -> bool {
+            (lo <= hi) & ((self.wrapping_sub(lo) as $u) <= (hi.wrapping_sub(lo) as $u))
+        }
+    };
+}
+
+impl Lane for i32 {
+    fn bounds(p: &ScanPred) -> (i32, i32) {
+        match *p {
+            ScanPred::RangeI32 { lo, hi } => (lo, hi),
+            _ => unreachable!("type-checked against an I32 column"),
+        }
+    }
+    int_within!(i32 as u32);
+}
+
+impl Lane for f64 {
+    fn bounds(p: &ScanPred) -> (f64, f64) {
+        match *p {
+            ScanPred::RangeF64 { lo, hi } => (lo, hi),
+            _ => unreachable!("type-checked against an F64 column"),
+        }
+    }
+    #[inline(always)]
+    fn within(self, lo: f64, hi: f64) -> bool {
+        (lo <= self) & (self <= hi)
+    }
+}
+
+/// The packed value space: FOR/RLE values and dictionary codes, widened so
+/// the two unify.
+impl Lane for i64 {
+    fn bounds(p: &ScanPred) -> (i64, i64) {
+        match *p {
+            ScanPred::RangeI32 { lo, hi } => (lo as i64, hi as i64),
+            ScanPred::EqCode { code } => (code as i64, code as i64),
+            ScanPred::RangeF64 { .. } => unreachable!("F64 columns are never compressed"),
+        }
+    }
+    int_within!(i64 as u64);
+}
+
+/// Dictionary-code lanes: a code the width cannot hold matches nothing.
+macro_rules! code_lane {
+    ($t:ty) => {
+        impl Lane for $t {
+            fn bounds(p: &ScanPred) -> ($t, $t) {
+                match *p {
+                    ScanPred::EqCode { code } => <$t>::try_from(code).map_or((1, 0), |c| (c, c)),
+                    _ => unreachable!("type-checked against a Str column"),
+                }
+            }
+            int_within!($t as $t);
+        }
+    };
+}
+code_lane!(u8);
+code_lane!(u16);
+
+/// The plain layout's row loop: present each row of `rows` — its value and
+/// its OID under the void head at `seqbase` — to `hit`, charging one read
+/// per presented tuple. Kept out of line: inlined into the dispatch, the
+/// monomorphised loops compete for registers and the hot one spills its row
+/// counter.
+#[inline(never)]
+fn walk<T: Copy, M: MemTracker>(
+    trk: &mut M,
+    data: &[T],
+    seqbase: Oid,
+    rows: Rows<'_>,
+    mut hit: impl FnMut(T, Oid),
+) {
+    match rows {
+        Rows::Span(lo, hi) => {
+            let first = seqbase + lo as Oid;
+            for (i, v) in data[lo..hi].iter().enumerate() {
+                track_read(trk, v);
+                hit(*v, first + i as Oid);
+            }
+        }
+        // Candidates ascend, so the touches are a forward sweep whose
+        // effective stride the cache simulation prices naturally.
+        Rows::Cands(cands) => {
+            for &c in cands {
+                let at = c.checked_sub(seqbase).and_then(|pos| data.get(pos as usize));
+                let Some(v) = at else { continue };
+                track_read(trk, v);
+                hit(*v, c);
+            }
+        }
+    }
+}
+
+/// Lower the predicates into `T`'s lane and run the plain row loop, with
+/// the single-predicate case (every executor leaf) taken as a slice
+/// pattern so its bounds stay in registers.
+fn scan_plain<T: Lane, M: MemTracker>(
+    trk: &mut M,
+    data: &[T],
+    seqbase: Oid,
+    preds: &[ScanPred],
+    rows: Rows<'_>,
+    out: &mut [Vec<Oid>],
+) {
+    let bounds: Vec<(T, T)> = preds.iter().map(T::bounds).collect();
+    match (bounds.as_slice(), &mut *out) {
+        (&[(lo, hi)], [list]) => {
+            // A local list keeps its length and capacity out of the
+            // caller's memory across pushes.
+            let mut local = std::mem::take(list);
+            walk(trk, data, seqbase, rows, |v, oid| {
+                if v.within(lo, hi) {
+                    local.push(oid);
+                }
             });
+            *list = local;
         }
-    }
-    Ok(())
-}
-
-/// Evaluate one chunk `[lo, hi)` of the column against every predicate,
-/// appending qualifying OIDs to the per-predicate lists.
-fn scan_chunk(bat: &Bat, preds: &[ScanPred], lo: usize, hi: usize, out: &mut [Vec<Oid>]) {
-    match bat.tail() {
-        Column::I32(data) => {
-            for (i, v) in data[lo..hi].iter().enumerate() {
-                let oid = bat.head_oid(lo + i);
-                for (p, list) in preds.iter().zip(out.iter_mut()) {
-                    if let ScanPred::RangeI32 { lo, hi } = p {
-                        if (*lo..=*hi).contains(v) {
-                            list.push(oid);
-                        }
-                    }
+        _ => walk(trk, data, seqbase, rows, |v, oid| {
+            for (&(lo, hi), list) in bounds.iter().zip(out.iter_mut()) {
+                if v.within(lo, hi) {
+                    list.push(oid);
                 }
             }
-        }
-        Column::F64(data) => {
-            for (i, v) in data[lo..hi].iter().enumerate() {
-                let oid = bat.head_oid(lo + i);
-                for (p, list) in preds.iter().zip(out.iter_mut()) {
-                    if let ScanPred::RangeF64 { lo, hi } = p {
-                        if *v >= *lo && *v <= *hi {
-                            list.push(oid);
-                        }
-                    }
-                }
-            }
-        }
-        Column::Str(sc) => match &sc.codes {
-            Codes::U8(data) => {
-                for (i, c) in data[lo..hi].iter().enumerate() {
-                    let oid = bat.head_oid(lo + i);
-                    for (p, list) in preds.iter().zip(out.iter_mut()) {
-                        if let ScanPred::EqCode { code } = p {
-                            if u32::from(*c) == *code {
-                                list.push(oid);
-                            }
-                        }
-                    }
-                }
-            }
-            Codes::U16(data) => {
-                for (i, c) in data[lo..hi].iter().enumerate() {
-                    let oid = bat.head_oid(lo + i);
-                    for (p, list) in preds.iter().zip(out.iter_mut()) {
-                        if let ScanPred::EqCode { code } = p {
-                            if u32::from(*c) == *code {
-                                list.push(oid);
-                            }
-                        }
-                    }
-                }
-            }
-        },
-        _ => unreachable!("check_types rejected this column"),
+        }),
     }
 }
 
-/// One-pass K-predicate scan-select: stream `bat`'s tail once, return one
-/// ascending candidate OID list per predicate — each bit-identical to the
-/// solo scan-select of that predicate. Under a counting tracker the memory
-/// system is charged once per tuple and the CPU once per tuple per
-/// predicate.
-pub fn multi_select<M: MemTracker>(
+/// Check `col` can be scanned and every predicate is evaluable against it,
+/// so the row loops can dispatch on the column type once.
+fn check(col: ScanCol<'_>, preds: &[ScanPred]) -> Result<(), StorageError> {
+    if matches!(col, ScanCol::Plain(bat) if !bat.head_is_void()) {
+        return Err(StorageError::NonVoidHead);
+    }
+    let got = col.value_type();
+    match preds.iter().map(ScanPred::value_type).find(|&expected| expected != got) {
+        Some(expected) => Err(StorageError::TypeMismatch { expected, got }),
+        None => Ok(()),
+    }
+}
+
+/// The kernel behind [`select`] and [`par_select`], after [`check`].
+fn scan<M: MemTracker>(
     trk: &mut M,
-    bat: &Bat,
+    col: ScanCol<'_>,
     preds: &[ScanPred],
-) -> Result<Vec<Vec<Oid>>, StorageError> {
-    check_types(bat.tail(), preds)?;
+    rows: Rows<'_>,
+) -> Vec<Vec<Oid>> {
     let mut out: Vec<Vec<Oid>> = preds.iter().map(|_| Vec::new()).collect();
-    if M::ENABLED {
-        // Charge the stream before the pass: one read per tuple (the data
-        // is touched once, whatever K is), K predicate evaluations of CPU.
-        match bat.tail() {
-            Column::I32(data) => data.iter().for_each(|v| track_read(trk, v)),
-            Column::F64(data) => data.iter().for_each(|v| track_read(trk, v)),
-            Column::Str(sc) => match &sc.codes {
-                Codes::U8(data) => data.iter().for_each(|v| track_read(trk, v)),
-                Codes::U16(data) => data.iter().for_each(|v| track_read(trk, v)),
-            },
-            _ => unreachable!("check_types rejected this column"),
-        }
-        trk.work(Work::ScanIter, (bat.len() * preds.len()) as u64);
+    if preds.is_empty() || rows.len() == 0 {
+        return out;
     }
-    scan_chunk(bat, preds, 0, bat.len(), &mut out);
-    Ok(out)
+    if M::ENABLED {
+        trk.work(Work::ScanIter, (rows.len() * preds.len()) as u64);
+    }
+    match col {
+        ScanCol::Packed(cc, seqbase) => {
+            crate::compress::scan_packed(trk, cc, seqbase, preds, rows, &mut out)
+        }
+        ScanCol::Plain(bat) => {
+            let Head::Void { seqbase } = *bat.head() else {
+                unreachable!("check rejected this head")
+            };
+            match bat.tail() {
+                Column::I32(data) => scan_plain(trk, data, seqbase, preds, rows, &mut out),
+                Column::F64(data) => scan_plain(trk, data, seqbase, preds, rows, &mut out),
+                Column::Str(sc) => match &sc.codes {
+                    Codes::U8(data) => scan_plain(trk, data, seqbase, preds, rows, &mut out),
+                    Codes::U16(data) => scan_plain(trk, data, seqbase, preds, rows, &mut out),
+                },
+                _ => unreachable!("check rejected this column"),
+            }
+        }
+    }
+    out
 }
 
-/// Chunk-bounded [`multi_select`]: evaluate every predicate over the row
-/// range `[lo, hi)` only. Concatenating the lists of consecutive chunks in
-/// ascending `lo` order reproduces the one-shot kernel bit for bit — this
-/// is the primitive the service's chunked *elevator* pass is built on,
-/// where riders can attach at chunk boundaries and wrap around. Under a
-/// counting tracker the chunk's tuples are charged once to the memory
-/// system and `(hi - lo) × K` predicate evaluations to the CPU.
-pub fn multi_select_range<M: MemTracker>(
+/// One-pass K-predicate scan-select over `rows` of `col`: one ascending
+/// candidate OID list per predicate, each exactly *solo full-column result
+/// ∩ `rows`*. See the [module docs](self) for the charging contract.
+pub fn select<M: MemTracker>(
     trk: &mut M,
-    bat: &Bat,
+    col: ScanCol<'_>,
     preds: &[ScanPred],
-    lo: usize,
-    hi: usize,
+    rows: RowSet<'_>,
 ) -> Result<Vec<Vec<Oid>>, StorageError> {
-    check_types(bat.tail(), preds)?;
-    let hi = hi.min(bat.len());
-    let lo = lo.min(hi);
-    let mut out: Vec<Vec<Oid>> = preds.iter().map(|_| Vec::new()).collect();
-    if M::ENABLED {
-        match bat.tail() {
-            Column::I32(data) => data[lo..hi].iter().for_each(|v| track_read(trk, v)),
-            Column::F64(data) => data[lo..hi].iter().for_each(|v| track_read(trk, v)),
-            Column::Str(sc) => match &sc.codes {
-                Codes::U8(data) => data[lo..hi].iter().for_each(|v| track_read(trk, v)),
-                Codes::U16(data) => data[lo..hi].iter().for_each(|v| track_read(trk, v)),
-            },
-            _ => unreachable!("check_types rejected this column"),
-        }
-        trk.work(Work::ScanIter, ((hi - lo) * preds.len()) as u64);
-    }
-    scan_chunk(bat, preds, lo, hi, &mut out);
-    Ok(out)
+    check(col, preds)?;
+    Ok(scan(trk, col, preds, Rows::of(rows, col.len())))
 }
 
-/// Candidate-restricted [`multi_select`] — the pushdown entry point for
-/// uncompressed columns. `cands` is an ascending OID list a prior
-/// predicate leaf already produced; each returned list is exactly
-/// *full-column result ∩ `cands`*, in ascending OID order, so leaf results
-/// intersect to the same set in any evaluation order. The kernel
-/// gather-tests only the candidate rows: under a counting tracker the
-/// memory system is charged one read per *candidate* (candidates ascend,
-/// so the touches are a forward sweep whose effective stride the cache
-/// simulation prices naturally) and the CPU one [`Work::ScanIter`] per
-/// candidate per predicate.
-pub fn multi_select_cands<M: MemTracker>(
-    trk: &mut M,
-    bat: &Bat,
-    preds: &[ScanPred],
-    cands: &[Oid],
-) -> Result<Vec<Vec<Oid>>, StorageError> {
-    check_types(bat.tail(), preds)?;
-    let mut out: Vec<Vec<Oid>> = preds.iter().map(|_| Vec::new()).collect();
-    if preds.is_empty() || cands.is_empty() {
-        return Ok(out);
-    }
-    debug_assert!(cands.windows(2).all(|w| w[0] < w[1]), "candidates ascend");
-    if M::ENABLED {
-        trk.work(Work::ScanIter, (cands.len() * preds.len()) as u64);
-    }
-    match bat.tail() {
-        Column::I32(data) => {
-            for &c in cands {
-                let Some(i) = bat.find_oid(c) else { continue };
-                let v = &data[i];
-                if M::ENABLED {
-                    track_read(trk, v);
-                }
-                for (p, list) in preds.iter().zip(out.iter_mut()) {
-                    if let ScanPred::RangeI32 { lo, hi } = p {
-                        if (*lo..=*hi).contains(v) {
-                            list.push(c);
-                        }
-                    }
-                }
-            }
-        }
-        Column::F64(data) => {
-            for &c in cands {
-                let Some(i) = bat.find_oid(c) else { continue };
-                let v = &data[i];
-                if M::ENABLED {
-                    track_read(trk, v);
-                }
-                for (p, list) in preds.iter().zip(out.iter_mut()) {
-                    if let ScanPred::RangeF64 { lo, hi } = p {
-                        if *v >= *lo && *v <= *hi {
-                            list.push(c);
-                        }
-                    }
-                }
-            }
-        }
-        Column::Str(sc) => {
-            for &c in cands {
-                let Some(i) = bat.find_oid(c) else { continue };
-                let code_at = match &sc.codes {
-                    Codes::U8(data) => {
-                        if M::ENABLED {
-                            track_read(trk, &data[i]);
-                        }
-                        u32::from(data[i])
-                    }
-                    Codes::U16(data) => {
-                        if M::ENABLED {
-                            track_read(trk, &data[i]);
-                        }
-                        u32::from(data[i])
-                    }
-                };
-                for (p, list) in preds.iter().zip(out.iter_mut()) {
-                    if let ScanPred::EqCode { code } = p {
-                        if code_at == *code {
-                            list.push(c);
-                        }
-                    }
-                }
-            }
-        }
-        _ => unreachable!("check_types rejected this column"),
-    }
-    Ok(out)
-}
-
-/// Sharded parallel [`multi_select`] (native-only; no tracker): contiguous
-/// chunks, per-predicate thread-major merge — bit-identical to the
-/// sequential kernel at every thread count. Also returns each worker's
-/// total match count summed across the K predicates (the sharded
-/// `rows_per_thread` accounting).
-pub fn par_multi_select_counted(
-    bat: &Bat,
+/// Parallel [`select`] over [`RowSet::All`] (native-only; no tracker):
+/// block-aligned contiguous chunks, per-predicate thread-major merge —
+/// bit-identical to the sequential kernel at every thread count. Also
+/// returns each worker's total match count summed across the K predicates
+/// (the sharded `rows_per_thread` accounting).
+pub fn par_select(
+    col: ScanCol<'_>,
     preds: &[ScanPred],
     threads: usize,
 ) -> Result<(Vec<Vec<Oid>>, Vec<usize>), StorageError> {
-    check_types(bat.tail(), preds)?;
-    let n = bat.len();
+    check(col, preds)?;
+    let (n, block) = (col.len(), col.block_rows());
+    let parts = fan_out(n.div_ceil(block), threads, |lo, hi| {
+        scan(&mut NullTracker, col, preds, Rows::Span(lo * block, (hi * block).min(n)))
+    });
+    let counts = parts.iter().map(|p| p.iter().map(Vec::len).sum()).collect();
+    let mut parts = parts.into_iter();
+    let mut out = parts.next().expect("fan_out yields at least one chunk");
+    for part in parts {
+        for (list, more) in out.iter_mut().zip(part) {
+            list.extend(more);
+        }
+    }
+    Ok((out, counts))
+}
+
+/// Run `f(lo, hi)` over at most `threads` contiguous chunks of `0..n` and
+/// return the per-chunk results in chunk order. Clamps so every worker gets
+/// a non-empty range; `threads <= 1` (or `n <= 1`) runs inline without
+/// spawning.
+pub fn fan_out<R, F>(n: usize, threads: usize, f: F) -> Vec<R>
+where
+    R: Send,
+    F: Fn(usize, usize) -> R + Sync,
+{
     let threads = threads.min(n).max(1);
     if threads == 1 {
-        let mut out: Vec<Vec<Oid>> = preds.iter().map(|_| Vec::new()).collect();
-        scan_chunk(bat, preds, 0, n, &mut out);
-        let matches = out.iter().map(Vec::len).sum();
-        return Ok((out, vec![matches]));
+        return vec![f(0, n)];
     }
     let chunk = n.div_ceil(threads);
     let ranges: Vec<(usize, usize)> = (0..threads)
         .map(|t| (t * chunk, ((t + 1) * chunk).min(n)))
         .filter(|(a, b)| a < b)
         .collect();
-    let mut parts: Vec<Vec<Vec<Oid>>> = Vec::with_capacity(ranges.len());
+    let mut parts = Vec::with_capacity(ranges.len());
+    let f = &f;
     std::thread::scope(|s| {
-        let handles: Vec<_> = ranges
-            .iter()
-            .map(|&(lo, hi)| {
-                s.spawn(move || {
-                    let mut out: Vec<Vec<Oid>> = preds.iter().map(|_| Vec::new()).collect();
-                    scan_chunk(bat, preds, lo, hi, &mut out);
-                    out
-                })
-            })
-            .collect();
+        let handles: Vec<_> = ranges.iter().map(|&(lo, hi)| s.spawn(move || f(lo, hi))).collect();
         for h in handles {
-            parts.push(h.join().expect("cooperative scan worker panicked"));
+            parts.push(h.join().expect("fan-out worker panicked"));
         }
     });
-    let counts: Vec<usize> = parts.iter().map(|p| p.iter().map(Vec::len).sum()).collect();
-    let mut out: Vec<Vec<Oid>> = preds.iter().map(|_| Vec::new()).collect();
-    for part in parts {
-        for (k, list) in part.into_iter().enumerate() {
-            out[k].extend(list);
-        }
-    }
-    Ok((out, counts))
+    parts
+}
+
+/// [`select`] over a whole plain BAT. Pinned by `bench/src/trace.rs`; goes
+/// when a benchmark issue moves that call onto [`select`].
+pub fn multi_select<M: MemTracker>(
+    trk: &mut M,
+    bat: &Bat,
+    preds: &[ScanPred],
+) -> Result<Vec<Vec<Oid>>, StorageError> {
+    select(trk, ScanCol::Plain(bat), preds, RowSet::All)
+}
+
+/// [`select`] over the candidate rows of a plain BAT. Pinned by
+/// `bench/src/trace.rs`; goes when a benchmark issue moves that call onto
+/// [`select`].
+pub fn multi_select_cands<M: MemTracker>(
+    trk: &mut M,
+    bat: &Bat,
+    preds: &[ScanPred],
+    cands: &[Oid],
+) -> Result<Vec<Vec<Oid>>, StorageError> {
+    select(trk, ScanCol::Plain(bat), preds, RowSet::Cands(cands))
 }
 
 #[cfg(test)]
@@ -355,7 +517,7 @@ mod tests {
     /// Solo reference: a plain single-predicate scan through the same
     /// kernel (K = 1 degenerates to exactly the solo loop).
     fn solo(bat: &Bat, p: ScanPred) -> Vec<Oid> {
-        multi_select(&mut NullTracker, bat, &[p]).unwrap().remove(0)
+        select(&mut NullTracker, ScanCol::Plain(bat), &[p], RowSet::All).unwrap().remove(0)
     }
 
     #[test]
@@ -367,7 +529,7 @@ mod tests {
             ScanPred::RangeI32 { lo: 200, hi: 99 }, // empty
             ScanPred::RangeI32 { lo: 7, hi: 7 },
         ];
-        let lists = multi_select(&mut NullTracker, &b, &preds).unwrap();
+        let lists = select(&mut NullTracker, ScanCol::Plain(&b), &preds, RowSet::All).unwrap();
         assert_eq!(lists.len(), preds.len());
         for (k, p) in preds.iter().enumerate() {
             assert_eq!(lists[k], solo(&b, *p), "pred {k}");
@@ -380,10 +542,11 @@ mod tests {
     #[test]
     fn f64_and_str_columns() {
         let f = Bat::with_void_head(0, Column::F64((0..500).map(|i| i as f64 / 10.0).collect()));
-        let lists = multi_select(
+        let lists = select(
             &mut NullTracker,
-            &f,
+            ScanCol::Plain(&f),
             &[ScanPred::RangeF64 { lo: 1.0, hi: 2.0 }, ScanPred::RangeF64 { lo: 40.0, hi: 60.0 }],
+            RowSet::All,
         )
         .unwrap();
         assert_eq!(lists[0].len(), 11);
@@ -394,10 +557,11 @@ mod tests {
         let code = |needle: &str| {
             s.tail().as_str_col().unwrap().dict.code_of(needle).expect("in dictionary")
         };
-        let lists = multi_select(
+        let lists = select(
             &mut NullTracker,
-            &s,
+            ScanCol::Plain(&s),
             &[ScanPred::EqCode { code: code("MAIL") }, ScanPred::EqCode { code: code("AIR") }],
+            RowSet::All,
         )
         .unwrap();
         assert_eq!(lists[0].len(), 100);
@@ -412,9 +576,9 @@ mod tests {
             ScanPred::RangeI32 { lo: 50, hi: 101 },
             ScanPred::RangeI32 { lo: 13, hi: 13 },
         ];
-        let seq = multi_select(&mut NullTracker, &b, &preds).unwrap();
+        let seq = select(&mut NullTracker, ScanCol::Plain(&b), &preds, RowSet::All).unwrap();
         for threads in [1usize, 2, 4, 7, 64] {
-            let (par, counts) = par_multi_select_counted(&b, &preds, threads).unwrap();
+            let (par, counts) = par_select(ScanCol::Plain(&b), &preds, threads).unwrap();
             assert_eq!(par, seq, "threads={threads}");
             assert_eq!(
                 counts.iter().sum::<usize>(),
@@ -433,13 +597,15 @@ mod tests {
             ScanPred::RangeI32 { lo: 13, hi: 13 },
             ScanPred::RangeI32 { lo: 200, hi: 99 }, // empty
         ];
-        let seq = multi_select(&mut NullTracker, &b, &preds).unwrap();
+        let seq = select(&mut NullTracker, ScanCol::Plain(&b), &preds, RowSet::All).unwrap();
         for chunk in [1usize, 97, 1024, 4096, 10_007, 20_000] {
             let mut acc: Vec<Vec<Oid>> = preds.iter().map(|_| Vec::new()).collect();
             let mut lo = 0;
             while lo < b.len() {
                 let hi = (lo + chunk).min(b.len());
-                let part = multi_select_range(&mut NullTracker, &b, &preds, lo, hi).unwrap();
+                let part =
+                    select(&mut NullTracker, ScanCol::Plain(&b), &preds, RowSet::Range(lo, hi))
+                        .unwrap();
                 for (k, list) in part.into_iter().enumerate() {
                     acc[k].extend(list);
                 }
@@ -448,7 +614,9 @@ mod tests {
             assert_eq!(acc, seq, "chunk={chunk}");
         }
         // Out-of-range and inverted bounds clamp to empty work.
-        let empty = multi_select_range(&mut NullTracker, &b, &preds, 20_000, 30_000).unwrap();
+        let empty =
+            select(&mut NullTracker, ScanCol::Plain(&b), &preds, RowSet::Range(20_000, 30_000))
+                .unwrap();
         assert!(empty.iter().all(Vec::is_empty));
     }
 
@@ -458,7 +626,7 @@ mod tests {
         let preds = [ScanPred::RangeI32 { lo: 0, hi: 50 }, ScanPred::RangeI32 { lo: 10, hi: 60 }];
         let run = |lo: usize, hi: usize| {
             let mut trk = SimTracker::for_machine(memsim::profiles::origin2000());
-            multi_select_range(&mut trk, &b, &preds, lo, hi).unwrap();
+            select(&mut trk, ScanCol::Plain(&b), &preds, RowSet::Range(lo, hi)).unwrap();
             trk.counters()
         };
         let half = run(0, 25_000);
@@ -475,7 +643,7 @@ mod tests {
             ScanPred::RangeI32 { lo: 13, hi: 13 },
             ScanPred::RangeI32 { lo: 200, hi: 99 }, // empty
         ];
-        let full = multi_select(&mut NullTracker, &b, &preds).unwrap();
+        let full = select(&mut NullTracker, ScanCol::Plain(&b), &preds, RowSet::All).unwrap();
         let shapes: Vec<Vec<Oid>> = vec![
             vec![],
             (0..10_007).map(|i| 100 + i as Oid).collect(), // all-pass
@@ -483,7 +651,8 @@ mod tests {
             vec![100, 100 + 10_006],
         ];
         for cands in &shapes {
-            let got = multi_select_cands(&mut NullTracker, &b, &preds, cands).unwrap();
+            let got =
+                select(&mut NullTracker, ScanCol::Plain(&b), &preds, RowSet::Cands(cands)).unwrap();
             for (k, list) in got.iter().enumerate() {
                 let want: Vec<Oid> =
                     full[k].iter().copied().filter(|o| cands.binary_search(o).is_ok()).collect();
@@ -494,9 +663,10 @@ mod tests {
         let strs: Vec<&str> = (0..300).map(|i| ["AIR", "MAIL", "SHIP"][i % 3]).collect();
         let s = Bat::with_void_head(50, Column::Str(StrColumn::from_strs(strs)));
         let preds = [ScanPred::EqCode { code: 1 }];
-        let full = multi_select(&mut NullTracker, &s, &preds).unwrap();
+        let full = select(&mut NullTracker, ScanCol::Plain(&s), &preds, RowSet::All).unwrap();
         let cands: Vec<Oid> = (0..300).step_by(2).map(|i| 50 + i as Oid).collect();
-        let got = multi_select_cands(&mut NullTracker, &s, &preds, &cands).unwrap();
+        let got =
+            select(&mut NullTracker, ScanCol::Plain(&s), &preds, RowSet::Cands(&cands)).unwrap();
         let want: Vec<Oid> =
             full[0].iter().copied().filter(|o| cands.binary_search(o).is_ok()).collect();
         assert_eq!(got[0], want);
@@ -508,13 +678,13 @@ mod tests {
         let preds = [ScanPred::RangeI32 { lo: 0, hi: 50 }];
         let full = {
             let mut trk = SimTracker::for_machine(memsim::profiles::origin2000());
-            multi_select(&mut trk, &b, &preds).unwrap();
+            select(&mut trk, ScanCol::Plain(&b), &preds, RowSet::All).unwrap();
             trk.counters()
         };
         let cands: Vec<Oid> = (0..50_000).step_by(500).map(|i| 100 + i as Oid).collect();
         let restricted = {
             let mut trk = SimTracker::for_machine(memsim::profiles::origin2000());
-            multi_select_cands(&mut trk, &b, &preds, &cands).unwrap();
+            select(&mut trk, ScanCol::Plain(&b), &preds, RowSet::Cands(&cands)).unwrap();
             trk.counters()
         };
         assert_eq!(restricted.reads as usize, cands.len(), "one read per candidate");
@@ -525,11 +695,26 @@ mod tests {
     #[test]
     fn type_mismatch_is_an_error() {
         let b = i32_bat(10);
-        let err = multi_select(&mut NullTracker, &b, &[ScanPred::RangeF64 { lo: 0.0, hi: 1.0 }])
-            .unwrap_err();
+        let err = select(
+            &mut NullTracker,
+            ScanCol::Plain(&b),
+            &[ScanPred::RangeF64 { lo: 0.0, hi: 1.0 }],
+            RowSet::All,
+        )
+        .unwrap_err();
         assert!(matches!(err, StorageError::TypeMismatch { .. }), "{err:?}");
-        let err = par_multi_select_counted(&b, &[ScanPred::EqCode { code: 0 }], 4).unwrap_err();
+        let err = par_select(ScanCol::Plain(&b), &[ScanPred::EqCode { code: 0 }], 4).unwrap_err();
         assert!(matches!(err, StorageError::TypeMismatch { .. }), "{err:?}");
+        // Like the gather and aggregate kernels, the scan wants a void head.
+        let mat = Bat::new(Head::Oids(vec![7, 3]), Column::I32(vec![1, 2])).unwrap();
+        let err = select(
+            &mut NullTracker,
+            ScanCol::Plain(&mat),
+            &[ScanPred::RangeI32 { lo: 0, hi: 9 }],
+            RowSet::All,
+        )
+        .unwrap_err();
+        assert_eq!(err, StorageError::NonVoidHead);
     }
 
     #[test]
@@ -540,7 +725,7 @@ mod tests {
         };
         let run = |preds: Vec<ScanPred>| {
             let mut trk = SimTracker::for_machine(memsim::profiles::origin2000());
-            multi_select(&mut trk, &b, &preds).unwrap();
+            select(&mut trk, ScanCol::Plain(&b), &preds, RowSet::All).unwrap();
             trk.counters()
         };
         let one = run(k_pred(1));
@@ -553,8 +738,8 @@ mod tests {
     #[test]
     fn zero_predicates_is_a_no_op() {
         let b = i32_bat(100);
-        assert!(multi_select(&mut NullTracker, &b, &[]).unwrap().is_empty());
-        let (lists, counts) = par_multi_select_counted(&b, &[], 4).unwrap();
+        assert!(select(&mut NullTracker, ScanCol::Plain(&b), &[], RowSet::All).unwrap().is_empty());
+        let (lists, counts) = par_select(ScanCol::Plain(&b), &[], 4).unwrap();
         assert!(lists.is_empty());
         assert_eq!(counts.iter().sum::<usize>(), 0);
     }

@@ -37,8 +37,8 @@
 //!   scan is already covered by a pass in flight.
 //!
 //! The inequality directions in the published formulas are garbled by PDF
-//! extraction; the reconstruction used here (documented per function and in
-//! DESIGN.md §4) makes every miss model continuous at its boundary and
+//! extraction; the reconstruction used here (documented per function) makes
+//! every miss model continuous at its boundary and
 //! monotone, and is validated against the trace-driven simulator by the
 //! `repro -- validate` harness.
 //!

@@ -73,7 +73,7 @@ pub fn expected_touched_blocks(blocks: usize, k: usize) -> f64 {
 
 /// Candidate-restricted scan pricing: `k` surviving candidates gather-tested
 /// against a `rows`-value column stored at byte `stride`
-/// (`core::scan::multi_select_cands`). Candidates ascend, so the touches are
+/// (`core::scan::select` over `RowSet::Cands`). Candidates ascend, so the touches are
 /// one forward sweep at effective stride `stride·rows/k`; the §2 ramp then
 /// prices the locality — a dense list rides the cache lines like a scan, a
 /// sparse one pays a full miss per touch. CPU follows `k`, not `rows`.
@@ -89,8 +89,8 @@ pub fn cand_scan_cost(m: &ModelMachine, rows: usize, stride: usize, k: usize) ->
     ModelCost::assemble(n * m.work.scan_iter_ns, n * l1, n * l2, n * tlb, &m.lat)
 }
 
-/// Candidate-restricted packed-scan pricing
-/// (`core::compress::multi_select_compressed_cands`): the kernel jumps to
+/// Candidate-restricted packed-scan pricing (`core::scan::select` over a
+/// packed column and `RowSet::Cands`): the kernel jumps to
 /// the frames containing candidates and streams a touched frame's payload
 /// once, so memory is charged for `expected_touched_blocks` frames of
 /// [`FRAME_LEN`] values at the packed bit width while CPU follows `k`.

@@ -1,7 +1,7 @@
 //! Pricing cooperative (K-way merged) scans against K solo scan-selects.
 //!
 //! The §2 stride-scan model decomposes a scan into a CPU term and the
-//! cache/TLB miss terms. A merged pass ([`monet_core::scan::multi_select`])
+//! cache/TLB miss terms. A merged pass (`monet_core::scan::select` with K > 1)
 //! changes only the CPU term: the column streams through the hierarchy
 //! **once** whatever K is, while predicate evaluation repeats per leaf.
 //!

@@ -35,19 +35,13 @@ use costmodel::machine::ModelCost;
 use costmodel::scan::{cand_packed_scan_cost, cand_scan_cost, expected_touched_blocks};
 use costmodel::ModelMachine;
 use memsim::{MemTracker, Work};
-use monet_core::compress::{
-    multi_select_compressed, multi_select_compressed_cands, par_multi_select_compressed_counted,
-    CompressedColumn,
-};
+use monet_core::compress::CompressedColumn;
 use monet_core::index::{key_range_i32, ColumnIndex, IndexKind};
-use monet_core::scan::{multi_select_cands, ScanPred};
-use monet_core::storage::DecomposedTable;
+use monet_core::scan::{par_select, select, RowSet, ScanCol, ScanPred};
+use monet_core::storage::{DecomposedTable, Oid};
 
 use crate::plan::Pred;
-use crate::select::{
-    par_range_select_f64_counted, par_range_select_i32_counted, par_select_eq_str_counted,
-    range_select_f64, range_select_i32, select_eq_str, CandList,
-};
+use crate::select::CandList;
 use crate::EngineError;
 
 /// How the executor chooses selection access paths.
@@ -248,8 +242,9 @@ impl fmt::Display for AccessDecision {
 /// How one leaf will be evaluated.
 #[derive(Debug, Clone)]
 enum LeafAction {
-    /// Scan-select kernels (parallelizable).
-    Scan,
+    /// Scan-select over the uncompressed column (parallelizable; the
+    /// constant lowered to kernel form once, at plan time).
+    Scan { col: String, pred: ScanPred },
     /// Provably empty: the equality constant is not in the dictionary.
     Empty,
     /// The candidate list was produced by a cooperative shared-scan pass;
@@ -396,28 +391,46 @@ fn packed_candidate<'t>(
     col: &str,
     pred: ScanPred,
     compress: CompressMode,
-) -> Option<(&'t CompressedColumn, ScanPred)> {
+) -> Option<&'t CompressedColumn> {
     if compress == CompressMode::Off {
         return None;
     }
-    let cc = table.compressed_of(col)?;
-    cc.supports(&pred).then_some((cc, pred))
+    table.compressed_of(col).filter(|cc| cc.supports(&pred))
+}
+
+/// The one `Pred` → [`ScanPred`] lowering: a leaf's column and its constant
+/// in kernel form, string equality re-mapped to its dictionary code.
+/// `None` for the predicate means the constant is not in the dictionary —
+/// the leaf is provably empty and nothing may execute for it.
+pub(crate) fn lower_leaf<'p>(
+    table: &DecomposedTable,
+    leaf: &'p Pred,
+) -> Result<(&'p str, Option<ScanPred>), EngineError> {
+    Ok(match leaf {
+        Pred::RangeI32 { col, lo, hi } => (col, Some(ScanPred::RangeI32 { lo: *lo, hi: *hi })),
+        Pred::RangeF64 { col, lo, hi } => (col, Some(ScanPred::RangeF64 { lo: *lo, hi: *hi })),
+        Pred::EqStr { col, value } => {
+            let tail = table.bat(col)?.tail();
+            let sc = tail
+                .as_str_col()
+                .ok_or(EngineError::UnsupportedType { op: "access plan", ty: tail.value_type() })?;
+            (col, sc.dict.code_of(value).map(|code| ScanPred::EqCode { code }))
+        }
+        Pred::And(..) | Pred::Or(..) => unreachable!("leaves only"),
+    })
 }
 
 /// Map a chosen quote onto the evaluation action for an integer-key leaf.
-fn action_for(path: AccessPath, col: &str, klo: u32, khi: u32) -> LeafAction {
+fn action_for(path: AccessPath, col: &str, pred: ScanPred, klo: u32, khi: u32) -> LeafAction {
+    let col = col.to_owned();
     match path {
-        AccessPath::Scan => LeafAction::Scan,
-        AccessPath::PackedScan => unreachable!("packed actions are built from their candidate"),
+        AccessPath::Scan => LeafAction::Scan { col, pred },
+        AccessPath::PackedScan => LeafAction::Packed { col, pred },
         AccessPath::BtreeRange | AccessPath::BtreeEq => {
-            LeafAction::BtreeRange { col: col.to_owned(), lo: klo, hi: khi }
+            LeafAction::BtreeRange { col, lo: klo, hi: khi }
         }
-        AccessPath::HashEq => {
-            LeafAction::IndexEq { col: col.to_owned(), kind: IndexKind::Hash, key: klo }
-        }
-        AccessPath::TTreeEq => {
-            LeafAction::IndexEq { col: col.to_owned(), kind: IndexKind::TTree, key: klo }
-        }
+        AccessPath::HashEq => LeafAction::IndexEq { col, kind: IndexKind::Hash, key: klo },
+        AccessPath::TTreeEq => LeafAction::IndexEq { col, kind: IndexKind::TTree, key: klo },
     }
 }
 
@@ -492,7 +505,9 @@ fn leaf_selectivity(lp: &LeafPlan, rows: usize) -> f64 {
 fn restricted_ms(model: &ModelMachine, lp: &LeafPlan, rows: usize, k: usize) -> f64 {
     match &lp.action {
         LeafAction::Empty | LeafAction::Provided(_) => 0.0,
-        LeafAction::Scan => cand_scan_cost(model, rows, lp.decision.stride.max(1), k).total_ms(),
+        LeafAction::Scan { .. } => {
+            cand_scan_cost(model, rows, lp.decision.stride.max(1), k).total_ms()
+        }
         LeafAction::Packed { .. } => {
             cand_packed_scan_cost(model, rows, lp.decision.packed_bits, k).total_ms()
         }
@@ -509,7 +524,9 @@ fn restricted_ms(model: &ModelMachine, lp: &LeafPlan, rows: usize, k: usize) -> 
 fn bytes_saved_est(lp: &LeafPlan, rows: usize, k: usize) -> f64 {
     let frame_len = costmodel::scan::FRAME_LEN;
     match &lp.action {
-        LeafAction::Scan => (rows.saturating_sub(k) as f64) * lp.decision.stride.max(1) as f64,
+        LeafAction::Scan { .. } => {
+            (rows.saturating_sub(k) as f64) * lp.decision.stride.max(1) as f64
+        }
         LeafAction::Packed { .. } => {
             let blocks = rows.div_ceil(frame_len).max(1);
             let streamed = (expected_touched_blocks(blocks, k) * frame_len as f64).min(rows as f64);
@@ -639,104 +656,62 @@ fn plan_rec<M: MemTracker>(
     provided: &[Option<Arc<CandList>>],
     out: &mut Vec<LeafPlan>,
 ) -> Result<(), EngineError> {
+    if let Pred::And(a, b) | Pred::Or(a, b) = pred {
+        plan_rec(trk, table, a, mode, compress, model, provided, out)?;
+        return plan_rec(trk, table, b, mode, compress, model, provided, out);
+    }
+    let (col, kernel) = lower_leaf(table, pred)?;
+    let stride = table.bat(col)?.tail().tail_width();
     // Leaf positions are in-order: the next leaf's index is out.len().
-    if !matches!(pred, Pred::And(..) | Pred::Or(..)) {
-        if let Some(Some(cands)) = provided.get(out.len()) {
-            let col = match pred {
-                Pred::RangeI32 { col, .. }
-                | Pred::RangeF64 { col, .. }
-                | Pred::EqStr { col, .. } => col,
-                _ => unreachable!("leaf match"),
-            };
-            table.bat(col)?;
-            out.push(provided_leaf(col, cands.clone()));
-            return Ok(());
-        }
+    if let Some(Some(cands)) = provided.get(out.len()) {
+        out.push(provided_leaf(col, cands.clone()));
+        return Ok(());
     }
-    match pred {
-        Pred::And(a, b) | Pred::Or(a, b) => {
-            plan_rec(trk, table, a, mode, compress, model, provided, out)?;
-            plan_rec(trk, table, b, mode, compress, model, provided, out)
-        }
-        Pred::RangeF64 { col, .. } => {
-            // F64 columns carry no indexes (no u32 key mapping) and no
-            // compressed representation: always a plain scan.
-            table.bat(col)?;
-            out.push(scan_leaf(model, table, col, 8, None, compress, mode, 0));
-            Ok(())
-        }
-        Pred::RangeI32 { col, lo, hi } => {
-            table.bat(col)?;
-            let eq = lo == hi;
-            let kernel_pred = ScanPred::RangeI32 { lo: *lo, hi: *hi };
-            let packed = packed_candidate(table, col, kernel_pred, compress);
-            let usable = usable_indexes(table, col, eq);
-            if mode == AccessMode::Scan || usable.is_empty() {
-                // No index to count with: sniff the compressed metadata
-                // (frame min/max, runs) for a selectivity estimate. This
-                // reads headers only, so it's free even when the compress
-                // policy keeps the evaluation on the uncompressed path.
-                let est = table
-                    .compressed_of(col)
-                    .and_then(|cc| cc.estimate_matches(&kernel_pred))
-                    .unwrap_or(0);
-                out.push(scan_leaf(model, table, col, 4, packed, compress, mode, est));
-                return Ok(());
-            }
-            let (klo, khi) = key_range_i32(*lo, *hi);
-            let matches = estimate_matches(trk, table, col, &usable, klo, khi);
-            out.push(priced_leaf(
-                model, table, col, 4, matches, eq, mode, &usable, klo, khi, packed, compress,
-            ));
-            Ok(())
-        }
-        Pred::EqStr { col, value } => {
-            let bat = table.bat(col)?;
-            let sc = bat.tail().as_str_col().ok_or(EngineError::UnsupportedType {
-                op: "access plan",
-                ty: bat.tail().value_type(),
-            })?;
-            let stride = bat.tail().tail_width();
-            let packed = sc
-                .dict
-                .code_of(value)
-                .and_then(|code| packed_candidate(table, col, ScanPred::EqCode { code }, compress));
-            let usable = usable_indexes(table, col, true);
-            if mode == AccessMode::Scan || usable.is_empty() {
-                let est = sc
-                    .dict
-                    .code_of(value)
-                    .and_then(|code| {
-                        table
-                            .compressed_of(col)
-                            .and_then(|cc| cc.estimate_matches(&ScanPred::EqCode { code }))
-                    })
-                    .unwrap_or(0);
-                out.push(scan_leaf(model, table, col, stride, packed, compress, mode, est));
-                return Ok(());
-            }
-            let Some(code) = sc.dict.code_of(value) else {
-                // Provably empty — the dictionary already answered the
-                // query, so nothing executes and nothing may be quoted:
-                // keep the path the planner would have taken (provenance)
-                // but zero its cost so `model_ms` only prices work done.
-                let mut leaf = priced_leaf(
-                    model, table, col, stride, 0, true, mode, &usable, 0, 0, None, compress,
-                );
-                leaf.action = LeafAction::Empty;
-                leaf.scan_work_ns = 0.0;
-                leaf.decision.predicted_ms = 0.0;
-                out.push(leaf);
-                return Ok(());
-            };
-            let matches = estimate_matches(trk, table, col, &usable, code, code);
-            out.push(priced_leaf(
-                model, table, col, stride, matches, true, mode, &usable, code, code, packed,
-                compress,
-            ));
-            Ok(())
-        }
+    // Range predicates can only use range-capable indexes. F64 columns
+    // carry no indexes (no u32 key mapping) and no compressed
+    // representation, so they always fall through to the plain scan.
+    let eq = !matches!(kernel, Some(ScanPred::RangeI32 { lo, hi }) if lo != hi);
+    let usable = usable_indexes(table, col, eq);
+    let scan_only = mode == AccessMode::Scan || usable.is_empty();
+    let Some(kernel) = kernel else {
+        // Provably empty — the dictionary already answered the query, so
+        // nothing executes and nothing may be quoted: keep the path the
+        // planner would have taken (provenance) but zero its cost so
+        // `model_ms` only prices work done.
+        let any = ScanPred::EqCode { code: 0 };
+        let mut leaf = if scan_only {
+            scan_leaf(model, table, col, any, stride, None, compress, mode, 0)
+        } else {
+            priced_leaf(
+                model, table, col, any, stride, 0, true, mode, &usable, 0, 0, None, compress,
+            )
+        };
+        leaf.action = LeafAction::Empty;
+        leaf.scan_work_ns = 0.0;
+        leaf.decision.predicted_ms = 0.0;
+        out.push(leaf);
+        return Ok(());
+    };
+    let packed = packed_candidate(table, col, kernel, compress);
+    if scan_only {
+        // No index to count with: sniff the compressed metadata (frame
+        // min/max, runs) for a selectivity estimate. This reads headers
+        // only, so it's free even when the compress policy keeps the
+        // evaluation on the uncompressed path.
+        let est = table.compressed_of(col).and_then(|cc| cc.estimate_matches(&kernel)).unwrap_or(0);
+        out.push(scan_leaf(model, table, col, kernel, stride, packed, compress, mode, est));
+        return Ok(());
     }
+    let (klo, khi) = match kernel {
+        ScanPred::RangeI32 { lo, hi } => key_range_i32(lo, hi),
+        ScanPred::EqCode { code } => (code, code),
+        ScanPred::RangeF64 { .. } => unreachable!("F64 columns carry no indexes"),
+    };
+    let matches = estimate_matches(trk, table, col, &usable, klo, khi);
+    out.push(priced_leaf(
+        model, table, col, kernel, stride, matches, eq, mode, &usable, klo, khi, packed, compress,
+    ));
+    Ok(())
 }
 
 /// A leaf that never probes an index (no usable one, or `Scan` mode): a
@@ -749,15 +724,16 @@ fn scan_leaf(
     model: &ModelMachine,
     table: &DecomposedTable,
     col: &str,
+    pred: ScanPred,
     stride: usize,
-    packed: Option<(&CompressedColumn, ScanPred)>,
+    packed: Option<&CompressedColumn>,
     compress: CompressMode,
     mode: AccessMode,
     matches_est: usize,
 ) -> LeafPlan {
     let rows = table.len();
     let scan_ms = costmodel::access::scan_select_cost(model, rows, stride).total_ms();
-    if let Some((cc, pred)) = packed {
+    if let Some(cc) = packed {
         let bits = cc.bits_per_value();
         let packed_ms = costmodel::scan::packed_scan_cost(model, rows, bits).total_ms();
         let take = match compress {
@@ -799,7 +775,7 @@ fn scan_leaf(
             cands_in: None,
             bytes_saved: 0.0,
         },
-        action: LeafAction::Scan,
+        action: LeafAction::Scan { col: col.to_owned(), pred },
         scan_work_ns: scan_ms * 1e6,
         index_cost: None,
     }
@@ -830,6 +806,7 @@ fn priced_leaf(
     model: &ModelMachine,
     table: &DecomposedTable,
     col: &str,
+    pred: ScanPred,
     stride: usize,
     matches: usize,
     eq: bool,
@@ -837,7 +814,7 @@ fn priced_leaf(
     usable: &[(&ColumnIndex, IndexShape)],
     klo: u32,
     khi: u32,
-    packed: Option<(&CompressedColumn, ScanPred)>,
+    packed: Option<&CompressedColumn>,
     compress: CompressMode,
 ) -> LeafPlan {
     // `on` lets the packed quote compete only where the model decides
@@ -852,7 +829,7 @@ fn priced_leaf(
         stride,
         matches,
         eq,
-        packed_bits: packed.map(|(cc, _)| cc.bits_per_value()),
+        packed_bits: packed.map(CompressedColumn::bits_per_value),
         cands: None,
     };
     let shapes: Vec<IndexShape> = usable.iter().map(|(_, s)| *s).collect();
@@ -865,12 +842,6 @@ fn priced_leaf(
         pick(mode, &all)
     };
     let scan_ms = all[0].cost.total_ms();
-    let action = if chosen.path == AccessPath::PackedScan {
-        let (_, pred) = packed.expect("packed quote implies a packed candidate");
-        LeafAction::Packed { col: col.to_owned(), pred }
-    } else {
-        action_for(chosen.path, col, klo, khi)
-    };
     LeafPlan {
         decision: AccessDecision {
             column: col.to_owned(),
@@ -888,7 +859,7 @@ fn priced_leaf(
             cands_in: None,
             bytes_saved: 0.0,
         },
-        action,
+        action: action_for(chosen.path, col, pred, klo, khi),
         scan_work_ns: if chosen.path.is_index() { 0.0 } else { chosen.cost.total_ms() * 1e6 },
         index_cost: chosen.path.is_index().then_some(chosen.cost),
     }
@@ -924,7 +895,7 @@ pub(crate) fn eval_planned<M: MemTracker>(
 ) -> Result<(CandList, Option<Vec<usize>>), EngineError> {
     let mut shards = ShardAcc { counts: Vec::new() };
     let cands = if let Some(order) = plan.order() {
-        eval_ordered(trk, table, pred, plan, order, threads, &mut shards)?
+        eval_ordered(trk, table, plan, order, threads, &mut shards)?
     } else {
         let mut cursor = 0usize;
         let out = eval_rec(trk, table, pred, plan, &mut cursor, threads, &mut shards)?;
@@ -936,110 +907,29 @@ pub(crate) fn eval_planned<M: MemTracker>(
     Ok((cands, (threads > 1 && !shards.counts.is_empty()).then_some(shards.counts)))
 }
 
-/// In-order leaf predicates of a tree (the positions `PredPlan.leaves`
-/// indexes by).
-fn collect_leaves<'p>(pred: &'p Pred, out: &mut Vec<&'p Pred>) {
-    match pred {
-        Pred::And(a, b) | Pred::Or(a, b) => {
-            collect_leaves(a, out);
-            collect_leaves(b, out);
-        }
-        leaf => out.push(leaf),
-    }
-}
-
 /// Pushdown evaluation of a pure-AND conjunction: the first leaf in `order`
 /// evaluates full (parallelizable), every later leaf evaluates restricted
-/// to the running survivor list via the candidate kernels. Each restricted
-/// kernel returns exactly (full result ∩ candidates), so the running list
-/// *is* the conjunction so far — bit-identical to intersecting full-leaf
-/// results in any order. An empty running list short-circuits the rest.
+/// to the running survivor list. Each restricted leaf returns exactly
+/// (full result ∩ candidates), so the running list *is* the conjunction so
+/// far — bit-identical to intersecting full-leaf results in any order. An
+/// empty running list short-circuits the rest.
 fn eval_ordered<M: MemTracker>(
     trk: &mut M,
     table: &DecomposedTable,
-    pred: &Pred,
     plan: &PredPlan,
     order: &[usize],
     threads: usize,
     shards: &mut ShardAcc,
 ) -> Result<CandList, EngineError> {
-    let mut leaf_preds = Vec::with_capacity(plan.leaves.len());
-    collect_leaves(pred, &mut leaf_preds);
-    debug_assert_eq!(leaf_preds.len(), plan.leaves.len(), "order over all leaves");
     let mut running: Option<CandList> = None;
     for &i in order {
-        let lp = &plan.leaves[i];
-        running = Some(match running {
-            None => eval_leaf(trk, table, leaf_preds[i], lp, threads, shards)?,
-            Some(cur) => {
-                if cur.is_empty() {
-                    return Ok(cur);
-                }
-                eval_leaf_cands(trk, table, leaf_preds[i], lp, &cur)?
-            }
-        });
+        if running.as_ref().is_some_and(Vec::is_empty) {
+            break;
+        }
+        running =
+            Some(eval_leaf(trk, table, &plan.leaves[i], running.as_deref(), threads, shards)?);
     }
     Ok(running.unwrap_or_default())
-}
-
-/// Evaluate one leaf restricted to an ascending candidate list, returning
-/// exactly (full leaf result ∩ `cands`) in OID order.
-fn eval_leaf_cands<M: MemTracker>(
-    trk: &mut M,
-    table: &DecomposedTable,
-    leaf: &Pred,
-    lp: &LeafPlan,
-    cands: &CandList,
-) -> Result<CandList, EngineError> {
-    match &lp.action {
-        LeafAction::Empty => Ok(CandList::new()),
-        LeafAction::Provided(p) => Ok(crate::candidates::intersect(p, cands)),
-        LeafAction::Scan => {
-            let (col, spred) = match leaf {
-                Pred::RangeI32 { col, lo, hi } => (col, ScanPred::RangeI32 { lo: *lo, hi: *hi }),
-                Pred::RangeF64 { col, lo, hi } => (col, ScanPred::RangeF64 { lo: *lo, hi: *hi }),
-                Pred::EqStr { col, value } => {
-                    let bat = table.bat(col)?;
-                    let sc = bat.tail().as_str_col().ok_or(EngineError::UnsupportedType {
-                        op: "pushdown eval",
-                        ty: bat.tail().value_type(),
-                    })?;
-                    match sc.dict.code_of(value) {
-                        Some(code) => (col, ScanPred::EqCode { code }),
-                        None => return Ok(CandList::new()),
-                    }
-                }
-                Pred::And(..) | Pred::Or(..) => unreachable!("leaf evaluation"),
-            };
-            let mut lists = multi_select_cands(trk, table.bat(col)?, &[spred], cands)?;
-            Ok(lists.remove(0))
-        }
-        LeafAction::Packed { col, pred } => {
-            let cc = table.compressed_of(col).expect("planned packed leaf has a compressed column");
-            let mut lists = multi_select_compressed_cands(
-                trk,
-                cc,
-                table.seqbase(),
-                std::slice::from_ref(pred),
-                cands,
-            )?;
-            Ok(lists.remove(0))
-        }
-        LeafAction::BtreeRange { col, lo, hi } => {
-            let idx = table
-                .index_of(col, IndexKind::CsBTree)
-                .expect("planned btree leaf has a btree index");
-            let mut out = CandList::new();
-            idx.lookup_range_cands(trk, *lo, *hi, cands, |o| out.push(o));
-            finish_index_leaf(trk, out)
-        }
-        LeafAction::IndexEq { col, kind, key } => {
-            let idx = table.index_of(col, *kind).expect("planned index leaf has its index");
-            let mut out = CandList::new();
-            idx.lookup_eq_cands(trk, *key, cands, |o| out.push(o));
-            finish_index_leaf(trk, out)
-        }
-    }
 }
 
 fn eval_rec<M: MemTracker>(
@@ -1066,60 +956,73 @@ fn eval_rec<M: MemTracker>(
             let cb = eval_rec(trk, table, b, plan, cursor, threads, shards)?;
             Ok(crate::candidates::union(&ca, &cb))
         }
-        leaf => {
+        _ => {
             let lp = &plan.leaves[*cursor];
             *cursor += 1;
-            eval_leaf(trk, table, leaf, lp, threads, shards)
+            eval_leaf(trk, table, lp, None, threads, shards)
         }
     }
 }
 
+/// Evaluate one planned leaf — over the full column, or restricted to an
+/// ascending candidate list, returning exactly (full leaf result ∩
+/// `cands`) in OID order. Unrestricted scan leaves fan out over `threads`
+/// and account their per-thread matches; restricted ones run sequentially.
 fn eval_leaf<M: MemTracker>(
     trk: &mut M,
     table: &DecomposedTable,
-    leaf: &Pred,
     lp: &LeafPlan,
+    cands: Option<&[Oid]>,
     threads: usize,
     shards: &mut ShardAcc,
 ) -> Result<CandList, EngineError> {
-    match &lp.action {
-        LeafAction::Empty => Ok(CandList::new()),
+    let (scol, pred) = match &lp.action {
+        LeafAction::Empty => return Ok(CandList::new()),
         // A shared pass already streamed the column; consuming the list is
         // free of scan work (and contributes no shard counts).
-        LeafAction::Provided(cands) => Ok((**cands).clone()),
-        LeafAction::Scan => scan_eval(trk, table, leaf, threads, shards),
-        LeafAction::Packed { col, pred } => {
-            let cc = table.compressed_of(col).expect("planned packed leaf has a compressed column");
-            if threads <= 1 {
-                let mut lists =
-                    multi_select_compressed(trk, cc, table.seqbase(), std::slice::from_ref(pred))?;
-                Ok(lists.remove(0))
-            } else {
-                let (mut lists, counts) = par_multi_select_compressed_counted(
-                    cc,
-                    table.seqbase(),
-                    std::slice::from_ref(pred),
-                    threads,
-                )?;
-                shards.add(&counts);
-                Ok(lists.remove(0))
-            }
+        LeafAction::Provided(list) => {
+            return Ok(match cands {
+                Some(c) => crate::candidates::intersect(list, c),
+                None => (**list).clone(),
+            })
         }
         LeafAction::BtreeRange { col, lo, hi } => {
             let idx = table
                 .index_of(col, IndexKind::CsBTree)
                 .expect("planned btree leaf has a btree index");
             let mut out = CandList::new();
-            idx.lookup_range(trk, *lo, *hi, |o| out.push(o));
-            finish_index_leaf(trk, out)
+            match cands {
+                Some(c) => idx.lookup_range_cands(trk, *lo, *hi, c, |o| out.push(o)),
+                None => idx.lookup_range(trk, *lo, *hi, |o| out.push(o)),
+            };
+            return finish_index_leaf(trk, out);
         }
         LeafAction::IndexEq { col, kind, key } => {
             let idx = table.index_of(col, *kind).expect("planned index leaf has its index");
             let mut out = CandList::new();
-            idx.lookup_eq(trk, *key, |o| out.push(o));
-            finish_index_leaf(trk, out)
+            match cands {
+                Some(c) => idx.lookup_eq_cands(trk, *key, c, |o| out.push(o)),
+                None => idx.lookup_eq(trk, *key, |o| out.push(o)),
+            };
+            return finish_index_leaf(trk, out);
         }
-    }
+        LeafAction::Scan { col, pred } => (ScanCol::Plain(table.bat(col)?), pred),
+        LeafAction::Packed { col, pred } => {
+            let cc = table.compressed_of(col).expect("planned packed leaf has a compressed column");
+            (ScanCol::Packed(cc, table.seqbase()), pred)
+        }
+    };
+    let preds = std::slice::from_ref(pred);
+    let mut lists = match cands {
+        Some(c) => select(trk, scol, preds, RowSet::Cands(c))?,
+        None if threads > 1 => {
+            let (lists, counts) = par_select(scol, preds, threads)?;
+            shards.add(&counts);
+            lists
+        }
+        None => select(trk, scol, preds, RowSet::All)?,
+    };
+    Ok(lists.remove(0))
 }
 
 /// Restore scan (ascending-OID) order over an index probe's matches —
@@ -1135,48 +1038,6 @@ fn finish_index_leaf<M: MemTracker>(
     }
     out.sort_unstable();
     Ok(out)
-}
-
-/// Evaluate a scan leaf: the sequential tracked kernels at `threads == 1`,
-/// the chunked parallel kernels (with per-thread counts) above.
-fn scan_eval<M: MemTracker>(
-    trk: &mut M,
-    table: &DecomposedTable,
-    leaf: &Pred,
-    threads: usize,
-    shards: &mut ShardAcc,
-) -> Result<CandList, EngineError> {
-    if threads <= 1 {
-        return match leaf {
-            Pred::RangeI32 { col, lo, hi } => range_select_i32(trk, table.bat(col)?, *lo, *hi),
-            Pred::RangeF64 { col, lo, hi } => range_select_f64(trk, table.bat(col)?, *lo, *hi),
-            Pred::EqStr { col, value } => match select_eq_str(trk, table.bat(col)?, value) {
-                Err(EngineError::ConstantNotInDictionary(_)) => Ok(CandList::new()),
-                other => other,
-            },
-            Pred::And(..) | Pred::Or(..) => unreachable!("leaf evaluation"),
-        };
-    }
-    let (cands, counts) = match leaf {
-        Pred::RangeI32 { col, lo, hi } => {
-            par_range_select_i32_counted(table.bat(col)?, *lo, *hi, threads)?
-        }
-        Pred::RangeF64 { col, lo, hi } => {
-            par_range_select_f64_counted(table.bat(col)?, *lo, *hi, threads)?
-        }
-        Pred::EqStr { col, value } => {
-            match par_select_eq_str_counted(table.bat(col)?, value, threads) {
-                // The kernel bails before scanning, so no chunk ever ran:
-                // contribute no shard counts (a `vec![0; threads]` here
-                // could misalign with clamped chunk counts of other leaves).
-                Err(EngineError::ConstantNotInDictionary(_)) => (CandList::new(), Vec::new()),
-                other => other?,
-            }
-        }
-        Pred::And(..) | Pred::Or(..) => unreachable!("leaf evaluation"),
-    };
-    shards.add(&counts);
-    Ok(cands)
 }
 
 #[cfg(test)]

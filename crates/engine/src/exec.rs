@@ -1726,13 +1726,17 @@ mod tests {
 
         // Produce every leaf's list through the cooperative kernel, as the
         // service's shared pass would.
-        let reqs = scan_requests(&plan);
+        let reqs = scan_requests(&plan, PushdownMode::On);
         assert_eq!(reqs.len(), 2);
         let mut ticket = ScanTicket::new();
         for r in &reqs {
-            let lists =
-                monet_core::scan::multi_select(&mut NullTracker, r.bat, &[r.pred.kernel_pred()])
-                    .unwrap();
+            let lists = monet_core::scan::select(
+                &mut NullTracker,
+                monet_core::scan::ScanCol::Plain(r.bat),
+                &[r.pred.kernel_pred()],
+                monet_core::scan::RowSet::All,
+            )
+            .unwrap();
             ticket.provide(r.leaf, std::sync::Arc::new(lists.into_iter().next().unwrap()));
         }
         for threads in [Threads::Fixed(1), Threads::Fixed(4)] {

@@ -15,34 +15,9 @@
 //! from several threads would serialize on the simulator and model a machine
 //! the paper never measured. The executor pins simulated runs to one thread.
 
-/// Run `f(lo, hi)` over at most `threads` contiguous chunks of `0..n` and
-/// return the per-chunk results in chunk order. Clamps so every worker gets
-/// a non-empty range; `threads <= 1` (or `n <= 1`) runs inline without
-/// spawning.
-pub(crate) fn fan_out<R, F>(n: usize, threads: usize, f: F) -> Vec<R>
-where
-    R: Send,
-    F: Fn(usize, usize) -> R + Sync,
-{
-    let threads = threads.min(n).max(1);
-    if threads == 1 {
-        return vec![f(0, n)];
-    }
-    let chunk = n.div_ceil(threads);
-    let ranges: Vec<(usize, usize)> = (0..threads)
-        .map(|t| (t * chunk, ((t + 1) * chunk).min(n)))
-        .filter(|(a, b)| a < b)
-        .collect();
-    let mut parts = Vec::with_capacity(ranges.len());
-    let f = &f;
-    std::thread::scope(|s| {
-        let handles: Vec<_> = ranges.iter().map(|&(lo, hi)| s.spawn(move || f(lo, hi))).collect();
-        for h in handles {
-            parts.push(h.join().expect("fan-out worker panicked"));
-        }
-    });
-    parts
-}
+/// The contiguous-chunk fan-out every parallel operator here (and the
+/// scan-select driver in `monet_core`) shares.
+pub(crate) use monet_core::scan::fan_out;
 
 /// The per-thread chunk sizes [`fan_out`] uses over `0..n` — the sharded
 /// row accounting for operators whose parallel work is a uniform partition

@@ -1,12 +1,18 @@
-//! Scan selections.
+//! Reference scan selections.
 //!
 //! §3.2: "If the selectivity is low, most data needs to be visited and this
 //! is best done with a scan-select (it has optimal data locality)." All
 //! selections here are scans over a single BAT tail — stride 1/4/8 bytes
 //! thanks to vertical decomposition — returning candidate OID lists.
+//!
+//! These three single-predicate loops are the *reference* the property
+//! suites, `repro fig4` and `benches/native.rs` compare against. Nothing
+//! on the execution path calls them: the executor and the query service
+//! run [`monet_core::scan::select`], which charges a counting tracker the
+//! same reads and the same per-tuple CPU work.
 
 use memsim::{track_read, MemTracker, Work};
-use monet_core::storage::{Bat, Codes, Column, Oid};
+use monet_core::storage::{Bat, Codes, Oid};
 
 use crate::EngineError;
 
@@ -107,158 +113,11 @@ pub fn select_eq_str<M: MemTracker>(
     Ok(out)
 }
 
-/// Concatenate per-chunk candidate lists thread-major, also returning the
-/// per-chunk (per-thread) match counts — the sharded `ExecReport` counters.
-fn concat_counted(parts: Vec<CandList>) -> (CandList, Vec<usize>) {
-    let counts: Vec<usize> = parts.iter().map(Vec::len).collect();
-    let mut out = CandList::with_capacity(counts.iter().sum());
-    for p in parts {
-        out.extend(p);
-    }
-    (out, counts)
-}
-
-/// Parallel range selection over an `I32` tail: chunked fan-out with a
-/// thread-major merge, so the candidate list is bit-identical to
-/// [`range_select_i32`] (native-only; see [`crate::par`]). Also returns the
-/// per-thread match counts for the sharded report.
-pub fn par_range_select_i32_counted(
-    bat: &Bat,
-    lo: i32,
-    hi: i32,
-    threads: usize,
-) -> Result<(CandList, Vec<usize>), EngineError> {
-    let data = bat.tail().as_i32().ok_or(EngineError::UnsupportedType {
-        op: "par_range_select_i32",
-        ty: bat.tail().value_type(),
-    })?;
-    Ok(concat_counted(crate::par::fan_out(data.len(), threads, |clo, chi| {
-        let mut out = CandList::new();
-        for (i, v) in data.iter().enumerate().take(chi).skip(clo) {
-            if (lo..=hi).contains(v) {
-                out.push(bat.head_oid(i));
-            }
-        }
-        out
-    })))
-}
-
-/// [`par_range_select_i32_counted`] without the per-thread counts.
-pub fn par_range_select_i32(
-    bat: &Bat,
-    lo: i32,
-    hi: i32,
-    threads: usize,
-) -> Result<CandList, EngineError> {
-    Ok(par_range_select_i32_counted(bat, lo, hi, threads)?.0)
-}
-
-/// Parallel range selection over an `F64` tail (bit-identical to
-/// [`range_select_f64`]), with per-thread match counts.
-pub fn par_range_select_f64_counted(
-    bat: &Bat,
-    lo: f64,
-    hi: f64,
-    threads: usize,
-) -> Result<(CandList, Vec<usize>), EngineError> {
-    let data = bat.tail().as_f64().ok_or(EngineError::UnsupportedType {
-        op: "par_range_select_f64",
-        ty: bat.tail().value_type(),
-    })?;
-    Ok(concat_counted(crate::par::fan_out(data.len(), threads, |clo, chi| {
-        let mut out = CandList::new();
-        for (i, v) in data.iter().enumerate().take(chi).skip(clo) {
-            if *v >= lo && *v <= hi {
-                out.push(bat.head_oid(i));
-            }
-        }
-        out
-    })))
-}
-
-/// [`par_range_select_f64_counted`] without the per-thread counts.
-pub fn par_range_select_f64(
-    bat: &Bat,
-    lo: f64,
-    hi: f64,
-    threads: usize,
-) -> Result<CandList, EngineError> {
-    Ok(par_range_select_f64_counted(bat, lo, hi, threads)?.0)
-}
-
-/// Parallel dictionary-equality selection (bit-identical to
-/// [`select_eq_str`], including the [`EngineError::ConstantNotInDictionary`]
-/// contract — the constant is re-mapped to its code once, before fan-out),
-/// with per-thread match counts.
-pub fn par_select_eq_str_counted(
-    bat: &Bat,
-    needle: &str,
-    threads: usize,
-) -> Result<(CandList, Vec<usize>), EngineError> {
-    let sc = bat.tail().as_str_col().ok_or(EngineError::UnsupportedType {
-        op: "par_select_eq_str",
-        ty: bat.tail().value_type(),
-    })?;
-    let Some(code) = sc.dict.code_of(needle) else {
-        return Err(EngineError::ConstantNotInDictionary(needle.to_owned()));
-    };
-    let scan = |n: usize, eq: &(dyn Fn(usize) -> bool + Sync)| {
-        concat_counted(crate::par::fan_out(n, threads, |clo, chi| {
-            let mut out = CandList::new();
-            for i in clo..chi {
-                if eq(i) {
-                    out.push(bat.head_oid(i));
-                }
-            }
-            out
-        }))
-    };
-    Ok(match &sc.codes {
-        Codes::U8(v) => {
-            let code = code as u8;
-            scan(v.len(), &|i| v[i] == code)
-        }
-        Codes::U16(v) => {
-            let code = code as u16;
-            scan(v.len(), &|i| v[i] == code)
-        }
-    })
-}
-
-/// [`par_select_eq_str_counted`] without the per-thread counts.
-pub fn par_select_eq_str(bat: &Bat, needle: &str, threads: usize) -> Result<CandList, EngineError> {
-    Ok(par_select_eq_str_counted(bat, needle, threads)?.0)
-}
-
-/// Equality selection on a `U8` column (already-encoded data).
-pub fn select_eq_u8<M: MemTracker>(
-    trk: &mut M,
-    bat: &Bat,
-    needle: u8,
-) -> Result<CandList, EngineError> {
-    match bat.tail() {
-        Column::U8(v) => {
-            let mut out = CandList::new();
-            for (i, c) in v.iter().enumerate() {
-                if M::ENABLED {
-                    track_read(trk, c);
-                    trk.work(Work::ScanIter, 1);
-                }
-                if *c == needle {
-                    out.push(bat.head_oid(i));
-                }
-            }
-            Ok(out)
-        }
-        other => Err(EngineError::UnsupportedType { op: "select_eq_u8", ty: other.value_type() }),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use memsim::NullTracker;
-    use monet_core::storage::StrColumn;
+    use monet_core::storage::{Column, StrColumn};
 
     fn qty_bat() -> Bat {
         Bat::with_void_head(100, Column::I32(vec![5, 17, 3, 25, 17, 8]))
@@ -307,55 +166,5 @@ mod tests {
             range_select_f64(&mut NullTracker, &b, 0.0, 1.0),
             Err(EngineError::UnsupportedType { .. })
         ));
-    }
-
-    #[test]
-    fn u8_select() {
-        let b = Bat::with_void_head(0, Column::U8(vec![1, 3, 1, 2]));
-        assert_eq!(select_eq_u8(&mut NullTracker, &b, 1).unwrap(), vec![0, 2]);
-    }
-
-    #[test]
-    fn parallel_selects_are_bit_identical_to_sequential() {
-        let i32s: Vec<i32> = (0..10_000).map(|i| (i * 37) % 1000).collect();
-        let f64s: Vec<f64> = (0..10_000).map(|i| ((i * 13) % 777) as f64 / 10.0).collect();
-        let strs: Vec<&str> = (0..10_000).map(|i| ["AIR", "MAIL", "SHIP"][i % 3]).collect();
-        let bi = Bat::with_void_head(50, Column::I32(i32s));
-        let bf = Bat::with_void_head(0, Column::F64(f64s));
-        let bs = Bat::with_void_head(7, Column::Str(StrColumn::from_strs(strs)));
-        for threads in [1usize, 2, 4, 7, 64] {
-            assert_eq!(
-                par_range_select_i32(&bi, 100, 500, threads).unwrap(),
-                range_select_i32(&mut NullTracker, &bi, 100, 500).unwrap(),
-                "threads={threads}"
-            );
-            assert_eq!(
-                par_range_select_f64(&bf, 3.0, 40.0, threads).unwrap(),
-                range_select_f64(&mut NullTracker, &bf, 3.0, 40.0).unwrap(),
-                "threads={threads}"
-            );
-            assert_eq!(
-                par_select_eq_str(&bs, "MAIL", threads).unwrap(),
-                select_eq_str(&mut NullTracker, &bs, "MAIL").unwrap(),
-                "threads={threads}"
-            );
-        }
-        // The dictionary-miss contract is preserved.
-        assert!(matches!(
-            par_select_eq_str(&bs, "WALRUS", 4),
-            Err(EngineError::ConstantNotInDictionary(_))
-        ));
-    }
-
-    #[test]
-    fn counted_selects_shard_the_match_counts_per_thread() {
-        let i32s: Vec<i32> = (0..1_000).map(|i| i % 100).collect();
-        let b = Bat::with_void_head(0, Column::I32(i32s));
-        for threads in [1usize, 3, 4, 7] {
-            let (cands, counts) = par_range_select_i32_counted(&b, 10, 39, threads).unwrap();
-            assert_eq!(counts.len(), threads.min(1_000));
-            assert_eq!(counts.iter().sum::<usize>(), cands.len(), "threads={threads}");
-            assert_eq!(cands, range_select_i32(&mut NullTracker, &b, 10, 39).unwrap());
-        }
     }
 }

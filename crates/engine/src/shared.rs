@@ -4,7 +4,7 @@
 //!
 //! A multi-query scheduler sees every admitted plan before it runs, which
 //! makes same-column scan-selects *batchable*: one cooperative pass
-//! ([`monet_core::scan::multi_select`]) can evaluate every waiting
+//! ([`monet_core::scan::select`]) can evaluate every waiting
 //! predicate leaf while streaming the column once. This module is the
 //! engine half of that contract:
 //!
@@ -33,7 +33,7 @@ use monet_core::compress::CompressedColumn;
 use monet_core::scan::ScanPred;
 use monet_core::storage::{Bat, Codes, Column, DecomposedTable, Oid};
 
-use crate::access::{is_pure_and, leaf_count, PushdownMode};
+use crate::access::{is_pure_and, leaf_count, lower_leaf, PushdownMode};
 use crate::plan::{LogicalPlan, PlanNode, Pred};
 use crate::select::CandList;
 
@@ -95,8 +95,20 @@ pub enum SharedPred {
     },
 }
 
+impl From<ScanPred> for SharedPred {
+    fn from(pred: ScanPred) -> Self {
+        match pred {
+            ScanPred::RangeI32 { lo, hi } => SharedPred::RangeI32 { lo, hi },
+            ScanPred::RangeF64 { lo, hi } => {
+                SharedPred::RangeF64 { lo_bits: lo.to_bits(), hi_bits: hi.to_bits() }
+            }
+            ScanPred::EqCode { code } => SharedPred::EqCode { code },
+        }
+    }
+}
+
 impl SharedPred {
-    /// Lower to the cooperative kernel's predicate form.
+    /// Back to the kernel's predicate form.
     pub fn kernel_pred(self) -> ScanPred {
         match self {
             SharedPred::RangeI32 { lo, hi } => ScanPred::RangeI32 { lo, hi },
@@ -151,8 +163,9 @@ pub struct ScanRequest<'p> {
     /// into an elevator pass.
     pub indexed: bool,
     /// True when this leaf is a non-first in-order leaf of a multi-leaf
-    /// pure-AND filter and candidate pushdown is on (`MONET_PUSHDOWN`,
-    /// default on): the executor's conjunction planner will evaluate it
+    /// pure-AND filter and candidate pushdown is on (the `pushdown` policy
+    /// [`scan_requests`] was given): the executor's conjunction planner
+    /// will evaluate it
     /// restricted to an earlier leaf's survivors, so a cooperative pass
     /// that streamed the full column for it would do work the solo plan
     /// avoids. Schedulers should leave restricted leaves off the board.
@@ -180,34 +193,41 @@ fn base_table<'p>(node: &'p PlanNode<'_>) -> Option<&'p DecomposedTable> {
 /// exactly as [`crate::exec::execute_with_scans`] does. Non-shareable
 /// leaves (no base table, unscannable column type, or a dictionary-miss
 /// equality — provably empty, nothing to stream) consume an index but emit
-/// no request.
-pub fn scan_requests<'p>(plan: &'p LogicalPlan<'_>) -> Vec<ScanRequest<'p>> {
+/// no request. `pushdown` is the policy the plan will execute under — it
+/// decides which leaves are marked [`ScanRequest::restricted`].
+pub fn scan_requests<'p>(
+    plan: &'p LogicalPlan<'_>,
+    pushdown: PushdownMode,
+) -> Vec<ScanRequest<'p>> {
     let mut out = Vec::new();
     let mut leaf = 0usize;
-    walk(&plan.root, &mut leaf, &mut out);
+    walk(&plan.root, pushdown, &mut leaf, &mut out);
     out
 }
 
-fn walk<'p>(node: &'p PlanNode<'_>, leaf: &mut usize, out: &mut Vec<ScanRequest<'p>>) {
+fn walk<'p>(
+    node: &'p PlanNode<'_>,
+    pushdown: PushdownMode,
+    leaf: &mut usize,
+    out: &mut Vec<ScanRequest<'p>>,
+) {
     match node {
         PlanNode::Scan { .. } => {}
         PlanNode::Filter { input, pred } => {
-            walk(input, leaf, out);
+            walk(input, pushdown, leaf, out);
             let table = base_table(input);
             // Leaves the conjunction planner will candidate-restrict: every
             // leaf but the first of a multi-leaf pure-AND filter. The first
             // in-order leaf stays shareable — when an elevator pass provides
             // it, the planner orders it first (it costs nothing) and pushes
             // its survivors through the rest.
-            let mark = PushdownMode::from_env().unwrap_or(PushdownMode::On) == PushdownMode::On
-                && is_pure_and(pred)
-                && leaf_count(pred) > 1;
+            let mark = pushdown == PushdownMode::On && is_pure_and(pred) && leaf_count(pred) > 1;
             let first = *leaf;
             leaves_in_order(pred, &mut |p| {
                 let idx = *leaf;
                 *leaf += 1;
                 if let Some(t) = table {
-                    if let Some(mut req) = lower_leaf(t, p, idx) {
+                    if let Some(mut req) = request_for(t, p, idx) {
                         req.restricted = mark && idx > first;
                         out.push(req);
                     }
@@ -215,10 +235,10 @@ fn walk<'p>(node: &'p PlanNode<'_>, leaf: &mut usize, out: &mut Vec<ScanRequest<
             });
         }
         PlanNode::Join { input, right, .. } => {
-            walk(input, leaf, out);
-            walk(right, leaf, out);
+            walk(input, pushdown, leaf, out);
+            walk(right, pushdown, leaf, out);
         }
-        PlanNode::GroupAgg { input, .. } => walk(input, leaf, out),
+        PlanNode::GroupAgg { input, .. } => walk(input, pushdown, leaf, out),
     }
 }
 
@@ -234,38 +254,26 @@ fn leaves_in_order<'p>(pred: &'p Pred, f: &mut impl FnMut(&'p Pred)) {
     }
 }
 
-/// Lower one leaf against its base table, if it is shareable.
-fn lower_leaf<'p>(
+/// The request for one leaf against its base table, if it is shareable.
+fn request_for<'p>(
     table: &'p DecomposedTable,
     leaf: &'p Pred,
     idx: usize,
 ) -> Option<ScanRequest<'p>> {
-    let (col, pred) = match leaf {
-        Pred::RangeI32 { col, lo, hi } => (col, SharedPred::RangeI32 { lo: *lo, hi: *hi }),
-        Pred::RangeF64 { col, lo, hi } => {
-            (col, SharedPred::RangeF64 { lo_bits: lo.to_bits(), hi_bits: hi.to_bits() })
-        }
-        Pred::EqStr { col, value } => {
-            let bat = table.bat(col).ok()?;
-            let sc = bat.tail().as_str_col()?;
-            // A dictionary miss is provably empty: nothing to stream, the
-            // executor yields zero rows for free.
-            let code = sc.dict.code_of(value)?;
-            (col, SharedPred::EqCode { code })
-        }
-        Pred::And(..) | Pred::Or(..) => unreachable!("leaves_in_order yields leaves"),
-    };
+    // A dictionary miss is provably empty: nothing to stream, the executor
+    // yields zero rows for free.
+    let (col, Some(kernel)) = lower_leaf(table, leaf).ok()? else { return None };
     let bat = table.bat(col).ok()?;
     // The predicate type was validated against the column at plan build;
     // the kernel re-checks anyway.
-    let compressed = table.compressed_of(col).filter(|cc| cc.supports(&pred.kernel_pred()));
+    let compressed = table.compressed_of(col).filter(|cc| cc.supports(&kernel));
     Some(ScanRequest {
         leaf: idx,
         bat,
         table: table.name(),
         column: col,
         col: column_id(bat),
-        pred,
+        pred: kernel.into(),
         rows: bat.len(),
         stride: bat.tail().tail_width(),
         compressed,
@@ -348,7 +356,7 @@ mod tests {
             .agg(Agg::count())
             .build()
             .unwrap();
-        let reqs = scan_requests(&plan);
+        let reqs = scan_requests(&plan, PushdownMode::On);
         assert_eq!(reqs.len(), 2);
         assert_eq!(reqs[0].leaf, 0);
         assert_eq!(reqs[0].column, "qty");
@@ -377,7 +385,7 @@ mod tests {
             .filter(Pred::range_i32("qty", 1, 5).and(Pred::eq_str("mode", "AIR")))
             .build()
             .unwrap();
-        let reqs = scan_requests(&plan);
+        let reqs = scan_requests(&plan, PushdownMode::On);
         assert!(reqs[0].indexed, "qty carries a btree");
         assert!(!reqs[1].indexed, "mode does not");
     }
@@ -392,13 +400,13 @@ mod tests {
             .agg(Agg::sum("price"))
             .build()
             .unwrap();
-        let (r1, r2) = (scan_requests(&p1), scan_requests(&p2));
+        let (r1, r2) = (scan_requests(&p1, PushdownMode::On), scan_requests(&p2, PushdownMode::On));
         assert_eq!(r1[0].key(), r2[0].key(), "identical predicates on one table merge");
         // A different table with identical data does NOT merge: distinct
         // buffers, distinct identities.
         let t2 = table("fact");
         let p3 = Query::scan(&t2).filter(Pred::range_i32("qty", 2, 4)).build().unwrap();
-        assert_ne!(r1[0].key(), scan_requests(&p3)[0].key());
+        assert_ne!(r1[0].key(), scan_requests(&p3, PushdownMode::On)[0].key());
     }
 
     #[test]
@@ -408,21 +416,20 @@ mod tests {
             .filter(Pred::range_i32("qty", 1, 5).and(Pred::eq_str("mode", "AIR")))
             .build()
             .unwrap();
-        let reqs = scan_requests(&plan);
-        // The mark follows the session policy, so this test stays green on
-        // the MONET_PUSHDOWN=0 CI legs too.
-        let on = PushdownMode::from_env().unwrap_or(PushdownMode::On) == PushdownMode::On;
+        let reqs = scan_requests(&plan, PushdownMode::On);
         assert!(!reqs[0].restricted, "first in-order leaf stays shareable");
-        assert_eq!(reqs[1].restricted, on, "the pushdown planner will restrict this leaf");
+        assert!(reqs[1].restricted, "the pushdown planner will restrict this leaf");
+        // The mark follows the policy the plan executes under.
+        assert!(scan_requests(&plan, PushdownMode::Off).iter().all(|r| !r.restricted));
         // OR trees are never reordered: every leaf runs its full pass.
         let plan = Query::scan(&t)
             .filter(Pred::range_i32("qty", 1, 5).or(Pred::eq_str("mode", "AIR")))
             .build()
             .unwrap();
-        assert!(scan_requests(&plan).iter().all(|r| !r.restricted));
+        assert!(scan_requests(&plan, PushdownMode::On).iter().all(|r| !r.restricted));
         // Single-leaf filters have nothing to push into.
         let plan = Query::scan(&t).filter(Pred::range_i32("qty", 1, 5)).build().unwrap();
-        assert!(!scan_requests(&plan)[0].restricted);
+        assert!(!scan_requests(&plan, PushdownMode::On)[0].restricted);
     }
 
     #[test]
@@ -432,7 +439,7 @@ mod tests {
             .filter(Pred::eq_str("mode", "WALRUS").or(Pred::range_i32("qty", 0, 3)))
             .build()
             .unwrap();
-        let reqs = scan_requests(&plan);
+        let reqs = scan_requests(&plan, PushdownMode::On);
         assert_eq!(reqs.len(), 1, "the miss leaf is provably empty");
         assert_eq!(reqs[0].leaf, 1, "the surviving leaf keeps its in-order index");
     }

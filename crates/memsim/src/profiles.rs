@@ -6,7 +6,7 @@
 //! machines are not given in the paper; the values below are period-plausible
 //! reconstructions chosen so that Figure 3's *shape* statement holds (memory
 //! latency nearly flat across the decade while CPU speed grows ~10×). They
-//! are documented here and in DESIGN.md as part of the hardware substitution.
+//! are documented here as part of the hardware substitution.
 
 use crate::config::{CacheConfig, Latencies, MachineConfig, TlbConfig, WorkCosts};
 
@@ -108,7 +108,7 @@ pub fn sun_lx() -> MachineConfig {
 
 /// A present-day commodity x86 core (extension; not in the paper).
 ///
-/// Used in EXPERIMENTS.md to show the §2 trend has continued: relative to
+/// Shows the §2 trend has continued (`repro fig1`): relative to
 /// the Origin2000 the CPU is ~15× faster per cycle-count while DRAM latency
 /// has barely halved, so the stall fraction at large stride is even worse.
 pub fn modern() -> MachineConfig {

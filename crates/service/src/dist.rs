@@ -40,7 +40,7 @@ use monet_core::shard::ShardedTable;
 use obs::{DriftMonitor, DriftReport};
 
 use crate::sched::{Admission, Grant, Scheduler};
-use crate::{quote_plan, ServiceConfig, ServiceError};
+use crate::{quote_plan_covered, ServiceConfig, ServiceError};
 
 /// How the cluster picks a copy for each shard task.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -104,7 +104,11 @@ pub struct ShardCluster<'a> {
     copies: Vec<CopyState>,
     policy: PlacePolicy,
     sched: Scheduler,
-    base: MachineConfig,
+    /// The executor policy on the primary's machine — the
+    /// `MONET_ACCESS/COMPRESS/PUSHDOWN` knobs resolved once, so every
+    /// placement quote and shard task of this cluster runs under the same
+    /// one ([`Self::on`] swaps in a copy's machine).
+    exec: ExecOptions,
     drift_band: f64,
     sim_drift: bool,
     rr_cursor: usize,
@@ -142,7 +146,7 @@ impl<'a> ShardCluster<'a> {
             copies,
             policy,
             sched: Scheduler::new(cfg.budget, cfg.queue_limit, cfg.starvation_bound),
-            base: cfg.machine,
+            exec: ExecOptions::cost_model(cfg.machine),
             drift_band: cfg.drift_band,
             sim_drift: false,
             rr_cursor: 0,
@@ -159,7 +163,7 @@ impl<'a> ShardCluster<'a> {
         let replica = self.copies.iter().filter(|c| c.id.shard == shard).count();
         self.copies.push(CopyState {
             id: CopyId { shard, replica },
-            machine: with_latency_scale(self.base, latency_scale),
+            machine: with_latency_scale(self.exec.machine, latency_scale),
             busy_until_ns: 0.0,
             tasks: 0,
             busy_ns: 0.0,
@@ -190,8 +194,8 @@ impl<'a> ShardCluster<'a> {
         self.rr_cursor = self.rr_cursor.wrapping_add(1);
         for s in 0..self.shards {
             let choice = self.place(&lowered, s, arrival);
+            let cost = self.quote_ns(self.copies[choice].machine, &lowered.plans[s]);
             let copy = &mut self.copies[choice];
-            let cost = quote_plan(&copy.machine, &lowered.plans[s]).seq_ns;
             let start = copy.busy_until_ns.max(arrival);
             copy.busy_until_ns = start + cost;
             copy.tasks += 1;
@@ -206,8 +210,8 @@ impl<'a> ShardCluster<'a> {
         let mut run_queue: VecDeque<(usize, Grant)> = VecDeque::new();
         let mut queued: Vec<(u64, usize)> = Vec::new();
         for (s, &cost) in quotes.iter().enumerate() {
-            let desired = quote_plan(&self.base, &lowered.plans[s])
-                .best_threads(&self.base, self.sched.budget())
+            let desired = quote_plan_covered(&self.exec, &lowered.plans[s], &|_| None)
+                .best_threads(&self.exec.machine, self.sched.budget())
                 .threads;
             match self.sched.submit(cost, desired) {
                 Admission::Run(g) => run_queue.push_back((s, g)),
@@ -224,8 +228,7 @@ impl<'a> ShardCluster<'a> {
                 .iter()
                 .position(|c| c.id == placements[s])
                 .expect("placement refers to a copy");
-            let opts = ExecOptions::cost_model(self.copies[copy_idx].machine)
-                .with_thread_cap(grant.threads);
+            let opts = self.on(self.copies[copy_idx].machine).with_thread_cap(grant.threads);
             let partial = if self.sim_drift {
                 let mut trk = SimTracker::new(MemorySystem::new(self.copies[copy_idx].machine));
                 let p = execute_shard(&mut trk, &lowered, s, &opts)?;
@@ -256,7 +259,7 @@ impl<'a> ShardCluster<'a> {
             .report
             .ops
             .last()
-            .map(|op| op.shapes.iter().map(|&sh| op_cost_ns(&self.base, sh)).sum::<f64>())
+            .map(|op| op.shapes.iter().map(|&sh| op_cost_ns(&self.exec.machine, sh)).sum::<f64>())
             .unwrap_or(0.0);
         // Arrivals are back-to-back (the clock does not advance between
         // queries), so contention accumulates on the ledger and the
@@ -265,6 +268,16 @@ impl<'a> ShardCluster<'a> {
         self.latencies_ns.push(virtual_ns);
 
         Ok(PlacedRun { executed, placements, virtual_ns })
+    }
+
+    /// The cluster's executor policy on `machine`.
+    fn on(&self, machine: MachineConfig) -> ExecOptions {
+        ExecOptions { machine, ..self.exec }
+    }
+
+    /// Sequential model quote of one shard plan on `machine`, in ns.
+    fn quote_ns(&self, machine: MachineConfig, plan: &LogicalPlan<'_>) -> f64 {
+        quote_plan_covered(&self.on(machine), plan, &|_| None).seq_ns
     }
 
     /// Pick the copy for shard `s` by policy. Returns an index into
@@ -282,8 +295,7 @@ impl<'a> ShardCluster<'a> {
             PlacePolicy::CostPlaced => {
                 let done = |i: usize| {
                     let c = &self.copies[i];
-                    let cost = quote_plan(&c.machine, &lowered.plans[s]).seq_ns;
-                    c.busy_until_ns.max(arrival) + cost
+                    c.busy_until_ns.max(arrival) + self.quote_ns(c.machine, &lowered.plans[s])
                 };
                 candidates
                     .into_iter()

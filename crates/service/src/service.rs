@@ -33,11 +33,8 @@ use engine::exec::{execute_with_scans, ExecOptions, ExecReport, Executed, QueryO
 use engine::plan::{LogicalPlan, PlanNode, Pred};
 use engine::shared::{scan_requests, ColumnId, ScanRequest, ScanTicket, ShareKey};
 use memsim::{EventCounters, MachineConfig, NullTracker, SimTracker};
-use monet_core::compress::{
-    multi_select_compressed, multi_select_compressed_range, par_multi_select_compressed_counted,
-};
-use monet_core::scan::{multi_select, multi_select_range, par_multi_select_counted, ScanPred};
-use monet_core::storage::Oid;
+use monet_core::scan::{par_select, select, RowSet, ScanCol, ScanPred};
+use monet_core::storage::{Oid, StorageError};
 use obs::{
     DriftMonitor, DriftReport, LogHistogram, QueryTrace, TraceBuilder, TraceEvent, TraceSink,
 };
@@ -60,6 +57,11 @@ const TRACE_RING_CAP: usize = 1024;
 /// the scheduling trace. See the [crate docs](crate) for the architecture.
 pub struct QueryService {
     cfg: ServiceConfig,
+    /// The executor policy every pass, quote and execution of this service
+    /// runs under — the `MONET_ACCESS/COMPRESS/PUSHDOWN` knobs resolved
+    /// once, here, so the three can never disagree and the submit path
+    /// makes no environment reads.
+    exec: ExecOptions,
     /// Tracing + drift observatory; `None` when `cfg.trace` is off, and
     /// then the submit path carries no observability state at all.
     obs: Option<ServiceObs>,
@@ -160,6 +162,7 @@ impl QueryService {
             .map(|sink| ServiceObs { sink, drift: Mutex::new(DriftMonitor::new(cfg.drift_band)) });
         Self {
             obs,
+            exec: ExecOptions::cost_model(cfg.machine).with_threads(Threads::Auto),
             state: Mutex::new(Inner {
                 sched: Scheduler::new(cfg.budget, cfg.queue_limit, cfg.starvation_bound),
                 grants: HashMap::new(),
@@ -406,7 +409,7 @@ impl QueryService {
         // board: a cooperative full-column pass for them would stream bytes
         // the solo plan never touches.
         let requests: Vec<ScanRequest<'_>> = if self.cfg.shared_scans {
-            scan_requests(plan).into_iter().filter(|r| !r.restricted).collect()
+            scan_requests(plan, self.exec.pushdown).into_iter().filter(|r| !r.restricted).collect()
         } else {
             Vec::new()
         };
@@ -531,8 +534,7 @@ impl QueryService {
             .iter()
             .filter_map(|r| st.board.coverage(&r.key()).map(|missed| (r.leaf, missed)))
             .collect();
-        let quote =
-            quote_plan_covered(&self.cfg.machine, plan, &|leaf| covered.get(&leaf).copied());
+        let quote = quote_plan_covered(&self.exec, plan, &|leaf| covered.get(&leaf).copied());
         let desired = quote.best_threads(&self.cfg.machine, self.cfg.budget).threads;
         self.tpush(
             &mut tb,
@@ -639,9 +641,7 @@ impl QueryService {
             }
         }
 
-        let opts = ExecOptions::cost_model(self.cfg.machine)
-            .with_threads(Threads::Auto)
-            .with_thread_cap(lease.threads.get().max(1));
+        let opts = self.exec.with_thread_cap(lease.threads.get().max(1));
         // Tracing runs the executor under the memory simulator so every
         // operator report carries deterministic counters (the executor
         // pins simulated runs to one thread; results are bit-identical).
@@ -712,7 +712,7 @@ impl QueryService {
             let solo_ms = if covered.is_empty() {
                 quote.seq_ms()
             } else {
-                quote_plan(&self.cfg.machine, plan).seq_ms()
+                quote_plan_covered(&self.exec, plan, &|_| None).seq_ms()
             };
             st.cache.insert(fp.clone(), &executed, solo_ms);
             finish_flight(&mut st, &fp, Some((Arc::clone(&executed), solo_ms)));
@@ -743,13 +743,56 @@ impl QueryService {
         })
     }
 
+    /// The compressed representation a cooperative pass over `req`'s column
+    /// streams instead of the plain buffer: the column has one, the
+    /// compression policy allows it, and it can evaluate every merged
+    /// predicate directly.
+    fn packed_for<'p>(
+        &self,
+        req: &ScanRequest<'p>,
+        preds: &[ScanPred],
+    ) -> Option<&'p monet_core::CompressedColumn> {
+        if self.exec.compress == CompressMode::Off {
+            return None;
+        }
+        req.compressed.filter(|cc| preds.iter().all(|p| cc.supports(p)))
+    }
+
+    /// Stream `rows` of a cooperative pass through the scan-select kernel:
+    /// under the simulator when tracing (returning its counters), natively
+    /// otherwise — sharded over `threads` when the whole column is
+    /// presented.
+    fn stream(
+        &self,
+        req: &ScanRequest<'_>,
+        cc: Option<&monet_core::CompressedColumn>,
+        preds: &[ScanPred],
+        rows: RowSet<'_>,
+        threads: usize,
+    ) -> (Result<Vec<Vec<Oid>>, StorageError>, Option<EventCounters>) {
+        let col = match cc {
+            Some(cc) => ScanCol::Packed(cc, req.seqbase),
+            None => ScanCol::Plain(req.bat),
+        };
+        if self.obs.is_some() {
+            let mut trk = SimTracker::for_machine(self.cfg.machine);
+            let lists = select(&mut trk, col, preds, rows);
+            return (lists, Some(trk.counters()));
+        }
+        let lists = match rows {
+            RowSet::All => par_select(col, preds, threads).map(|(lists, _)| lists),
+            rows => select(&mut NullTracker, col, preds, rows),
+        };
+        (lists, None)
+    }
+
     /// Execute claimed cooperative passes. A pass whose column fits in one
-    /// chunk (or with chunking off) runs one-shot: a single
-    /// [`multi_select`] stream (sharded over the lease when it is worth
-    /// forking). A longer pass under a non-zero chunk size runs as an
-    /// *elevator* ([`QueryService::run_elevator`]). Either way, when the
-    /// anchored column carries a compressed representation that supports
-    /// every merged predicate (and `MONET_COMPRESS` does not say off), the
+    /// chunk (or with chunking off) runs one-shot: a single [`select`]
+    /// stream (sharded over the lease when it is worth forking). A longer
+    /// pass under a non-zero chunk size runs as an *elevator*
+    /// ([`QueryService::run_elevator`]). Either way, when the anchored
+    /// column carries a compressed representation that supports every
+    /// merged predicate (and the compression policy does not say off), the
     /// pass streams the compressed bytes instead — bit-identical lists,
     /// fewer bytes on the bus. Each claim is guarded: if the pass fails —
     /// or a panic unwinds out of the kernel — its keys are aborted back
@@ -791,41 +834,19 @@ impl QueryService {
         ticket_lists: &mut ScanTicket,
         tb: &mut Option<TraceBuilder>,
     ) {
-        let compress = CompressMode::from_env().unwrap_or(CompressMode::On);
         let mut claim =
             ClaimGuard { svc: self, keys: batch.preds.iter().map(|p| p.key).collect(), col: None };
         let preds: Vec<ScanPred> = batch.preds.iter().map(|p| p.key.pred.kernel_pred()).collect();
-        let cc = (compress != CompressMode::Off)
-            .then_some(req.compressed)
-            .flatten()
-            .filter(|cc| preds.iter().all(|p| cc.supports(p)));
+        let cc = self.packed_for(req, &preds);
         // Tracing streams the pass under the simulator (sequentially — the
         // simulator counts a single stream) for deterministic counters;
-        // the lists are bit-identical to the parallel kernels'.
-        let mut sim = self.obs.as_ref().map(|_| SimTracker::for_machine(self.cfg.machine));
-        let lists = if let Some(trk) = sim.as_mut() {
-            match cc {
-                Some(cc) => multi_select_compressed(trk, cc, req.seqbase, &preds),
-                None => multi_select(trk, req.bat, &preds),
-            }
-        } else if let Some(cc) = cc {
-            if threads > 1 {
-                par_multi_select_compressed_counted(cc, req.seqbase, &preds, threads)
-                    .map(|(lists, _)| lists)
-            } else {
-                multi_select_compressed(&mut NullTracker, cc, req.seqbase, &preds)
-            }
-        } else if threads > 1 {
-            par_multi_select_counted(req.bat, &preds, threads).map(|(lists, _)| lists)
-        } else {
-            multi_select(&mut NullTracker, req.bat, &preds)
-        };
+        // the lists are bit-identical to the parallel driver's.
+        let (lists, sim) = self.stream(req, cc, &preds, RowSet::All, threads);
         // Err is unreachable for validated plans (the predicate types
         // were checked against these very columns); the guard's Drop
         // aborts the claims so waiters evaluate for themselves.
         if let Ok(lists) = lists {
-            if let Some(trk) = &sim {
-                let counters = trk.counters();
+            if let Some(counters) = sim {
                 self.record_pass_drift(
                     batch.rows,
                     req.stride,
@@ -899,8 +920,6 @@ impl QueryService {
             /// Per-chunk partial lists as `(chunk first row, matches)`.
             parts: Vec<(usize, Vec<Oid>)>,
         }
-        let compress = CompressMode::from_env().unwrap_or(CompressMode::On);
-        let cc_col = (compress != CompressMode::Off).then_some(req.compressed).flatten();
         let rows = batch.rows;
         let mut riders: Vec<Rider> = batch
             .preds
@@ -929,36 +948,17 @@ impl QueryService {
             let lo = cursor;
             let hi = (cursor + chunk).min(rows);
             let preds: Vec<ScanPred> = riders.iter().map(|r| r.key.pred.kernel_pred()).collect();
-            let cc = cc_col.filter(|cc| preds.iter().all(|p| cc.supports(p)));
+            let cc = self.packed_for(req, &preds);
             // Stream the chunk without the service lock — under the
             // simulator when tracing, so the ChunkDone event carries
             // deterministic counters.
             let chunk_started = Instant::now();
-            let mut sim = self.obs.as_ref().map(|_| SimTracker::for_machine(self.cfg.machine));
-            let lists = if let Some(trk) = sim.as_mut() {
-                match cc {
-                    Some(cc) => multi_select_compressed_range(trk, cc, req.seqbase, &preds, lo, hi),
-                    None => multi_select_range(trk, req.bat, &preds, lo, hi),
-                }
-            } else {
-                match cc {
-                    Some(cc) => multi_select_compressed_range(
-                        &mut NullTracker,
-                        cc,
-                        req.seqbase,
-                        &preds,
-                        lo,
-                        hi,
-                    ),
-                    None => multi_select_range(&mut NullTracker, req.bat, &preds, lo, hi),
-                }
-            };
+            let (lists, sim) = self.stream(req, cc, &preds, RowSet::Range(lo, hi), 1);
             let chunk_ms = chunk_started.elapsed().as_secs_f64() * 1e3;
             // Unreachable for validated plans; the guard aborts the
             // remaining claims (delivered riders stay delivered).
             let Ok(lists) = lists else { return };
-            if let Some(trk) = &sim {
-                let counters = trk.counters();
+            if let Some(counters) = sim {
                 self.record_pass_drift(
                     hi - lo,
                     req.stride,
@@ -1270,8 +1270,12 @@ impl QueryHandle {
 /// [`OpShape`]s. Post-filter cardinalities are unknown at admission time;
 /// the walk assumes half the rows survive each filter — crude, but the
 /// scheduler only needs *relative* accuracy to rank queries.
+///
+/// The compression and pushdown policy the plan is priced under is the
+/// environment's (`ExecOptions::cost_model`); a caller that already holds
+/// its [`ExecOptions`] prices with [`quote_plan_covered`] directly.
 pub fn quote_plan(machine: &MachineConfig, plan: &LogicalPlan<'_>) -> QueryQuote {
-    quote_plan_covered(machine, plan, &|_| None)
+    quote_plan_covered(&ExecOptions::cost_model(*machine), plan, &|_| None)
 }
 
 /// [`quote_plan`] with shared-scan coverage: predicate leaves (numbered as
@@ -1280,27 +1284,29 @@ pub fn quote_plan(machine: &MachineConfig, plan: &LogicalPlan<'_>) -> QueryQuote
 /// of a fresh scan — pure CPU-side marginal cost when `missed == 0`
 /// ([`OpShape::SharedSelect`]), marginal cost plus the wrap-around
 /// re-stream of `missed` rows for a mid-pass elevator attach
-/// ([`OpShape::AttachSelect`]).
+/// ([`OpShape::AttachSelect`]). `opts` is the policy the plan will execute
+/// under: its machine prices the shapes, its compression and pushdown
+/// modes decide which shapes the leaves quote at.
 pub fn quote_plan_covered(
-    machine: &MachineConfig,
+    opts: &ExecOptions,
     plan: &LogicalPlan<'_>,
     covered: &dyn Fn(usize) -> Option<usize>,
 ) -> QueryQuote {
     // Leaves whose column carries a usable compressed representation quote
     // at the packed stream width ([`OpShape::PackedSelect`]) — unless the
-    // `MONET_COMPRESS` policy knob turns compression off, in which case
-    // admission prices the uncompressed scans the engine will actually run.
-    let packed: HashMap<usize, f64> = match CompressMode::from_env() {
-        Some(CompressMode::Off) => HashMap::new(),
-        _ => scan_requests(plan)
+    // policy turns compression off, in which case admission prices the
+    // uncompressed scans the engine will actually run.
+    let packed: HashMap<usize, f64> = match opts.compress {
+        CompressMode::Off => HashMap::new(),
+        _ => scan_requests(plan, opts.pushdown)
             .iter()
             .filter_map(|r| r.compressed.map(|cc| (r.leaf, cc.bits_per_value())))
             .collect(),
     };
     let mut ops = Vec::new();
     let mut leaf = 0usize;
-    shapes_of(&plan.root, &mut ops, &mut leaf, covered, &packed);
-    quote_ops(machine, &ops)
+    shapes_of(&plan.root, &mut ops, &mut leaf, covered, &packed, opts.pushdown);
+    quote_ops(&opts.machine, &ops)
 }
 
 /// Append `node`'s operator shapes to `ops`; returns the estimated output
@@ -1312,19 +1318,18 @@ fn shapes_of(
     leaf: &mut usize,
     covered: &dyn Fn(usize) -> Option<usize>,
     packed: &HashMap<usize, f64>,
+    pushdown: PushdownMode,
 ) -> usize {
     match node {
         PlanNode::Scan { table } => table.len(),
         PlanNode::Filter { input, pred } => {
-            let rows = shapes_of(input, ops, leaf, covered, packed);
+            let rows = shapes_of(input, ops, leaf, covered, packed, pushdown);
             let strides = leaf_strides(node_table(input), pred);
             // Under pushdown, later leaves of a multi-leaf pure-AND filter
             // evaluate only the running survivor list — quote them at the
             // restricted shapes, halving the candidates per prior leaf (the
             // same prior the post-filter estimate below uses).
-            let pushdown = PushdownMode::from_env().unwrap_or(PushdownMode::On) == PushdownMode::On
-                && strides.len() > 1
-                && is_pure_and(pred);
+            let pushdown = pushdown == PushdownMode::On && strides.len() > 1 && is_pure_and(pred);
             for (pos, stride) in strides.into_iter().enumerate() {
                 let idx = *leaf;
                 *leaf += 1;
@@ -1348,14 +1353,14 @@ fn shapes_of(
             (rows / 2).max(1)
         }
         PlanNode::Join { input, right, .. } => {
-            let outer = shapes_of(input, ops, leaf, covered, packed);
-            let inner = shapes_of(right, ops, leaf, covered, packed);
+            let outer = shapes_of(input, ops, leaf, covered, packed, pushdown);
+            let inner = shapes_of(right, ops, leaf, covered, packed, pushdown);
             ops.push(OpShape::Join { outer, inner });
             // Hit-rate <= 1 against the smaller side.
             outer.min(inner).max(1)
         }
         PlanNode::GroupAgg { input, key, aggs } => {
-            let rows = shapes_of(input, ops, leaf, covered, packed);
+            let rows = shapes_of(input, ops, leaf, covered, packed, pushdown);
             let columns = aggs.iter().filter(|a| a.column().is_some()).count();
             // A restricted or joined stream materializes each aggregated
             // column (plus the group key, when grouping) through a
@@ -1468,9 +1473,10 @@ mod tests {
         // representation, so its *fresh* quote is already a discounted
         // PackedSelect and would not bracket the attach price.
         let wide = Query::scan(&t).filter(Pred::range_f64("price", 1.0, 2.0)).build().unwrap();
-        let fresh = quote_plan_covered(&machine, &wide, &|_| None);
-        let covered = quote_plan_covered(&machine, &wide, &|_| Some(0));
-        let attach = quote_plan_covered(&machine, &wide, &|_| Some(25_000));
+        let opts = ExecOptions::cost_model(machine);
+        let fresh = quote_plan_covered(&opts, &wide, &|_| None);
+        let covered = quote_plan_covered(&opts, &wide, &|_| Some(0));
+        let attach = quote_plan_covered(&opts, &wide, &|_| Some(25_000));
         assert!(covered.seq_ns < attach.seq_ns && attach.seq_ns < fresh.seq_ns);
     }
 
@@ -1837,7 +1843,7 @@ mod tests {
             let saved: u64 = svc.session_metrics().iter().map(|s| s.scans_saved).sum();
             assert!(saved >= 2, "beneficiaries record their saved scans");
             assert_counters_balance(&svc);
-            if !matches!(CompressMode::from_env(), Some(CompressMode::Off)) {
+            if svc.exec.compress != CompressMode::Off {
                 // The cooperative qty pass streamed the packed codes.
                 assert!(m.compressed_bytes_streamed > 0, "{m:?}");
                 assert!(m.bytes_saved > 0, "{m:?}");
@@ -1864,7 +1870,7 @@ mod tests {
 
         let m = svc.metrics();
         assert_eq!(m.scan_rows_streamed, 50_000, "the leaf streamed the column either way");
-        match CompressMode::from_env().unwrap_or(CompressMode::On) {
+        match svc.exec.compress {
             CompressMode::Off => {
                 assert_eq!(m.compressed_bytes_streamed, 0);
                 assert_eq!(m.bytes_saved, 0);

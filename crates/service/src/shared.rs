@@ -22,8 +22,7 @@
 //!
 //! With a non-zero chunk size (`MONET_SERVICE_CHUNK`) a claimed pass runs
 //! as an *elevator*: the runner streams the column in fixed-size chunks
-//! ([`monet_core::scan::multi_select_range`] /
-//! [`monet_core::compress::multi_select_compressed_range`]) and, at every
+//! ([`monet_core::scan::select`] over one `RowSet::Range` each) and, at every
 //! chunk boundary, absorbs newly posted same-column wants as fresh
 //! *riders* ([`ScanBoard::take_pending_for_col`]). A rider attaching
 //! mid-pass keeps riding past the end of the column — the cursor wraps to
@@ -522,9 +521,13 @@ mod tests {
     use super::*;
     use engine::exec::{execute, ExecOptions};
     use engine::plan::{Agg, LogicalPlan, Pred, Query};
-    use engine::shared::scan_requests;
+    use engine::PushdownMode;
     use memsim::NullTracker;
     use monet_core::storage::{ColType, TableBuilder, Value};
+
+    fn scan_requests<'p>(plan: &'p LogicalPlan<'_>) -> Vec<ScanRequest<'p>> {
+        engine::shared::scan_requests(plan, PushdownMode::On)
+    }
 
     fn table() -> DecomposedTable {
         let mut b =
@@ -576,10 +579,11 @@ mod tests {
             .iter()
             .map(|p| {
                 Arc::new(
-                    monet_core::scan::multi_select(
+                    monet_core::scan::select(
                         &mut NullTracker,
-                        r1[0].bat,
+                        monet_core::scan::ScanCol::Plain(r1[0].bat),
                         &[p.key.pred.kernel_pred()],
+                        monet_core::scan::RowSet::All,
                     )
                     .unwrap()
                     .remove(0),

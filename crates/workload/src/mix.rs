@@ -458,7 +458,7 @@ mod tests {
         };
         assert_eq!(spec.label(), "selective");
         let plan = spec.build(&item, &supp).expect("selective plans validate");
-        let reqs = engine::shared::scan_requests(&plan);
+        let reqs = engine::shared::scan_requests(&plan, engine::PushdownMode::On);
         assert_eq!(reqs.len(), 3);
         // The wide leaves ride compressed representations...
         assert_eq!(reqs[0].column, "batch");

@@ -4,7 +4,7 @@
 //! skewed, which stresses radix clustering (cluster sizes become uneven, so
 //! the "cluster fits cache level X" guarantees hold only on average). The
 //! bench suite uses this generator to check how gracefully the algorithms
-//! degrade; see EXPERIMENTS.md.
+//! degrade (`repro skew`).
 
 use monet_core::join::Bun;
 use rand::rngs::StdRng;

@@ -17,8 +17,8 @@
 //! * [`service`] — the multi-session query service: admission control and
 //!   a cost-model-budgeted scheduler over a global thread budget.
 //!
-//! See `README.md` for a guided tour, `DESIGN.md` for the system inventory
-//! and `EXPERIMENTS.md` for the per-figure reproduction results.
+//! See `README.md` for a guided tour and the per-figure reproduction
+//! commands, and `bench/README.md` for the wall-clock benchmark.
 
 pub use costmodel;
 pub use engine;

@@ -13,18 +13,17 @@ use std::sync::Arc;
 
 use proptest::prelude::*;
 
-use monet_mem::core::compress::{
-    multi_select_compressed, par_multi_select_compressed_counted, CompressedColumn, DictColumn,
-    ForColumn, RleColumn,
-};
-use monet_mem::core::scan::{multi_select, ScanPred};
+use monet_mem::core::compress::{CompressedColumn, DictColumn, ForColumn, RleColumn};
+use monet_mem::core::scan::{par_select, select, RowSet, ScanCol, ScanPred};
 use monet_mem::core::storage::{Bat, ColType, Column, StrColumn, TableBuilder, Value};
 use monet_mem::engine::exec::{execute, execute_with_scans, ExecOptions, Threads};
 use monet_mem::engine::plan::{Agg, Pred, Query};
 use monet_mem::engine::shared::{scan_requests, ScanTicket};
-use monet_mem::engine::{AccessMode, CompressMode};
+use monet_mem::engine::{AccessMode, CompressMode, PushdownMode};
 use monet_mem::memsim::NullTracker;
 use monet_mem::workload::ZipfGenerator;
+
+mod common;
 
 const THREADS: [usize; 2] = [1, 4];
 const MODES: [&str; 4] = ["AIR", "MAIL", "SHIP", "RAIL"];
@@ -38,13 +37,13 @@ fn assert_compressed_matches_uncompressed(
     seqbase: u32,
     ctx: &str,
 ) {
-    let want = multi_select(&mut NullTracker, bat, preds).expect("typed preds evaluate");
-    let got = multi_select_compressed(&mut NullTracker, cc, seqbase, preds)
-        .expect("supported preds evaluate");
+    let col = ScanCol::Packed(cc, seqbase);
+    let want = select(&mut NullTracker, ScanCol::Plain(bat), preds, RowSet::All)
+        .expect("typed preds evaluate");
+    let got = select(&mut NullTracker, col, preds, RowSet::All).expect("supported preds evaluate");
     assert_eq!(got, want, "{ctx}: sequential");
     for threads in THREADS {
-        let (par, counts) = par_multi_select_compressed_counted(cc, seqbase, preds, threads)
-            .expect("supported preds evaluate");
+        let (par, counts) = par_select(col, preds, threads).expect("supported preds evaluate");
         assert_eq!(par, want, "{ctx}: threads={threads}");
         assert_eq!(
             counts.iter().sum::<usize>(),
@@ -52,6 +51,8 @@ fn assert_compressed_matches_uncompressed(
             "{ctx}: shard counts merge to the total at threads={threads}"
         );
     }
+    let reads_per_block = !matches!(cc, CompressedColumn::Rle(_));
+    common::assert_row_sets_agree(col, seqbase, preds, reads_per_block, ctx);
 }
 
 /// The i32 data shapes the suite sweeps, derived from proptest inputs.
@@ -204,21 +205,15 @@ fn engine_results_are_identical_under_every_compression_policy() {
                     // cooperative pass over the compressed representation,
                     // delivered via the ticket.
                     let mut ticket = ScanTicket::new();
-                    for r in scan_requests(&plan) {
+                    for r in scan_requests(&plan, PushdownMode::On) {
                         let pred = r.pred.kernel_pred();
-                        let lists = match r.compressed {
-                            Some(cc) => multi_select_compressed(
-                                &mut NullTracker,
-                                cc,
-                                r.seqbase,
-                                std::slice::from_ref(&pred),
-                            )
-                            .unwrap(),
-                            None => {
-                                multi_select(&mut NullTracker, r.bat, std::slice::from_ref(&pred))
-                                    .unwrap()
-                            }
+                        let col = match r.compressed {
+                            Some(cc) => ScanCol::Packed(cc, r.seqbase),
+                            None => ScanCol::Plain(r.bat),
                         };
+                        let lists =
+                            select(&mut NullTracker, col, std::slice::from_ref(&pred), RowSet::All)
+                                .unwrap();
                         ticket.provide(r.leaf, Arc::new(lists.into_iter().next().unwrap()));
                     }
                     let shared =

@@ -9,11 +9,13 @@
 
 use proptest::prelude::*;
 
-use monet_mem::core::scan::{multi_select, par_multi_select_counted, ScanPred};
+use monet_mem::core::scan::{par_select, select, RowSet, ScanCol, ScanPred};
 use monet_mem::core::storage::{Bat, Column, StrColumn};
 use monet_mem::engine::select::{range_select_f64, range_select_i32, select_eq_str};
-use monet_mem::memsim::NullTracker;
+use monet_mem::memsim::{profiles, NullTracker, SimTracker};
 use monet_mem::workload::ZipfGenerator;
+
+mod common;
 
 const THREADS: [usize; 2] = [1, 4];
 const MODES: [&str; 4] = ["AIR", "MAIL", "SHIP", "RAIL"];
@@ -21,14 +23,14 @@ const MODES: [&str; 4] = ["AIR", "MAIL", "SHIP", "RAIL"];
 /// Compare the K-way kernel against solo evaluations of each predicate,
 /// sequentially and sharded.
 fn assert_k_way_matches_solo(bat: &Bat, preds: &[ScanPred], solo: &[Vec<u32>], ctx: &str) {
-    let shared = multi_select(&mut NullTracker, bat, preds).expect("typed preds evaluate");
+    let col = ScanCol::Plain(bat);
+    let shared = select(&mut NullTracker, col, preds, RowSet::All).expect("typed preds evaluate");
     assert_eq!(shared.len(), solo.len(), "{ctx}");
     for (k, want) in solo.iter().enumerate() {
         assert_eq!(&shared[k], want, "{ctx}: pred {k} (sequential)");
     }
     for threads in THREADS {
-        let (par, counts) =
-            par_multi_select_counted(bat, preds, threads).expect("typed preds evaluate");
+        let (par, counts) = par_select(col, preds, threads).expect("typed preds evaluate");
         assert_eq!(par, shared, "{ctx}: threads={threads}");
         assert_eq!(
             counts.iter().sum::<usize>(),
@@ -36,6 +38,21 @@ fn assert_k_way_matches_solo(bat: &Bat, preds: &[ScanPred], solo: &[Vec<u32>], c
             "{ctx}: shard counts merge to the total at threads={threads}"
         );
     }
+    common::assert_row_sets_agree(col, bat.head_oid(0), preds, true, ctx);
+}
+
+/// Under the simulator the kernel charges one predicate exactly the accesses
+/// and CPU work the reference loop charges.
+fn assert_charges_like_reference(
+    bat: &Bat,
+    pred: &ScanPred,
+    reference: impl FnOnce(&mut SimTracker),
+) {
+    let mut trk = SimTracker::for_machine(profiles::origin2000());
+    reference(&mut trk);
+    let want = trk.counters();
+    let got = common::sim_counters(ScanCol::Plain(bat), std::slice::from_ref(pred), RowSet::All);
+    assert_eq!((got.reads, got.cpu_ns), (want.reads, want.cpu_ns), "{pred:?}");
 }
 
 proptest! {
@@ -70,6 +87,12 @@ proptest! {
                 })
                 .collect();
             assert_k_way_matches_solo(&bat, &preds, &solo, "i32");
+            for p in &preds {
+                let ScanPred::RangeI32 { lo, hi } = *p else { unreachable!() };
+                assert_charges_like_reference(&bat, p, |trk| {
+                    range_select_i32(trk, &bat, lo, hi).unwrap();
+                });
+            }
             // The full leaf selects every row; the empty leaf none.
             let n = bat.len();
             prop_assert_eq!(solo[preds.len() - 1].len(), n);
@@ -102,6 +125,12 @@ proptest! {
             })
             .collect();
         assert_k_way_matches_solo(&bat, &preds, &solo, "f64");
+        for p in &preds {
+            let ScanPred::RangeF64 { lo, hi } = *p else { unreachable!() };
+            assert_charges_like_reference(&bat, p, |trk| {
+                range_select_f64(trk, &bat, lo, hi).unwrap();
+            });
+        }
     }
 
     #[test]
@@ -130,6 +159,11 @@ proptest! {
             .collect();
         solo.push(Vec::new());
         assert_k_way_matches_solo(&bat, &preds, &solo, "str");
+        for (m, p) in needles.iter().zip(&preds) {
+            assert_charges_like_reference(&bat, p, |trk| {
+                select_eq_str(trk, &bat, m).unwrap();
+            });
+        }
         // Every row is claimed by exactly one code predicate.
         let claimed: usize = solo.iter().map(Vec::len).sum();
         prop_assert_eq!(claimed, bat.len());
