@@ -16,25 +16,42 @@
 //!
 //! # Why the merge is exact
 //!
-//! * **Selections** — shard tables are rebased to seqbase 0 with monotone
-//!   local→global OID maps, so per-shard OID lists map back sorted and the
-//!   merged union is the unsharded ascending OID list.
-//! * **Joins** — the executor emits join indexes in canonical `(left,
-//!   right)` order. A join whose sides are co-partitioned on the join keys
-//!   puts every matching pair inside one shard (equal keys hash to the same
-//!   shard), so the union of per-shard pair sets *is* the global pair set;
-//!   re-sorting the mapped pairs reproduces the canonical order.
-//! * **Exact aggregates** — `COUNT`, integer `SUM` (i64), `MIN`/`MAX`
-//!   combine per group associatively, so shard partials add up exactly.
+//! Every shard run arrives **strictly ascending** in one global sort key:
+//! shard tables are rebased to seqbase 0 with monotone local→global OID
+//! maps and the executor emits streams in ascending local order, so mapping
+//! a shard's stream to global keys needs no sort on the shard. The
+//! coordinator then makes **one streaming pass with `S` cursors**
+//! (`merge_runs`): each step takes the smallest of the live run heads, an
+//! exhausted run drops out, the last live run is drained as a slice. Keys
+//! are unique (global OIDs, global pairs), so this visits rows in exactly
+//! the order a sort of the concatenated runs would — without the
+//! concatenation, the `n log n` comparisons or the second pass over the
+//! sorted copy. A shard ships only what its merge shape consumes:
+//!
+//! * **Selections** ship their global OIDs; the cursor pass pushes them
+//!   into one pre-sized list — the unsharded ascending OID list.
+//! * **Joins** ship their global pairs packed as `(left << 32) | right`.
+//!   The executor emits join indexes in canonical `(left, right)` order,
+//!   and a join whose sides are co-partitioned on the join keys puts every
+//!   matching pair inside one shard (equal keys hash to the same shard), so
+//!   the union of per-shard pair sets *is* the global pair set and the
+//!   cursor pass reproduces the canonical order.
+//! * **Exact aggregates** — `COUNT`, integer `SUM` (i64), `MIN`/`MAX` —
+//!   combine associatively, so a shard ships one value per aggregate (per
+//!   group code when grouped) and **no rows at all**: a MIN/MAX/COUNT root
+//!   merges in time independent of the stream.
 //! * **`f64` sums** — floating-point addition is *not* associative, so
-//!   shard partials are never combined. Instead each shard returns its
-//!   surviving `(sort key, value)` rows — sort key = global OID for table
-//!   streams, packed global `(left, right)` for join streams — and the
-//!   coordinator accumulates them in global sort order: exactly the
-//!   addition order of the unsharded kernel.
+//!   shard partials are never combined. Only a root with an `f64` sum ships
+//!   rows: one key run (global OID for table streams, packed global pair
+//!   for join streams) plus a parallel value vector per sum (and the group
+//!   codes when grouped). The coordinator adds `vals[shard][row]` into the
+//!   accumulator as the cursor visits it: exactly the addition order of the
+//!   unsharded kernel.
 //! * **Dictionaries** — shard string columns share the parent's dictionary
 //!   ([`monet_core::shard`]), so group codes are globally consistent and a
 //!   merge ascending by code reproduces the unsharded group order.
+
+use std::cell::OnceCell;
 
 use costmodel::quote::OpShape;
 use memsim::{EventCounters, MemTracker};
@@ -52,9 +69,9 @@ use crate::EngineError;
 /// How the coordinator turns shard partials into the final output.
 #[derive(Debug, Clone)]
 enum MergeShape {
-    /// Stream of table rows: k-way merge of ascending global OID lists.
+    /// Stream of table rows: cursor merge of ascending global OID runs.
     Oids,
-    /// Stream of join pairs: k-way merge in canonical `(left, right)` order.
+    /// Stream of join pairs: cursor merge in canonical `(left, right)` order.
     Pairs,
     /// Root aggregation, grouped by `key` when present.
     Agg { key: Option<String>, aggs: Vec<Agg> },
@@ -202,25 +219,57 @@ pub fn lower<'a>(
     Ok(Lowered { plans, ctx, merge })
 }
 
-/// One scalar aggregate's shard partial.
-#[derive(Debug, Clone)]
-enum AggPartial {
-    /// Row count (exact combine: sum).
+/// A scalar aggregate that combines exactly (associatively) across shards.
+#[derive(Debug, Clone, Copy)]
+enum Exact {
+    /// Row count (combine: sum).
     Count(usize),
-    /// Integer sum in `i64` (exact combine: sum).
+    /// Integer sum in `i64` (combine: sum).
     SumI64(i64),
-    /// Minimum (exact combine: min of present values).
+    /// Minimum (combine: min of present values).
     Min(Option<i32>),
-    /// Maximum (exact combine: max).
+    /// Maximum (combine: max of present values).
     Max(Option<i32>),
-    /// `f64` sum rows: `(global sort key, value)`, ascending by key. Never
-    /// combined — the coordinator re-accumulates in global order.
-    SumF64(Vec<(u64, f64)>),
+}
+
+impl Exact {
+    fn combine(self, other: Exact) -> Exact {
+        match (self, other) {
+            (Exact::Count(a), Exact::Count(b)) => Exact::Count(a + b),
+            (Exact::SumI64(a), Exact::SumI64(b)) => Exact::SumI64(a + b),
+            (Exact::Min(a), Exact::Min(b)) => {
+                Exact::Min(a.zip(b).map(|(a, b)| a.min(b)).or(a).or(b))
+            }
+            (Exact::Max(a), Exact::Max(b)) => {
+                Exact::Max(a.zip(b).map(|(a, b)| a.max(b)).or(a).or(b))
+            }
+            _ => unreachable!("shards agree on aggregate kinds"),
+        }
+    }
+
+    fn finish(self) -> AggValue {
+        match self {
+            Exact::Count(c) => AggValue::Count(c),
+            Exact::SumI64(s) => AggValue::I64(s),
+            Exact::Min(m) | Exact::Max(m) => AggValue::MaybeI32(m),
+        }
+    }
+}
+
+/// One scalar aggregate's shard partial.
+#[derive(Debug)]
+enum AggPartial {
+    Exact(Exact),
+    /// `f64` sum: the value of every stream row, parallel to the partial's
+    /// [`Keys`]. Never combined per shard — the coordinator accumulates the
+    /// rows of all shards in global key order.
+    SumF64(Vec<f64>),
 }
 
 /// A grouped aggregation's shard partial. Exact aggregates are combined
-/// per group code; `f64` sums stay as ordered rows.
-#[derive(Debug, Clone)]
+/// per group code; `f64` sums stay as rows parallel to the partial's
+/// [`Keys`].
+#[derive(Debug)]
 struct GroupPartial {
     /// Direct-index domain (256 or 65536), identical across shards because
     /// shard key columns share the parent's code width.
@@ -231,27 +280,63 @@ struct GroupPartial {
     mins: Vec<Vec<Option<i32>>>,
     /// Per `Max` aggregate, per code.
     maxs: Vec<Vec<Option<i32>>>,
-    /// Global sort key per surviving row, ascending.
-    sortkeys: Vec<u64>,
-    /// Group code per surviving row.
+    /// Group code per stream row; empty when there is no `Sum` aggregate.
     codes: Vec<u32>,
-    /// Per `Sum` aggregate: value per surviving row.
+    /// Per `Sum` aggregate: value per stream row.
     sum_cols: Vec<Vec<f64>>,
 }
 
-/// What a shard's stream reduced to, in global OID space.
-#[derive(Debug, Clone)]
-enum PartialRows {
-    Oids(Vec<Oid>),
-    Pairs(Vec<OidPair>),
-    /// Root aggregation: the stream was consumed into agg partials.
+/// The aggregation state a shard's stream was consumed into.
+#[derive(Debug)]
+enum PartialAggs {
+    /// Stream roots aggregate nothing: the keys are the result.
+    None,
     Scalar(Vec<AggPartial>),
     Grouped(GroupPartial),
 }
 
+/// A shard's run of global sort keys, one per shipped stream row. Shard OID
+/// maps are monotone and the executor emits streams in ascending local
+/// order, so a run is strictly ascending with no sort on the shard either.
+#[derive(Debug)]
+enum Keys {
+    /// The merge consumes no per-row order (no `f64` sum at the root), so
+    /// no row is shipped.
+    None,
+    /// Table stream: global OIDs.
+    Oids(Vec<Oid>),
+    /// Join stream: [`pair_key`]s of the global `(left, right)` pairs.
+    Pairs(Vec<u64>),
+}
+
+impl Keys {
+    fn len(&self) -> usize {
+        match self {
+            Keys::None => 0,
+            Keys::Oids(k) => k.len(),
+            Keys::Pairs(k) => k.len(),
+        }
+    }
+
+    fn oids(&self) -> Option<&[Oid]> {
+        match self {
+            Keys::Oids(k) => Some(k),
+            _ => None,
+        }
+    }
+
+    fn pairs(&self) -> Option<&[u64]> {
+        match self {
+            Keys::Pairs(k) => Some(k),
+            _ => None,
+        }
+    }
+}
+
 /// One shard's contribution to a sharded execution.
 pub struct ShardPartial {
-    rows: PartialRows,
+    keys: Keys,
+    aggs: PartialAggs,
     /// Stream rows this shard's plan produced (pre-aggregation).
     stream_rows: usize,
     /// The shard plan's per-operator execution report.
@@ -261,7 +346,13 @@ pub struct ShardPartial {
     gather_counters: Option<EventCounters>,
 }
 
-/// Pack a global join pair into one ordered sort key.
+/// A shard plan's output stream, in the shard's local OID space.
+enum LocalStream {
+    Table(Vec<Oid>),
+    Joined(Vec<OidPair>),
+}
+
+/// Pack a global join pair into one sort key ordered as `(left, right)`.
 #[inline]
 fn pair_key(l: Oid, r: Oid) -> u64 {
     ((l as u64) << 32) | r as u64
@@ -274,6 +365,17 @@ fn delta<M: MemTracker>(trk: &M, before: Option<EventCounters>) -> Option<EventC
     }
 }
 
+/// Chooses between a running extremum and a new value: `i32::min` or
+/// `i32::max`.
+type Pick = fn(i32, i32) -> i32;
+
+/// Fold `(code, value)` pairs into the per-code extrema `acc`.
+fn fold_extremes(acc: &mut [Option<i32>], vals: impl Iterator<Item = (usize, i32)>, pick: Pick) {
+    for (c, v) in vals {
+        acc[c] = Some(acc[c].map_or(v, |m| pick(m, v)));
+    }
+}
+
 /// Execute shard `idx` of a lowered plan through the stock executor and
 /// reduce its stream to a [`ShardPartial`]. Runs anywhere: the caller
 /// chooses tracker, machine, thread cap and placement per shard.
@@ -283,102 +385,75 @@ pub fn execute_shard<M: MemTracker>(
     idx: usize,
     opts: &ExecOptions,
 ) -> Result<ShardPartial, EngineError> {
-    let run = execute(trk, &lowered.plans[idx], opts)?;
+    let Executed { output, report } = execute(trk, &lowered.plans[idx], opts)?;
     let ctx = &lowered.ctx[idx];
     let before = trk.counters_snapshot();
-
-    // The stream plan's local output → per-side local OIDs + global sort
-    // keys. Shard OID maps are monotone, so local ascending order maps to
-    // global ascending order with no re-sort.
-    let (left_locals, right_locals, sortkeys): (Vec<Oid>, Option<Vec<Oid>>, Vec<u64>) =
-        match &run.output {
-            QueryOutput::Oids(locals) => {
-                let keys = locals.iter().map(|&l| ctx.left.oids[l as usize] as u64).collect();
-                (locals.clone(), None, keys)
-            }
-            QueryOutput::JoinIndex(pairs) => {
-                let right = ctx.right.expect("join stream has a right shard");
-                let keys = pairs
-                    .iter()
-                    .map(|p| pair_key(ctx.left.oids[p.left as usize], right.oids[p.right as usize]))
-                    .collect();
-                (
-                    pairs.iter().map(|p| p.left).collect(),
-                    Some(pairs.iter().map(|p| p.right).collect()),
-                    keys,
-                )
-            }
-            _ => unreachable!("lowered shard plans are stream-only"),
-        };
-    let stream_rows = left_locals.len();
+    let stream = match output {
+        QueryOutput::Oids(locals) => LocalStream::Table(locals),
+        QueryOutput::JoinIndex(pairs) => LocalStream::Joined(pairs),
+        _ => unreachable!("lowered shard plans are stream-only"),
+    };
+    let stream_rows = match &stream {
+        LocalStream::Table(locals) => locals.len(),
+        LocalStream::Joined(pairs) => pairs.len(),
+    };
 
     // Resolve a column to its shard table and the local OIDs of its side
-    // (left-first, mirroring the executor's resolve_col).
+    // (left-first, mirroring the executor's resolve_col). A join index is
+    // projected onto a side only when a column of that side is gathered.
+    let (left_locals, right_locals) = (OnceCell::<Vec<Oid>>::new(), OnceCell::<Vec<Oid>>::new());
     let side = |col: &str| -> (&DecomposedTable, &[Oid]) {
-        match ctx.right {
-            Some(right) if ctx.left.table.bat(col).is_err() => {
-                (&right.table, right_locals.as_deref().expect("right side implies join stream"))
+        match &stream {
+            LocalStream::Table(locals) => (&ctx.left.table, locals),
+            LocalStream::Joined(pairs) if ctx.left.table.bat(col).is_ok() => {
+                let locals = left_locals.get_or_init(|| pairs.iter().map(|p| p.left).collect());
+                (&ctx.left.table, locals)
             }
-            _ => (&ctx.left.table, &left_locals),
+            LocalStream::Joined(pairs) => {
+                let locals = right_locals.get_or_init(|| pairs.iter().map(|p| p.right).collect());
+                (&ctx.right.expect("join stream has a right shard").table, locals)
+            }
         }
     };
 
-    let rows = match &lowered.merge {
-        MergeShape::Oids => {
-            PartialRows::Oids(left_locals.iter().map(|&l| ctx.left.oids[l as usize]).collect())
-        }
-        MergeShape::Pairs => {
-            let right = ctx.right.expect("pair merge implies join stream");
-            let rl = right_locals.as_ref().expect("pair merge implies join stream");
-            PartialRows::Pairs(
-                left_locals
-                    .iter()
-                    .zip(rl)
-                    .map(|(&l, &r)| OidPair {
-                        left: ctx.left.oids[l as usize],
-                        right: right.oids[r as usize],
-                    })
-                    .collect(),
-            )
-        }
+    let aggs = match &lowered.merge {
+        MergeShape::Oids | MergeShape::Pairs => PartialAggs::None,
         MergeShape::Agg { key: None, aggs } => {
             let mut partials = Vec::with_capacity(aggs.len());
             for agg in aggs {
                 let p = match agg {
-                    Agg::Count => AggPartial::Count(stream_rows),
+                    Agg::Count => AggPartial::Exact(Exact::Count(stream_rows)),
                     Agg::Sum(col) => {
                         let (table, locals) = side(col);
                         let bat = table.bat(col)?;
                         match bat.tail() {
-                            Column::F64(_) => {
-                                let vals = fetch_f64(trk, bat, locals)?;
-                                AggPartial::SumF64(sortkeys.iter().copied().zip(vals).collect())
-                            }
+                            Column::F64(_) => AggPartial::SumF64(fetch_f64(trk, bat, locals)?),
                             _ => {
                                 let vals = fetch_i32(trk, bat, locals)?;
-                                AggPartial::SumI64(vals.into_iter().map(i64::from).sum())
+                                let sum = vals.into_iter().map(i64::from).sum();
+                                AggPartial::Exact(Exact::SumI64(sum))
                             }
                         }
                     }
                     Agg::Min(col) => {
                         let (table, locals) = side(col);
                         let vals = fetch_i32(trk, table.bat(col)?, locals)?;
-                        AggPartial::Min(vals.into_iter().min())
+                        AggPartial::Exact(Exact::Min(vals.into_iter().min()))
                     }
                     Agg::Max(col) => {
                         let (table, locals) = side(col);
                         let vals = fetch_i32(trk, table.bat(col)?, locals)?;
-                        AggPartial::Max(vals.into_iter().max())
+                        AggPartial::Exact(Exact::Max(vals.into_iter().max()))
                     }
                 };
                 partials.push(p);
             }
-            PartialRows::Scalar(partials)
+            PartialAggs::Scalar(partials)
         }
         MergeShape::Agg { key: Some(key), aggs } => {
             let (key_table, key_locals) = side(key);
             let key_bat = key_table.bat(key)?;
-            let (codes, domain): (Vec<u32>, usize) = match key_bat.tail() {
+            let (mut codes, domain): (Vec<u32>, usize) = match key_bat.tail() {
                 Column::Str(_) => {
                     let sc = fetch_str(trk, key_bat, key_locals)?;
                     let domain = if sc.codes.width() == 1 { 256 } else { 65536 };
@@ -398,6 +473,7 @@ pub fn execute_shard<M: MemTracker>(
             for &c in &codes {
                 counts[c as usize] += 1;
             }
+            let by_code = |vals: Vec<i32>| codes.iter().map(|&c| c as usize).zip(vals);
             let mut mins = Vec::new();
             let mut maxs = Vec::new();
             let mut sum_cols = Vec::new();
@@ -420,38 +496,51 @@ pub fn execute_shard<M: MemTracker>(
                         let (table, locals) = side(col);
                         let vals = fetch_i32(trk, table.bat(col)?, locals)?;
                         let mut per_code = vec![None; domain];
-                        for (&c, v) in codes.iter().zip(vals) {
-                            let slot: &mut Option<i32> = &mut per_code[c as usize];
-                            *slot = Some(slot.map_or(v, |m: i32| m.min(v)));
-                        }
+                        fold_extremes(&mut per_code, by_code(vals), i32::min);
                         mins.push(per_code);
                     }
                     Agg::Max(col) => {
                         let (table, locals) = side(col);
                         let vals = fetch_i32(trk, table.bat(col)?, locals)?;
                         let mut per_code = vec![None; domain];
-                        for (&c, v) in codes.iter().zip(vals) {
-                            let slot: &mut Option<i32> = &mut per_code[c as usize];
-                            *slot = Some(slot.map_or(v, |m: i32| m.max(v)));
-                        }
+                        fold_extremes(&mut per_code, by_code(vals), i32::max);
                         maxs.push(per_code);
                     }
                     Agg::Count => {}
                 }
             }
-            PartialRows::Grouped(GroupPartial {
-                domain,
-                counts,
-                mins,
-                maxs,
-                sortkeys: sortkeys.clone(),
-                codes,
-                sum_cols,
-            })
+            if sum_cols.is_empty() {
+                // Counts and extremes are already per code: no row ships.
+                codes = Vec::new();
+            }
+            PartialAggs::Grouped(GroupPartial { domain, counts, mins, maxs, codes, sum_cols })
         }
     };
 
-    Ok(ShardPartial { rows, stream_rows, report: run.report, gather_counters: delta(trk, before) })
+    // Ship per-row keys only to a merge that consumes row order: a stream
+    // root (the keys are its result) or a root with an `f64` sum.
+    let ships_rows = match &aggs {
+        PartialAggs::None => true,
+        PartialAggs::Scalar(parts) => parts.iter().any(|p| matches!(p, AggPartial::SumF64(_))),
+        PartialAggs::Grouped(g) => !g.sum_cols.is_empty(),
+    };
+    let keys = match stream {
+        _ if !ships_rows => Keys::None,
+        LocalStream::Table(locals) => {
+            Keys::Oids(locals.into_iter().map(|l| ctx.left.oids[l as usize]).collect())
+        }
+        LocalStream::Joined(pairs) => {
+            let (left, right) = (ctx.left, ctx.right.expect("join stream has a right shard"));
+            Keys::Pairs(
+                pairs
+                    .iter()
+                    .map(|p| pair_key(left.oids[p.left as usize], right.oids[p.right as usize]))
+                    .collect(),
+            )
+        }
+    };
+
+    Ok(ShardPartial { keys, aggs, stream_rows, report, gather_counters: delta(trk, before) })
 }
 
 /// Strip shard suffixes (`[h/S]`) out of an operator label so per-shard op
@@ -484,6 +573,80 @@ fn strip_shard_suffix(s: &str) -> String {
     out
 }
 
+/// One live run of [`merge_runs`]: the run's index and keys, and the
+/// position of its head (the smallest key not yet visited).
+struct Cursor<'r, K> {
+    run: usize,
+    keys: &'r [K],
+    pos: usize,
+}
+
+/// Visit every element of `runs` as `(run, index)` in ascending key order.
+///
+/// Each run must be strictly ascending and no key may occur in two runs
+/// (global OIDs and packed global pairs are unique), which makes the visit
+/// order exactly the order a sort of the concatenation produces. One cursor
+/// per live run: every step takes the argmin over the live heads — linear,
+/// because a coordinator merges a handful of shards — and an exhausted run
+/// leaves the live set, so no key value is reserved as a sentinel. The last
+/// live run is drained without comparisons.
+fn merge_runs<K: Copy + Ord>(runs: &[&[K]], mut visit: impl FnMut(usize, usize)) {
+    let mut live: Vec<Cursor<'_, K>> = runs
+        .iter()
+        .enumerate()
+        .filter(|(_, keys)| !keys.is_empty())
+        .map(|(run, keys)| Cursor { run, keys, pos: 0 })
+        .collect();
+    // The live heads, apart from the cursors so the argmin scans a dense
+    // key array.
+    let mut heads: Vec<K> = live.iter().map(|c| c.keys[0]).collect();
+    while heads.len() > 1 {
+        // Which run comes next is a coin flip on hash-sharded rows: carry
+        // the running minimum in selects, which compile to conditional
+        // moves, rather than branch on it.
+        let (mut m, mut least) = (0, heads[0]);
+        for (i, &k) in heads.iter().enumerate().skip(1) {
+            let lt = k < least;
+            least = if lt { k } else { least };
+            m = if lt { i } else { m };
+        }
+        let c = &mut live[m];
+        visit(c.run, c.pos);
+        c.pos += 1;
+        match c.keys.get(c.pos) {
+            Some(&next) => heads[m] = next,
+            None => {
+                live.remove(m);
+                heads.remove(m);
+            }
+        }
+    }
+    if let Some(c) = live.first() {
+        for r in c.pos..c.keys.len() {
+            visit(c.run, r);
+        }
+    }
+}
+
+/// The partials' key runs when every shard shipped the `of` kind of keys.
+fn key_runs<'p, K>(
+    partials: &'p [ShardPartial],
+    of: fn(&'p Keys) -> Option<&'p [K]>,
+) -> Option<Vec<&'p [K]>> {
+    partials.iter().map(|p| of(&p.keys)).collect()
+}
+
+/// Visit every shipped row of `partials` as `(shard, row)` in global key
+/// order — the unsharded kernel's accumulation order. Visits nothing when
+/// the shards shipped no rows.
+fn visit_shipped(partials: &[ShardPartial], visit: impl FnMut(usize, usize)) {
+    if let Some(runs) = key_runs(partials, Keys::oids) {
+        merge_runs(&runs, visit);
+    } else if let Some(runs) = key_runs(partials, Keys::pairs) {
+        merge_runs(&runs, visit);
+    }
+}
+
 /// Merge shard partials into the final result. The merged report carries
 /// one operator per shard-plan operator (rows and simulated counters summed
 /// across shards, with the per-shard counters preserved in
@@ -491,101 +654,130 @@ fn strip_shard_suffix(s: &str) -> String {
 pub fn merge(lowered: &Lowered<'_>, partials: Vec<ShardPartial>) -> Result<Executed, EngineError> {
     assert_eq!(partials.len(), lowered.shard_count(), "one partial per shard");
     let n = partials.len();
+    // The cursor merge trusts what the sort it replaced would have forgiven.
+    debug_assert!(
+        partials.iter().all(|p| match &p.keys {
+            Keys::None => true,
+            Keys::Oids(k) => k.windows(2).all(|w| w[0] < w[1]),
+            Keys::Pairs(k) => k.windows(2).all(|w| w[0] < w[1]),
+        }),
+        "every shard's key run must be strictly ascending (is a shard's OID map monotone?)"
+    );
+    let shipped_rows: usize = partials.iter().map(|p| p.keys.len()).sum();
 
     let output = match &lowered.merge {
         MergeShape::Oids => {
-            let mut all: Vec<Oid> = partials
-                .iter()
-                .flat_map(|p| match &p.rows {
-                    PartialRows::Oids(v) => v.iter().copied(),
-                    _ => unreachable!("oid merge over oid partials"),
-                })
-                .collect();
-            // Per-shard lists are ascending and disjoint; one sort is the
-            // k-way merge.
-            all.sort_unstable();
+            let runs = key_runs(&partials, Keys::oids).expect("oid merge over oid runs");
+            let mut all: Vec<Oid> = Vec::with_capacity(shipped_rows);
+            merge_runs(&runs, |s, r| all.push(runs[s][r]));
             QueryOutput::Oids(all)
         }
         MergeShape::Pairs => {
-            let mut all: Vec<OidPair> = partials
-                .iter()
-                .flat_map(|p| match &p.rows {
-                    PartialRows::Pairs(v) => v.iter().copied(),
-                    _ => unreachable!("pair merge over pair partials"),
-                })
-                .collect();
-            all.sort_unstable_by_key(|p| (p.left, p.right));
+            let runs = key_runs(&partials, Keys::pairs).expect("pair merge over pair runs");
+            let mut all: Vec<OidPair> = Vec::with_capacity(shipped_rows);
+            merge_runs(&runs, |s, r| {
+                let k = runs[s][r];
+                all.push(OidPair { left: (k >> 32) as Oid, right: k as Oid });
+            });
             QueryOutput::JoinIndex(all)
         }
         MergeShape::Agg { key: None, aggs } => {
-            let mut values = Vec::with_capacity(aggs.len());
-            for i in 0..aggs.len() {
-                let combined = partials.iter().fold(None::<AggPartial>, |acc, p| {
-                    let PartialRows::Scalar(parts) = &p.rows else {
-                        unreachable!("scalar merge over scalar partials")
-                    };
-                    Some(combine_scalar(acc, &parts[i]))
-                });
-                values.push(finish_scalar(combined.expect("at least one shard")));
-            }
+            let parts: Vec<&[AggPartial]> = partials
+                .iter()
+                .map(|p| match &p.aggs {
+                    PartialAggs::Scalar(parts) => parts.as_slice(),
+                    _ => unreachable!("scalar merge over scalar partials"),
+                })
+                .collect();
+
+            // f64 sums: one pass adds every shipped row into its
+            // accumulators as the cursor visits it.
+            let cols: Vec<Vec<&[f64]>> = parts
+                .iter()
+                .map(|parts| {
+                    parts
+                        .iter()
+                        .filter_map(|p| match p {
+                            AggPartial::SumF64(vals) => Some(vals.as_slice()),
+                            AggPartial::Exact(_) => None,
+                        })
+                        .collect()
+                })
+                .collect();
+            let mut sums = vec![0.0f64; cols[0].len()];
+            visit_shipped(&partials, |s, r| {
+                for (sum, col) in sums.iter_mut().zip(&cols[s]) {
+                    *sum += col[r];
+                }
+            });
+
+            let mut sums = sums.into_iter();
+            let values = (0..aggs.len())
+                .map(|i| match &parts[0][i] {
+                    AggPartial::SumF64(_) => {
+                        AggValue::F64(sums.next().expect("one accumulator per f64 sum"))
+                    }
+                    AggPartial::Exact(_) => parts
+                        .iter()
+                        .map(|parts| match &parts[i] {
+                            AggPartial::Exact(e) => *e,
+                            AggPartial::SumF64(_) => {
+                                unreachable!("shards agree on aggregate kinds")
+                            }
+                        })
+                        .reduce(Exact::combine)
+                        .expect("at least one shard")
+                        .finish(),
+                })
+                .collect();
             QueryOutput::Aggregates(values)
         }
         MergeShape::Agg { key: Some(key), aggs } => {
             let groups: Vec<&GroupPartial> = partials
                 .iter()
-                .map(|p| match &p.rows {
-                    PartialRows::Grouped(g) => g,
+                .map(|p| match &p.aggs {
+                    PartialAggs::Grouped(g) => g,
                     _ => unreachable!("grouped merge over grouped partials"),
                 })
                 .collect();
-            let domain = groups.iter().map(|g| g.domain).max().unwrap_or(256);
+            let first = groups[0];
+            debug_assert!(
+                groups.iter().all(|g| g.domain == first.domain
+                    && g.mins.len() == first.mins.len()
+                    && g.maxs.len() == first.maxs.len()
+                    && g.sum_cols.len() == first.sum_cols.len()),
+                "shards agree on the group domain and the aggregates"
+            );
+            let domain = first.domain;
 
             // Exact per-group combines.
             let mut counts = vec![0u64; domain];
+            let mut mins = vec![vec![None; domain]; first.mins.len()];
+            let mut maxs = vec![vec![None; domain]; first.maxs.len()];
             for g in &groups {
                 for (c, &v) in g.counts.iter().enumerate() {
                     counts[c] += v;
                 }
-            }
-            let n_min = groups[0].mins.len();
-            let n_max = groups[0].maxs.len();
-            let n_sum = groups[0].sum_cols.len();
-            let mut mins = vec![vec![None; domain]; n_min];
-            let mut maxs = vec![vec![None; domain]; n_max];
-            for g in &groups {
-                for (a, col) in g.mins.iter().enumerate() {
-                    for (c, v) in col.iter().enumerate() {
-                        if let Some(v) = v {
-                            let slot = &mut mins[a][c];
-                            *slot = Some(slot.map_or(*v, |m: i32| m.min(*v)));
-                        }
-                    }
-                }
-                for (a, col) in g.maxs.iter().enumerate() {
-                    for (c, v) in col.iter().enumerate() {
-                        if let Some(v) = v {
-                            let slot = &mut maxs[a][c];
-                            *slot = Some(slot.map_or(*v, |m: i32| m.max(*v)));
-                        }
+                let sides: [(_, _, Pick); 2] =
+                    [(&mut mins, &g.mins, i32::min), (&mut maxs, &g.maxs, i32::max)];
+                for (accs, cols, pick) in sides {
+                    for (acc, col) in accs.iter_mut().zip(cols) {
+                        let present = col.iter().enumerate().filter_map(|(c, v)| Some((c, (*v)?)));
+                        fold_extremes(acc, present, pick);
                     }
                 }
             }
 
-            // f64 sums: accumulate every surviving row in global sort-key
-            // order — the unsharded kernel's exact addition order.
-            let mut order: Vec<(u64, u32, u32)> = Vec::new();
-            for (s, g) in groups.iter().enumerate() {
-                order.extend(g.sortkeys.iter().enumerate().map(|(r, &k)| (k, s as u32, r as u32)));
-            }
-            order.sort_unstable_by_key(|&(k, _, _)| k);
-            let mut sums = vec![vec![0.0f64; domain]; n_sum];
-            for &(_, s, r) in &order {
-                let g = groups[s as usize];
-                let code = g.codes[r as usize] as usize;
-                for (a, col) in g.sum_cols.iter().enumerate() {
-                    sums[a][code] += col[r as usize];
+            // f64 sums: add every shipped row into its group's accumulators
+            // as the cursor visits it.
+            let mut sums = vec![vec![0.0f64; domain]; first.sum_cols.len()];
+            visit_shipped(&partials, |s, r| {
+                let g = groups[s];
+                let code = g.codes[r] as usize;
+                for (sum, col) in sums.iter_mut().zip(&g.sum_cols) {
+                    sum[code] += col[r];
                 }
-            }
+            });
 
             // Decode via the shared dictionary (shard 0's key column — all
             // shards clone the parent dict).
@@ -659,7 +851,7 @@ pub fn merge(lowered: &Lowered<'_>, partials: Vec<ShardPartial>) -> Result<Execu
             counters_per_shard: per_shard.iter().any(Option::is_some).then_some(per_shard),
         });
     }
-    let merged_rows: usize = partials.iter().map(|p| p.stream_rows).sum();
+    let stream_rows: usize = partials.iter().map(|p| p.stream_rows).sum();
     let rows_out = match &output {
         QueryOutput::Groups(g) => g.len(),
         QueryOutput::Aggregates(a) => a.len(),
@@ -671,20 +863,22 @@ pub fn merge(lowered: &Lowered<'_>, partials: Vec<ShardPartial>) -> Result<Execu
     let gather_total =
         gather_per_shard.iter().try_fold(EventCounters::default(), |acc, c| c.map(|c| acc + c));
     let what = match &lowered.merge {
-        MergeShape::Oids => "k-way OID interleave",
-        MergeShape::Pairs => "canonical (left, right) pair interleave",
-        MergeShape::Agg { key: None, .. } => "exact partial combine + ordered f64 accumulation",
+        MergeShape::Oids => "cursor merge of ascending OID runs",
+        MergeShape::Pairs => "cursor merge of canonical (left, right) pair runs",
+        MergeShape::Agg { key: None, .. } => "exact partial combine + key-ordered f64 accumulation",
         MergeShape::Agg { key: Some(_), .. } => {
-            "per-group exact combine + ordered f64 accumulation"
+            "per-group exact combine + key-ordered f64 accumulation"
         }
     };
     report.ops.push(OpReport {
         op: format!("merge[{n} shards]"),
-        rows_in: merged_rows,
+        rows_in: stream_rows,
         rows_out,
         detail: format!("coordinator: {what}"),
         counters: gather_total,
-        shapes: vec![OpShape::Merge { rows: merged_rows }],
+        // Priced on the rows that reached the coordinator: exact partials
+        // arrive combined, so a root without an `f64` sum merges 0 rows.
+        shapes: vec![OpShape::Merge { rows: shipped_rows }],
         counters_per_shard: gather_per_shard
             .iter()
             .any(Option::is_some)
@@ -709,47 +903,6 @@ pub fn execute_sharded<M: MemTracker>(
         .map(|i| execute_shard(trk, &lowered, i, opts))
         .collect::<Result<Vec<_>, _>>()?;
     merge(&lowered, partials)
-}
-
-fn combine_scalar(acc: Option<AggPartial>, p: &AggPartial) -> AggPartial {
-    match acc {
-        None => p.clone(),
-        Some(acc) => match (acc, p) {
-            (AggPartial::Count(a), AggPartial::Count(b)) => AggPartial::Count(a + b),
-            (AggPartial::SumI64(a), AggPartial::SumI64(b)) => AggPartial::SumI64(a + b),
-            (AggPartial::Min(a), AggPartial::Min(b)) => AggPartial::Min(match (a, *b) {
-                (Some(a), Some(b)) => Some(a.min(b)),
-                (x, y) => x.or(y),
-            }),
-            (AggPartial::Max(a), AggPartial::Max(b)) => AggPartial::Max(match (a, *b) {
-                (Some(a), Some(b)) => Some(a.max(b)),
-                (x, y) => x.or(y),
-            }),
-            (AggPartial::SumF64(mut a), AggPartial::SumF64(b)) => {
-                a.extend(b.iter().copied());
-                AggPartial::SumF64(a)
-            }
-            _ => unreachable!("shards agree on aggregate kinds"),
-        },
-    }
-}
-
-fn finish_scalar(p: AggPartial) -> AggValue {
-    match p {
-        AggPartial::Count(c) => AggValue::Count(c),
-        AggPartial::SumI64(s) => AggValue::I64(s),
-        AggPartial::Min(m) => AggValue::MaybeI32(m),
-        AggPartial::Max(m) => AggValue::MaybeI32(m),
-        AggPartial::SumF64(mut rows) => {
-            // Global sort order = the unsharded accumulation order.
-            rows.sort_unstable_by_key(|&(k, _)| k);
-            let mut sum = 0.0f64;
-            for (_, v) in rows {
-                sum += v;
-            }
-            AggValue::F64(sum)
-        }
-    }
 }
 
 #[cfg(test)]
@@ -903,6 +1056,124 @@ mod tests {
         }
         assert!(counted_ops >= 2, "select + merge must both carry counters");
         assert_eq!(acc, total, "per-op counters must sum to the tracker total");
+    }
+
+    /// The keys of `runs` in the order `merge_runs` visits them.
+    fn visited<K: Copy + Ord>(runs: &[&[K]]) -> Vec<K> {
+        let mut next = vec![0; runs.len()];
+        let mut out = Vec::new();
+        merge_runs(runs, |s, r| {
+            assert_eq!(r, next[s], "run {s} is visited front to back, no row twice");
+            next[s] += 1;
+            out.push(runs[s][r]);
+        });
+        assert!(next.iter().zip(runs).all(|(&n, run)| n == run.len()), "every row is visited");
+        out
+    }
+
+    #[test]
+    fn cursor_merge_visits_every_run_in_key_order() {
+        assert!(visited::<u32>(&[]).is_empty(), "no runs");
+        assert!(visited::<u32>(&[&[], &[], &[]]).is_empty(), "all runs empty");
+        assert_eq!(visited(&[&[3u32, 5, 9][..]]), [3, 5, 9], "one run");
+        assert_eq!(visited(&[&[][..], &[3u32, 5, 9], &[]]), [3, 5, 9], "one live run");
+        // The first run exhausts first; then the last one does.
+        assert_eq!(visited(&[&[1u32, 2][..], &[0, 4, 7], &[3, 8, 9]]), [0, 1, 2, 3, 4, 7, 8, 9]);
+        assert_eq!(visited(&[&[1u32, 6, 9][..], &[0, 4, 7], &[2, 3]]), [0, 1, 2, 3, 4, 6, 7, 9]);
+        // No key is reserved: the largest packed pair is an ordinary key.
+        let top = pair_key(u32::MAX, u32::MAX);
+        assert_eq!(top, u64::MAX);
+        assert_eq!(
+            visited(&[&[5, top][..], &[0, top - 1], &[top - 2]]),
+            [0, 5, top - 2, top - 1, top]
+        );
+
+        // S = 7, unequal lengths (one run empty, one holding half the keys).
+        let mut runs: Vec<Vec<u32>> = vec![Vec::new(); 7];
+        for k in 0..500u32 {
+            let s = if k % 2 == 0 { 3 } else { [0, 1, 2, 4, 6][(k as usize / 2) % 5] };
+            runs[s].push(k * 3);
+        }
+        let refs: Vec<&[u32]> = runs.iter().map(Vec::as_slice).collect();
+        assert_eq!(visited(&refs), (0..500).map(|k| k * 3).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn cursor_merge_equals_concatenate_and_sort_on_random_disjoint_runs() {
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        let mut rng = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        for round in 0..50 {
+            let shards = 1 + (rng() % 8) as usize;
+            // Skewed assignment: squaring the draw favours the low shards.
+            let mut runs: Vec<Vec<u64>> = vec![Vec::new(); shards];
+            let mut key = 0u64;
+            for _ in 0..(rng() % 400) {
+                key += 1 + rng() % 1000;
+                let u = (rng() % 1000) as f64 / 1000.0;
+                runs[(u * u * shards as f64) as usize].push(key);
+            }
+            let refs: Vec<&[u64]> = runs.iter().map(Vec::as_slice).collect();
+            let mut sorted = runs.concat();
+            sorted.sort_unstable();
+            assert_eq!(visited(&refs), sorted, "round {round}, {shards} runs");
+        }
+    }
+
+    /// The streaming merge trusts each shard's OID map to be monotone, which
+    /// the sort it replaced did not need: a map that is not must not pass
+    /// silently in debug builds.
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "strictly ascending")]
+    fn a_descending_oid_map_trips_the_run_order_assertion() {
+        let shard = TableShard { table: supplier(4), oids: vec![3, 2, 1, 0] };
+        let lowered = Lowered {
+            plans: vec![Query::scan(&shard.table).build().unwrap()],
+            ctx: vec![ShardCtx { left: &shard, right: None }],
+            merge: MergeShape::Oids,
+        };
+        let partial =
+            execute_shard(&mut NullTracker, &lowered, 0, &ExecOptions::default()).unwrap();
+        let _ = merge(&lowered, vec![partial]);
+    }
+
+    #[test]
+    fn the_merge_operator_is_priced_on_the_rows_the_shards_shipped() {
+        let item = item(2000);
+        let is = ShardedTable::partition(&item, "supp", 4).unwrap();
+        let stream = Query::scan(&item).filter(Pred::range_i32("qty", 2, 7));
+        let stream_rows = 2000 * 6 / 10;
+        let merge_op = |plan: &LogicalPlan<'_>| {
+            let run = execute_sharded(&mut NullTracker, plan, &[&is], &ExecOptions::default());
+            run.unwrap().report.ops.pop().expect("merge op")
+        };
+
+        // Exact aggregates arrive combined: nothing to merge, whatever the
+        // stream carried.
+        let exact = stream
+            .clone()
+            .group_by("shipmode")
+            .agg(Agg::min("qty"))
+            .agg(Agg::count())
+            .build()
+            .unwrap();
+        let op = merge_op(&exact);
+        assert_eq!(op.rows_in, stream_rows);
+        assert_eq!(op.shapes, vec![OpShape::Merge { rows: 0 }]);
+        let int_sum = stream.clone().agg(Agg::sum("qty")).agg(Agg::max("qty")).build().unwrap();
+        assert_eq!(merge_op(&int_sum).shapes, vec![OpShape::Merge { rows: 0 }]);
+
+        // An f64 sum and a bare stream ship every stream row.
+        let f64_sum = stream.clone().agg(Agg::sum("price")).build().unwrap();
+        assert_eq!(merge_op(&f64_sum).shapes, vec![OpShape::Merge { rows: stream_rows }]);
+        let op = merge_op(&stream.build().unwrap());
+        assert_eq!((op.rows_in, op.rows_out), (stream_rows, stream_rows));
+        assert_eq!(op.shapes, vec![OpShape::Merge { rows: stream_rows }]);
     }
 
     #[test]

@@ -1411,6 +1411,7 @@ fn leaf_strides(table: Option<&monet_core::storage::DecomposedTable>, pred: &Pre
 #[cfg(test)]
 mod tests {
     use super::*;
+    use engine::access::AccessMode;
     use engine::exec::execute;
     use engine::plan::{Agg, Pred, Query};
     use monet_core::storage::{ColType, DecomposedTable, TableBuilder, Value};
@@ -1870,12 +1871,19 @@ mod tests {
 
         let m = svc.metrics();
         assert_eq!(m.scan_rows_streamed, 50_000, "the leaf streamed the column either way");
-        match svc.exec.compress {
-            CompressMode::Off => {
+        // The resolved policy, not `compress` alone: scan-only access is
+        // the uncompressed reference path unless compression is forced.
+        let packed = match svc.exec.compress {
+            CompressMode::Off => false,
+            CompressMode::On => svc.exec.access != AccessMode::Scan,
+            CompressMode::Force => true,
+        };
+        match packed {
+            false => {
                 assert_eq!(m.compressed_bytes_streamed, 0);
                 assert_eq!(m.bytes_saved, 0);
             }
-            _ => {
+            true => {
                 // qty spans 0..50 — a packed representation far below 32
                 // bits/value, and no index competes, so auto takes it.
                 let cc = t.compressed_of("qty").expect("qty compresses");

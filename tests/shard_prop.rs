@@ -119,6 +119,48 @@ fn shapes<'a>(
                 .build()
                 .unwrap(),
         ),
+        // Exact aggregates only: the shards ship no rows at all.
+        (
+            "grouped-extremes",
+            Query::scan(item)
+                .filter(Pred::range_f64("discnt", 0.02, 0.06))
+                .group_by("shipmode")
+                .agg(Agg::min("qty"))
+                .agg(Agg::max("qty"))
+                .agg(Agg::count())
+                .build()
+                .unwrap(),
+        ),
+        (
+            "join-count",
+            Query::scan(item)
+                .filter(Pred::range_i32("qty", 1, 25))
+                .join(supp, ("supp", "id"))
+                .agg(Agg::count())
+                .build()
+                .unwrap(),
+        ),
+        // Two f64 sums share one key run and one cursor pass.
+        (
+            "scalar-two-f64-sums",
+            Query::scan(item)
+                .filter(Pred::range_i32("qty", 3, 45))
+                .agg(Agg::sum("price"))
+                .agg(Agg::sum("tax"))
+                .agg(Agg::count())
+                .build()
+                .unwrap(),
+        ),
+        // Join stream: packed-pair keys, values gathered on the right side.
+        (
+            "join-scalar-right-f64-sum",
+            Query::scan(item)
+                .filter(Pred::range_i32("qty", 10, 40))
+                .join(supp, ("supp", "id"))
+                .agg(Agg::sum("rating"))
+                .build()
+                .unwrap(),
+        ),
     ]
 }
 
