@@ -8,8 +8,8 @@
 //! uncompressed kernel and once through the compressed kernel on the
 //! simulated Origin2000 — identical candidate lists, fewer bytes streamed —
 //! and the table shows the simulated cost of both next to the
-//! [`costmodel::scan`] quotes ([`scan_cost`] vs [`packed_scan_cost`]). The
-//! model must predict the bandwidth win within the same factor-2 tolerance
+//! [`costmodel::scan`] quotes ([`scan_cost`] vs [`select_cost`] at the
+//! packed width). The model must predict the bandwidth win within the same factor-2 tolerance
 //! the join-model validation uses.
 //!
 //! The closing lines demonstrate the planning consequence: at a selectivity
@@ -20,12 +20,12 @@
 //! needle leaf conjoined with one wide compressed leaf, simulated in both
 //! leaf orders. Needle-first, the wide leaf runs through the restricted
 //! kernel and streams only the frames its survivors live in; the table
-//! shows the byte collapse, both simulated orders, the
-//! [`cand_packed_scan_cost_touched`] quote, and the leaf the engine's
-//! conjunction planner actually ran first.
+//! shows the byte collapse, both simulated orders, the restricted
+//! [`select_cost`] quote, and the leaf the engine's conjunction planner
+//! actually ran first.
 
 use costmodel::access::{cheapest, quotes, AccessPath, IndexShape, SelectQuery};
-use costmodel::scan::{cand_packed_scan_cost_touched, packed_scan_cost, scan_cost};
+use costmodel::scan::{scan_cost, select_cost, Select, FRAME_LEN};
 use costmodel::ModelMachine;
 use engine::exec::{execute, AccessNote, ExecOptions, Threads};
 use engine::plan::{Agg, Pred, Query};
@@ -55,7 +55,7 @@ pub struct Point {
     pub cmp_sim_ms: f64,
     /// [`scan_cost`] quote of the uncompressed select.
     pub unc_model_ms: f64,
-    /// [`packed_scan_cost`] quote of the compressed select.
+    /// [`select_cost`] quote of the compressed select.
     pub cmp_model_ms: f64,
 }
 
@@ -145,7 +145,7 @@ pub fn sweep(opts: &RunOpts) -> Vec<Point> {
                 unc_sim_ms: unc.elapsed_ms(),
                 cmp_sim_ms: cmp.elapsed_ms(),
                 unc_model_ms: scan_cost(&mm, n, stride).total_ms(),
-                cmp_model_ms: packed_scan_cost(&mm, n, cc.bits_per_value()).total_ms(),
+                cmp_model_ms: select_cost(&mm, Select::packed(n, cc.bits_per_value())).total_ms(),
             }
         })
         .collect()
@@ -169,9 +169,9 @@ pub struct PushdownPoint {
     pub needle_first_sim_ms: f64,
     /// Simulated ms of the whole conjunction, wide leaf first.
     pub wide_first_sim_ms: f64,
-    /// Model quote for the needle-first order: [`packed_scan_cost`] for the
-    /// needle plus [`cand_packed_scan_cost_touched`] for the wide leaf,
-    /// with the touched-frame count taken from the actual survivor list.
+    /// Model quote for the needle-first order: the needle's fresh packed
+    /// pass plus the wide leaf restricted to the needle's survivors, over
+    /// the frames the actual survivor list touches.
     pub model_ms: f64,
     /// In-order index of the leaf the engine's conjunction planner ran
     /// first (the needle is written *last* in the predicate, so leaf 1).
@@ -268,16 +268,18 @@ pub fn pushdown_sweep(opts: &RunOpts) -> Vec<PushdownPoint> {
             assert_eq!(rest[0], expect, "{col}: restricted wide leaf must be bit-identical");
             assert_eq!(rest_rev[0], expect, "{col}: restricted needle leaf must be bit-identical");
 
+            // The needle's survivors are one contiguous cluster, far from
+            // the uniform spread a restricted quote over the whole column
+            // assumes: price the restricted pass over just the sub-column
+            // of frames they actually touch.
             let touched = touched_blocks(cc, seqbase, &needle_list);
-            let model_ms = packed_scan_cost(&mm, n, needle_cc.bits_per_value()).total_ms()
-                + cand_packed_scan_cost_touched(
-                    &mm,
-                    n,
-                    cc.bits_per_value(),
-                    needle_list.len(),
-                    touched,
-                )
-                .total_ms();
+            let wide_rest_quote = Select {
+                cands: Some(needle_list.len()),
+                ..Select::packed((touched * FRAME_LEN).min(n), cc.bits_per_value())
+            };
+            let needle_quote = Select::packed(n, needle_cc.bits_per_value());
+            let model_ms = select_cost(&mm, needle_quote).total_ms()
+                + select_cost(&mm, wide_rest_quote).total_ms();
 
             // The planner sees the needle written last and must still run
             // it first; the chosen order comes out as a structured note.

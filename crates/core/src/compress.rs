@@ -30,7 +30,7 @@
 //! actually touched (block metadata of every touched block; packed payload
 //! only when a block must be unpacked), while the CPU is conservatively
 //! charged one `Work::ScanIter` per presented tuple per predicate — the
-//! same asymmetry `costmodel::scan::packed_scan_cost` prices with its
+//! same asymmetry `costmodel::scan::select_cost` prices with its
 //! fractional bits-per-value stride.
 
 use memsim::{track_read, track_read_slice, MemTracker};
@@ -481,7 +481,7 @@ impl CompressedColumn {
     }
 
     /// Average stored bits per value — the stride term
-    /// `costmodel::scan::packed_scan_cost` prices.
+    /// `costmodel::scan::select_cost` prices.
     pub fn bits_per_value(&self) -> f64 {
         self.compressed_bytes() as f64 * 8.0 / self.len().max(1) as f64
     }
@@ -694,7 +694,7 @@ pub fn multi_select_compressed_cands<M: MemTracker>(
 /// The number of distinct blocks (FOR/dict frames or RLE runs) an ascending
 /// candidate list touches — the exact block count a [`RowSet::Cands`]
 /// [`select`] charges metadata for, and the quantity
-/// `costmodel::scan::cand_packed_scan_cost` estimates from |candidates|.
+/// `costmodel::scan::expected_touched_blocks` estimates from |candidates|.
 pub fn touched_blocks(cc: &CompressedColumn, seqbase: Oid, cands: &[Oid]) -> usize {
     let mut n = 0usize;
     match cc {

@@ -33,7 +33,8 @@
 //! once per presented tuple ([`track_read`]; compressed layouts charge the
 //! block metadata and packed payload they touch instead) and the CPU once
 //! per presented tuple *per predicate* ([`Work::ScanIter`] × K) — exactly
-//! the asymmetry `costmodel::shared` prices.
+//! the asymmetry `costmodel::scan::select_cost` prices for riders of a
+//! merged pass.
 
 use memsim::{track_read, MemTracker, NullTracker, Work};
 

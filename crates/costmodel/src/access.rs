@@ -8,8 +8,9 @@
 //! parameters so the executor can *choose* per predicate, the same way
 //! [`crate::plan::plan_join`] chooses a join algorithm:
 //!
-//! * **scan** — the §2 stride-scan model, exactly [`crate::scan::scan_cost`]
-//!   at the column's stride;
+//! * **scan** — the §2 stride-scan model, exactly
+//!   [`crate::scan::select_cost`] at the column's stored width (plain or
+//!   packed), over every row or only the surviving candidates;
 //! * **B+-tree (eq/range)** — one descent (`height + 1` node touches, each
 //!   one line/page) plus a sequential run over the `k` matching leaf
 //!   entries (two 4-byte streams: keys and OIDs);
@@ -28,7 +29,7 @@
 //! crossover against the simulator.
 
 use crate::machine::{ModelCost, ModelMachine};
-use crate::scan::scan_cost;
+use crate::scan::{select_cost, Select};
 
 /// Bytes per indexed tuple of the bucket-chained hash index: heads + chain
 /// (≈4 B) plus the 8-byte `(key, oid)` BUN — the paper's §3.4.4 "12 bytes
@@ -114,9 +115,9 @@ pub struct SelectQuery {
     pub packed_bits: Option<f64>,
     /// Number of surviving candidates threaded into this leaf from earlier
     /// conjunction leaves (`None` = full-column evaluation). When set, scan
-    /// paths are priced per candidate ([`crate::scan::cand_scan_cost`] /
-    /// [`crate::scan::cand_packed_scan_cost`]) and index probes keep their
-    /// full traversal but emit and sort only the expected survivors.
+    /// paths are priced per candidate ([`Select::cands`]) and index probes
+    /// keep their full traversal but emit and sort only the expected
+    /// survivors.
     pub cands: Option<usize>,
 }
 
@@ -145,11 +146,6 @@ pub fn sort_rounds(n: usize) -> usize {
 fn emit_ns(m: &ModelMachine, matches: usize) -> f64 {
     let k = matches as f64;
     k * m.work.scan_iter_ns + (matches * sort_rounds(matches)) as f64 * m.work.sort_tuple_ns
-}
-
-/// Price the scan-select path: the §2 stride-scan over all rows.
-pub fn scan_select_cost(m: &ModelMachine, rows: usize, stride: usize) -> ModelCost {
-    scan_cost(m, rows, stride)
 }
 
 /// Price a B+-tree probe returning `matches` entries: a cold descent of
@@ -242,17 +238,11 @@ pub fn restrict_index_cost(
 /// pricing.
 pub fn quotes(m: &ModelMachine, q: &SelectQuery, indexes: &[IndexShape]) -> Vec<Quote> {
     let kept = q.cands.map(|k| restricted_matches(q.rows, q.matches, k));
-    let scan = match q.cands {
-        Some(k) => crate::scan::cand_scan_cost(m, q.rows, q.stride, k),
-        None => scan_select_cost(m, q.rows, q.stride),
-    };
-    let mut out = vec![Quote { path: AccessPath::Scan, cost: scan }];
+    let scan = |stored: Select| select_cost(m, Select { cands: q.cands, ..stored });
+    let mut out =
+        vec![Quote { path: AccessPath::Scan, cost: scan(Select::plain(q.rows, q.stride)) }];
     if let Some(bits) = q.packed_bits {
-        let cost = match q.cands {
-            Some(k) => crate::scan::cand_packed_scan_cost(m, q.rows, bits, k),
-            None => crate::scan::packed_scan_cost(m, q.rows, bits),
-        };
-        out.push(Quote { path: AccessPath::PackedScan, cost });
+        out.push(Quote { path: AccessPath::PackedScan, cost: scan(Select::packed(q.rows, bits)) });
     }
     let restrict = |cost: ModelCost| match kept {
         Some(kept) => restrict_index_cost(m, cost, q.matches, kept),

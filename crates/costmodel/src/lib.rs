@@ -13,7 +13,10 @@
 //!
 //! This crate implements those models:
 //!
-//! * [`scan`]   — the §2 stride-scan model `T(s)` behind Figure 3;
+//! * [`scan`]   — the §2 stride-scan model `T(s)` behind Figure 3, and the
+//!   one [`scan::Select`] shape every scan-select in the repository is
+//!   priced as — fresh, compressed, candidate-restricted, or riding a
+//!   cooperative pass that already streams the column;
 //! * [`cluster`] — `T_c(P, B, C)` for the multi-pass radix-cluster (Fig. 9);
 //! * [`rjoin`]  — `T_r(B, C)` for the radix-join phase (Fig. 10);
 //! * [`phash`]  — `T_h(B, C)` for the partitioned hash-join phase (Fig. 11);
@@ -29,12 +32,7 @@
 //!   probe, so index use becomes a per-predicate cost-model decision;
 //! * [`quote`] — whole-query quotes composing the per-operator models, the
 //!   currency of the multi-query scheduler (admission order and per-query
-//!   thread budgets in `crates/service`);
-//! * [`shared`] — cooperative-scan pricing: a K-way merged scan pass pays
-//!   the memory terms once and the CPU term K times, so its cost grows far
-//!   slower than K solo scans — the model behind the service's shared-scan
-//!   batching, including the CPU-only *marginal* price of a query whose
-//!   scan is already covered by a pass in flight.
+//!   thread budgets in `crates/service`).
 //!
 //! The inequality directions in the published formulas are garbled by PDF
 //! extraction; the reconstruction used here (documented per function) makes
@@ -55,7 +53,6 @@ pub mod plan;
 pub mod quote;
 pub mod rjoin;
 pub mod scan;
-pub mod shared;
 
 pub use access::{AccessPath, IndexShape, SelectQuery};
 pub use machine::{ModelCost, ModelMachine, ModelParams};

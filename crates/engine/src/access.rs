@@ -11,9 +11,9 @@
 //! thread count — the determinism property the PR-2 suites rely on.
 //!
 //! Planning runs in two phases so the degree of parallelism can be decided
-//! in between: [`plan_pred_with`] resolves one [`AccessDecision`] per leaf
+//! in between: `plan_pred_with` resolves one [`AccessDecision`] per leaf
 //! (range selectivity estimates are *exact* — two B+-tree descents count
-//! the matches), then [`eval_planned`] executes the decisions, fanning
+//! the matches), then `eval_planned` executes the decisions, fanning
 //! scan leaves out over the chosen thread count and running index probes
 //! sequentially (a probe is a handful of node touches; forking would cost
 //! more than the work).
@@ -32,7 +32,8 @@ use costmodel::access::{
     Quote, SelectQuery,
 };
 use costmodel::machine::ModelCost;
-use costmodel::scan::{cand_packed_scan_cost, cand_scan_cost, expected_touched_blocks};
+use costmodel::quote::OpShape;
+use costmodel::scan::{select_cost, Select};
 use costmodel::ModelMachine;
 use memsim::{MemTracker, Work};
 use monet_core::compress::CompressedColumn;
@@ -265,9 +266,11 @@ enum LeafAction {
 struct LeafPlan {
     decision: AccessDecision,
     action: LeafAction,
-    /// The scan quote in ns when the leaf will scan (input to the
-    /// thread-count decision); 0 for index leaves.
-    scan_work_ns: f64,
+    /// What the leaf streams when it scans the column itself — the shape
+    /// `decision.predicted_ms` was priced as, and the one the drift ledger
+    /// gets. `None` for index probes (priced per probe), provided leaves
+    /// (scanned elsewhere) and provably empty ones (nothing runs).
+    select: Option<Select>,
     /// The full quote of the chosen path when it is index-backed — what
     /// the conjunction planner reprices via
     /// [`costmodel::access::restrict_index_cost`]; `None` otherwise.
@@ -292,10 +295,24 @@ impl PredPlan {
         self.leaves.iter().map(|l| l.decision.predicted_ms).sum()
     }
 
-    /// Sequential model quote of the *scanning* leaves, in ns — the work
-    /// the parallel model may fan out (index probes never fork).
+    /// Sequential model quote of the leaves that run a full pass of their
+    /// own, in ns — the work the parallel model may fan out (index probes
+    /// never fork, and restricted leaves run sequentially).
     pub fn scan_work_ns(&self) -> f64 {
-        self.leaves.iter().map(|l| l.scan_work_ns).sum()
+        self.leaves
+            .iter()
+            .filter(|l| l.select.is_some_and(|s| s.items() > 0))
+            .map(|l| l.decision.predicted_ms * 1e6)
+            .sum()
+    }
+
+    /// The cost-model shapes of the scans this predicate runs itself — the
+    /// only model-attributable work of a select operator: index probes
+    /// touch a handful of nodes, shared leaves were scanned elsewhere and
+    /// dictionary misses run nothing, so none of them belongs in the drift
+    /// ledger.
+    pub fn shapes(&self) -> Vec<OpShape> {
+        self.leaves.iter().filter_map(|l| l.select.map(OpShape::Select)).collect()
     }
 
     /// True if any leaf takes an index path.
@@ -334,7 +351,7 @@ impl PredPlan {
 
 /// Number of leaves of a predicate tree (for cursor-skipping on
 /// short-circuited subtrees, and the executor's global leaf numbering).
-pub(crate) fn leaf_count(pred: &Pred) -> usize {
+pub fn leaf_count(pred: &Pred) -> usize {
     match pred {
         Pred::And(a, b) | Pred::Or(a, b) => leaf_count(a) + leaf_count(b),
         _ => 1,
@@ -367,17 +384,14 @@ fn usable_indexes<'t>(
 }
 
 /// Pick a quote per the access mode: `Auto` takes the global cheapest,
-/// `Index` the cheapest index path (the caller guarantees one exists).
+/// `Index` the cheapest index path — or, on a leaf no index can answer, the
+/// cheapest scan flavour — and `Scan` the plain scan.
 fn pick(mode: AccessMode, all: &[Quote]) -> Quote {
     match mode {
         AccessMode::Auto => cheapest(all),
         AccessMode::Index => {
             let idx: Vec<Quote> = all.iter().copied().filter(|q| q.path.is_index()).collect();
-            if idx.is_empty() {
-                all[0]
-            } else {
-                cheapest(&idx)
-            }
+            cheapest(if idx.is_empty() { all } else { &idx })
         }
         AccessMode::Scan => all[0],
     }
@@ -418,20 +432,6 @@ pub(crate) fn lower_leaf<'p>(
         }
         Pred::And(..) | Pred::Or(..) => unreachable!("leaves only"),
     })
-}
-
-/// Map a chosen quote onto the evaluation action for an integer-key leaf.
-fn action_for(path: AccessPath, col: &str, pred: ScanPred, klo: u32, khi: u32) -> LeafAction {
-    let col = col.to_owned();
-    match path {
-        AccessPath::Scan => LeafAction::Scan { col, pred },
-        AccessPath::PackedScan => LeafAction::Packed { col, pred },
-        AccessPath::BtreeRange | AccessPath::BtreeEq => {
-            LeafAction::BtreeRange { col, lo: klo, hi: khi }
-        }
-        AccessPath::HashEq => LeafAction::IndexEq { col, kind: IndexKind::Hash, key: klo },
-        AccessPath::TTreeEq => LeafAction::IndexEq { col, kind: IndexKind::TTree, key: klo },
-    }
 }
 
 /// True when the predicate tree is a pure conjunction (only `And` internal
@@ -503,37 +503,21 @@ fn leaf_selectivity(lp: &LeafPlan, rows: usize) -> f64 {
 /// Model quote (ms) of evaluating one planned leaf restricted to `k`
 /// candidates, keeping the already-chosen path family.
 fn restricted_ms(model: &ModelMachine, lp: &LeafPlan, rows: usize, k: usize) -> f64 {
-    match &lp.action {
-        LeafAction::Empty | LeafAction::Provided(_) => 0.0,
-        LeafAction::Scan { .. } => {
-            cand_scan_cost(model, rows, lp.decision.stride.max(1), k).total_ms()
-        }
-        LeafAction::Packed { .. } => {
-            cand_packed_scan_cost(model, rows, lp.decision.packed_bits, k).total_ms()
-        }
-        LeafAction::BtreeRange { .. } | LeafAction::IndexEq { .. } => {
-            let full = lp.index_cost.expect("index leaves carry their full quote");
-            let probed = lp.decision.matches_est;
-            restrict_index_cost(model, full, probed, restricted_matches(rows, probed, k)).total_ms()
-        }
+    if let Some(stored) = lp.select {
+        return select_cost(model, Select { cands: Some(k), ..stored }).total_ms();
     }
+    // Provided and provably empty leaves cost nothing either way.
+    let Some(full) = lp.index_cost else { return 0.0 };
+    let probed = lp.decision.matches_est;
+    restrict_index_cost(model, full, probed, restricted_matches(rows, probed, k)).total_ms()
 }
 
 /// Model-estimated bytes one restricted leaf avoids streaming versus its
 /// full-column evaluation (0 for index probes — they stream no column).
 fn bytes_saved_est(lp: &LeafPlan, rows: usize, k: usize) -> f64 {
-    let frame_len = costmodel::scan::FRAME_LEN;
-    match &lp.action {
-        LeafAction::Scan { .. } => {
-            (rows.saturating_sub(k) as f64) * lp.decision.stride.max(1) as f64
-        }
-        LeafAction::Packed { .. } => {
-            let blocks = rows.div_ceil(frame_len).max(1);
-            let streamed = (expected_touched_blocks(blocks, k) * frame_len as f64).min(rows as f64);
-            (rows as f64 - streamed) * lp.decision.packed_bits / 8.0
-        }
-        _ => 0.0,
-    }
+    let Some(stored) = lp.select else { return 0.0 };
+    let (_, touched, _) = Select { cands: Some(k), ..stored }.work();
+    (rows as f64 - touched).max(0.0) * stored.bits / 8.0
 }
 
 /// Order the leaves of a pure-AND conjunction for candidate pushdown and
@@ -600,10 +584,11 @@ fn plan_conjunction(
             let ms = restricted_ms(model, lp, rows, k);
             lp.decision.bytes_saved = bytes_saved_est(lp, rows, k);
             // The leaf now runs restricted: report (and price) that work,
-            // not the full-column quote it will no longer do. Restricted
-            // leaves run sequentially — their quote is not fan-out work.
+            // not the full-column quote it will no longer do.
             lp.decision.predicted_ms = ms;
-            lp.scan_work_ns = 0.0;
+            if let Some(stored) = &mut lp.select {
+                stored.cands = Some(k);
+            }
         }
     }
     best
@@ -640,7 +625,7 @@ fn provided_leaf(col: &str, cands: Arc<CandList>) -> LeafPlan {
             bytes_saved: 0.0,
         },
         action: LeafAction::Provided(cands),
-        scan_work_ns: 0.0,
+        select: None,
         index_cost: None,
     }
 }
@@ -671,128 +656,59 @@ fn plan_rec<M: MemTracker>(
     // carry no indexes (no u32 key mapping) and no compressed
     // representation, so they always fall through to the plain scan.
     let eq = !matches!(kernel, Some(ScanPred::RangeI32 { lo, hi }) if lo != hi);
-    let usable = usable_indexes(table, col, eq);
-    let scan_only = mode == AccessMode::Scan || usable.is_empty();
+    let usable = if mode == AccessMode::Scan { Vec::new() } else { usable_indexes(table, col, eq) };
     let Some(kernel) = kernel else {
         // Provably empty — the dictionary already answered the query, so
-        // nothing executes and nothing may be quoted: keep the path the
-        // planner would have taken (provenance) but zero its cost so
-        // `model_ms` only prices work done.
+        // nothing executes and nothing may be quoted or fed to the drift
+        // ledger: keep the path the planner would have taken (provenance)
+        // but no cost, no shape and no probe to reprice.
         let any = ScanPred::EqCode { code: 0 };
-        let mut leaf = if scan_only {
-            scan_leaf(model, table, col, any, stride, None, compress, mode, 0)
-        } else {
-            priced_leaf(
-                model, table, col, any, stride, 0, true, mode, &usable, 0, 0, None, compress,
-            )
-        };
+        let mut leaf =
+            leaf_plan(model, table, col, any, stride, 0, eq, mode, &usable, None, compress);
         leaf.action = LeafAction::Empty;
-        leaf.scan_work_ns = 0.0;
         leaf.decision.predicted_ms = 0.0;
+        leaf.select = None;
+        leaf.index_cost = None;
         out.push(leaf);
         return Ok(());
     };
-    let packed = packed_candidate(table, col, kernel, compress);
-    if scan_only {
+    let matches = if usable.is_empty() {
         // No index to count with: sniff the compressed metadata (frame
         // min/max, runs) for a selectivity estimate. This reads headers
         // only, so it's free even when the compress policy keeps the
         // evaluation on the uncompressed path.
-        let est = table.compressed_of(col).and_then(|cc| cc.estimate_matches(&kernel)).unwrap_or(0);
-        out.push(scan_leaf(model, table, col, kernel, stride, packed, compress, mode, est));
-        return Ok(());
-    }
-    let (klo, khi) = match kernel {
-        ScanPred::RangeI32 { lo, hi } => key_range_i32(lo, hi),
-        ScanPred::EqCode { code } => (code, code),
-        ScanPred::RangeF64 { .. } => unreachable!("F64 columns carry no indexes"),
+        table.compressed_of(col).and_then(|cc| cc.estimate_matches(&kernel)).unwrap_or(0)
+    } else {
+        estimate_matches(trk, table, col, &usable, kernel)
     };
-    let matches = estimate_matches(trk, table, col, &usable, klo, khi);
-    out.push(priced_leaf(
-        model, table, col, kernel, stride, matches, eq, mode, &usable, klo, khi, packed, compress,
+    let packed = packed_candidate(table, col, kernel, compress);
+    out.push(leaf_plan(
+        model, table, col, kernel, stride, matches, eq, mode, &usable, packed, compress,
     ));
     Ok(())
 }
 
-/// A leaf that never probes an index (no usable one, or `Scan` mode): a
-/// plain scan — or the packed scan over the compressed representation when
-/// the policy allows it and the model (or `force`) prefers it.
-/// `matches_est` is a metadata-sniffed selectivity estimate (compressed
-/// frame/run headers); 0 when no estimator applies.
-#[allow(clippy::too_many_arguments)] // mirrors plan_rec's policy surface
-fn scan_leaf(
-    model: &ModelMachine,
-    table: &DecomposedTable,
-    col: &str,
-    pred: ScanPred,
-    stride: usize,
-    packed: Option<&CompressedColumn>,
-    compress: CompressMode,
-    mode: AccessMode,
-    matches_est: usize,
-) -> LeafPlan {
-    let rows = table.len();
-    let scan_ms = costmodel::access::scan_select_cost(model, rows, stride).total_ms();
-    if let Some(cc) = packed {
-        let bits = cc.bits_per_value();
-        let packed_ms = costmodel::scan::packed_scan_cost(model, rows, bits).total_ms();
-        let take = match compress {
-            CompressMode::Force => true,
-            // `scan` access mode stays the uncompressed reference path.
-            CompressMode::On => mode != AccessMode::Scan && packed_ms < scan_ms,
-            CompressMode::Off => false,
-        };
-        if take {
-            return LeafPlan {
-                decision: AccessDecision {
-                    column: col.to_owned(),
-                    path: AccessPath::PackedScan,
-                    predicted_ms: packed_ms,
-                    scan_ms,
-                    matches_est,
-                    shared: false,
-                    packed_bits: bits,
-                    stride,
-                    cands_in: None,
-                    bytes_saved: 0.0,
-                },
-                action: LeafAction::Packed { col: col.to_owned(), pred },
-                scan_work_ns: packed_ms * 1e6,
-                index_cost: None,
-            };
-        }
-    }
-    LeafPlan {
-        decision: AccessDecision {
-            column: col.to_owned(),
-            path: AccessPath::Scan,
-            predicted_ms: scan_ms,
-            scan_ms,
-            matches_est,
-            shared: false,
-            packed_bits: 0.0,
-            stride,
-            cands_in: None,
-            bytes_saved: 0.0,
-        },
-        action: LeafAction::Scan { col: col.to_owned(), pred },
-        scan_work_ns: scan_ms * 1e6,
-        index_cost: None,
+/// The index key range of a leaf constant.
+fn key_range(pred: ScanPred) -> (u32, u32) {
+    match pred {
+        ScanPred::RangeI32 { lo, hi } => key_range_i32(lo, hi),
+        ScanPred::EqCode { code } => (code, code),
+        ScanPred::RangeF64 { .. } => unreachable!("F64 columns carry no indexes"),
     }
 }
 
-/// Estimate the qualifying rows of a key range: exact via a B+-tree count
-/// when one is attached (two descents, tracked), `len / distinct` for
+/// Estimate the qualifying rows of an indexed leaf: exact via a B+-tree
+/// count when one is attached (two descents, tracked), `len / distinct` for
 /// equality otherwise.
 fn estimate_matches<M: MemTracker>(
     trk: &mut M,
     table: &DecomposedTable,
     col: &str,
     usable: &[(&ColumnIndex, IndexShape)],
-    klo: u32,
-    khi: u32,
+    pred: ScanPred,
 ) -> usize {
     if let Some(idx) = table.index_of(col, IndexKind::CsBTree) {
+        let (klo, khi) = key_range(pred);
         if let Some(n) = idx.count_range(trk, klo, khi) {
             return n;
         }
@@ -801,8 +717,14 @@ fn estimate_matches<M: MemTracker>(
     idx.len() / idx.distinct().max(1)
 }
 
-#[allow(clippy::too_many_arguments)] // two call sites; splitting obscures the pricing inputs
-fn priced_leaf(
+/// The one constructor of an evaluated leaf: quote the plain scan, the
+/// packed scan when the column has a usable compressed representation and
+/// the policy admits it, and a probe of every index in `usable` (none under
+/// `scan` access mode or on an unindexed column), then pick per the modes.
+/// `matches` is the selectivity estimate — index-counted, or sniffed from
+/// compressed frame/run headers; 0 when no estimator applies.
+#[allow(clippy::too_many_arguments)] // the planner's full policy surface
+fn leaf_plan(
     model: &ModelMachine,
     table: &DecomposedTable,
     col: &str,
@@ -812,20 +734,16 @@ fn priced_leaf(
     eq: bool,
     mode: AccessMode,
     usable: &[(&ColumnIndex, IndexShape)],
-    klo: u32,
-    khi: u32,
     packed: Option<&CompressedColumn>,
     compress: CompressMode,
 ) -> LeafPlan {
-    // `on` lets the packed quote compete only where the model decides
-    // (auto); `force` admits it everywhere and then overrides the pick.
-    let packed = packed.filter(|_| match compress {
-        CompressMode::Off => false,
-        CompressMode::On => mode == AccessMode::Auto,
-        CompressMode::Force => true,
-    });
+    // `on` lets the packed quote compete wherever the model decides, but
+    // `scan` access mode stays the uncompressed reference path; `force`
+    // admits it everywhere and then overrides the pick.
+    let packed = packed.filter(|_| compress == CompressMode::Force || mode != AccessMode::Scan);
+    let rows = table.len();
     let q = SelectQuery {
-        rows: table.len(),
+        rows,
         stride,
         matches,
         eq,
@@ -841,26 +759,39 @@ fn priced_leaf(
     } else {
         pick(mode, &all)
     };
-    let scan_ms = all[0].cost.total_ms();
+    let (action, select) = match chosen.path {
+        AccessPath::Scan => {
+            (LeafAction::Scan { col: col.to_owned(), pred }, Some(Select::plain(rows, stride)))
+        }
+        AccessPath::PackedScan => {
+            let bits = q.packed_bits.expect("a packed quote has a packed candidate");
+            (LeafAction::Packed { col: col.to_owned(), pred }, Some(Select::packed(rows, bits)))
+        }
+        AccessPath::BtreeRange | AccessPath::BtreeEq => {
+            let (lo, hi) = key_range(pred);
+            (LeafAction::BtreeRange { col: col.to_owned(), lo, hi }, None)
+        }
+        AccessPath::HashEq | AccessPath::TTreeEq => {
+            let kind =
+                if chosen.path == AccessPath::HashEq { IndexKind::Hash } else { IndexKind::TTree };
+            (LeafAction::IndexEq { col: col.to_owned(), kind, key: key_range(pred).0 }, None)
+        }
+    };
     LeafPlan {
         decision: AccessDecision {
             column: col.to_owned(),
             path: chosen.path,
             predicted_ms: chosen.cost.total_ms(),
-            scan_ms,
+            scan_ms: all[0].cost.total_ms(),
             matches_est: matches,
             shared: false,
-            packed_bits: if chosen.path == AccessPath::PackedScan {
-                q.packed_bits.unwrap_or(0.0)
-            } else {
-                0.0
-            },
+            packed_bits: select.filter(|s| s.packed).map_or(0.0, |s| s.bits),
             stride,
             cands_in: None,
             bytes_saved: 0.0,
         },
-        action: action_for(chosen.path, col, pred, klo, khi),
-        scan_work_ns: if chosen.path.is_index() { 0.0 } else { chosen.cost.total_ms() * 1e6 },
+        action,
+        select,
         index_cost: chosen.path.is_index().then_some(chosen.cost),
     }
 }

@@ -51,7 +51,6 @@
 use std::fmt;
 use std::sync::Arc;
 
-use costmodel::access::AccessPath;
 use costmodel::parallel::{algorithm_parallelizes, ParallelModel};
 use costmodel::plan::{best_plan, plan_cost};
 use costmodel::quote::OpShape;
@@ -637,30 +636,6 @@ fn exec_node<'a, M: MemTracker>(
                 )
             };
             let access = pplan.decisions();
-            // Only the scans this operator ran itself are model-attributable
-            // work: index probes touch a handful of nodes and shared leaves
-            // were scanned elsewhere, so neither belongs in the drift ledger.
-            let shapes = access
-                .iter()
-                .filter(|d| !d.shared)
-                .filter_map(|d| match (d.path, d.cands_in) {
-                    (AccessPath::Scan, None) => {
-                        Some(OpShape::Select { rows: table.len(), stride: d.stride })
-                    }
-                    (AccessPath::PackedScan, None) => {
-                        Some(OpShape::PackedSelect { rows: table.len(), bits: d.packed_bits })
-                    }
-                    (AccessPath::Scan, Some(cands)) => {
-                        Some(OpShape::CandSelect { rows: table.len(), stride: d.stride, cands })
-                    }
-                    (AccessPath::PackedScan, Some(cands)) => Some(OpShape::CandPackedSelect {
-                        rows: table.len(),
-                        bits: d.packed_bits,
-                        cands,
-                    }),
-                    _ => None,
-                })
-                .collect();
             report.ops.push(OpReport {
                 op: format!("select({})", table.name()),
                 rows_in: table.len(),
@@ -669,7 +644,7 @@ fn exec_node<'a, M: MemTracker>(
                 counters: delta(trk, before),
                 access,
                 notes,
-                shapes,
+                shapes: pplan.shapes(),
                 rows_per_thread: shards,
                 ..OpReport::default()
             });

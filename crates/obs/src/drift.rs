@@ -6,15 +6,17 @@
 //! ([`costmodel::quote`]). The observatory closes the loop: at delivery,
 //! each operator's model price (summed over its
 //! [`costmodel::quote::OpShape`]s) is compared with the simulated
-//! [`memsim`] counters the tracing run attributed to it, and the ratio
-//! `actual / model` feeds a per-shape-kind exponentially weighted moving
-//! average. A kind whose EWMA leaves the configured band (`1/band ..
+//! [`memsim`] counters the tracing run attributed to it
+//! ([`DriftMonitor::record_op`]), and the ratio `actual / model` feeds a
+//! per-shape-kind exponentially weighted moving average — five kinds:
+//! select, join, aggregate, gather, merge. A kind whose EWMA leaves the configured band (`1/band ..
 //! band`) is *flagged* — the signal a placement or sharding layer would
 //! use to recalibrate before trusting the model on new hardware.
 
 use std::collections::BTreeMap;
 
-use costmodel::quote::ShapeKind;
+use costmodel::quote::{op_costs_ns, OpShape, ShapeKind};
+use memsim::MachineConfig;
 
 /// Default EWMA weight for the newest sample.
 pub const DEFAULT_ALPHA: f64 = 0.2;
@@ -93,6 +95,22 @@ impl DriftMonitor {
         d.max = d.max.max(ratio);
         d.model_ns += model_ns;
         d.actual_ns += actual_ns;
+    }
+
+    /// Record one operator (or cooperative scan pass) that simulated to
+    /// `actual_ns` on `cfg`: price each of its `shapes`, split the actual
+    /// time across them in proportion to those prices, and record one
+    /// residual per shape under its kind — the single attribution scheme
+    /// of the service-level and the per-shard-copy observatories.
+    pub fn record_op(&mut self, cfg: &MachineConfig, shapes: &[OpShape], actual_ns: f64) {
+        let models = op_costs_ns(cfg, shapes);
+        let model_total: f64 = models.iter().sum();
+        if model_total <= 0.0 {
+            return;
+        }
+        for (shape, model) in shapes.iter().zip(&models) {
+            self.record(shape.kind(), *model, actual_ns * model / model_total);
+        }
     }
 
     /// Snapshot the per-kind residuals.
@@ -193,6 +211,37 @@ mod tests {
         let mut under = DriftMonitor::new(2.0);
         under.record(ShapeKind::Gather, 500.0, 100.0); // 0.2x: out
         assert_eq!(under.report().flagged(), vec![ShapeKind::Gather]);
+    }
+
+    #[test]
+    fn an_operator_splits_its_time_across_its_shapes_by_model_price() {
+        use costmodel::scan::Select;
+        let cfg = memsim::profiles::origin2000();
+        let shapes = [
+            OpShape::Gather { rows: 10_000 },
+            OpShape::Gather { rows: 10_000 },
+            OpShape::Aggregate { rows: 10_000, columns: 1, grouped: true },
+            OpShape::Select(Select::plain(10_000, 4)),
+        ];
+        let model_total: f64 = op_costs_ns(&cfg, &shapes).iter().sum();
+        let mut m = DriftMonitor::new(2.0);
+        m.record_op(&cfg, &shapes, 1.5 * model_total);
+        let r = m.report();
+        let kinds: Vec<_> = r.rows.iter().map(|row| (row.kind, row.drift.samples)).collect();
+        assert_eq!(
+            kinds,
+            [(ShapeKind::Select, 1), (ShapeKind::Aggregate, 1), (ShapeKind::Gather, 2)],
+            "one residual per shape, keyed by kind"
+        );
+        // A proportional split gives every shape the operator's own ratio,
+        // and loses none of the time.
+        assert!(r.rows.iter().all(|row| (row.drift.ewma - 1.5).abs() < 1e-9), "{r}");
+        let actual: f64 = r.rows.iter().map(|row| row.drift.actual_ns).sum();
+        assert!((actual - 1.5 * model_total).abs() < 1e-6 * model_total);
+        // Nothing to price, or nothing measured: no residual.
+        m.record_op(&cfg, &[], 100.0);
+        m.record_op(&cfg, &shapes, 0.0);
+        assert_eq!(m.report().rows.iter().map(|row| row.drift.samples).sum::<u64>(), 4);
     }
 
     #[test]

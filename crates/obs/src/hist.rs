@@ -11,7 +11,7 @@
 //! union, so per-session histograms roll up into one global distribution
 //! without ever moving raw samples.
 //!
-//! Buckets are geometric with [`SUB`] sub-buckets per octave: bucket `i >= 1`
+//! Buckets are geometric with `SUB` sub-buckets per octave: bucket `i >= 1`
 //! covers `(V0·2^((i-1)/SUB), V0·2^(i/SUB)]` and reports its geometric
 //! midpoint; bucket `0` holds everything at or below `V0` (1 ns when the
 //! unit is milliseconds). The exact maximum is tracked on the side, so
@@ -51,7 +51,7 @@ pub struct HistSummary {
 
 /// A fixed-size log-bucketed histogram of non-negative samples.
 ///
-/// `record` is O(1), memory is O(1) (at most [`NBUCKETS`] counters,
+/// `record` is O(1), memory is O(1) (at most `NBUCKETS` counters,
 /// allocated lazily up to the highest bucket touched), and
 /// [`LogHistogram::merge`] produces exactly the histogram of the combined
 /// sample sets.

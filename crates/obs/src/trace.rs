@@ -132,7 +132,7 @@ pub enum TraceEvent {
     CacheHit,
     /// The admission queue was full; the query was shed without running.
     Shed,
-    /// One operator of the final execution finished ([`engine`]'s
+    /// One operator of the final execution finished (`engine`'s
     /// per-operator `ExecReport` folded into the trace).
     OpDone {
         /// Operator name, e.g. `select(Item)`.

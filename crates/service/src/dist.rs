@@ -30,10 +30,11 @@
 
 use std::collections::VecDeque;
 
-use costmodel::quote::op_cost_ns;
-use engine::dist::{execute_shard, lower, merge, Lowered, ShardPartial};
+use costmodel::quote::{quote_ops, QueryQuote};
+use engine::dist::{execute_shard, lower, merge, ShardPartial};
 use engine::exec::{ExecOptions, Executed};
 use engine::plan::LogicalPlan;
+use engine::shared::scan_requests;
 use memsim::profiles::with_latency_scale;
 use memsim::{MachineConfig, MemorySystem, NullTracker, SimTracker};
 use monet_core::shard::ShardedTable;
@@ -187,33 +188,32 @@ impl<'a> ShardCluster<'a> {
         let lowered = lower(plan, &self.tables)?;
         let arrival = self.clock_ns;
 
-        // Place every task on a copy and advance the virtual ledger.
+        // Place every task on a copy and advance the virtual ledger. Each
+        // (shard plan, candidate copy) is quoted once; the chosen copy's
+        // quote is both the ledger cost and the thread-lease request.
         let mut placements = Vec::with_capacity(self.shards);
         let mut quotes = Vec::with_capacity(self.shards);
         let mut slowest_ns = arrival;
         self.rr_cursor = self.rr_cursor.wrapping_add(1);
         for s in 0..self.shards {
-            let choice = self.place(&lowered, s, arrival);
-            let cost = self.quote_ns(self.copies[choice].machine, &lowered.plans[s]);
+            let (choice, quote) = self.place(&lowered.plans[s], s, arrival);
             let copy = &mut self.copies[choice];
             let start = copy.busy_until_ns.max(arrival);
-            copy.busy_until_ns = start + cost;
+            copy.busy_until_ns = start + quote.seq_ns;
             copy.tasks += 1;
-            copy.busy_ns += cost;
+            copy.busy_ns += quote.seq_ns;
             slowest_ns = slowest_ns.max(copy.busy_until_ns);
             placements.push(copy.id);
-            quotes.push(cost);
+            quotes.push(quote);
         }
 
         // Real execution under the thread-lease budget: submit every task's
         // quote, run grants as they come, release as tasks finish.
         let mut run_queue: VecDeque<(usize, Grant)> = VecDeque::new();
         let mut queued: Vec<(u64, usize)> = Vec::new();
-        for (s, &cost) in quotes.iter().enumerate() {
-            let desired = quote_plan_covered(&self.exec, &lowered.plans[s], &|_| None)
-                .best_threads(&self.exec.machine, self.sched.budget())
-                .threads;
-            match self.sched.submit(cost, desired) {
+        for (s, quote) in quotes.iter().enumerate() {
+            let desired = quote.best_threads(&self.exec.machine, self.sched.budget()).threads;
+            match self.sched.submit(quote.seq_ns, desired) {
                 Admission::Run(g) => run_queue.push_back((s, g)),
                 Admission::Queued(id) => queued.push((id, s)),
                 Admission::Rejected => {
@@ -259,7 +259,7 @@ impl<'a> ShardCluster<'a> {
             .report
             .ops
             .last()
-            .map(|op| op.shapes.iter().map(|&sh| op_cost_ns(&self.exec.machine, sh)).sum::<f64>())
+            .map(|op| quote_ops(&self.exec.machine, &op.shapes).seq_ns)
             .unwrap_or(0.0);
         // Arrivals are back-to-back (the clock does not advance between
         // queries), so contention accumulates on the ledger and the
@@ -275,14 +275,13 @@ impl<'a> ShardCluster<'a> {
         ExecOptions { machine, ..self.exec }
     }
 
-    /// Sequential model quote of one shard plan on `machine`, in ns.
-    fn quote_ns(&self, machine: MachineConfig, plan: &LogicalPlan<'_>) -> f64 {
-        quote_plan_covered(&self.on(machine), plan, &|_| None).seq_ns
-    }
-
-    /// Pick the copy for shard `s` by policy. Returns an index into
-    /// `self.copies`.
-    fn place(&self, lowered: &Lowered<'_>, s: usize, arrival: f64) -> usize {
+    /// Pick the copy for shard `s` by policy: an index into `self.copies`,
+    /// and the plan's quote on that copy's machine.
+    fn place(&self, plan: &LogicalPlan<'_>, s: usize, arrival: f64) -> (usize, QueryQuote) {
+        let leaves = scan_requests(plan, self.exec.pushdown);
+        let quote = |i: usize| {
+            quote_plan_covered(&self.on(self.copies[i].machine), plan, &leaves, &|_| None)
+        };
         let candidates: Vec<usize> = self
             .copies
             .iter()
@@ -291,15 +290,18 @@ impl<'a> ShardCluster<'a> {
             .map(|(i, _)| i)
             .collect();
         match self.policy {
-            PlacePolicy::RoundRobin => candidates[self.rr_cursor % candidates.len()],
+            PlacePolicy::RoundRobin => {
+                let i = candidates[self.rr_cursor % candidates.len()];
+                (i, quote(i))
+            }
             PlacePolicy::CostPlaced => {
-                let done = |i: usize| {
-                    let c = &self.copies[i];
-                    c.busy_until_ns.max(arrival) + self.quote_ns(c.machine, &lowered.plans[s])
+                let done = |(i, q): &(usize, QueryQuote)| {
+                    self.copies[*i].busy_until_ns.max(arrival) + q.seq_ns
                 };
                 candidates
                     .into_iter()
-                    .min_by(|&a, &b| done(a).total_cmp(&done(b)))
+                    .map(|i| (i, quote(i)))
+                    .min_by(|a, b| done(a).total_cmp(&done(b)))
                     .expect("every shard has a primary copy")
             }
         }
@@ -346,23 +348,12 @@ impl<'a> ShardCluster<'a> {
 }
 
 /// Compare each operator's simulated time with its model price on the
-/// copy's machine and feed the copy's drift monitor, attributing the op's
-/// simulated nanoseconds across its shapes proportionally to their model
-/// prices (the same scheme as the service-level observatory).
+/// copy's machine and feed the copy's drift monitor
+/// ([`DriftMonitor::record_op`]).
 fn record_drift(copy: &mut CopyState, partial: &ShardPartial) {
     for op in &partial.report.ops {
-        let Some(counters) = op.counters else { continue };
-        if op.shapes.is_empty() {
-            continue;
-        }
-        let models: Vec<f64> = op.shapes.iter().map(|&sh| op_cost_ns(&copy.machine, sh)).collect();
-        let model_total: f64 = models.iter().sum();
-        if model_total <= 0.0 {
-            continue;
-        }
-        let actual = counters.elapsed_ns();
-        for (shape, model) in op.shapes.iter().zip(&models) {
-            copy.drift.record(shape.kind(), *model, actual * model / model_total);
+        if let Some(counters) = op.counters {
+            copy.drift.record_op(&copy.machine, &op.shapes, counters.elapsed_ns());
         }
     }
 }

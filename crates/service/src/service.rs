@@ -3,7 +3,7 @@
 //! → execution), and the plan-to-quote walk.
 //!
 //! Two multi-query mechanisms live here on top of the board in
-//! [`crate::shared`]:
+//! `crate::shared`:
 //!
 //! * **Single-flight collapse** — when the cache is enabled, concurrent
 //!   submissions with the same plan fingerprint collapse into one
@@ -24,13 +24,12 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::time::Instant;
 
 use costmodel::access::AccessPath;
-use costmodel::quote::{op_cost_ns, quote_ops, OpShape, QueryQuote, ShapeKind};
-use costmodel::scan::{packed_scan_cost, scan_cost};
-use costmodel::shared::{marginal_pred_cost, merged_scan_cost};
+use costmodel::quote::{quote_ops, OpShape, QueryQuote};
+use costmodel::scan::{scan_cost, Select};
 use costmodel::ModelMachine;
-use engine::access::{is_pure_and, CompressMode, PushdownMode};
+use engine::access::{leaf_count, CompressMode};
 use engine::exec::{execute_with_scans, ExecOptions, ExecReport, Executed, QueryOutput, Threads};
-use engine::plan::{LogicalPlan, PlanNode, Pred};
+use engine::plan::{LogicalPlan, PlanNode};
 use engine::shared::{scan_requests, ColumnId, ScanRequest, ScanTicket, ShareKey};
 use memsim::{EventCounters, MachineConfig, NullTracker, SimTracker};
 use monet_core::scan::{par_select, select, RowSet, ScanCol, ScanPred};
@@ -316,9 +315,9 @@ impl QueryService {
 
     /// Fold a successful execution into the trace (per-operator `OpDone`
     /// events plus the `Delivered` terminal) and feed the drift
-    /// observatory: each operator's model price (summed over its
-    /// [`OpShape`]s) against the simulated counters the tracing run
-    /// attributed to it, split proportionally across the shapes.
+    /// observatory ([`DriftMonitor::record_op`]): each operator's model
+    /// price against the simulated counters the tracing run attributed to
+    /// it.
     fn observe_delivery(
         &self,
         tb: &mut Option<TraceBuilder>,
@@ -338,16 +337,8 @@ impl QueryService {
             // model cannot see (no self-owned shapes) or that ran on an
             // index path (priced per probe, not per scan shape).
             let indexed = op.access.iter().any(|d| d.path.is_index());
-            if let Some(c) = (!op.shapes.is_empty() && !indexed).then_some(sim).flatten() {
-                let models: Vec<f64> =
-                    op.shapes.iter().map(|&s| op_cost_ns(&self.cfg.machine, s)).collect();
-                let model_total: f64 = models.iter().sum();
-                let actual = c.elapsed_ns();
-                if model_total > 0.0 && actual > 0.0 {
-                    for (shape, m) in op.shapes.iter().zip(&models) {
-                        drift.record(shape.kind(), *m, actual * m / model_total);
-                    }
-                }
+            if let Some(c) = (!indexed).then_some(sim).flatten() {
+                drift.record_op(&self.cfg.machine, &op.shapes, c.elapsed_ns());
             }
             self.tpush(
                 tb,
@@ -370,32 +361,15 @@ impl QueryService {
     }
 
     /// Feed one cooperative scan pass (or elevator chunk) into the drift
-    /// observatory: the shared-scan model price for streaming `rows` rows
-    /// under `k` merged predicates — packed stream plus per-predicate CPU
-    /// margin when compressed — against the chunk's simulated counters.
-    fn record_pass_drift(
-        &self,
-        rows: usize,
-        stride: usize,
-        k: usize,
-        bits: Option<f64>,
-        counters: &EventCounters,
-    ) {
+    /// observatory: `pass`, the fresh select that streamed the rows, plus
+    /// one fully covered rider per further merged predicate, against the
+    /// chunk's simulated counters.
+    fn observe_pass(&self, pass: Select, preds: usize, counters: &EventCounters) {
         let Some(o) = &self.obs else { return };
-        let model = ModelMachine::new(&self.cfg.machine);
-        let rows = rows.max(1);
-        let (kind, model_ns) = match bits {
-            Some(bits) => (
-                ShapeKind::PackedSelect,
-                packed_scan_cost(&model, rows, bits).total_ns()
-                    + k.saturating_sub(1) as f64 * marginal_pred_cost(&model, rows).total_ns(),
-            ),
-            None => (
-                ShapeKind::Select,
-                merged_scan_cost(&model, rows, stride.max(1), k.max(1)).total_ns(),
-            ),
-        };
-        o.drift.lock().expect("drift lock").record(kind, model_ns, counters.elapsed_ns());
+        let mut shapes = vec![OpShape::Select(pass)];
+        shapes.resize(preds.max(1), OpShape::Select(Select { covered: Some(0), ..pass }));
+        let mut drift = o.drift.lock().expect("drift lock");
+        drift.record_op(&self.cfg.machine, &shapes, counters.elapsed_ns());
     }
 
     fn run_plan(
@@ -404,12 +378,14 @@ impl QueryService {
         plan: &LogicalPlan<'_>,
     ) -> Result<QueryHandle, ServiceError> {
         let submitted_at = Instant::now();
+        // Every leaf with something to stream: what the quote prices.
+        let leaves = scan_requests(plan, self.exec.pushdown);
         // Restricted leaves (the conjunction planner will evaluate them
         // against an earlier leaf's survivors) stay off the shared-scan
         // board: a cooperative full-column pass for them would stream bytes
         // the solo plan never touches.
         let requests: Vec<ScanRequest<'_>> = if self.cfg.shared_scans {
-            scan_requests(plan, self.exec.pushdown).into_iter().filter(|r| !r.restricted).collect()
+            leaves.iter().copied().filter(|r| !r.restricted).collect()
         } else {
             Vec::new()
         };
@@ -534,7 +510,8 @@ impl QueryService {
             .iter()
             .filter_map(|r| st.board.coverage(&r.key()).map(|missed| (r.leaf, missed)))
             .collect();
-        let quote = quote_plan_covered(&self.exec, plan, &|leaf| covered.get(&leaf).copied());
+        let quote =
+            quote_plan_covered(&self.exec, plan, &leaves, &|leaf| covered.get(&leaf).copied());
         let desired = quote.best_threads(&self.cfg.machine, self.cfg.budget).threads;
         self.tpush(
             &mut tb,
@@ -712,7 +689,7 @@ impl QueryService {
             let solo_ms = if covered.is_empty() {
                 quote.seq_ms()
             } else {
-                quote_plan_covered(&self.exec, plan, &|_| None).seq_ms()
+                quote_plan_covered(&self.exec, plan, &leaves, &|_| None).seq_ms()
             };
             st.cache.insert(fp.clone(), &executed, solo_ms);
             finish_flight(&mut st, &fp, Some((Arc::clone(&executed), solo_ms)));
@@ -847,13 +824,7 @@ impl QueryService {
         // aborts the claims so waiters evaluate for themselves.
         if let Ok(lists) = lists {
             if let Some(counters) = sim {
-                self.record_pass_drift(
-                    batch.rows,
-                    req.stride,
-                    preds.len(),
-                    cc.map(|c| c.bits_per_value()),
-                    &counters,
-                );
+                self.observe_pass(stored(batch.rows, req.stride, cc), preds.len(), &counters);
                 self.tpush(
                     tb,
                     TraceEvent::ChunkDone {
@@ -959,13 +930,7 @@ impl QueryService {
             // remaining claims (delivered riders stay delivered).
             let Ok(lists) = lists else { return };
             if let Some(counters) = sim {
-                self.record_pass_drift(
-                    hi - lo,
-                    req.stride,
-                    preds.len(),
-                    cc.map(|c| c.bits_per_value()),
-                    &counters,
-                );
+                self.observe_pass(stored(hi - lo, req.stride, cc), preds.len(), &counters);
                 self.tpush(
                     tb,
                     TraceEvent::ChunkDone {
@@ -1275,92 +1240,85 @@ impl QueryHandle {
 /// environment's (`ExecOptions::cost_model`); a caller that already holds
 /// its [`ExecOptions`] prices with [`quote_plan_covered`] directly.
 pub fn quote_plan(machine: &MachineConfig, plan: &LogicalPlan<'_>) -> QueryQuote {
-    quote_plan_covered(&ExecOptions::cost_model(*machine), plan, &|_| None)
+    let opts = ExecOptions::cost_model(*machine);
+    quote_plan_covered(&opts, plan, &scan_requests(plan, opts.pushdown), &|_| None)
 }
 
-/// [`quote_plan`] with shared-scan coverage: predicate leaves (numbered as
-/// [`engine::shared::scan_requests`] numbers them) for which `covered`
-/// returns `Some(missed)` are priced as joining a cooperative pass instead
-/// of a fresh scan — pure CPU-side marginal cost when `missed == 0`
-/// ([`OpShape::SharedSelect`]), marginal cost plus the wrap-around
-/// re-stream of `missed` rows for a mid-pass elevator attach
-/// ([`OpShape::AttachSelect`]). `opts` is the policy the plan will execute
-/// under: its machine prices the shapes, its compression and pushdown
-/// modes decide which shapes the leaves quote at.
+/// [`quote_plan`] with shared-scan coverage. `leaves` is
+/// `scan_requests(plan, opts.pushdown)`, unfiltered — the submit path
+/// builds it once and prices straight from it: each request is one
+/// [`Select`] at the width the column is stored in (packed unless the
+/// policy turns compression off), restricted to the running survivors
+/// where the conjunction planner will restrict it, and — where `covered`
+/// returns `Some(missed)` for its leaf index — riding a cooperative pass
+/// that had streamed `missed` rows when the query could board. A leaf
+/// with no request is a dictionary miss: nothing runs, nothing is quoted.
+/// `opts` is the policy the plan will execute under; its machine prices
+/// the shapes.
 pub fn quote_plan_covered(
     opts: &ExecOptions,
     plan: &LogicalPlan<'_>,
+    leaves: &[ScanRequest<'_>],
     covered: &dyn Fn(usize) -> Option<usize>,
 ) -> QueryQuote {
-    // Leaves whose column carries a usable compressed representation quote
-    // at the packed stream width ([`OpShape::PackedSelect`]) — unless the
-    // policy turns compression off, in which case admission prices the
-    // uncompressed scans the engine will actually run.
-    let packed: HashMap<usize, f64> = match opts.compress {
-        CompressMode::Off => HashMap::new(),
-        _ => scan_requests(plan, opts.pushdown)
-            .iter()
-            .filter_map(|r| r.compressed.map(|cc| (r.leaf, cc.bits_per_value())))
-            .collect(),
-    };
     let mut ops = Vec::new();
-    let mut leaf = 0usize;
-    shapes_of(&plan.root, &mut ops, &mut leaf, covered, &packed, opts.pushdown);
+    let select = |r: &ScanRequest<'_>, pos: usize| {
+        let cc = r.compressed.filter(|_| opts.compress != CompressMode::Off);
+        let fresh = stored(r.rows, r.stride, cc);
+        OpShape::Select(match covered(r.leaf) {
+            Some(missed) => Select { covered: Some(missed), ..fresh },
+            // Halve the candidates per prior leaf — the same prior the
+            // post-filter estimate of the walk uses.
+            None if r.restricted => Select { cands: Some((r.rows >> pos.min(63)).max(1)), ..fresh },
+            None => fresh,
+        })
+    };
+    shapes_of(&plan.root, &mut ops, &mut 0, &mut leaves.iter().peekable(), &select);
     quote_ops(&opts.machine, &ops)
+}
+
+/// The fresh full pass over `rows` rows of a column: at the packed width
+/// when the pass streams its compressed representation `cc`, at the plain
+/// `stride` otherwise.
+fn stored(rows: usize, stride: usize, cc: Option<&monet_core::CompressedColumn>) -> Select {
+    match cc {
+        Some(cc) => Select::packed(rows, cc.bits_per_value()),
+        None => Select::plain(rows, stride),
+    }
 }
 
 /// Append `node`'s operator shapes to `ops`; returns the estimated output
 /// cardinality feeding the parent. `leaf` numbers predicate leaves in
-/// execution order (the global numbering shared with the engine).
-fn shapes_of(
+/// execution order (the global numbering shared with the engine), and
+/// `select` shapes the request of one leaf at its in-order position within
+/// its filter.
+fn shapes_of<'r, 'p: 'r>(
     node: &PlanNode<'_>,
     ops: &mut Vec<OpShape>,
     leaf: &mut usize,
-    covered: &dyn Fn(usize) -> Option<usize>,
-    packed: &HashMap<usize, f64>,
-    pushdown: PushdownMode,
+    leaves: &mut std::iter::Peekable<std::slice::Iter<'r, ScanRequest<'p>>>,
+    select: &dyn Fn(&ScanRequest<'_>, usize) -> OpShape,
 ) -> usize {
     match node {
         PlanNode::Scan { table } => table.len(),
         PlanNode::Filter { input, pred } => {
-            let rows = shapes_of(input, ops, leaf, covered, packed, pushdown);
-            let strides = leaf_strides(node_table(input), pred);
-            // Under pushdown, later leaves of a multi-leaf pure-AND filter
-            // evaluate only the running survivor list — quote them at the
-            // restricted shapes, halving the candidates per prior leaf (the
-            // same prior the post-filter estimate below uses).
-            let pushdown = pushdown == PushdownMode::On && strides.len() > 1 && is_pure_and(pred);
-            for (pos, stride) in strides.into_iter().enumerate() {
-                let idx = *leaf;
-                *leaf += 1;
-                let bits = packed.get(&idx).copied();
-                ops.push(match covered(idx) {
-                    Some(0) => OpShape::SharedSelect { rows },
-                    Some(missed) => OpShape::AttachSelect { rows, stride, missed },
-                    None if pushdown && pos > 0 => {
-                        let cands = (rows >> pos.min(63)).max(1);
-                        match bits {
-                            Some(bits) => OpShape::CandPackedSelect { rows, bits, cands },
-                            None => OpShape::CandSelect { rows, stride, cands },
-                        }
-                    }
-                    None => match bits {
-                        Some(bits) => OpShape::PackedSelect { rows, bits },
-                        None => OpShape::Select { rows, stride },
-                    },
-                });
+            let rows = shapes_of(input, ops, leaf, leaves, select);
+            let first = *leaf;
+            *leaf += leaf_count(pred);
+            while let Some(r) = leaves.next_if(|r| r.leaf < *leaf) {
+                ops.push(select(r, r.leaf - first));
             }
             (rows / 2).max(1)
         }
         PlanNode::Join { input, right, .. } => {
-            let outer = shapes_of(input, ops, leaf, covered, packed, pushdown);
-            let inner = shapes_of(right, ops, leaf, covered, packed, pushdown);
+            let outer = shapes_of(input, ops, leaf, leaves, select);
+            let inner = shapes_of(right, ops, leaf, leaves, select);
             ops.push(OpShape::Join { outer, inner });
             // Hit-rate <= 1 against the smaller side.
             outer.min(inner).max(1)
         }
         PlanNode::GroupAgg { input, key, aggs } => {
-            let rows = shapes_of(input, ops, leaf, covered, packed, pushdown);
+            let rows = shapes_of(input, ops, leaf, leaves, select);
             let columns = aggs.iter().filter(|a| a.column().is_some()).count();
             // A restricted or joined stream materializes each aggregated
             // column (plus the group key, when grouping) through a
@@ -1377,41 +1335,10 @@ fn shapes_of(
     }
 }
 
-/// The base table a filter's predicate columns live in, if the subtree
-/// bottoms out in a scan (builder-produced plans always do).
-fn node_table<'a>(node: &PlanNode<'a>) -> Option<&'a monet_core::storage::DecomposedTable> {
-    match node {
-        PlanNode::Scan { table } => Some(table),
-        PlanNode::Filter { input, .. } => node_table(input),
-        _ => None,
-    }
-}
-
-/// Byte strides of every predicate leaf (4 when the column cannot be
-/// resolved — estimates only).
-fn leaf_strides(table: Option<&monet_core::storage::DecomposedTable>, pred: &Pred) -> Vec<usize> {
-    fn walk(table: Option<&monet_core::storage::DecomposedTable>, p: &Pred, out: &mut Vec<usize>) {
-        match p {
-            Pred::RangeI32 { col, .. } | Pred::RangeF64 { col, .. } | Pred::EqStr { col, .. } => {
-                let stride =
-                    table.and_then(|t| t.bat(col).ok()).map(|b| b.bun_width()).unwrap_or(4);
-                out.push(stride);
-            }
-            Pred::And(a, b) | Pred::Or(a, b) => {
-                walk(table, a, out);
-                walk(table, b, out);
-            }
-        }
-    }
-    let mut out = Vec::new();
-    walk(table, pred, &mut out);
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use engine::access::AccessMode;
+    use engine::access::{AccessMode, PushdownMode};
     use engine::exec::execute;
     use engine::plan::{Agg, Pred, Query};
     use monet_core::storage::{ColType, DecomposedTable, TableBuilder, Value};
@@ -1470,15 +1397,43 @@ mod tests {
         // the stream being filter-restricted) + the aggregate pass.
         assert_eq!(q2.ops, 5, "select leaf + gathers + aggregate");
         // Coverage discounts: an attach quote sits between covered and
-        // fresh. Priced on the f64 leaf — `qty` carries a packed
-        // representation, so its *fresh* quote is already a discounted
-        // PackedSelect and would not bracket the attach price.
-        let wide = Query::scan(&t).filter(Pred::range_f64("price", 1.0, 2.0)).build().unwrap();
-        let opts = ExecOptions::cost_model(machine);
-        let fresh = quote_plan_covered(&opts, &wide, &|_| None);
-        let covered = quote_plan_covered(&opts, &wide, &|_| Some(0));
-        let attach = quote_plan_covered(&opts, &wide, &|_| Some(25_000));
-        assert!(covered.seq_ns < attach.seq_ns && attach.seq_ns < fresh.seq_ns);
+        // fresh, on a plain f64 column and on the packed `qty` alike — the
+        // wrap is priced at the width the elevator streams.
+        let opts = ExecOptions::cost_model(machine).with_compress(CompressMode::On);
+        for pred in [Pred::range_f64("price", 1.0, 2.0), Pred::range_i32("qty", 1, 2)] {
+            let plan = Query::scan(&t).filter(pred).build().unwrap();
+            let leaves = scan_requests(&plan, opts.pushdown);
+            let quote = |missed: Option<usize>| {
+                quote_plan_covered(&opts, &plan, &leaves, &|_| missed).seq_ns
+            };
+            let (covered, attach, fresh) = (quote(Some(0)), quote(Some(25_000)), quote(None));
+            assert!(covered < attach && attach < fresh, "{covered} {attach} {fresh}");
+            assert!(quote(Some(50_000)) <= fresh, "a full wrap is at most a fresh scan");
+        }
+    }
+
+    #[test]
+    fn dictionary_misses_are_neither_quoted_nor_fed_to_the_drift_ledger() {
+        let t = item(20_000);
+        let machine = memsim::profiles::origin2000();
+        let q = |pred: Pred| Query::scan(&t).filter(pred).agg(Agg::count()).build().unwrap();
+        let band = || Pred::range_i32("qty", 1, 20).and(Pred::range_f64("price", 1.0, 900.0));
+        let with_miss = q(band().and(Pred::eq_str("shipmode", "WALRUS")));
+        // Admission: the miss leaf has no scan request, so it quotes 0 ns —
+        // the plan prices exactly like the plan without that leaf.
+        let (miss, bare) = (quote_plan(&machine, &with_miss), quote_plan(&machine, &q(band())));
+        assert_eq!(miss.seq_ns, bare.seq_ns);
+        assert_eq!((miss.ops, miss.items), (bare.ops, bare.items));
+        // Execution: three leaves, two of which scanned; the `Empty` leaf
+        // ran nothing and contributes no shape to split the op's time over.
+        for pushdown in [PushdownMode::Off, PushdownMode::On] {
+            let opts = seq_opts().with_pushdown(pushdown);
+            let done = execute(&mut NullTracker, &with_miss, &opts).unwrap();
+            let sel = &done.report.ops[1];
+            assert_eq!(sel.access.len(), 3, "{sel:?}");
+            assert_eq!(sel.shapes.len(), 2, "one shape fewer than leaves: {:?}", sel.shapes);
+            assert_eq!(sel.rows_out, 0);
+        }
     }
 
     #[test]

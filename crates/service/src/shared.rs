@@ -32,7 +32,7 @@
 //! what a query computes. The per-column cursor is published on the board
 //! ([`ScanBoard::coverage`]) so admission quotes can price a mid-pass
 //! attach as marginal CPU plus only the wrap-around re-stream
-//! ([`costmodel::quote::OpShape::AttachSelect`]). A zero chunk size
+//! ([`costmodel::scan::Select::covered`]). A zero chunk size
 //! degenerates to the pre-elevator all-or-nothing pass: one chunk, no
 //! boundaries, no attaches.
 //!
@@ -137,7 +137,7 @@ impl ScanBoard {
     /// a pass covers it — `missed` is the wrap-around distance in rows
     /// (zero for a pending pass that has not started, or an attach right
     /// at pass start), the memory-side price of attaching
-    /// ([`costmodel::shared::attach_cost`]).
+    /// ([`costmodel::scan::Select::covered`]).
     pub fn coverage(&self, key: &ShareKey) -> Option<usize> {
         if self.in_flight.contains_key(key) {
             return Some(self.progress.get(&key.col).copied().unwrap_or(0));

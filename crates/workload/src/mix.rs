@@ -297,7 +297,7 @@ const PRIVATE_BANDS: [(&str, i32, i32); 9] = [
 impl OverlapMix {
     /// The band stream for one client of a `clients`-strong population
     /// with the given overlap fraction (clamped to `0.0..=1.0`). At most
-    /// [`PRIVATE_BANDS`] private clients get genuinely distinct columns;
+    /// `PRIVATE_BANDS` private clients get genuinely distinct columns;
     /// larger populations wrap around.
     pub fn for_client(seed: u64, client: usize, clients: usize, overlap: f64) -> Self {
         let cutoff = (overlap.clamp(0.0, 1.0) * clients as f64).round() as usize;
