@@ -25,13 +25,12 @@
 //! actually ran first.
 
 use costmodel::access::{cheapest, quotes, AccessPath, IndexShape, SelectQuery};
-use costmodel::scan::{scan_cost, select_cost, Select, FRAME_LEN};
+use costmodel::scan::{scan_cost, select_cost, Select};
 use costmodel::ModelMachine;
 use engine::exec::{execute, AccessNote, ExecOptions, Threads};
 use engine::plan::{Agg, Pred, Query};
 use engine::{AccessMode, CompressMode, PushdownMode};
 use memsim::NullTracker;
-use monet_core::compress::touched_blocks;
 use monet_core::scan::{select, RowSet, ScanCol, ScanPred};
 use monet_core::storage::{ColType, DecomposedTable, Oid, TableBuilder, Value};
 
@@ -170,8 +169,7 @@ pub struct PushdownPoint {
     /// Simulated ms of the whole conjunction, wide leaf first.
     pub wide_first_sim_ms: f64,
     /// Model quote for the needle-first order: the needle's fresh packed
-    /// pass plus the wide leaf restricted to the needle's survivors, over
-    /// the frames the actual survivor list touches.
+    /// pass plus the wide leaf restricted to the needle's survivors.
     pub model_ms: f64,
     /// In-order index of the leaf the engine's conjunction planner ran
     /// first (the needle is written *last* in the predicate, so leaf 1).
@@ -268,15 +266,10 @@ pub fn pushdown_sweep(opts: &RunOpts) -> Vec<PushdownPoint> {
             assert_eq!(rest[0], expect, "{col}: restricted wide leaf must be bit-identical");
             assert_eq!(rest_rev[0], expect, "{col}: restricted needle leaf must be bit-identical");
 
-            // The needle's survivors are one contiguous cluster, far from
-            // the uniform spread a restricted quote over the whole column
-            // assumes: price the restricted pass over just the sub-column
-            // of frames they actually touch.
-            let touched = touched_blocks(cc, seqbase, &needle_list);
-            let wide_rest_quote = Select {
-                cands: Some(needle_list.len()),
-                ..Select::packed((touched * FRAME_LEN).min(n), cc.bits_per_value())
-            };
+            // The restricted pass point-decodes one value per survivor,
+            // so the survivor count is all the quote needs.
+            let wide_rest_quote =
+                Select { cands: Some(needle_list.len()), ..Select::packed(n, cc.bits_per_value()) };
             let needle_quote = Select::packed(n, needle_cc.bits_per_value());
             let model_ms = select_cost(&mm, needle_quote).total_ms()
                 + select_cost(&mm, wide_rest_quote).total_ms();

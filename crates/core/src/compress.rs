@@ -25,17 +25,28 @@
 //! The row loops here are the compressed leg of [`crate::scan::select`] and
 //! honour its contract exactly: K predicate leaves per pass over any
 //! [`RowSet`], one ascending candidate-OID list per leaf, **bit-identical**
-//! to the uncompressed scan at every thread count. Under a counting
-//! [`MemTracker`] the memory system is charged the *compressed* byte spans
-//! actually touched (block metadata of every touched block; packed payload
-//! only when a block must be unpacked), while the CPU is conservatively
-//! charged one `Work::ScanIter` per presented tuple per predicate — the
-//! same asymmetry `costmodel::scan::select_cost` prices with its
-//! fractional bits-per-value stride.
+//! to the uncompressed scan at every thread count. A frame the metadata
+//! cannot settle is never decoded: the predicate is moved into the frame's
+//! delta space once (`value − base`, clamped to the frame), a span compares
+//! each packed delta as it is extracted — two-word, branch-free — and a
+//! candidate list point-decodes just its candidates (`base + extract(bits,
+//! row)` is O(1)). Survivors are compacted on the stack and flushed once
+//! per frame, as in the plain loop. [`ForColumn::decode`] is the reference
+//! the suites check this against, not part of any scan.
+//!
+//! Under a counting [`MemTracker`] the memory system is charged the
+//! *compressed* bytes actually touched: the metadata of every touched block,
+//! and — only when a block's values must be tested — its packed payload for
+//! a span, or one payload word per candidate for a restricted pass (a frame
+//! holding one survivor costs its header and one word, not its 1024
+//! values). The CPU is conservatively charged one `Work::ScanIter` per
+//! presented tuple per predicate — the same asymmetry
+//! `costmodel::scan::select_cost` prices with its fractional bits-per-value
+//! stride.
 
 use memsim::{track_read, track_read_slice, MemTracker};
 
-use crate::scan::{select, Lane, RowSet, Rows, ScanCol, ScanPred};
+use crate::scan::{compact, select, Lane, RowSet, Rows, ScanCol, ScanPred, Survivors};
 use crate::storage::{Codes, Column, Oid, StorageError, ValueType};
 
 /// Values per frame-of-reference frame. Big enough that the 16-byte frame
@@ -535,37 +546,106 @@ impl CompressedColumn {
     }
 }
 
-/// How a predicate relates to a block's `[min, max]` value range.
-#[derive(Clone, Copy, PartialEq, Eq)]
+/// How a predicate relates to a frame's `[base, max]` value range.
 enum BlockFate {
-    /// No value in the block can qualify: skip without unpacking.
+    /// No value in the frame can qualify: skip without touching the payload.
     Skip,
-    /// Every value in the block qualifies: emit all OIDs without unpacking.
+    /// Every value in the frame qualifies: emit all OIDs, payload untouched.
     TakeAll,
-    /// The ranges straddle: unpack and test each value.
-    Test,
+    /// The ranges straddle: test each packed delta `d = value − base` as it
+    /// is extracted, with one unsigned compare — `d − lo ≤ span (mod 2⁶⁴)`,
+    /// the predicate clamped to the frame and moved into delta space.
+    Test {
+        /// The clamped lower bound, as a delta.
+        lo: u64,
+        /// Clamped upper bound − clamped lower bound.
+        span: u64,
+    },
 }
 
+/// An empty predicate (`lo > hi`) is `Skip` whatever the frame holds: in
+/// delta space its span would wrap and every value would pass.
 fn classify((lo, hi): (i64, i64), fr: &Frame) -> BlockFate {
     let (min, max) = (fr.base as i64, fr.max as i64);
-    if hi < min || lo > max {
+    if lo > hi || hi < min || lo > max {
         BlockFate::Skip
     } else if lo <= min && max <= hi {
         BlockFate::TakeAll
     } else {
-        BlockFate::Test
+        let (lo, hi) = (lo.max(min), hi.min(max));
+        BlockFate::Test { lo: (lo - min) as u64, span: (hi - lo) as u64 }
     }
+}
+
+/// The packed delta starting at bit `bit` of a frame's payload `words`,
+/// branch-free: the word holding its first bit shifted down, or-ed with the
+/// next word shifted up (in two steps, so a delta that starts a word takes
+/// nothing from its successor), masked to the frame's width. `next` fetches
+/// that successor — it exists for every delta but those in the payload's
+/// last word.
+#[inline(always)]
+fn extract(words: &[u64], bit: usize, mask: u64, next: impl Fn(usize) -> u64) -> u64 {
+    let (w, sh) = (bit >> 6, (bit & 63) as u32);
+    ((words[w] >> sh) | ((next(w + 1) << 1) << (63 - sh))) & mask
+}
+
+/// One `Test` frame of a span: compact the rows `[a, b)` of the frame (row 0
+/// is OID `first`) whose delta passes. Deltas are tested as they are
+/// extracted; nothing is decoded to a buffer. All but the last few read
+/// their successor word unguarded.
+#[inline(never)]
+fn compact_frame(
+    buf: &mut Survivors,
+    (words, bits): (&[u64], usize),
+    (a, b): (usize, usize),
+    first: Oid,
+    (lo, span): (u64, u64),
+) -> usize {
+    let mask = (1u64 << bits) - 1;
+    // Deltas starting before the payload's last word.
+    let two_word = ((words.len() - 1) * 64).div_ceil(bits).clamp(a, b);
+    let pass = |d: u64| d.wrapping_sub(lo) <= span;
+    let oid = |i: usize| first + i as Oid;
+    let n = compact(
+        buf,
+        0,
+        (a..two_word).map(|i| (oid(i), pass(extract(words, i * bits, mask, |w| words[w])))),
+    );
+    let last = |w: usize| words.get(w).copied().unwrap_or(0);
+    compact(buf, n, (two_word..b).map(|i| (oid(i), pass(extract(words, i * bits, mask, last)))))
+}
+
+/// One `Test` frame of a candidate list: point-decode each candidate (O(1):
+/// its delta's bit offset is `row × bits`) and compact those that pass.
+#[inline(never)]
+fn compact_frame_cands(
+    buf: &mut Survivors,
+    (words, bits): (&[u64], usize),
+    cands: &[Oid],
+    first: Oid,
+    (lo, span): (u64, u64),
+) -> usize {
+    let mask = (1u64 << bits) - 1;
+    let last = |w: usize| words.get(w).copied().unwrap_or(0);
+    compact(
+        buf,
+        0,
+        cands.iter().map(|&c| {
+            let d = extract(words, (c - first) as usize * bits, mask, last);
+            (c, d.wrapping_sub(lo) <= span)
+        }),
+    )
 }
 
 /// The FOR/dict layout's row loop: walk the frames `rows` touches, each
 /// presented with its share of the rows (a clipped span or a candidate
 /// sub-slice). Every touched frame pays its header read; only frames the
-/// min/max metadata cannot settle for some predicate pay — and unpack —
-/// their payload. A `TakeAll` frame emits its rows without unpacking, a
-/// `Skip` frame nothing, and frames no row falls in are never visited.
-/// Kept out of line, like the plain row loop, so its registers are not
-/// shared with the caller's dispatch.
-#[inline(never)]
+/// min/max metadata cannot settle for some predicate touch their payload —
+/// a span streams it, candidates read the word each one's delta starts in.
+/// A `TakeAll` frame emits its rows without a payload access, a `Skip`
+/// frame nothing, and frames no row falls in are never visited. Nothing is
+/// allocated per call or per frame, and no frame is decoded: survivors are
+/// compacted on the stack and flushed once per frame and predicate.
 fn scan_frames<M: MemTracker>(
     trk: &mut M,
     fc: &ForColumn,
@@ -574,7 +654,7 @@ fn scan_frames<M: MemTracker>(
     mut rows: Rows<'_>,
     out: &mut [Vec<Oid>],
 ) {
-    let mut scratch = Vec::with_capacity(FRAME_LEN);
+    let mut buf: Survivors = [0; FRAME_LEN];
     while let Some(row) = rows.first_row(seqbase) {
         let f = row / FRAME_LEN;
         let fr = &fc.frames[f];
@@ -582,18 +662,34 @@ fn scan_frames<M: MemTracker>(
         let (rlo, rhi) = fc.frame_rows(f);
         let (here, rest) = rows.split_at_row(rhi, seqbase);
         rows = rest;
-        if bounds.iter().any(|&b| classify(b, fr) == BlockFate::Test) {
-            track_read_slice(trk, fc.frame_words(f));
-            scratch.clear();
-            fc.unpack_frame(f, &mut scratch);
+        let first = seqbase + rlo as Oid;
+        let (words, bits) = (fc.frame_words(f), fr.bits as usize);
+        if M::ENABLED && bounds.iter().any(|&p| matches!(classify(p, fr), BlockFate::Test { .. })) {
+            match here {
+                Rows::Span(..) => track_read_slice(trk, words),
+                Rows::Cands(cands) => cands
+                    .iter()
+                    .for_each(|&c| track_read(trk, &words[((c - first) as usize * bits) >> 6])),
+            }
         }
-        for (&(lo, hi), list) in bounds.iter().zip(out.iter_mut()) {
-            match classify((lo, hi), fr) {
+        for (&pred, list) in bounds.iter().zip(out.iter_mut()) {
+            match classify(pred, fr) {
                 BlockFate::Skip => {}
                 BlockFate::TakeAll => here.emit_all(seqbase, list),
-                BlockFate::Test => {
-                    let pass = |v: i32| (v as i64).within(lo, hi);
-                    here.emit_passing(seqbase, rlo, &scratch, pass, list)
+                BlockFate::Test { lo, span } => {
+                    let n = match here {
+                        Rows::Span(a, b) => compact_frame(
+                            &mut buf,
+                            (words, bits),
+                            (a - rlo, b - rlo),
+                            first,
+                            (lo, span),
+                        ),
+                        Rows::Cands(cands) => {
+                            compact_frame_cands(&mut buf, (words, bits), cands, first, (lo, span))
+                        }
+                    };
+                    list.extend_from_slice(&buf[..n]);
                 }
             }
         }
@@ -652,12 +748,6 @@ pub(crate) fn scan_packed<M: MemTracker>(
     rows: Rows<'_>,
     out: &mut [Vec<Oid>],
 ) {
-    if let Rows::Cands(cands) = rows {
-        debug_assert!(
-            cands.iter().all(|&c| c >= seqbase && ((c - seqbase) as usize) < cc.len()),
-            "candidates address rows of this column"
-        );
-    }
     let bounds: Vec<(i64, i64)> = preds.iter().map(i64::bounds).collect();
     match cc {
         CompressedColumn::For(fc) => scan_frames(trk, fc, seqbase, &bounds, rows, out),
@@ -689,40 +779,6 @@ pub fn multi_select_compressed_cands<M: MemTracker>(
     cands: &[Oid],
 ) -> Result<Vec<Vec<Oid>>, StorageError> {
     select(trk, ScanCol::Packed(cc, seqbase), preds, RowSet::Cands(cands))
-}
-
-/// The number of distinct blocks (FOR/dict frames or RLE runs) an ascending
-/// candidate list touches — the exact block count a [`RowSet::Cands`]
-/// [`select`] charges metadata for, and the quantity
-/// `costmodel::scan::expected_touched_blocks` estimates from |candidates|.
-pub fn touched_blocks(cc: &CompressedColumn, seqbase: Oid, cands: &[Oid]) -> usize {
-    let mut n = 0usize;
-    match cc {
-        CompressedColumn::For(_) | CompressedColumn::Dict(_) => {
-            let mut last = usize::MAX;
-            for &c in cands {
-                let f = (c - seqbase) as usize / FRAME_LEN;
-                if f != last {
-                    n += 1;
-                    last = f;
-                }
-            }
-        }
-        CompressedColumn::Rle(rc) => {
-            let mut r = 0usize;
-            for &c in cands {
-                let row = (c - seqbase) as usize;
-                r += rc.runs[r..].partition_point(|run| (run.start + run.len) as usize <= row);
-                if r < rc.runs.len() && (rc.runs[r].start as usize) <= row {
-                    // First candidate in this run counts it; later ones
-                    // advance past it before counting again.
-                    n += 1;
-                    r += 1;
-                }
-            }
-        }
-    }
-    n
 }
 
 #[cfg(test)]
@@ -1024,7 +1080,6 @@ mod tests {
         assert_eq!(cc.encoding(), Encoding::For);
         let preds = [ScanPred::RangeI32 { lo: 2048, hi: 4095 }]; // straddles every frame
         let cands: Vec<Oid> = (3 * 1024..4 * 1024).chain(71 * 1024..72 * 1024).collect();
-        assert_eq!(touched_blocks(&cc, 0, &cands), 2);
         let run_full = || {
             let mut trk = SimTracker::for_machine(memsim::profiles::origin2000());
             select(&mut trk, ScanCol::Packed(&cc, 0), &preds, RowSet::All).unwrap();
@@ -1048,18 +1103,18 @@ mod tests {
         let clustered: Vec<i32> = (0..102_400).map(|i| i / 64).collect();
         let rc = CompressedColumn::encode(&Column::I32(clustered)).unwrap();
         assert_eq!(rc.encoding(), Encoding::Rle);
+        let preds = [ScanPred::RangeI32 { lo: 0, hi: 5 }];
+        let run = |cands: &[Oid]| {
+            let mut trk = SimTracker::for_machine(memsim::profiles::origin2000());
+            let lists = select(&mut trk, ScanCol::Packed(&rc, 0), &preds, RowSet::Cands(cands));
+            (lists.unwrap().remove(0), trk.counters().reads)
+        };
         let sparse: Vec<Oid> = (0..102_400).step_by(6400).collect();
-        assert_eq!(touched_blocks(&rc, 0, &sparse), sparse.len(), "one run per sparse candidate");
+        assert_eq!(run(&sparse).1 as usize, sparse.len(), "one run per sparse candidate");
         let dense: Vec<Oid> = (128..192).collect(); // inside one 64-row run
-        assert_eq!(touched_blocks(&rc, 0, &dense), 1);
-        let got = select(
-            &mut NullTracker,
-            ScanCol::Packed(&rc, 0),
-            &[ScanPred::RangeI32 { lo: 0, hi: 5 }],
-            RowSet::Cands(&dense),
-        )
-        .unwrap();
-        assert_eq!(got[0], dense, "run value 2 passes, all candidates survive");
+        let (got, reads) = run(&dense);
+        assert_eq!(reads, 1, "one run holds every dense candidate");
+        assert_eq!(got, dense, "run value 2 passes, all candidates survive");
     }
 
     #[test]

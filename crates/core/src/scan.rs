@@ -20,7 +20,15 @@
 //! Behind the entry point there is one row loop per physical layout: the
 //! typed slice here, FOR/dict frames and RLE runs in [`crate::compress`].
 //! Predicates are lowered to typed `(lo, hi)` bounds once, outside the row
-//! loop, which is monomorphised per column type.
+//! loop, which is monomorphised per column type. Once the access pattern is
+//! sequential the per-tuple instruction path is what is left to pay (§3),
+//! so the loops carry no data-dependent branch and no `Vec::push`: rows are
+//! presented a block of at most [`FRAME_LEN`] at a time, each predicate's
+//! survivors are written with a predicated store (`compact`: `buf[n] = oid;
+//! n += pass`) into a block buffer on the stack, and the buffer is flushed
+//! to the candidate list once per block. The row set decides the loop and
+//! nothing else does — a span streams, a candidate list reads exactly its
+//! candidates' values — with no knob, threshold or fallback beside it.
 //!
 //! [`par_select`] is the parallel driver: `All` splits into block-aligned
 //! contiguous `Range`s, each worker calls the same kernel over its chunk,
@@ -30,11 +38,17 @@
 //! accounting of execution reports.
 //!
 //! Under a counting [`MemTracker`] the kernel charges the memory system
-//! once per presented tuple ([`track_read`]; compressed layouts charge the
-//! block metadata and packed payload they touch instead) and the CPU once
-//! per presented tuple *per predicate* ([`Work::ScanIter`] × K) — exactly
-//! the asymmetry `costmodel::scan::select_cost` prices for riders of a
-//! merged pass.
+//! once per presented tuple ([`track_read`] of the value; compressed
+//! layouts charge what they touch instead: the header of every frame or run
+//! a row falls in, and — only where a frame's header cannot settle some
+//! predicate — the frame's packed payload for a span, or for a candidate
+//! list the one payload word each candidate's value starts in, since a
+//! restricted pass point-decodes its candidates rather than unpacking the
+//! frames around them) and the CPU once per presented tuple *per predicate*
+//! ([`Work::ScanIter`] × K) — exactly the asymmetry
+//! `costmodel::scan::select_cost` prices: riders of a merged pass pay CPU
+//! only, and a restricted pass over either layout is `k` touches
+//! `bits/8 · rows/k` bytes apart.
 
 use memsim::{track_read, MemTracker, NullTracker, Work};
 
@@ -109,7 +123,7 @@ impl ScanCol<'_> {
     }
 
     /// Rows per indivisible block: [`par_select`] cuts chunks at multiples
-    /// of this so no two workers unpack the same frame.
+    /// of this so no frame is split between two workers.
     fn block_rows(&self) -> usize {
         match self {
             ScanCol::Packed(CompressedColumn::For(_) | CompressedColumn::Dict(_), _) => FRAME_LEN,
@@ -140,7 +154,12 @@ pub(crate) enum Rows<'a> {
 }
 
 impl<'a> Rows<'a> {
-    fn of(set: RowSet<'a>, len: usize) -> Self {
+    /// Resolve `set` against a column of `len` tuples under a void head at
+    /// `seqbase`. Candidates are clipped to the column here, once (the list
+    /// ascends, so that is two binary searches): every row loop may index
+    /// with `c - seqbase` unguarded, and all layouts honour "OIDs outside
+    /// the column match nothing" identically.
+    fn of(set: RowSet<'a>, seqbase: Oid, len: usize) -> Self {
         match set {
             RowSet::All => Rows::Span(0, len),
             RowSet::Range(lo, hi) => {
@@ -149,7 +168,9 @@ impl<'a> Rows<'a> {
             }
             RowSet::Cands(cands) => {
                 debug_assert!(cands.windows(2).all(|w| w[0] < w[1]), "candidates ascend");
-                Rows::Cands(cands)
+                let end = seqbase as u64 + len as u64;
+                let inside = &cands[..cands.partition_point(|&c| (c as u64) < end)];
+                Rows::Cands(&inside[inside.partition_point(|&c| c < seqbase)..])
             }
         }
     }
@@ -178,8 +199,17 @@ impl<'a> Rows<'a> {
                 (Rows::Span(lo, mid), Rows::Span(mid, hi))
             }
             Rows::Cands(cands) => {
-                let (head, tail) =
-                    cands.split_at(cands.partition_point(|&c| ((c - seqbase) as usize) < end));
+                // Gallop, then bisect: the split is usually near the front
+                // (a frame or run holds few of a sparse list's candidates),
+                // and a search of the whole remaining list per block would
+                // cost more than testing the block's candidates.
+                let before = |c: Oid| ((c - seqbase) as usize) < end;
+                let mut reach = 1;
+                while reach < cands.len() && before(cands[reach - 1]) {
+                    reach *= 2;
+                }
+                let reach = reach.min(cands.len());
+                let (head, tail) = cands.split_at(cands[..reach].partition_point(|&c| before(c)));
                 (Rows::Cands(head), Rows::Cands(tail))
             }
         }
@@ -192,34 +222,32 @@ impl<'a> Rows<'a> {
             Rows::Cands(cands) => list.extend_from_slice(cands),
         }
     }
+}
 
-    /// Append the OID of every presented row whose value passes, where
-    /// `vals[0]` is the value at position `base`.
-    pub(crate) fn emit_passing(
-        &self,
-        seqbase: Oid,
-        base: usize,
-        vals: &[i32],
-        pass: impl Fn(i32) -> bool,
-        list: &mut Vec<Oid>,
-    ) {
-        match self {
-            Rows::Span(lo, hi) => {
-                for (i, &v) in vals[lo - base..hi - base].iter().enumerate() {
-                    if pass(v) {
-                        list.push(seqbase + (lo + i) as Oid);
-                    }
-                }
-            }
-            Rows::Cands(cands) => {
-                for &c in *cands {
-                    if pass(vals[(c - seqbase) as usize - base]) {
-                        list.push(c);
-                    }
-                }
-            }
-        }
+/// Survivors of one block, before they are flushed to a candidate list: the
+/// row loops of every layout present at most [`FRAME_LEN`] rows between
+/// flushes (a block of a plain column, one FOR/dict frame).
+pub(crate) type Survivors = [Oid; FRAME_LEN];
+
+/// Branch-free survivor compaction, the one store every row loop is built
+/// on: each item's OID is written at `buf[n]` unconditionally and `n`
+/// advances by whether the item passed, so the loop carries neither a
+/// data-dependent branch nor a capacity check per row. `n` survivors are
+/// already buffered; returns the new count. The items seen since the last
+/// flush must number at most `FRAME_LEN` — then `n < FRAME_LEN` at every
+/// store and the index mask is a no-op that spares the bounds check.
+#[inline(always)]
+pub(crate) fn compact(
+    buf: &mut Survivors,
+    mut n: usize,
+    items: impl Iterator<Item = (Oid, bool)>,
+) -> usize {
+    for (oid, pass) in items {
+        buf[n & (FRAME_LEN - 1)] = oid;
+        n += pass as usize;
     }
+    debug_assert!(n <= FRAME_LEN, "at most one block between flushes");
+    n
 }
 
 /// A value space a row loop tests in: the element types the plain loop is
@@ -234,8 +262,8 @@ pub(crate) trait Lane: Copy {
 }
 
 /// The integer lanes test a value with one unsigned compare — given
-/// `lo ≤ hi`, `v ∈ [lo, hi]` ⟺ `(v − lo) mod 2ⁿ ≤ hi − lo` — so the row loop
-/// carries one data-dependent branch per value instead of two.
+/// `lo ≤ hi`, `v ∈ [lo, hi]` ⟺ `(v − lo) mod 2ⁿ ≤ hi − lo` — whose outcome
+/// the row loop adds to its survivor count instead of branching on.
 macro_rules! int_within {
     ($t:ty as $u:ty) => {
         #[inline(always)]
@@ -298,43 +326,33 @@ macro_rules! code_lane {
 code_lane!(u8);
 code_lane!(u16);
 
-/// The plain layout's row loop: present each row of `rows` — its value and
-/// its OID under the void head at `seqbase` — to `hit`, charging one read
-/// per presented tuple. Kept out of line: inlined into the dispatch, the
-/// monomorphised loops compete for registers and the hot one spills its row
-/// counter.
+/// One block of a plain span: compact the rows of `block` (the first is
+/// OID `first`) that fall within `[lo, hi]`. Kept out of line, like every
+/// row loop: inlined into the dispatch, the monomorphised loops compete for
+/// registers and the hot one spills its row counter.
 #[inline(never)]
-fn walk<T: Copy, M: MemTracker>(
-    trk: &mut M,
-    data: &[T],
-    seqbase: Oid,
-    rows: Rows<'_>,
-    mut hit: impl FnMut(T, Oid),
-) {
-    match rows {
-        Rows::Span(lo, hi) => {
-            let first = seqbase + lo as Oid;
-            for (i, v) in data[lo..hi].iter().enumerate() {
-                track_read(trk, v);
-                hit(*v, first + i as Oid);
-            }
-        }
-        // Candidates ascend, so the touches are a forward sweep whose
-        // effective stride the cache simulation prices naturally.
-        Rows::Cands(cands) => {
-            for &c in cands {
-                let at = c.checked_sub(seqbase).and_then(|pos| data.get(pos as usize));
-                let Some(v) = at else { continue };
-                track_read(trk, v);
-                hit(*v, c);
-            }
-        }
-    }
+fn compact_block<T: Lane>(buf: &mut Survivors, block: &[T], first: Oid, (lo, hi): (T, T)) -> usize {
+    compact(buf, 0, block.iter().enumerate().map(|(i, v)| (first + i as Oid, v.within(lo, hi))))
 }
 
-/// Lower the predicates into `T`'s lane and run the plain row loop, with
-/// the single-predicate case (every executor leaf) taken as a slice
-/// pattern so its bounds stay in registers.
+/// One block of plain candidates: compact those whose value falls within
+/// `[lo, hi]`.
+#[inline(never)]
+fn compact_cands<T: Lane>(
+    buf: &mut Survivors,
+    data: &[T],
+    seqbase: Oid,
+    cands: &[Oid],
+    (lo, hi): (T, T),
+) -> usize {
+    compact(buf, 0, cands.iter().map(|&c| (c, data[(c - seqbase) as usize].within(lo, hi))))
+}
+
+/// The plain layout's row loop: lower the predicates into `T`'s lane, then
+/// walk `rows` a block at a time — charge one read per presented tuple, and
+/// for each predicate compact the block's survivors and flush them to its
+/// list. The block stays cache-resident across the K predicates, so the
+/// column is still streamed from memory once whatever K is.
 fn scan_plain<T: Lane, M: MemTracker>(
     trk: &mut M,
     data: &[T],
@@ -344,38 +362,52 @@ fn scan_plain<T: Lane, M: MemTracker>(
     out: &mut [Vec<Oid>],
 ) {
     let bounds: Vec<(T, T)> = preds.iter().map(T::bounds).collect();
-    match (bounds.as_slice(), &mut *out) {
-        (&[(lo, hi)], [list]) => {
-            // A local list keeps its length and capacity out of the
-            // caller's memory across pushes.
-            let mut local = std::mem::take(list);
-            walk(trk, data, seqbase, rows, |v, oid| {
-                if v.within(lo, hi) {
-                    local.push(oid);
+    let mut buf: Survivors = [0; FRAME_LEN];
+    match rows {
+        Rows::Span(lo, hi) => {
+            let mut first = seqbase + lo as Oid;
+            for block in data[lo..hi].chunks(FRAME_LEN) {
+                if M::ENABLED {
+                    block.iter().for_each(|v| track_read(trk, v));
                 }
-            });
-            *list = local;
+                for (&within, list) in bounds.iter().zip(out.iter_mut()) {
+                    let n = compact_block(&mut buf, block, first, within);
+                    list.extend_from_slice(&buf[..n]);
+                }
+                first += block.len() as Oid;
+            }
         }
-        _ => walk(trk, data, seqbase, rows, |v, oid| {
-            for (&(lo, hi), list) in bounds.iter().zip(out.iter_mut()) {
-                if v.within(lo, hi) {
-                    list.push(oid);
+        // Candidates ascend, so the touches are a forward sweep whose
+        // effective stride the cache simulation prices naturally.
+        Rows::Cands(cands) => {
+            for block in cands.chunks(FRAME_LEN) {
+                if M::ENABLED {
+                    block.iter().for_each(|&c| track_read(trk, &data[(c - seqbase) as usize]));
+                }
+                for (&within, list) in bounds.iter().zip(out.iter_mut()) {
+                    let n = compact_cands(&mut buf, data, seqbase, block, within);
+                    list.extend_from_slice(&buf[..n]);
                 }
             }
-        }),
+        }
     }
 }
 
 /// Check `col` can be scanned and every predicate is evaluable against it,
-/// so the row loops can dispatch on the column type once.
-fn check(col: ScanCol<'_>, preds: &[ScanPred]) -> Result<(), StorageError> {
-    if matches!(col, ScanCol::Plain(bat) if !bat.head_is_void()) {
-        return Err(StorageError::NonVoidHead);
-    }
+/// so the row loops can dispatch on the column type once. Returns the OID
+/// of the column's first tuple.
+fn check(col: ScanCol<'_>, preds: &[ScanPred]) -> Result<Oid, StorageError> {
+    let seqbase = match col {
+        ScanCol::Packed(_, seqbase) => seqbase,
+        ScanCol::Plain(bat) => match *bat.head() {
+            Head::Void { seqbase } => seqbase,
+            _ => return Err(StorageError::NonVoidHead),
+        },
+    };
     let got = col.value_type();
     match preds.iter().map(ScanPred::value_type).find(|&expected| expected != got) {
         Some(expected) => Err(StorageError::TypeMismatch { expected, got }),
-        None => Ok(()),
+        None => Ok(seqbase),
     }
 }
 
@@ -383,6 +415,7 @@ fn check(col: ScanCol<'_>, preds: &[ScanPred]) -> Result<(), StorageError> {
 fn scan<M: MemTracker>(
     trk: &mut M,
     col: ScanCol<'_>,
+    seqbase: Oid,
     preds: &[ScanPred],
     rows: Rows<'_>,
 ) -> Vec<Vec<Oid>> {
@@ -394,23 +427,18 @@ fn scan<M: MemTracker>(
         trk.work(Work::ScanIter, (rows.len() * preds.len()) as u64);
     }
     match col {
-        ScanCol::Packed(cc, seqbase) => {
+        ScanCol::Packed(cc, _) => {
             crate::compress::scan_packed(trk, cc, seqbase, preds, rows, &mut out)
         }
-        ScanCol::Plain(bat) => {
-            let Head::Void { seqbase } = *bat.head() else {
-                unreachable!("check rejected this head")
-            };
-            match bat.tail() {
-                Column::I32(data) => scan_plain(trk, data, seqbase, preds, rows, &mut out),
-                Column::F64(data) => scan_plain(trk, data, seqbase, preds, rows, &mut out),
-                Column::Str(sc) => match &sc.codes {
-                    Codes::U8(data) => scan_plain(trk, data, seqbase, preds, rows, &mut out),
-                    Codes::U16(data) => scan_plain(trk, data, seqbase, preds, rows, &mut out),
-                },
-                _ => unreachable!("check rejected this column"),
-            }
-        }
+        ScanCol::Plain(bat) => match bat.tail() {
+            Column::I32(data) => scan_plain(trk, data, seqbase, preds, rows, &mut out),
+            Column::F64(data) => scan_plain(trk, data, seqbase, preds, rows, &mut out),
+            Column::Str(sc) => match &sc.codes {
+                Codes::U8(data) => scan_plain(trk, data, seqbase, preds, rows, &mut out),
+                Codes::U16(data) => scan_plain(trk, data, seqbase, preds, rows, &mut out),
+            },
+            _ => unreachable!("check rejected this column"),
+        },
     }
     out
 }
@@ -424,8 +452,8 @@ pub fn select<M: MemTracker>(
     preds: &[ScanPred],
     rows: RowSet<'_>,
 ) -> Result<Vec<Vec<Oid>>, StorageError> {
-    check(col, preds)?;
-    Ok(scan(trk, col, preds, Rows::of(rows, col.len())))
+    let seqbase = check(col, preds)?;
+    Ok(scan(trk, col, seqbase, preds, Rows::of(rows, seqbase, col.len())))
 }
 
 /// Parallel [`select`] over [`RowSet::All`] (native-only; no tracker):
@@ -438,10 +466,10 @@ pub fn par_select(
     preds: &[ScanPred],
     threads: usize,
 ) -> Result<(Vec<Vec<Oid>>, Vec<usize>), StorageError> {
-    check(col, preds)?;
+    let seqbase = check(col, preds)?;
     let (n, block) = (col.len(), col.block_rows());
     let parts = fan_out(n.div_ceil(block), threads, |lo, hi| {
-        scan(&mut NullTracker, col, preds, Rows::Span(lo * block, (hi * block).min(n)))
+        scan(&mut NullTracker, col, seqbase, preds, Rows::Span(lo * block, (hi * block).min(n)))
     });
     let counts = parts.iter().map(|p| p.iter().map(Vec::len).sum()).collect();
     let mut parts = parts.into_iter();
@@ -671,6 +699,70 @@ mod tests {
         let want: Vec<Oid> =
             full[0].iter().copied().filter(|o| cands.binary_search(o).is_ok()).collect();
         assert_eq!(got[0], want);
+    }
+
+    /// Runs in the release test job too: before candidates were clipped in
+    /// `Rows::of`, the packed loops only `debug_assert!`ed this contract — a
+    /// release build spun forever on a candidate in the last frame's slack
+    /// and indexed out of bounds on one below `seqbase`.
+    #[test]
+    fn out_of_column_candidates_match_nothing_on_every_layout() {
+        use crate::compress::{DictColumn, ForColumn, RleColumn};
+        // 3000 rows at OID 700: the last FOR/dict frame holds 952 values and
+        // 72 rows of slack.
+        let (seqbase, n) = (700 as Oid, 3000usize);
+        let values: Vec<i32> = (0..n as i32).map(|i| (i * 37) % 101).collect();
+        let ints = Bat::with_void_head(seqbase, Column::I32(values.clone()));
+        let strs: Vec<&str> = (0..n).map(|i| ["AIR", "MAIL", "SHIP"][i % 3]).collect();
+        let strs = Bat::with_void_head(seqbase, Column::Str(StrColumn::from_strs(strs)));
+        let codes = &strs.tail().as_str_col().unwrap().codes;
+        let (fc, rc, dc) = (
+            CompressedColumn::For(ForColumn::encode(&values)),
+            CompressedColumn::Rle(RleColumn::encode(&values)),
+            CompressedColumn::Dict(DictColumn::encode(codes)),
+        );
+        let ranges = [
+            ScanPred::RangeI32 { lo: 10, hi: 40 }, // tests every frame
+            ScanPred::RangeI32 { lo: 0, hi: 100 }, // takes every frame whole
+            ScanPred::RangeI32 { lo: 7, hi: 7 },
+        ];
+        let eqs = [
+            ScanPred::EqCode { code: 1 },
+            ScanPred::EqCode { code: 0 },
+            ScanPred::EqCode { code: 9 },
+        ];
+        let layouts = [
+            ("plain", ScanCol::Plain(&ints), &ranges),
+            ("for", ScanCol::Packed(&fc, seqbase), &ranges),
+            ("rle", ScanCol::Packed(&rc, seqbase), &ranges),
+            ("codes", ScanCol::Plain(&strs), &eqs),
+            ("dict", ScanCol::Packed(&dc, seqbase), &eqs),
+        ];
+        let end = seqbase + n as Oid;
+        let inside = [seqbase, seqbase + 1, seqbase + 1500, end - 1];
+        // Below the column, at `len`, in the last frame's slack, at and past
+        // the end of the last frame.
+        let outside = [0, seqbase - 1, end, end + 50, end + 71, end + 72, end + 2000, Oid::MAX];
+        let mut mixed: Vec<Oid> = inside.iter().chain(&outside).copied().collect();
+        mixed.sort_unstable();
+        for (name, col, preds) in layouts {
+            for k in [1usize, 3] {
+                let preds = &preds[..k];
+                let run = |cands: &[Oid]| {
+                    let mut trk = SimTracker::for_machine(memsim::profiles::origin2000());
+                    let lists = select(&mut trk, col, preds, RowSet::Cands(cands)).unwrap();
+                    (lists, trk.counters().reads, trk.counters().cpu_ns)
+                };
+                let want = run(&inside);
+                assert_eq!(run(&mixed), want, "{name} K={k}: outside candidates are not there");
+                let none = run(&outside);
+                assert!(none.0.iter().all(Vec::is_empty), "{name} K={k}");
+                assert_eq!((none.1, none.2), (0, 0.0), "{name} K={k}: and cost nothing");
+                // The hang as first reproduced: the row just past the last
+                // one, which the last frame's slack seemed to hold.
+                assert_eq!(run(&[seqbase, end - 1, end]), run(&[seqbase, end - 1]), "{name} K={k}");
+            }
+        }
     }
 
     #[test]

@@ -13,15 +13,14 @@
 //! survivors of an earlier predicate and a predicate riding another query's
 //! pass differ only in `(n_eval, n_touch, b)`, so all of them are one
 //! [`Select`] priced by one function, [`select_cost`]; [`scan_cost`] is the
-//! paper's Figure-3 entry point into it.
+//! paper's Figure-3 entry point into it. The physical layout enters through
+//! the stored width alone: a [`Select`] does not say whether its column is
+//! packed, because no arm prices a packed column differently — the kernel
+//! point-decodes the survivors of a restricted pass from their frames, so
+//! restricted is one arm (`k` touches `bits/8 · rows/k` bytes apart), as
+//! fresh and riding already were.
 
 use crate::machine::{ModelCost, ModelMachine};
-
-/// Values per compressed frame — mirrors `monet_core::compress::FRAME_LEN`.
-/// `costmodel` does not depend on `monet-core`, so the constant is
-/// duplicated here; the engine's access-planner tests assert the two stay
-/// equal.
-pub const FRAME_LEN: usize = 1024;
 
 /// One scan-select, as the facts an admission controller or an executor
 /// knows about it — not a pricing recipe. [`select_cost`] derives the work
@@ -33,10 +32,6 @@ pub struct Select {
     /// Stored bits per value: 8 × the tail width of a plain column, the
     /// (possibly fractional) average of a compressed one.
     pub bits: f64,
-    /// True when the values sit in [`FRAME_LEN`]-value compressed frames,
-    /// which a restricted pass must stream whole; false for a plain array,
-    /// where it touches one value per survivor.
-    pub packed: bool,
     /// Survivors of earlier conjunction leaves this select is restricted to
     /// (`None` = every row is evaluated).
     pub cands: Option<usize>,
@@ -50,13 +45,13 @@ pub struct Select {
 impl Select {
     /// A fresh full pass over a plain column of `stride`-byte values.
     pub fn plain(rows: usize, stride: usize) -> Self {
-        Select { rows, bits: 8.0 * stride as f64, packed: false, cands: None, covered: None }
+        Select { rows, bits: 8.0 * stride as f64, cands: None, covered: None }
     }
 
     /// A fresh full pass over a compressed column storing `bits` bits per
     /// value.
     pub fn packed(rows: usize, bits: f64) -> Self {
-        Select { rows, bits, packed: true, cands: None, covered: None }
+        Select { rows, bits, cands: None, covered: None }
     }
 
     /// The uniform work items this select fans out over: its rows when it
@@ -81,11 +76,11 @@ impl Select {
     ///   plain 4-byte stride, and every saved bit moves the stall terms
     ///   down the ramp.
     /// * **Restricted to `k` survivors** — CPU follows `k`, not `rows`.
-    ///   Candidates ascend, so a plain column is one forward sweep of `k`
-    ///   touches `stride·rows/k` apart: a dense list rides the cache lines
-    ///   like a scan, a sparse one pays a full miss per touch. A packed
-    ///   column streams the payload of every frame that holds a survivor
-    ///   ([`expected_touched_blocks`]) at the stored width.
+    ///   Candidates ascend and every layout reads one value per survivor (a
+    ///   packed value is point-decoded from its frame, not unpacked with
+    ///   it), so the pass is one forward sweep of `k` touches
+    ///   `bits/8 · rows/k` bytes apart: a dense list rides the cache lines
+    ///   like a scan, a sparse one pays a full miss per touch.
     /// * **Riding another pass** — the predicate is evaluated over every
     ///   row (pure CPU, as for every rider), and the only new memory
     ///   traffic is the wrap-around re-stream of the `covered` rows the
@@ -96,11 +91,6 @@ impl Select {
         let value_bytes = self.bits / 8.0;
         match (self.covered, self.cands) {
             (Some(missed), _) => (rows, missed.min(self.rows) as f64, value_bytes),
-            (None, Some(k)) if self.packed => {
-                let frames = self.rows.div_ceil(FRAME_LEN).max(1);
-                let streamed = (expected_touched_blocks(frames, k) * FRAME_LEN as f64).min(rows);
-                (k as f64, streamed, value_bytes)
-            }
             (None, Some(k)) => {
                 (k as f64, k as f64, value_bytes * self.rows.max(1) as f64 / k.max(1) as f64)
             }
@@ -118,20 +108,6 @@ pub fn misses_per_iter(m: &ModelMachine, bytes: f64) -> (f64, f64, f64) {
     let l2 = (bytes / m.l2_line).min(1.0);
     let tlb = (bytes / m.page).min(1.0);
     (l1, l2, tlb)
-}
-
-/// Expected number of distinct blocks touched by `k` candidates spread over
-/// `blocks` equal blocks (uniform occupancy): `B·(1 − (1 − 1/B)^k)`. Ramps
-/// linearly (≈ k) while candidates are sparse and saturates at `B` once
-/// every block holds one — the "frames touched ≈ distinct frames among
-/// candidates" estimate a restricted pass over a packed column is priced
-/// with.
-pub fn expected_touched_blocks(blocks: usize, k: usize) -> f64 {
-    if blocks == 0 || k == 0 {
-        return 0.0;
-    }
-    let b = blocks as f64;
-    b * (1.0 - (1.0 - 1.0 / b).powf(k as f64))
 }
 
 /// The price of one scan-select: derive `(n_eval, n_touch, b)` from the
@@ -230,22 +206,15 @@ mod tests {
         assert!((b - a) < 1000.0 * 2.0 * 228.0 * (128.0 / 16384.0) + 1e-6);
     }
 
-    #[test]
-    fn touched_blocks_ramp_linearly_then_saturate() {
-        assert_eq!(expected_touched_blocks(0, 10), 0.0);
-        assert_eq!(expected_touched_blocks(100, 0), 0.0);
-        // Sparse: ~one block per candidate.
-        let sparse = expected_touched_blocks(1000, 10);
-        assert!((9.9..=10.0).contains(&sparse), "{sparse}");
-        // Dense: saturates at the block count.
-        let dense = expected_touched_blocks(10, 10_000);
-        assert!((9.99..=10.0).contains(&dense), "{dense}");
-    }
-
     /// `(cpu_ns, stall_ns, total_ns)` of every scan-pricing function this
     /// module and the retired cooperative-scan module used to carry, recorded on
     /// `profiles::origin2000()` at the last commit that had them — the
-    /// proof that folding them into [`select_cost`] moved no price.
+    /// proof that folding them into [`select_cost`] moved no price. Two rows
+    /// were re-recorded since, when the kernel stopped unpacking the frames
+    /// around a restricted pass's survivors: "cands packed, k = 50" (was
+    /// 299 122.67 ns: ~50 whole frames streamed) and "k = rows/1000" (was
+    /// 3 846 260.77 ns: ~640 frames) now price one touch per survivor, as
+    /// the plain rows above them always did. Dense lists price as before.
     #[test]
     fn one_function_reproduces_every_retired_formula() {
         const ROWS: usize = 1_000_000;
@@ -253,10 +222,9 @@ mod tests {
         let packed = Select::packed(ROWS, 12.0);
         let cands = |s: Select, k: usize| vec![Select { cands: Some(k), ..s }];
         let attach = |missed: usize| vec![Select { covered: Some(missed), ..plain }];
-        // Survivors clustered in `touched` frames: a restricted pass over
-        // just that sub-column.
-        let clustered =
-            |k: usize, touched: usize| cands(Select::packed(touched * FRAME_LEN, 12.0), k);
+        // Survivors clustered in `touched` 1024-row frames: a restricted
+        // pass over just that sub-column.
+        let clustered = |k: usize, touched: usize| cands(Select::packed(touched * 1024, 12.0), k);
         #[rustfmt::skip]
         let golden: [(&str, Vec<Select>, f64, f64, f64); 29] = [
             ("fresh plain, stride 1", vec![Select::plain(ROWS, 1)], 16000000.0, 3982666.015625, 19982666.015625),
@@ -271,8 +239,8 @@ mod tests {
             ("cands plain, k = rows/1000", cands(plain, ROWS / 1000), 16000.0, 491664.0625, 507664.0625),
             ("cands plain, k = rows", cands(plain, ROWS), 16000000.0, 15930664.0625, 31930664.0625),
             ("cands packed, k = 0", cands(packed, 0), 0.0, 0.0, 0.0),
-            ("cands packed, k = 50", cands(packed, 50), 800.0, 298322.66674149083, 299122.66674149083),
-            ("cands packed, k = rows/1000", cands(packed, ROWS / 1000), 16000.0, 3830260.7661579116, 3846260.7661579116),
+            ("cands packed, k = 50", cands(packed, 50), 800.0, 33200.0, 34000.0),
+            ("cands packed, k = rows/1000", cands(packed, ROWS / 1000), 16000.0, 456874.0234375, 472874.0234375),
             ("cands packed, k = rows", cands(packed, ROWS), 16000000.0, 5973999.0234375, 21973999.0234375),
             ("cands packed, 512 in 1 frame", clustered(512, 1), 8192.0, 6117.375, 14309.375),
             ("cands packed, 512 in 2 frames", clustered(512, 2), 8192.0, 12234.75, 20426.75),
@@ -340,10 +308,11 @@ mod tests {
             prev = c;
         }
         // Packed: a selective list prices far below the full packed scan —
-        // 50 candidates touch ~40 of the ~98 frames (memory) but only 50
-        // values of CPU.
+        // 50 candidates are 50 touches and 50 values of CPU, never more
+        // than the same list costs on the wider plain column.
         let packed_full = select_cost(&m, Select::packed(rows, 12.0));
-        assert!(packed(50).total_ns() * 2.0 < packed_full.total_ns());
+        assert!(packed(50).total_ns() * 50.0 < packed_full.total_ns());
+        assert!(packed(50).total_ns() <= plain(50).total_ns());
     }
 
     #[test]

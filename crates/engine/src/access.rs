@@ -133,7 +133,7 @@ impl CompressMode {
 /// Whether the executor threads candidate lists through the remaining
 /// leaves of a pure-AND conjunction (the selectivity-ordered pushdown the
 /// paper's bandwidth argument calls for: a later leaf only touches the
-/// frames/rows earlier leaves left alive). The `MONET_PUSHDOWN` environment
+/// rows earlier leaves left alive). The `MONET_PUSHDOWN` environment
 /// variable sets the default of every [`crate::exec::ExecOptions`]. Results
 /// are bit-identical either way — intersection is order-independent — only
 /// the bytes streamed change.
@@ -785,7 +785,10 @@ fn leaf_plan(
             scan_ms: all[0].cost.total_ms(),
             matches_est: matches,
             shared: false,
-            packed_bits: select.filter(|s| s.packed).map_or(0.0, |s| s.bits),
+            packed_bits: q
+                .packed_bits
+                .filter(|_| chosen.path == AccessPath::PackedScan)
+                .unwrap_or(0.0),
             stride,
             cands_in: None,
             bytes_saved: 0.0,
@@ -1279,14 +1282,6 @@ mod tests {
         assert_eq!(PushdownMode::parse("on"), Some(PushdownMode::On));
         assert_eq!(PushdownMode::parse("ON"), None);
         assert_eq!(PushdownMode::parse(""), None);
-    }
-
-    #[test]
-    fn costmodel_frame_len_mirrors_the_kernel() {
-        // `costmodel` has no dependency on `monet-core`, so the frame length
-        // its restricted-packed pricing assumes is duplicated there. Keep
-        // the two in lock step.
-        assert_eq!(costmodel::scan::FRAME_LEN, monet_core::compress::FRAME_LEN);
     }
 
     #[test]

@@ -10,6 +10,30 @@ const PAR_THREADS: [usize; 4] = [1, 2, 4, 7];
 /// into several chunks, and the service's elevator chunk.
 const CHUNKS: [usize; 2] = [1024, 64 << 10];
 
+/// Degenerate `i32` predicates around the values of a column (or of one
+/// frame of it): points (`lo == hi`) at its minimum, its maximum, a value
+/// in between and just past either end, and inverted ranges (`lo > hi`,
+/// which match nothing whatever the data) inside, across and around its
+/// value range.
+pub fn edge_preds(values: &[i32]) -> Vec<ScanPred> {
+    let min = values.iter().copied().min().unwrap_or(0);
+    let max = values.iter().copied().max().unwrap_or(0);
+    let mid = values.get(values.len() / 2).copied().unwrap_or(0);
+    let point = |v: i32| ScanPred::RangeI32 { lo: v, hi: v };
+    let inverted = |lo: i32, hi: i32| ScanPred::RangeI32 { lo: lo.max(hi), hi: lo.min(hi) };
+    vec![
+        point(min),
+        point(max),
+        point(mid),
+        point(min.saturating_sub(1)),
+        point(max.saturating_add(1)),
+        inverted(mid, mid.saturating_add(1)),
+        inverted(min, max),
+        inverted(min.saturating_sub(1), max.saturating_add(1)),
+        inverted(i32::MIN, i32::MAX),
+    ]
+}
+
 /// Simulated counters of one `select` call on a cold Origin2000.
 pub fn sim_counters(col: ScanCol<'_>, preds: &[ScanPred], rows: RowSet<'_>) -> EventCounters {
     let mut trk = SimTracker::for_machine(profiles::origin2000());

@@ -71,12 +71,13 @@ proptest! {
         let mut z = ZipfGenerator::new(64, 1.0, zipf_seed);
         let zipf: Vec<i32> = (0..zipf_len).map(|_| z.sample() as i32 - 32).collect();
         for values in [uniform.clone(), zipf] {
-            let bat = Bat::with_void_head(seqbase, Column::I32(values));
             let mut preds: Vec<ScanPred> = bounds
                 .iter()
                 .map(|&(a, b)| ScanPred::RangeI32 { lo: a.min(b), hi: a.max(b) })
                 .collect();
             // Always exercise the degenerate leaves.
+            preds.extend(common::edge_preds(&values));
+            let bat = Bat::with_void_head(seqbase, Column::I32(values));
             preds.push(ScanPred::RangeI32 { lo: 1, hi: 0 }); // empty
             preds.push(ScanPred::RangeI32 { lo: i32::MIN, hi: i32::MAX }); // full
             let solo: Vec<Vec<u32>> = preds
