@@ -619,6 +619,29 @@ mod tests {
     }
 
     #[test]
+    fn chunks_cover_the_range_in_order() {
+        for n in [0usize, 1, 2, 7, 100, 101] {
+            for threads in [1usize, 2, 3, 7, 64] {
+                let parts = fan_out(n, threads, |lo, hi| (lo..hi).collect::<Vec<_>>());
+                assert!(parts.len() <= threads, "n={n} threads={threads}");
+                // No worker is handed an empty range (but the one of `n == 0`).
+                assert!(parts.iter().all(|p| !p.is_empty()) || n == 0, "n={n} threads={threads}");
+                let got: Vec<usize> = parts.into_iter().flatten().collect();
+                let expect: Vec<usize> = (0..n).collect();
+                assert_eq!(got, expect, "n={n} threads={threads}");
+            }
+        }
+    }
+
+    #[test]
+    fn single_thread_runs_inline() {
+        let parts = fan_out(10, 1, |lo, hi| (lo, hi));
+        assert_eq!(parts, vec![(0, 10)]);
+        let parts = fan_out(0, 8, |lo, hi| (lo, hi));
+        assert_eq!(parts, vec![(0, 0)], "empty input must not spawn workers");
+    }
+
+    #[test]
     fn chunked_ranges_concatenate_to_the_one_shot_kernel() {
         let b = i32_bat(10_007);
         let preds = [

@@ -52,34 +52,16 @@ pub fn union(a: &[Oid], b: &[Oid]) -> Vec<Oid> {
     out
 }
 
-/// Subtract: candidates in `a` but not in `b` (`AND NOT`).
-pub fn difference(a: &[Oid], b: &[Oid]) -> Vec<Oid> {
-    debug_assert!(a.windows(2).all(|w| w[0] < w[1]), "a must be strictly ascending");
-    debug_assert!(b.windows(2).all(|w| w[0] < w[1]), "b must be strictly ascending");
-    let mut out = Vec::with_capacity(a.len());
-    let mut j = 0;
-    for &x in a {
-        while j < b.len() && b[j] < x {
-            j += 1;
-        }
-        if j >= b.len() || b[j] != x {
-            out.push(x);
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn intersect_union_difference_basics() {
+    fn intersect_union_basics() {
         let a = vec![1, 3, 5, 7, 9];
         let b = vec![3, 4, 5, 10];
         assert_eq!(intersect(&a, &b), vec![3, 5]);
         assert_eq!(union(&a, &b), vec![1, 3, 4, 5, 7, 9, 10]);
-        assert_eq!(difference(&a, &b), vec![1, 7, 9]);
     }
 
     #[test]
@@ -89,8 +71,6 @@ mod tests {
         assert!(intersect(&[], &a).is_empty());
         assert_eq!(union(&a, &[]), a);
         assert_eq!(union(&[], &a), a);
-        assert_eq!(difference(&a, &[]), a);
-        assert!(difference(&[], &a).is_empty());
     }
 
     #[test]
@@ -101,7 +81,6 @@ mod tests {
         assert_eq!(union(&a, &b), vec![1, 2, 3, 4]);
         assert_eq!(intersect(&a, &a), a);
         assert_eq!(union(&a, &a), a);
-        assert!(difference(&a, &a).is_empty());
     }
 
     #[test]

@@ -51,19 +51,18 @@
 //!   ([`monet_core::shard`]), so group codes are globally consistent and a
 //!   merge ascending by code reproduces the unsharded group order.
 
-use std::cell::OnceCell;
-
 use costmodel::quote::OpShape;
 use memsim::{EventCounters, MemTracker};
 use monet_core::join::OidPair;
 use monet_core::shard::{ShardedTable, TableShard};
-use monet_core::storage::{Column, DecomposedTable, Oid};
+use monet_core::storage::{DecomposedTable, Oid};
 
+use crate::aggregate::{Acc, Folded, Input, Rows, Sink};
 use crate::exec::{
-    execute, AggValue, ExecOptions, ExecReport, Executed, GroupRow, OpReport, QueryOutput,
+    agg_output, execute, fold_aggs, input_of, ExecOptions, ExecReport, Executed, OpReport,
+    QueryOutput,
 };
 use crate::plan::{Agg, LogicalPlan, PlanError, PlanNode};
-use crate::reconstruct::{fetch_f64, fetch_i32, fetch_str, fetch_u8};
 use crate::EngineError;
 
 /// How the coordinator turns shard partials into the final output.
@@ -77,10 +76,18 @@ enum MergeShape {
     Agg { key: Option<String>, aggs: Vec<Agg> },
 }
 
-/// Per-shard table references for OID mapping and partial gathers.
+/// Per-shard table references for OID mapping and partial folds.
 struct ShardCtx<'a> {
     left: &'a TableShard,
     right: Option<&'a TableShard>,
+}
+
+impl<'a> ShardCtx<'a> {
+    /// The shard's column `col` and the side of a join pair that addresses
+    /// it.
+    fn input(&self, col: &str) -> Result<Input<'a>, EngineError> {
+        input_of(&self.left.table, self.right.map(|r| &r.table), col)
+    }
 }
 
 /// A plan lowered onto a set of sharded tables: one stream plan per shard
@@ -219,82 +226,6 @@ pub fn lower<'a>(
     Ok(Lowered { plans, ctx, merge })
 }
 
-/// A scalar aggregate that combines exactly (associatively) across shards.
-#[derive(Debug, Clone, Copy)]
-enum Exact {
-    /// Row count (combine: sum).
-    Count(usize),
-    /// Integer sum in `i64` (combine: sum).
-    SumI64(i64),
-    /// Minimum (combine: min of present values).
-    Min(Option<i32>),
-    /// Maximum (combine: max of present values).
-    Max(Option<i32>),
-}
-
-impl Exact {
-    fn combine(self, other: Exact) -> Exact {
-        match (self, other) {
-            (Exact::Count(a), Exact::Count(b)) => Exact::Count(a + b),
-            (Exact::SumI64(a), Exact::SumI64(b)) => Exact::SumI64(a + b),
-            (Exact::Min(a), Exact::Min(b)) => {
-                Exact::Min(a.zip(b).map(|(a, b)| a.min(b)).or(a).or(b))
-            }
-            (Exact::Max(a), Exact::Max(b)) => {
-                Exact::Max(a.zip(b).map(|(a, b)| a.max(b)).or(a).or(b))
-            }
-            _ => unreachable!("shards agree on aggregate kinds"),
-        }
-    }
-
-    fn finish(self) -> AggValue {
-        match self {
-            Exact::Count(c) => AggValue::Count(c),
-            Exact::SumI64(s) => AggValue::I64(s),
-            Exact::Min(m) | Exact::Max(m) => AggValue::MaybeI32(m),
-        }
-    }
-}
-
-/// One scalar aggregate's shard partial.
-#[derive(Debug)]
-enum AggPartial {
-    Exact(Exact),
-    /// `f64` sum: the value of every stream row, parallel to the partial's
-    /// [`Keys`]. Never combined per shard — the coordinator accumulates the
-    /// rows of all shards in global key order.
-    SumF64(Vec<f64>),
-}
-
-/// A grouped aggregation's shard partial. Exact aggregates are combined
-/// per group code; `f64` sums stay as rows parallel to the partial's
-/// [`Keys`].
-#[derive(Debug)]
-struct GroupPartial {
-    /// Direct-index domain (256 or 65536), identical across shards because
-    /// shard key columns share the parent's code width.
-    domain: usize,
-    /// Rows per group code.
-    counts: Vec<u64>,
-    /// Per `Min` aggregate, per code.
-    mins: Vec<Vec<Option<i32>>>,
-    /// Per `Max` aggregate, per code.
-    maxs: Vec<Vec<Option<i32>>>,
-    /// Group code per stream row; empty when there is no `Sum` aggregate.
-    codes: Vec<u32>,
-    /// Per `Sum` aggregate: value per stream row.
-    sum_cols: Vec<Vec<f64>>,
-}
-
-/// The aggregation state a shard's stream was consumed into.
-#[derive(Debug)]
-enum PartialAggs {
-    /// Stream roots aggregate nothing: the keys are the result.
-    None,
-    Scalar(Vec<AggPartial>),
-    Grouped(GroupPartial),
-}
-
 /// A shard's run of global sort keys, one per shipped stream row. Shard OID
 /// maps are monotone and the executor emits streams in ascending local
 /// order, so a run is strictly ascending with no sort on the shard either.
@@ -336,7 +267,12 @@ impl Keys {
 /// One shard's contribution to a sharded execution.
 pub struct ShardPartial {
     keys: Keys,
-    aggs: PartialAggs,
+    /// The shard's stream folded into the root aggregation's partial — exact
+    /// sinks per group code, every `f64` sum as collected rows parallel to
+    /// `keys` (never added per shard: the coordinator accumulates the rows
+    /// of all shards in global key order). `None` for stream roots, whose
+    /// keys are the result.
+    folded: Option<Folded>,
     /// Stream rows this shard's plan produced (pre-aggregation).
     stream_rows: usize,
     /// The shard plan's per-operator execution report.
@@ -344,12 +280,6 @@ pub struct ShardPartial {
     /// Simulated counters the partial-building gathers consumed (attributed
     /// to the merge operator in the merged report).
     gather_counters: Option<EventCounters>,
-}
-
-/// A shard plan's output stream, in the shard's local OID space.
-enum LocalStream {
-    Table(Vec<Oid>),
-    Joined(Vec<OidPair>),
 }
 
 /// Pack a global join pair into one sort key ordered as `(left, right)`.
@@ -365,17 +295,6 @@ fn delta<M: MemTracker>(trk: &M, before: Option<EventCounters>) -> Option<EventC
     }
 }
 
-/// Chooses between a running extremum and a new value: `i32::min` or
-/// `i32::max`.
-type Pick = fn(i32, i32) -> i32;
-
-/// Fold `(code, value)` pairs into the per-code extrema `acc`.
-fn fold_extremes(acc: &mut [Option<i32>], vals: impl Iterator<Item = (usize, i32)>, pick: Pick) {
-    for (c, v) in vals {
-        acc[c] = Some(acc[c].map_or(v, |m| pick(m, v)));
-    }
-}
-
 /// Execute shard `idx` of a lowered plan through the stock executor and
 /// reduce its stream to a [`ShardPartial`]. Runs anywhere: the caller
 /// chooses tracker, machine, thread cap and placement per shard.
@@ -388,148 +307,34 @@ pub fn execute_shard<M: MemTracker>(
     let Executed { output, report } = execute(trk, &lowered.plans[idx], opts)?;
     let ctx = &lowered.ctx[idx];
     let before = trk.counters_snapshot();
-    let stream = match output {
-        QueryOutput::Oids(locals) => LocalStream::Table(locals),
-        QueryOutput::JoinIndex(pairs) => LocalStream::Joined(pairs),
+    let rows = match &output {
+        QueryOutput::Oids(locals) => Rows::Cands(locals),
+        QueryOutput::JoinIndex(pairs) => Rows::Pairs(pairs),
         _ => unreachable!("lowered shard plans are stream-only"),
     };
-    let stream_rows = match &stream {
-        LocalStream::Table(locals) => locals.len(),
-        LocalStream::Joined(pairs) => pairs.len(),
-    };
-
-    // Resolve a column to its shard table and the local OIDs of its side
-    // (left-first, mirroring the executor's resolve_col). A join index is
-    // projected onto a side only when a column of that side is gathered.
-    let (left_locals, right_locals) = (OnceCell::<Vec<Oid>>::new(), OnceCell::<Vec<Oid>>::new());
-    let side = |col: &str| -> (&DecomposedTable, &[Oid]) {
-        match &stream {
-            LocalStream::Table(locals) => (&ctx.left.table, locals),
-            LocalStream::Joined(pairs) if ctx.left.table.bat(col).is_ok() => {
-                let locals = left_locals.get_or_init(|| pairs.iter().map(|p| p.left).collect());
-                (&ctx.left.table, locals)
-            }
-            LocalStream::Joined(pairs) => {
-                let locals = right_locals.get_or_init(|| pairs.iter().map(|p| p.right).collect());
-                (&ctx.right.expect("join stream has a right shard").table, locals)
-            }
-        }
-    };
-
-    let aggs = match &lowered.merge {
-        MergeShape::Oids | MergeShape::Pairs => PartialAggs::None,
-        MergeShape::Agg { key: None, aggs } => {
-            let mut partials = Vec::with_capacity(aggs.len());
-            for agg in aggs {
-                let p = match agg {
-                    Agg::Count => AggPartial::Exact(Exact::Count(stream_rows)),
-                    Agg::Sum(col) => {
-                        let (table, locals) = side(col);
-                        let bat = table.bat(col)?;
-                        match bat.tail() {
-                            Column::F64(_) => AggPartial::SumF64(fetch_f64(trk, bat, locals)?),
-                            _ => {
-                                let vals = fetch_i32(trk, bat, locals)?;
-                                let sum = vals.into_iter().map(i64::from).sum();
-                                AggPartial::Exact(Exact::SumI64(sum))
-                            }
-                        }
-                    }
-                    Agg::Min(col) => {
-                        let (table, locals) = side(col);
-                        let vals = fetch_i32(trk, table.bat(col)?, locals)?;
-                        AggPartial::Exact(Exact::Min(vals.into_iter().min()))
-                    }
-                    Agg::Max(col) => {
-                        let (table, locals) = side(col);
-                        let vals = fetch_i32(trk, table.bat(col)?, locals)?;
-                        AggPartial::Exact(Exact::Max(vals.into_iter().max()))
-                    }
-                };
-                partials.push(p);
-            }
-            PartialAggs::Scalar(partials)
-        }
-        MergeShape::Agg { key: Some(key), aggs } => {
-            let (key_table, key_locals) = side(key);
-            let key_bat = key_table.bat(key)?;
-            let (mut codes, domain): (Vec<u32>, usize) = match key_bat.tail() {
-                Column::Str(_) => {
-                    let sc = fetch_str(trk, key_bat, key_locals)?;
-                    let domain = if sc.codes.width() == 1 { 256 } else { 65536 };
-                    ((0..sc.len()).map(|i| sc.codes.get(i)).collect(), domain)
-                }
-                Column::U8(_) => {
-                    (fetch_u8(trk, key_bat, key_locals)?.into_iter().map(u32::from).collect(), 256)
-                }
-                other => {
-                    return Err(EngineError::UnsupportedType {
-                        op: "group key",
-                        ty: other.value_type(),
-                    })
-                }
-            };
-            let mut counts = vec![0u64; domain];
-            for &c in &codes {
-                counts[c as usize] += 1;
-            }
-            let by_code = |vals: Vec<i32>| codes.iter().map(|&c| c as usize).zip(vals);
-            let mut mins = Vec::new();
-            let mut maxs = Vec::new();
-            let mut sum_cols = Vec::new();
-            for agg in aggs {
-                match agg {
-                    Agg::Sum(col) => {
-                        let (table, locals) = side(col);
-                        let bat = table.bat(col)?;
-                        let vals: Vec<f64> = match bat.tail() {
-                            Column::F64(_) => fetch_f64(trk, bat, locals)?,
-                            // i32 → f64 is exact, matching the unsharded
-                            // kernel's gather.
-                            _ => {
-                                fetch_i32(trk, bat, locals)?.into_iter().map(|v| v as f64).collect()
-                            }
-                        };
-                        sum_cols.push(vals);
-                    }
-                    Agg::Min(col) => {
-                        let (table, locals) = side(col);
-                        let vals = fetch_i32(trk, table.bat(col)?, locals)?;
-                        let mut per_code = vec![None; domain];
-                        fold_extremes(&mut per_code, by_code(vals), i32::min);
-                        mins.push(per_code);
-                    }
-                    Agg::Max(col) => {
-                        let (table, locals) = side(col);
-                        let vals = fetch_i32(trk, table.bat(col)?, locals)?;
-                        let mut per_code = vec![None; domain];
-                        fold_extremes(&mut per_code, by_code(vals), i32::max);
-                        maxs.push(per_code);
-                    }
-                    Agg::Count => {}
-                }
-            }
-            if sum_cols.is_empty() {
-                // Counts and extremes are already per code: no row ships.
-                codes = Vec::new();
-            }
-            PartialAggs::Grouped(GroupPartial { domain, counts, mins, maxs, codes, sum_cols })
-        }
+    let folded = match &lowered.merge {
+        MergeShape::Oids | MergeShape::Pairs => None,
+        MergeShape::Agg { key, aggs } => Some(fold_aggs(
+            trk,
+            rows,
+            |col| ctx.input(col),
+            key.as_deref(),
+            aggs,
+            Sink::Collect,
+            1,
+        )?),
     };
 
     // Ship per-row keys only to a merge that consumes row order: a stream
     // root (the keys are its result) or a root with an `f64` sum.
-    let ships_rows = match &aggs {
-        PartialAggs::None => true,
-        PartialAggs::Scalar(parts) => parts.iter().any(|p| matches!(p, AggPartial::SumF64(_))),
-        PartialAggs::Grouped(g) => !g.sum_cols.is_empty(),
-    };
-    let keys = match stream {
+    let ships_rows =
+        folded.as_ref().is_none_or(|f| f.cols.iter().any(|col| col.as_f64().is_some()));
+    let keys = match rows {
         _ if !ships_rows => Keys::None,
-        LocalStream::Table(locals) => {
-            Keys::Oids(locals.into_iter().map(|l| ctx.left.oids[l as usize]).collect())
+        Rows::Cands(locals) => {
+            Keys::Oids(locals.iter().map(|&l| ctx.left.oids[l as usize]).collect())
         }
-        LocalStream::Joined(pairs) => {
+        Rows::Pairs(pairs) => {
             let (left, right) = (ctx.left, ctx.right.expect("join stream has a right shard"));
             Keys::Pairs(
                 pairs
@@ -538,9 +343,11 @@ pub fn execute_shard<M: MemTracker>(
                     .collect(),
             )
         }
+        Rows::All(_) => unreachable!("shard streams are OID lists"),
     };
+    let stream_rows = rows.len();
 
-    Ok(ShardPartial { keys, aggs, stream_rows, report, gather_counters: delta(trk, before) })
+    Ok(ShardPartial { keys, folded, stream_rows, report, gather_counters: delta(trk, before) })
 }
 
 /// Strip shard suffixes (`[h/S]`) out of an operator label so per-shard op
@@ -681,150 +488,64 @@ pub fn merge(lowered: &Lowered<'_>, partials: Vec<ShardPartial>) -> Result<Execu
             });
             QueryOutput::JoinIndex(all)
         }
-        MergeShape::Agg { key: None, aggs } => {
-            let parts: Vec<&[AggPartial]> = partials
+        MergeShape::Agg { key, aggs } => {
+            let parts: Vec<&Folded> = partials
                 .iter()
-                .map(|p| match &p.aggs {
-                    PartialAggs::Scalar(parts) => parts.as_slice(),
-                    _ => unreachable!("scalar merge over scalar partials"),
-                })
+                .map(|p| p.folded.as_ref().expect("aggregate roots fold every shard"))
                 .collect();
-
-            // f64 sums: one pass adds every shipped row into its
-            // accumulators as the cursor visits it.
-            let cols: Vec<Vec<&[f64]>> = parts
-                .iter()
-                .map(|parts| {
-                    parts
-                        .iter()
-                        .filter_map(|p| match p {
-                            AggPartial::SumF64(vals) => Some(vals.as_slice()),
-                            AggPartial::Exact(_) => None,
-                        })
-                        .collect()
-                })
-                .collect();
-            let mut sums = vec![0.0f64; cols[0].len()];
-            visit_shipped(&partials, |s, r| {
-                for (sum, col) in sums.iter_mut().zip(&cols[s]) {
-                    *sum += col[r];
-                }
-            });
-
-            let mut sums = sums.into_iter();
-            let values = (0..aggs.len())
-                .map(|i| match &parts[0][i] {
-                    AggPartial::SumF64(_) => {
-                        AggValue::F64(sums.next().expect("one accumulator per f64 sum"))
-                    }
-                    AggPartial::Exact(_) => parts
-                        .iter()
-                        .map(|parts| match &parts[i] {
-                            AggPartial::Exact(e) => *e,
-                            AggPartial::SumF64(_) => {
-                                unreachable!("shards agree on aggregate kinds")
-                            }
-                        })
-                        .reduce(Exact::combine)
-                        .expect("at least one shard")
-                        .finish(),
-                })
-                .collect();
-            QueryOutput::Aggregates(values)
-        }
-        MergeShape::Agg { key: Some(key), aggs } => {
-            let groups: Vec<&GroupPartial> = partials
-                .iter()
-                .map(|p| match &p.aggs {
-                    PartialAggs::Grouped(g) => g,
-                    _ => unreachable!("grouped merge over grouped partials"),
-                })
-                .collect();
-            let first = groups[0];
+            let domain = parts[0].counts.len();
             debug_assert!(
-                groups.iter().all(|g| g.domain == first.domain
-                    && g.mins.len() == first.mins.len()
-                    && g.maxs.len() == first.maxs.len()
-                    && g.sum_cols.len() == first.sum_cols.len()),
+                parts
+                    .iter()
+                    .all(|p| p.counts.len() == domain && p.cols.len() == parts[0].cols.len()),
                 "shards agree on the group domain and the aggregates"
             );
-            let domain = first.domain;
 
-            // Exact per-group combines.
-            let mut counts = vec![0u64; domain];
-            let mut mins = vec![vec![None; domain]; first.mins.len()];
-            let mut maxs = vec![vec![None; domain]; first.maxs.len()];
-            for g in &groups {
-                for (c, &v) in g.counts.iter().enumerate() {
-                    counts[c] += v;
-                }
-                let sides: [(_, _, Pick); 2] =
-                    [(&mut mins, &g.mins, i32::min), (&mut maxs, &g.maxs, i32::max)];
-                for (accs, cols, pick) in sides {
-                    for (acc, col) in accs.iter_mut().zip(cols) {
-                        let present = col.iter().enumerate().filter_map(|(c, v)| Some((c, (*v)?)));
-                        fold_extremes(acc, present, pick);
-                    }
-                }
+            // Exact sinks combine per group code, whatever the shard order.
+            let sinks: Vec<Sink> = aggs
+                .iter()
+                .filter(|agg| agg.column().is_some())
+                .zip(&parts[0].cols)
+                .map(|(agg, col)| match (agg, col) {
+                    (_, Acc::F64(_)) => Sink::SumF64,
+                    (Agg::Min(_), _) => Sink::Min,
+                    (Agg::Max(_), _) => Sink::Max,
+                    _ => Sink::SumI64,
+                })
+                .collect();
+            let mut merged = Folded {
+                counts: vec![0; domain],
+                cols: sinks.iter().map(|sink| sink.table(domain, 0)).collect(),
+                row_codes: Vec::new(),
+                shards: Vec::new(),
+            };
+            for p in &parts {
+                merged.absorb(p, sinks.iter().copied());
             }
 
-            // f64 sums: add every shipped row into its group's accumulators
-            // as the cursor visits it.
-            let mut sums = vec![vec![0.0f64; domain]; first.sum_cols.len()];
+            // `f64` sums: add every shipped row into its group's
+            // accumulators as the cursor visits it.
+            let shipped: Vec<Vec<&[f64]>> =
+                parts.iter().map(|p| p.cols.iter().filter_map(Acc::as_f64).collect()).collect();
+            let mut sums: Vec<&mut Vec<f64>> = merged
+                .cols
+                .iter_mut()
+                .filter_map(|col| match col {
+                    Acc::F64(sums) => Some(sums),
+                    Acc::Exact(_) => None,
+                })
+                .collect();
             visit_shipped(&partials, |s, r| {
-                let g = groups[s];
-                let code = g.codes[r] as usize;
-                for (sum, col) in sums.iter_mut().zip(&g.sum_cols) {
+                let code = parts[s].row_codes.get(r).map_or(0, |&c| c as usize);
+                for (sum, col) in sums.iter_mut().zip(&shipped[s]) {
                     sum[code] += col[r];
                 }
             });
 
             // Decode via the shared dictionary (shard 0's key column — all
             // shards clone the parent dict).
-            let (key_table, _) =
-                if lowered.ctx[0].left.table.bat(key).is_ok() || lowered.ctx[0].right.is_none() {
-                    (&lowered.ctx[0].left.table, true)
-                } else {
-                    (&lowered.ctx[0].right.expect("checked").table, false)
-                };
-            let key_bat = key_table.bat(key)?;
-            let decode = |code: u32| -> String {
-                match key_bat.tail() {
-                    Column::Str(sc) => sc.dict.decode(code).to_owned(),
-                    _ => code.to_string(),
-                }
-            };
-
-            let mut rows = Vec::new();
-            for code in 0..domain {
-                if counts[code] == 0 {
-                    continue;
-                }
-                let (mut si, mut mi, mut ma) = (0, 0, 0);
-                let values = aggs
-                    .iter()
-                    .map(|agg| match agg {
-                        Agg::Sum(_) => {
-                            let v = AggValue::F64(sums[si][code]);
-                            si += 1;
-                            v
-                        }
-                        Agg::Min(_) => {
-                            let v = AggValue::MaybeI32(mins[mi][code]);
-                            mi += 1;
-                            v
-                        }
-                        Agg::Max(_) => {
-                            let v = AggValue::MaybeI32(maxs[ma][code]);
-                            ma += 1;
-                            v
-                        }
-                        Agg::Count => AggValue::Count(counts[code] as usize),
-                    })
-                    .collect();
-                rows.push(GroupRow { key: decode(code as u32), values });
-            }
-            QueryOutput::Groups(rows)
+            let key_bat = key.as_deref().map(|k| lowered.ctx[0].input(k)).transpose()?;
+            agg_output(key_bat.map(|k| k.bat), aggs, &merged)
         }
     };
 

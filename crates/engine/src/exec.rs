@@ -18,9 +18,10 @@
 //!   every access mode is bit-identical. `MONET_ACCESS=scan|index|auto`
 //!   (or [`ExecOptions::access`]) pins the policy; tables without indexes
 //!   behave exactly as before.
-//! * **Grouping** uses the direct-indexed hash kernel (the group domain of an
-//!   encoded key is ≤ 65536 codes, so the table fits the cache — the paper's
-//!   argument for hash over sort grouping).
+//! * **Aggregation**, grouped or not, is one [`crate::aggregate::fold`] over
+//!   the stream's survivors into a direct-indexed table (the group domain of
+//!   an encoded key is ≤ 65536 codes, so the table fits the cache — the
+//!   paper's argument for hash over sort grouping).
 //!
 //! Every operator records rows-in/rows-out and, when running under a
 //! counting [`MemTracker`], the simulated event counters it consumed — the
@@ -43,7 +44,7 @@
 //! thread-major, the radix join kernels reproduce the sequential scatter and
 //! cluster-pair order, and `f64` aggregate accumulation preserves the
 //! sequential per-group addition order (see
-//! [`crate::group::par_hash_group_multi_sum_f64`]). Simulated runs
+//! [`crate::aggregate`]). Simulated runs
 //! (`SimTracker`) are pinned to one thread: threading a single shared
 //! simulated memory hierarchy would serialize on the simulator and model a
 //! machine the paper never measured.
@@ -57,7 +58,7 @@ use costmodel::quote::OpShape;
 use costmodel::scan::scan_cost;
 use costmodel::ModelMachine;
 use costmodel::ModelParams;
-use memsim::{track_read, EventCounters, MachineConfig, MemTracker, Work};
+use memsim::{EventCounters, MachineConfig, MemTracker};
 use monet_core::join::OidPair;
 use monet_core::storage::{Bat, Column, DecomposedTable, Oid};
 use monet_core::strategy::{heuristic_plan, JoinPlan};
@@ -66,15 +67,11 @@ use crate::access::{
     eval_planned, leaf_count, plan_pred_with, AccessDecision, AccessMode, CompressMode,
     PushdownMode,
 };
-use crate::aggregate::{max_i32, min_i32, par_max_i32, par_min_i32, par_sum_i32, sum_f64, sum_i32};
+use crate::aggregate::{fold, Acc, Folded, Input, Rows, Side, Sink};
 use crate::candidates::intersect;
-use crate::group::{hash_group_multi_agg, par_hash_group_multi_agg};
 use crate::join::{join_bats_with_plan, par_join_bats_with_plan_sharded};
 use crate::plan::{Agg, LogicalPlan, PlanNode};
-use crate::reconstruct::{
-    fetch_f64, fetch_i32, fetch_str, fetch_u8, par_fetch_f64, par_fetch_i32, par_fetch_str,
-    par_fetch_u8, reconstruct,
-};
+use crate::reconstruct::reconstruct;
 use crate::select::CandList;
 use crate::shared::ScanTicket;
 use crate::EngineError;
@@ -323,10 +320,11 @@ pub struct OpReport {
     pub shapes: Vec<OpShape>,
     /// Parallel runs: this operator's row counters sharded per thread
     /// (select: matches produced per chunk, summed over scanning leaves;
-    /// gather/ungrouped aggregate: input rows per chunk; join: result pairs
-    /// produced per cluster-pair worker block; grouped aggregate: input rows
-    /// accumulated per group-domain slice). `rows_out` stays the merged
-    /// total; sequential runs carry `None`.
+    /// aggregate: input rows each fold worker accumulated — per row chunk,
+    /// or per group-domain slice under an ordered `f64` sum; join: result
+    /// pairs produced per cluster-pair worker block). `rows_out` stays the
+    /// merged total; sequential runs carry `None`, as does an aggregate
+    /// whose fold ran on one worker whatever the budget.
     pub rows_per_thread: Option<Vec<usize>>,
     /// Sharded runs (`crate::dist`): this operator's simulated counters per
     /// table shard, in shard order. `counters` stays the merged total (the
@@ -708,67 +706,64 @@ fn exec_node<'a, M: MemTracker>(
             let stream = expect_stream(exec_node(trk, input, opts, model, report, ticket, leafs)?)?;
             let rows_in = stream.rows();
             let before = trk.counters_snapshot();
-            // Parallel quote: only the *gathers* split work across threads
-            // (one 8-byte-stride pass per materialized column plus the
-            // keys); the accumulation kernel itself re-reads its input per
-            // worker (see `par_hash_group_multi_sum_f64`), so it must not be
-            // sold to the model as divisible. An unrestricted scan stream
-            // borrows every column — nothing materializes, so Auto keeps it
+            // Parallel quote: what splits across threads is the gathers (one
+            // 8-byte-stride pass per gathered column plus the keys) — an
+            // ordered `f64` sum re-walks the stream per worker (see
+            // `crate::aggregate`), so the accumulation must not be sold to
+            // the model as divisible. An unrestricted scan stream is folded
+            // where it lies — nothing is gathered, so Auto keeps it
             // sequential. A deliberate lower bound: gathers access randomly,
             // so this only *under*-forks.
-            let materializes = !matches!(&stream, Stream::Table { cands: None, .. });
-            let gather_ns = if materializes {
+            let gathers = !matches!(&stream, Stream::Table { cands: None, .. });
+            let gather_ns = if gathers {
                 scan_cost(model, rows_in.max(1), 8).total_ns() * (aggs.len() + 1) as f64
             } else {
                 0.0
             };
             let (threads, speedup) = op_threads::<M>(opts, gather_ns, rows_in);
-            let (output, op, detail, shards) = match key {
-                Some(key) => {
-                    let (rows, domain, kernel_shards) =
-                        grouped_aggs(trk, &stream, key, aggs, threads)?;
-                    let n = rows.len();
-                    (
-                        QueryOutput::Groups(rows),
-                        format!("group({key})"),
-                        format!(
-                            "hash-group: direct-indexed, {domain}-slot table ({n} occupied) fits cache{}",
-                            threads_detail(threads, speedup)
-                        ),
-                        // Parallel grouping shards rows by group-domain
-                        // slice; the kernel reports what each worker
-                        // actually accumulated.
-                        kernel_shards,
-                    )
-                }
-                None => {
-                    let vals = scalar_aggs(trk, &stream, aggs, threads)?;
+            let (rows, left, right) = match &stream {
+                Stream::Table { table, cands: None } => (Rows::All(table.len()), *table, None),
+                Stream::Table { table, cands: Some(cands) } => (Rows::Cands(cands), *table, None),
+                Stream::Joined { left, right, pairs } => (Rows::Pairs(pairs), *left, Some(*right)),
+            };
+            let input = |col: &str| input_of(left, right, col);
+            let key_bat = key.as_deref().map(input).transpose()?;
+            let folded = fold_aggs(trk, rows, input, key.as_deref(), aggs, Sink::SumF64, threads)?;
+            let output = agg_output(key_bat.map(|k| k.bat), aggs, &folded);
+            let (op, detail, rows_out) = match (key, &output) {
+                (Some(key), QueryOutput::Groups(groups)) => (
+                    format!("group({key})"),
+                    format!(
+                        "hash-group: direct-indexed, {}-slot table ({} occupied) fits cache{}",
+                        folded.counts.len(),
+                        groups.len(),
+                        threads_detail(threads, speedup)
+                    ),
+                    groups.len(),
+                ),
+                _ => {
                     let labels: Vec<String> = aggs.iter().map(|a| a.to_string()).collect();
                     (
-                        QueryOutput::Aggregates(vals),
                         "aggregate".to_owned(),
                         format!(
                             "scan aggregate [{}]{}",
                             labels.join(", "),
                             threads_detail(threads, speedup)
                         ),
-                        // Gathers and ungrouped aggregates split the input
-                        // uniformly; the sharded counter records that
-                        // partition.
-                        (threads > 1).then(|| crate::par::shard_sizes(rows_in, threads)),
+                        1,
                     )
                 }
             };
-            let rows_out = match &output {
-                QueryOutput::Groups(g) => g.len(),
-                _ => 1,
-            };
-            // Mirror the quote's shape decomposition: one positional gather
-            // per materialized column (plus the key) before the
-            // accumulation pass; unrestricted scans borrow in place.
+            // What each worker of a parallel fold accumulated: row chunks,
+            // or the rows of its group-domain slice. A fold its sinks held
+            // to one worker (an ungrouped `f64` sum alone) was not parallel.
+            let shards = (folded.shards.len() > 1).then_some(folded.shards);
+            // Mirror the quote's shape decomposition (and the fold's two
+            // charges): one positional gather per column (plus the key),
+            // then the accumulation; unrestricted scans fold in place.
             let columns = aggs.iter().filter(|a| a.column().is_some()).count();
             let mut shapes = Vec::new();
-            if materializes {
+            if gathers {
                 for _ in 0..columns + usize::from(key.is_some()) {
                     shapes.push(OpShape::Gather { rows: rows_in });
                 }
@@ -881,314 +876,87 @@ fn key_bat<'b, M: MemTracker>(
     }
 }
 
-/// The surviving row OIDs of a stream, projected once per side so the key
-/// gather and every aggregate column share them instead of re-materializing
-/// the join-pair projection per column.
-enum RowOids<'s> {
-    /// Single-table stream: the candidate list (or `None` = all rows).
-    Table(Option<&'s [Oid]>),
-    /// Join stream: per-side OID projections of the pair list.
-    Joined { left: Vec<Oid>, right: Vec<Oid> },
-}
-
-impl RowOids<'_> {
-    /// The OIDs a column owned by the given side should be gathered at.
-    fn for_side(&self, is_left: bool) -> Option<&[Oid]> {
-        match self {
-            RowOids::Table(cands) => *cands,
-            RowOids::Joined { left, right } => Some(if is_left { left } else { right }),
-        }
+/// The column `col` of a stream over `left` (joined to `right`, if any) and
+/// the side of a join pair that addresses it. Validation guaranteed it
+/// exists on one side; left wins, as in the builder.
+pub(crate) fn input_of<'a>(
+    left: &'a DecomposedTable,
+    right: Option<&'a DecomposedTable>,
+    col: &str,
+) -> Result<Input<'a>, EngineError> {
+    match (left.bat(col), right) {
+        (Ok(bat), _) => Ok(Input { bat, side: Side::Left }),
+        (Err(e), None) => Err(e.into()),
+        (Err(_), Some(right)) => Ok(Input { bat: right.bat(col)?, side: Side::Right }),
     }
 }
 
-fn row_oids<'s>(stream: &'s Stream<'_>) -> RowOids<'s> {
-    match stream {
-        Stream::Table { cands, .. } => RowOids::Table(cands.as_deref()),
-        Stream::Joined { pairs, .. } => RowOids::Joined {
-            left: pairs.iter().map(|p| p.left).collect(),
-            right: pairs.iter().map(|p| p.right).collect(),
-        },
-    }
-}
-
-/// Resolve which table of the stream owns `col`. Validation guaranteed it
-/// exists on one side.
-fn resolve_col<'a>(stream: &Stream<'a>, col: &str) -> (&'a DecomposedTable, bool) {
-    match stream {
-        Stream::Table { table, .. } => (table, true),
-        Stream::Joined { left, right, .. } => {
-            if left.bat(col).is_ok() {
-                (left, true)
-            } else {
-                (right, false)
-            }
-        }
-    }
-}
-
-/// Gather a column's values as `f64` at the stream's surviving rows
-/// (borrowing the whole column when the stream is an unrestricted scan).
-/// `threads > 1` fans the gather out in chunks — `i32 → f64` conversion is
-/// exact, so the materialized vector is bit-identical either way.
-fn f64_values<'b, M: MemTracker>(
+/// Fold `aggs` over `rows`, grouped by `key` when given — the one way the
+/// executor and the shard partial builder reach [`fold`]. `input` resolves a
+/// column name; `ordered` is the sink of a sum whose result is an `f64`
+/// ([`Sink::SumF64`] here; [`Sink::Collect`] on a shard, which ships the
+/// rows instead of adding them).
+pub(crate) fn fold_aggs<'a, M: MemTracker>(
     trk: &mut M,
-    bat: &'b Bat,
-    oids: Option<&[Oid]>,
-    threads: usize,
-) -> Result<BatCow<'b>, EngineError> {
-    let vals: Vec<f64> = match (oids, bat.tail()) {
-        (None, Column::F64(_)) => return Ok(BatCow::Borrowed(bat)),
-        (None, Column::I32(v)) if threads > 1 => {
-            crate::par::fan_out_concat(v.len(), threads, |lo, hi| {
-                v[lo..hi].iter().map(|&x| x as f64).collect()
-            })
-        }
-        (None, Column::I32(v)) => v
-            .iter()
-            .map(|x| {
-                if M::ENABLED {
-                    track_read(trk, x);
-                    trk.work(Work::ScanIter, 1);
-                }
-                *x as f64
-            })
-            .collect(),
-        (Some(oids), Column::F64(_)) if threads > 1 => par_fetch_f64(bat, oids, threads)?,
-        (Some(oids), Column::F64(_)) => fetch_f64(trk, bat, oids)?,
-        (Some(oids), Column::I32(_)) if threads > 1 => {
-            par_fetch_i32(bat, oids, threads)?.into_iter().map(|x| x as f64).collect()
-        }
-        (Some(oids), Column::I32(_)) => {
-            fetch_i32(trk, bat, oids)?.into_iter().map(|x| x as f64).collect()
-        }
-        (_, other) => {
-            return Err(EngineError::UnsupportedType {
-                op: "aggregate input",
-                ty: other.value_type(),
-            })
-        }
-    };
-    Ok(BatCow::Owned(Bat::with_void_head(0, Column::F64(vals))))
-}
-
-/// Gather a column's `i32` values at the stream's surviving rows
-/// (borrowing the whole column when the stream is an unrestricted scan).
-fn i32_values<'b, M: MemTracker>(
-    trk: &mut M,
-    bat: &'b Bat,
-    oids: Option<&[Oid]>,
-    threads: usize,
-) -> Result<BatCow<'b>, EngineError> {
-    match (oids, bat.tail()) {
-        (None, Column::I32(_)) => Ok(BatCow::Borrowed(bat)),
-        (Some(oids), Column::I32(_)) => {
-            let vals = if threads > 1 {
-                par_fetch_i32(bat, oids, threads)?
-            } else {
-                fetch_i32(trk, bat, oids)?
-            };
-            Ok(BatCow::Owned(Bat::with_void_head(0, Column::I32(vals))))
-        }
-        (_, other) => {
-            Err(EngineError::UnsupportedType { op: "min/max input", ty: other.value_type() })
-        }
-    }
-}
-
-/// Which slot of the grouping kernel's output an aggregate reads from.
-enum GroupedSlot {
-    Sum(usize),
-    Min(usize),
-    Max(usize),
-    Count,
-}
-
-/// What [`grouped_aggs`] returns: the result rows (ascending by key code),
-/// the direct-index domain used by the kernel, and — for parallel runs —
-/// the rows each worker's group-domain slice accumulated.
-type GroupedRows = (Vec<GroupRow>, usize, Option<Vec<usize>>);
-
-/// Compute grouped aggregates in a single grouping pass. `threads > 1`
-/// (native only) parallelizes the gathers and the group kernel; the output
-/// is bit-identical to the sequential pass.
-fn grouped_aggs<M: MemTracker>(
-    trk: &mut M,
-    stream: &Stream<'_>,
-    key: &str,
+    rows: Rows<'_>,
+    input: impl Fn(&str) -> Result<Input<'a>, EngineError>,
+    key: Option<&str>,
     aggs: &[Agg],
+    ordered: Sink,
     threads: usize,
-) -> Result<GroupedRows, EngineError> {
-    let oids = row_oids(stream);
-    let (key_table, key_is_left) = resolve_col(stream, key);
-    let key_src = key_table.bat(key)?;
-
-    // Materialize the key codes at the surviving rows (borrow when the
-    // stream is the whole table).
-    let keys: BatCow<'_> = match oids.for_side(key_is_left) {
-        None => BatCow::Borrowed(key_src),
-        Some(oids) => {
-            let tail = match (key_src.tail(), threads > 1) {
-                (Column::Str(_), true) => Column::Str(par_fetch_str(key_src, oids, threads)?),
-                (Column::Str(_), false) => Column::Str(fetch_str(trk, key_src, oids)?),
-                (Column::U8(_), true) => Column::U8(par_fetch_u8(key_src, oids, threads)?),
-                (Column::U8(_), false) => Column::U8(fetch_u8(trk, key_src, oids)?),
-                (other, _) => {
-                    return Err(EngineError::UnsupportedType {
-                        op: "group key",
-                        ty: other.value_type(),
-                    })
-                }
-            };
-            BatCow::Owned(Bat::with_void_head(0, tail))
-        }
-    };
-    let domain = match keys.as_bat().tail() {
-        Column::U8(_) => 256,
-        Column::Str(sc) => {
-            if sc.codes.width() == 1 {
-                256
-            } else {
-                65536
-            }
-        }
-        _ => unreachable!("validated group key type"),
-    };
-
-    // Gather every aggregated column once (SUM columns as f64, MIN/MAX
-    // columns as i32), then group keys + all columns in a single pass
-    // (COUNT falls out of the kernel's per-group counts).
-    let mut sum_bats: Vec<BatCow<'_>> = Vec::new();
-    let mut min_bats: Vec<BatCow<'_>> = Vec::new();
-    let mut max_bats: Vec<BatCow<'_>> = Vec::new();
-    let mut slot_of_agg: Vec<GroupedSlot> = Vec::with_capacity(aggs.len());
+) -> Result<Folded, EngineError> {
+    let key = key.map(&input).transpose()?;
+    let mut cols = Vec::with_capacity(aggs.len());
     for agg in aggs {
-        match agg {
-            Agg::Sum(col) => {
-                let (table, is_left) = resolve_col(stream, col);
-                slot_of_agg.push(GroupedSlot::Sum(sum_bats.len()));
-                sum_bats.push(f64_values(trk, table.bat(col)?, oids.for_side(is_left), threads)?);
-            }
-            Agg::Min(col) => {
-                let (table, is_left) = resolve_col(stream, col);
-                slot_of_agg.push(GroupedSlot::Min(min_bats.len()));
-                min_bats.push(i32_values(trk, table.bat(col)?, oids.for_side(is_left), threads)?);
-            }
-            Agg::Max(col) => {
-                let (table, is_left) = resolve_col(stream, col);
-                slot_of_agg.push(GroupedSlot::Max(max_bats.len()));
-                max_bats.push(i32_values(trk, table.bat(col)?, oids.for_side(is_left), threads)?);
-            }
-            Agg::Count => slot_of_agg.push(GroupedSlot::Count),
-        }
-    }
-    let sum_refs: Vec<&Bat> = sum_bats.iter().map(BatCow::as_bat).collect();
-    let min_refs: Vec<&Bat> = min_bats.iter().map(BatCow::as_bat).collect();
-    let max_refs: Vec<&Bat> = max_bats.iter().map(BatCow::as_bat).collect();
-    let (grouped, shards) = if threads > 1 {
-        let (g, s) =
-            par_hash_group_multi_agg(keys.as_bat(), &sum_refs, &min_refs, &max_refs, threads)?;
-        (g, Some(s))
-    } else {
-        (hash_group_multi_agg(trk, keys.as_bat(), &sum_refs, &min_refs, &max_refs)?, None)
-    };
-
-    let decode = |code: u32| -> String {
-        match keys.as_bat().tail() {
-            Column::Str(sc) => sc.dict.decode(code).to_owned(),
-            _ => code.to_string(),
-        }
-    };
-    let rows = grouped
-        .codes
-        .iter()
-        .enumerate()
-        .map(|(g, &code)| GroupRow {
-            key: decode(code),
-            values: slot_of_agg
-                .iter()
-                .map(|slot| match slot {
-                    GroupedSlot::Sum(c) => AggValue::F64(grouped.sums[*c][g]),
-                    // Every occurring group has >= 1 row, so the extremum
-                    // exists.
-                    GroupedSlot::Min(c) => AggValue::MaybeI32(Some(grouped.mins[*c][g])),
-                    GroupedSlot::Max(c) => AggValue::MaybeI32(Some(grouped.maxs[*c][g])),
-                    GroupedSlot::Count => AggValue::Count(grouped.counts[g] as usize),
-                })
-                .collect(),
-        })
-        .collect();
-    Ok((rows, domain, shards))
-}
-
-/// Compute ungrouped aggregates over the stream. `threads > 1` (native
-/// only) fans out the gathers and the exact (`i32`) aggregates; `f64` sums
-/// always accumulate sequentially to preserve the fp addition order, so the
-/// result is bit-identical at every thread count.
-fn scalar_aggs<M: MemTracker>(
-    trk: &mut M,
-    stream: &Stream<'_>,
-    aggs: &[Agg],
-    threads: usize,
-) -> Result<Vec<AggValue>, EngineError> {
-    let oids = row_oids(stream);
-    let mut out = Vec::with_capacity(aggs.len());
-    for agg in aggs {
-        let value = match (agg, stream) {
-            (Agg::Count, s) => AggValue::Count(s.rows()),
-            (agg, Stream::Table { table, cands }) => {
-                let col = agg.column().expect("non-count aggs read a column");
-                let bat = table.bat(col)?;
-                let cands = cands.as_deref();
-                match (agg, bat.tail(), threads > 1) {
-                    (Agg::Sum(_), Column::F64(_), _) => AggValue::F64(sum_f64(trk, bat, cands)?),
-                    (Agg::Sum(_), _, true) => AggValue::I64(par_sum_i32(bat, cands, threads)?),
-                    (Agg::Sum(_), _, false) => AggValue::I64(sum_i32(trk, bat, cands)?),
-                    (Agg::Min(_), _, true) => AggValue::MaybeI32(par_min_i32(bat, cands, threads)?),
-                    (Agg::Min(_), _, false) => AggValue::MaybeI32(min_i32(trk, bat, cands)?),
-                    (Agg::Max(_), _, true) => AggValue::MaybeI32(par_max_i32(bat, cands, threads)?),
-                    (Agg::Max(_), _, false) => AggValue::MaybeI32(max_i32(trk, bat, cands)?),
-                    (Agg::Count, _, _) => unreachable!("handled above"),
-                }
-            }
-            (agg, joined @ Stream::Joined { .. }) => {
-                let col = agg.column().expect("non-count aggs read a column");
-                let (table, is_left) = resolve_col(joined, col);
-                let bat = table.bat(col)?;
-                let side = oids.for_side(is_left).expect("joined streams have oids");
-                match (agg, bat.tail()) {
-                    (Agg::Sum(_), Column::F64(_)) => {
-                        let vals = if threads > 1 {
-                            par_fetch_f64(bat, side, threads)?
-                        } else {
-                            fetch_f64(trk, bat, side)?
-                        };
-                        let b = Bat::with_void_head(0, Column::F64(vals));
-                        AggValue::F64(sum_f64(trk, &b, None)?)
-                    }
-                    (Agg::Sum(_), _) | (Agg::Min(_), _) | (Agg::Max(_), _) => {
-                        let vals = if threads > 1 {
-                            par_fetch_i32(bat, side, threads)?
-                        } else {
-                            fetch_i32(trk, bat, side)?
-                        };
-                        let b = Bat::with_void_head(0, Column::I32(vals));
-                        match agg {
-                            Agg::Sum(_) if threads > 1 => {
-                                AggValue::I64(par_sum_i32(&b, None, threads)?)
-                            }
-                            Agg::Sum(_) => AggValue::I64(sum_i32(trk, &b, None)?),
-                            Agg::Min(_) => AggValue::MaybeI32(min_i32(trk, &b, None)?),
-                            Agg::Max(_) => AggValue::MaybeI32(max_i32(trk, &b, None)?),
-                            Agg::Count => unreachable!("handled above"),
-                        }
-                    }
-                    (Agg::Count, _) => unreachable!("handled above"),
-                }
-            }
+        let Some(col) = agg.column() else { continue };
+        let col = input(col)?;
+        let sink = match agg {
+            Agg::Min(_) => Sink::Min,
+            Agg::Max(_) => Sink::Max,
+            // Grouped sums are always `f64`; an ungrouped integer sum is
+            // exact in `i64`.
+            _ if key.is_some() || matches!(col.bat.tail(), Column::F64(_)) => ordered,
+            _ => Sink::SumI64,
         };
-        out.push(value);
+        cols.push((col, sink));
     }
-    Ok(out)
+    fold(trk, rows, key, &cols, threads)
+}
+
+/// The output rows of folded `aggs`: one [`GroupRow`] per occurring group
+/// (ascending by key code, decoded through `key`'s dictionary), or the bare
+/// aggregate values when ungrouped.
+pub(crate) fn agg_output(key: Option<&Bat>, aggs: &[Agg], folded: &Folded) -> QueryOutput {
+    let values = |code: usize| -> Vec<AggValue> {
+        let rows = folded.counts[code];
+        let mut cols = folded.cols.iter();
+        let mut next = || cols.next().expect("one folded column per non-count aggregate");
+        aggs.iter()
+            .map(|agg| match agg {
+                Agg::Count => AggValue::Count(rows as usize),
+                Agg::Sum(_) => match next() {
+                    Acc::Exact(sums) => AggValue::I64(sums[code]),
+                    Acc::F64(sums) => AggValue::F64(sums[code]),
+                },
+                Agg::Min(_) | Agg::Max(_) => match next() {
+                    // A group without rows holds the sink's identity.
+                    Acc::Exact(ext) => AggValue::MaybeI32((rows > 0).then_some(ext[code] as i32)),
+                    Acc::F64(_) => unreachable!("extrema fold exactly"),
+                },
+            })
+            .collect()
+    };
+    let Some(key) = key else { return QueryOutput::Aggregates(values(0)) };
+    let decode = |code: usize| match key.tail() {
+        Column::Str(sc) => sc.dict.decode(code as u32).to_owned(),
+        _ => code.to_string(),
+    };
+    QueryOutput::Groups(
+        (0..folded.counts.len())
+            .filter(|&code| folded.counts[code] > 0)
+            .map(|code| GroupRow { key: decode(code), values: values(code) })
+            .collect(),
+    )
 }
 
 #[cfg(test)]
@@ -1392,6 +1160,27 @@ mod tests {
     }
 
     #[test]
+    fn an_unrestricted_grouped_sum_reads_every_value_once() {
+        // SUM over an I32 column is accumulated as f64; over a whole table
+        // the conversion must not cost a copy of the column, a second read
+        // or gather work no `OpShape` of the op prices.
+        let t = item();
+        let plan = Query::scan(&t).group_by("shipmode").agg(Agg::sum("qty")).build().unwrap();
+        let mut trk = SimTracker::for_machine(profiles::origin2000());
+        let r = execute(&mut trk, &plan, &ExecOptions::default()).unwrap();
+        let op = r.report.ops.last().unwrap();
+        assert_eq!(
+            op.shapes,
+            vec![OpShape::Aggregate { rows: t.len(), columns: 1, grouped: true }],
+            "nothing is gathered"
+        );
+        let counters = op.counters.as_ref().unwrap();
+        assert_eq!(counters.reads as usize, t.len() * 2, "one key and one value per row");
+        let hash_ns = profiles::origin2000().work.hash_tuple_ns;
+        assert_eq!(counters.cpu_ns, t.len() as f64 * hash_ns, "and one slot update per row");
+    }
+
+    #[test]
     fn hand_built_invalid_tree_errors_instead_of_panicking() {
         // PlanNode fields are public; an aggregate below another operator
         // (impossible via the builder) must surface as an error.
@@ -1486,6 +1275,7 @@ mod tests {
         let plan = Query::scan(&t)
             .filter(Pred::range_i32("qty", 7, 7))
             .agg(Agg::sum("price"))
+            .agg(Agg::max("qty"))
             .agg(Agg::count())
             .build()
             .unwrap();
@@ -1527,7 +1317,8 @@ mod tests {
         assert!(sel.access.iter().all(|d| !d.path.is_index()));
 
         // A pure index select has no per-thread scan work to shard, even
-        // under forced parallelism; the group op shards its gather input.
+        // under forced parallelism; the aggregate shards the rows of its
+        // exact column (the `f64` sum beside it folds on one thread).
         let opts = ExecOptions::cost_model(machine)
             .with_access(crate::access::AccessMode::Index)
             .with_compress(CompressMode::On)
@@ -1539,6 +1330,10 @@ mod tests {
         let agg = par.report.ops.iter().find(|o| o.op.starts_with("aggregate")).unwrap();
         let shards = agg.rows_per_thread.as_ref().expect("gather shards");
         assert_eq!(shards.iter().sum::<usize>(), agg.rows_in);
+        assert_eq!(shards.len(), 4);
+        let alone = Query::scan(&t).agg(Agg::sum("price")).build().unwrap();
+        let par = execute(&mut NullTracker, &alone, &opts).unwrap();
+        assert!(par.report.ops.iter().all(|o| o.rows_per_thread.is_none()), "one worker");
     }
 
     #[test]

@@ -11,10 +11,12 @@
 //! * [`access`] — per-predicate access-path selection: the executor weighs
 //!   each scan against the table's attached §3.2 indexes (CsBTree, hash,
 //!   T-tree) with [`costmodel::access`], pinnable via `MONET_ACCESS`;
-//! * [`aggregate`] — `SUM`/`MIN`/`MAX`/`COUNT` scans, with candidate lists;
-//! * [`candidates`] — AND/OR/AND-NOT combinators over candidate OID lists;
-//! * [`group`] — hash-grouping (the cache-friendly choice when the group
-//!   count is small, per §3.2) and sort-grouping (the sort/merge baseline);
+//! * [`aggregate`] — gather-and-fold: `SUM`/`MIN`/`MAX`/`COUNT`, ungrouped
+//!   or hash-grouped (the cache-friendly choice when the group count is
+//!   small, per §3.2), accumulated in one block-at-a-time pass over a
+//!   stream's survivors — a whole table, a candidate list or a join index —
+//!   with no survivor-length intermediate;
+//! * [`candidates`] — AND/OR combinators over candidate OID lists;
 //! * [`join`] — dispatch from BATs to the radix join kernels, including the
 //!   void-head positional fast path that "effectively eliminat\[es\] all join
 //!   cost" for tuple-reconstruction joins;
@@ -34,9 +36,7 @@
 //! * [`dist`] — **sharded execution**: lowers one logical plan onto the hash
 //!   shards of a [`monet_core::shard::ShardedTable`] (one stream plan per
 //!   shard plus a coordinator merge) with results bit-identical to the
-//!   unsharded run at any shard count — including `f64` sum bits;
-//! * [`query`] — `grouped_sum_where`, the original composed pipeline, kept
-//!   as a thin compatibility wrapper over the builder + executor.
+//!   unsharded run at any shard count — including `f64` sum bits.
 //!
 //! Scan-shaped operators are generic over [`memsim::MemTracker`] so the
 //! examples can show their stride behaviour on the simulated Origin2000.
@@ -46,11 +46,8 @@ pub mod aggregate;
 pub mod candidates;
 pub mod dist;
 pub mod exec;
-pub mod group;
 pub mod join;
-mod par;
 pub mod plan;
-pub mod query;
 pub mod reconstruct;
 pub mod select;
 pub mod shared;
@@ -63,7 +60,6 @@ pub use exec::{
 };
 pub use join::{join_bats, JoinIndex};
 pub use plan::{Agg, LogicalPlan, PlanError, Pred, Query};
-pub use query::{grouped_sum_where, GroupedSum};
 pub use shared::{scan_requests, ScanRequest, ScanTicket, ShareKey};
 
 use monet_core::storage::StorageError;

@@ -7,230 +7,36 @@
 //! OID list and a void-headed column BAT, fetching is a gather at
 //! `oid - seqbase`.
 
-use memsim::{track_read, MemTracker, Work};
+use memsim::MemTracker;
 use monet_core::storage::{Bat, Codes, Column, Head, Oid, StorageError, StrColumn};
 
+use crate::aggregate::gather;
 use crate::EngineError;
 
-fn void_base(bat: &Bat) -> Result<Oid, EngineError> {
-    match bat.head() {
-        Head::Void { seqbase } => Ok(*seqbase),
-        Head::Oids(_) => Err(EngineError::Storage(StorageError::NonVoidHead)),
-    }
-}
-
-/// Gather `I32` values at the candidate OIDs (positional, zero join cost).
-pub fn fetch_i32<M: MemTracker>(
-    trk: &mut M,
-    bat: &Bat,
-    cands: &[Oid],
-) -> Result<Vec<i32>, EngineError> {
-    let base = void_base(bat)?;
-    let data = bat
-        .tail()
-        .as_i32()
-        .ok_or(EngineError::UnsupportedType { op: "fetch_i32", ty: bat.tail().value_type() })?;
-    Ok(cands
-        .iter()
-        .map(|&oid| {
-            let v = &data[(oid - base) as usize];
-            if M::ENABLED {
-                track_read(trk, v);
-                trk.work(Work::ScanIter, 1);
-            }
-            *v
-        })
-        .collect())
-}
-
-/// Gather `F64` values at the candidate OIDs.
-pub fn fetch_f64<M: MemTracker>(
-    trk: &mut M,
-    bat: &Bat,
-    cands: &[Oid],
-) -> Result<Vec<f64>, EngineError> {
-    let base = void_base(bat)?;
-    let data = bat
-        .tail()
-        .as_f64()
-        .ok_or(EngineError::UnsupportedType { op: "fetch_f64", ty: bat.tail().value_type() })?;
-    Ok(cands
-        .iter()
-        .map(|&oid| {
-            let v = &data[(oid - base) as usize];
-            if M::ENABLED {
-                track_read(trk, v);
-                trk.work(Work::ScanIter, 1);
-            }
-            *v
-        })
-        .collect())
-}
-
-/// Gather `Oid` values (join indices, selection vectors) at the candidate
-/// OIDs.
-pub fn fetch_oid<M: MemTracker>(
-    trk: &mut M,
-    bat: &Bat,
-    cands: &[Oid],
-) -> Result<Vec<Oid>, EngineError> {
-    let base = void_base(bat)?;
-    let data = bat
-        .tail()
-        .as_oid()
-        .ok_or(EngineError::UnsupportedType { op: "fetch_oid", ty: bat.tail().value_type() })?;
-    Ok(cands
-        .iter()
-        .map(|&oid| {
-            let v = &data[(oid - base) as usize];
-            if M::ENABLED {
-                track_read(trk, v);
-                trk.work(Work::ScanIter, 1);
-            }
-            *v
-        })
-        .collect())
-}
-
-/// Gather `U8` values (already-encoded codes) at the candidate OIDs.
-pub fn fetch_u8<M: MemTracker>(
-    trk: &mut M,
-    bat: &Bat,
-    cands: &[Oid],
-) -> Result<Vec<u8>, EngineError> {
-    let base = void_base(bat)?;
-    let data = match bat.tail() {
-        Column::U8(v) => v,
-        other => {
-            return Err(EngineError::UnsupportedType { op: "fetch_u8", ty: other.value_type() })
-        }
-    };
-    Ok(cands
-        .iter()
-        .map(|&oid| {
-            let v = &data[(oid - base) as usize];
-            if M::ENABLED {
-                track_read(trk, v);
-                trk.work(Work::ScanIter, 1);
-            }
-            *v
-        })
-        .collect())
-}
-
-/// Gather an encoded string column at the candidate OIDs, preserving the
-/// encoding (codes are copied, the dictionary is shared/cloned) — no
-/// per-tuple decode, per §3.1.
-pub fn fetch_str<M: MemTracker>(
-    trk: &mut M,
-    bat: &Bat,
-    cands: &[Oid],
-) -> Result<StrColumn, EngineError> {
-    let base = void_base(bat)?;
-    let sc = bat
-        .tail()
-        .as_str_col()
-        .ok_or(EngineError::UnsupportedType { op: "fetch_str", ty: bat.tail().value_type() })?;
-    let codes = match &sc.codes {
-        Codes::U8(v) => Codes::U8(
-            cands
-                .iter()
-                .map(|&oid| {
-                    let c = &v[(oid - base) as usize];
-                    if M::ENABLED {
-                        track_read(trk, c);
-                        trk.work(Work::ScanIter, 1);
-                    }
-                    *c
-                })
-                .collect(),
-        ),
-        Codes::U16(v) => Codes::U16(
-            cands
-                .iter()
-                .map(|&oid| {
-                    let c = &v[(oid - base) as usize];
-                    if M::ENABLED {
-                        track_read(trk, c);
-                        trk.work(Work::ScanIter, 1);
-                    }
-                    *c
-                })
-                .collect(),
-        ),
-    };
-    Ok(StrColumn { codes, dict: sc.dict.clone() })
-}
-
-/// Parallel gather of `I32` values: the candidate list fans out in
-/// contiguous chunks, each gathered by the sequential kernel, merged
-/// thread-major — bit-identical to [`fetch_i32`] (native-only).
-pub fn par_fetch_i32(bat: &Bat, cands: &[Oid], threads: usize) -> Result<Vec<i32>, EngineError> {
-    collect_chunks(cands, threads, |chunk| fetch_i32(&mut memsim::NullTracker, bat, chunk))
-}
-
-/// Parallel gather of `F64` values (bit-identical to [`fetch_f64`]).
-pub fn par_fetch_f64(bat: &Bat, cands: &[Oid], threads: usize) -> Result<Vec<f64>, EngineError> {
-    collect_chunks(cands, threads, |chunk| fetch_f64(&mut memsim::NullTracker, bat, chunk))
-}
-
-/// Parallel gather of `U8` codes (bit-identical to [`fetch_u8`]).
-pub fn par_fetch_u8(bat: &Bat, cands: &[Oid], threads: usize) -> Result<Vec<u8>, EngineError> {
-    collect_chunks(cands, threads, |chunk| fetch_u8(&mut memsim::NullTracker, bat, chunk))
-}
-
-/// Parallel gather of an encoded string column, preserving the encoding
-/// (bit-identical to [`fetch_str`]).
-pub fn par_fetch_str(bat: &Bat, cands: &[Oid], threads: usize) -> Result<StrColumn, EngineError> {
-    let sc = bat
-        .tail()
-        .as_str_col()
-        .ok_or(EngineError::UnsupportedType { op: "par_fetch_str", ty: bat.tail().value_type() })?;
-    let codes = match &sc.codes {
-        Codes::U8(_) => Codes::U8(collect_chunks(cands, threads, |chunk| {
-            fetch_str(&mut memsim::NullTracker, bat, chunk).map(|s| match s.codes {
-                Codes::U8(v) => v,
-                Codes::U16(_) => unreachable!("gather preserves the code width"),
-            })
-        })?),
-        Codes::U16(_) => Codes::U16(collect_chunks(cands, threads, |chunk| {
-            fetch_str(&mut memsim::NullTracker, bat, chunk).map(|s| match s.codes {
-                Codes::U16(v) => v,
-                Codes::U8(_) => unreachable!("gather preserves the code width"),
-            })
-        })?),
-    };
-    Ok(StrColumn { codes, dict: sc.dict.clone() })
-}
-
-/// Fan a candidate list out over contiguous chunks, run the (fallible)
-/// sequential gather per chunk, and concatenate thread-major.
-fn collect_chunks<T: Send>(
-    cands: &[Oid],
-    threads: usize,
-    f: impl Fn(&[Oid]) -> Result<Vec<T>, EngineError> + Sync,
-) -> Result<Vec<T>, EngineError> {
-    let parts = crate::par::fan_out(cands.len(), threads, |lo, hi| f(&cands[lo..hi]));
-    let mut out = Vec::with_capacity(cands.len());
-    for p in parts {
-        out.extend(p?);
-    }
-    Ok(out)
-}
-
 /// Reconstruct a sub-BAT: candidates become the (materialized) head, the
-/// gathered values the tail.
+/// gathered values the tail. An encoded string column keeps its encoding
+/// (codes are gathered, the dictionary is shared) — no per-tuple decode,
+/// per §3.1.
 pub fn reconstruct<M: MemTracker>(
     trk: &mut M,
     bat: &Bat,
     cands: &[Oid],
 ) -> Result<Bat, EngineError> {
+    let Head::Void { seqbase } = *bat.head() else {
+        return Err(EngineError::Storage(StorageError::NonVoidHead));
+    };
     let tail = match bat.tail() {
-        Column::I32(_) => Column::I32(fetch_i32(trk, bat, cands)?),
-        Column::F64(_) => Column::F64(fetch_f64(trk, bat, cands)?),
-        Column::Str(_) => Column::Str(fetch_str(trk, bat, cands)?),
-        Column::U8(_) => Column::U8(fetch_u8(trk, bat, cands)?),
-        Column::Oid(_) => Column::Oid(fetch_oid(trk, bat, cands)?),
+        Column::I32(v) => Column::I32(gather(trk, v, seqbase, cands)),
+        Column::F64(v) => Column::F64(gather(trk, v, seqbase, cands)),
+        Column::U8(v) => Column::U8(gather(trk, v, seqbase, cands)),
+        Column::Oid(v) => Column::Oid(gather(trk, v, seqbase, cands)),
+        Column::Str(sc) => Column::Str(StrColumn {
+            codes: match &sc.codes {
+                Codes::U8(v) => Codes::U8(gather(trk, v, seqbase, cands)),
+                Codes::U16(v) => Codes::U16(gather(trk, v, seqbase, cands)),
+            },
+            dict: sc.dict.clone(),
+        }),
         other => {
             return Err(EngineError::UnsupportedType { op: "reconstruct", ty: other.value_type() })
         }
@@ -249,12 +55,6 @@ mod tests {
     }
 
     #[test]
-    fn positional_fetch() {
-        let vals = fetch_i32(&mut NullTracker, &bat(), &[1001, 1003]).unwrap();
-        assert_eq!(vals, vec![20, 40]);
-    }
-
-    #[test]
     fn reconstruct_carries_oids() {
         let sub = reconstruct(&mut NullTracker, &bat(), &[1002, 1000]).unwrap();
         assert_eq!(sub.len(), 2);
@@ -264,9 +64,10 @@ mod tests {
     }
 
     #[test]
-    fn str_fetch_keeps_encoding() {
+    fn str_reconstruct_keeps_encoding() {
         let b = Bat::with_void_head(0, Column::Str(StrColumn::from_strs(["AIR", "MAIL", "SHIP"])));
-        let sc = fetch_str(&mut NullTracker, &b, &[2, 0]).unwrap();
+        let sub = reconstruct(&mut NullTracker, &b, &[2, 0]).unwrap();
+        let sc = sub.tail().as_str_col().unwrap();
         assert_eq!(sc.get(0), "SHIP");
         assert_eq!(sc.get(1), "AIR");
         assert_eq!(sc.codes.width(), 1);
@@ -276,44 +77,13 @@ mod tests {
     fn non_void_head_rejected() {
         let b = Bat::new(Head::Oids(vec![5, 6]), Column::I32(vec![1, 2])).unwrap();
         assert!(matches!(
-            fetch_i32(&mut NullTracker, &b, &[5]),
+            reconstruct(&mut NullTracker, &b, &[5]),
             Err(EngineError::Storage(StorageError::NonVoidHead))
         ));
     }
 
     #[test]
     fn empty_candidates_yield_empty() {
-        assert!(fetch_i32(&mut NullTracker, &bat(), &[]).unwrap().is_empty());
         assert_eq!(reconstruct(&mut NullTracker, &bat(), &[]).unwrap().len(), 0);
-    }
-
-    #[test]
-    fn parallel_fetches_are_bit_identical_to_sequential() {
-        let n = 5000usize;
-        let bi = Bat::with_void_head(100, Column::I32((0..n as i32).map(|i| i * 3).collect()));
-        let bf = Bat::with_void_head(100, Column::F64((0..n).map(|i| i as f64 / 7.0).collect()));
-        let bs = Bat::with_void_head(
-            100,
-            Column::Str(StrColumn::from_strs(
-                (0..n).map(|i| ["AIR", "MAIL", "SHIP", "RAIL"][i % 4]),
-            )),
-        );
-        let cands: Vec<Oid> = (0..n as Oid).filter(|o| o % 3 != 1).map(|o| o + 100).collect();
-        for threads in [1usize, 2, 5, 8, 64] {
-            assert_eq!(
-                par_fetch_i32(&bi, &cands, threads).unwrap(),
-                fetch_i32(&mut NullTracker, &bi, &cands).unwrap()
-            );
-            assert_eq!(
-                par_fetch_f64(&bf, &cands, threads).unwrap(),
-                fetch_f64(&mut NullTracker, &bf, &cands).unwrap()
-            );
-            let par = par_fetch_str(&bs, &cands, threads).unwrap();
-            let seq = fetch_str(&mut NullTracker, &bs, &cands).unwrap();
-            assert_eq!(par.codes, seq.codes, "threads={threads}");
-        }
-        // Type errors surface the same way.
-        assert!(matches!(par_fetch_i32(&bf, &cands, 4), Err(EngineError::UnsupportedType { .. })));
-        assert!(par_fetch_f64(&bf, &[], 4).unwrap().is_empty());
     }
 }

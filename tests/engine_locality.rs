@@ -5,8 +5,7 @@
 //! figures rely on.
 
 use monet_mem::core::storage::{Bat, Column, StrColumn};
-use monet_mem::engine::aggregate::{sum_f64, sum_i32};
-use monet_mem::engine::reconstruct::fetch_i32;
+use monet_mem::engine::aggregate::{fold, gather, Acc, Input, Rows, Side, Sink};
 use monet_mem::engine::select::{range_select_i32, select_eq_str};
 use monet_mem::memsim::{profiles, SimTracker};
 
@@ -19,6 +18,17 @@ fn sim() -> SimTracker {
 /// L1 lines are 32 B: a stride-w scan of N values incurs ~N·w/32 misses.
 fn expect_l1(n: usize, width: usize) -> f64 {
     (n * width) as f64 / 32.0
+}
+
+/// An ungrouped sum of `bat` (`SumF64` or `SumI64`, as its type asks) over
+/// `rows`, charged to `trk`.
+fn sum(trk: &mut SimTracker, bat: &Bat, rows: Rows<'_>) -> f64 {
+    let sink = if bat.tail().as_f64().is_some() { Sink::SumF64 } else { Sink::SumI64 };
+    let f = fold(trk, rows, None, &[(Input { bat, side: Side::Left }, sink)], 1).unwrap();
+    match &f.cols[0] {
+        Acc::F64(s) => s[0],
+        Acc::Exact(s) => s[0] as f64,
+    }
 }
 
 fn close(actual: u64, expect: f64, tol: f64) -> bool {
@@ -57,7 +67,7 @@ fn i32_select_misses_once_per_8_tuples() {
 fn f64_sum_misses_once_per_4_tuples() {
     let bat = Bat::with_void_head(0, Column::F64((0..N).map(|i| i as f64).collect()));
     let mut trk = sim();
-    let s = sum_f64(&mut trk, &bat, None).unwrap();
+    let s = sum(&mut trk, &bat, Rows::All(N));
     assert!(s > 0.0);
     let misses = trk.counters().l1_misses;
     assert!(
@@ -89,7 +99,7 @@ fn stride_ratios_match_figure3_shape() {
     };
     let m8 = {
         let mut t = sim();
-        sum_f64(&mut t, &f_bat, None).unwrap();
+        sum(&mut t, &f_bat, Rows::All(N));
         t.counters().l1_misses as f64
     };
     assert!((m4 / m1 - 4.0).abs() < 0.6, "4-byte/1-byte miss ratio {}", m4 / m1);
@@ -103,7 +113,7 @@ fn sparse_gather_misses_once_per_candidate() {
     let bat = Bat::with_void_head(0, Column::I32((0..N as i32).collect()));
     let sparse: Vec<u32> = (0..N as u32).step_by(16).collect();
     let mut trk = sim();
-    let _ = fetch_i32(&mut trk, &bat, &sparse).unwrap();
+    let _ = gather(&mut trk, bat.tail().as_i32().unwrap(), 0, &sparse);
     let sparse_misses = trk.counters().l1_misses;
     assert!(
         close(sparse_misses, sparse.len() as f64, 0.15),
@@ -113,7 +123,7 @@ fn sparse_gather_misses_once_per_candidate() {
 
     let dense: Vec<u32> = (0..sparse.len() as u32).collect();
     let mut trk = sim();
-    let _ = fetch_i32(&mut trk, &bat, &dense).unwrap();
+    let _ = gather(&mut trk, bat.tail().as_i32().unwrap(), 0, &dense);
     let dense_misses = trk.counters().l1_misses;
     assert!(
         (dense_misses as f64) < sparse_misses as f64 / 4.0,
@@ -129,9 +139,9 @@ fn candidate_aggregate_beats_full_scan_when_selective() {
     let cands: Vec<u32> = (0..N as u32).step_by(100).collect();
 
     let mut t_full = sim();
-    sum_i32(&mut t_full, &bat, None).unwrap();
+    sum(&mut t_full, &bat, Rows::All(N));
     let mut t_cand = sim();
-    sum_i32(&mut t_cand, &bat, Some(&cands)).unwrap();
+    sum(&mut t_cand, &bat, Rows::Cands(&cands));
 
     assert!(
         t_cand.counters().l1_misses * 5 < t_full.counters().l1_misses,

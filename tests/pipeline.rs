@@ -3,12 +3,10 @@
 //! the composable plan API against both.
 
 use monet_mem::core::join::{sort_pairs, OidPair};
-use monet_mem::core::storage::{Bat, Column, Value};
+use monet_mem::core::storage::{Bat, Column, DecomposedTable, Value};
 use monet_mem::core::strategy::{Algorithm, JoinPlan};
-use monet_mem::engine::aggregate::{max_i32, sum_f64, sum_i32};
+use monet_mem::engine::aggregate::{fold, Acc, Input, Rows, Side, Sink};
 use monet_mem::engine::exec::{execute, AggValue, ExecOptions, QueryOutput};
-use monet_mem::engine::group::{hash_group_sum_f64, sort_group_sum_f64};
-use monet_mem::engine::grouped_sum_where;
 use monet_mem::engine::join::{join_bats, join_bats_with_plan};
 use monet_mem::engine::plan::{Agg, Pred, Query};
 use monet_mem::engine::reconstruct::reconstruct;
@@ -18,6 +16,23 @@ use monet_mem::workload::{item_rows, item_table};
 
 const N: usize = 20_000;
 const SEED: u64 = 1234;
+
+fn col<'a>(table: &'a DecomposedTable, name: &str) -> Input<'a> {
+    Input { bat: table.bat(name).unwrap(), side: Side::Left }
+}
+
+/// `SUM(price)` of `table`'s `rows`, per `shipmode` when `grouped`: the
+/// totals per group code, and the shipmode each occurring code decodes to.
+fn price_sums(table: &DecomposedTable, rows: Rows<'_>, grouped: bool) -> Vec<(String, f64)> {
+    let key = grouped.then(|| col(table, "shipmode"));
+    let f = fold(&mut NullTracker, rows, key, &[(col(table, "price"), Sink::SumF64)], 1).unwrap();
+    let Acc::F64(sums) = &f.cols[0] else { panic!("f64 sums") };
+    let dict = &table.bat("shipmode").unwrap().tail().as_str_col().unwrap().dict;
+    (0..f.counts.len())
+        .filter(|&c| f.counts[c] > 0)
+        .map(|c| (dict.decode(c as u32).to_owned(), sums[c]))
+        .collect()
+}
 
 #[test]
 fn selection_matches_row_scan() {
@@ -56,15 +71,17 @@ fn aggregates_match_row_scan() {
     let table = item_table(N, SEED);
     let rows = item_rows(N, SEED);
 
-    let qty_sum = sum_i32(&mut NullTracker, table.bat("qty").unwrap(), None).unwrap();
-    assert_eq!(qty_sum, rows.iter().map(|r| r.qty as i64).sum::<i64>());
+    let cols = [(col(&table, "qty"), Sink::SumI64), (col(&table, "qty"), Sink::Max)];
+    let f = fold(&mut NullTracker, Rows::All(N), None, &cols, 1).unwrap();
+    let (Acc::Exact(qty_sum), Acc::Exact(qmax)) = (&f.cols[0], &f.cols[1]) else {
+        panic!("exact sinks")
+    };
+    assert_eq!(qty_sum[0], rows.iter().map(|r| r.qty as i64).sum::<i64>());
+    assert_eq!(Some(qmax[0]), rows.iter().map(|r| r.qty as i64).max());
 
-    let price_sum = sum_f64(&mut NullTracker, table.bat("price").unwrap(), None).unwrap();
+    let price_sum = price_sums(&table, Rows::All(N), false)[0].1;
     let expect: f64 = rows.iter().map(|r| r.price).sum();
     assert!((price_sum - expect).abs() < 1e-6 * expect);
-
-    let qmax = max_i32(&mut NullTracker, table.bat("qty").unwrap(), None).unwrap();
-    assert_eq!(qmax, rows.iter().map(|r| r.qty).max());
 }
 
 #[test]
@@ -74,7 +91,7 @@ fn filtered_aggregate_via_candidates_matches_row_scan() {
 
     let cands =
         range_select_f64(&mut NullTracker, table.bat("discnt").unwrap(), 0.05, 0.10).unwrap();
-    let got = sum_f64(&mut NullTracker, table.bat("price").unwrap(), Some(&cands)).unwrap();
+    let got = price_sums(&table, Rows::Cands(&cands), false)[0].1;
     let expect: f64 =
         rows.iter().filter(|r| (0.05..=0.10).contains(&r.discnt)).map(|r| r.price).sum();
     assert!((got - expect).abs() < 1e-6 * expect.max(1.0));
@@ -85,10 +102,14 @@ fn grouped_query_matches_row_scan_and_group_variants_agree() {
     let table = item_table(N, SEED);
     let rows = item_rows(N, SEED);
 
-    let mut got =
-        grouped_sum_where(&mut NullTracker, &table, "shipmode", "price", "discnt", 0.0, 0.05)
-            .unwrap();
-    got.sort_by(|a, b| a.key.cmp(&b.key));
+    let plan = Query::scan(&table)
+        .filter(Pred::range_f64("discnt", 0.0, 0.05))
+        .group_by("shipmode")
+        .agg(Agg::sum("price"))
+        .build()
+        .unwrap();
+    let executed = execute(&mut NullTracker, &plan, &ExecOptions::default()).unwrap();
+    let QueryOutput::Groups(got) = executed.output else { panic!("groups") };
 
     let mut expect: std::collections::BTreeMap<String, f64> = Default::default();
     for r in &rows {
@@ -98,19 +119,8 @@ fn grouped_query_matches_row_scan_and_group_variants_agree() {
     }
     assert_eq!(got.len(), expect.len());
     for g in &got {
-        let e = expect[&g.key];
-        assert!((g.sum - e).abs() < 1e-6 * e.abs().max(1.0), "{}: {} vs {e}", g.key, g.sum);
-    }
-
-    // Hash- and sort-grouping agree on the full table too.
-    let keys = table.bat("shipmode").unwrap();
-    let vals = table.bat("price").unwrap();
-    let a = hash_group_sum_f64(&mut NullTracker, keys, vals).unwrap();
-    let b = sort_group_sum_f64(&mut NullTracker, keys, vals).unwrap();
-    assert_eq!(a.len(), b.len());
-    for ((ka, va), (kb, vb)) in a.iter().zip(&b) {
-        assert_eq!(ka, kb);
-        assert!((va - vb).abs() < 1e-9 * va.abs().max(1.0));
+        let (e, sum) = (expect[&g.key], g.values[0].as_f64());
+        assert!((sum - e).abs() < 1e-6 * e.abs().max(1.0), "{}: {sum} vs {e}", g.key);
     }
 }
 
@@ -162,13 +172,13 @@ fn builder_query_matches_wrapper_and_row_scan() {
     let table = item_table(N, SEED);
     let rows = item_rows(N, SEED);
 
-    // The old 7-positional-argument entry point, now a wrapper...
-    let mut via_wrapper =
-        grouped_sum_where(&mut NullTracker, &table, "shipmode", "price", "discnt", 0.02, 0.07)
-            .unwrap();
-    via_wrapper.sort_by(|a, b| a.key.cmp(&b.key));
+    // Hand-composed: a scan-select feeding the gather-and-fold directly...
+    let cands =
+        range_select_f64(&mut NullTracker, table.bat("discnt").unwrap(), 0.02, 0.07).unwrap();
+    let mut via_wrapper = price_sums(&table, Rows::Cands(&cands), true);
+    via_wrapper.sort_by(|a, b| a.0.cmp(&b.0));
 
-    // ...and the builder it wraps, with an extra COUNT column.
+    // ...and the builder that composes the same, with an extra COUNT column.
     let plan = Query::scan(&table)
         .filter(Pred::range_f64("discnt", 0.02, 0.07))
         .group_by("shipmode")
@@ -195,10 +205,10 @@ fn builder_query_matches_wrapper_and_row_scan() {
     }
     assert_eq!(via_wrapper.len(), expect.len());
     assert_eq!(via_builder.len(), expect.len());
-    for (w, b) in via_wrapper.iter().zip(&via_builder) {
-        assert_eq!(w.key, b.key);
-        let (esum, ecnt) = expect[&w.key];
-        assert!((w.sum - esum).abs() < 1e-6 * esum.abs().max(1.0));
+    for ((key, sum), b) in via_wrapper.iter().zip(&via_builder) {
+        assert_eq!(key, &b.key);
+        let (esum, ecnt) = expect[key];
+        assert!((sum - esum).abs() < 1e-6 * esum.abs().max(1.0));
         match (&b.values[0], &b.values[1]) {
             (AggValue::F64(s), AggValue::Count(c)) => {
                 assert!((s - esum).abs() < 1e-6 * esum.abs().max(1.0));

@@ -1,19 +1,20 @@
 //! Property tests for the composable query API: plans built with
 //! `Query::scan(..).filter(..).join(..).group_by(..).agg(..)` and run by the
-//! cost-model-driven executor must produce *identical* results to
-//! hand-composed operator calls — and planner-chosen joins must agree with
-//! the nested-loop oracle — on arbitrary tables and predicates. Builder
+//! cost-model-driven executor must produce *bit-identical* results to a
+//! row-at-a-time oracle that shares no kernel with it
+//! (`common/reference.rs`) — and planner-chosen joins must agree with the
+//! nested-loop oracle — on arbitrary tables and predicates. Builder
 //! validation errors are pinned below the property block.
+
+#[path = "common/reference.rs"]
+mod reference;
 
 use proptest::prelude::*;
 
 use monet_mem::core::join::{nested_loop_join, sort_pairs, Bun, OidPair};
-use monet_mem::core::storage::{Bat, ColType, Column, DecomposedTable, TableBuilder, Value};
-use monet_mem::engine::exec::{execute, AggValue, ExecOptions, QueryOutput};
-use monet_mem::engine::group::hash_group_sum_f64;
+use monet_mem::core::storage::{ColType, DecomposedTable, TableBuilder, Value};
+use monet_mem::engine::exec::{execute, ExecOptions, QueryOutput, Threads};
 use monet_mem::engine::plan::{Agg, PlanError, Pred, Query};
-use monet_mem::engine::reconstruct::{fetch_f64, fetch_str};
-use monet_mem::engine::select::range_select_f64;
 use monet_mem::memsim::{profiles, NullTracker, SimTracker};
 
 const MODES: [&str; 5] = ["AIR", "MAIL", "SHIP", "RAIL", "FOB"];
@@ -39,6 +40,27 @@ fn fact_table(rows: &[(i32, f64, f64, usize)], seqbase: u32) -> DecomposedTable 
     b.finish()
 }
 
+/// A dimension for the fact table's `key`: (id, rating, bonus, tier index),
+/// ids repeating so the join is many-to-many. No column name repeats one of
+/// the fact table's.
+fn dim_table(rows: &[(i32, i32, f64, usize)], seqbase: u32) -> DecomposedTable {
+    let mut b = TableBuilder::new("dim", seqbase)
+        .column("id", ColType::I32)
+        .column("rating", ColType::I32)
+        .column("bonus", ColType::F64)
+        .column("tier", ColType::Str);
+    for &(id, rating, bonus, tier) in rows {
+        b.push_row(&[
+            Value::I32(id),
+            Value::I32(rating),
+            Value::F64(bonus),
+            Value::from(MODES[tier]),
+        ])
+        .unwrap();
+    }
+    b.finish()
+}
+
 /// A bare keys table for the join oracle.
 fn key_table(keys: &[i32], seqbase: u32) -> DecomposedTable {
     let mut b = TableBuilder::new("keys", seqbase).column("k", ColType::I32);
@@ -54,42 +76,54 @@ proptest! {
     #[test]
     fn builder_pipeline_equals_hand_composed_operators(
         rows in fact_rows(200),
+        dims in prop::collection::vec(
+            (0i32..64, -50i32..50, 0u32..1000, 0usize..MODES.len())
+                .prop_map(|(id, r, b, t)| (id, r, b as f64 / 7.0, t)),
+            0..40,
+        ),
         bounds in (0u32..20, 0u32..20),
     ) {
         let (a, b) = bounds;
         let (lo, hi) = ((a.min(b)) as f64 / 100.0, (a.max(b)) as f64 / 100.0);
-        let table = fact_table(&rows, 500);
-
-        // Through the API: the executor composes and picks strategies.
-        let plan = Query::scan(&table)
-            .filter(Pred::range_f64("discnt", lo, hi))
-            .group_by("mode")
-            .agg(Agg::sum("value"))
-            .build()
-            .unwrap();
-        let executed = execute(&mut NullTracker, &plan, &ExecOptions::default()).unwrap();
-        let QueryOutput::Groups(got) = executed.output else { panic!("groups") };
-
-        // Hand-composed: the exact operator calls the old code wired up.
-        let cands =
-            range_select_f64(&mut NullTracker, table.bat("discnt").unwrap(), lo, hi).unwrap();
-        let gcodes =
-            fetch_str(&mut NullTracker, table.bat("mode").unwrap(), &cands).unwrap();
-        let gvals =
-            fetch_f64(&mut NullTracker, table.bat("value").unwrap(), &cands).unwrap();
-        let keys = Bat::with_void_head(0, Column::Str(gcodes));
-        let vals = Bat::with_void_head(0, Column::F64(gvals));
-        let grouped = hash_group_sum_f64(&mut NullTracker, &keys, &vals).unwrap();
-        let dict = &keys.tail().as_str_col().unwrap().dict;
-
-        prop_assert_eq!(got.len(), grouped.len());
-        for (row, (code, sum)) in got.iter().zip(&grouped) {
-            prop_assert_eq!(&row.key, dict.decode(*code));
-            let got_sum = match &row.values[0] {
-                AggValue::F64(v) => *v,
-                other => panic!("sum yields F64, got {other:?}"),
-            };
-            prop_assert!((got_sum - sum).abs() <= 1e-9 * sum.abs().max(1.0));
+        // Every aggregate at once, over columns of both sides when joined.
+        let fact_aggs =
+            [Agg::sum("value"), Agg::sum("key"), Agg::min("key"), Agg::max("key"), Agg::count()];
+        let dim_aggs = [Agg::sum("bonus"), Agg::sum("rating"), Agg::min("rating"), Agg::max("rating")];
+        let both_aggs = [&fact_aggs[..], &dim_aggs[..]].concat();
+        for seqbase in [0u32, 700] {
+            let table = fact_table(&rows, seqbase);
+            let dim = dim_table(&dims, seqbase / 2);
+            // {all rows, filtered, joined} × {scalar, grouped on either side}.
+            let streams = [
+                (Query::scan(&table), &fact_aggs[..], &[None, Some("mode")][..]),
+                (
+                    Query::scan(&table).filter(Pred::range_f64("discnt", lo, hi)),
+                    &fact_aggs[..],
+                    &[None, Some("mode")][..],
+                ),
+                (
+                    Query::scan(&table)
+                        .filter(Pred::range_f64("discnt", lo, hi))
+                        .join(&dim, ("key", "id")),
+                    &both_aggs[..],
+                    &[None, Some("mode"), Some("tier")][..],
+                ),
+            ];
+            for (stream, aggs, keys) in streams {
+                for &key in keys {
+                    let q = key.map_or(stream.clone(), |k| stream.clone().group_by(k));
+                    let plan = aggs.iter().fold(q, |q, agg| q.agg(agg.clone())).build().unwrap();
+                    let expect = reference::evaluate(&plan);
+                    for threads in [1usize, 2, 3, 7] {
+                        let opts = ExecOptions::default().with_threads(Threads::Fixed(threads));
+                        let got = execute(&mut NullTracker, &plan, &opts).unwrap().output;
+                        prop_assert!(
+                            got.bitwise_eq(&expect),
+                            "seqbase={seqbase} key={key:?} threads={threads}:\n{got:?}\nvs\n{expect:?}"
+                        );
+                    }
+                }
+            }
         }
     }
 
