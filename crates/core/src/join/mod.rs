@@ -44,6 +44,8 @@ pub use smjoin::{
     merge_join_sorted, merge_sort_by_tail, radix_sort_by_tail, sort_merge_join, sort_merge_join_cmp,
 };
 
+use memsim::{track_read_slice, track_write_slice, MemTracker, Work};
+
 use crate::storage::Oid;
 
 /// One 8-byte BUN: `\[OID, value\]`, the unit of all join experiments.
@@ -89,6 +91,171 @@ pub fn sort_pairs(mut pairs: Vec<OidPair>) -> Vec<OidPair> {
     pairs
 }
 
+/// Widest digit of [`canonicalize`]'s counting passes: 2^11 four-byte
+/// counters (8 KiB) stay L1-resident.
+const CANON_DIGIT_BITS: u32 = 11;
+
+/// Pairs the top-digit buckets of [`canonicalize`] hold on average, so the
+/// passes over a bucket's low bits run in cache.
+const CANON_BUCKET_LOG: u32 = 10;
+
+/// Pairs of padding between top-digit buckets (one 64-byte line). Dense
+/// lefts make every bucket the same power-of-two size, and unpadded, the
+/// scatter's write cursors would all fall into the same few cache sets.
+const CANON_PAD: usize = 8;
+
+/// Put a join index in canonical `(left, right)` order in linear time: for
+/// an index of distinct pairs (every join emits one) the result is
+/// [`sort_pairs`]'s, bit for bit.
+///
+/// Left OIDs are dense integers, so instead of a comparison sort this runs
+/// the paper's own radix-cluster over the join's output — the
+/// restore-OID-order step of Manegold, Boncz, Nes & Kersten, "Cache-Conscious
+/// Radix-Decluster Projections" (VLDB 2004):
+///
+/// 1. one compare pass returns an already strictly ascending index untouched
+///    (under a key–foreign-key join, simple hash, `B = 0` and the void
+///    positional join emit one);
+/// 2. otherwise stable counting passes over the significant bits of
+///    `left − min(left)`, in digits of ≤ 11 bits, order it by `left`: one
+///    scatter on the top digit into contiguous left ranges of ~2^10 pairs,
+///    then LSD passes over each range's low bits while it is cache-resident
+///    (an LSD pass over the whole index would end on a top-digit scatter,
+///    which on dense lefts is the slowest pass);
+/// 3. each run of equal `left` is then ordered by `right` — under a
+///    key–foreign-key join every such run has length 1.
+///
+/// Under an enabled tracker every pass is charged as sequential slice
+/// accesses: the compare pass as one read; each counting pass — the top
+/// digit's over the whole index, a low digit's per range — as a read for
+/// its histogram, a read of its source and a write of its destination,
+/// plus one [`Work::SortTuple`] per pair; the run pass, where it is not
+/// fused into the per-range passes, as one read; and each pair of a run it
+/// reorders one `SortTuple`.
+pub fn canonicalize<M: MemTracker>(trk: &mut M, pairs: Vec<OidPair>) -> Vec<OidPair> {
+    track_read_slice(trk, &pairs);
+    let Some(desc) = pairs.windows(2).position(|w| w[0] >= w[1]) else { return pairs };
+    // `pairs[..=desc]` ascends, so its ends bound its lefts.
+    let (lo, hi) = pairs[desc + 1..]
+        .iter()
+        .fold((pairs[0].left, pairs[desc].left), |(lo, hi), p| (lo.min(p.left), hi.max(p.left)));
+    sort_by_left(trk, pairs, lo, u32::BITS - (hi - lo).leading_zeros())
+}
+
+/// Order each run of equal `left` in `pairs` (sorted by `left`) by `right`.
+fn order_runs<M: MemTracker>(trk: &mut M, pairs: &mut [OidPair]) {
+    for run in pairs.chunk_by_mut(|a, b| a.left == b.left).filter(|run| run.len() > 1) {
+        run.sort_unstable_by_key(|p| p.right);
+        trk.work(Work::SortTuple, run.len() as u64);
+    }
+}
+
+/// One stable counting pass: `src` scattered into `dst` by `digit`,
+/// `dst[at[d]..]` receiving digit `d`'s pairs. `at` holds the starts on
+/// entry and the ends on return.
+fn scatter(
+    src: &[OidPair],
+    dst: &mut [OidPair],
+    digit: impl Fn(&OidPair) -> usize,
+    at: &mut [u32],
+) {
+    for p in src {
+        let d = digit(p);
+        dst[at[d] as usize] = *p;
+        at[d] += 1;
+    }
+}
+
+/// Where each digit's pairs of `src` start in a packed destination: digit
+/// counts as exclusive prefix sums into `at`, one slot per digit.
+fn offsets(src: &[OidPair], digit: impl Fn(&OidPair) -> usize, at: &mut [u32]) {
+    at.fill(0);
+    for p in src {
+        at[digit(p)] += 1;
+    }
+    let mut acc = 0;
+    for slot in at.iter_mut() {
+        let count = *slot;
+        *slot = acc;
+        acc += count;
+    }
+}
+
+/// Charge one counting pass from `src` into `dst` (see [`canonicalize`]).
+fn charge_pass<M: MemTracker>(trk: &mut M, src: &[OidPair], dst: &[OidPair]) {
+    if M::ENABLED {
+        track_read_slice(trk, src);
+        track_read_slice(trk, src);
+        track_write_slice(trk, dst);
+        trk.work(Work::SortTuple, src.len() as u64);
+    }
+}
+
+/// Steps 2 and 3 of [`canonicalize`] for lefts in `lo..` whose offsets from
+/// `lo` have `bits` significant bits (0 when all lefts are equal).
+fn sort_by_left<M: MemTracker>(
+    trk: &mut M,
+    pairs: Vec<OidPair>,
+    lo: Oid,
+    bits: u32,
+) -> Vec<OidPair> {
+    let n = pairs.len();
+    let key = |p: &OidPair| p.left - lo;
+    let top = bits.min(CANON_DIGIT_BITS).min(n.ilog2().saturating_sub(CANON_BUCKET_LOG).max(1));
+    let low = bits - top;
+    let pad = if low == 0 { 0 } else { CANON_PAD };
+
+    // The top digit: contiguous left ranges, bucket `d` written from
+    // `starts[d] + d · pad` on.
+    let top_digit = |p: &OidPair| (key(p) >> low) as usize;
+    let mut starts = vec![0u32; 1 << top];
+    offsets(&pairs, top_digit, &mut starts);
+    let mut at: Vec<u32> = starts.iter().enumerate().map(|(d, &s)| s + (d * pad) as u32).collect();
+    let mut out = vec![OidPair::new(0, 0); n + starts.len() * pad];
+    scatter(&pairs, &mut out, top_digit, &mut at);
+    charge_pass(trk, &pairs, &out[..n]);
+    if low == 0 {
+        track_read_slice(trk, &out[..n]);
+        out.truncate(n);
+        order_runs(trk, &mut out);
+        return out;
+    }
+
+    // Each bucket's low bits, while it is in cache: the first pass reads
+    // the padded bucket of `out` and writes the packed range of `scratch`,
+    // later ones alternate between the packed ranges of the two (a packed
+    // range never reaches a later bucket's padded one). Equal lefts share
+    // a bucket, so the run pass rides along.
+    let passes = low.div_ceil(CANON_DIGIT_BITS);
+    let width = low.div_ceil(passes);
+    let mask = (1u32 << width) - 1;
+    let mut scratch = pairs;
+    let mut counts = vec![0u32; 1 << width];
+    for (d, (&s, &e)) in starts.iter().zip(&at).enumerate() {
+        let padded = s as usize + d * pad..e as usize;
+        let range = s as usize..e as usize - d * pad;
+        for pass in 0..passes {
+            let digit = |p: &OidPair| ((key(p) >> (pass * width)) & mask) as usize;
+            let (src, dst) = match pass {
+                0 => (&out[padded.clone()], &mut scratch[range.clone()]),
+                _ if pass % 2 == 1 => (&scratch[range.clone()], &mut out[range.clone()]),
+                _ => (&out[range.clone()], &mut scratch[range.clone()]),
+            };
+            offsets(src, digit, &mut counts);
+            scatter(src, dst, digit, &mut counts);
+            charge_pass(trk, src, dst);
+        }
+        let sorted = if passes % 2 == 1 { &mut scratch[range] } else { &mut out[range] };
+        order_runs(trk, sorted);
+    }
+    if passes % 2 == 1 {
+        scratch
+    } else {
+        out.truncate(n);
+        out
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -111,5 +278,86 @@ mod tests {
         let p = vec![OidPair::new(2, 1), OidPair::new(1, 9), OidPair::new(1, 2)];
         let s = sort_pairs(p);
         assert_eq!(s, vec![OidPair::new(1, 2), OidPair::new(1, 9), OidPair::new(2, 1)]);
+    }
+
+    /// `canonicalize` must be `sort_pairs`, bit for bit.
+    fn assert_canonical(pairs: Vec<OidPair>) {
+        let expect = sort_pairs(pairs.clone());
+        assert_eq!(canonicalize(&mut memsim::NullTracker, pairs), expect);
+    }
+
+    /// Distinct pairs over `lefts`, in a scrambled order.
+    fn scrambled(lefts: impl IntoIterator<Item = Oid>) -> Vec<OidPair> {
+        let mut pairs: Vec<OidPair> =
+            lefts.into_iter().enumerate().map(|(i, l)| OidPair::new(l, i as Oid)).collect();
+        let n = pairs.len();
+        for i in 0..n {
+            pairs.swap(i, (i * 7919 + 13) % n);
+        }
+        pairs
+    }
+
+    #[test]
+    fn canonicalize_handles_empty_and_single_pairs() {
+        assert_canonical(vec![]);
+        assert_canonical(vec![OidPair::new(7, 3)]);
+    }
+
+    #[test]
+    fn canonicalize_matches_sort_pairs_on_ordered_shapes() {
+        let canonical: Vec<OidPair> = (0..5000).map(|i| OidPair::new(i / 3, i)).collect();
+        assert_canonical(canonical.clone());
+        assert_canonical(canonical.into_iter().rev().collect());
+        // One left: no radix digit at all, only the run pass.
+        assert_canonical((0..3000).map(|i| OidPair::new(42, i * 31 % 3000)).collect());
+        // One left with many rights, descending.
+        assert_canonical((0..3000).rev().map(|r| OidPair::new(9, r)).collect());
+        // Two lefts, many pairs: the top digit is every bit, and the run
+        // pass runs on its own.
+        assert_canonical((0..3000).rev().map(|r| OidPair::new(5 + r % 2, r)).collect());
+    }
+
+    #[test]
+    fn canonicalize_spans_the_whole_oid_range() {
+        // A 32-bit left span: a one-bit top digit at shift 31, then three
+        // low digits at shifts 0, 11 and 22 — no shift overflows.
+        let k = 5;
+        let lefts = (0..=k).map(|i| u32::MAX - i).chain([0, 1, 1 << 31, 0]);
+        assert_canonical(scrambled(lefts));
+    }
+
+    #[test]
+    fn canonicalize_is_exact_at_digit_boundaries() {
+        // One low pass for the 2^11 spans, two for the 2^22 ones.
+        for span in [(1 << 11) - 1, 1 << 11, (1 << 11) + 1, (1 << 22) - 1, 1 << 22, (1 << 22) + 1] {
+            // Spread 4000 lefts (with repeats) over [100, 100 + span].
+            let lefts = (0..4000u64).map(|i| 100 + (i * 2_654_435_761 % (span as u64 + 1)) as Oid);
+            let mut pairs = scrambled(lefts.chain([100, 100 + span]));
+            assert_canonical(pairs.clone());
+            pairs.reverse();
+            assert_canonical(pairs);
+        }
+    }
+
+    #[test]
+    fn an_already_canonical_index_is_charged_one_read_pass() {
+        let mut trk = memsim::SimTracker::for_machine(memsim::profiles::origin2000());
+        let pairs: Vec<OidPair> = (0..10_000).map(|i| OidPair::new(i, 2 * i)).collect();
+        assert_eq!(canonicalize(&mut trk, pairs.clone()), pairs);
+        let c = trk.counters();
+        assert_eq!((c.reads, c.writes), (1, 0), "one sequential read");
+        assert_eq!(c.cpu_ns, 0.0, "and no SortTuple");
+
+        // Out of order, a 14-bit span: the compare pass, a 3-bit top-digit
+        // pass (histogram read, read, write), then one 11-bit pass over
+        // each bucket of 2^11 lefts, the five non-empty ones charged the
+        // same way. No run.
+        let mut trk = memsim::SimTracker::for_machine(memsim::profiles::origin2000());
+        let reversed: Vec<OidPair> = pairs.iter().rev().copied().collect();
+        assert_eq!(canonicalize(&mut trk, reversed), pairs);
+        let c = trk.counters();
+        assert_eq!((c.reads, c.writes), (1 + 2 + 5 * 2, 1 + 5));
+        let sort_ns = memsim::profiles::origin2000().work.sort_tuple_ns;
+        assert_eq!(c.cpu_ns, 2.0 * 10_000.0 * sort_ns, "two SortTuple per pair");
     }
 }

@@ -281,6 +281,17 @@ pub fn gather<M: MemTracker, T: Copy>(
     seqbase: Oid,
     cands: &[Oid],
 ) -> Vec<T> {
+    gather_with(trk, data, seqbase, cands, |_, v| v)
+}
+
+/// [`gather`], emitting `f(oid, value)` per candidate — charged the same.
+pub(crate) fn gather_with<M: MemTracker, T: Copy, U>(
+    trk: &mut M,
+    data: &[T],
+    seqbase: Oid,
+    cands: &[Oid],
+    f: impl Fn(Oid, T) -> U,
+) -> Vec<U> {
     if M::ENABLED {
         trk.work(Work::ScanIter, cands.len() as u64);
     }
@@ -289,7 +300,7 @@ pub fn gather<M: MemTracker, T: Copy>(
         .map(|&oid| {
             let v = &data[(oid - seqbase) as usize];
             track_read(trk, v);
-            *v
+            f(oid, *v)
         })
         .collect()
 }

@@ -41,9 +41,9 @@
 //! share, against a per-thread fork overhead) — just like the join algorithm
 //! and radix bits. Results are **bit-identical** to sequential execution at
 //! every thread count: selections and gathers merge chunk results
-//! thread-major, the radix join kernels reproduce the sequential scatter and
-//! cluster-pair order, and `f64` aggregate accumulation preserves the
-//! sequential per-group addition order (see
+//! thread-major, every join index is put in canonical `(left, right)` order
+//! by [`monet_core::join::canonicalize`], and `f64` aggregate accumulation
+//! preserves the sequential per-group addition order (see
 //! [`crate::aggregate`]). Simulated runs
 //! (`SimTracker`) are pinned to one thread: threading a single shared
 //! simulated memory hierarchy would serialize on the simulator and model a
@@ -59,7 +59,7 @@ use costmodel::scan::scan_cost;
 use costmodel::ModelMachine;
 use costmodel::ModelParams;
 use memsim::{EventCounters, MachineConfig, MemTracker};
-use monet_core::join::OidPair;
+use monet_core::join::{canonicalize, OidPair};
 use monet_core::storage::{Bat, Column, DecomposedTable, Oid};
 use monet_core::strategy::{heuristic_plan, JoinPlan};
 
@@ -69,9 +69,8 @@ use crate::access::{
 };
 use crate::aggregate::{fold, Acc, Folded, Input, Rows, Side, Sink};
 use crate::candidates::intersect;
-use crate::join::{join_bats_with_plan, par_join_bats_with_plan_sharded};
+use crate::join::{join_operands, Operand};
 use crate::plan::{Agg, LogicalPlan, PlanNode};
-use crate::reconstruct::reconstruct;
 use crate::select::CandList;
 use crate::shared::ScanTicket;
 use crate::EngineError;
@@ -659,32 +658,32 @@ fn exec_node<'a, M: MemTracker>(
                 return Err(EngineError::Plan(crate::plan::PlanError::Unsupported("nested joins")));
             };
             let before = trk.counters_snapshot();
-            let lbat = key_bat(trk, lt, left_col, &lc)?;
-            let rbat = key_bat(trk, rt, right_col, &rc)?;
+            let left = (lt.bat(left_col)?, lc.as_deref());
+            let right = (rt.bat(right_col)?, rc.as_deref());
 
             // The physical decision: the executor, not the caller, asks the
             // planner which algorithm/bits to use for this inner cardinality
             // — and the parallel model how many threads are worth forking.
-            let inner = rbat.as_bat().len();
-            let outer = lbat.as_bat().len();
+            let rows = |(bat, cands): Operand<'_>| cands.map_or(bat.len(), <[Oid]>::len);
+            let (outer, inner) = (rows(left), rows(right));
             let (jplan, predicted, seq_ns) = choose_join(opts, outer, inner);
             let (threads, speedup) = if algorithm_parallelizes(jplan.algorithm) {
                 op_threads::<M>(opts, seq_ns, outer + inner)
             } else {
                 (1, None)
             };
-            let (mut pairs, join_shards) = if threads > 1 {
-                par_join_bats_with_plan_sharded(lbat.as_bat(), rbat.as_bat(), &jplan, threads)?
-            } else {
-                (join_bats_with_plan(trk, lbat.as_bat(), rbat.as_bat(), &jplan)?, None)
-            };
+            let (pairs, join_shards) = join_operands(trk, left, right, &jplan, threads)?;
+            // The candidate lists are spent: free them before the canonical
+            // pass takes its scratch copy of the index.
+            drop((lc, rc));
             // Canonical output order: every join algorithm (and thread
             // count) emits the same pair set, but in its own cluster order.
-            // Sorting by (left, right) makes the join index — and every
+            // Counting passes over the left OIDs restore (left, right) order
+            // in linear time, which makes the join index — and every
             // downstream f64 accumulation order — independent of the
-            // physical plan, which is what lets co-partitioned shard joins
+            // physical plan, and is what lets co-partitioned shard joins
             // merge bit-identically (see `crate::dist`).
-            pairs.sort_unstable_by_key(|p| (p.left, p.right));
+            let pairs = canonicalize(trk, pairs);
 
             report.ops.push(OpReport {
                 op: format!("join[{left_col} = {right_col}]"),
@@ -839,41 +838,6 @@ fn join_detail(planner: Planner, plan: &JoinPlan, predicted: Option<f64>) -> Str
         s.push_str(&format!(", predicted {ms:.2} ms"));
     }
     s
-}
-
-/// A borrowed or freshly materialized BAT.
-enum BatCow<'b> {
-    Borrowed(&'b Bat),
-    Owned(Bat),
-}
-
-impl BatCow<'_> {
-    fn as_bat(&self) -> &Bat {
-        match self {
-            BatCow::Borrowed(b) => b,
-            BatCow::Owned(b) => b,
-        }
-    }
-}
-
-/// The join-key column of `table`, restricted to `cands` when present. The
-/// restricted BAT keeps the original OIDs as a materialized head, so the
-/// join index stays in table-OID space.
-fn key_bat<'b, M: MemTracker>(
-    trk: &mut M,
-    table: &'b DecomposedTable,
-    col: &str,
-    cands: &Option<Vec<Oid>>,
-) -> Result<BatCow<'b>, EngineError> {
-    let bat = table.bat(col)?;
-    match cands {
-        None => Ok(BatCow::Borrowed(bat)),
-        // reconstruct keeps the original OIDs as a materialized head, so the
-        // join index stays in table-OID space; a non-joinable tail type is
-        // caught by the join kernel dispatch (builder-validated plans never
-        // reach it).
-        Some(cands) => Ok(BatCow::Owned(reconstruct(trk, bat, cands)?)),
-    }
 }
 
 /// The column `col` of a stream over `left` (joined to `right`, if any) and
@@ -1116,13 +1080,21 @@ mod tests {
         }
         let dim = b.finish();
 
-        let r = run(Query::scan(&t).join(&dim, ("qty", "q")));
-        let QueryOutput::JoinIndex(mut pairs) = r.output else { panic!("join index") };
-        pairs.sort_by_key(|p| (p.left, p.right));
-        assert_eq!(pairs.len(), 3);
-        assert_eq!((pairs[0].left, pairs[0].right), (100, 50));
-        assert_eq!((pairs[1].left, pairs[1].right), (101, 51));
-        assert_eq!((pairs[2].left, pairs[2].right), (104, 52));
+        // The index comes back canonical as returned — strictly ascending
+        // in (left, right), what `dist::merge` relies on — at every
+        // thread count.
+        let plan = Query::scan(&t).join(&dim, ("qty", "q")).build().unwrap();
+        for threads in [1, 2, 4] {
+            let opts = ExecOptions::default().with_threads(Threads::Fixed(threads));
+            let r = execute(&mut NullTracker, &plan, &opts).unwrap();
+            let QueryOutput::JoinIndex(pairs) = r.output else { panic!("join index") };
+            assert!(pairs.windows(2).all(|w| w[0] < w[1]), "threads={threads}: {pairs:?}");
+            assert_eq!(
+                pairs,
+                [OidPair::new(100, 50), OidPair::new(101, 51), OidPair::new(104, 52)],
+                "threads={threads}"
+            );
+        }
 
         // Grouping a join result on a left-side key.
         let r = run(Query::scan(&t)

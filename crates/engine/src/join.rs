@@ -4,12 +4,19 @@
 //! picks (or accepts) a [`JoinPlan`], and returns the join index. Includes
 //! the §3.1 void fast path: joining an OID tail against a void head is pure
 //! positional lookup — no clustering, no hashing, no per-tuple search.
+//!
+//! The BAT entry points ([`join_bats_with_plan`],
+//! [`par_join_bats_with_plan_sharded`]) and the executor's
+//! candidate-restricted key columns share one dispatch: a restricted key
+//! column is gathered straight into `Bun`s, with no sub-BAT in between.
 
 use memsim::{track_read, MemTracker, Work};
 use monet_core::join::{self as kernels, Bun, FibHash, OidPair};
-use monet_core::storage::{Bat, Column, Head};
+use monet_core::storage::{Bat, Column, Head, Oid, StorageError};
 use monet_core::strategy::{heuristic_plan, Algorithm, JoinPlan};
 
+use crate::aggregate::gather_with;
+use crate::reconstruct::reconstruct;
 use crate::EngineError;
 
 /// A join result: the `\[OID, OID\]` join index of \[Val87\].
@@ -24,6 +31,24 @@ pub fn buns_of(bat: &Bat) -> Result<Vec<Bun>, EngineError> {
     match bat.tail() {
         Column::I32(v) => Ok((0..n).map(|i| Bun::new(bat.head_oid(i), v[i] as u32)).collect()),
         Column::Oid(v) => Ok((0..n).map(|i| Bun::new(bat.head_oid(i), v[i])).collect()),
+        other => Err(EngineError::UnsupportedType { op: "join", ty: other.value_type() }),
+    }
+}
+
+/// [`buns_of`] the [`reconstruct`]ed rows of `bat` at `cands`, without the
+/// sub-BAT: each `Bun` is `(cands[i], col[cands[i] − seqbase])`, charged as
+/// exactly the gather `reconstruct` makes.
+fn gather_buns<M: MemTracker>(
+    trk: &mut M,
+    bat: &Bat,
+    cands: &[Oid],
+) -> Result<Vec<Bun>, EngineError> {
+    let Head::Void { seqbase } = *bat.head() else {
+        return Err(EngineError::Storage(StorageError::NonVoidHead));
+    };
+    match bat.tail() {
+        Column::I32(v) => Ok(gather_with(trk, v, seqbase, cands, |oid, k| Bun::new(oid, k as u32))),
+        Column::Oid(v) => Ok(gather_with(trk, v, seqbase, cands, Bun::new)),
         other => Err(EngineError::UnsupportedType { op: "join", ty: other.value_type() }),
     }
 }
@@ -65,22 +90,7 @@ pub fn join_bats_with_plan<M: MemTracker>(
     right: &Bat,
     plan: &JoinPlan,
 ) -> Result<JoinIndex, EngineError> {
-    // Void fast path first: an OID tail meeting a void head needs no
-    // algorithm at all.
-    if right.head_is_void() && matches!(left.tail(), Column::Oid(_)) {
-        return void_positional_join(trk, left, right);
-    }
-    let l = buns_of(left)?;
-    let r = buns_of(right)?;
-    let h = FibHash;
-    Ok(match plan.algorithm {
-        Algorithm::PartitionedHash => {
-            kernels::partitioned_hash_join(trk, h, l, r, plan.bits, &plan.pass_bits)
-        }
-        Algorithm::Radix => kernels::radix_join(trk, h, l, r, plan.bits, &plan.pass_bits),
-        Algorithm::SimpleHash => kernels::simple_hash_join(trk, h, &l, &r),
-        Algorithm::SortMerge => kernels::sort_merge_join(trk, l, r),
-    })
+    Ok(join_operands(trk, (left, None), (right, None), plan, 1)?.0)
 }
 
 /// Execute `left ⋈ right` with an explicit plan on `threads` threads —
@@ -110,16 +120,73 @@ pub fn par_join_bats_with_plan_sharded(
     plan: &JoinPlan,
     threads: usize,
 ) -> Result<(JoinIndex, Option<Vec<usize>>), EngineError> {
-    if threads <= 1 {
-        return Ok((join_bats_with_plan(&mut memsim::NullTracker, left, right, plan)?, None));
+    join_operands(&mut memsim::NullTracker, (left, None), (right, None), plan, threads)
+}
+
+/// One side of a join: a key column, restricted to the candidate OIDs (of
+/// its void head) when given.
+pub(crate) type Operand<'a> = (&'a Bat, Option<&'a [Oid]>);
+
+/// The one join dispatch, beneath the BAT entry points and the executor:
+/// `left ⋈ right` over the operands' rows on `threads` threads, with the
+/// per-worker counts of [`par_join_bats_with_plan_sharded`]. A restricted
+/// operand is gathered straight into `Bun`s — the pairs, their order and
+/// the simulated charge of joining its [`reconstruct`]ed sub-BAT.
+pub(crate) fn join_operands<M: MemTracker>(
+    trk: &mut M,
+    left: Operand<'_>,
+    right: Operand<'_>,
+    plan: &JoinPlan,
+    threads: usize,
+) -> Result<(JoinIndex, Option<Vec<usize>>), EngineError> {
+    let ((lbat, lcands), (rbat, rcands)) = (left, right);
+    if rcands.is_none() && rbat.head_is_void() && matches!(lbat.tail(), Column::Oid(_)) {
+        // An OID tail meeting a void head needs no algorithm at all. The
+        // positional path reads the left OIDs where they lie: the column,
+        // or the sub-BAT of a restricted left side.
+        let pairs = match lcands {
+            None => void_positional_join(trk, lbat, rbat)?,
+            Some(cands) => {
+                let sub = reconstruct(trk, lbat, cands)?;
+                void_positional_join(trk, &sub, rbat)?
+            }
+        };
+        return Ok((pairs, None));
     }
-    if right.head_is_void() && matches!(left.tail(), Column::Oid(_)) {
-        return Ok((void_positional_join(&mut memsim::NullTracker, left, right)?, None));
-    }
-    let l = buns_of(left)?;
-    let r = buns_of(right)?;
+    let mut buns = |(bat, cands): Operand<'_>| match cands {
+        None => buns_of(bat),
+        Some(cands) => gather_buns(trk, bat, cands),
+    };
+    let (l, r) = (buns(left)?, buns(right)?);
+    Ok(if threads > 1 {
+        par_join_buns(l, r, plan, threads)
+    } else {
+        (join_buns(trk, l, r, plan), None)
+    })
+}
+
+/// The sequential kernel `plan` names.
+fn join_buns<M: MemTracker>(trk: &mut M, l: Vec<Bun>, r: Vec<Bun>, plan: &JoinPlan) -> JoinIndex {
     let h = FibHash;
-    Ok(match plan.algorithm {
+    match plan.algorithm {
+        Algorithm::PartitionedHash => {
+            kernels::partitioned_hash_join(trk, h, l, r, plan.bits, &plan.pass_bits)
+        }
+        Algorithm::Radix => kernels::radix_join(trk, h, l, r, plan.bits, &plan.pass_bits),
+        Algorithm::SimpleHash => kernels::simple_hash_join(trk, h, &l, &r),
+        Algorithm::SortMerge => kernels::sort_merge_join(trk, l, r),
+    }
+}
+
+/// The parallel kernel `plan` names, on `threads > 1` threads.
+fn par_join_buns(
+    l: Vec<Bun>,
+    r: Vec<Bun>,
+    plan: &JoinPlan,
+    threads: usize,
+) -> (JoinIndex, Option<Vec<usize>>) {
+    let h = FibHash;
+    match plan.algorithm {
         Algorithm::PartitionedHash => {
             let (pairs, shards) = kernels::par_partitioned_hash_join_sharded(
                 h,
@@ -140,7 +207,7 @@ pub fn par_join_bats_with_plan_sharded(
             (kernels::simple_hash_join(&mut memsim::NullTracker, h, &l, &r), None)
         }
         Algorithm::SortMerge => (kernels::sort_merge_join(&mut memsim::NullTracker, l, r), None),
-    })
+    }
 }
 
 /// Execute `left ⋈ right`, picking a plan with the cache heuristics of
@@ -243,6 +310,66 @@ mod tests {
         let seq = void_positional_join(&mut NullTracker, &lv, &r).unwrap();
         let plan = mk(Algorithm::PartitionedHash, 2);
         assert_eq!(par_join_bats_with_plan(&lv, &r, &plan, 4).unwrap(), seq);
+    }
+
+    #[test]
+    fn restricted_operands_join_like_their_reconstructed_sub_bats() {
+        // The fused gather must give the pairs, in the order, and the
+        // simulated reads, writes and work of reconstruct-then-join.
+        let l = bat_i32(100, (0..3000).map(|i| i % 700).collect());
+        let r = bat_i32(9000, (0..1000).map(|i| i % 900).collect());
+        let lc: Vec<Oid> = (100..3100).filter(|o| o % 3 != 0).collect();
+        let rc: Vec<Oid> = (9000..10_000).step_by(2).collect();
+        let mk = |algorithm, bits: u32| JoinPlan {
+            algorithm,
+            bits,
+            pass_bits: if bits == 0 { vec![] } else { vec![bits] },
+        };
+        let sim = || memsim::SimTracker::for_machine(profiles::origin2000());
+        for plan in [
+            mk(Algorithm::PartitionedHash, 4),
+            mk(Algorithm::Radix, 5),
+            mk(Algorithm::SimpleHash, 0),
+            mk(Algorithm::SortMerge, 0),
+        ] {
+            for (lcands, rcands) in
+                [(None, Some(&rc[..])), (Some(&lc[..]), None), (Some(&lc[..]), Some(&rc[..]))]
+            {
+                let mut old = sim();
+                let side = |trk: &mut memsim::SimTracker, bat: &Bat, cands: Option<&[Oid]>| {
+                    cands.map_or_else(|| bat.clone(), |c| reconstruct(trk, bat, c).unwrap())
+                };
+                let (lb, rb) = (side(&mut old, &l, lcands), side(&mut old, &r, rcands));
+                let expect = join_bats_with_plan(&mut old, &lb, &rb, &plan).unwrap();
+
+                let mut new = sim();
+                let (got, _) =
+                    join_operands(&mut new, (&l, lcands), (&r, rcands), &plan, 1).unwrap();
+                assert_eq!(got, expect, "{plan:?}");
+                let (o, n) = (old.counters(), new.counters());
+                assert_eq!(
+                    (n.reads, n.writes, n.cpu_ns),
+                    (o.reads, o.writes, o.cpu_ns),
+                    "{plan:?}"
+                );
+                for threads in [2, 3] {
+                    let (par, _) =
+                        join_operands(&mut NullTracker, (&l, lcands), (&r, rcands), &plan, threads)
+                            .unwrap();
+                    assert_eq!(par, expect, "{plan:?} threads={threads}");
+                }
+            }
+        }
+        // A restricted left OID column still takes the positional path.
+        let lv = Bat::with_void_head(0, Column::Oid(vec![9003, 9001, 12_000, 9002]));
+        let got = join_operands(
+            &mut NullTracker,
+            (&lv, Some(&[3, 0, 2])),
+            (&r, None),
+            &mk(Algorithm::Radix, 5),
+            1,
+        );
+        assert_eq!(got.unwrap(), (vec![OidPair::new(3, 9002), OidPair::new(0, 9003)], None));
     }
 
     #[test]

@@ -4,10 +4,13 @@
 use proptest::prelude::*;
 
 use monet_mem::core::join::{
-    cluster_bounds_from_data, nested_loop_join, partitioned_hash_join, radix_cluster, radix_join,
-    simple_hash_join, sort_merge_join, sort_pairs, Bun, FibHash, IdentityHash, MurmurHash,
+    canonicalize, cluster_bounds_from_data, nested_loop_join, partitioned_hash_join, radix_cluster,
+    radix_join, simple_hash_join, sort_merge_join, sort_pairs, Bun, FibHash, IdentityHash,
+    MurmurHash,
 };
-use monet_mem::core::strategy::plan_passes;
+use monet_mem::core::storage::{Bat, Column};
+use monet_mem::core::strategy::{plan_passes, Algorithm, JoinPlan};
+use monet_mem::engine::join::par_join_bats_with_plan;
 use monet_mem::memsim::NullTracker;
 
 /// Tuples with deliberately collision-heavy keys (range 0..64) so duplicate
@@ -44,6 +47,36 @@ proptest! {
 
         let sm = sort_pairs(sort_merge_join(&mut NullTracker, l.clone(), r.clone()));
         prop_assert_eq!(&sm, &oracle);
+    }
+
+    #[test]
+    fn canonicalize_equals_sort_pairs_on_every_join_output(
+        l in prop::collection::vec(0i32..16, 0..120),
+        r in prop::collection::vec(0i32..16, 0..60),
+        lbase in 0u32..1_000_000,
+    ) {
+        // Duplicate-heavy keys: every left meets several rights, so the
+        // equal-left runs the radix pass leaves behind need their own order.
+        let (lb, rb) = (Bat::with_void_head(lbase, Column::I32(l)), Bat::with_void_head(7, Column::I32(r)));
+        for algorithm in [
+            Algorithm::PartitionedHash,
+            Algorithm::Radix,
+            Algorithm::SimpleHash,
+            Algorithm::SortMerge,
+        ] {
+            for bits in [0u32, 1, 4, 8] {
+                let pass_bits = if bits == 0 { vec![] } else { plan_passes(bits, 64) };
+                let plan = JoinPlan { algorithm, bits, pass_bits };
+                for threads in [1usize, 2, 3, 7] {
+                    let out = par_join_bats_with_plan(&lb, &rb, &plan, threads).unwrap();
+                    prop_assert_eq!(
+                        canonicalize(&mut NullTracker, out.clone()),
+                        sort_pairs(out),
+                        "{:?} threads={}", plan, threads
+                    );
+                }
+            }
+        }
     }
 
     #[test]
