@@ -6,10 +6,8 @@
 use costmodel::plan::{best_plan, plan_cost};
 use costmodel::{ModelMachine, ModelParams};
 use memsim::SimTracker;
-use monet_core::join::{
-    partitioned_hash_join, radix_join, simple_hash_join, sort_merge_join, FibHash,
-};
-use monet_core::strategy::{Algorithm, Strategy};
+use monet_core::join::{join, FibHash};
+use monet_core::strategy::Strategy;
 use workload::join_pair;
 
 use crate::report::{fmt_card, fmt_ms, TextTable};
@@ -24,21 +22,7 @@ fn measure(
 ) -> f64 {
     let plan = s.plan(r.len(), &machine);
     let mut trk = SimTracker::for_machine(machine);
-    let pairs = match plan.algorithm {
-        Algorithm::PartitionedHash => partitioned_hash_join(
-            &mut trk,
-            FibHash,
-            l.to_vec(),
-            r.to_vec(),
-            plan.bits,
-            &plan.pass_bits,
-        ),
-        Algorithm::Radix => {
-            radix_join(&mut trk, FibHash, l.to_vec(), r.to_vec(), plan.bits, &plan.pass_bits)
-        }
-        Algorithm::SimpleHash => simple_hash_join(&mut trk, FibHash, l, r),
-        Algorithm::SortMerge => sort_merge_join(&mut trk, l.to_vec(), r.to_vec()),
-    };
+    let (pairs, _) = join(&mut trk, FibHash, l.to_vec(), r.to_vec(), &plan, 1);
     assert_eq!(pairs.len(), l.len(), "hit rate 1");
     trk.counters().elapsed_ms()
 }
@@ -80,21 +64,7 @@ pub fn run(opts: &RunOpts) {
         let (plan, mc) = best_plan(&model, &machine, c);
         let (l, r) = &pairs[i];
         let mut trk = SimTracker::for_machine(machine);
-        let got = match plan.algorithm {
-            Algorithm::PartitionedHash => partitioned_hash_join(
-                &mut trk,
-                FibHash,
-                l.clone(),
-                r.clone(),
-                plan.bits,
-                &plan.pass_bits,
-            ),
-            Algorithm::Radix => {
-                radix_join(&mut trk, FibHash, l.clone(), r.clone(), plan.bits, &plan.pass_bits)
-            }
-            Algorithm::SimpleHash => simple_hash_join(&mut trk, FibHash, l, r),
-            Algorithm::SortMerge => sort_merge_join(&mut trk, l.clone(), r.clone()),
-        };
+        let (got, _) = join(&mut trk, FibHash, l.clone(), r.clone(), &plan, 1);
         assert_eq!(got.len(), c);
         row.push(fmt_ms(trk.counters().elapsed_ms()));
         row.push(fmt_ms(mc.total_ms()));

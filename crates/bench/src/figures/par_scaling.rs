@@ -12,9 +12,7 @@ use std::time::Instant;
 
 use costmodel::parallel::{plan_join_parallel, ParallelModel};
 use memsim::NullTracker;
-use monet_core::join::{par_partitioned_hash_join, par_radix_join, partitioned_hash_join};
-use monet_core::join::{radix_join, FibHash};
-use monet_core::strategy::Algorithm;
+use monet_core::join::{join, FibHash};
 use workload::join_pair;
 
 use crate::report::{fmt_card, fmt_ms, TextTable};
@@ -43,41 +41,13 @@ pub fn run(opts: &RunOpts) {
 
         let (l, r) = join_pair(c, opts.seed);
         // Sequential reference (also the bit-identity oracle).
-        let reference = match plan.algorithm {
-            Algorithm::Radix => radix_join(
-                &mut NullTracker,
-                FibHash,
-                l.clone(),
-                r.clone(),
-                plan.bits,
-                &plan.pass_bits,
-            ),
-            _ => partitioned_hash_join(
-                &mut NullTracker,
-                FibHash,
-                l.clone(),
-                r.clone(),
-                plan.bits,
-                &plan.pass_bits,
-            ),
-        };
+        let run = |threads| join(&mut NullTracker, FibHash, l.clone(), r.clone(), &plan, threads).0;
+        let reference = run(1);
 
         let mut base_ms = 0.0;
         for &n in &THREADS {
             let start = Instant::now();
-            let pairs = match plan.algorithm {
-                Algorithm::Radix => {
-                    par_radix_join(FibHash, l.clone(), r.clone(), plan.bits, &plan.pass_bits, n)
-                }
-                _ => par_partitioned_hash_join(
-                    FibHash,
-                    l.clone(),
-                    r.clone(),
-                    plan.bits,
-                    &plan.pass_bits,
-                    n,
-                ),
-            };
+            let pairs = run(n);
             let ms = start.elapsed().as_secs_f64() * 1e3;
             assert_eq!(pairs, reference, "C={c} threads={n}: parallel output must be identical");
             if n == 1 {

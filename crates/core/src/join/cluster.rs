@@ -1,16 +1,24 @@
 //! The multi-pass radix-cluster algorithm (§3.3.1, Figure 6).
 //!
-//! `radix_cluster` splits a relation into `H = 2^B` clusters on the lower
+//! [`cluster`] splits a relation into `H = 2^B` clusters on the lower
 //! `B` bits of the key hash, in `P` passes of `B_p` bits each
 //! (`Σ B_p = B`), starting with the leftmost bits of the radix window. The
 //! point (§3.4.2): each pass concurrently fills only `H_p = 2^{B_p}`
 //! cluster buffers, so keeping `H_p` below the number of TLB entries (and
 //! cache lines) avoids the miss explosion that a straightforward one-pass
-//! cluster ([`straightforward_cluster`], Figure 5) suffers for large `H`.
+//! cluster (`pass_bits = [B]`, Figure 5) suffers for large `H`.
 //!
 //! Each pass runs the textbook two-phase histogram/scatter: count cluster
 //! sizes, prefix-sum into start offsets, then scatter tuples. Both phases
 //! read the input sequentially; the scatter writes `H_p` sequential streams.
+//!
+//! **Threads.** Pass 1 splits the input into one chunk per thread and lays
+//! the chunks out thread-major inside every cluster (thread 0's tuples
+//! precede thread 1's), which is the sequential stable order; later passes
+//! give each worker a contiguous block of source clusters. Either way each
+//! worker owns disjoint rows of the pass's one histogram and disjoint
+//! destination slots, so the output is bit-identical at every thread count.
+//! One thread is one chunk and one block: the sequential loop itself.
 //!
 //! The output is radix-*ordered*: cluster `r` occupies
 //! `bounds[r]..bounds[r+1]` and all its tuples share radix value `r`. The
@@ -18,10 +26,12 @@
 //! without any extra boundary structure ([`cluster_bounds_from_data`]
 //! demonstrates that the bounds are recomputable from the data alone).
 
+use std::ops::Range;
+
 use memsim::{MemTracker, Work};
 
 use super::hash::{radix_of, KeyHash};
-use super::Bun;
+use super::{fan_out, Bun};
 
 /// A radix-clustered relation: the permuted tuples plus cluster boundaries.
 #[derive(Debug, Clone, PartialEq)]
@@ -90,16 +100,100 @@ fn check_passes(bits: u32, pass_bits: &[u32]) {
     assert_eq!(total, bits, "pass bits {pass_bits:?} must sum to B = {bits}");
 }
 
-/// Multi-pass radix-cluster. See module docs.
+/// Multi-pass radix-cluster on `threads` threads. See module docs.
 ///
 /// `pass_bits[p]` is `B_p`; use [`crate::strategy::plan_passes`] for the
 /// paper's TLB-limited even split. With `pass_bits = [bits]` this *is* the
-/// straightforward algorithm of Figure 5.
+/// straightforward algorithm of Figure 5. Every worker gets at least two
+/// tuples, and an enabled tracker always runs on one thread.
 ///
 /// # Panics
-/// Panics if the pass layout is inconsistent (passes must be non-zero and
-/// sum to `bits`) or if
-/// `bits > 28` (guarding the `2^B + 1` bounds allocation).
+/// Panics, at every thread count, if the pass layout is inconsistent
+/// (passes must be non-zero and sum to `bits`), if `bits > 28` (guarding
+/// the `2^B + 1` bounds allocation) or if the input exceeds `u32`
+/// positions.
+pub fn cluster<M: MemTracker, H: KeyHash>(
+    trk: &mut M,
+    h: H,
+    input: Vec<Bun>,
+    bits: u32,
+    pass_bits: &[u32],
+    threads: usize,
+) -> ClusteredRel {
+    check_passes(bits, pass_bits);
+    assert!(bits <= 28, "B = {bits} would allocate 2^{bits} cluster bounds");
+    let n = input.len();
+    assert!(n <= u32::MAX as usize, "cardinality exceeds u32 positions");
+    let threads = if M::ENABLED { 1 } else { threads.min(n / 2).max(1) };
+    let mut src = input;
+    let mut bounds: Vec<u32> = vec![0, n as u32];
+    if bits == 0 {
+        return ClusteredRel { data: src, bits, bounds };
+    }
+
+    let mut dst = vec![Bun::default(); n];
+    let mut remaining = bits;
+    for &bp in pass_bits {
+        remaining -= bp;
+        let hp = 1usize << bp;
+        // One histogram row per source range: pass 1 cuts its one source
+        // cluster into a chunk per thread, later passes take whole clusters.
+        let rows: Vec<Range<usize>> = if bounds.len() == 2 {
+            let chunk = n.div_ceil(threads);
+            (0..threads).map(|t| (t * chunk).min(n)..((t + 1) * chunk).min(n)).collect()
+        } else {
+            bounds.windows(2).map(|w| w[0] as usize..w[1] as usize).collect()
+        };
+        let per_cluster = rows.len() / (bounds.len() - 1);
+        // Pass 1's chunk rows are counted and scattered by different workers
+        // at once, tuple by tuple: 128 bytes of padding around each keeps
+        // every worker off the cache lines of the others, and of whatever
+        // the allocator placed next to the histogram.
+        let pad = if per_cluster > 1 { 32 } else { 0 };
+        let pass = Pass { h, shift: remaining, hp, stride: hp + pad };
+        let block = rows.len().div_ceil(threads);
+        let mut hist = vec![0u32; pad + rows.len() * pass.stride];
+        let hist = &mut hist[pad..];
+
+        // Phase 1: per-row histograms over this pass's bits.
+        let parts = rows.chunks(block).zip(hist.chunks_mut(block * pass.stride)).collect();
+        fan_out(trk, parts, |trk, (rows, hist)| pass.count(trk, &src, rows, hist));
+
+        // Prefix sums turn the counts into absolute start offsets, rows of
+        // one source cluster thread-major within each of its sub-clusters,
+        // and give the boundaries of the clustering this pass produces.
+        let mut new_bounds = Vec::with_capacity((bounds.len() - 1) * hp + 1);
+        let mut acc = 0u32;
+        for cl in hist.chunks_mut(per_cluster * pass.stride) {
+            for k in 0..hp {
+                new_bounds.push(acc);
+                for row in cl.chunks_mut(pass.stride) {
+                    let cnt = row[k];
+                    row[k] = acc;
+                    acc += cnt;
+                }
+            }
+        }
+        new_bounds.push(acc);
+        debug_assert_eq!(acc as usize, n);
+
+        // Phase 2: scatter. Each row fans out into its own hp sub-ranges of
+        // dst; the concurrently written regions are hp (plus the sequential
+        // read stream), which is what the TLB analysis of §3.4.2 is about.
+        let out = Dst(dst.as_mut_ptr(), n);
+        let parts = rows.chunks(block).zip(hist.chunks_mut(block * pass.stride)).collect();
+        fan_out(trk, parts, |trk, (rows, offsets)| pass.scatter(trk, &src, rows, offsets, out));
+
+        std::mem::swap(&mut src, &mut dst);
+        bounds = new_bounds;
+    }
+    ClusteredRel { data: src, bits, bounds }
+}
+
+/// Multi-pass radix-cluster on one thread: [`cluster`] with `threads = 1`.
+///
+/// # Panics
+/// As [`cluster`].
 pub fn radix_cluster<M: MemTracker, H: KeyHash>(
     trk: &mut M,
     h: H,
@@ -107,104 +201,97 @@ pub fn radix_cluster<M: MemTracker, H: KeyHash>(
     bits: u32,
     pass_bits: &[u32],
 ) -> ClusteredRel {
-    check_passes(bits, pass_bits);
-    assert!(bits <= 28, "B = {bits} would allocate 2^{bits} cluster bounds");
-    let n = input.len();
-    assert!(n <= u32::MAX as usize, "cardinality exceeds u32 positions");
-    if bits == 0 {
-        return ClusteredRel { data: input, bits, bounds: vec![0, n as u32] };
-    }
-
-    let mut src = input;
-    let mut dst = vec![Bun::default(); n];
-    let mut cur_bounds: Vec<u32> = vec![0, n as u32];
-    let mut remaining = bits;
-
-    for &bp in pass_bits {
-        remaining -= bp;
-        let shift = remaining;
-        let hp = 1usize << bp;
-        let mask = (hp - 1) as u32;
-        let ncl = cur_bounds.len() - 1;
-
-        // Phase 1: per-cluster histograms over this pass's bits.
-        let mut hist = vec![0u32; ncl * hp];
-        {
-            let hist_base = hist.as_ptr() as usize;
-            for c in 0..ncl {
-                let lo = cur_bounds[c] as usize;
-                let hi = cur_bounds[c + 1] as usize;
-                let row = c * hp;
-                for t in &src[lo..hi] {
-                    let idx = row + ((h.hash(t.tail) >> shift) & mask) as usize;
-                    if M::ENABLED {
-                        trk.read(t as *const Bun as usize, 8);
-                        trk.write(hist_base + idx * 4, 4);
-                    }
-                    hist[idx] += 1;
-                }
-            }
-        }
-
-        // Prefix sums: turn counts into absolute start offsets; collect the
-        // boundaries of the clustering this pass produces.
-        let mut new_bounds = Vec::with_capacity(ncl * hp + 1);
-        let mut offsets = hist;
-        let mut acc = 0u32;
-        for slot in offsets.iter_mut() {
-            let cnt = *slot;
-            *slot = acc;
-            new_bounds.push(acc);
-            acc += cnt;
-        }
-        new_bounds.push(acc);
-        debug_assert_eq!(acc as usize, n);
-
-        // Phase 2: scatter. Each source cluster fans out into its own hp
-        // sub-ranges of dst; the concurrently written regions are hp (plus
-        // the sequential read stream), which is what the TLB analysis of
-        // §3.4.2 is about.
-        {
-            let off_base = offsets.as_ptr() as usize;
-            let dst_base = dst.as_ptr() as usize;
-            for c in 0..ncl {
-                let lo = cur_bounds[c] as usize;
-                let hi = cur_bounds[c + 1] as usize;
-                let row = c * hp;
-                for t in &src[lo..hi] {
-                    let idx = row + ((h.hash(t.tail) >> shift) & mask) as usize;
-                    let pos = offsets[idx] as usize;
-                    offsets[idx] += 1;
-                    dst[pos] = *t;
-                    if M::ENABLED {
-                        trk.read(t as *const Bun as usize, 8);
-                        trk.write(off_base + idx * 4, 4);
-                        trk.write(dst_base + pos * 8, 8);
-                        trk.work(Work::ClusterTuple, 1);
-                    }
-                }
-            }
-        }
-
-        std::mem::swap(&mut src, &mut dst);
-        cur_bounds = new_bounds;
-    }
-
-    ClusteredRel { data: src, bits, bounds: cur_bounds }
+    cluster(trk, h, input, bits, pass_bits, 1)
 }
 
-/// The straightforward one-pass clustering of Figure 5 — the \[SKN94\]
-/// baseline the radix-cluster improves on.
-pub fn straightforward_cluster<M: MemTracker, H: KeyHash>(
-    trk: &mut M,
+/// One clustering pass over the hash bits `shift..shift + log2(hp)`, whose
+/// histogram rows lie `stride ≥ hp` counters apart.
+#[derive(Clone, Copy)]
+struct Pass<H> {
     h: H,
-    input: Vec<Bun>,
-    bits: u32,
-) -> ClusteredRel {
-    if bits == 0 {
-        radix_cluster(trk, h, input, 0, &[])
-    } else {
-        radix_cluster(trk, h, input, bits, &[bits])
+    shift: u32,
+    hp: usize,
+    stride: usize,
+}
+
+impl<H: KeyHash> Pass<H> {
+    /// The sub-cluster of `t` within its row.
+    #[inline]
+    fn bucket(&self, t: &Bun) -> usize {
+        ((self.h.hash(t.tail) >> self.shift) as usize) & (self.hp - 1)
+    }
+
+    /// Count each row's tuples into its `hp` slots of `hist`. Both phases
+    /// take the pass by value: a copy the scatter's raw writes cannot
+    /// alias, so its fields stay in registers.
+    fn count<M: MemTracker>(
+        self,
+        trk: &mut M,
+        src: &[Bun],
+        rows: &[Range<usize>],
+        hist: &mut [u32],
+    ) {
+        let hist_base = hist.as_ptr() as usize;
+        for (row, range) in rows.iter().enumerate() {
+            for t in &src[range.clone()] {
+                let idx = row * self.stride + self.bucket(t);
+                if M::ENABLED {
+                    trk.read(t as *const Bun as usize, 8);
+                    trk.write(hist_base + idx * 4, 4);
+                }
+                hist[idx] += 1;
+            }
+        }
+    }
+
+    /// Move each row's tuples to the slots `offsets` reserves for them.
+    fn scatter<M: MemTracker>(
+        self,
+        trk: &mut M,
+        src: &[Bun],
+        rows: &[Range<usize>],
+        offsets: &mut [u32],
+        dst: Dst,
+    ) {
+        let off_base = offsets.as_ptr() as usize;
+        for (row, range) in rows.iter().enumerate() {
+            for t in &src[range.clone()] {
+                let idx = row * self.stride + self.bucket(t);
+                let pos = offsets[idx] as usize;
+                offsets[idx] += 1;
+                dst.write(pos, t);
+                if M::ENABLED {
+                    trk.read(t as *const Bun as usize, 8);
+                    trk.write(off_base + idx * 4, 4);
+                    trk.write(dst.0 as usize + pos * 8, 8);
+                    trk.work(Work::ClusterTuple, 1);
+                }
+            }
+        }
+    }
+}
+
+/// The destination of a scatter (pointer, length), shared by its workers.
+#[derive(Clone, Copy)]
+struct Dst(*mut Bun, usize);
+
+// SAFETY: the pointer and length describe the pass's destination buffer.
+// The prefix sums give every (row, sub-cluster) its own slots, a row
+// belongs to one worker, and `KeyHash` is a pure function (its safety
+// contract), so no two workers write the same element, and nobody reads
+// the buffer until the workers' scope joins.
+unsafe impl Send for Dst {}
+unsafe impl Sync for Dst {}
+
+impl Dst {
+    /// Copy `t` to slot `pos`, as one 8-byte move.
+    #[inline]
+    fn write(self, pos: usize, t: &Bun) {
+        assert!(pos < self.1, "scatter slot out of range");
+        // SAFETY: in bounds (checked above) and owned by the caller's row
+        // (see the `Send` impl); `t` lies in the pass's source buffer, which
+        // never overlaps its destination.
+        unsafe { self.0.add(pos).copy_from_nonoverlapping(t, 1) }
     }
 }
 
@@ -285,18 +372,32 @@ mod tests {
     }
 
     #[test]
+    fn threaded_cluster_is_bit_identical_to_one_thread() {
+        let skewed: Vec<Bun> = (0..10_000).map(|i| Bun::new(i, (i % 3) * 1000)).collect();
+        for input in [keys(50_000, 1), skewed, keys(3, 2), vec![]] {
+            for (bits, passes) in
+                [(1u32, vec![1u32]), (6, vec![6]), (10, vec![5, 5]), (12, vec![4, 4, 4])]
+            {
+                let seq = radix_cluster(&mut NullTracker, FibHash, input.clone(), bits, &passes);
+                for threads in [2usize, 3, 7, 64] {
+                    let par =
+                        cluster(&mut NullTracker, FibHash, input.clone(), bits, &passes, threads);
+                    assert_eq!(par, seq, "n={} B={bits} threads={threads}", input.len());
+                }
+            }
+        }
+    }
+
+    #[test]
     fn bounds_match_scan_derived_bounds() {
         let input = keys(5_000, 3);
-        for bits in [0u32, 1, 4, 8] {
-            let passes: Vec<u32> = if bits == 0 { vec![] } else { vec![bits] };
-            let c = radix_cluster(&mut NullTracker, MurmurHash, input.clone(), bits, &passes);
-            if bits > 0 {
-                assert_eq!(
-                    c.bounds,
-                    cluster_bounds_from_data(&c.data, MurmurHash, bits),
-                    "bits={bits}"
-                );
-            }
+        for bits in [1u32, 4, 8] {
+            let c = radix_cluster(&mut NullTracker, MurmurHash, input.clone(), bits, &[bits]);
+            assert_eq!(
+                c.bounds,
+                cluster_bounds_from_data(&c.data, MurmurHash, bits),
+                "bits={bits}"
+            );
         }
     }
 
@@ -348,17 +449,27 @@ mod tests {
     }
 
     #[test]
-    fn straightforward_is_one_pass() {
-        let input = keys(3_000, 5);
-        let a = straightforward_cluster(&mut NullTracker, FibHash, input.clone(), 5);
-        let b = radix_cluster(&mut NullTracker, FibHash, input, 5, &[5]);
-        assert_eq!(a, b);
+    #[should_panic(expected = "must sum to")]
+    fn inconsistent_pass_bits_rejected() {
+        radix_cluster(&mut NullTracker, FibHash, vec![], 6, &[3, 2]);
     }
 
     #[test]
     #[should_panic(expected = "must sum to")]
-    fn inconsistent_pass_bits_rejected() {
-        radix_cluster(&mut NullTracker, FibHash, vec![], 6, &[3, 2]);
+    fn inconsistent_pass_bits_rejected_on_four_threads() {
+        cluster(&mut NullTracker, FibHash, keys(100, 8), 6, &[3, 2], 4);
+    }
+
+    #[test]
+    #[should_panic(expected = "zero-bit pass")]
+    fn zero_bit_pass_rejected_on_four_threads() {
+        cluster(&mut NullTracker, FibHash, keys(100, 9), 6, &[6, 0], 4);
+    }
+
+    #[test]
+    #[should_panic(expected = "would allocate")]
+    fn oversized_bit_count_rejected_on_four_threads() {
+        cluster(&mut NullTracker, FibHash, keys(100, 10), 30, &[6; 5], 4);
     }
 
     #[test]

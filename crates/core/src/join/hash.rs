@@ -8,7 +8,14 @@
 //! [`crate::join::ChainedTable`].
 
 /// A cheap 32-bit hash over join keys.
-pub trait KeyHash: Copy {
+///
+/// # Safety
+/// `hash` must be a pure function of `key`. A clustering pass counts with
+/// it and then scatters with it, on several threads at once, each worker
+/// writing only the destination slots its counts reserved; a hash that
+/// answers differently the second time would make workers write each
+/// other's slots.
+pub unsafe trait KeyHash: Copy + Send + Sync {
     /// Hash a key.
     fn hash(&self, key: u32) -> u32;
 }
@@ -19,7 +26,8 @@ pub trait KeyHash: Copy {
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct IdentityHash;
 
-impl KeyHash for IdentityHash {
+// SAFETY: a pure function of the key.
+unsafe impl KeyHash for IdentityHash {
     #[inline(always)]
     fn hash(&self, key: u32) -> u32 {
         key
@@ -31,7 +39,8 @@ impl KeyHash for IdentityHash {
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FibHash;
 
-impl KeyHash for FibHash {
+// SAFETY: a pure function of the key.
+unsafe impl KeyHash for FibHash {
     #[inline(always)]
     fn hash(&self, key: u32) -> u32 {
         key.wrapping_mul(0x9E37_79B1)
@@ -43,7 +52,8 @@ impl KeyHash for FibHash {
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct MurmurHash;
 
-impl KeyHash for MurmurHash {
+// SAFETY: a pure function of the key.
+unsafe impl KeyHash for MurmurHash {
     #[inline(always)]
     fn hash(&self, key: u32) -> u32 {
         let mut h = key;

@@ -92,72 +92,6 @@ pub fn merge_join_sorted<M: MemTracker>(trk: &mut M, left: &[Bun], right: &[Bun]
     out
 }
 
-/// Tracked top-down mergesort by `tail` — the *comparison-based* sorting
-/// phase a 1999 system would have used (our default [`radix_sort_by_tail`]
-/// is a stronger baseline). Access pattern per level:
-/// two sequential input runs, one sequential output — log2(n) full sweeps
-/// instead of radix-sort's four.
-pub fn merge_sort_by_tail<M: MemTracker>(trk: &mut M, input: Vec<Bun>) -> Vec<Bun> {
-    let n = input.len();
-    let mut src = input;
-    let mut dst = vec![Bun::default(); n];
-    let mut width = 1usize;
-    while width < n {
-        let dst_base = dst.as_ptr() as usize;
-        let mut lo = 0usize;
-        while lo < n {
-            let mid = (lo + width).min(n);
-            let hi = (lo + 2 * width).min(n);
-            let (mut i, mut j, mut k) = (lo, mid, lo);
-            while i < mid || j < hi {
-                let take_left = if i >= mid {
-                    false
-                } else if j >= hi {
-                    true
-                } else {
-                    if M::ENABLED {
-                        trk.read(&src[i] as *const Bun as usize, 8);
-                        trk.read(&src[j] as *const Bun as usize, 8);
-                        trk.work(Work::MergeTuple, 1);
-                    }
-                    src[i].tail <= src[j].tail
-                };
-                let t = if take_left {
-                    let t = src[i];
-                    i += 1;
-                    t
-                } else {
-                    let t = src[j];
-                    j += 1;
-                    t
-                };
-                dst[k] = t;
-                if M::ENABLED {
-                    trk.write(dst_base + k * 8, 8);
-                    trk.work(Work::SortTuple, 1);
-                }
-                k += 1;
-            }
-            lo = hi;
-        }
-        std::mem::swap(&mut src, &mut dst);
-        width *= 2;
-    }
-    src
-}
-
-/// Sort-merge join with the comparison-based sorting phase (the weaker,
-/// more period-faithful baseline).
-pub fn sort_merge_join_cmp<M: MemTracker>(
-    trk: &mut M,
-    left: Vec<Bun>,
-    right: Vec<Bun>,
-) -> Vec<OidPair> {
-    let l = merge_sort_by_tail(trk, left);
-    let r = merge_sort_by_tail(trk, right);
-    merge_join_sorted(trk, &l, &r)
-}
-
 /// The complete sort-merge join: radix-sort both sides, then merge.
 pub fn sort_merge_join<M: MemTracker>(
     trk: &mut M,
@@ -239,49 +173,5 @@ mod tests {
     fn empty_inputs() {
         assert!(sort_merge_join(&mut NullTracker, vec![], vec![Bun::new(0, 1)]).is_empty());
         assert!(sort_merge_join(&mut NullTracker, vec![Bun::new(0, 1)], vec![]).is_empty());
-    }
-
-    #[test]
-    fn merge_sort_sorts_stably_and_permutes() {
-        let input: Vec<Bun> = (0..4321).map(|i| Bun::new(i, i.wrapping_mul(40503) % 97)).collect();
-        let sorted = merge_sort_by_tail(&mut NullTracker, input.clone());
-        assert!(sorted.windows(2).all(|w| w[0].tail <= w[1].tail));
-        for w in sorted.windows(2) {
-            if w[0].tail == w[1].tail {
-                assert!(w[0].head < w[1].head, "mergesort must be stable");
-            }
-        }
-        let mut a: Vec<u32> = input.iter().map(|t| t.tail).collect();
-        let mut b: Vec<u32> = sorted.iter().map(|t| t.tail).collect();
-        a.sort_unstable();
-        b.sort_unstable();
-        assert_eq!(a, b);
-    }
-
-    #[test]
-    fn cmp_variant_matches_radix_variant() {
-        let l = pseudo_random(3_000, 2654435761);
-        let r = pseudo_random(2_000, 40503);
-        let a = sort_pairs(sort_merge_join(&mut NullTracker, l.clone(), r.clone()));
-        let b = sort_pairs(sort_merge_join_cmp(&mut NullTracker, l, r));
-        assert_eq!(a, b);
-    }
-
-    #[test]
-    fn cmp_sort_costs_more_memory_traffic_at_scale() {
-        // log2(n) sweeps vs 4: the comparison sort must show more simulated
-        // line accesses on a large input.
-        use memsim::{profiles, SimTracker};
-        let input = pseudo_random(1 << 16, 2654435761);
-        let mut a = SimTracker::for_machine(profiles::origin2000());
-        radix_sort_by_tail(&mut a, input.clone());
-        let mut b = SimTracker::for_machine(profiles::origin2000());
-        merge_sort_by_tail(&mut b, input);
-        assert!(
-            b.counters().line_accesses > a.counters().line_accesses,
-            "mergesort {} vs radix-sort {}",
-            b.counters().line_accesses,
-            a.counters().line_accesses
-        );
     }
 }

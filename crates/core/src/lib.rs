@@ -14,17 +14,22 @@
 //!    [`storage::StrColumn`]). An NSM row-store ([`storage::RowTable`]) is
 //!    provided as the layout baseline the paper argues against.
 //!
-//! 2. **Radix algorithms for equi-join** (§3.3): the multi-pass
-//!    [`join::radix_cluster`], the [`join::partitioned_hash_join`], and the
-//!    [`join::radix_join`], together with the baselines they are compared
-//!    with in Figure 13 — non-partitioned bucket-chained hash join
-//!    ([`join::simple_hash_join`]), sort-merge join ([`join::sort_merge_join`])
-//!    and a nested-loop oracle ([`join::nested_loop_join`]).
+//! 2. **Radix algorithms for equi-join** (§3.3), as the one family the paper
+//!    describes: [`join::join`] runs a [`strategy::JoinPlan`] on any thread
+//!    count by radix-clustering both inputs with one [`join::cluster()`] body,
+//!    then joining every matching cluster pair with the plan's kernel —
+//!    chained hash for partitioned hash-join (simple hash is its `B = 0`
+//!    case), nested loop for radix-join. Sort-merge join
+//!    ([`join::sort_merge_join`]) is the other Figure 13 baseline behind the
+//!    same entry point, and [`join::nested_loop_join`] the oracle. The
+//!    paper's named kernels ([`join::radix_cluster`],
+//!    [`join::partitioned_hash_join`], [`join::radix_join`],
+//!    [`join::simple_hash_join`]) are its one-thread forms.
 //!
 //! Every algorithm is generic over a [`memsim::MemTracker`], so a single
-//! implementation runs both natively (zero-overhead `NullTracker`; used by
-//! the criterion benches) and under the simulated Origin2000 (`SimTracker`;
-//! used to regenerate the paper's figures with exact miss counts).
+//! implementation runs both natively (zero-overhead `NullTracker`) and
+//! under the simulated Origin2000 (`SimTracker`; used to regenerate the
+//! paper's figures with exact miss counts).
 //!
 //! [`strategy`] implements §3.4.4's clustering strategies (`phash_L2`,
 //! `phash_TLB`, `phash_L1`, `radix_8`, …) and the pass planning rule that
@@ -34,14 +39,14 @@
 //!
 //! ```
 //! use memsim::NullTracker;
-//! use monet_core::join::{partitioned_hash_join, FibHash, Bun};
-//! use monet_core::strategy::{bits_phash_tuples, plan_passes};
+//! use monet_core::join::{join, Bun, FibHash};
+//! use monet_core::strategy::{Algorithm, JoinPlan, bits_phash_tuples, plan_passes};
 //!
 //! let left: Vec<Bun> = (0..10_000).map(|i| Bun::new(i, i * 7 % 10_000)).collect();
 //! let right: Vec<Bun> = (0..10_000).map(|i| Bun::new(i, i)).collect();
 //! let bits = bits_phash_tuples(left.len(), 200);
-//! let passes = plan_passes(bits, 64);
-//! let pairs = partitioned_hash_join(&mut NullTracker, FibHash, left, right, bits, &passes);
+//! let plan = JoinPlan { algorithm: Algorithm::PartitionedHash, bits, pass_bits: plan_passes(bits, 64) };
+//! let (pairs, _) = join(&mut NullTracker, FibHash, left, right, &plan, 2);
 //! assert_eq!(pairs.len(), 10_000); // hit rate 1
 //! ```
 

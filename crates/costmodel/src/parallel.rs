@@ -121,10 +121,11 @@ impl ParallelModel {
     }
 }
 
-/// Whether a join algorithm has a parallel kernel the executor can lower
-/// onto ([`monet_core::join::parallel`]). The unpartitioned baselines run
-/// sequentially: a single shared hash table or merge has no disjoint
-/// partitions to fan out over.
+/// Whether a join algorithm fans out over threads in
+/// [`monet_core::join::join`]: the partitioned algorithms split their
+/// clustering and their cluster pairs over workers. The unpartitioned
+/// baselines run sequentially: a single shared hash table or merge has no
+/// disjoint partitions to fan out over.
 pub fn algorithm_parallelizes(a: Algorithm) -> bool {
     matches!(a, Algorithm::PartitionedHash | Algorithm::Radix)
 }

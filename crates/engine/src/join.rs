@@ -1,19 +1,21 @@
-//! Join dispatch from BATs to the radix kernels.
+//! Joins of BATs: one [`monet_core::join::join`] over a [`JoinPlan`].
 //!
-//! Converts BAT operands into the 8-byte [`Bun`] arrays the kernels work on,
-//! picks (or accepts) a [`JoinPlan`], and returns the join index. Includes
-//! the §3.1 void fast path: joining an OID tail against a void head is pure
-//! positional lookup — no clustering, no hashing, no per-tuple search.
+//! Converts BAT operands into the 8-byte [`Bun`] arrays the radix family
+//! works on, picks (or accepts) a [`JoinPlan`], and hands both to the core
+//! `join` with a thread count, which clusters, joins the cluster pairs and
+//! returns the join index. Includes the §3.1 void fast path: joining an OID
+//! tail against a void head is pure positional lookup — no clustering, no
+//! hashing, no per-tuple search.
 //!
 //! The BAT entry points ([`join_bats_with_plan`],
-//! [`par_join_bats_with_plan_sharded`]) and the executor's
-//! candidate-restricted key columns share one dispatch: a restricted key
-//! column is gathered straight into `Bun`s, with no sub-BAT in between.
+//! [`par_join_bats_with_plan`]) and the executor's candidate-restricted key
+//! columns share one dispatch: a restricted key column is gathered straight
+//! into `Bun`s, with no sub-BAT in between.
 
 use memsim::{track_read, MemTracker, Work};
 use monet_core::join::{self as kernels, Bun, FibHash, OidPair};
 use monet_core::storage::{Bat, Column, Head, Oid, StorageError};
-use monet_core::strategy::{heuristic_plan, Algorithm, JoinPlan};
+use monet_core::strategy::{heuristic_plan, JoinPlan};
 
 use crate::aggregate::gather_with;
 use crate::reconstruct::reconstruct;
@@ -94,33 +96,16 @@ pub fn join_bats_with_plan<M: MemTracker>(
 }
 
 /// Execute `left ⋈ right` with an explicit plan on `threads` threads —
-/// bit-identical output to [`join_bats_with_plan`] (native-only; the
-/// executor pins simulated runs to one thread).
-///
-/// The partitioned algorithms lower onto the parallel radix kernels of
-/// [`monet_core::join::parallel`]; the unpartitioned baselines (simple hash,
-/// sort-merge) and the void positional fast path have no disjoint partitions
-/// to fan out over and run sequentially regardless of `threads`.
+/// bit-identical output to [`join_bats_with_plan`], native-only (the
+/// executor pins simulated runs to one thread). See
+/// [`monet_core::join::join`] for what fans out.
 pub fn par_join_bats_with_plan(
     left: &Bat,
     right: &Bat,
     plan: &JoinPlan,
     threads: usize,
 ) -> Result<JoinIndex, EngineError> {
-    par_join_bats_with_plan_sharded(left, right, plan, threads).map(|(pairs, _)| pairs)
-}
-
-/// [`par_join_bats_with_plan`] plus the join phase's per-worker result-pair
-/// counts (thread-major; they sum to the join cardinality). `None` when the
-/// run had no parallel join phase to account: one thread, the void
-/// positional fast path, or an unpartitioned algorithm.
-pub fn par_join_bats_with_plan_sharded(
-    left: &Bat,
-    right: &Bat,
-    plan: &JoinPlan,
-    threads: usize,
-) -> Result<(JoinIndex, Option<Vec<usize>>), EngineError> {
-    join_operands(&mut memsim::NullTracker, (left, None), (right, None), plan, threads)
+    Ok(join_operands(&mut memsim::NullTracker, (left, None), (right, None), plan, threads)?.0)
 }
 
 /// One side of a join: a key column, restricted to the candidate OIDs (of
@@ -129,7 +114,8 @@ pub(crate) type Operand<'a> = (&'a Bat, Option<&'a [Oid]>);
 
 /// The one join dispatch, beneath the BAT entry points and the executor:
 /// `left ⋈ right` over the operands' rows on `threads` threads, with the
-/// per-worker counts of [`par_join_bats_with_plan_sharded`]. A restricted
+/// per-worker pair counts of [`monet_core::join::join`] (`None` on the
+/// positional path). A restricted
 /// operand is gathered straight into `Bun`s — the pairs, their order and
 /// the simulated charge of joining its [`reconstruct`]ed sub-BAT.
 pub(crate) fn join_operands<M: MemTracker>(
@@ -158,56 +144,7 @@ pub(crate) fn join_operands<M: MemTracker>(
         Some(cands) => gather_buns(trk, bat, cands),
     };
     let (l, r) = (buns(left)?, buns(right)?);
-    Ok(if threads > 1 {
-        par_join_buns(l, r, plan, threads)
-    } else {
-        (join_buns(trk, l, r, plan), None)
-    })
-}
-
-/// The sequential kernel `plan` names.
-fn join_buns<M: MemTracker>(trk: &mut M, l: Vec<Bun>, r: Vec<Bun>, plan: &JoinPlan) -> JoinIndex {
-    let h = FibHash;
-    match plan.algorithm {
-        Algorithm::PartitionedHash => {
-            kernels::partitioned_hash_join(trk, h, l, r, plan.bits, &plan.pass_bits)
-        }
-        Algorithm::Radix => kernels::radix_join(trk, h, l, r, plan.bits, &plan.pass_bits),
-        Algorithm::SimpleHash => kernels::simple_hash_join(trk, h, &l, &r),
-        Algorithm::SortMerge => kernels::sort_merge_join(trk, l, r),
-    }
-}
-
-/// The parallel kernel `plan` names, on `threads > 1` threads.
-fn par_join_buns(
-    l: Vec<Bun>,
-    r: Vec<Bun>,
-    plan: &JoinPlan,
-    threads: usize,
-) -> (JoinIndex, Option<Vec<usize>>) {
-    let h = FibHash;
-    match plan.algorithm {
-        Algorithm::PartitionedHash => {
-            let (pairs, shards) = kernels::par_partitioned_hash_join_sharded(
-                h,
-                l,
-                r,
-                plan.bits,
-                &plan.pass_bits,
-                threads,
-            );
-            (pairs, Some(shards))
-        }
-        Algorithm::Radix => {
-            let (pairs, shards) =
-                kernels::par_radix_join_sharded(h, l, r, plan.bits, &plan.pass_bits, threads);
-            (pairs, Some(shards))
-        }
-        Algorithm::SimpleHash => {
-            (kernels::simple_hash_join(&mut memsim::NullTracker, h, &l, &r), None)
-        }
-        Algorithm::SortMerge => (kernels::sort_merge_join(&mut memsim::NullTracker, l, r), None),
-    }
+    Ok(kernels::join(trk, FibHash, l, r, plan, threads))
 }
 
 /// Execute `left ⋈ right`, picking a plan with the cache heuristics of
@@ -227,6 +164,7 @@ mod tests {
     use super::*;
     use memsim::{profiles, NullTracker};
     use monet_core::join::sort_pairs;
+    use monet_core::strategy::Algorithm;
 
     fn bat_i32(seqbase: u32, vals: Vec<i32>) -> Bat {
         Bat::with_void_head(seqbase, Column::I32(vals))

@@ -7,10 +7,8 @@
 
 use std::time::Instant;
 
-use monet_mem::core::join::{
-    partitioned_hash_join, radix_join, simple_hash_join, sort_merge_join, FibHash,
-};
-use monet_mem::core::strategy::{Algorithm, Strategy};
+use monet_mem::core::join::{join, FibHash};
+use monet_mem::core::strategy::Strategy;
 use monet_mem::costmodel::plan::{best_plan, plan_cost};
 use monet_mem::costmodel::{ModelMachine, ModelParams};
 use monet_mem::memsim::{profiles, NullTracker, SimTracker};
@@ -28,32 +26,15 @@ fn main() {
         "strategy", "B", "passes", "sim ms", "model ms", "native ms"
     );
 
-    /// One strategy, executed under any tracker.
-    fn exec<M: monet_mem::memsim::MemTracker>(
-        trk: &mut M,
-        plan: &monet_mem::core::strategy::JoinPlan,
-        l: Vec<monet_mem::core::join::Bun>,
-        r: Vec<monet_mem::core::join::Bun>,
-    ) -> Vec<monet_mem::core::join::OidPair> {
-        match plan.algorithm {
-            Algorithm::PartitionedHash => {
-                partitioned_hash_join(trk, FibHash, l, r, plan.bits, &plan.pass_bits)
-            }
-            Algorithm::Radix => radix_join(trk, FibHash, l, r, plan.bits, &plan.pass_bits),
-            Algorithm::SimpleHash => simple_hash_join(trk, FibHash, &l, &r),
-            Algorithm::SortMerge => sort_merge_join(trk, l, r),
-        }
-    }
-
     for s in Strategy::ALL {
         let plan = s.plan(n, &machine);
 
         let mut sim = SimTracker::for_machine(machine);
-        let pairs = exec(&mut sim, &plan, l.clone(), r.clone());
+        let (pairs, _) = join(&mut sim, FibHash, l.clone(), r.clone(), &plan, 1);
         assert_eq!(pairs.len(), n);
 
         let t0 = Instant::now();
-        let native = exec(&mut NullTracker, &plan, l.clone(), r.clone());
+        let (native, _) = join(&mut NullTracker, FibHash, l.clone(), r.clone(), &plan, 1);
         let native_ms = t0.elapsed().as_secs_f64() * 1e3;
         assert_eq!(native.len(), n);
 

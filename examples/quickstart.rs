@@ -9,10 +9,7 @@
 
 use std::time::Instant;
 
-use monet_mem::core::join::{
-    partitioned_hash_join, radix_join, simple_hash_join, sort_merge_join, FibHash,
-};
-use monet_mem::core::strategy::Algorithm;
+use monet_mem::core::join::{join, FibHash};
 use monet_mem::costmodel::plan::plan_join;
 use monet_mem::engine::exec::{execute, ExecOptions, QueryOutput};
 use monet_mem::engine::plan::{Agg, Pred, Query};
@@ -39,33 +36,9 @@ fn main() {
         predicted.total_ms()
     );
 
-    /// Run the chosen kernel under any tracker.
-    fn exec_plan<M: monet_mem::memsim::MemTracker>(
-        trk: &mut M,
-        plan: &monet_mem::core::strategy::JoinPlan,
-        l: &[monet_mem::core::join::Bun],
-        r: &[monet_mem::core::join::Bun],
-    ) -> Vec<monet_mem::core::join::OidPair> {
-        match plan.algorithm {
-            Algorithm::PartitionedHash => partitioned_hash_join(
-                trk,
-                FibHash,
-                l.to_vec(),
-                r.to_vec(),
-                plan.bits,
-                &plan.pass_bits,
-            ),
-            Algorithm::Radix => {
-                radix_join(trk, FibHash, l.to_vec(), r.to_vec(), plan.bits, &plan.pass_bits)
-            }
-            Algorithm::SimpleHash => simple_hash_join(trk, FibHash, l, r),
-            Algorithm::SortMerge => sort_merge_join(trk, l.to_vec(), r.to_vec()),
-        }
-    }
-
     // 1) Native run: the exact same kernel, zero instrumentation overhead.
     let t0 = Instant::now();
-    let pairs = exec_plan(&mut NullTracker, &plan, &left, &right);
+    let (pairs, _) = join(&mut NullTracker, FibHash, left.clone(), right.clone(), &plan, 1);
     let native = t0.elapsed();
     assert_eq!(pairs.len(), n);
     println!(
@@ -78,7 +51,7 @@ fn main() {
     // 2) Simulated run: replay on the paper's 250 MHz Origin2000, with the
     //    hardware-counter readings the paper reports.
     let mut trk = SimTracker::for_machine(machine);
-    let pairs = exec_plan(&mut trk, &plan, &left, &right);
+    let (pairs, _) = join(&mut trk, FibHash, left, right, &plan, 1);
     assert_eq!(pairs.len(), n);
     let c = trk.counters();
     println!(
