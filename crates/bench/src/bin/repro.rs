@@ -12,6 +12,7 @@ use std::process::ExitCode;
 use engine::AccessMode;
 use monet_bench::figures;
 use monet_bench::runner::{RunOpts, Scale, ThreadsOpt};
+use service::ConfigError;
 
 const USAGE: &str = "\
 usage: repro <command> [options]
@@ -59,7 +60,7 @@ options:
   --threads T   executor parallelism for `query`: a count, or `auto` to let
                 the parallel cost model pick per operator (default 1)
   --access P    selection access-path policy for `query`/`access`:
-                scan | index | auto (default: MONET_ACCESS, else auto)
+                scan | index | auto (default: auto)
   --clients N   pin `service`/`shared` to one client count (default: sweep
                 1..8); the service thread budget comes from
                 MONET_SERVICE_THREADS (`shared` pins budget 1 internally)
@@ -72,7 +73,17 @@ options:
                 AND wide-leaf conjunction simulated in both leaf orders,
                 restricted later leaves vs full-column passes, and the
                 engine planner's chosen order checked against the simulator
+
+`service` and `shard` read their configuration from the MONET_SERVICE_*,
+MONET_TRACE and MONET_DRIFT_BAND variables and exit with an error on a
+value they cannot use.
 ";
+
+/// The commands `all` runs, in order.
+const COMMANDS: [&str; 20] = [
+    "fig1", "fig3", "fig4", "fig9", "fig10", "fig11", "fig12", "fig13", "validate", "select",
+    "skew", "vm", "query", "parallel", "access", "compress", "service", "shared", "trace", "shard",
+];
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -142,7 +153,7 @@ fn main() -> ExitCode {
         return usage_error("missing command");
     };
 
-    let run_one = |name: &str| -> bool {
+    let run_one = |name: &str| -> Result<(), ConfigError> {
         match name {
             "fig3" => figures::fig3::run(&opts),
             "fig4" => figures::fig4::run(&opts),
@@ -160,35 +171,30 @@ fn main() -> ExitCode {
             "parallel" => figures::par_scaling::run(&opts),
             "access" => figures::access_paths::run(&opts),
             "compress" => figures::compress::run(&opts),
-            "service" => figures::service::run(&opts),
+            "service" => figures::service::run(&opts)?,
             "shared" => figures::shared::run(&opts),
             "trace" => figures::trace::run(&opts),
-            "shard" => figures::shard::run(&opts),
-            _ => return false,
+            "shard" => figures::shard::run(&opts)?,
+            _ => unreachable!("commands are checked against COMMANDS"),
         }
-        true
+        Ok(())
     };
 
-    match command.as_str() {
-        "all" => {
-            for name in [
-                "fig1", "fig3", "fig4", "fig9", "fig10", "fig11", "fig12", "fig13", "validate",
-                "select", "skew", "vm", "query", "parallel", "access", "compress", "service",
-                "shared", "trace", "shard",
-            ] {
-                println!("\n=== {name} ===\n");
-                run_one(name);
-            }
-            ExitCode::SUCCESS
+    let names = match command.as_str() {
+        "all" => COMMANDS.to_vec(),
+        name if COMMANDS.contains(&name) => vec![name],
+        name => return usage_error(&format!("unknown command: {name}")),
+    };
+    for &name in &names {
+        if names.len() > 1 {
+            println!("\n=== {name} ===\n");
         }
-        name => {
-            if run_one(name) {
-                ExitCode::SUCCESS
-            } else {
-                usage_error(&format!("unknown command: {name}"))
-            }
+        if let Err(e) = run_one(name) {
+            eprintln!("error: {e}");
+            return ExitCode::FAILURE;
         }
     }
+    ExitCode::SUCCESS
 }
 
 fn usage_error(msg: &str) -> ExitCode {

@@ -9,8 +9,8 @@
 
 use engine::exec::{execute, ExecOptions, QueryOutput};
 use engine::plan::{Pred, Query};
-use engine::select::select_eq_str;
-use memsim::{NullTracker, SimTracker};
+use memsim::SimTracker;
+use monet_core::storage::Oid;
 use workload::item_table;
 
 use crate::report::{fmt_ms, TextTable};
@@ -89,8 +89,13 @@ fn scan_demo(opts: &RunOpts) {
     let _sum = nsm.scan_sum_u8_tracked(&mut nsm_trk, field);
     let nsm_c = nsm_trk.counters();
 
-    // Sanity: same number of qualifying tuples either way.
-    let oracle = select_eq_str(&mut NullTracker, ship, "MAIL").unwrap();
+    // Sanity: the executor's tuples are the ones a row loop finds.
+    let sc = ship.tail().as_str_col().expect("shipmode is encoded");
+    let mail = sc.dict.code_of("MAIL").expect("MAIL is a shipmode");
+    let oracle: Vec<Oid> = (0..sc.len())
+        .filter(|&i| sc.codes.get(i) == mail)
+        .map(|i| table.seqbase() + i as Oid)
+        .collect();
     assert_eq!(dsm_hits, oracle);
 
     let mut t = TextTable::new(

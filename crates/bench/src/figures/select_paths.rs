@@ -17,12 +17,11 @@
 //! per candidate at four list densities. §3's point is that once the
 //! access pattern is sequential the per-tuple CPU path is what is left to
 //! pay; the table shows that path flat across selectivity (no
-//! data-dependent branch to mispredict) next to the branching reference
-//! loop it is checked against.
+//! data-dependent branch to mispredict) next to `reference_loop`, the
+//! branching loop it is checked against.
 
 use std::time::Instant;
 
-use engine::select::{range_select_f64, range_select_i32, select_eq_str};
 use memsim::{MemTracker, NullTracker, SimTracker};
 use monet_core::compress::{CompressedColumn, DictColumn, ForColumn, RleColumn};
 use monet_core::index::{binary_search_tracked, CsBTree, HashIndex, TTree};
@@ -157,6 +156,19 @@ fn best_ns<R>(reps: usize, mut f: impl FnMut() -> R) -> (R, f64) {
     (out.expect("at least one repetition"), best)
 }
 
+/// The selection the kernel is checked and timed against: one compare and
+/// a conditional push per row of a column at seqbase 0, so its cost
+/// follows the branch predictor across selectivity.
+fn reference_loop<T: Copy>(values: &[T], pass: impl Fn(T) -> bool) -> Vec<Oid> {
+    let mut out = Vec::new();
+    for (i, &v) in values.iter().enumerate() {
+        if pass(v) {
+            out.push(i as Oid);
+        }
+    }
+    out
+}
+
 /// Time one K = 1 `select` and check it against the reference list.
 fn timed_select(
     reps: usize,
@@ -174,8 +186,8 @@ fn timed_select(
 
 /// Native wall clock of the one scan-select kernel: ns/row per layout and
 /// selectivity, then ns/candidate per list density. Every timed result is
-/// asserted bit-identical to the engine's reference loop; the timings are
-/// printed, never asserted (shared runners).
+/// asserted bit-identical to `reference_loop`; the timings are printed,
+/// never asserted (shared runners).
 pub fn kernel_sweep(opts: &RunOpts) {
     let (n, reps) = match opts.scale {
         Scale::Quick => (1usize << 20, 3),
@@ -212,22 +224,22 @@ pub fn kernel_sweep(opts: &RunOpts) {
         let hi = ((values * sel).ceil() as i32 - 1).min(values as i32 - 2);
         (ScanPred::RangeI32 { lo: 0, hi }, hi)
     };
-    let plain = Bat::with_void_head(0, Column::I32(uniform(15, &mut next)));
+    let ints = uniform(15, &mut next);
+    let below = |values: &[i32], hi: i32| reference_loop(values, |v| (0..=hi).contains(&v));
+    let plain = Bat::with_void_head(0, Column::I32(ints.clone()));
     let ns = SELECTIVITIES.map(|sel| {
         let (pred, hi) = band(15, sel);
-        both(ScanCol::Plain(&plain), pred, &|| {
-            range_select_i32(&mut NullTracker, &plain, 0, hi).expect("i32")
-        })
+        both(ScanCol::Plain(&plain), pred, &|| below(&ints, hi))
     });
     row("plain i32", 32.0, ns.map(|(kernel, _)| kernel));
     row("  reference loop", 32.0, ns.map(|(_, reference)| reference));
 
     let values: Vec<f64> = (0..n).map(|_| (next() % (1 << 15)) as f64 / 8.0).collect();
-    let floats = Bat::with_void_head(0, Column::F64(values));
+    let floats = Bat::with_void_head(0, Column::F64(values.clone()));
     let ns = SELECTIVITIES.map(|sel| {
         let hi = (1u64 << 15) as f64 * sel / 8.0;
         both(ScanCol::Plain(&floats), ScanPred::RangeF64 { lo: 0.0, hi }, &|| {
-            range_select_f64(&mut NullTracker, &floats, 0.0, hi).expect("f64")
+            reference_loop(&values, |v| 0.0 <= v && v <= hi)
         })
     });
     row("plain f64", 64.0, ns.map(|(kernel, _)| kernel));
@@ -236,10 +248,9 @@ pub fn kernel_sweep(opts: &RunOpts) {
     for bits in [6u32, 15, 31] {
         let values = uniform(bits, &mut next);
         let cc = CompressedColumn::For(ForColumn::encode(&values));
-        let bat = Bat::with_void_head(0, Column::I32(values));
         let ns = SELECTIVITIES.map(|sel| {
             let (pred, hi) = band(bits, sel);
-            let want = range_select_i32(&mut NullTracker, &bat, 0, hi).expect("i32");
+            let want = below(&values, hi);
             timed_select(reps, ScanCol::Packed(&cc, 0), pred, RowSet::All, &want)
         });
         row(&format!("FOR {bits}-bit"), cc.bits_per_value(), ns);
@@ -264,8 +275,10 @@ pub fn kernel_sweep(opts: &RunOpts) {
         let sc = bat.tail().as_str_col().expect("string column");
         let cc = CompressedColumn::Dict(DictColumn::encode(&sc.codes));
         stored = cc.bits_per_value();
-        let pred = ScanPred::EqCode { code: sc.dict.code_of("NEEDLE").expect("needle occurs") };
-        let want = select_eq_str(&mut NullTracker, &bat, "NEEDLE").expect("needle occurs");
+        let code = sc.dict.code_of("NEEDLE").expect("needle occurs");
+        let want: Vec<Oid> =
+            (0..n).filter(|&i| sc.codes.get(i) == code).map(|i| i as Oid).collect();
+        let pred = ScanPred::EqCode { code };
         timed_select(reps, ScanCol::Packed(&cc, 0), pred, RowSet::All, &want)
     });
     row("dict (7 values)", stored, ns);
@@ -273,10 +286,9 @@ pub fn kernel_sweep(opts: &RunOpts) {
     // Run-length: runs of 512 rows over 100 values.
     let values: Vec<i32> = (0..n).map(|i| ((i / 512) * 37 % 100) as i32).collect();
     let cc = CompressedColumn::Rle(RleColumn::encode(&values));
-    let bat = Bat::with_void_head(0, Column::I32(values));
     let ns = SELECTIVITIES.map(|sel| {
         let hi = (100.0 * sel) as i32 - 1;
-        let want = range_select_i32(&mut NullTracker, &bat, 0, hi).expect("i32");
+        let want = below(&values, hi);
         let pred = ScanPred::RangeI32 { lo: 0, hi };
         timed_select(reps, ScanCol::Packed(&cc, 0), pred, RowSet::All, &want)
     });
@@ -290,9 +302,9 @@ pub fn kernel_sweep(opts: &RunOpts) {
     );
     let values = uniform(15, &mut next);
     let cc = CompressedColumn::For(ForColumn::encode(&values));
-    let bat = Bat::with_void_head(0, Column::I32(values));
     let (pred, hi) = band(15, 0.5);
-    let full = range_select_i32(&mut NullTracker, &bat, 0, hi).expect("i32");
+    let full = below(&values, hi);
+    let bat = Bat::with_void_head(0, Column::I32(values));
     let span = timed_select(reps, ScanCol::Packed(&cc, 0), pred, RowSet::All, &full);
     for step in [1024usize, 16, 2, 1] {
         let cands: Vec<Oid> = (0..n).step_by(step).map(|i| i as Oid).collect();

@@ -20,14 +20,17 @@ use engine::exec::{execute, ExecOptions, Executed, QueryOutput, Threads};
 use memsim::NullTracker;
 use monet_core::index::IndexKind;
 use monet_core::storage::DecomposedTable;
-use service::{QueryService, ServiceConfig, ServiceError};
+use service::{ConfigError, QueryService, ServiceConfig, ServiceError};
 use workload::{item_table, QueryMix};
 
 use crate::report::{fmt_ms, TextTable};
 use crate::runner::{RunOpts, Scale};
 
 /// Run the service throughput/latency experiment.
-pub fn run(opts: &RunOpts) {
+pub fn run(opts: &RunOpts) -> Result<(), ConfigError> {
+    // Budget and knobs from the environment (MONET_SERVICE_*), queue deep
+    // enough that the closed-loop clients are never shed.
+    let cfg = ServiceConfig::from_env()?.with_queue_limit(1024);
     let (n, queries_per_client) = match opts.scale {
         Scale::Quick => (60_000, 5),
         Scale::Default => (300_000, 10),
@@ -38,10 +41,6 @@ pub fn run(opts: &RunOpts) {
     item.create_index("shipmode", IndexKind::Hash).expect("shipmode is indexable");
     let item = item;
     let supplier = super::query_pipeline::supplier_dim(1_000);
-
-    // Budget and knobs from the environment (MONET_SERVICE_*), queue deep
-    // enough that the closed-loop clients are never shed.
-    let cfg = ServiceConfig::from_env().with_queue_limit(1024);
     let client_counts: Vec<usize> = match opts.clients {
         Some(c) => vec![c],
         None => match opts.scale {
@@ -103,6 +102,7 @@ pub fn run(opts: &RunOpts) {
         "\nEvery result was bit-identical to a sequential one-thread run, and the \
          scheduler's thread high-water mark never exceeded the budget.\n"
     );
+    Ok(())
 }
 
 struct ModeResult {
@@ -268,7 +268,7 @@ mod tests {
 
     #[test]
     fn smoke() {
-        run(&RunOpts { scale: Scale::Quick, clients: Some(2), ..Default::default() });
+        run(&RunOpts { scale: Scale::Quick, clients: Some(2), ..Default::default() }).unwrap();
     }
 
     #[test]
@@ -276,6 +276,7 @@ mod tests {
         // A 4-client leg on the quick scale: exercises queueing against
         // the budget (when the host has fewer than 4 spare cores) and the
         // budgeted-vs-naive-vs-sequential identity assertions either way.
-        run(&RunOpts { scale: Scale::Quick, clients: Some(4), seed: 7, ..Default::default() });
+        run(&RunOpts { scale: Scale::Quick, clients: Some(4), seed: 7, ..Default::default() })
+            .unwrap();
     }
 }

@@ -22,14 +22,15 @@ use engine::exec::{execute, ExecOptions, QueryOutput};
 use memsim::NullTracker;
 use monet_core::shard::ShardedTable;
 use monet_core::storage::DecomposedTable;
-use service::{PlacePolicy, ServiceConfig, ShardCluster};
+use service::{ConfigError, PlacePolicy, ServiceConfig, ShardCluster};
 use workload::{QuerySpec, ShardMix};
 
 use crate::report::{fmt_ms, TextTable};
 use crate::runner::{RunOpts, Scale};
 
 /// Run the sharded-execution experiment.
-pub fn run(opts: &RunOpts) {
+pub fn run(opts: &RunOpts) -> Result<(), ConfigError> {
+    let cfg = ServiceConfig::from_env()?.with_queue_limit(1024);
     let (n, queries, shard_counts, drift_queries) = match opts.scale {
         Scale::Quick => (4_000, 24, vec![1, 2, 4], 3),
         Scale::Default => (20_000, 48, vec![1, 2, 4, 8], 6),
@@ -51,7 +52,6 @@ pub fn run(opts: &RunOpts) {
         })
         .collect();
 
-    let cfg = ServiceConfig::from_env().with_queue_limit(1024);
     println!(
         "sharded execution over {n} Item rows x {} supplier rows; Zipf skew {skew} on the \
          partition key, {queries} queries, budget = {} threads, seed {}\n",
@@ -165,6 +165,7 @@ pub fn run(opts: &RunOpts) {
         "\nEvery merged result was bit-identical to the unsharded one-thread run, and the \
          scheduler's thread high-water mark never exceeded the budget.\n"
     );
+    Ok(())
 }
 
 struct ClusterResult {
@@ -216,6 +217,6 @@ mod tests {
 
     #[test]
     fn smoke() {
-        run(&RunOpts { scale: Scale::Quick, ..Default::default() });
+        run(&RunOpts { scale: Scale::Quick, ..Default::default() }).unwrap();
     }
 }

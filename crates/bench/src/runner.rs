@@ -43,8 +43,7 @@ impl ThreadsOpt {
 }
 
 /// Apply the `--access` driver flag to executor options: `None` (no flag)
-/// leaves the executor default in charge — `auto`, or whatever
-/// `MONET_ACCESS` pins.
+/// leaves the executor default, `auto`, in charge.
 pub fn apply_access(
     access: Option<engine::AccessMode>,
     opts: engine::exec::ExecOptions,

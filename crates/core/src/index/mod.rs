@@ -2,8 +2,8 @@
 //!
 //! For selections the paper weighs three access paths:
 //!
-//! * **scan-select** — optimal locality, best at low selectivity (in
-//!   `engine::select`);
+//! * **scan-select** — optimal locality, best at low selectivity
+//!   ([`crate::scan::select`]);
 //! * **bucket-chained hash / T-tree** — the \[LC86\] recommendation, which
 //!   the paper criticizes: "both … cause random memory access to the entire
 //!   relation; a non cache-friendly access pattern" ([`TTree`] implements

@@ -18,11 +18,10 @@
 //! sequentially (a probe is a handful of node touches; forking would cost
 //! more than the work).
 //!
-//! [`AccessMode`] pins the choice for tests and CI: `scan` reproduces the
-//! pre-index executor exactly, `index` forces index paths wherever one is
-//! usable, `auto` lets the cost model decide. The `MONET_ACCESS`
-//! environment variable sets the default mode of every
-//! [`crate::exec::ExecOptions`].
+//! [`AccessMode`] pins the choice: `scan` reproduces the pre-index executor
+//! exactly, `index` forces index paths wherever one is usable, `auto` (the
+//! default of every [`crate::exec::ExecOptions`]) lets the cost model
+//! decide.
 
 use std::fmt;
 use std::sync::Arc;
@@ -41,8 +40,8 @@ use monet_core::index::{key_range_i32, ColumnIndex, IndexKind};
 use monet_core::scan::{par_select, select, RowSet, ScanCol, ScanPred};
 use monet_core::storage::{DecomposedTable, Oid};
 
+use crate::candidates::CandList;
 use crate::plan::Pred;
-use crate::select::CandList;
 use crate::EngineError;
 
 /// How the executor chooses selection access paths.
@@ -60,7 +59,8 @@ pub enum AccessMode {
 }
 
 impl AccessMode {
-    /// Parse a `MONET_ACCESS`-style value (`scan` | `index` | `auto`).
+    /// Parse a display name (`scan` | `index` | `auto`), as `repro
+    /// --access` takes it.
     pub fn parse(s: &str) -> Option<Self> {
         match s {
             "scan" => Some(AccessMode::Scan),
@@ -68,12 +68,6 @@ impl AccessMode {
             "auto" => Some(AccessMode::Auto),
             _ => None,
         }
-    }
-
-    /// The mode pinned by the `MONET_ACCESS` environment variable, if set
-    /// to a valid value.
-    pub fn from_env() -> Option<Self> {
-        std::env::var("MONET_ACCESS").ok().and_then(|s| Self::parse(&s))
     }
 
     /// Display name (`scan` | `index` | `auto`).
@@ -88,8 +82,7 @@ impl AccessMode {
 
 /// Whether the executor may evaluate predicate leaves directly on the
 /// compressed column representations [`monet_core::compress`] attaches to
-/// decomposed tables. The `MONET_COMPRESS` environment variable sets the
-/// default of every [`crate::exec::ExecOptions`].
+/// decomposed tables.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CompressMode {
     /// Never touch compressed representations — every scan streams the
@@ -104,22 +97,6 @@ pub enum CompressMode {
 }
 
 impl CompressMode {
-    /// Parse a `MONET_COMPRESS`-style value (`0`/`off` | `1`/`on` | `force`).
-    pub fn parse(s: &str) -> Option<Self> {
-        match s {
-            "0" | "off" => Some(CompressMode::Off),
-            "1" | "on" => Some(CompressMode::On),
-            "force" => Some(CompressMode::Force),
-            _ => None,
-        }
-    }
-
-    /// The mode pinned by the `MONET_COMPRESS` environment variable, if set
-    /// to a valid value.
-    pub fn from_env() -> Option<Self> {
-        std::env::var("MONET_COMPRESS").ok().and_then(|s| Self::parse(&s))
-    }
-
     /// Display name (`off` | `on` | `force`).
     pub fn name(self) -> &'static str {
         match self {
@@ -133,10 +110,8 @@ impl CompressMode {
 /// Whether the executor threads candidate lists through the remaining
 /// leaves of a pure-AND conjunction (the selectivity-ordered pushdown the
 /// paper's bandwidth argument calls for: a later leaf only touches the
-/// rows earlier leaves left alive). The `MONET_PUSHDOWN` environment
-/// variable sets the default of every [`crate::exec::ExecOptions`]. Results
-/// are bit-identical either way — intersection is order-independent — only
-/// the bytes streamed change.
+/// rows earlier leaves left alive). Results are bit-identical either way —
+/// intersection is order-independent — only the bytes streamed change.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PushdownMode {
     /// Every leaf evaluates against the full column (the pre-pushdown
@@ -149,21 +124,6 @@ pub enum PushdownMode {
 }
 
 impl PushdownMode {
-    /// Parse a `MONET_PUSHDOWN`-style value (`0`/`off` | `1`/`on`).
-    pub fn parse(s: &str) -> Option<Self> {
-        match s {
-            "0" | "off" => Some(PushdownMode::Off),
-            "1" | "on" => Some(PushdownMode::On),
-            _ => None,
-        }
-    }
-
-    /// The mode pinned by the `MONET_PUSHDOWN` environment variable, if set
-    /// to a valid value.
-    pub fn from_env() -> Option<Self> {
-        std::env::var("MONET_PUSHDOWN").ok().and_then(|s| Self::parse(&s))
-    }
-
     /// Display name (`off` | `on`).
     pub fn name(self) -> &'static str {
         match self {
@@ -1269,19 +1229,9 @@ mod tests {
         assert_eq!(AccessMode::parse("auto"), Some(AccessMode::Auto));
         assert_eq!(AccessMode::parse("AUTO"), None);
         assert_eq!(AccessMode::parse(""), None);
-        assert_eq!(CompressMode::parse("0"), Some(CompressMode::Off));
-        assert_eq!(CompressMode::parse("off"), Some(CompressMode::Off));
-        assert_eq!(CompressMode::parse("1"), Some(CompressMode::On));
-        assert_eq!(CompressMode::parse("on"), Some(CompressMode::On));
-        assert_eq!(CompressMode::parse("force"), Some(CompressMode::Force));
-        assert_eq!(CompressMode::parse("ON"), None);
-        assert_eq!(CompressMode::parse(""), None);
-        assert_eq!(PushdownMode::parse("0"), Some(PushdownMode::Off));
-        assert_eq!(PushdownMode::parse("off"), Some(PushdownMode::Off));
-        assert_eq!(PushdownMode::parse("1"), Some(PushdownMode::On));
-        assert_eq!(PushdownMode::parse("on"), Some(PushdownMode::On));
-        assert_eq!(PushdownMode::parse("ON"), None);
-        assert_eq!(PushdownMode::parse(""), None);
+        for mode in [AccessMode::Scan, AccessMode::Index, AccessMode::Auto] {
+            assert_eq!(AccessMode::parse(mode.name()), Some(mode), "names round-trip");
+        }
     }
 
     #[test]

@@ -8,6 +8,10 @@
 
 use monet_core::storage::Oid;
 
+/// Candidates: OIDs of qualifying tuples, ascending (scan order over a void
+/// head).
+pub type CandList = Vec<Oid>;
+
 /// Intersect two ascending candidate lists (`AND` of predicates).
 pub fn intersect(a: &[Oid], b: &[Oid]) -> Vec<Oid> {
     debug_assert!(a.windows(2).all(|w| w[0] < w[1]), "a must be strictly ascending");
@@ -85,23 +89,15 @@ mod tests {
 
     #[test]
     fn composed_conjunction_matches_direct_filter() {
-        use crate::select::{range_select_f64, range_select_i32};
-        use memsim::NullTracker;
-        use monet_core::storage::{Bat, Column};
-
-        let n = 10_000;
-        let qty = Bat::with_void_head(0, Column::I32((0..n).map(|i| i % 50).collect()));
-        let price = Bat::with_void_head(0, Column::F64((0..n).map(|i| (i % 97) as f64).collect()));
-
-        let c1 = range_select_i32(&mut NullTracker, &qty, 10, 20).unwrap();
-        let c2 = range_select_f64(&mut NullTracker, &price, 30.0, 60.0).unwrap();
-        let both = intersect(&c1, &c2);
-
-        let expect: Vec<u32> = (0..n)
-            .filter(|&i| (10..=20).contains(&(i % 50)) && (30..=60).contains(&(i % 97)))
-            .map(|i| i as u32)
-            .collect();
-        assert_eq!(both, expect);
+        // Two single-column selections over 10 000 rows, each an inline row
+        // filter: combining their lists equals filtering on both at once.
+        let select =
+            |keep: &dyn Fn(u32) -> bool| -> CandList { (0..10_000).filter(|&i| keep(i)).collect() };
+        let qty = |i: u32| (10..=20).contains(&(i % 50));
+        let price = |i: u32| (30..=60).contains(&(i % 97));
+        let both = intersect(&select(&qty), &select(&price));
+        assert_eq!(both, select(&|i| qty(i) && price(i)));
         assert!(!both.is_empty());
+        assert_eq!(union(&select(&qty), &select(&price)), select(&|i| qty(i) || price(i)));
     }
 }

@@ -15,9 +15,8 @@
 //!   the filtered column ([`costmodel::access`]; CsBTree range/eq, hash
 //!   probe, T-tree probe), with B+-tree-backed range selectivity counted
 //!   exactly. Index-path candidate lists are sorted back into OID order, so
-//!   every access mode is bit-identical. `MONET_ACCESS=scan|index|auto`
-//!   (or [`ExecOptions::access`]) pins the policy; tables without indexes
-//!   behave exactly as before.
+//!   every access mode is bit-identical. [`ExecOptions::access`] pins the
+//!   policy; tables without indexes behave exactly as before.
 //! * **Aggregation**, grouped or not, is one [`crate::aggregate::fold`] over
 //!   the stream's survivors into a direct-indexed table (the group domain of
 //!   an encoded key is ≤ 65536 codes, so the table fits the cache — the
@@ -29,7 +28,7 @@
 //!
 //! A selection constant missing from a column's dictionary makes that
 //! predicate provably empty; the executor treats it as zero rows, not as an
-//! error (see [`EngineError::ConstantNotInDictionary`]).
+//! error.
 //!
 //! # Parallel execution
 //!
@@ -68,10 +67,9 @@ use crate::access::{
     PushdownMode,
 };
 use crate::aggregate::{fold, Acc, Folded, Input, Rows, Side, Sink};
-use crate::candidates::intersect;
+use crate::candidates::{intersect, CandList};
 use crate::join::{join_operands, Operand};
 use crate::plan::{Agg, LogicalPlan, PlanNode};
-use crate::select::CandList;
 use crate::shared::ScanTicket;
 use crate::EngineError;
 
@@ -123,9 +121,8 @@ pub struct ExecOptions {
     /// [module docs](self)).
     pub threads: Threads,
     /// Selection access-path policy (scan / index / auto). The constructors
-    /// default to [`AccessMode::Auto`] unless the `MONET_ACCESS` environment
-    /// variable pins a mode (the tests/CI hook). Results are bit-identical
-    /// at every setting.
+    /// default to [`AccessMode::Auto`]. Results are bit-identical at every
+    /// setting.
     pub access: AccessMode,
     /// An externally imposed hard ceiling on per-operator thread counts,
     /// applied on top of [`Threads`] (both `Auto` and `Fixed`). This is the
@@ -135,14 +132,12 @@ pub struct ExecOptions {
     /// never oversubscribed. `None` (the default) imposes no ceiling.
     pub thread_cap: Option<usize>,
     /// Compressed-column policy (off / on / force). The constructors
-    /// default to [`CompressMode::On`] unless the `MONET_COMPRESS`
-    /// environment variable pins a mode. Results are bit-identical at
-    /// every setting; only the bytes streamed (and hence the model's path
-    /// choices) change.
+    /// default to [`CompressMode::On`]. Results are bit-identical at every
+    /// setting; only the bytes streamed (and hence the model's path choices)
+    /// change.
     pub compress: CompressMode,
     /// Candidate-list pushdown policy for multi-leaf AND filters (off / on).
-    /// The constructors default to [`PushdownMode::On`] unless the
-    /// `MONET_PUSHDOWN` environment variable pins a mode. Results are
+    /// The constructors default to [`PushdownMode::On`]. Results are
     /// bit-identical at every setting; only the leaf order and the bytes
     /// later leaves stream change.
     pub pushdown: PushdownMode,
@@ -155,10 +150,10 @@ impl ExecOptions {
             machine,
             planner: Planner::CostModel,
             threads: Threads::Fixed(1),
-            access: AccessMode::from_env().unwrap_or(AccessMode::Auto),
+            access: AccessMode::Auto,
             thread_cap: None,
-            compress: CompressMode::from_env().unwrap_or(CompressMode::On),
-            pushdown: PushdownMode::from_env().unwrap_or(PushdownMode::On),
+            compress: CompressMode::On,
+            pushdown: PushdownMode::On,
         }
     }
 
@@ -173,19 +168,19 @@ impl ExecOptions {
         self
     }
 
-    /// Set the selection access-path policy (overriding `MONET_ACCESS`).
+    /// Set the selection access-path policy.
     pub fn with_access(mut self, access: AccessMode) -> Self {
         self.access = access;
         self
     }
 
-    /// Set the compressed-column policy (overriding `MONET_COMPRESS`).
+    /// Set the compressed-column policy.
     pub fn with_compress(mut self, compress: CompressMode) -> Self {
         self.compress = compress;
         self
     }
 
-    /// Set the candidate-pushdown policy (overriding `MONET_PUSHDOWN`).
+    /// Set the candidate-pushdown policy.
     pub fn with_pushdown(mut self, pushdown: PushdownMode) -> Self {
         self.pushdown = pushdown;
         self
@@ -979,7 +974,7 @@ mod tests {
     fn missing_dictionary_constant_is_an_empty_selection() {
         let t = item();
         // "WALRUS" is not in the shipmode dictionary: provably empty, and
-        // per the ConstantNotInDictionary doc contract NOT an error.
+        // per the module doc contract NOT an error.
         let r = run(Query::scan(&t)
             .filter(Pred::eq_str("shipmode", "WALRUS"))
             .group_by("shipmode")
@@ -1505,8 +1500,6 @@ mod tests {
         // A partial ticket: one leaf provided, the other evaluated here.
         let mut partial = ScanTicket::new();
         partial.provide(reqs[0].leaf, ticket.get(reqs[0].leaf).unwrap().clone());
-        // Pin pushdown on: the note assertions below must hold on the
-        // MONET_PUSHDOWN=0 CI legs too.
         let opts = ExecOptions::default().with_pushdown(PushdownMode::On);
         let fed = execute_with_scans(&mut NullTracker, &plan, &opts, &partial).unwrap();
         assert!(fed.output.bitwise_eq(&solo.output));

@@ -5,18 +5,17 @@
 //! The operator repertoire §3.2 analyses, implemented over the vertically
 //! decomposed storage of `monet-core`:
 //!
-//! * [`select`] — scan selections (optimal locality), including the §3.1
-//!   byte-encoded fast path where a string predicate is re-mapped once to a
-//!   code comparison;
 //! * [`access`] — per-predicate access-path selection: the executor weighs
-//!   each scan against the table's attached §3.2 indexes (CsBTree, hash,
-//!   T-tree) with [`costmodel::access`], pinnable via `MONET_ACCESS`;
+//!   each scan-select (optimal locality; a string constant is re-mapped once
+//!   to its §3.1 byte code) against the table's attached §3.2 indexes
+//!   (CsBTree, hash, T-tree) with [`costmodel::access`], per the
+//!   [`ExecOptions`] policy, and runs it on [`monet_core::scan::select`];
 //! * [`aggregate`] — gather-and-fold: `SUM`/`MIN`/`MAX`/`COUNT`, ungrouped
 //!   or hash-grouped (the cache-friendly choice when the group count is
 //!   small, per §3.2), accumulated in one block-at-a-time pass over a
 //!   stream's survivors — a whole table, a candidate list or a join index —
 //!   with no survivor-length intermediate;
-//! * [`candidates`] — AND/OR combinators over candidate OID lists;
+//! * [`candidates`] — candidate OID lists and their AND/OR combinators;
 //! * [`join`] — dispatch from BATs to the radix join kernels, including the
 //!   void-head positional fast path that "effectively eliminat\[es\] all join
 //!   cost" for tuple-reconstruction joins;
@@ -49,7 +48,6 @@ pub mod exec;
 pub mod join;
 pub mod plan;
 pub mod reconstruct;
-pub mod select;
 pub mod shared;
 
 pub use access::{AccessDecision, AccessMode, CompressMode, PushdownMode};
@@ -77,10 +75,6 @@ pub enum EngineError {
         /// The offending column type.
         ty: monet_core::storage::ValueType,
     },
-    /// A selection constant does not occur in the dictionary (the selection
-    /// result is provably empty; callers may treat this as non-fatal — the
-    /// plan executor ([`exec`]) does, yielding zero rows).
-    ConstantNotInDictionary(String),
     /// A plan failed validation in the logical layer.
     Plan(plan::PlanError),
 }
@@ -91,9 +85,6 @@ impl fmt::Display for EngineError {
             EngineError::Storage(e) => write!(f, "storage error: {e}"),
             EngineError::UnsupportedType { op, ty } => {
                 write!(f, "{op} does not support {ty:?} columns")
-            }
-            EngineError::ConstantNotInDictionary(s) => {
-                write!(f, "constant {s:?} not in dictionary")
             }
             EngineError::Plan(e) => write!(f, "invalid plan: {e}"),
         }

@@ -34,7 +34,7 @@ use monet_core::storage::{DecomposedTable, ValueType};
 
 /// A typed selection predicate over one table's columns.
 ///
-/// Leaves map 1:1 onto the scan-select kernels of [`crate::select`];
+/// Leaves map 1:1 onto the scan-select kernel [`monet_core::scan::select`];
 /// [`Pred::And`]/[`Pred::Or`] compose candidate OID lists with the
 /// combinators of [`crate::candidates`], exactly as Monet evaluates
 /// multi-predicate selections (each scan keeps its optimal stride locality).

@@ -34,8 +34,8 @@ use monet_core::scan::ScanPred;
 use monet_core::storage::{Bat, Codes, Column, DecomposedTable, Oid};
 
 use crate::access::{is_pure_and, leaf_count, lower_leaf, PushdownMode};
+use crate::candidates::CandList;
 use crate::plan::{LogicalPlan, PlanNode, Pred};
-use crate::select::CandList;
 
 /// Identity of a column's scanned buffer: address, length and byte width
 /// of the underlying data. Tables are immutable, so two equal identities

@@ -1,5 +1,7 @@
 //! Service configuration and the `MONET_SERVICE_*` environment knobs.
 
+use std::fmt;
+
 use memsim::MachineConfig;
 use obs::TraceMode;
 
@@ -25,8 +27,9 @@ pub const DEFAULT_DRIFT_BAND: f64 = 2.0;
 
 /// Configuration of a [`crate::QueryService`].
 ///
-/// Every field has an environment override so deployments can be tuned
-/// without code changes:
+/// Every field but `machine` has an environment override, read by
+/// [`ServiceConfig::from_env`], so deployments can be tuned without code
+/// changes:
 ///
 /// | field | env | default |
 /// |---|---|---|
@@ -109,53 +112,63 @@ impl ServiceConfig {
         }
     }
 
-    /// [`Self::new`] with any `MONET_SERVICE_*` environment overrides
-    /// applied (unparsable values fall back to the defaults).
-    pub fn from_env() -> Self {
+    /// [`Self::new`] with the environment overrides of the table above
+    /// applied. A set variable whose value does not parse, or lies outside
+    /// its range, is an error naming the variable and the value — never a
+    /// silent default.
+    pub fn from_env() -> Result<Self, ConfigError> {
+        Self::from_vars(|var| std::env::var(var).ok())
+    }
+
+    /// [`Self::from_env`] over the variables `get` looks up.
+    fn from_vars(get: impl Fn(&str) -> Option<String>) -> Result<Self, ConfigError> {
+        let get = &get;
         let mut cfg = Self::new();
-        if let Some(n) = env_usize("MONET_SERVICE_THREADS") {
-            cfg.budget = n.max(1);
+        if let Some(n) = read(get, "MONET_SERVICE_THREADS", "a thread count >= 1", |v| {
+            v.parse().ok().filter(|&n: &usize| n >= 1)
+        })? {
+            cfg.budget = n;
         }
-        if let Some(n) = env_usize("MONET_SERVICE_QUEUE") {
+        if let Some(n) = read(get, "MONET_SERVICE_QUEUE", "a queue length", |v| v.parse().ok())? {
             cfg.queue_limit = n;
         }
-        if let Some(n) = env_usize("MONET_SERVICE_STARVE") {
+        if let Some(n) = read(get, "MONET_SERVICE_STARVE", "a bypass count", |v| v.parse().ok())? {
             cfg.starvation_bound = n;
         }
-        if let Ok(v) = std::env::var("MONET_SERVICE_SHARE") {
-            match v.trim() {
-                "0" | "off" | "false" => cfg.shared_scans = false,
-                "1" | "on" | "true" => cfg.shared_scans = true,
-                _ => {}
-            }
+        if let Some(on) =
+            read(get, "MONET_SERVICE_SHARE", "0/off/false or 1/on/true", |v| match v {
+                "0" | "off" | "false" => Some(false),
+                "1" | "on" | "true" => Some(true),
+                _ => None,
+            })?
+        {
+            cfg.shared_scans = on;
         }
-        if let Ok(v) = std::env::var("MONET_SERVICE_CACHE") {
-            match v.trim() {
-                "on" => cfg.cache_bytes = DEFAULT_CACHE_BYTES,
-                "off" => cfg.cache_bytes = 0,
-                other => {
-                    if let Ok(n) = other.parse::<usize>() {
-                        cfg.cache_bytes = n;
-                    }
-                }
-            }
+        if let Some(n) = read(get, "MONET_SERVICE_CACHE", "off, on or a byte count", |v| match v {
+            "on" => Some(DEFAULT_CACHE_BYTES),
+            "off" => Some(0),
+            bytes => bytes.parse().ok(),
+        })? {
+            cfg.cache_bytes = n;
         }
-        if let Ok(v) = std::env::var("MONET_SERVICE_CHUNK") {
-            if let Some(n) = parse_chunk(&v) {
-                cfg.chunk_rows = n;
-            }
+        if let Some(n) = read(
+            get,
+            "MONET_SERVICE_CHUNK",
+            "a value count, optionally with a k or m suffix",
+            parse_chunk,
+        )? {
+            cfg.chunk_rows = n;
         }
-        if let Ok(v) = std::env::var("MONET_TRACE") {
+        // Every value names a trace mode: one that is no keyword is a path.
+        if let Some(v) = get("MONET_TRACE") {
             cfg.trace = TraceMode::parse(&v);
         }
-        if let Ok(v) = std::env::var("MONET_DRIFT_BAND") {
-            if let Ok(b) = v.trim().parse::<f64>() {
-                if b.is_finite() && b >= 1.0 {
-                    cfg.drift_band = b;
-                }
-            }
+        if let Some(band) = read(get, "MONET_DRIFT_BAND", "a finite ratio >= 1", |v| {
+            v.parse().ok().filter(|b: &f64| b.is_finite() && *b >= 1.0)
+        })? {
+            cfg.drift_band = band;
         }
-        cfg
+        Ok(cfg)
     }
 
     /// Set the global thread budget (clamped to >= 1).
@@ -219,8 +232,39 @@ impl Default for ServiceConfig {
     }
 }
 
-fn env_usize(key: &str) -> Option<usize> {
-    std::env::var(key).ok()?.trim().parse().ok()
+/// A set configuration variable whose value [`ServiceConfig::from_env`]
+/// cannot use.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ConfigError {
+    /// The environment variable.
+    pub var: &'static str,
+    /// Its value, as set.
+    pub value: String,
+    /// What the variable accepts.
+    pub expected: &'static str,
+}
+
+impl fmt::Display for ConfigError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "{}={:?}: expected {}", self.var, self.value, self.expected)
+    }
+}
+
+impl std::error::Error for ConfigError {}
+
+/// `var`'s value parsed (trimmed) by `parse`, or `None` when `get` finds it
+/// unset.
+fn read<T>(
+    get: &dyn Fn(&str) -> Option<String>,
+    var: &'static str,
+    expected: &'static str,
+    parse: impl Fn(&str) -> Option<T>,
+) -> Result<Option<T>, ConfigError> {
+    let Some(value) = get(var) else { return Ok(None) };
+    match parse(value.trim()) {
+        Some(v) => Ok(Some(v)),
+        None => Err(ConfigError { var, value, expected }),
+    }
 }
 
 /// Parse a chunk-size spec: a plain value count, or one with a `k`/`m`
@@ -234,7 +278,7 @@ fn parse_chunk(v: &str) -> Option<usize> {
             None => (v.as_str(), 1),
         },
     };
-    digits.parse::<usize>().ok().map(|n| n * mult)
+    digits.parse::<usize>().ok()?.checked_mul(mult)
 }
 
 #[cfg(test)]
@@ -274,6 +318,7 @@ mod tests {
         assert_eq!(parse_chunk(" 64K "), Some(64 << 10));
         assert_eq!(parse_chunk("1m"), Some(1 << 20));
         assert_eq!(parse_chunk("banana"), None);
+        assert_eq!(parse_chunk("99999999999999999999m"), None, "overflow is unparsable");
         let cfg = ServiceConfig::new().with_chunk_rows(0);
         assert_eq!(cfg.chunk_rows, 0, "zero = one-shot passes");
     }
@@ -283,6 +328,93 @@ mod tests {
         let cfg = ServiceConfig::new().with_cache_bytes(0).with_shared_scans(false);
         assert_eq!(cfg.cache_bytes, 0);
         assert!(!cfg.shared_scans);
+    }
+
+    /// [`ServiceConfig::from_vars`] with `var` alone set to `value`.
+    fn with_var(var: &str, value: &str) -> Result<ServiceConfig, ConfigError> {
+        ServiceConfig::from_vars(|v| (v == var).then(|| value.to_owned()))
+    }
+
+    /// `var=value` is refused, naming both.
+    fn refused(var: &str, value: &str) {
+        let err = with_var(var, value).expect_err(value);
+        assert_eq!((err.var, err.value.as_str()), (var, value));
+        let text = err.to_string();
+        assert!(text.contains(var) && text.contains(value), "{text}");
+    }
+
+    #[test]
+    fn unset_variables_keep_the_defaults() {
+        let cfg = ServiceConfig::from_vars(|_| None).unwrap();
+        let new = ServiceConfig::new();
+        assert_eq!(
+            (cfg.budget, cfg.queue_limit, cfg.cache_bytes),
+            (new.budget, new.queue_limit, new.cache_bytes)
+        );
+        assert_eq!(
+            (cfg.chunk_rows, cfg.trace, cfg.drift_band),
+            (new.chunk_rows, new.trace, new.drift_band)
+        );
+    }
+
+    #[test]
+    fn threads_variable() {
+        assert_eq!(with_var("MONET_SERVICE_THREADS", " 3 ").unwrap().budget, 3);
+        refused("MONET_SERVICE_THREADS", "four");
+        refused("MONET_SERVICE_THREADS", "0");
+    }
+
+    #[test]
+    fn queue_variable() {
+        assert_eq!(with_var("MONET_SERVICE_QUEUE", "0").unwrap().queue_limit, 0);
+        refused("MONET_SERVICE_QUEUE", "-1");
+    }
+
+    #[test]
+    fn starve_variable() {
+        assert_eq!(with_var("MONET_SERVICE_STARVE", "9").unwrap().starvation_bound, 9);
+        refused("MONET_SERVICE_STARVE", "never");
+    }
+
+    #[test]
+    fn share_variable() {
+        assert!(!with_var("MONET_SERVICE_SHARE", "off").unwrap().shared_scans);
+        assert!(with_var("MONET_SERVICE_SHARE", "1").unwrap().shared_scans);
+        refused("MONET_SERVICE_SHARE", "yes");
+    }
+
+    #[test]
+    fn cache_variable() {
+        assert_eq!(with_var("MONET_SERVICE_CACHE", "off").unwrap().cache_bytes, 0);
+        assert_eq!(with_var("MONET_SERVICE_CACHE", "on").unwrap().cache_bytes, DEFAULT_CACHE_BYTES);
+        assert_eq!(with_var("MONET_SERVICE_CACHE", "4096").unwrap().cache_bytes, 4096);
+        refused("MONET_SERVICE_CACHE", "4MiB");
+    }
+
+    #[test]
+    fn chunk_variable() {
+        assert_eq!(with_var("MONET_SERVICE_CHUNK", "64k").unwrap().chunk_rows, 64 << 10);
+        assert_eq!(with_var("MONET_SERVICE_CHUNK", "0").unwrap().chunk_rows, 0);
+        refused("MONET_SERVICE_CHUNK", "64kb");
+    }
+
+    #[test]
+    fn trace_variable() {
+        assert_eq!(with_var("MONET_TRACE", "on").unwrap().trace, TraceMode::Ring);
+        assert_eq!(with_var("MONET_TRACE", "0").unwrap().trace, TraceMode::Off);
+        assert_eq!(
+            with_var("MONET_TRACE", "out.jsonl").unwrap().trace,
+            TraceMode::File("out.jsonl".to_owned())
+        );
+    }
+
+    #[test]
+    fn drift_band_variable() {
+        assert_eq!(with_var("MONET_DRIFT_BAND", "1.5").unwrap().drift_band, 1.5);
+        // `with_drift_band(0.5)` clamps to 1; the environment refuses it.
+        refused("MONET_DRIFT_BAND", "0.5");
+        refused("MONET_DRIFT_BAND", "inf");
+        refused("MONET_DRIFT_BAND", "wide");
     }
 
     #[test]

@@ -105,8 +105,7 @@ pub struct ShardCluster<'a> {
     copies: Vec<CopyState>,
     policy: PlacePolicy,
     sched: Scheduler,
-    /// The executor policy on the primary's machine — the
-    /// `MONET_ACCESS/COMPRESS/PUSHDOWN` knobs resolved once, so every
+    /// The executor policy on the primary's machine, held once so every
     /// placement quote and shard task of this cluster runs under the same
     /// one ([`Self::on`] swaps in a copy's machine).
     exec: ExecOptions,

@@ -41,7 +41,8 @@
 //! ```
 //!
 //! * [`config`] — [`ServiceConfig`] and the `MONET_SERVICE_*` env knobs
-//!   (including `MONET_SERVICE_CHUNK`, the elevator chunk size);
+//!   (including `MONET_SERVICE_CHUNK`, the elevator chunk size), refused
+//!   with a [`ConfigError`] when a value does not parse;
 //! * [`sched`] — the pure admission/budget state machine (deterministic
 //!   unit tests live there);
 //! * [`service`] — [`QueryService`], [`Session`], [`QueryHandle`], the
@@ -91,7 +92,7 @@ pub mod sched;
 pub mod service;
 mod shared;
 
-pub use config::ServiceConfig;
+pub use config::{ConfigError, ServiceConfig};
 pub use dist::{CopyId, CopyStats, PlacePolicy, PlacedRun, ShardCluster};
 pub use metrics::{LatencySummary, SampleWindow, ServiceMetrics, SessionMetrics};
 pub use obs::TraceMode;

@@ -57,9 +57,8 @@ const TRACE_RING_CAP: usize = 1024;
 pub struct QueryService {
     cfg: ServiceConfig,
     /// The executor policy every pass, quote and execution of this service
-    /// runs under — the `MONET_ACCESS/COMPRESS/PUSHDOWN` knobs resolved
-    /// once, here, so the three can never disagree and the submit path
-    /// makes no environment reads.
+    /// runs under: the cost-model defaults with `Threads::Auto`, held once
+    /// here so the three can never disagree.
     exec: ExecOptions,
     /// Tracing + drift observatory; `None` when `cfg.trace` is off, and
     /// then the submit path carries no observability state at all.
@@ -721,17 +720,12 @@ impl QueryService {
     }
 
     /// The compressed representation a cooperative pass over `req`'s column
-    /// streams instead of the plain buffer: the column has one, the
-    /// compression policy allows it, and it can evaluate every merged
-    /// predicate directly.
+    /// streams instead of the plain buffer: the column has one, and it can
+    /// evaluate every merged predicate directly.
     fn packed_for<'p>(
-        &self,
         req: &ScanRequest<'p>,
         preds: &[ScanPred],
     ) -> Option<&'p monet_core::CompressedColumn> {
-        if self.exec.compress == CompressMode::Off {
-            return None;
-        }
         req.compressed.filter(|cc| preds.iter().all(|p| cc.supports(p)))
     }
 
@@ -769,8 +763,7 @@ impl QueryService {
     /// pass under a non-zero chunk size runs as an *elevator*
     /// ([`QueryService::run_elevator`]). Either way, when the anchored
     /// column carries a compressed representation that supports every
-    /// merged predicate (and the compression policy does not say off), the
-    /// pass streams the compressed bytes instead — bit-identical lists,
+    /// merged predicate, the pass streams the compressed bytes instead — bit-identical lists,
     /// fewer bytes on the bus. Each claim is guarded: if the pass fails —
     /// or a panic unwinds out of the kernel — its keys are aborted back
     /// off the in-flight set so waiters evaluate for themselves instead
@@ -814,7 +807,7 @@ impl QueryService {
         let mut claim =
             ClaimGuard { svc: self, keys: batch.preds.iter().map(|p| p.key).collect(), col: None };
         let preds: Vec<ScanPred> = batch.preds.iter().map(|p| p.key.pred.kernel_pred()).collect();
-        let cc = self.packed_for(req, &preds);
+        let cc = Self::packed_for(req, &preds);
         // Tracing streams the pass under the simulator (sequentially — the
         // simulator counts a single stream) for deterministic counters;
         // the lists are bit-identical to the parallel driver's.
@@ -919,7 +912,7 @@ impl QueryService {
             let lo = cursor;
             let hi = (cursor + chunk).min(rows);
             let preds: Vec<ScanPred> = riders.iter().map(|r| r.key.pred.kernel_pred()).collect();
-            let cc = self.packed_for(req, &preds);
+            let cc = Self::packed_for(req, &preds);
             // Stream the chunk without the service lock — under the
             // simulator when tracing, so the ChunkDone event carries
             // deterministic counters.
@@ -1236,9 +1229,9 @@ impl QueryHandle {
 /// the walk assumes half the rows survive each filter — crude, but the
 /// scheduler only needs *relative* accuracy to rank queries.
 ///
-/// The compression and pushdown policy the plan is priced under is the
-/// environment's (`ExecOptions::cost_model`); a caller that already holds
-/// its [`ExecOptions`] prices with [`quote_plan_covered`] directly.
+/// The plan is priced under the default policy (`ExecOptions::cost_model`:
+/// compression and pushdown on); a caller that already holds its
+/// [`ExecOptions`] prices with [`quote_plan_covered`] directly.
 pub fn quote_plan(machine: &MachineConfig, plan: &LogicalPlan<'_>) -> QueryQuote {
     let opts = ExecOptions::cost_model(*machine);
     quote_plan_covered(&opts, plan, &scan_requests(plan, opts.pushdown), &|_| None)
@@ -1338,7 +1331,7 @@ fn shapes_of<'r, 'p: 'r>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use engine::access::{AccessMode, PushdownMode};
+    use engine::access::PushdownMode;
     use engine::exec::execute;
     use engine::plan::{Agg, Pred, Query};
     use monet_core::storage::{ColType, DecomposedTable, TableBuilder, Value};
@@ -1799,11 +1792,9 @@ mod tests {
             let saved: u64 = svc.session_metrics().iter().map(|s| s.scans_saved).sum();
             assert!(saved >= 2, "beneficiaries record their saved scans");
             assert_counters_balance(&svc);
-            if svc.exec.compress != CompressMode::Off {
-                // The cooperative qty pass streamed the packed codes.
-                assert!(m.compressed_bytes_streamed > 0, "{m:?}");
-                assert!(m.bytes_saved > 0, "{m:?}");
-            }
+            // The cooperative qty pass streamed the packed codes.
+            assert!(m.compressed_bytes_streamed > 0, "{m:?}");
+            assert!(m.bytes_saved > 0, "{m:?}");
         }
     }
 
@@ -1825,31 +1816,16 @@ mod tests {
         assert_eq!(handle.output(), &seq.output);
 
         let m = svc.metrics();
-        assert_eq!(m.scan_rows_streamed, 50_000, "the leaf streamed the column either way");
-        // The resolved policy, not `compress` alone: scan-only access is
-        // the uncompressed reference path unless compression is forced.
-        let packed = match svc.exec.compress {
-            CompressMode::Off => false,
-            CompressMode::On => svc.exec.access != AccessMode::Scan,
-            CompressMode::Force => true,
-        };
-        match packed {
-            false => {
-                assert_eq!(m.compressed_bytes_streamed, 0);
-                assert_eq!(m.bytes_saved, 0);
-            }
-            true => {
-                // qty spans 0..50 — a packed representation far below 32
-                // bits/value, and no index competes, so auto takes it.
-                let cc = t.compressed_of("qty").expect("qty compresses");
-                let cb = (50_000f64 * cc.bits_per_value() / 8.0).ceil() as u64;
-                assert_eq!(m.compressed_bytes_streamed, cb, "{m:?}");
-                assert_eq!(m.bytes_saved, 50_000 * 4 - cb, "4-byte column stride");
-                let sm = svc.session_metrics();
-                assert_eq!(sm[0].compressed_bytes_streamed, cb);
-                assert_eq!(sm[0].bytes_saved, m.bytes_saved);
-            }
-        }
+        assert_eq!(m.scan_rows_streamed, 50_000, "the leaf streamed the column");
+        // qty spans 0..50 — a packed representation far below 32 bits/value,
+        // and no index competes, so auto takes it.
+        let cc = t.compressed_of("qty").expect("qty compresses");
+        let cb = (50_000f64 * cc.bits_per_value() / 8.0).ceil() as u64;
+        assert_eq!(m.compressed_bytes_streamed, cb, "{m:?}");
+        assert_eq!(m.bytes_saved, 50_000 * 4 - cb, "4-byte column stride");
+        let sm = svc.session_metrics();
+        assert_eq!(sm[0].compressed_bytes_streamed, cb);
+        assert_eq!(sm[0].bytes_saved, m.bytes_saved);
     }
 
     #[test]

@@ -2,9 +2,10 @@
 //! evaluator of a `LogicalPlan` over the row-store copy of its tables
 //! (`DecomposedTable::to_nsm`). It shares no kernel with the executor — no
 //! candidate lists, indexes, compression, blocks or threads: filters test one
-//! record at a time, the join is a nested loop emitting `(l, r)` ascending,
-//! and every `f64` sum is added in that stream order, which is the order the
-//! executor's bit-identity contract promises.
+//! record at a time, the join emits `(l, r)` ascending — a nested loop's
+//! order, with each left key looked up among the right records' instead of
+//! compared against every one — and every `f64` sum is added in that stream
+//! order, which is the order the executor's bit-identity contract promises.
 
 use std::collections::BTreeMap;
 
@@ -115,12 +116,17 @@ fn stream<'a>(node: &PlanNode<'a>) -> Stream<'a> {
             else {
                 panic!("nested joins")
             };
+            let key = |rel: &Rel, row: usize, col: &str| {
+                rel.field(row, col).as_i64().expect("integer join key")
+            };
+            let mut right_rows: BTreeMap<i64, Vec<usize>> = BTreeMap::new();
+            for &rr in &rrows {
+                right_rows.entry(key(&r, rr, right_col)).or_default().push(rr);
+            }
             let mut pairs = Vec::new();
             for &lr in &lrows {
-                for &rr in &rrows {
-                    if l.field(lr, left_col) == r.field(rr, right_col) {
-                        pairs.push((lr, rr));
-                    }
+                for &rr in right_rows.get(&key(&l, lr, left_col)).into_iter().flatten() {
+                    pairs.push((lr, rr));
                 }
             }
             Stream::Joined(l, r, pairs)

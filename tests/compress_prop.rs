@@ -3,24 +3,18 @@
 //! run-length, packed dictionary codes) and every data shape — uniform,
 //! Zipf-skewed, sorted-with-runs, all-equal, empty — selecting directly on
 //! the compressed representation must be **bit-identical** to the
-//! uncompressed scan kernels, sequentially and at every thread count, with
-//! shard counts that merge to the totals; and the same must hold end to end
-//! through the engine under every `MONET_COMPRESS`/access-mode combination,
-//! including candidate lists delivered via `execute_with_scans` the way the
-//! query service's cooperative passes deliver them.
-
-use std::sync::Arc;
+//! uncompressed scan kernels and to filtering the values one row at a time,
+//! sequentially and at every thread count, with shard counts that merge to
+//! the totals. The same end to end through the engine, under every
+//! compression policy and with candidate lists delivered the way the query
+//! service's cooperative passes deliver them, is a dimension of
+//! `tests/lattice_prop.rs`.
 
 use proptest::prelude::*;
 
 use monet_mem::core::compress::{CompressedColumn, DictColumn, ForColumn, RleColumn};
 use monet_mem::core::scan::{par_select, select, RowSet, ScanCol, ScanPred};
-use monet_mem::core::storage::{Bat, ColType, Column, StrColumn, TableBuilder, Value};
-use monet_mem::engine::exec::{execute, execute_with_scans, ExecOptions, Threads};
-use monet_mem::engine::plan::{Agg, Pred, Query};
-use monet_mem::engine::select::{range_select_f64, range_select_i32, select_eq_str};
-use monet_mem::engine::shared::{scan_requests, ScanTicket};
-use monet_mem::engine::{AccessMode, CompressMode, PushdownMode};
+use monet_mem::core::storage::{Bat, Column, Oid, StrColumn};
 use monet_mem::memsim::NullTracker;
 use monet_mem::workload::ZipfGenerator;
 
@@ -176,95 +170,9 @@ fn degenerate_predicates_agree_on_straddled_partial_and_constant_frames() {
     }
 }
 
-/// A two-column table over one i32 shape plus a cycling mode column.
-fn shape_table(values: &[i32]) -> monet_mem::core::storage::DecomposedTable {
-    let mut b =
-        TableBuilder::new("shape", 100).column("v", ColType::I32).column("mode", ColType::Str);
-    for (i, &v) in values.iter().enumerate() {
-        b.push_row(&[Value::I32(v), Value::from(MODES[i % MODES.len()])]).unwrap();
-    }
-    b.finish()
-}
-
-/// End-to-end: the same plan under every compression policy × access mode ×
-/// thread count — and with leaves delivered through `execute_with_scans`
-/// from a cooperative compressed pass — returns the reference rows.
-#[test]
-fn engine_results_are_identical_under_every_compression_policy() {
-    let machine = monet_mem::memsim::profiles::origin2000();
-    // Deterministic instances of the five shapes, big enough that the
-    // packed kernels span multiple frames.
-    let mut z = ZipfGenerator::new(64, 1.0, 9);
-    let zipf: Vec<i32> = (0..3000).map(|_| z.sample() as i32).collect();
-    let uniform: Vec<i32> = (0..3000u64).map(|i| ((i * 2_654_435_761) % 97) as i32).collect();
-    let mut sorted = uniform.clone();
-    sorted.sort_unstable();
-    let shapes: Vec<(&str, Vec<i32>)> = vec![
-        ("uniform", uniform),
-        ("zipf", zipf),
-        ("sorted", sorted),
-        ("constant", vec![7; 3000]),
-        ("empty", Vec::new()),
-    ];
-
-    for (shape, values) in shapes {
-        let table = shape_table(&values);
-        let plan = Query::scan(&table)
-            .filter(Pred::range_i32("v", 5, 60).and(Pred::eq_str("mode", "MAIL")))
-            .group_by("mode")
-            .agg(Agg::sum("v"))
-            .agg(Agg::count())
-            .build()
-            .unwrap();
-
-        let reference = execute(
-            &mut NullTracker,
-            &plan,
-            &ExecOptions::cost_model(machine)
-                .with_compress(CompressMode::Off)
-                .with_threads(Threads::Fixed(1)),
-        )
-        .unwrap();
-
-        for compress in [CompressMode::Off, CompressMode::On, CompressMode::Force] {
-            for access in [AccessMode::Scan, AccessMode::Auto] {
-                for threads in THREADS {
-                    let opts = ExecOptions::cost_model(machine)
-                        .with_compress(compress)
-                        .with_access(access)
-                        .with_threads(Threads::Fixed(threads));
-                    let got = execute(&mut NullTracker, &plan, &opts).unwrap();
-                    assert_eq!(
-                        got.output, reference.output,
-                        "{shape}: compress={compress:?} access={access:?} threads={threads}"
-                    );
-
-                    // The service seam: candidate lists produced by a
-                    // cooperative pass over the compressed representation,
-                    // delivered via the ticket.
-                    let mut ticket = ScanTicket::new();
-                    for r in scan_requests(&plan, PushdownMode::On) {
-                        let pred = r.pred.kernel_pred();
-                        let col = match r.compressed {
-                            Some(cc) => ScanCol::Packed(cc, r.seqbase),
-                            None => ScanCol::Plain(r.bat),
-                        };
-                        let lists =
-                            select(&mut NullTracker, col, std::slice::from_ref(&pred), RowSet::All)
-                                .unwrap();
-                        ticket.provide(r.leaf, Arc::new(lists.into_iter().next().unwrap()));
-                    }
-                    let shared =
-                        execute_with_scans(&mut NullTracker, &plan, &opts, &ticket).unwrap();
-                    assert_eq!(
-                        shared.output, reference.output,
-                        "{shape}: shared delivery, compress={compress:?} access={access:?} \
-                         threads={threads}"
-                    );
-                }
-            }
-        }
-    }
+/// The OIDs of the rows of a column at `seqbase` whose value passes.
+fn row_filter<T>(values: &[T], seqbase: Oid, pass: impl Fn(&T) -> bool) -> Vec<Oid> {
+    (seqbase..).zip(values).filter(|(_, v)| pass(v)).map(|(oid, _)| oid).collect()
 }
 
 /// Column lengths of the width sweep: around a word of packed values,
@@ -378,9 +286,8 @@ fn parent_charges(bits: u32) -> [(u64, f64); 3] {
     [(packed_span_reads, 588416.0), (36776, 588416.0), (31695, 507120.0)]
 }
 
-/// Kernel ≡ reference at every width: `select` over `Packed` ≡
-/// `decode()`-then-filter ≡ `select` over `Plain` ≡ the engine's reference
-/// loop, on every row set, as one K = 5 pass and as five solo passes; and
+/// Kernel ≡ reference at every width: `select` over `Packed` ≡ `select` over
+/// `Plain` ≡ a row filter over the values, on every row set, as one K = 5 pass and as five solo passes; and
 /// under the simulator every pass but a restricted packed one charges what
 /// it charged before the kernel fused decode and compare.
 #[test]
@@ -409,15 +316,7 @@ fn fused_kernel_matches_the_reference_at_every_width() {
             let full: Vec<Vec<u32>> = bands
                 .iter()
                 .map(|&(lo, hi)| {
-                    let want =
-                        range_select_i32(&mut NullTracker, &bat, lo as i32, hi as i32).unwrap();
-                    let filtered: Vec<u32> = (SEQBASE..)
-                        .zip(&decoded)
-                        .filter(|&(_, &v)| lo <= v as i64 && v as i64 <= hi)
-                        .map(|(oid, _)| oid)
-                        .collect();
-                    assert_eq!(filtered, want, "{bits} bits, {len} rows: decode-then-filter");
-                    want
+                    row_filter(&values, SEQBASE, |&v| lo <= v as i64 && v as i64 <= hi)
                 })
                 .collect();
             let ctx = format!("{bits} bits, {len} rows");
@@ -472,9 +371,9 @@ fn fused_kernel_matches_the_reference_at_every_width() {
     }
 }
 
-/// The other lanes of the same sweep: `f64` against `range_select_f64`, and
-/// 1- and 2-byte dictionary codes — plain and bit-packed — against
-/// `select_eq_str`.
+/// The other lanes of the same sweep, against row filters: `f64` values, and
+/// 1- and 2-byte dictionary codes — plain and bit-packed — filtered by their
+/// strings.
 #[test]
 fn every_lane_matches_its_reference_loop() {
     const SEQBASE: u32 = 700;
@@ -482,20 +381,22 @@ fn every_lane_matches_its_reference_loop() {
         let ctx = format!("{len} rows");
         let mut next = lcg(len as u64);
         let values: Vec<f64> = (0..len).map(|_| (next() % 1000) as f64 / 8.0 - 60.0).collect();
-        let bat = Bat::with_void_head(SEQBASE, Column::F64(values));
         let bands =
             [(1.0, 0.0), (0.0, 1.25), (-30.0, 30.0), (-59.0, 64.0), (f64::MIN, f64::INFINITY)];
         let preds = bands.map(|(lo, hi)| ScanPred::RangeF64 { lo, hi });
-        let full = bands.map(|(lo, hi)| range_select_f64(&mut NullTracker, &bat, lo, hi).unwrap());
+        let full = bands.map(|(lo, hi)| row_filter(&values, SEQBASE, |&v| lo <= v && v <= hi));
+        let bat = Bat::with_void_head(SEQBASE, Column::F64(values));
         assert_sweep(ScanCol::Plain(&bat), SEQBASE, &preds, &full, &ctx);
 
         for (distinct, width, mut sc) in
             [(3u64, 1, StrColumn::new_u8()), (300, 2, StrColumn::new_u16())]
         {
+            let mut strs = Vec::with_capacity(len);
             for _ in 0..len {
                 // Skewed towards the low codes, so selectivities differ.
                 let code = (next() % distinct).min(next() % distinct);
-                sc.push(&format!("s{code}")).unwrap();
+                strs.push(format!("s{code}"));
+                sc.push(&strs[strs.len() - 1]).unwrap();
             }
             let cc = CompressedColumn::Dict(DictColumn::encode(&sc.codes));
             let bat = Bat::with_void_head(SEQBASE, Column::Str(sc));
@@ -510,10 +411,8 @@ fn every_lane_matches_its_reference_loop() {
                 .iter()
                 .map(|needle| ScanPred::EqCode { code: sc.dict.code_of(needle).unwrap() })
                 .collect();
-            let mut full: Vec<Vec<u32>> = needles
-                .iter()
-                .map(|needle| select_eq_str(&mut NullTracker, &bat, needle).unwrap())
-                .collect();
+            let mut full: Vec<Vec<u32>> =
+                needles.iter().map(|needle| row_filter(&strs, SEQBASE, |s| s == needle)).collect();
             preds.push(ScanPred::EqCode { code: u32::MAX }); // never a valid code
             full.push(Vec::new());
             let ctx = format!("{ctx}, {width}-byte codes");

@@ -1,12 +1,13 @@
-//! The engine operators' memory behaviour on the simulated Origin2000 must
-//! match the DSM theory of §3.1: miss counts are determined by the scanned
-//! column's stride, and positional gathers cost one miss per (sparse)
-//! candidate. These tests pin the operator-level cache behaviour that the
-//! figures rely on.
+//! The memory behaviour of the kernels the executor runs — the scan-select
+//! (`monet_core::scan::select`) and the gather-and-fold — must match the DSM
+//! theory of §3.1 on the simulated Origin2000: miss counts are determined
+//! by the scanned column's stride, and positional gathers cost one miss per
+//! (sparse) candidate. These tests pin the operator-level cache behaviour
+//! that the figures rely on.
 
-use monet_mem::core::storage::{Bat, Column, StrColumn};
+use monet_mem::core::scan::{select, RowSet, ScanCol, ScanPred};
+use monet_mem::core::storage::{Bat, Column, Oid, StrColumn};
 use monet_mem::engine::aggregate::{fold, gather, Acc, Input, Rows, Side, Sink};
-use monet_mem::engine::select::{range_select_i32, select_eq_str};
 use monet_mem::memsim::{profiles, SimTracker};
 
 const N: usize = 200_000;
@@ -18,6 +19,16 @@ fn sim() -> SimTracker {
 /// L1 lines are 32 B: a stride-w scan of N values incurs ~N·w/32 misses.
 fn expect_l1(n: usize, width: usize) -> f64 {
     (n * width) as f64 / 32.0
+}
+
+/// One scan-select of `pred` over the whole of `bat`, charged to `trk`.
+fn scan(trk: &mut SimTracker, bat: &Bat, pred: ScanPred) -> Vec<Oid> {
+    select(trk, ScanCol::Plain(bat), &[pred], RowSet::All).unwrap().remove(0)
+}
+
+/// `code(needle) == code(x)` over a string column.
+fn eq_str(bat: &Bat, needle: &str) -> ScanPred {
+    ScanPred::EqCode { code: bat.tail().as_str_col().unwrap().dict.code_of(needle).unwrap() }
 }
 
 /// An ungrouped sum of `bat` (`SumF64` or `SumI64`, as its type asks) over
@@ -40,7 +51,7 @@ fn byte_encoded_select_misses_once_per_32_tuples() {
     let vals: Vec<&str> = (0..N).map(|i| if i % 7 == 0 { "MAIL" } else { "AIR" }).collect();
     let bat = Bat::with_void_head(0, Column::Str(StrColumn::from_strs(vals)));
     let mut trk = sim();
-    let cands = select_eq_str(&mut trk, &bat, "MAIL").unwrap();
+    let cands = scan(&mut trk, &bat, eq_str(&bat, "MAIL"));
     assert_eq!(cands.len(), N.div_ceil(7));
     let misses = trk.counters().l1_misses;
     assert!(
@@ -54,7 +65,7 @@ fn byte_encoded_select_misses_once_per_32_tuples() {
 fn i32_select_misses_once_per_8_tuples() {
     let bat = Bat::with_void_head(0, Column::I32((0..N as i32).collect()));
     let mut trk = sim();
-    let _ = range_select_i32(&mut trk, &bat, 0, 10).unwrap();
+    let _ = scan(&mut trk, &bat, ScanPred::RangeI32 { lo: 0, hi: 10 });
     let misses = trk.counters().l1_misses;
     assert!(
         close(misses, expect_l1(N, 4), 0.15),
@@ -89,12 +100,12 @@ fn stride_ratios_match_figure3_shape() {
 
     let m1 = {
         let mut t = sim();
-        select_eq_str(&mut t, &byte_bat, "X").unwrap();
+        scan(&mut t, &byte_bat, eq_str(&byte_bat, "X"));
         t.counters().l1_misses as f64
     };
     let m4 = {
         let mut t = sim();
-        range_select_i32(&mut t, &int_bat, 0, 2).unwrap();
+        scan(&mut t, &int_bat, ScanPred::RangeI32 { lo: 0, hi: 2 });
         t.counters().l1_misses as f64
     };
     let m8 = {

@@ -1,86 +1,20 @@
-//! Determinism property suite for parallel plan execution: for random
-//! tables and plans, `execute` with `threads ∈ {1, 2, 4, 7}` (or pinned to
-//! `{1, n}` via the `MONET_THREADS=n` env var — the CI matrix sets 1 and 4)
-//! must produce **bit-identical** `QueryOutput`s to the sequential path —
-//! including grouped `f64` sums, whose bit-identity depends on the parallel
-//! group kernel preserving the sequential per-group fp addition order, and
-//! under skewed (Zipf) key distributions, where chunk and cluster sizes
-//! become maximally uneven.
+//! Fixed anchors for parallel plan execution, checked against the
+//! row-at-a-time reference (`common/reference.rs`): a join the heuristic
+//! planner partitions, so `execute` routes it through the parallel radix
+//! kernels and says so in its report, and the model-chosen thread counts of
+//! `Threads::Auto` on a real Item workload. Random plans × thread counts are
+//! a dimension of `tests/lattice_prop.rs`.
 
-use proptest::prelude::*;
+#[path = "common/reference.rs"]
+mod reference;
 
 use monet_mem::core::storage::{ColType, DecomposedTable, TableBuilder, Value};
 use monet_mem::engine::exec::{execute, ExecOptions, QueryOutput, Threads};
 use monet_mem::engine::plan::{Agg, Pred, Query};
 use monet_mem::memsim::NullTracker;
-use monet_mem::workload::ZipfGenerator;
 
-const MODES: [&str; 5] = ["AIR", "MAIL", "SHIP", "RAIL", "FOB"];
-
-/// The thread counts every property checks. `MONET_THREADS=n` (the CI
-/// matrix) *pins* the suite to `{1, n}` — the sequential reference plus the
-/// matrix count — so each matrix job genuinely runs a different
-/// configuration; unset, the full default sweep runs.
-fn thread_set() -> Vec<usize> {
-    match std::env::var("MONET_THREADS").ok().and_then(|s| s.parse::<usize>().ok()) {
-        Some(n) if n >= 2 => vec![1, n],
-        Some(_) => vec![1],
-        None => vec![1, 2, 4, 7],
-    }
-}
-
-/// Assert two outputs are bit-identical (`==` would accept `-0.0 == 0.0`;
-/// grouped sums must match to the last mantissa bit).
-fn assert_bit_identical(got: &QueryOutput, want: &QueryOutput, ctx: &str) {
-    use monet_mem::engine::exec::AggValue;
-    let bits = |v: &AggValue| -> (u8, u64) {
-        match v {
-            AggValue::I64(x) => (0, *x as u64),
-            AggValue::F64(x) => (1, x.to_bits()),
-            AggValue::MaybeI32(x) => (2, x.map_or(u64::MAX, |v| v as u32 as u64)),
-            AggValue::Count(x) => (3, *x as u64),
-        }
-    };
-    match (got, want) {
-        (QueryOutput::Groups(g), QueryOutput::Groups(w)) => {
-            assert_eq!(g.len(), w.len(), "{ctx}: group count");
-            for (a, b) in g.iter().zip(w) {
-                assert_eq!(a.key, b.key, "{ctx}");
-                assert_eq!(a.values.len(), b.values.len(), "{ctx}");
-                for (x, y) in a.values.iter().zip(&b.values) {
-                    assert_eq!(bits(x), bits(y), "{ctx}: key {}", a.key);
-                }
-            }
-        }
-        (QueryOutput::Aggregates(g), QueryOutput::Aggregates(w)) => {
-            assert_eq!(g.len(), w.len(), "{ctx}");
-            for (x, y) in g.iter().zip(w) {
-                assert_eq!(bits(x), bits(y), "{ctx}");
-            }
-        }
-        (g, w) => assert_eq!(g, w, "{ctx}"),
-    }
-}
-
-fn fact_rows(max_len: usize) -> impl Strategy<Value = Vec<(i32, f64, f64, usize)>> {
-    prop::collection::vec(
-        (0i32..64, 0u32..1000, 0u32..20, 0usize..MODES.len())
-            .prop_map(|(k, v, d, m)| (k, v as f64 / 7.0, d as f64 / 100.0, m)),
-        0..max_len,
-    )
-}
-
-fn fact_table(rows: &[(i32, f64, f64, usize)], seqbase: u32) -> DecomposedTable {
-    let mut b = TableBuilder::new("fact", seqbase)
-        .column("key", ColType::I32)
-        .column("value", ColType::F64)
-        .column("discnt", ColType::F64)
-        .column("mode", ColType::Str);
-    for &(k, v, d, m) in rows {
-        b.push_row(&[Value::I32(k), Value::F64(v), Value::F64(d), Value::from(MODES[m])]).unwrap();
-    }
-    b.finish()
-}
+/// The thread counts every anchor runs at.
+const THREADS: [usize; 4] = [1, 2, 4, 7];
 
 fn key_table(name: &str, keys: &[i32], seqbase: u32) -> DecomposedTable {
     let mut b = TableBuilder::new(name, seqbase).column(&format!("{name}_k"), ColType::I32);
@@ -95,128 +29,25 @@ fn run_at(plan: &monet_mem::engine::plan::LogicalPlan<'_>, threads: Threads) -> 
     execute(&mut NullTracker, plan, &opts).unwrap().output
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
-
-    #[test]
-    fn grouped_pipeline_is_thread_count_invariant(
-        rows in fact_rows(400),
-        bounds in (0u32..20, 0u32..20),
-    ) {
-        let (a, b) = bounds;
-        let (lo, hi) = ((a.min(b)) as f64 / 100.0, (a.max(b)) as f64 / 100.0);
-        let table = fact_table(&rows, 300);
-        let plan = Query::scan(&table)
-            .filter(Pred::range_f64("discnt", lo, hi))
-            .group_by("mode")
-            .agg(Agg::sum("value"))
-            .agg(Agg::count())
-            .build()
-            .unwrap();
-        let seq = run_at(&plan, Threads::Fixed(1));
-        for n in thread_set() {
-            let par = run_at(&plan, Threads::Fixed(n));
-            assert_bit_identical(&par, &seq, &format!("threads={n}"));
-        }
-    }
-
-    #[test]
-    fn join_index_is_thread_count_invariant(
-        lkeys in prop::collection::vec(0i32..48, 0..300),
-        rkeys in prop::collection::vec(0i32..48, 0..200),
-    ) {
-        let lt = key_table("l", &lkeys, 0);
-        let rt = key_table("r", &rkeys, 10_000);
-        let plan = Query::scan(&lt).join(&rt, ("l_k", "r_k")).build().unwrap();
-        let seq = run_at(&plan, Threads::Fixed(1));
-        for n in thread_set() {
-            // Exact Vec equality: the parallel join must reproduce the
-            // sequential pair *order*, not just the pair set.
-            prop_assert_eq!(&run_at(&plan, Threads::Fixed(n)), &seq, "threads={}", n);
-        }
-    }
-
-    #[test]
-    fn joined_aggregates_are_thread_count_invariant(
-        rows in fact_rows(250),
-        rkeys in prop::collection::vec(0i32..64, 0..120),
-    ) {
-        let table = fact_table(&rows, 0);
-        let rt = key_table("dim", &rkeys, 50_000);
-        let plan = Query::scan(&table)
-            .join(&rt, ("key", "dim_k"))
-            .agg(Agg::sum("value"))
-            .agg(Agg::sum("key"))
-            .agg(Agg::min("key"))
-            .agg(Agg::max("key"))
-            .agg(Agg::count())
-            .build()
-            .unwrap();
-        let seq = run_at(&plan, Threads::Fixed(1));
-        for n in thread_set() {
-            assert_bit_identical(&run_at(&plan, Threads::Fixed(n)), &seq, &format!("threads={n}"));
-        }
-
-        // And grouped over the join, pulling the key from the left side.
-        let plan = Query::scan(&table)
-            .join(&rt, ("key", "dim_k"))
-            .group_by("mode")
-            .agg(Agg::sum("value"))
-            .build()
-            .unwrap();
-        let seq = run_at(&plan, Threads::Fixed(1));
-        for n in thread_set() {
-            assert_bit_identical(&run_at(&plan, Threads::Fixed(n)), &seq, &format!("threads={n}"));
-        }
-    }
-
-    #[test]
-    fn zipf_skewed_joins_are_thread_count_invariant(
-        n in 50usize..800,
-        exponent in 0u32..3,
-        seed in 0u64..1000,
-    ) {
-        // Skewed keys: the hot cluster concentrates most tuples, making
-        // chunk histograms and cluster-pair work maximally uneven.
-        let s = exponent as f64 / 2.0; // 0.0 (uniform), 0.5, 1.0 (classic)
-        let mut gen = ZipfGenerator::new(64, s, seed);
-        let lkeys: Vec<i32> = gen.buns(n, seed ^ 1).iter().map(|b| (b.tail % 97) as i32).collect();
-        let rkeys: Vec<i32> =
-            gen.buns(n / 2 + 1, seed ^ 2).iter().map(|b| (b.tail % 97) as i32).collect();
-        let lt = key_table("zl", &lkeys, 0);
-        let rt = key_table("zr", &rkeys, 100_000);
-        let plan = Query::scan(&lt).join(&rt, ("zl_k", "zr_k")).build().unwrap();
-        let seq = run_at(&plan, Threads::Fixed(1));
-        for threads in thread_set() {
-            prop_assert_eq!(
-                &run_at(&plan, Threads::Fixed(threads)), &seq,
-                "zipf s={} threads={}", s, threads
-            );
-        }
-    }
-}
-
 #[test]
 fn partitioned_parallel_join_through_the_executor() {
     // Inner side too big for L1: the heuristic planner picks a *partitioned*
-    // plan, so execute() routes through the parallel radix kernels (the
-    // uniform prop tables above are small enough that the planner correctly
-    // answers "simple hash", which parallelism leaves sequential).
+    // plan, so execute() routes through the parallel radix kernels (small
+    // inners get simple hash, which parallelism leaves sequential).
     let lkeys: Vec<i32> = (0..20_000).map(|i| (i * 7) % 9000).collect();
     let rkeys: Vec<i32> = (0..6_000).map(|i| (i * 13) % 9000).collect();
     let lt = key_table("l", &lkeys, 0);
     let rt = key_table("r", &rkeys, 100_000);
     let plan = Query::scan(&lt).join(&rt, ("l_k", "r_k")).build().unwrap();
+    let expect = reference::evaluate(&plan);
     let machine = monet_mem::memsim::profiles::origin2000();
-    let seq = execute(&mut NullTracker, &plan, &ExecOptions::heuristic(machine)).unwrap();
-    let jop = seq.report.ops.iter().find(|o| o.op.starts_with("join")).unwrap();
-    assert!(jop.detail.contains("PartitionedHash"), "{}", jop.detail);
-    for n in thread_set() {
+    for n in THREADS {
         let opts = ExecOptions::heuristic(machine).with_threads(Threads::Fixed(n));
-        let par = execute(&mut NullTracker, &plan, &opts).unwrap();
-        assert_eq!(par.output, seq.output, "threads={n}");
+        let got = execute(&mut NullTracker, &plan, &opts).unwrap();
+        assert!(got.output.bitwise_eq(&expect), "threads={n}");
+        let jop = got.report.ops.iter().find(|o| o.op.starts_with("join")).unwrap();
+        assert!(jop.detail.contains("PartitionedHash"), "{}", jop.detail);
         if n > 1 {
-            let jop = par.report.ops.iter().find(|o| o.op.starts_with("join")).unwrap();
             assert!(jop.detail.contains(&format!("threads={n}")), "{}", jop.detail);
         }
     }
@@ -234,9 +65,9 @@ fn auto_threads_match_sequential_on_a_real_workload() {
         .agg(Agg::count())
         .build()
         .unwrap();
-    let seq = run_at(&plan, Threads::Fixed(1));
-    assert_bit_identical(&run_at(&plan, Threads::Auto), &seq, "auto");
-    for n in thread_set() {
-        assert_bit_identical(&run_at(&plan, Threads::Fixed(n)), &seq, &format!("threads={n}"));
+    let expect = reference::evaluate(&plan);
+    assert!(run_at(&plan, Threads::Auto).bitwise_eq(&expect), "auto");
+    for n in THREADS {
+        assert!(run_at(&plan, Threads::Fixed(n)).bitwise_eq(&expect), "threads={n}");
     }
 }

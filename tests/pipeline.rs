@@ -3,14 +3,14 @@
 //! the composable plan API against both.
 
 use monet_mem::core::join::{sort_pairs, OidPair};
-use monet_mem::core::storage::{Bat, Column, DecomposedTable, Value};
+use monet_mem::core::scan::{select, RowSet, ScanCol, ScanPred};
+use monet_mem::core::storage::{Bat, Column, DecomposedTable, Oid, Value};
 use monet_mem::core::strategy::{Algorithm, JoinPlan};
 use monet_mem::engine::aggregate::{fold, Acc, Input, Rows, Side, Sink};
 use monet_mem::engine::exec::{execute, AggValue, ExecOptions, QueryOutput};
 use monet_mem::engine::join::{join_bats, join_bats_with_plan};
 use monet_mem::engine::plan::{Agg, Pred, Query};
 use monet_mem::engine::reconstruct::reconstruct;
-use monet_mem::engine::select::{range_select_f64, range_select_i32, select_eq_str};
 use monet_mem::memsim::{profiles, NullTracker};
 use monet_mem::workload::{item_rows, item_table};
 
@@ -19,6 +19,18 @@ const SEED: u64 = 1234;
 
 fn col<'a>(table: &'a DecomposedTable, name: &str) -> Input<'a> {
     Input { bat: table.bat(name).unwrap(), side: Side::Left }
+}
+
+/// The scan-select the executor runs, of `pred` over `table`'s column `name`.
+fn scan(table: &DecomposedTable, name: &str, pred: ScanPred) -> Vec<Oid> {
+    let bat = table.bat(name).unwrap();
+    select(&mut NullTracker, ScanCol::Plain(bat), &[pred], RowSet::All).unwrap().remove(0)
+}
+
+/// `name = needle` over a string column of `table`, lowered to its code.
+fn scan_eq(table: &DecomposedTable, name: &str, needle: &str) -> Vec<Oid> {
+    let dict = &table.bat(name).unwrap().tail().as_str_col().unwrap().dict;
+    scan(table, name, ScanPred::EqCode { code: dict.code_of(needle).unwrap() })
 }
 
 /// `SUM(price)` of `table`'s `rows`, per `shipmode` when `grouped`: the
@@ -39,8 +51,7 @@ fn selection_matches_row_scan() {
     let table = item_table(N, SEED);
     let rows = item_rows(N, SEED);
 
-    let qty = table.bat("qty").unwrap();
-    let got = range_select_i32(&mut NullTracker, qty, 10, 20).unwrap();
+    let got = scan(&table, "qty", ScanPred::RangeI32 { lo: 10, hi: 20 });
     let expect: Vec<u32> = rows
         .iter()
         .enumerate()
@@ -55,8 +66,7 @@ fn selection_matches_row_scan() {
 fn encoded_string_selection_matches_row_scan() {
     let table = item_table(N, SEED);
     let rows = item_rows(N, SEED);
-    let ship = table.bat("shipmode").unwrap();
-    let got = select_eq_str(&mut NullTracker, ship, "REG AIR").unwrap();
+    let got = scan_eq(&table, "shipmode", "REG AIR");
     let expect: Vec<u32> = rows
         .iter()
         .enumerate()
@@ -89,8 +99,7 @@ fn filtered_aggregate_via_candidates_matches_row_scan() {
     let table = item_table(N, SEED);
     let rows = item_rows(N, SEED);
 
-    let cands =
-        range_select_f64(&mut NullTracker, table.bat("discnt").unwrap(), 0.05, 0.10).unwrap();
+    let cands = scan(&table, "discnt", ScanPred::RangeF64 { lo: 0.05, hi: 0.10 });
     let got = price_sums(&table, Rows::Cands(&cands), false)[0].1;
     let expect: f64 =
         rows.iter().filter(|r| (0.05..=0.10).contains(&r.discnt)).map(|r| r.price).sum();
@@ -127,7 +136,7 @@ fn grouped_query_matches_row_scan_and_group_variants_agree() {
 #[test]
 fn reconstruct_roundtrip() {
     let table = item_table(1_000, SEED);
-    let cands = range_select_i32(&mut NullTracker, table.bat("qty").unwrap(), 1, 5).unwrap();
+    let cands = scan(&table, "qty", ScanPred::RangeI32 { lo: 1, hi: 5 });
     let sub = reconstruct(&mut NullTracker, table.bat("qty").unwrap(), &cands).unwrap();
     assert_eq!(sub.len(), cands.len());
     for (i, &cand) in cands.iter().enumerate() {
@@ -173,8 +182,7 @@ fn builder_query_matches_wrapper_and_row_scan() {
     let rows = item_rows(N, SEED);
 
     // Hand-composed: a scan-select feeding the gather-and-fold directly...
-    let cands =
-        range_select_f64(&mut NullTracker, table.bat("discnt").unwrap(), 0.02, 0.07).unwrap();
+    let cands = scan(&table, "discnt", ScanPred::RangeF64 { lo: 0.02, hi: 0.07 });
     let mut via_wrapper = price_sums(&table, Rows::Cands(&cands), true);
     via_wrapper.sort_by(|a, b| a.0.cmp(&b.0));
 
@@ -237,7 +245,7 @@ fn builder_join_agrees_with_direct_kernel_calls() {
 fn dictionary_survives_decomposition_and_reconstruction() {
     let table = item_table(2_000, SEED);
     let ship = table.bat("shipmode").unwrap();
-    let cands = select_eq_str(&mut NullTracker, ship, "TRUCK").unwrap();
+    let cands = scan_eq(&table, "shipmode", "TRUCK");
     let sub = reconstruct(&mut NullTracker, ship, &cands).unwrap();
     for i in 0..sub.len() {
         assert_eq!(sub.tail_value(i), Value::Str("TRUCK".into()));

@@ -1,8 +1,12 @@
 //! Exhaustive coverage of the [`PlanError`] surface: every variant the
 //! builder can emit — unknown column, type mismatch, ambiguous join-side
 //! column, multiple joins, unsupported shapes — plus the end-to-end
-//! regression pinning the `ConstantNotInDictionary` → empty-result contract
-//! through `execute` (sequential, simulated, and parallel).
+//! regression pinning the dictionary-miss → empty-result contract through
+//! `execute` (sequential, simulated, and parallel), against the
+//! row-at-a-time reference.
+
+#[path = "common/reference.rs"]
+mod reference;
 
 use monet_mem::core::storage::{ColType, DecomposedTable, TableBuilder, Value, ValueType};
 use monet_mem::engine::exec::{execute, ExecOptions, QueryOutput, Threads};
@@ -180,7 +184,11 @@ fn constant_not_in_dictionary_is_an_empty_result_end_to_end() {
 
     for threads in [Threads::Fixed(1), Threads::Fixed(4), Threads::Auto] {
         let opts = ExecOptions::default().with_threads(threads);
-        let run = |plan| execute(&mut NullTracker, plan, &opts).unwrap().output;
+        let run = |plan| {
+            let out = execute(&mut NullTracker, plan, &opts).unwrap().output;
+            assert!(out.bitwise_eq(&reference::evaluate(plan)), "{threads:?}: {out:?}");
+            out
+        };
         assert_eq!(run(&grouped), QueryOutput::Groups(vec![]), "{threads:?}");
         assert_eq!(run(&bare), QueryOutput::Oids(vec![]), "{threads:?}");
         // The empty leaf contributes nothing to the OR; SHIP is row 3.
@@ -201,13 +209,4 @@ fn constant_not_in_dictionary_is_an_empty_result_end_to_end() {
     let mut trk = SimTracker::for_machine(profiles::origin2000());
     let r = execute(&mut trk, &grouped, &ExecOptions::default()).unwrap();
     assert_eq!(r.output, QueryOutput::Groups(vec![]));
-
-    // The kernel-level error still exists for direct callers.
-    let err = monet_mem::engine::select::select_eq_str(
-        &mut NullTracker,
-        t.bat("shipmode").unwrap(),
-        "ZEPPELIN",
-    )
-    .unwrap_err();
-    assert!(matches!(err, EngineError::ConstantNotInDictionary(ref s) if s == "ZEPPELIN"));
 }

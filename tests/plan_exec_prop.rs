@@ -230,7 +230,7 @@ fn builder_rejects_unknown_columns_and_type_mismatches() {
 
 #[test]
 fn dictionary_miss_is_empty_not_error() {
-    // The executor-level contract for the ConstantNotInDictionary bugfix.
+    // A constant missing from the dictionary is an empty result, not an error.
     let rows = vec![(1, 1.0, 0.0, 0), (2, 2.0, 0.0, 1)];
     let table = fact_table(&rows, 0);
     let plan = Query::scan(&table)

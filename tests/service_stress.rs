@@ -5,10 +5,9 @@
 //! computes. Also asserts the pool-side budget invariant: the high-water
 //! mark of leased threads never exceeds the global budget.
 //!
-//! The first test runs with the service defaults, which since the
-//! shared-scan PR include cooperative scan merging and the result cache —
-//! so the determinism contract is exercised *through* both mechanisms. The
-//! third test pins them on explicitly, warms the cache with one session's
+//! The first test runs with cooperative scan merging on and the result
+//! cache both off and on — so the determinism contract is exercised
+//! *through* both mechanisms. The second test pins them on explicitly, warms the cache with one session's
 //! whole stream, and asserts replica sessions hit it while everything
 //! (including grouped `f64` sum bits) still replays bit-identically.
 
@@ -16,6 +15,7 @@ use engine::exec::{execute, ExecOptions, Executed, QueryOutput};
 use memsim::{profiles, NullTracker};
 use monet_core::index::IndexKind;
 use monet_core::storage::{ColType, DecomposedTable, TableBuilder, Value};
+use service::config::DEFAULT_CACHE_BYTES;
 use service::{QueryService, ServiceConfig, ServiceError};
 use workload::{item_table, QueryMix};
 
@@ -44,7 +44,9 @@ fn assert_bit_identical(concurrent: &QueryOutput, sequential: &QueryOutput, cont
 
 /// The tentpole assertion: concurrent mixed-batch execution through the
 /// service is deterministic, query by query, against single-thread
-/// sequential replays of the same per-client streams.
+/// sequential replays of the same per-client streams — with the result
+/// cache off (every repeat re-executes) and on (Zipf-hot repeats hit the
+/// fingerprint cache or collapse onto a running duplicate).
 #[test]
 fn concurrent_sessions_are_bit_identical_to_sequential_single_thread() {
     let mut item = item_table(20_000, SEED);
@@ -53,102 +55,114 @@ fn concurrent_sessions_are_bit_identical_to_sequential_single_thread() {
     let item = item;
     let supp = supplier(500);
 
-    // A deliberately tight budget so sessions contend and queue; the queue
-    // is deep enough that nothing is shed (rejection would make the
-    // completed set depend on timing). Built from the environment so the
-    // CI matrix legs steer the shared-scan/cache paths
-    // (MONET_SERVICE_CACHE={0,on}: every repeat re-executes vs. hits the
-    // fingerprint cache) while the contention knobs stay pinned.
-    let budget = 3;
-    let svc = QueryService::new(
-        ServiceConfig::from_env()
-            .with_budget(budget)
-            .with_queue_limit(SESSIONS * QUERIES_PER_SESSION)
-            .with_starvation_bound(2),
-    );
-
-    let mut outputs: Vec<Vec<QueryOutput>> = Vec::with_capacity(SESSIONS);
-    let mut leases: Vec<(usize, bool)> = Vec::new();
-    std::thread::scope(|s| {
-        let svc = &svc;
-        let (item, supp) = (&item, &supp);
-        let handles: Vec<_> = (0..SESSIONS)
-            .map(|c| {
-                s.spawn(move || {
-                    let session = svc.session();
-                    let mut mix = QueryMix::for_client(SEED, c);
-                    let mut outs = Vec::with_capacity(QUERIES_PER_SESSION);
-                    let mut leases = Vec::with_capacity(QUERIES_PER_SESSION);
-                    for _ in 0..QUERIES_PER_SESSION {
-                        let spec = mix.next_spec();
-                        let plan = spec.build(item, supp).expect("mix plans validate");
-                        match session.run(&plan) {
-                            Ok(handle) => {
-                                // Cache hits and collapsed duplicates both
-                                // answer without a lease.
-                                let leaseless = handle.sched.cached || handle.sched.collapsed;
-                                leases.push((handle.sched.threads, leaseless));
-                                outs.push(handle.into_executed().output);
-                            }
-                            Err(e) => panic!("session {c}: {e}"),
-                        }
-                    }
-                    (outs, leases)
-                })
-            })
-            .collect();
-        for h in handles {
-            let (outs, l) = h.join().expect("session thread panicked");
-            outputs.push(outs);
-            leases.extend(l);
-        }
-    });
-
-    // Replay each client's stream sequentially, single-threaded.
+    // Each client's stream, replayed sequentially, single-threaded.
     let seq_opts = ExecOptions::cost_model(profiles::origin2000())
         .with_threads(engine::exec::Threads::Fixed(1));
-    for (c, session_outputs) in outputs.iter().enumerate() {
-        let mut mix = QueryMix::for_client(SEED, c);
-        for (q, concurrent) in session_outputs.iter().enumerate() {
-            let spec = mix.next_spec();
-            let plan = spec.build(&item, &supp).unwrap();
-            let Executed { output, .. } = execute(&mut NullTracker, &plan, &seq_opts).unwrap();
-            assert_bit_identical(
-                concurrent,
-                &output,
-                &format!("session {c} query {q} ({})", spec.label()),
-            );
-        }
-    }
+    let sequential: Vec<Vec<QueryOutput>> = (0..SESSIONS)
+        .map(|c| {
+            QueryMix::for_client(SEED, c)
+                .take(QUERIES_PER_SESSION)
+                .iter()
+                .map(|spec| {
+                    let plan = spec.build(&item, &supp).unwrap();
+                    execute(&mut NullTracker, &plan, &seq_opts).unwrap().output
+                })
+                .collect()
+        })
+        .collect();
 
-    // Pool-side invariants.
-    let m = svc.metrics();
-    assert_eq!(m.completed, (SESSIONS * QUERIES_PER_SESSION) as u64, "every query completed");
-    assert_eq!(m.rejected, 0, "the deep queue sheds nothing");
-    assert!(
-        m.high_water_threads <= budget,
-        "thread budget violated: {} leased of {budget}",
-        m.high_water_threads
-    );
-    assert!(m.high_water_threads >= 1);
-    // Executed queries lease 1..=budget threads; cache hits and collapsed
-    // duplicates (the Zipf-hot repeats — the default config caches) lease
-    // nothing at all.
-    assert!(
-        leases.iter().all(|&(t, leaseless)| if leaseless {
-            t == 0
-        } else {
-            (1..=budget).contains(&t)
-        }),
-        "leases within budget: {leases:?}"
-    );
-    assert_eq!(m.latency.count as u64, m.completed);
-    // Per-session accounting adds up.
-    let sm = svc.session_metrics();
-    assert_eq!(sm.len(), SESSIONS);
-    assert_eq!(sm.iter().map(|s| s.completed).sum::<u64>(), m.completed);
-    assert!(sm.iter().all(|s| s.submitted == QUERIES_PER_SESSION as u64));
-    assert_counters_balance(&m, &sm);
+    for cache_bytes in [0, DEFAULT_CACHE_BYTES] {
+        // A deliberately tight budget so sessions contend and queue; the
+        // queue is deep enough that nothing is shed (rejection would make
+        // the completed set depend on timing).
+        let budget = 3;
+        let svc = QueryService::new(
+            ServiceConfig::new()
+                .with_budget(budget)
+                .with_queue_limit(SESSIONS * QUERIES_PER_SESSION)
+                .with_starvation_bound(2)
+                .with_cache_bytes(cache_bytes),
+        );
+
+        let mut outputs: Vec<Vec<QueryOutput>> = Vec::with_capacity(SESSIONS);
+        let mut leases: Vec<(usize, bool)> = Vec::new();
+        std::thread::scope(|s| {
+            let svc = &svc;
+            let (item, supp) = (&item, &supp);
+            let handles: Vec<_> = (0..SESSIONS)
+                .map(|c| {
+                    s.spawn(move || {
+                        let session = svc.session();
+                        let mut outs = Vec::with_capacity(QUERIES_PER_SESSION);
+                        let mut leases = Vec::with_capacity(QUERIES_PER_SESSION);
+                        for spec in QueryMix::for_client(SEED, c).take(QUERIES_PER_SESSION) {
+                            let plan = spec.build(item, supp).expect("mix plans validate");
+                            match session.run(&plan) {
+                                Ok(handle) => {
+                                    // Cache hits and collapsed duplicates
+                                    // both answer without a lease.
+                                    let leaseless = handle.sched.cached || handle.sched.collapsed;
+                                    leases.push((handle.sched.threads, leaseless));
+                                    outs.push(handle.into_executed().output);
+                                }
+                                Err(e) => panic!("session {c}: {e}"),
+                            }
+                        }
+                        (outs, leases)
+                    })
+                })
+                .collect();
+            for h in handles {
+                let (outs, l) = h.join().expect("session thread panicked");
+                outputs.push(outs);
+                leases.extend(l);
+            }
+        });
+
+        for (c, (concurrent, sequential)) in outputs.iter().zip(&sequential).enumerate() {
+            let specs = QueryMix::for_client(SEED, c).take(QUERIES_PER_SESSION);
+            for (q, ((got, want), spec)) in
+                concurrent.iter().zip(sequential).zip(&specs).enumerate()
+            {
+                assert_bit_identical(
+                    got,
+                    want,
+                    &format!("cache {cache_bytes} B: session {c} query {q} ({})", spec.label()),
+                );
+            }
+        }
+
+        // Pool-side invariants.
+        let m = svc.metrics();
+        assert_eq!(m.completed, (SESSIONS * QUERIES_PER_SESSION) as u64, "every query completed");
+        assert_eq!(m.rejected, 0, "the deep queue sheds nothing");
+        assert!(
+            m.high_water_threads <= budget,
+            "thread budget violated: {} leased of {budget}",
+            m.high_water_threads
+        );
+        assert!(m.high_water_threads >= 1);
+        // Executed queries lease 1..=budget threads; cache hits and
+        // collapsed duplicates lease nothing at all.
+        assert!(
+            leases.iter().all(|&(t, leaseless)| if leaseless {
+                t == 0
+            } else {
+                (1..=budget).contains(&t)
+            }),
+            "leases within budget: {leases:?}"
+        );
+        if cache_bytes == 0 {
+            assert_eq!((m.cache_hits, m.collapsed), (0, 0), "nothing to hit or collapse onto");
+        }
+        assert_eq!(m.latency.count as u64, m.completed);
+        // Per-session accounting adds up.
+        let sm = svc.session_metrics();
+        assert_eq!(sm.len(), SESSIONS);
+        assert_eq!(sm.iter().map(|s| s.completed).sum::<u64>(), m.completed);
+        assert!(sm.iter().all(|s| s.submitted == QUERIES_PER_SESSION as u64));
+        assert_counters_balance(&m, &sm);
+    }
 }
 
 /// The counter-consistency property: every globally counted saved scan is

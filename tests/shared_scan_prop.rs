@@ -2,7 +2,7 @@
 //! (`monet_core::scan`): for random columns — uniform and Zipf-skewed —
 //! and random predicate sets (always including an empty- and a
 //! full-selectivity leaf), K-way shared evaluation must be **identical**
-//! to K solo scan-selects through the engine's single-predicate kernels,
+//! to filtering the column one row at a time for each predicate,
 //! sequentially and at every thread count, with per-thread match counts
 //! that merge to the totals. This is the contract the query service's
 //! cooperative passes rely on for bit-identical shared execution.
@@ -10,9 +10,8 @@
 use proptest::prelude::*;
 
 use monet_mem::core::scan::{par_select, select, RowSet, ScanCol, ScanPred};
-use monet_mem::core::storage::{Bat, Column, StrColumn};
-use monet_mem::engine::select::{range_select_f64, range_select_i32, select_eq_str};
-use monet_mem::memsim::{profiles, NullTracker, SimTracker};
+use monet_mem::core::storage::{Bat, Column, Oid, StrColumn};
+use monet_mem::memsim::{profiles, NullTracker};
 use monet_mem::workload::ZipfGenerator;
 
 mod common;
@@ -41,18 +40,18 @@ fn assert_k_way_matches_solo(bat: &Bat, preds: &[ScanPred], solo: &[Vec<u32>], c
     common::assert_row_sets_agree(col, bat.head_oid(0), preds, true, ctx);
 }
 
-/// Under the simulator the kernel charges one predicate exactly the accesses
-/// and CPU work the reference loop charges.
-fn assert_charges_like_reference(
-    bat: &Bat,
-    pred: &ScanPred,
-    reference: impl FnOnce(&mut SimTracker),
-) {
-    let mut trk = SimTracker::for_machine(profiles::origin2000());
-    reference(&mut trk);
-    let want = trk.counters();
+/// The OIDs of the rows of a column at `seqbase` whose value passes.
+fn row_filter<T: Copy>(values: &[T], seqbase: Oid, pass: impl Fn(T) -> bool) -> Vec<Oid> {
+    (seqbase..).zip(values).filter(|&(_, &v)| pass(v)).map(|(oid, _)| oid).collect()
+}
+
+/// Under the simulator one predicate over the whole column is charged one
+/// read and one scan iteration per row.
+fn assert_charges_one_pass(bat: &Bat, pred: &ScanPred) {
     let got = common::sim_counters(ScanCol::Plain(bat), std::slice::from_ref(pred), RowSet::All);
-    assert_eq!((got.reads, got.cpu_ns), (want.reads, want.cpu_ns), "{pred:?}");
+    let scan_iter_ns = profiles::origin2000().work.scan_iter_ns;
+    let n = bat.len();
+    assert_eq!((got.reads, got.cpu_ns), (n as u64, n as f64 * scan_iter_ns), "{pred:?}");
 }
 
 proptest! {
@@ -77,22 +76,19 @@ proptest! {
                 .collect();
             // Always exercise the degenerate leaves.
             preds.extend(common::edge_preds(&values));
-            let bat = Bat::with_void_head(seqbase, Column::I32(values));
             preds.push(ScanPred::RangeI32 { lo: 1, hi: 0 }); // empty
             preds.push(ScanPred::RangeI32 { lo: i32::MIN, hi: i32::MAX }); // full
             let solo: Vec<Vec<u32>> = preds
                 .iter()
                 .map(|p| {
                     let ScanPred::RangeI32 { lo, hi } = *p else { unreachable!() };
-                    range_select_i32(&mut NullTracker, &bat, lo, hi).unwrap()
+                    row_filter(&values, seqbase, |v| lo <= v && v <= hi)
                 })
                 .collect();
+            let bat = Bat::with_void_head(seqbase, Column::I32(values));
             assert_k_way_matches_solo(&bat, &preds, &solo, "i32");
             for p in &preds {
-                let ScanPred::RangeI32 { lo, hi } = *p else { unreachable!() };
-                assert_charges_like_reference(&bat, p, |trk| {
-                    range_select_i32(trk, &bat, lo, hi).unwrap();
-                });
+                assert_charges_one_pass(&bat, p);
             }
             // The full leaf selects every row; the empty leaf none.
             let n = bat.len();
@@ -108,7 +104,6 @@ proptest! {
         seqbase in 0u32..1_000,
     ) {
         let values: Vec<f64> = raw.iter().map(|&v| v as f64 / 7.0).collect();
-        let bat = Bat::with_void_head(seqbase, Column::F64(values));
         let mut preds: Vec<ScanPred> = bounds
             .iter()
             .map(|&(a, b)| ScanPred::RangeF64 {
@@ -122,15 +117,13 @@ proptest! {
             .iter()
             .map(|p| {
                 let ScanPred::RangeF64 { lo, hi } = *p else { unreachable!() };
-                range_select_f64(&mut NullTracker, &bat, lo, hi).unwrap()
+                row_filter(&values, seqbase, |v| lo <= v && v <= hi)
             })
             .collect();
+        let bat = Bat::with_void_head(seqbase, Column::F64(values));
         assert_k_way_matches_solo(&bat, &preds, &solo, "f64");
         for p in &preds {
-            let ScanPred::RangeF64 { lo, hi } = *p else { unreachable!() };
-            assert_charges_like_reference(&bat, p, |trk| {
-                range_select_f64(trk, &bat, lo, hi).unwrap();
-            });
+            assert_charges_one_pass(&bat, p);
         }
     }
 
@@ -143,7 +136,7 @@ proptest! {
         // Zipf-skew the mode choice so one code dominates.
         let mut z = ZipfGenerator::new(MODES.len(), 1.0, zipf_seed);
         let strs: Vec<&str> = picks.iter().map(|_| MODES[z.sample()]).collect();
-        let bat = Bat::with_void_head(seqbase, Column::Str(StrColumn::from_strs(strs)));
+        let bat = Bat::with_void_head(seqbase, Column::Str(StrColumn::from_strs(strs.clone())));
         let sc = bat.tail().as_str_col().unwrap();
         // One predicate per dictionary code that actually occurs (full
         // coverage), plus a code outside the dictionary (empty leaf).
@@ -154,16 +147,12 @@ proptest! {
             .map(|m| ScanPred::EqCode { code: sc.dict.code_of(m).unwrap() })
             .collect();
         preds.push(ScanPred::EqCode { code: u32::MAX }); // never a valid code
-        let mut solo: Vec<Vec<u32>> = needles
-            .iter()
-            .map(|m| select_eq_str(&mut NullTracker, &bat, m).unwrap())
-            .collect();
+        let mut solo: Vec<Vec<u32>> =
+            needles.iter().map(|&m| row_filter(&strs, seqbase, |s| s == m)).collect();
         solo.push(Vec::new());
         assert_k_way_matches_solo(&bat, &preds, &solo, "str");
-        for (m, p) in needles.iter().zip(&preds) {
-            assert_charges_like_reference(&bat, p, |trk| {
-                select_eq_str(trk, &bat, m).unwrap();
-            });
+        for p in &preds[..needles.len()] {
+            assert_charges_one_pass(&bat, p);
         }
         // Every row is claimed by exactly one code predicate.
         let claimed: usize = solo.iter().map(Vec::len).sum();
