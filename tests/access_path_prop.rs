@@ -1,147 +1,43 @@
-//! Determinism property suite for access-path selection: for random tables
-//! (indexed on every indexable column with all three index kinds) and random
-//! predicate trees, `execute` with `MONET_ACCESS`-style modes `auto` and
-//! `index` must produce **bit-identical** outputs to the forced `scan`
-//! path, at threads ∈ {1, 4} — index probes sort their candidates back into
-//! OID order, so the downstream pipeline (candidate combinators, gathers,
-//! grouped f64 sums) sees exactly the scan path's rows.
+//! Access-path slices of the knob lattice (`common/lattice.rs`): over drawn
+//! tables indexed with all three index kinds, `execute` under each of
+//! `AccessMode::{Scan, Index, Auto}` returns the row-at-a-time reference's
+//! output bit for bit. Index probes sort their candidates back into OID
+//! order, so the candidate combinators, gathers and grouped `f64` sums
+//! downstream see exactly the scan path's rows.
 
-use proptest::prelude::*;
+#[path = "common/lattice.rs"]
+mod lattice;
+#[path = "common/reference.rs"]
+mod reference;
 
-use monet_mem::core::index::IndexKind;
-use monet_mem::core::storage::{ColType, DecomposedTable, TableBuilder, Value};
+use lattice::{Lattice, Path, FILTERED, SLICE_CASES};
 use monet_mem::engine::access::AccessMode;
-use monet_mem::engine::exec::{execute, ExecOptions, QueryOutput, Threads};
-use monet_mem::engine::plan::{Agg, Pred, Query};
-use monet_mem::memsim::NullTracker;
 
-const MODES: [&str; 4] = ["AIR", "MAIL", "SHIP", "RAIL"];
+/// The index set with every kind on every indexed column.
+const ALL_INDEXES: &str = "[CsBTree, Hash, TTree]";
 
-/// Random fact rows: an i32 key spanning the sign boundary (exercising the
-/// order-preserving index-key codec), an f64 value, and an encoded string.
-fn rows(max_len: usize) -> impl Strategy<Value = Vec<(i32, u32, usize)>> {
-    prop::collection::vec((-40i32..40, 0u32..1000, 0usize..MODES.len()), 0..max_len)
-}
-
-fn table(rows: &[(i32, u32, usize)]) -> DecomposedTable {
-    let mut b = TableBuilder::new("fact", 700)
-        .column("key", ColType::I32)
-        .column("value", ColType::F64)
-        .column("mode", ColType::Str);
-    for &(k, v, m) in rows {
-        b.push_row(&[Value::I32(k), Value::F64(v as f64 / 7.0), Value::from(MODES[m])]).unwrap();
-    }
-    let mut t = b.finish();
-    for kind in [IndexKind::CsBTree, IndexKind::Hash, IndexKind::TTree] {
-        t.create_index("key", kind).unwrap();
-    }
-    t.create_index("mode", IndexKind::CsBTree).unwrap();
-    t.create_index("mode", IndexKind::Hash).unwrap();
-    t
-}
-
-/// A random predicate leaf (point, range, empty-range and equality shapes
-/// over the indexed columns, including constants outside the dictionary).
-fn leaf() -> impl Strategy<Value = Pred> {
-    (0u8..5, -45i32..45, -45i32..45, 0usize..MODES.len()).prop_map(|(shape, a, b, m)| {
-        match shape {
-            0 => Pred::range_i32("key", a.min(b), a.max(b)),
-            1 => Pred::range_i32("key", a, a), // point: the eq index paths
-            2 => Pred::range_i32("key", a.max(b), a.min(b).saturating_sub(1)), // provably empty
-            3 => Pred::eq_str("mode", MODES[m]),
-            _ => Pred::eq_str("mode", "WALRUS"), // not in the dictionary
-        }
-    })
-}
-
-/// Predicate trees up to depth 2 (leaves composed with AND/OR).
-fn pred() -> impl Strategy<Value = Pred> {
-    ((leaf(), leaf(), leaf()), 0u8..5).prop_map(|((a, b, d), combine)| match combine {
-        0 => a,
-        1 => a.and(b),
-        2 => a.or(b),
-        3 => a.and(b.or(d)),
-        _ => a.or(b.and(d)),
-    })
-}
-
-fn run_at(
-    plan: &monet_mem::engine::plan::LogicalPlan<'_>,
-    access: AccessMode,
-    threads: usize,
-) -> QueryOutput {
-    let opts = ExecOptions::default().with_access(access).with_threads(Threads::Fixed(threads));
-    execute(&mut NullTracker, plan, &opts).unwrap().output
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
-
-    #[test]
-    fn auto_and_forced_index_match_the_scan_path_bit_identically(
-        rows in rows(400),
-        pred in pred(),
-    ) {
-        let t = table(&rows);
-        let plan = Query::scan(&t).filter(pred).build().unwrap();
-        let reference = run_at(&plan, AccessMode::Scan, 1);
-        for access in [AccessMode::Index, AccessMode::Auto] {
-            for threads in [1usize, 4] {
-                prop_assert_eq!(
-                    &run_at(&plan, access, threads),
-                    &reference,
-                    "access={} threads={}", access.name(), threads
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn grouped_aggregates_are_access_path_invariant(
-        rows in rows(300),
-        pred in pred(),
-    ) {
-        // The candidate list feeds gathers and f64 group sums downstream:
-        // the whole pipeline must be access-path invariant, to the last
-        // mantissa bit (exact Vec/f64-bits equality via PartialEq on the
-        // same-ordered groups).
-        let t = table(&rows);
-        let plan = Query::scan(&t)
-            .filter(pred)
-            .group_by("mode")
-            .agg(Agg::sum("value"))
-            .agg(Agg::count())
-            .build()
-            .unwrap();
-        let reference = run_at(&plan, AccessMode::Scan, 1);
-        let QueryOutput::Groups(ref want) = reference else { panic!("groups") };
-        for access in [AccessMode::Index, AccessMode::Auto] {
-            for threads in [1usize, 4] {
-                let got = run_at(&plan, access, threads);
-                let QueryOutput::Groups(got) = got else { panic!("groups") };
-                prop_assert_eq!(got.len(), want.len());
-                for (g, w) in got.iter().zip(want) {
-                    prop_assert_eq!(&g.key, &w.key);
-                    prop_assert_eq!(g.values.len(), w.values.len());
-                    for (x, y) in g.values.iter().zip(&w.values) {
-                        // f64 sums must match bit for bit, not just by ==.
-                        prop_assert_eq!(
-                            format!("{:?}", x), format!("{:?}", y),
-                            "access={} threads={} key={}", access.name(), threads, g.key
-                        );
-                    }
-                }
-            }
-        }
-    }
+fn every_access_mode(l: &mut Lattice) -> Vec<Path> {
+    let modes = [AccessMode::Scan, AccessMode::Index, AccessMode::Auto];
+    lattice::sweep(l, &modes, |o, access| o.access = access)
 }
 
 #[test]
-fn env_pinning_parses_the_ci_matrix_values() {
-    // The CI matrix sets MONET_ACCESS={scan,auto}; both must parse, and an
-    // unset/invalid value must leave the executor on its auto default.
-    assert_eq!(AccessMode::parse("scan"), Some(AccessMode::Scan));
-    assert_eq!(AccessMode::parse("auto"), Some(AccessMode::Auto));
-    assert_eq!(AccessMode::parse("index"), Some(AccessMode::Index));
-    assert_eq!(AccessMode::parse("bogus"), None);
+fn auto_and_forced_index_match_the_scan_path_bit_identically() {
+    let mut l = Lattice::new("access_path_prop::filter")
+        .pin("indexes", &[ALL_INDEXES])
+        .pin("filter", &FILTERED)
+        .pin("join", &["false"])
+        .pin("aggregate", &["none"]);
+    lattice::check(&mut l, SLICE_CASES, every_access_mode);
+}
+
+#[test]
+fn grouped_aggregates_are_access_path_invariant() {
+    // The candidate list feeds gathers and f64 group sums downstream: the
+    // whole pipeline must be access-path invariant, to the last mantissa bit.
+    let mut l = Lattice::new("access_path_prop::grouped")
+        .pin("indexes", &[ALL_INDEXES])
+        .pin("filter", &FILTERED)
+        .pin("aggregate", &["grouped"]);
+    lattice::check(&mut l, SLICE_CASES, every_access_mode);
 }

@@ -7,18 +7,27 @@
 //! sequentially and at every thread count, with shard counts that merge to
 //! the totals. The same end to end through the engine, under every
 //! compression policy and with candidate lists delivered the way the query
-//! service's cooperative passes deliver them, is a dimension of
-//! `tests/lattice_prop.rs`.
+//! service's cooperative passes deliver them, is checked against the
+//! row-at-a-time reference on a slice of the knob lattice
+//! (`common/lattice.rs`).
 
 use proptest::prelude::*;
 
 use monet_mem::core::compress::{CompressedColumn, DictColumn, ForColumn, RleColumn};
 use monet_mem::core::scan::{par_select, select, RowSet, ScanCol, ScanPred};
 use monet_mem::core::storage::{Bat, Column, Oid, StrColumn};
+use monet_mem::engine::access::{AccessMode, CompressMode};
 use monet_mem::memsim::NullTracker;
+use monet_mem::service::ServiceConfig;
 use monet_mem::workload::ZipfGenerator;
 
 mod common;
+#[path = "common/lattice.rs"]
+mod lattice;
+#[path = "common/reference.rs"]
+mod reference;
+
+use lattice::{Lattice, Path, SLICE_CASES};
 
 const THREADS: [usize; 2] = [1, 4];
 const MODES: [&str; 4] = ["AIR", "MAIL", "SHIP", "RAIL"];
@@ -168,6 +177,30 @@ fn degenerate_predicates_agree_on_straddled_partial_and_constant_frames() {
             }
         }
     }
+}
+
+/// End to end: multi-frame tables of every `qty` shape, run through the
+/// engine under every compression policy × access mode and through a
+/// service whose shared passes deliver candidate lists selected on the
+/// packed columns, return the reference rows — a slice of the knob lattice.
+#[test]
+fn engine_results_are_identical_under_every_compression_policy() {
+    let mut matrix = Vec::new();
+    for compress in [CompressMode::Off, CompressMode::On, CompressMode::Force] {
+        for access in [AccessMode::Scan, AccessMode::Auto] {
+            matrix.push((compress, access));
+        }
+    }
+    let mut l = Lattice::new("compress_prop::engine")
+        .pin("rows", &["frames"])
+        .pin("filter", &lattice::FILTERED);
+    lattice::check(&mut l, SLICE_CASES, |l| {
+        let mut paths = lattice::sweep(l, &matrix, |o, (compress, access)| {
+            (o.compress, o.access) = (compress, access)
+        });
+        paths.push(Path::Service(ServiceConfig::new().with_shared_scans(true)));
+        paths
+    });
 }
 
 /// The OIDs of the rows of a column at `seqbase` whose value passes.

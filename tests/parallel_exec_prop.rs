@@ -1,13 +1,20 @@
-//! Fixed anchors for parallel plan execution, checked against the
-//! row-at-a-time reference (`common/reference.rs`): a join the heuristic
-//! planner partitions, so `execute` routes it through the parallel radix
-//! kernels and says so in its report, and the model-chosen thread counts of
-//! `Threads::Auto` on a real Item workload. Random plans × thread counts are
-//! a dimension of `tests/lattice_prop.rs`.
+//! Parallel plan execution, checked against the row-at-a-time reference
+//! (`common/reference.rs`): slices of the knob lattice (`common/lattice.rs`)
+//! that run each drawn plan at every thread count — grouped `f64` sums,
+//! whose bits depend on the parallel group kernel keeping the sequential
+//! per-group addition order, join indexes, whose pair order must not move,
+//! and Zipf-skewed keys, which make chunk and cluster sizes maximally
+//! uneven — and two fixed anchors: a join the heuristic planner partitions,
+//! so `execute` routes it through the parallel radix kernels and says so in
+//! its report, and the model-chosen thread counts of `Threads::Auto` on a
+//! real Item workload.
 
+#[path = "common/lattice.rs"]
+mod lattice;
 #[path = "common/reference.rs"]
 mod reference;
 
+use lattice::{Lattice, Path, SLICE_CASES};
 use monet_mem::core::storage::{ColType, DecomposedTable, TableBuilder, Value};
 use monet_mem::engine::exec::{execute, ExecOptions, QueryOutput, Threads};
 use monet_mem::engine::plan::{Agg, Pred, Query};
@@ -15,6 +22,51 @@ use monet_mem::memsim::NullTracker;
 
 /// The thread counts every anchor runs at.
 const THREADS: [usize; 4] = [1, 2, 4, 7];
+
+/// `execute` at every thread count and at `Threads::Auto`.
+fn every_thread_count(l: &mut Lattice) -> Vec<Path> {
+    let threads = THREADS.map(Threads::Fixed);
+    lattice::sweep(l, &[&threads[..], &[Threads::Auto]].concat(), |o, t| o.threads = t)
+}
+
+/// A lattice slice whose thread cap never hides the thread count.
+fn uncapped(name: &str) -> Lattice {
+    Lattice::new(name).pin("thread cap", &["None"])
+}
+
+#[test]
+fn grouped_pipeline_is_thread_count_invariant() {
+    let mut l = uncapped("parallel_exec_prop::grouped")
+        .pin("join", &["false"])
+        .pin("aggregate", &["grouped"]);
+    lattice::check(&mut l, SLICE_CASES, every_thread_count);
+}
+
+#[test]
+fn join_index_is_thread_count_invariant() {
+    // The parallel join must reproduce the reference's pair *order*, not
+    // just its pair set.
+    let mut l =
+        uncapped("parallel_exec_prop::join").pin("join", &["true"]).pin("aggregate", &["none"]);
+    lattice::check(&mut l, SLICE_CASES, every_thread_count);
+}
+
+#[test]
+fn joined_aggregates_are_thread_count_invariant() {
+    let mut l = uncapped("parallel_exec_prop::joined_aggregates")
+        .pin("join", &["true"])
+        .pin("aggregate", &["scalar", "grouped"]);
+    lattice::check(&mut l, SLICE_CASES, every_thread_count);
+}
+
+#[test]
+fn zipf_skewed_joins_are_thread_count_invariant() {
+    let mut l = uncapped("parallel_exec_prop::zipf")
+        .pin("rows", &["frames"])
+        .pin("key skew", &["zipf"])
+        .pin("join", &["true"]);
+    lattice::check(&mut l, SLICE_CASES, every_thread_count);
+}
 
 fn key_table(name: &str, keys: &[i32], seqbase: u32) -> DecomposedTable {
     let mut b = TableBuilder::new(name, seqbase).column(&format!("{name}_k"), ColType::I32);

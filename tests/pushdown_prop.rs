@@ -1,162 +1,52 @@
-//! Bit-identity suite for candidate-list pushdown: evaluating a pure-AND
-//! conjunction in planner-chosen order with every later leaf restricted to
-//! the running survivor list must produce **bitwise-identical** outputs to
-//! the naive plan (every leaf a full pass, lists intersected) — across
-//! leaf order in the predicate × access mode {scan, index, auto} ×
-//! compression {off, on, force} × threads {1, 4} × shards {1, 4}, including
-//! the empty-candidate and all-pass edges. Restricted kernels return
-//! exactly (full result ∩ candidates) in ascending OID order, so every
-//! downstream gather and f64 accumulation sees the same rows in the same
-//! order.
+//! Pushdown slices of the knob lattice (`common/lattice.rs`): a drawn
+//! filter with a conjunction, evaluated with every later leaf restricted to
+//! the running survivor list or with every leaf a full pass, returns the
+//! row-at-a-time reference's output bit for bit — under access mode ×
+//! compression × pushdown, and sharded. Restricted kernels return exactly
+//! (full result ∩ candidates) in ascending OID order, so every downstream
+//! gather and `f64` sum sees the same rows in the same order.
 
-use monet_mem::core::index::IndexKind;
-use monet_mem::core::shard::ShardedTable;
-use monet_mem::core::storage::DecomposedTable;
+#[path = "common/lattice.rs"]
+mod lattice;
+#[path = "common/reference.rs"]
+mod reference;
+
+use lattice::{Lattice, Path, CONJUNCTIONS, SLICE_CASES};
 use monet_mem::engine::access::{AccessMode, CompressMode, PushdownMode};
-use monet_mem::engine::dist::execute_sharded;
-use monet_mem::engine::exec::{execute, ExecOptions, Executed, Threads};
-use monet_mem::engine::plan::{Agg, LogicalPlan, Pred, Query};
-use monet_mem::memsim::NullTracker;
-use monet_mem::workload::item_table;
+use monet_mem::engine::exec::ExecOptions;
 
-/// The Item fact table with every index kind on the needle column, so the
-/// access-mode axis genuinely changes the first leaf's physical path.
-fn table() -> DecomposedTable {
-    let mut t = item_table(3_000, 17);
-    t.create_index("supp", IndexKind::CsBTree).unwrap();
-    t.create_index("supp", IndexKind::Hash).unwrap();
-    t.create_index("shipmode", IndexKind::Hash).unwrap();
-    t
-}
-
-/// Conjunction shapes covering the interesting orders and edges. The
-/// `supp` point is the needle (~3 of 3000 rows); `batch`/`date1` are wide
-/// bands over compressed columns (RLE and FOR respectively).
-fn preds() -> Vec<(&'static str, Pred)> {
-    vec![
-        (
-            "needle-last",
-            Pred::range_i32("batch", 1, 30)
-                .and(Pred::range_i32("date1", 9_000, 10_500))
-                .and(Pred::range_i32("supp", 7, 7)),
-        ),
-        (
-            "needle-first",
-            Pred::range_i32("supp", 7, 7)
-                .and(Pred::range_i32("batch", 1, 30))
-                .and(Pred::range_i32("date1", 9_000, 10_500)),
-        ),
-        (
-            "needle-middle-with-str-and-f64",
-            Pred::range_f64("discnt", 0.0, 0.06)
-                .and(Pred::eq_str("shipmode", "AIR"))
-                .and(Pred::range_i32("supp", 3, 3)),
-        ),
-        (
-            // No row matches: the survivor list empties and later leaves
-            // must short-circuit to the same (empty) result.
-            "empty-candidates",
-            Pred::range_i32("supp", -5, -5).and(Pred::range_i32("batch", 1, 4_000)),
-        ),
-        (
-            // Every row passes both leaves: restriction degenerates to the
-            // full candidate list.
-            "all-pass",
-            Pred::range_i32("batch", 0, 1 << 20).and(Pred::range_i32("date1", 0, 1 << 20)),
-        ),
-        (
-            // Not a pure conjunction: the planner must leave the tree alone
-            // under pushdown too.
-            "or-guarded",
-            (Pred::range_i32("batch", 1, 20).or(Pred::range_i32("date1", 9_000, 9_200)))
-                .and(Pred::range_i32("supp", 11, 11)),
-        ),
-        ("two-leaf-str", Pred::eq_str("shipmode", "MAIL").and(Pred::range_i32("supp", 13, 13))),
-        (
-            // A dictionary miss is provably empty mid-conjunction.
-            "dict-miss",
-            Pred::range_i32("supp", 2, 2).and(Pred::eq_str("shipmode", "WALRUS")),
-        ),
-    ]
-}
-
-fn plan<'a>(t: &'a DecomposedTable, pred: &Pred) -> LogicalPlan<'a> {
-    Query::scan(t)
-        .filter(pred.clone())
-        .group_by("shipmode")
-        .agg(Agg::sum("price"))
-        .agg(Agg::count())
-        .build()
-        .unwrap()
-}
+const PUSHDOWN: [PushdownMode; 2] = [PushdownMode::Off, PushdownMode::On];
 
 #[test]
 fn pushdown_is_bit_identical_across_the_full_matrix() {
-    let t = table();
-    for (name, pred) in preds() {
-        let p = plan(&t, &pred);
-        let reference: Executed = execute(
-            &mut NullTracker,
-            &p,
-            &ExecOptions::default()
-                .with_access(AccessMode::Scan)
-                .with_compress(CompressMode::Off)
-                .with_pushdown(PushdownMode::Off)
-                .with_threads(Threads::Fixed(1)),
-        )
-        .unwrap();
-        for access in [AccessMode::Scan, AccessMode::Index, AccessMode::Auto] {
-            for compress in [CompressMode::Off, CompressMode::On, CompressMode::Force] {
-                for pushdown in [PushdownMode::Off, PushdownMode::On] {
-                    for threads in [1usize, 4] {
-                        let opts = ExecOptions::default()
-                            .with_access(access)
-                            .with_compress(compress)
-                            .with_pushdown(pushdown)
-                            .with_threads(Threads::Fixed(threads));
-                        let got = execute(&mut NullTracker, &p, &opts).unwrap();
-                        assert!(
-                            got.output.bitwise_eq(&reference.output),
-                            "{name}: access={access:?} compress={compress:?} \
-                             pushdown={pushdown:?} threads={threads}"
-                        );
-                    }
-                }
+    let mut matrix = Vec::new();
+    for access in [AccessMode::Scan, AccessMode::Index, AccessMode::Auto] {
+        for compress in [CompressMode::Off, CompressMode::On, CompressMode::Force] {
+            for pushdown in PUSHDOWN {
+                matrix.push((access, compress, pushdown));
             }
         }
     }
+    let mut l = Lattice::new("pushdown_prop::matrix").pin("filter", &CONJUNCTIONS);
+    lattice::check(&mut l, SLICE_CASES, |l| {
+        lattice::sweep(l, &matrix, |o, (access, compress, pushdown)| {
+            (o.access, o.compress, o.pushdown) = (access, compress, pushdown)
+        })
+    });
 }
 
 #[test]
 fn pushdown_is_bit_identical_under_sharded_execution() {
-    let t = table();
-    for shards in [1usize, 4] {
-        let st = ShardedTable::partition(&t, "supp", shards).unwrap();
-        for (name, pred) in preds() {
-            let p = plan(&t, &pred);
-            let reference: Executed = execute(
-                &mut NullTracker,
-                &p,
-                &ExecOptions::default()
-                    .with_access(AccessMode::Scan)
-                    .with_compress(CompressMode::Off)
-                    .with_pushdown(PushdownMode::Off)
-                    .with_threads(Threads::Fixed(1)),
-            )
-            .unwrap();
-            for pushdown in [PushdownMode::Off, PushdownMode::On] {
-                for threads in [1usize, 4] {
-                    let opts = ExecOptions::default()
-                        .with_compress(CompressMode::On)
-                        .with_pushdown(pushdown)
-                        .with_threads(Threads::Fixed(threads));
-                    let got = execute_sharded(&mut NullTracker, &p, &[&st], &opts).unwrap();
-                    assert!(
-                        got.output.bitwise_eq(&reference.output),
-                        "{name}: shards={shards} pushdown={pushdown:?} threads={threads}"
-                    );
-                }
+    let mut l = Lattice::new("pushdown_prop::sharded").pin("filter", &CONJUNCTIONS);
+    lattice::check(&mut l, SLICE_CASES, |l| {
+        let opts = lattice::exec_options(l);
+        let mut paths = Vec::new();
+        for pushdown in PUSHDOWN {
+            for shards in [1, 4] {
+                let opts = ExecOptions { pushdown, ..opts };
+                paths.push(Path::Sharded { shards, opts, simulated: false });
             }
         }
-    }
+        paths
+    });
 }

@@ -1,14 +1,18 @@
-//! Fixed anchors for sharded execution (`engine::dist`): the degenerate
-//! layouts — empty shards, every row on one shard, empty tables — and `f64`
-//! sums whose addition order is visible in their low bits, lowered onto
-//! hash shards, merged by the coordinator and checked bit for bit against
-//! the row-at-a-time reference (`common/reference.rs`). Random plans over
-//! co-partitioned tables × shard counts are a dimension of
-//! `tests/lattice_prop.rs`.
+//! Sharded execution (`engine::dist`): plans lowered onto hash shards,
+//! merged by the coordinator and checked bit for bit against the
+//! row-at-a-time reference (`common/reference.rs`). Slices of the knob
+//! lattice (`common/lattice.rs`) run drawn plans over co-partitioned
+//! uniform and Zipf-skewed tables at every shard count; fixed anchors pin
+//! the degenerate layouts — empty shards, every row on one shard, empty
+//! tables — and `f64` sums whose addition order is visible in their low
+//! bits.
 
+#[path = "common/lattice.rs"]
+mod lattice;
 #[path = "common/reference.rs"]
 mod reference;
 
+use lattice::{Lattice, Path, SLICE_CASES};
 use monet_mem::core::shard::ShardedTable;
 use monet_mem::core::storage::{ColType, DecomposedTable, TableBuilder, Value};
 use monet_mem::engine::access::CompressMode;
@@ -20,6 +24,27 @@ use monet_mem::workload::item_table_skewed;
 
 /// The shard counts every anchor runs at.
 const SHARDS: [usize; 4] = [1, 2, 4, 7];
+
+/// `execute_sharded` at every shard count, the options drawn.
+fn every_shard_count(l: &mut Lattice) -> Vec<Path> {
+    let opts = lattice::exec_options(l);
+    SHARDS.map(|shards| Path::Sharded { shards, opts, simulated: false }).into()
+}
+
+#[test]
+fn uniform_data_is_bit_identical_across_the_matrix() {
+    let mut l = Lattice::new("shard_prop::uniform").pin("key skew", &["uniform"]);
+    lattice::check(&mut l, SLICE_CASES, every_shard_count);
+}
+
+#[test]
+fn zipf_skewed_data_is_bit_identical_across_the_matrix() {
+    // Multi-frame tables, whose Zipf keys skew the shards (the lattice's
+    // table generator asserts it).
+    let mut l =
+        Lattice::new("shard_prop::zipf").pin("rows", &["frames"]).pin("key skew", &["zipf"]);
+    lattice::check(&mut l, SLICE_CASES, every_shard_count);
+}
 
 fn supplier(n: usize) -> DecomposedTable {
     let mut b =
