@@ -23,9 +23,7 @@
 //!   per-shard outputs map back into parent OID space order-preservingly.
 
 use crate::compress::CompressedColumn;
-use crate::storage::{
-    Bat, Codes, Column, DecomposedTable, NamedBat, Oid, StorageError, StrColumn, ValueType,
-};
+use crate::storage::{Codes, Column, DecomposedTable, Oid, StorageError, StrColumn, ValueType};
 
 /// The multiplicative hash assigning a partition-key value to a shard.
 /// Fibonacci hashing on the key's bit pattern — the same family the
@@ -99,24 +97,18 @@ impl ShardedTable {
                 let cols = parent
                     .columns()
                     .iter()
-                    .map(|c| NamedBat {
-                        name: c.name.clone(),
-                        bat: Bat::with_void_head(0, gather(c.bat.tail(), &rows))
-                            .with_props(c.bat.props()),
-                    })
+                    .map(|c| (c.name.clone(), gather(c.bat.tail(), &rows)))
                     .collect();
-                let mut table = DecomposedTable::from_parts(
-                    format!("{}[{h}/{shards}]", parent.name()),
+                let mut table = DecomposedTable::from_columns(
+                    &format!("{}[{h}/{shards}]", parent.name()),
                     0,
-                    rows.len(),
                     cols,
-                );
+                )?;
                 // Replicate the parent's index catalog; the shard has the
                 // same column types, so every build succeeds.
                 for idx in parent.indexes() {
                     table.create_index(&idx.column, idx.index.kind())?;
                 }
-                table.build_compressed();
                 let oids: Vec<Oid> =
                     rows.iter().map(|&pos| parent.seqbase() + pos as Oid).collect();
                 Ok(TableShard { table, oids })

@@ -223,49 +223,6 @@ impl Bat {
     }
 }
 
-/// Incremental BAT construction with automatic void-head detection.
-///
-/// If every appended OID continues the dense ascending run started by the
-/// first one, the builder produces a [`Head::Void`]; otherwise it
-/// materializes (the paper: decomposition BATs always end up void).
-#[derive(Debug)]
-pub struct BatBuilder {
-    oids: Vec<Oid>,
-    dense: bool,
-    tail: Column,
-}
-
-impl BatBuilder {
-    /// Start a builder whose tail has the type of `template`.
-    pub fn new(tail: Column) -> Self {
-        assert!(tail.is_empty(), "builder requires an empty tail column");
-        Self { oids: Vec::new(), dense: true, tail }
-    }
-
-    /// Append one BUN.
-    pub fn push(&mut self, oid: Oid, v: &Value) -> Result<(), StorageError> {
-        self.tail.push(v)?;
-        if self.dense && !self.oids.is_empty() {
-            let expected = self.oids[0] + self.oids.len() as Oid;
-            if oid != expected {
-                self.dense = false;
-            }
-        }
-        self.oids.push(oid);
-        Ok(())
-    }
-
-    /// Finish, producing a void head when possible.
-    pub fn finish(self) -> Bat {
-        let head = if self.dense {
-            Head::Void { seqbase: self.oids.first().copied().unwrap_or(0) }
-        } else {
-            Head::Oids(self.oids)
-        };
-        Bat { head, tail: self.tail, props: TailProps::default() }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -311,28 +268,6 @@ mod tests {
     }
 
     #[test]
-    fn builder_detects_dense_heads() {
-        let mut b = BatBuilder::new(Column::I32(vec![]));
-        for (i, v) in [5, 6, 7].iter().enumerate() {
-            b.push(100 + i as Oid, &Value::I32(*v)).unwrap();
-        }
-        let bat = b.finish();
-        assert!(bat.head_is_void());
-        assert_eq!(bat.head_oid(2), 102);
-    }
-
-    #[test]
-    fn builder_materializes_non_dense_heads() {
-        let mut b = BatBuilder::new(Column::I32(vec![]));
-        b.push(1, &Value::I32(10)).unwrap();
-        b.push(5, &Value::I32(20)).unwrap();
-        let bat = b.finish();
-        assert!(!bat.head_is_void());
-        assert_eq!(bat.head_oid(1), 5);
-        assert_eq!(bat.bun_width(), 8);
-    }
-
-    #[test]
     fn reverse_swaps_columns() {
         let b = Bat::with_void_head(0, Column::Oid(vec![30, 10, 20]));
         let r = b.reverse().unwrap();
@@ -351,12 +286,5 @@ mod tests {
         let m = int_bat().mirror();
         assert_eq!(m.bun(1), (1001, Value::Oid(1001)));
         assert!(m.props().key);
-    }
-
-    #[test]
-    fn empty_builder_yields_empty_void_bat() {
-        let bat = BatBuilder::new(Column::I32(vec![])).finish();
-        assert!(bat.is_empty());
-        assert!(bat.head_is_void());
     }
 }

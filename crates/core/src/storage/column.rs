@@ -227,6 +227,22 @@ impl Column {
         Ok(())
     }
 
+    /// Shorten to the first `len` rows (no-op if already shorter).
+    pub(crate) fn truncate(&mut self, len: usize) {
+        match self {
+            Column::U8(v) => v.truncate(len),
+            Column::U16(v) => v.truncate(len),
+            Column::I32(v) => v.truncate(len),
+            Column::I64(v) => v.truncate(len),
+            Column::F64(v) => v.truncate(len),
+            Column::Oid(v) => v.truncate(len),
+            Column::Str(c) => match &mut c.codes {
+                Codes::U8(v) => v.truncate(len),
+                Codes::U16(v) => v.truncate(len),
+            },
+        }
+    }
+
     /// Typed view: `i32` data, if that is what this column stores.
     pub fn as_i32(&self) -> Option<&[i32]> {
         match self {

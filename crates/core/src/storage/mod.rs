@@ -22,7 +22,7 @@ pub mod nsm;
 pub mod table;
 pub mod value;
 
-pub use bat::{Bat, BatBuilder, Head, TailProps};
+pub use bat::{Bat, Head, TailProps};
 pub use column::{Codes, Column, StrColumn};
 pub use dict::StrDict;
 pub use nsm::{FieldType, RowSchema, RowTable};
@@ -70,6 +70,16 @@ pub enum StorageError {
     },
     /// Unknown column name.
     NoSuchColumn(String),
+    /// A column handed to [`DecomposedTable::from_columns`] differs in
+    /// length from the first column.
+    ColumnLength {
+        /// The offending column.
+        column: String,
+        /// Its length.
+        len: usize,
+        /// The first column's length.
+        expected: usize,
+    },
 }
 
 impl fmt::Display for StorageError {
@@ -89,6 +99,9 @@ impl fmt::Display for StorageError {
                 write!(f, "row arity mismatch: schema has {expected} columns, got {got}")
             }
             StorageError::NoSuchColumn(name) => write!(f, "no such column: {name}"),
+            StorageError::ColumnLength { column, len, expected } => {
+                write!(f, "column {column} holds {len} values, expected {expected}")
+            }
         }
     }
 }

@@ -7,8 +7,8 @@
 use crate::compress::CompressedColumn;
 use crate::index::{ColumnIndex, IndexKind};
 
-use super::bat::{Bat, BatBuilder};
-use super::column::{Column, StrColumn};
+use super::bat::Bat;
+use super::column::{Codes, Column, StrColumn};
 use super::nsm::{FieldType, RowSchema, RowTable};
 use super::value::{Value, ValueType};
 use super::{Oid, StorageError};
@@ -110,20 +110,49 @@ impl DecomposedTable {
     }
 
     /// (Re)build the compressed representations of every column, per
-    /// [`crate::compress::pick_encoding`]. [`TableBuilder::finish`] does
-    /// this automatically; call it again after mutating columns in place.
+    /// [`crate::compress::pick_encoding`]. [`DecomposedTable::from_columns`]
+    /// does this automatically; call it again after mutating columns in
+    /// place.
     pub fn build_compressed(&mut self) {
         self.compressed =
             self.cols.iter().map(|c| CompressedColumn::encode(c.bat.tail())).collect();
     }
 
-    /// Assemble a table from pre-built void-headed columns (all of length
-    /// `len`). Crate-internal: the sharding layer ([`crate::shard`]) gathers
-    /// parent columns directly — keeping shard dictionaries code-compatible
-    /// with the parent — instead of re-interning through [`TableBuilder`].
-    pub(crate) fn from_parts(name: String, seqbase: Oid, len: usize, cols: Vec<NamedBat>) -> Self {
-        debug_assert!(cols.iter().all(|c| c.bat.len() == len));
-        Self { name, seqbase, len, cols, indexes: Vec::new(), compressed: Vec::new() }
+    /// Assemble a table from whole typed columns — the bulk load path.
+    /// Every column gets a void head from `seqbase`; string columns whose
+    /// dictionary holds ≤ 256 values are narrowed to 1-byte codes (the
+    /// paper's byte-encoding step); compressed representations are built
+    /// where [`crate::compress::pick_encoding`] finds a saving.
+    ///
+    /// Fails with [`StorageError::ColumnLength`] unless all columns hold
+    /// the same number of values.
+    pub fn from_columns(
+        name: &str,
+        seqbase: Oid,
+        cols: Vec<(String, Column)>,
+    ) -> Result<Self, StorageError> {
+        let len = cols.first().map_or(0, |(_, c)| c.len());
+        if let Some((name, c)) = cols.iter().find(|(_, c)| c.len() != len) {
+            return Err(StorageError::ColumnLength {
+                column: name.clone(),
+                len: c.len(),
+                expected: len,
+            });
+        }
+        let cols = cols
+            .into_iter()
+            .map(|(name, col)| NamedBat { name, bat: Bat::with_void_head(seqbase, narrow(col)) })
+            .collect();
+        let mut t = Self {
+            name: name.to_owned(),
+            seqbase,
+            len,
+            cols,
+            indexes: Vec::new(),
+            compressed: Vec::new(),
+        };
+        t.build_compressed();
+        Ok(t)
     }
 
     /// Reconstruct logical tuple `oid` (positional; O(columns)).
@@ -210,19 +239,20 @@ pub enum ColType {
     Str,
 }
 
-/// Builds a [`DecomposedTable`] row by row.
+/// Builds a [`DecomposedTable`] row by row, through
+/// [`DecomposedTable::from_columns`].
 #[derive(Debug)]
 pub struct TableBuilder {
     name: String,
     seqbase: Oid,
-    builders: Vec<(String, BatBuilder)>,
-    next_oid: Oid,
+    cols: Vec<(String, Column)>,
+    len: usize,
 }
 
 impl TableBuilder {
     /// Start a table named `name` with OIDs from `seqbase`.
     pub fn new(name: &str, seqbase: Oid) -> Self {
-        Self { name: name.to_owned(), seqbase, builders: Vec::new(), next_oid: seqbase }
+        Self { name: name.to_owned(), seqbase, cols: Vec::new(), len: 0 }
     }
 
     /// Declare a column.
@@ -234,73 +264,54 @@ impl TableBuilder {
             ColType::U8 => Column::U8(Vec::new()),
             ColType::Str => Column::Str(StrColumn::new_u16()),
         };
-        self.builders.push((name.to_owned(), BatBuilder::new(col)));
+        self.cols.push((name.to_owned(), col));
         self
     }
 
-    /// Append one row (values in declaration order).
+    /// Append one row (values in declaration order). A rejected row leaves
+    /// the builder as it was, except that a full string dictionary may keep
+    /// strings the row interned before the overflow.
     pub fn push_row(&mut self, row: &[Value]) -> Result<(), StorageError> {
-        if row.len() != self.builders.len() {
-            return Err(StorageError::ArityMismatch {
-                expected: self.builders.len(),
-                got: row.len(),
-            });
+        if row.len() != self.cols.len() {
+            return Err(StorageError::ArityMismatch { expected: self.cols.len(), got: row.len() });
         }
-        let oid = self.next_oid;
-        for ((_, b), v) in self.builders.iter_mut().zip(row) {
-            b.push(oid, v)?;
+        for ((_, col), v) in self.cols.iter().zip(row) {
+            let expected = col.value_type();
+            if v.value_type() != expected {
+                return Err(StorageError::TypeMismatch { expected, got: v.value_type() });
+            }
         }
-        self.next_oid += 1;
+        for (i, v) in row.iter().enumerate() {
+            if let Err(e) = self.cols[i].1.push(v) {
+                // Only a string column's `DictOverflow` gets here: drop the
+                // cells this row already appended.
+                for (_, col) in &mut self.cols[..i] {
+                    col.truncate(self.len);
+                }
+                return Err(e);
+            }
+        }
+        self.len += 1;
         Ok(())
     }
 
-    /// Finish the table, narrowing string columns to 1-byte codes where the
-    /// dictionary allows (the paper's byte-encoding step) and building
-    /// compressed representations for the columns where
-    /// [`crate::compress::pick_encoding`] finds a saving.
+    /// Finish the table (see [`DecomposedTable::from_columns`]).
     pub fn finish(self) -> DecomposedTable {
-        let len = (self.next_oid - self.seqbase) as usize;
-        let cols: Vec<NamedBat> = self
-            .builders
-            .into_iter()
-            .map(|(name, b)| {
-                let bat = narrow_str_codes(b.finish());
-                NamedBat { name, bat }
-            })
-            .collect();
-        let mut t = DecomposedTable {
-            name: self.name,
-            seqbase: self.seqbase,
-            len,
-            cols,
-            indexes: Vec::new(),
-            compressed: Vec::new(),
-        };
-        t.build_compressed();
-        t
+        DecomposedTable::from_columns(&self.name, self.seqbase, self.cols)
+            .expect("push_row appends to every column or to none")
     }
 }
 
-/// Re-encode a u16-coded string column as u8 codes when ≤ 256 distinct
-/// values were seen.
-fn narrow_str_codes(bat: Bat) -> Bat {
-    use super::column::Codes;
-    if let Column::Str(sc) = bat.tail() {
-        if sc.dict.len() <= 256 {
-            if let Codes::U16(codes) = &sc.codes {
-                let narrowed = StrColumn {
-                    codes: Codes::U8(codes.iter().map(|&c| c as u8).collect()),
-                    dict: sc.dict.clone(),
-                };
-                let seqbase = match bat.head() {
-                    super::bat::Head::Void { seqbase } => *seqbase,
-                    super::bat::Head::Oids(_) => unreachable!("table BATs are void"),
-                };
-                return Bat::with_void_head(seqbase, Column::Str(narrowed));
-            }
+/// Re-encode a u16-coded string column as u8 codes when its dictionary
+/// holds ≤ 256 values.
+fn narrow(col: Column) -> Column {
+    match col {
+        Column::Str(StrColumn { codes: Codes::U16(codes), dict }) if dict.len() <= 256 => {
+            let codes = Codes::U8(codes.into_iter().map(|c| c as u8).collect());
+            Column::Str(StrColumn { codes, dict })
         }
+        other => other,
     }
-    bat
 }
 
 #[cfg(test)]
@@ -425,5 +436,60 @@ mod tests {
         b.push_row(&[Value::I32(1)]).unwrap();
         let t = b.finish();
         assert!(matches!(t.bat("nope"), Err(StorageError::NoSuchColumn(_))));
+    }
+
+    #[test]
+    fn rejected_rows_leave_the_columns_aligned() {
+        let mut b = TableBuilder::new("t", 0).column("n", ColType::I32).column("s", ColType::Str);
+        b.push_row(&[Value::I32(0), Value::from("x")]).unwrap();
+        assert!(matches!(
+            b.push_row(&[Value::I32(1), Value::I32(2)]),
+            Err(StorageError::TypeMismatch { expected: ValueType::Str, got: ValueType::I32 })
+        ));
+        for i in 1..65_536 {
+            b.push_row(&[Value::I32(i), Value::Str(format!("s{i}"))]).unwrap();
+        }
+        assert_eq!(
+            b.push_row(&[Value::I32(-1), Value::from("one-too-many")]),
+            Err(StorageError::DictOverflow { capacity: 65_536 })
+        );
+        b.push_row(&[Value::I32(-2), Value::from("x")]).unwrap();
+        let t = b.finish();
+        assert_eq!(t.len(), 65_537);
+        assert_eq!(t.tuple(65_536).unwrap(), vec![Value::I32(-2), Value::from("x")]);
+    }
+
+    #[test]
+    fn from_columns_rejects_unequal_lengths() {
+        let cols = vec![
+            ("a".to_owned(), Column::I32(vec![1, 2, 3])),
+            ("b".to_owned(), Column::F64(vec![1.0, 2.0])),
+        ];
+        assert_eq!(
+            DecomposedTable::from_columns("t", 0, cols).unwrap_err(),
+            StorageError::ColumnLength { column: "b".into(), len: 2, expected: 3 }
+        );
+        let t = DecomposedTable::from_columns("t", 7, Vec::new()).unwrap();
+        assert!(t.is_empty());
+        assert_eq!(t.seqbase(), 7);
+    }
+
+    #[test]
+    fn from_columns_narrows_up_to_256_distinct_strings() {
+        for (distinct, width) in [(256, 1), (257, 2)] {
+            let mut sc = StrColumn::new_u16();
+            for i in 0..distinct + 10 {
+                sc.push(&format!("v{}", i % distinct)).unwrap();
+            }
+            let t = DecomposedTable::from_columns("t", 5, vec![("s".to_owned(), Column::Str(sc))])
+                .unwrap();
+            let bat = t.bat("s").unwrap();
+            assert_eq!(bat.bun_width(), width, "{distinct} distinct strings");
+            assert_eq!(bat.head_oid(0), 5);
+            assert_eq!(bat.tail_value(distinct + 3), Value::from("v3"));
+            // Packing saves bits on 2-byte codes only: compression runs on
+            // the narrowed column.
+            assert_eq!(t.compressed_of("s").is_some(), width == 2);
+        }
     }
 }

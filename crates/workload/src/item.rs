@@ -1,8 +1,16 @@
 //! The Figure 4 "Item" table — a lineitem-like relation whose NSM tuple
 //! occupies ≥ 80 bytes on a relational system, used by the paper to motivate
 //! vertical decomposition and byte encodings.
+//!
+//! The table is loaded the way it is stored. One generator draws each row's
+//! values in row-major order and appends them to thirteen typed vectors. The
+//! three strings come from closed domains (3 statuses, 7 shipmodes, 4096
+//! comments), so each is kept as a 2-byte dictionary code and no string is
+//! allocated per row. [`item_table`] hands the vectors to
+//! [`DecomposedTable::from_columns`]; [`item_rows`] decodes the same vectors
+//! for callers that want rows.
 
-use monet_core::storage::{ColType, DecomposedTable, TableBuilder, Value};
+use monet_core::storage::{Codes, Column, DecomposedTable, StrColumn, StrDict};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
@@ -46,37 +54,13 @@ pub struct ItemRow {
 
 /// Generate `n` pseudo-random Item rows (deterministic per seed).
 pub fn item_rows(n: usize, seed: u64) -> Vec<ItemRow> {
-    let mut rng = StdRng::seed_from_u64(seed);
-    (0..n)
-        .map(|i| {
-            let qty = rng.random_range(1..=50);
-            let price = f64::from(rng.random_range(100..=10_000)) / 100.0 * qty as f64;
-            ItemRow {
-                order: (i / 4) as i32 + 1,
-                batch: (i / 64) as i32 + 1,
-                supp: rng.random_range(1..=1_000),
-                part: rng.random_range(1..=20_000),
-                qty,
-                discnt: f64::from(rng.random_range(0..=10)) / 100.0,
-                tax: f64::from(rng.random_range(0..=8)) / 100.0,
-                price,
-                status: STATUS[rng.random_range(0..STATUS.len())].to_owned(),
-                shipmode: SHIPMODES[rng.random_range(0..SHIPMODES.len())].to_owned(),
-                date1: rng.random_range(9_000..11_000),
-                date2: rng.random_range(11_000..12_000),
-                // Bounded phrase pool: comments stay dictionary-encodable
-                // (≤ 4096 distinct values ⇒ u16 codes), like TPC-H's
-                // templated comment text.
-                comment: format!("note {} priority {}", rng.random_range(0..512u32), i % 8),
-            }
-        })
-        .collect()
+    item_columns(n, seed).rows()
 }
 
 /// Build the vertically decomposed Item table of `n` rows (Fig. 4's right
 /// side: one void-headed BAT per column, strings byte-encoded).
 pub fn item_table(n: usize, seed: u64) -> DecomposedTable {
-    build_item_table(item_rows(n, seed))
+    item_columns(n, seed).table()
 }
 
 /// [`item_rows`] with the `supp` column re-drawn from a Zipf distribution
@@ -86,59 +70,187 @@ pub fn item_table(n: usize, seed: u64) -> DecomposedTable {
 /// concentrates the hot supplier's rows — and the queries that touch them —
 /// on one shard, the workload the replicated shard placer is built for.
 pub fn item_rows_skewed(n: usize, seed: u64, skew: f64) -> Vec<ItemRow> {
-    let mut rows = item_rows(n, seed);
+    item_columns_skewed(n, seed, skew).rows()
+}
+
+/// [`item_table`] with the `supp` column of [`item_rows_skewed`]: the
+/// shard-skew knob of the sharded-execution experiments.
+pub fn item_table_skewed(n: usize, seed: u64, skew: f64) -> DecomposedTable {
+    item_columns_skewed(n, seed, skew).table()
+}
+
+/// The Item relation as drawn: one typed vector per attribute, the three
+/// strings as first-occurrence codes of their closed domains.
+struct ItemColumns {
+    order: Vec<i32>,
+    batch: Vec<i32>,
+    supp: Vec<i32>,
+    part: Vec<i32>,
+    qty: Vec<i32>,
+    discnt: Vec<f64>,
+    tax: Vec<f64>,
+    price: Vec<f64>,
+    status: DomainCoder,
+    shipmode: DomainCoder,
+    date1: Vec<i32>,
+    date2: Vec<i32>,
+    comment: DomainCoder,
+}
+
+/// Comments are `note {k} priority {p}` for `k < 512`, `p < 8`: a closed
+/// domain of 4096 phrases, indexed `k * 8 + p`.
+const COMMENT_NOTES: usize = 512;
+const COMMENT_PRIORITIES: usize = 8;
+
+fn comment_text(d: usize) -> String {
+    format!("note {} priority {}", d / COMMENT_PRIORITIES, d % COMMENT_PRIORITIES)
+}
+
+/// The one generator. Each seed's data is defined by the order of its draws
+/// (row by row, field by field), so the loop keeps that order and appends
+/// each value to its column.
+fn item_columns(n: usize, seed: u64) -> ItemColumns {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut c = ItemColumns {
+        order: Vec::with_capacity(n),
+        batch: Vec::with_capacity(n),
+        supp: Vec::with_capacity(n),
+        part: Vec::with_capacity(n),
+        qty: Vec::with_capacity(n),
+        discnt: Vec::with_capacity(n),
+        tax: Vec::with_capacity(n),
+        price: Vec::with_capacity(n),
+        status: DomainCoder::new(STATUS.len(), n),
+        shipmode: DomainCoder::new(SHIPMODES.len(), n),
+        date1: Vec::with_capacity(n),
+        date2: Vec::with_capacity(n),
+        comment: DomainCoder::new(COMMENT_NOTES * COMMENT_PRIORITIES, n),
+    };
+    for i in 0..n {
+        let qty = rng.random_range(1..=50);
+        let price = f64::from(rng.random_range(100..=10_000)) / 100.0 * qty as f64;
+        c.order.push((i / 4) as i32 + 1);
+        c.batch.push((i / 64) as i32 + 1);
+        c.supp.push(rng.random_range(1..=1_000));
+        c.part.push(rng.random_range(1..=20_000));
+        c.qty.push(qty);
+        c.discnt.push(f64::from(rng.random_range(0..=10)) / 100.0);
+        c.tax.push(f64::from(rng.random_range(0..=8)) / 100.0);
+        c.price.push(price);
+        c.status.push(rng.random_range(0..STATUS.len()));
+        c.shipmode.push(rng.random_range(0..SHIPMODES.len()));
+        c.date1.push(rng.random_range(9_000..11_000));
+        c.date2.push(rng.random_range(11_000..12_000));
+        // Bounded phrase pool: comments stay dictionary-encodable
+        // (≤ 4096 distinct values ⇒ u16 codes), like TPC-H's templated
+        // comment text.
+        let note = rng.random_range(0..COMMENT_NOTES);
+        c.comment.push(note * COMMENT_PRIORITIES + i % COMMENT_PRIORITIES);
+    }
+    c
+}
+
+/// [`item_columns`] with `supp` overwritten by the Zipf draws of
+/// [`item_rows_skewed`].
+fn item_columns_skewed(n: usize, seed: u64, skew: f64) -> ItemColumns {
+    let mut c = item_columns(n, seed);
     if skew > 0.0 {
         let mut zipf = crate::zipf::ZipfGenerator::new(1_000, skew, seed ^ 0x5ca1e);
         // Shuffled rank→supplier map: the hot supplier is not simply id 1.
         let mut dict: Vec<i32> = (1..=1_000).collect();
         crate::gen::shuffle(&mut dict, seed ^ 0xd1c7);
-        for r in rows.iter_mut() {
-            r.supp = dict[zipf.sample()];
+        for s in c.supp.iter_mut() {
+            *s = dict[zipf.sample()];
         }
     }
-    rows
+    c
 }
 
-/// [`item_table`] built from [`item_rows_skewed`]: the shard-skew knob of
-/// the sharded-execution experiments.
-pub fn item_table_skewed(n: usize, seed: u64, skew: f64) -> DecomposedTable {
-    build_item_table(item_rows_skewed(n, seed, skew))
-}
-
-fn build_item_table(rows: Vec<ItemRow>) -> DecomposedTable {
-    let mut b = TableBuilder::new("Item", 1000)
-        .column("order", ColType::I32)
-        .column("batch", ColType::I32)
-        .column("supp", ColType::I32)
-        .column("part", ColType::I32)
-        .column("qty", ColType::I32)
-        .column("discnt", ColType::F64)
-        .column("tax", ColType::F64)
-        .column("price", ColType::F64)
-        .column("status", ColType::Str)
-        .column("shipmode", ColType::Str)
-        .column("date1", ColType::I32)
-        .column("date2", ColType::I32)
-        .column("comment", ColType::Str);
-    for r in rows {
-        b.push_row(&[
-            Value::I32(r.order),
-            Value::I32(r.batch),
-            Value::I32(r.supp),
-            Value::I32(r.part),
-            Value::I32(r.qty),
-            Value::F64(r.discnt),
-            Value::F64(r.tax),
-            Value::F64(r.price),
-            Value::Str(r.status),
-            Value::Str(r.shipmode),
-            Value::I32(r.date1),
-            Value::I32(r.date2),
-            Value::Str(r.comment),
-        ])
-        .expect("schema matches row construction");
+impl ItemColumns {
+    fn table(self) -> DecomposedTable {
+        let cols = vec![
+            ("order", Column::I32(self.order)),
+            ("batch", Column::I32(self.batch)),
+            ("supp", Column::I32(self.supp)),
+            ("part", Column::I32(self.part)),
+            ("qty", Column::I32(self.qty)),
+            ("discnt", Column::F64(self.discnt)),
+            ("tax", Column::F64(self.tax)),
+            ("price", Column::F64(self.price)),
+            ("status", Column::Str(self.status.finish(|d| STATUS[d].to_owned()))),
+            ("shipmode", Column::Str(self.shipmode.finish(|d| SHIPMODES[d].to_owned()))),
+            ("date1", Column::I32(self.date1)),
+            ("date2", Column::I32(self.date2)),
+            ("comment", Column::Str(self.comment.finish(comment_text))),
+        ];
+        let cols = cols.into_iter().map(|(name, col)| (name.to_owned(), col)).collect();
+        DecomposedTable::from_columns("Item", 1000, cols).expect("every Item column holds n values")
     }
-    b.finish()
+
+    fn rows(&self) -> Vec<ItemRow> {
+        (0..self.order.len())
+            .map(|i| ItemRow {
+                order: self.order[i],
+                batch: self.batch[i],
+                supp: self.supp[i],
+                part: self.part[i],
+                qty: self.qty[i],
+                discnt: self.discnt[i],
+                tax: self.tax[i],
+                price: self.price[i],
+                status: STATUS[self.status.value(i)].to_owned(),
+                shipmode: SHIPMODES[self.shipmode.value(i)].to_owned(),
+                date1: self.date1[i],
+                date2: self.date2[i],
+                comment: comment_text(self.comment.value(i)),
+            })
+            .collect()
+    }
+}
+
+/// Dictionary-encodes draws from a closed string domain without touching a
+/// string per row: a value's code is the order of its first occurrence —
+/// the code [`StrDict::intern`] would hand out — kept
+/// in a table indexed by the value's position in the domain.
+struct DomainCoder {
+    /// Domain index → code, `u16::MAX` until first seen.
+    code_of: Vec<u16>,
+    /// Code → domain index.
+    first_seen: Vec<usize>,
+    codes: Vec<u16>,
+}
+
+impl DomainCoder {
+    fn new(domain: usize, rows: usize) -> Self {
+        assert!(domain < u16::MAX as usize, "codes of a {domain}-value domain fit u16");
+        Self {
+            code_of: vec![u16::MAX; domain],
+            first_seen: Vec::new(),
+            codes: Vec::with_capacity(rows),
+        }
+    }
+
+    fn push(&mut self, d: usize) {
+        if self.code_of[d] == u16::MAX {
+            self.code_of[d] = self.first_seen.len() as u16;
+            self.first_seen.push(d);
+        }
+        self.codes.push(self.code_of[d]);
+    }
+
+    /// Domain index of row `i`.
+    fn value(&self, i: usize) -> usize {
+        self.first_seen[self.codes[i] as usize]
+    }
+
+    /// The column, with the dictionary spelled out by `text` in code order.
+    fn finish(self, text: impl Fn(usize) -> String) -> StrColumn {
+        let mut dict = StrDict::new();
+        for &d in &self.first_seen {
+            dict.intern(&text(d));
+        }
+        StrColumn { codes: Codes::U16(self.codes), dict }
+    }
 }
 
 #[cfg(test)]

@@ -13,7 +13,12 @@
 //! * [`zipf`] — Zipf-skewed keys (an ablation extension; the paper assumes
 //!   uniqueness).
 //! * [`item`] — the Figure 4 "Item" table (a lineitem-like relation) used by
-//!   the storage experiments and examples.
+//!   the storage experiments and examples. It is generated
+//!   column-at-a-time: Figure 4's case for vertical decomposition applies to
+//!   the loader too, so one generator fills one typed vector per attribute,
+//!   encodes each string by its index in a closed domain, and hands the
+//!   vectors whole to `DecomposedTable::from_columns`. No row is built
+//!   unless a caller asks for [`item_rows`].
 //! * [`mix`] — a closed-loop, Zipf-skewed *query* mix over the Item ⋈
 //!   Supplier schema (the multi-user workload the query service
 //!   schedules), deterministic per `(seed, client)`.

@@ -26,6 +26,9 @@
 # exactly (memsim.accesses, memsim.cpu_ms, engine.rows_*, engine.leaves_*)
 # and does not.
 #
+# Both modes also write every pair's two values of every metric as JSON
+# lines to target/ab/<workload>/pairs.json.
+#
 # Run it on a quiet machine, never on a shared CI runner.
 set -euo pipefail
 
@@ -77,13 +80,13 @@ mkdir -p "$out"
 cp "$tree/bench/target/release/wallbench" "$out/wallbench.base"
 cp "$root/bench/target/release/wallbench" "$out/wallbench.change"
 
-run() { # side seed wallbench-args...
-    local side=$1 seed=$2
-    shift 2
+run() { # pair side seed wallbench-args...
+    local pair=$1 side=$2 seed=$3
+    shift 3
     (cd "$out" && "./wallbench.$side" "$@" --workload "$workload" --seed "$seed") |
-        awk -v side="$side" -v seed="$seed" -F'"' '
+        awk -v pair="$pair" -v side="$side" -v seed="$seed" -F'"' '
             $2 == "workload" && $6 == "metric" {
-                split($11, v, /[:,]/); print side, seed, $8, v[2]
+                split($11, v, /[:,]/); print side, seed, $8, v[2], pair
             }
             $2 == "correct" { if ($0 !~ /"failed":0,/) bad = 1 }
             END { exit bad }' >>"$out/samples.txt" ||
@@ -98,9 +101,22 @@ for i in $(seq 1 "$pairs"); do
     if [ $((i % 2)) -eq 1 ]; then order="base change"; else order="change base"; fi
     for side in $order; do
         echo "pair $i/$pairs seed $seed: $side" >&2
-        if [ $mode = trace ]; then run "$side" "$seed" trace; else run "$side" "$seed" run --seconds 10; fi
+        if [ $mode = trace ]; then run "$i" "$side" "$seed" trace; else run "$i" "$side" "$seed" run --seconds 10; fi
     done
 done
+
+# The per-pair table as JSON lines, one per pair and metric, for the record
+# a perf change commits.
+awk -v w="$workload" -v mode=$mode '
+    !($3 in seen) { seen[$3]; m[++nm] = $3 }
+    { v[$5, $3, $1] = $4; seed[$5] = $2; if ($5 > np) np = $5 }
+    END {
+        for (p = 1; p <= np; p++) for (i = 1; i <= nm; i++)
+            if ((p, m[i], "base") in v && (p, m[i], "change") in v)
+                printf "{\"workload\":\"%s\",\"mode\":\"%s\",\"pair\":%d,\"seed\":%s,\"metric\":\"%s\",\"base\":%s,\"change\":%s}\n",
+                    w, mode, p, seed[p], m[i], v[p, m[i], "base"], v[p, m[i], "change"]
+    }' "$out/samples.txt" >"$out/pairs.json"
+echo "per-pair table: $out/pairs.json" >&2
 
 if [ $mode = trace ]; then
     # side seed metric value -> one row per per-layer metric whose medians
@@ -134,7 +150,7 @@ if [ $mode = trace ]; then
             printf "%s", inexact
             print "bit-equal on every run of both sides:" (equal == "" ? " none" : equal)
         }'
-    echo "every run: $out/samples.txt (side seed metric value)" >&2
+    echo "every run: $out/samples.txt (side seed metric value pair)" >&2
     exit 0
 fi
 
@@ -164,4 +180,4 @@ for metric in setup_s qps lat_p50_ms lat_p95_ms peak_rss_mb; do
                 ratio, won, lost, nb, apart, iqr
         }' "$out/base.$metric" "$out/change.$metric" "$out/pairs.$metric"
 done
-echo "every run: $out/samples.txt (side seed metric value)" >&2
+echo "every run: $out/samples.txt (side seed metric value pair)" >&2

@@ -104,13 +104,22 @@ pub trait SampleRange<T> {
     fn sample_from(self, rng: &mut StdRng) -> T;
 }
 
+/// `x % span` for a span in `1..=2^64`, in 64-bit arithmetic: the one span
+/// wider than `u64` is the full 64-bit domain, which `x` already covers.
+fn reduce(x: u64, span: u128) -> u128 {
+    match u64::try_from(span) {
+        Ok(span) => (x % span) as u128,
+        Err(_) => x as u128,
+    }
+}
+
 macro_rules! impl_sample_range {
     ($($t:ty),*) => {$(
         impl SampleRange<$t> for Range<$t> {
             fn sample_from(self, rng: &mut StdRng) -> $t {
                 assert!(self.start < self.end, "cannot sample from empty range");
                 let span = (self.end as i128 - self.start as i128) as u128;
-                (self.start as i128 + (rng.next_u64() as u128 % span) as i128) as $t
+                (self.start as i128 + reduce(rng.next_u64(), span) as i128) as $t
             }
         }
         impl SampleRange<$t> for RangeInclusive<$t> {
@@ -118,7 +127,7 @@ macro_rules! impl_sample_range {
                 let (lo, hi) = (*self.start(), *self.end());
                 assert!(lo <= hi, "cannot sample from empty range");
                 let span = (hi as i128 - lo as i128) as u128 + 1;
-                (lo as i128 + (rng.next_u64() as u128 % span) as i128) as $t
+                (lo as i128 + reduce(rng.next_u64(), span) as i128) as $t
             }
         }
     )*};
@@ -169,6 +178,40 @@ mod tests {
             let u: usize = rng.random_range(0..7);
             assert!(u < 7);
         }
+    }
+
+    /// `random_range` against the 128-bit reduction it replaced, on the
+    /// same draw.
+    fn agrees_with_u128_reduction<T: Into<i128>>(
+        lo: T,
+        span: u128,
+        draw: impl Fn(&mut StdRng) -> T,
+    ) {
+        let lo = lo.into();
+        let mut rng = StdRng::seed_from_u64(span as u64 ^ lo as u64);
+        for _ in 0..10_000 {
+            let x = rng.clone().next_u64();
+            assert_eq!(draw(&mut rng).into(), lo + (x as u128 % span) as i128, "span {span}");
+        }
+    }
+
+    #[test]
+    fn reduction_matches_the_u128_path() {
+        for span in [1u128, 7, 50, 1 << 32, u64::MAX as u128, 1 << 64] {
+            for x in [0, 1, 6, 49, u32::MAX as u64, u64::MAX - 1, u64::MAX] {
+                assert_eq!(reduce(x, span), x as u128 % span, "x {x} span {span}");
+            }
+        }
+        agrees_with_u128_reduction(1, 50, |r| r.random_range(1..=50i32));
+        agrees_with_u128_reduction(9_000, 2_000, |r| r.random_range(9_000..11_000i32));
+        agrees_with_u128_reduction(0u32, 512, |r| r.random_range(0..512u32));
+        agrees_with_u128_reduction(0u8, 7, |r| r.random_range(0..7u8));
+        agrees_with_u128_reduction(-5, 11, |r| r.random_range(-5..=5i32));
+        agrees_with_u128_reduction(i32::MIN, 1 << 32, |r| r.random_range(i32::MIN..=i32::MAX));
+        agrees_with_u128_reduction(i64::MIN, 1 << 63, |r| r.random_range(i64::MIN..0));
+        agrees_with_u128_reduction(i64::MIN, 1 << 64, |r| r.random_range(i64::MIN..=i64::MAX));
+        agrees_with_u128_reduction(0u64, u64::MAX as u128, |r| r.random_range(0..u64::MAX));
+        agrees_with_u128_reduction(0u64, 1 << 64, |r| r.random_range(0..=u64::MAX));
     }
 
     #[test]
