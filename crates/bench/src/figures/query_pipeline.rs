@@ -38,7 +38,8 @@ pub fn run(opts: &RunOpts) {
 
     // The drill-down query, plus a fact ⋈ dimension query that exercises
     // the planner's join choice (hit rate one against the supplier table),
-    // plus a needle query whose point predicates are index territory.
+    // plus a needle query whose point predicates are index territory, plus
+    // a fact ⋈ orders join under exact aggregates.
     let suppliers = supplier_dim(1_000);
     let drill = Query::scan(&table)
         .filter(Pred::range_f64("discnt", 0.05, 0.10))
@@ -60,14 +61,35 @@ pub fn run(opts: &RunOpts) {
         .agg(Agg::count())
         .build()
         .expect("needle plan validates");
+    // A 1:4 dimension large enough to partition the join, folded only into
+    // exact aggregates: the join index stays in cluster order.
+    let orders = orders_dim(n.div_ceil(4), opts.seed);
+    let orders_join = Query::scan(&table)
+        .filter(Pred::range_i32("qty", 5, 45))
+        .join(&orders, ("order", "id"))
+        .agg(Agg::sum("prio"))
+        .agg(Agg::count())
+        .build()
+        .expect("orders join plan validates");
 
-    for (name, plan) in [("drilldown", &drill), ("item x supplier", &join), ("needle", &needle)] {
+    // (name, plan, whether its join index stays in cluster order)
+    for (name, plan, cluster_order) in [
+        ("drilldown", &drill, false),
+        ("item x supplier", &join, false),
+        ("needle", &needle, false),
+        ("item x orders", &orders_join, true),
+    ] {
         println!("--- {name} over {n} Item rows ---\n");
         println!("{}", plan.explain());
 
         let mut trk = SimTracker::for_machine(machine);
         let executed = execute(&mut trk, plan, &base_opts(machine)).expect("runs");
         println!("{}", executed.report);
+        assert_eq!(
+            executed.report.ops.iter().any(|op| op.cluster_order),
+            cluster_order,
+            "only a join under exact aggregates skips the canonical pass"
+        );
 
         // Cross-check: identical rows natively, and identical rows with
         // every access path forced to a scan (the bit-identity contract).
@@ -142,6 +164,19 @@ pub(crate) fn supplier_dim(n: usize) -> DecomposedTable {
     for i in 1..=n {
         let rating = (i % 7) as f64 / 2.0;
         b.push_row(&[Value::I32(i as i32), Value::F64(rating)]).unwrap();
+    }
+    b.finish()
+}
+
+/// An orders dimension for Item's `order` column: the ids `1..=n` shuffled
+/// (Item holds four rows per order), and an `i32` priority per order.
+fn orders_dim(n: usize, seed: u64) -> DecomposedTable {
+    let mut ids: Vec<i32> = (1..=n as i32).collect();
+    workload::shuffle(&mut ids, seed);
+    let mut b =
+        TableBuilder::new("orders", 0).column("id", ColType::I32).column("prio", ColType::I32);
+    for id in ids {
+        b.push_row(&[Value::I32(id), Value::I32(id % 5)]).unwrap();
     }
     b.finish()
 }

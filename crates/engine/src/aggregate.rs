@@ -146,6 +146,13 @@ impl Sink {
         }
     }
 
+    /// Whether the sink's result depends on the order of the stream's rows:
+    /// `f64` additions do not associate, and a collected column is its rows
+    /// in order. The exact sinks give the same result in any order.
+    pub(crate) fn observes_order(self) -> bool {
+        matches!(self, Sink::SumF64 | Sink::Collect)
+    }
+
     /// Combine two partial results of an exact sink.
     fn combine(self, a: i64, b: i64) -> i64 {
         match self {

@@ -31,7 +31,8 @@
 //! * **Selections** ship their global OIDs; the cursor pass pushes them
 //!   into one pre-sized list — the unsharded ascending OID list.
 //! * **Joins** ship their global pairs packed as `(left << 32) | right`.
-//!   The executor emits join indexes in canonical `(left, right)` order,
+//!   The executor returns a join index in canonical `(left, right)` order
+//!   (a shard plan of a join ends in the join, so its index is returned),
 //!   and a join whose sides are co-partitioned on the join keys puts every
 //!   matching pair inside one shard (equal keys hash to the same shard), so
 //!   the union of per-shard pair sets *is* the global pair set and the
@@ -57,10 +58,10 @@ use monet_core::join::OidPair;
 use monet_core::shard::{ShardedTable, TableShard};
 use monet_core::storage::{DecomposedTable, Oid};
 
-use crate::aggregate::{Acc, Folded, Input, Rows, Sink};
+use crate::aggregate::{fold, Acc, Folded, Input, Rows, Sink};
 use crate::exec::{
-    agg_output, execute, fold_aggs, input_of, ExecOptions, ExecReport, Executed, OpReport,
-    QueryOutput,
+    agg_output, agg_sinks, base_tables, execute, input_of, ExecOptions, ExecReport, Executed,
+    OpReport, QueryOutput,
 };
 use crate::plan::{Agg, LogicalPlan, PlanError, PlanNode};
 use crate::EngineError;
@@ -105,28 +106,6 @@ impl Lowered<'_> {
     /// Number of shards this plan was lowered onto.
     pub fn shard_count(&self) -> usize {
         self.plans.len()
-    }
-}
-
-/// The leftmost base table of a stream subtree and, for joins, the right
-/// base table.
-fn base_tables<'a>(
-    node: &PlanNode<'a>,
-) -> Result<(&'a DecomposedTable, Option<&'a DecomposedTable>), EngineError> {
-    match node {
-        PlanNode::Scan { table } => Ok((table, None)),
-        PlanNode::Filter { input, .. } => base_tables(input),
-        PlanNode::Join { input, right, .. } => {
-            let (lt, nested) = base_tables(input)?;
-            let (rt, rnested) = base_tables(right)?;
-            if nested.is_some() || rnested.is_some() {
-                return Err(EngineError::Plan(PlanError::Unsupported("nested joins")));
-            }
-            Ok((lt, Some(rt)))
-        }
-        PlanNode::GroupAgg { .. } => {
-            Err(EngineError::Plan(PlanError::Unsupported("aggregation below another operator")))
-        }
     }
 }
 
@@ -314,15 +293,11 @@ pub fn execute_shard<M: MemTracker>(
     };
     let folded = match &lowered.merge {
         MergeShape::Oids | MergeShape::Pairs => None,
-        MergeShape::Agg { key, aggs } => Some(fold_aggs(
-            trk,
-            rows,
-            |col| ctx.input(col),
-            key.as_deref(),
-            aggs,
-            Sink::Collect,
-            1,
-        )?),
+        MergeShape::Agg { key, aggs } => {
+            let key = key.as_deref().map(|k| ctx.input(k)).transpose()?;
+            let cols = agg_sinks(|col| ctx.input(col), key.is_some(), aggs, Sink::Collect)?;
+            Some(fold(trk, rows, key, &cols, 1)?)
+        }
     };
 
     // Ship per-row keys only to a merge that consumes row order: a stream
@@ -502,16 +477,10 @@ pub fn merge(lowered: &Lowered<'_>, partials: Vec<ShardPartial>) -> Result<Execu
             );
 
             // Exact sinks combine per group code, whatever the shard order.
-            let sinks: Vec<Sink> = aggs
-                .iter()
-                .filter(|agg| agg.column().is_some())
-                .zip(&parts[0].cols)
-                .map(|(agg, col)| match (agg, col) {
-                    (_, Acc::F64(_)) => Sink::SumF64,
-                    (Agg::Min(_), _) => Sink::Min,
-                    (Agg::Max(_), _) => Sink::Max,
-                    _ => Sink::SumI64,
-                })
+            let input = |col: &str| lowered.ctx[0].input(col);
+            let sinks: Vec<Sink> = agg_sinks(input, key.is_some(), aggs, Sink::SumF64)?
+                .into_iter()
+                .map(|(_, sink)| sink)
                 .collect();
             let mut merged = Folded {
                 counts: vec![0; domain],
@@ -567,6 +536,7 @@ pub fn merge(lowered: &Lowered<'_>, partials: Vec<ShardPartial>) -> Result<Execu
             counters: merged_counters,
             access: partials.iter().flat_map(|p| p.report.ops[j].access.clone()).collect(),
             notes: partials.iter().flat_map(|p| p.report.ops[j].notes.clone()).collect(),
+            cluster_order: partials.iter().any(|p| p.report.ops[j].cluster_order),
             shapes: partials.iter().flat_map(|p| p.report.ops[j].shapes.clone()).collect(),
             rows_per_thread: None,
             counters_per_shard: per_shard.iter().any(Option::is_some).then_some(per_shard),

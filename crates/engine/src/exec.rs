@@ -40,10 +40,14 @@
 //! share, against a per-thread fork overhead) — just like the join algorithm
 //! and radix bits. Results are **bit-identical** to sequential execution at
 //! every thread count: selections and gathers merge chunk results
-//! thread-major, every join index is put in canonical `(left, right)` order
-//! by [`monet_core::join::canonicalize`], and `f64` aggregate accumulation
-//! preserves the sequential per-group addition order (see
-//! [`crate::aggregate`]). Simulated runs
+//! thread-major, a join index whose order a consumer observes — a returned
+//! index, or one folded into an `f64` sum — is put in canonical `(left,
+//! right)` order by [`monet_core::join::canonicalize`], and `f64` aggregate
+//! accumulation preserves the sequential per-group addition order (see
+//! [`crate::aggregate`]). A join folded only into exact aggregates (`COUNT`,
+//! integer `SUM`, `MIN`/`MAX`) keeps the cluster order the join produced:
+//! those combine the same in any order ([`OpReport::cluster_order`]).
+//! Simulated runs
 //! (`SimTracker`) are pinned to one thread: threading a single shared
 //! simulated memory hierarchy would serialize on the simulator and model a
 //! machine the paper never measured.
@@ -69,7 +73,7 @@ use crate::access::{
 use crate::aggregate::{fold, Acc, Folded, Input, Rows, Side, Sink};
 use crate::candidates::{intersect, CandList};
 use crate::join::{join_operands, Operand};
-use crate::plan::{Agg, LogicalPlan, PlanNode};
+use crate::plan::{Agg, LogicalPlan, PlanError, PlanNode};
 use crate::shared::ScanTicket;
 use crate::EngineError;
 
@@ -307,6 +311,11 @@ pub struct OpReport {
     /// Structured annotations (e.g. shared-scan participation) — the
     /// machine-readable form of facts `detail` renders as text.
     pub notes: Vec<AccessNote>,
+    /// Joins: the index was passed on in the cluster order the join
+    /// produced it in, because its only consumer folds exact aggregates,
+    /// which do not observe row order — no canonical pass ran. `detail`
+    /// says so too.
+    pub cluster_order: bool,
     /// The cost-model shapes for the work this operator performed *itself*
     /// (index probes and leaves fed by a shared pass are excluded): what the
     /// model would quote for exactly the kernels that ran. Drift monitors
@@ -477,15 +486,16 @@ pub struct Executed {
 enum Stream<'a> {
     /// Rows of one table, optionally restricted to candidate OIDs.
     Table { table: &'a DecomposedTable, cands: Option<Vec<Oid>> },
-    /// Aligned row pairs produced by a join.
-    Joined { left: &'a DecomposedTable, right: &'a DecomposedTable, pairs: Vec<OidPair> },
+    /// Row pairs of the plan's join (its tables are the plan's
+    /// [`base_tables`]).
+    Joined { pairs: Vec<OidPair> },
 }
 
 impl Stream<'_> {
     fn rows(&self) -> usize {
         match self {
             Stream::Table { table, cands } => cands.as_ref().map_or(table.len(), Vec::len),
-            Stream::Joined { pairs, .. } => pairs.len(),
+            Stream::Joined { pairs } => pairs.len(),
         }
     }
 }
@@ -520,12 +530,13 @@ pub fn execute_with_scans<M: MemTracker>(
     let model = ModelMachine::new(&opts.machine);
 
     let mut leafs = 0usize;
-    let stream = exec_node(trk, &plan.root, opts, &model, &mut report, ticket, &mut leafs)?;
+    // A returned join index must be canonical.
+    let stream = exec_node(trk, &plan.root, opts, &model, &mut report, ticket, &mut leafs, true)?;
     let output = match stream {
         Output::Stream(Stream::Table { table, cands }) => QueryOutput::Oids(
             cands.unwrap_or_else(|| (0..table.len() as Oid).map(|i| table.seqbase() + i).collect()),
         ),
-        Output::Stream(Stream::Joined { pairs, .. }) => QueryOutput::JoinIndex(pairs),
+        Output::Stream(Stream::Joined { pairs }) => QueryOutput::JoinIndex(pairs),
         Output::Final(out) => out,
     };
     Ok(Executed { output, report })
@@ -537,6 +548,8 @@ enum Output<'a> {
     Final(QueryOutput),
 }
 
+/// Execute `node`; `ordered` says whether its consumer observes the order
+/// of the rows it streams.
 #[allow(clippy::too_many_arguments)] // internal recursion carrying executor context
 fn exec_node<'a, M: MemTracker>(
     trk: &mut M,
@@ -546,6 +559,7 @@ fn exec_node<'a, M: MemTracker>(
     report: &mut ExecReport,
     ticket: &ScanTicket,
     leafs: &mut usize,
+    ordered: bool,
 ) -> Result<Output<'a>, EngineError> {
     match node {
         PlanNode::Scan { table } => {
@@ -564,11 +578,9 @@ fn exec_node<'a, M: MemTracker>(
         }
         PlanNode::Filter { input, pred } => {
             let upstream =
-                expect_stream(exec_node(trk, input, opts, model, report, ticket, leafs)?)?;
+                expect_stream(exec_node(trk, input, opts, model, report, ticket, leafs, ordered)?)?;
             let Stream::Table { table, cands } = upstream else {
-                return Err(EngineError::Plan(crate::plan::PlanError::Unsupported(
-                    "filter over a join result",
-                )));
+                return Err(EngineError::Plan(PlanError::Unsupported("filter over a join result")));
             };
             // This filter's leaves occupy the next `leaf_count` global
             // indices — the numbering `shared::scan_requests` emits.
@@ -643,14 +655,15 @@ fn exec_node<'a, M: MemTracker>(
             Ok(Output::Stream(Stream::Table { table, cands: Some(merged) }))
         }
         PlanNode::Join { input, right, left_col, right_col } => {
+            // Both sides are table streams, whose candidates ascend anyway.
             let left_stream =
-                expect_stream(exec_node(trk, input, opts, model, report, ticket, leafs)?)?;
+                expect_stream(exec_node(trk, input, opts, model, report, ticket, leafs, true)?)?;
             let right_stream =
-                expect_stream(exec_node(trk, right, opts, model, report, ticket, leafs)?)?;
+                expect_stream(exec_node(trk, right, opts, model, report, ticket, leafs, true)?)?;
             let (Stream::Table { table: lt, cands: lc }, Stream::Table { table: rt, cands: rc }) =
                 (left_stream, right_stream)
             else {
-                return Err(EngineError::Plan(crate::plan::PlanError::Unsupported("nested joins")));
+                return Err(EngineError::Plan(PlanError::Unsupported("nested joins")));
             };
             let before = trk.counters_snapshot();
             let left = (lt.bat(left_col)?, lc.as_deref());
@@ -668,36 +681,45 @@ fn exec_node<'a, M: MemTracker>(
                 (1, None)
             };
             let (pairs, join_shards) = join_operands(trk, left, right, &jplan, threads)?;
-            // The candidate lists are spent: free them before the canonical
+            // The candidate lists are spent: free them before a canonical
             // pass takes its scratch copy of the index.
             drop((lc, rc));
-            // Canonical output order: every join algorithm (and thread
-            // count) emits the same pair set, but in its own cluster order.
-            // Counting passes over the left OIDs restore (left, right) order
-            // in linear time, which makes the join index — and every
-            // downstream f64 accumulation order — independent of the
-            // physical plan, and is what lets co-partitioned shard joins
-            // merge bit-identically (see `crate::dist`).
-            let pairs = canonicalize(trk, pairs);
+            // Every join algorithm (and thread count) emits the same pair
+            // set, but in its own cluster order. Where the consumer observes
+            // order — a returned index, an `f64` sum — counting passes over
+            // the left OIDs restore (left, right) order in linear time. That
+            // makes the index, and every downstream f64 accumulation order,
+            // independent of the physical plan, and is what lets
+            // co-partitioned shard joins merge bit-identically (see
+            // `crate::dist`). Exact aggregates take the pairs as they come.
+            let pairs = if ordered { canonicalize(trk, pairs) } else { pairs };
 
             report.ops.push(OpReport {
                 op: format!("join[{left_col} = {right_col}]"),
                 rows_in: outer + inner,
                 rows_out: pairs.len(),
                 detail: format!(
-                    "{}{}",
+                    "{}{}{}",
                     join_detail(opts.planner, &jplan, predicted),
-                    threads_detail(threads, speedup)
+                    threads_detail(threads, speedup),
+                    if ordered { "" } else { "; index left in cluster order" }
                 ),
                 counters: delta(trk, before),
+                cluster_order: !ordered,
                 shapes: vec![OpShape::Join { outer, inner }],
                 rows_per_thread: join_shards,
                 ..OpReport::default()
             });
-            Ok(Output::Stream(Stream::Joined { left: lt, right: rt, pairs }))
+            Ok(Output::Stream(Stream::Joined { pairs }))
         }
         PlanNode::GroupAgg { input, key, aggs } => {
-            let stream = expect_stream(exec_node(trk, input, opts, model, report, ticket, leafs)?)?;
+            // The fold observes its stream's order exactly when a column
+            // gets an order-sensitive sink — read off the sinks it will use.
+            let (lt, rt) = base_tables(input)?;
+            let sinks = agg_sinks(|col| input_of(lt, rt, col), key.is_some(), aggs, Sink::SumF64)?;
+            let ordered = sinks.iter().any(|&(_, sink)| sink.observes_order());
+            let stream =
+                expect_stream(exec_node(trk, input, opts, model, report, ticket, leafs, ordered)?)?;
             let rows_in = stream.rows();
             let before = trk.counters_snapshot();
             // Parallel quote: what splits across threads is the gathers (one
@@ -715,15 +737,14 @@ fn exec_node<'a, M: MemTracker>(
                 0.0
             };
             let (threads, speedup) = op_threads::<M>(opts, gather_ns, rows_in);
-            let (rows, left, right) = match &stream {
-                Stream::Table { table, cands: None } => (Rows::All(table.len()), *table, None),
-                Stream::Table { table, cands: Some(cands) } => (Rows::Cands(cands), *table, None),
-                Stream::Joined { left, right, pairs } => (Rows::Pairs(pairs), *left, Some(*right)),
+            let rows = match &stream {
+                Stream::Table { table, cands: None } => Rows::All(table.len()),
+                Stream::Table { cands: Some(cands), .. } => Rows::Cands(cands),
+                Stream::Joined { pairs } => Rows::Pairs(pairs),
             };
-            let input = |col: &str| input_of(left, right, col);
-            let key_bat = key.as_deref().map(input).transpose()?;
-            let folded = fold_aggs(trk, rows, input, key.as_deref(), aggs, Sink::SumF64, threads)?;
-            let output = agg_output(key_bat.map(|k| k.bat), aggs, &folded);
+            let key_col = key.as_deref().map(|k| input_of(lt, rt, k)).transpose()?;
+            let folded = fold(trk, rows, key_col, &sinks, threads)?;
+            let output = agg_output(key_col.map(|k| k.bat), aggs, &folded);
             let (op, detail, rows_out) = match (key, &output) {
                 (Some(key), QueryOutput::Groups(groups)) => (
                     format!("group({key})"),
@@ -783,9 +804,9 @@ fn expect_stream(out: Output<'_>) -> Result<Stream<'_>, EngineError> {
         Output::Stream(s) => Ok(s),
         // The builder always places GroupAgg at the root; a hand-built tree
         // can violate that, and gets an error rather than a panic.
-        Output::Final(_) => Err(EngineError::Plan(crate::plan::PlanError::Unsupported(
-            "aggregation below another operator",
-        ))),
+        Output::Final(_) => {
+            Err(EngineError::Plan(PlanError::Unsupported("aggregation below another operator")))
+        }
     }
 }
 
@@ -850,36 +871,54 @@ pub(crate) fn input_of<'a>(
     }
 }
 
-/// Fold `aggs` over `rows`, grouped by `key` when given — the one way the
-/// executor and the shard partial builder reach [`fold`]. `input` resolves a
-/// column name; `ordered` is the sink of a sum whose result is an `f64`
-/// ([`Sink::SumF64`] here; [`Sink::Collect`] on a shard, which ships the
-/// rows instead of adding them).
-pub(crate) fn fold_aggs<'a, M: MemTracker>(
-    trk: &mut M,
-    rows: Rows<'_>,
+/// The base table of a stream subtree and, for a join, its right base
+/// table.
+pub(crate) fn base_tables<'a>(
+    node: &PlanNode<'a>,
+) -> Result<(&'a DecomposedTable, Option<&'a DecomposedTable>), EngineError> {
+    match node {
+        PlanNode::Scan { table } => Ok((table, None)),
+        PlanNode::Filter { input, .. } => base_tables(input),
+        PlanNode::Join { input, right, .. } => {
+            let (lt, nested) = base_tables(input)?;
+            let (rt, rnested) = base_tables(right)?;
+            if nested.is_some() || rnested.is_some() {
+                return Err(EngineError::Plan(PlanError::Unsupported("nested joins")));
+            }
+            Ok((lt, Some(rt)))
+        }
+        PlanNode::GroupAgg { .. } => {
+            Err(EngineError::Plan(PlanError::Unsupported("aggregation below another operator")))
+        }
+    }
+}
+
+/// Each column aggregate of `aggs`, resolved by `input`, paired with the
+/// sink [`fold`] gives it — the one mapping from aggregates to sinks, for
+/// the executor's fold, the shard partial builder and the coordinator's
+/// merge. Extrema fold exactly, and so does an ungrouped integer sum, in
+/// `i64`. A grouped sum (always `f64`) and a sum of an `F64` column get
+/// `ordered`: [`Sink::SumF64`], or [`Sink::Collect`] on a shard, which
+/// ships the rows instead of adding them.
+pub(crate) fn agg_sinks<'a>(
     input: impl Fn(&str) -> Result<Input<'a>, EngineError>,
-    key: Option<&str>,
+    grouped: bool,
     aggs: &[Agg],
     ordered: Sink,
-    threads: usize,
-) -> Result<Folded, EngineError> {
-    let key = key.map(&input).transpose()?;
-    let mut cols = Vec::with_capacity(aggs.len());
-    for agg in aggs {
-        let Some(col) = agg.column() else { continue };
-        let col = input(col)?;
-        let sink = match agg {
-            Agg::Min(_) => Sink::Min,
-            Agg::Max(_) => Sink::Max,
-            // Grouped sums are always `f64`; an ungrouped integer sum is
-            // exact in `i64`.
-            _ if key.is_some() || matches!(col.bat.tail(), Column::F64(_)) => ordered,
-            _ => Sink::SumI64,
-        };
-        cols.push((col, sink));
-    }
-    fold(trk, rows, key, &cols, threads)
+) -> Result<Vec<(Input<'a>, Sink)>, EngineError> {
+    let columns = aggs.iter().filter_map(|agg| Some((agg, agg.column()?)));
+    columns
+        .map(|(agg, col)| {
+            let col = input(col)?;
+            let sink = match agg {
+                Agg::Min(_) => Sink::Min,
+                Agg::Max(_) => Sink::Max,
+                _ if grouped || matches!(col.bat.tail(), Column::F64(_)) => ordered,
+                _ => Sink::SumI64,
+            };
+            Ok((col, sink))
+        })
+        .collect()
 }
 
 /// The output rows of folded `aggs`: one [`GroupRow`] per occurring group
@@ -1103,6 +1142,43 @@ mod tests {
         assert_eq!(rows[0].values, vec![AggValue::F64(10.0)]);
         assert_eq!(rows[1].key, "MAIL");
         assert_eq!(rows[1].values, vec![AggValue::F64(180.0)]);
+    }
+
+    #[test]
+    fn a_join_index_stays_in_cluster_order_exactly_when_no_consumer_observes_it() {
+        let t = item();
+        let mut b = TableBuilder::new("dim", 50)
+            .column("q", ColType::I32)
+            .column("rank", ColType::I32)
+            .column("bonus", ColType::F64);
+        for (q, r, f) in [(1, 7, 0.5), (2, 3, 1.0), (2, 9, 2.0), (5, 4, 8.0)] {
+            b.push_row(&[Value::I32(q), Value::I32(r), Value::F64(f)]).unwrap();
+        }
+        let dim = b.finish();
+        let joined = || Query::scan(&t).join(&dim, ("qty", "q"));
+        // (aggregates, group key, whether the fold observes order)
+        let shapes: [(&[Agg], Option<&str>, bool); 10] = [
+            (&[Agg::count()], None, false),
+            (&[Agg::sum("qty"), Agg::sum("rank")], None, false),
+            (&[Agg::min("rank"), Agg::max("qty"), Agg::count()], None, false),
+            (&[Agg::sum("price")], None, true),
+            (&[Agg::sum("bonus"), Agg::count()], None, true),
+            (&[Agg::sum("rank"), Agg::sum("discnt")], None, true),
+            (&[Agg::count()], Some("shipmode"), false),
+            (&[Agg::min("qty"), Agg::max("rank"), Agg::count()], Some("shipmode"), false),
+            (&[Agg::sum("rank")], Some("shipmode"), true),
+            (&[Agg::max("qty"), Agg::sum("bonus")], Some("shipmode"), true),
+        ];
+        for (aggs, key, observes) in shapes {
+            let q = key.map_or_else(joined, |k| joined().group_by(k));
+            let r = run(aggs.iter().fold(q, |q, agg| q.agg(agg.clone())));
+            let join = r.report.ops.iter().find(|o| o.op.starts_with("join")).unwrap();
+            assert_eq!(join.cluster_order, !observes, "{aggs:?} by {key:?}");
+            assert_eq!(join.detail.contains("cluster order"), !observes, "{}", join.detail);
+        }
+        // A returned index is observed.
+        let r = run(joined());
+        assert!(r.report.ops.iter().all(|o| !o.cluster_order));
     }
 
     #[test]

@@ -13,16 +13,17 @@ use proptest::prelude::*;
 
 use monet_mem::core::join::{nested_loop_join, sort_pairs, Bun, OidPair};
 use monet_mem::core::storage::{ColType, DecomposedTable, TableBuilder, Value};
-use monet_mem::engine::exec::{execute, ExecOptions, QueryOutput, Threads};
+use monet_mem::engine::exec::{execute, ExecOptions, Executed, OpReport, QueryOutput, Threads};
 use monet_mem::engine::plan::{Agg, PlanError, Pred, Query};
 use monet_mem::memsim::{profiles, NullTracker, SimTracker};
 
 const MODES: [&str; 5] = ["AIR", "MAIL", "SHIP", "RAIL", "FOB"];
 
-/// Rows for a small fact table: (key, value, discount-code, mode index).
-fn fact_rows(max_len: usize) -> impl Strategy<Value = Vec<(i32, f64, f64, usize)>> {
+/// Rows for a small fact table: (key below `keys`, value, discount-code,
+/// mode index).
+fn fact_rows(keys: i32, max_len: usize) -> impl Strategy<Value = Vec<(i32, f64, f64, usize)>> {
     prop::collection::vec(
-        (0i32..64, 0u32..1000, 0u32..20, 0usize..MODES.len())
+        (0i32..keys, 0u32..1000, 0u32..20, 0usize..MODES.len())
             .prop_map(|(k, v, d, m)| (k, v as f64 / 10.0, d as f64 / 100.0, m)),
         0..max_len,
     )
@@ -75,7 +76,7 @@ proptest! {
 
     #[test]
     fn builder_pipeline_equals_hand_composed_operators(
-        rows in fact_rows(200),
+        rows in fact_rows(64, 200),
         dims in prop::collection::vec(
             (0i32..64, -50i32..50, 0u32..1000, 0usize..MODES.len())
                 .prop_map(|(id, r, b, t)| (id, r, b as f64 / 7.0, t)),
@@ -158,7 +159,7 @@ proptest! {
 
     #[test]
     fn executor_is_identical_under_simulation(
-        rows in fact_rows(120),
+        rows in fact_rows(64, 120),
         hi in 0u32..20,
     ) {
         // The tracker must never change results, only count events.
@@ -178,7 +179,7 @@ proptest! {
 
     #[test]
     fn composed_predicates_match_scan_filtering(
-        rows in fact_rows(200),
+        rows in fact_rows(64, 200),
         kr in (0i32..64, 0i32..64),
         mode in 0usize..MODES.len(),
     ) {
@@ -197,6 +198,112 @@ proptest! {
             .map(|(i, _)| 100 + i as u32)
             .collect();
         prop_assert_eq!(got, expect);
+    }
+}
+
+/// Dimension rows from which both planners partition the join on the
+/// Origin2000: the cost model radix-joins and the heuristic runs a
+/// partitioned hash-join.
+const BIG_DIM: usize = 10_000;
+
+/// The join operator of `executed` and the radix bits it ran with, read off
+/// its report.
+fn join_op(executed: &Executed) -> (&OpReport, u32) {
+    let join = executed.report.ops.iter().find(|o| o.op.starts_with("join")).expect("a join op");
+    let bits = join.detail.split("B=").nth(1).expect("the plan's bits");
+    (join, bits[..bits.find(' ').unwrap_or(bits.len())].parse().expect("a bit count"))
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    #[test]
+    fn partitioned_joins_match_the_reference_under_every_consumer(
+        rows in fact_rows(BIG_DIM as i32, 4_000),
+        extra in 0usize..2_000,
+        unique in any::<bool>(),
+        stride in 1usize..BIG_DIM,
+        filtered in any::<bool>(),
+    ) {
+        // Unique ids: a stride permutation of 0..n (the `orders` shape).
+        // Repeating ids: that permutation folded onto a third of the range,
+        // so every id occurs three or four times and the join is
+        // many-to-many.
+        let n = BIG_DIM + extra;
+        let stride = (stride..).find(|s| gcd(*s, n) == 1).unwrap();
+        let dims: Vec<(i32, i32, f64, usize)> = (0..n)
+            .map(|i| {
+                let id = if unique { i * stride % n } else { i * stride % n % (n / 3) };
+                (id as i32, (i * 37 % 101) as i32 - 50, (i % 997) as f64 / 7.0, i % MODES.len())
+            })
+            .collect();
+        let table = fact_table(&rows, 40);
+        let dim = dim_table(&dims, 9_000);
+        let stream = if filtered {
+            Query::scan(&table).filter(Pred::range_f64("discnt", 0.03, 0.15))
+        } else {
+            Query::scan(&table)
+        };
+        let joined = stream.join(&dim, ("key", "id"));
+        // (consumer, whether it observes the join index's order)
+        let consumers = [
+            (joined.clone(), true),
+            (
+                joined
+                    .clone()
+                    .agg(Agg::count())
+                    .agg(Agg::sum("key"))
+                    .agg(Agg::sum("rating"))
+                    .agg(Agg::min("rating"))
+                    .agg(Agg::max("key")),
+                false,
+            ),
+            (joined.clone().agg(Agg::sum("bonus")).agg(Agg::sum("value")).agg(Agg::count()), true),
+            (
+                joined
+                    .clone()
+                    .group_by("tier")
+                    .agg(Agg::count())
+                    .agg(Agg::min("key"))
+                    .agg(Agg::max("rating")),
+                false,
+            ),
+            (
+                joined.clone().group_by("mode").agg(Agg::sum("rating")).agg(Agg::count()),
+                true,
+            ),
+        ];
+        for (query, observes) in consumers {
+            let plan = query.build().unwrap();
+            let expect = reference::evaluate(&plan);
+            for base in [ExecOptions::default(), ExecOptions::heuristic(profiles::origin2000())] {
+                for threads in [1usize, 2, 3, 7] {
+                    let opts = base.with_threads(Threads::Fixed(threads));
+                    let got = execute(&mut NullTracker, &plan, &opts).unwrap();
+                    let (join, bits) = join_op(&got);
+                    let at = format!(
+                        "unique={unique} threads={threads} {}\n{}",
+                        join.detail,
+                        plan.explain()
+                    );
+                    prop_assert!(bits > 0, "{at}");
+                    prop_assert_eq!(join.cluster_order, !observes, "{}", at);
+                    prop_assert!(
+                        got.output.bitwise_eq(&expect),
+                        "{at}:\n{:?}\nvs\n{expect:?}",
+                        got.output
+                    );
+                }
+            }
+        }
+    }
+}
+
+fn gcd(a: usize, b: usize) -> usize {
+    if b == 0 {
+        a
+    } else {
+        gcd(b, a % b)
     }
 }
 
