@@ -235,9 +235,7 @@ const CANON_PAD: usize = 8;
 ///
 /// 1. one compare pass returns an already strictly ascending index untouched
 ///    (under a key–foreign-key join, simple hash, `B = 0` and the void
-///    positional join emit one), and sends an index whose lefts already
-///    ascend straight to step 3 (every many-to-many join at `B = 0` emits
-///    one: its chained-hash kernel emits a left's rights in chain order);
+///    positional join emit one);
 /// 2. otherwise stable counting passes over the significant bits of
 ///    `left − min(left)`, in digits of ≤ 11 bits, order it by `left`: one
 ///    scatter on the top digit into contiguous left ranges of ~2^10 pairs,
@@ -252,21 +250,11 @@ const CANON_PAD: usize = 8;
 /// digit's over the whole index, a low digit's per range — as a read for
 /// its histogram, a read of its source and a write of its destination,
 /// plus one [`Work::SortTuple`] per pair; the run pass, where it is not
-/// fused into the compare pass or the per-range passes, as one read; and
-/// each pair of a run it reorders one `SortTuple`.
-pub fn canonicalize<M: MemTracker>(trk: &mut M, mut pairs: Vec<OidPair>) -> Vec<OidPair> {
+/// fused into the per-range passes, as one read; and each pair of a run it
+/// reorders one `SortTuple`.
+pub fn canonicalize<M: MemTracker>(trk: &mut M, pairs: Vec<OidPair>) -> Vec<OidPair> {
     track_read_slice(trk, &pairs);
-    let mut ascending = true;
-    let desc = pairs.windows(2).position(|w| {
-        ascending &= w[0] < w[1];
-        w[0].left > w[1].left
-    });
-    let Some(desc) = desc else {
-        if !ascending {
-            order_runs(trk, &mut pairs);
-        }
-        return pairs;
-    };
+    let Some(desc) = pairs.windows(2).position(|w| w[0] >= w[1]) else { return pairs };
     // `pairs[..=desc]` ascends, so its ends bound its lefts.
     let (lo, hi) = pairs[desc + 1..]
         .iter()
@@ -536,17 +524,6 @@ mod tests {
         // Two lefts, many pairs: the top digit is every bit, and the run
         // pass runs on its own.
         assert_canonical((0..3000).rev().map(|r| OidPair::new(5 + r % 2, r)).collect());
-        // Lefts ascending, each left's rights in chain order (a
-        // many-to-many join at B = 0): only the run pass.
-        assert_canonical(chain_ordered());
-    }
-
-    /// Lefts ascending over 2000 runs of 1–3 pairs, each run's rights
-    /// descending, as a chained-hash kernel emits them.
-    fn chain_ordered() -> Vec<OidPair> {
-        (0..2000)
-            .flat_map(|l| (0..1 + l % 3).rev().map(move |r| OidPair::new(l, 4 * l + r)))
-            .collect()
     }
 
     #[test]
@@ -591,20 +568,5 @@ mod tests {
         assert_eq!((c.reads, c.writes), (1 + 2 + 5 * 2, 1 + 5));
         let sort_ns = memsim::profiles::origin2000().work.sort_tuple_ns;
         assert_eq!(c.cpu_ns, 2.0 * 10_000.0 * sort_ns, "two SortTuple per pair");
-    }
-
-    #[test]
-    fn an_index_with_ascending_lefts_is_charged_only_its_runs() {
-        // The compare read, then one SortTuple per pair of each run of two
-        // or three; no counting pass.
-        let mut trk = memsim::SimTracker::for_machine(memsim::profiles::origin2000());
-        let chained = chain_ordered();
-        let runs = chained.chunk_by(|a, b| a.left == b.left).filter(|run| run.len() > 1);
-        let run_pairs = runs.map(<[OidPair]>::len).sum::<usize>();
-        assert_eq!(canonicalize(&mut trk, chained.clone()), sort_pairs(chained));
-        let c = trk.counters();
-        assert_eq!((c.reads, c.writes), (1, 0), "one sequential read");
-        let sort_ns = memsim::profiles::origin2000().work.sort_tuple_ns;
-        assert_eq!(c.cpu_ns, run_pairs as f64 * sort_ns, "one SortTuple per reordered pair");
     }
 }

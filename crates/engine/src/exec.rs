@@ -41,16 +41,16 @@
 //! and radix bits. Results are **bit-identical** to sequential execution at
 //! every thread count: selections and gathers merge chunk results
 //! thread-major, a join index whose order a consumer observes — a returned
-//! index, or one folded into an `f64` sum — is put in canonical `(left,
-//! right)` order by [`monet_core::join::canonicalize`], and `f64` aggregate
+//! index, or one folded with an order-sensitive sink (an `f64` sum, any
+//! grouped sum, or a collected column) — is put in canonical `(left, right)`
+//! order by [`monet_core::join::canonicalize`], and `f64` aggregate
 //! accumulation preserves the sequential per-group addition order (see
 //! [`crate::aggregate`]). A join folded only into exact aggregates (`COUNT`,
-//! integer `SUM`, `MIN`/`MAX`) keeps the cluster order the join produced:
-//! those combine the same in any order ([`OpReport::cluster_order`]).
-//! Simulated runs
-//! (`SimTracker`) are pinned to one thread: threading a single shared
-//! simulated memory hierarchy would serialize on the simulator and model a
-//! machine the paper never measured.
+//! ungrouped integer `SUM`, `MIN`/`MAX`) keeps the cluster order the join
+//! produced: those combine the same in any order
+//! ([`OpReport::cluster_order`]). Simulated runs (`SimTracker`) are pinned
+//! to one thread: threading a single shared simulated memory hierarchy would
+//! serialize on the simulator and model a machine the paper never measured.
 
 use std::fmt;
 use std::sync::Arc;
@@ -686,11 +686,11 @@ fn exec_node<'a, M: MemTracker>(
             drop((lc, rc));
             // Every join algorithm (and thread count) emits the same pair
             // set, but in its own cluster order. Where the consumer observes
-            // order — a returned index, an `f64` sum — counting passes over
-            // the left OIDs restore (left, right) order in linear time. That
-            // makes the index, and every downstream f64 accumulation order,
-            // independent of the physical plan, and is what lets
-            // co-partitioned shard joins merge bit-identically (see
+            // order — a returned index, an `f64` or grouped sum — counting
+            // passes over the left OIDs restore (left, right) order in linear
+            // time. That makes the index, and every downstream f64
+            // accumulation order, independent of the physical plan, and is
+            // what lets co-partitioned shard joins merge bit-identically (see
             // `crate::dist`). Exact aggregates take the pairs as they come.
             let pairs = if ordered { canonicalize(trk, pairs) } else { pairs };
 
@@ -842,6 +842,8 @@ fn choose_join(opts: &ExecOptions, outer: usize, inner: usize) -> (JoinPlan, Opt
     }
 }
 
+/// A join operator's `detail`. `tests/plan_exec_prop.rs` reads the radix
+/// bits back from its `B=<bits> ` field.
 fn join_detail(planner: Planner, plan: &JoinPlan, predicted: Option<f64>) -> String {
     let mut s = format!(
         "{}: {:?} B={} passes={:?}",
