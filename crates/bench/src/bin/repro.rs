@@ -32,6 +32,9 @@ commands:
   vm         section-4 virtual-memory experiment (extension)
   query      composed query pipelines through the cost-model-driven executor
   parallel   parallel-scaling sweep: measured vs model-predicted speedup
+  kernel_sweep
+             chained-hash join kernel: native ns per outer tuple over radix
+             bits x inner rows x hit rate, checked against the nested loop
   access     access-path crossover: scan vs index selects, model vs simulator
   compress   compressed scans: FOR/RLE/dict selects directly on compressed
              columns, simulated bytes streamed + model vs simulator, and the
@@ -80,9 +83,28 @@ value they cannot use.
 ";
 
 /// The commands `all` runs, in order.
-const COMMANDS: [&str; 20] = [
-    "fig1", "fig3", "fig4", "fig9", "fig10", "fig11", "fig12", "fig13", "validate", "select",
-    "skew", "vm", "query", "parallel", "access", "compress", "service", "shared", "trace", "shard",
+const COMMANDS: [&str; 21] = [
+    "fig1",
+    "fig3",
+    "fig4",
+    "fig9",
+    "fig10",
+    "fig11",
+    "fig12",
+    "fig13",
+    "validate",
+    "select",
+    "skew",
+    "vm",
+    "query",
+    "parallel",
+    "kernel_sweep",
+    "access",
+    "compress",
+    "service",
+    "shared",
+    "trace",
+    "shard",
 ];
 
 fn main() -> ExitCode {
@@ -169,6 +191,7 @@ fn main() -> ExitCode {
             "vm" => figures::vm::run(&opts),
             "query" => figures::query_pipeline::run(&opts),
             "parallel" => figures::par_scaling::run(&opts),
+            "kernel_sweep" => figures::kernel_sweep::run(&opts),
             "access" => figures::access_paths::run(&opts),
             "compress" => figures::compress::run(&opts),
             "service" => figures::service::run(&opts)?,

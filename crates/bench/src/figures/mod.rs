@@ -14,6 +14,7 @@ pub mod fig13;
 pub mod fig3;
 pub mod fig4;
 pub mod fig9;
+pub mod kernel_sweep;
 pub mod par_scaling;
 pub mod query_pipeline;
 pub mod select_paths;

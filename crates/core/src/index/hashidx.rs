@@ -65,8 +65,10 @@ impl HashIndex {
         if M::ENABLED {
             trk.work(Work::HashTuple, 1);
         }
-        self.table.probe(trk, FibHash, &self.buns, key, |_, pos| {
-            on_match(self.buns[pos as usize].head);
+        self.table.probe(trk, FibHash, &self.buns, key, |_, b, hit| {
+            if hit {
+                on_match(b.head);
+            }
         });
     }
 

@@ -13,6 +13,27 @@
 //! bucket index therefore uses the bits **above** the radix bits
 //! (`hash >> radix_bits`). This detail is what makes partitioned hash-join
 //! correct *and* fast, and it is ablated in the bench suite.
+//!
+//! **A probe without a branch on the match.** With the inner cluster and
+//! its table in cache (§3.4.4), what is left of a probe is CPU work (`w_h`),
+//! and on chains of ~4 a branch on `tail == key` mispredicts often enough
+//! to dominate it. [`ChainedTable::probe`] is the one chain walk: it hands
+//! every visited build tuple to its callback with a hit flag instead of
+//! calling back on matches only. The join's emit (`pairs.rs`) writes every
+//! visited pair at the end of its output and advances the length by the
+//! flag, so its only branches are the chain's end and a predictable
+//! capacity check; `HashIndex::lookup_eq` filters on the flag.
+//!
+//! **The build slice.** Every position the table stores is `EMPTY` or below
+//! the length of the slice it was built over, and a probe asserts once that
+//! the slice it walks has that length. Its `tuples` and `next` reads keep
+//! their bounds checks: they never fail, so they predict perfectly, and
+//! unchecked reads measured no faster.
+//!
+//! **One table per worker.** [`ChainedTable::rebuild`] builds a table in
+//! the allocations of an earlier one, so a join worker builds every cluster
+//! pair's table in the same two vectors. The simulated accesses are the
+//! same as for a fresh [`ChainedTable::build`].
 
 use memsim::{MemTracker, Work};
 
@@ -31,7 +52,10 @@ pub const DEFAULT_TUPLES_PER_BUCKET: usize = 4;
 /// which callers pass again when probing (keeping the hot arrays minimal,
 /// 4 bytes per tuple — the `12 bytes per tuple` the paper's strategy
 /// formulas use are these 4 plus the 8-byte BUN).
-#[derive(Debug, Clone)]
+///
+/// A [`Default`] table is empty and unbuilt; [`rebuild`](Self::rebuild)
+/// turns it, or any earlier table, into a table over a slice.
+#[derive(Debug, Clone, Default)]
 pub struct ChainedTable {
     mask: u32,
     shift: u32,
@@ -50,24 +74,44 @@ impl ChainedTable {
         radix_bits: u32,
         tuples_per_bucket: usize,
     ) -> Self {
+        let mut table = Self::default();
+        table.rebuild(trk, h, tuples, radix_bits, tuples_per_bucket);
+        table
+    }
+
+    /// [`build`](Self::build) in place: the table over `tuples` replaces
+    /// what this one held, in its existing allocations. Charges exactly
+    /// what `build` charges.
+    pub fn rebuild<M: MemTracker, H: KeyHash>(
+        &mut self,
+        trk: &mut M,
+        h: H,
+        tuples: &[Bun],
+        radix_bits: u32,
+        tuples_per_bucket: usize,
+    ) {
         assert!(tuples_per_bucket > 0, "tuples_per_bucket must be positive");
         let nbuckets = (tuples.len() / tuples_per_bucket).next_power_of_two().max(1);
-        let mut heads = vec![EMPTY; nbuckets];
-        let mut next = vec![EMPTY; tuples.len()];
         let mask = (nbuckets - 1) as u32;
+        self.mask = mask;
+        self.shift = radix_bits;
+        self.heads.clear();
+        self.heads.resize(nbuckets, EMPTY);
+        self.next.clear();
+        self.next.resize(tuples.len(), EMPTY);
+        let heads = &mut self.heads;
         let heads_base = heads.as_ptr() as usize;
-        let next_base = next.as_ptr() as usize;
-        for (i, t) in tuples.iter().enumerate() {
+        let next_base = self.next.as_ptr() as usize;
+        for (i, (t, next)) in tuples.iter().zip(&mut self.next).enumerate() {
             let b = ((h.hash(t.tail) >> radix_bits) & mask) as usize;
             if M::ENABLED {
                 trk.read(t as *const Bun as usize, 8);
                 trk.write(heads_base + b * 4, 4);
                 trk.write(next_base + i * 4, 4);
             }
-            next[i] = heads[b];
+            *next = heads[b];
             heads[b] = i as u32;
         }
-        Self { mask, shift: radix_bits, heads, next }
     }
 
     /// Number of buckets.
@@ -75,10 +119,15 @@ impl ChainedTable {
         self.heads.len()
     }
 
-    /// Walk the chain for `key`, invoking `on_match(trk, position)` for
-    /// every build tuple whose tail equals `key`. `tuples` must be the build
-    /// slice. The tracker is threaded through to the callback so result
-    /// construction can be instrumented too.
+    /// Walk the chain for `key`, invoking `visit(trk, tuple, hit)` for every
+    /// build tuple on it, in chain order, where `hit` says whether the
+    /// tuple's tail equals `key`. `tuples` must be the build slice. The
+    /// tracker is threaded through to the callback so result construction
+    /// can be instrumented too.
+    ///
+    /// # Panics
+    /// Panics if `tuples` is not as long as the slice the table was built
+    /// over.
     #[inline]
     pub fn probe<M: MemTracker, H: KeyHash>(
         &self,
@@ -86,40 +135,28 @@ impl ChainedTable {
         h: H,
         tuples: &[Bun],
         key: u32,
-        mut on_match: impl FnMut(&mut M, u32),
+        mut visit: impl FnMut(&mut M, &Bun, bool),
     ) {
+        assert_eq!(tuples.len(), self.next.len(), "probe with the slice the table was built over");
         let b = ((h.hash(key) >> self.shift) & self.mask) as usize;
         if M::ENABLED {
             trk.read(self.heads.as_ptr() as usize + b * 4, 4);
         }
         let mut pos = self.heads[b];
         while pos != EMPTY {
-            let t = &tuples[pos as usize];
+            let (t, next) = (&tuples[pos as usize], self.next[pos as usize]);
             if M::ENABLED {
                 trk.read(t as *const Bun as usize, 8);
                 trk.read(self.next.as_ptr() as usize + pos as usize * 4, 4);
             }
-            if t.tail == key {
-                on_match(trk, pos);
-            }
-            pos = self.next[pos as usize];
+            visit(trk, t, t.tail == key);
+            pos = next;
         }
     }
 
-    /// Chain length of the bucket `key` maps to (diagnostics/tests).
-    pub fn chain_len<H: KeyHash>(&self, h: H, key: u32) -> usize {
-        let b = ((h.hash(key) >> self.shift) & self.mask) as usize;
-        let mut n = 0;
-        let mut pos = self.heads[b];
-        while pos != EMPTY {
-            n += 1;
-            pos = self.next[pos as usize];
-        }
-        n
-    }
-
-    /// Distribution of chain lengths over all buckets (diagnostics/tests).
-    pub fn chain_histogram(&self) -> Vec<usize> {
+    /// Chain length of every bucket, in bucket order.
+    #[cfg(test)]
+    fn chain_histogram(&self) -> Vec<usize> {
         let mut lens = Vec::with_capacity(self.heads.len());
         for &head in &self.heads {
             let mut n = 0;
@@ -157,9 +194,14 @@ mod tests {
         keys.iter().enumerate().map(|(i, &k)| Bun::new(i as u32, k)).collect()
     }
 
+    /// The heads (= positions) of the build tuples matching `key`.
     fn probe_all(t: &ChainedTable, data: &[Bun], key: u32) -> Vec<u32> {
         let mut hits = vec![];
-        t.probe(&mut NullTracker, FibHash, data, key, |_, p| hits.push(p));
+        t.probe(&mut NullTracker, FibHash, data, key, |_, b, hit| {
+            if hit {
+                hits.push(b.head);
+            }
+        });
         hits.sort_unstable();
         hits
     }
@@ -171,6 +213,57 @@ mod tests {
         assert_eq!(probe_all(&t, &data, 5), vec![0, 2, 4]);
         assert_eq!(probe_all(&t, &data, 7), vec![3]);
         assert!(probe_all(&t, &data, 42).is_empty());
+    }
+
+    /// Every `(head, hit)` a probe for `key` visits, in chain order.
+    fn visits(t: &ChainedTable, data: &[Bun], key: u32) -> Vec<(u32, bool)> {
+        let mut seen = vec![];
+        t.probe(&mut NullTracker, FibHash, data, key, |_, b, hit| seen.push((b.head, hit)));
+        seen
+    }
+
+    #[test]
+    fn probe_visits_the_whole_bucket_newest_first_with_its_hit_flags() {
+        // A chain is its bucket's tuples in reverse insertion order; the
+        // flag is the key comparison.
+        let data = tuples(&(0..200).map(|i| i * 7 % 23).collect::<Vec<_>>());
+        let t = ChainedTable::build(&mut NullTracker, FibHash, &data, 0, 4);
+        let bucket = |k: u32| FibHash.hash(k) & (t.num_buckets() as u32 - 1);
+        for key in 0..30 {
+            let expect: Vec<(u32, bool)> = data
+                .iter()
+                .rev()
+                .filter(|b| bucket(b.tail) == bucket(key))
+                .map(|b| (b.head, b.tail == key))
+                .collect();
+            assert_eq!(visits(&t, &data, key), expect, "key {key}");
+        }
+    }
+
+    #[test]
+    fn rebuild_equals_a_fresh_build() {
+        // Shrinking and growing the reused allocations leaves nothing of
+        // the previous table behind.
+        let big = tuples(&(0..1000).map(|i| i * 13 % 301).collect::<Vec<_>>());
+        let small = tuples(&[4, 4, 9, 1, 4]);
+        let mut reused = ChainedTable::default();
+        for (data, bits) in [(&big, 0), (&small, 3), (&big, 2), (&small, 0)] {
+            reused.rebuild(&mut NullTracker, FibHash, data, bits, 4);
+            let fresh = ChainedTable::build(&mut NullTracker, FibHash, data, bits, 4);
+            assert_eq!(reused.num_buckets(), fresh.num_buckets());
+            assert_eq!(reused.chain_histogram(), fresh.chain_histogram());
+            for key in 0..310 {
+                assert_eq!(visits(&reused, data, key), visits(&fresh, data, key));
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "the slice the table was built over")]
+    fn probing_another_slice_length_panics() {
+        let data = tuples(&[1, 2, 3, 4, 5]);
+        let t = ChainedTable::build(&mut NullTracker, FibHash, &data, 0, 4);
+        probe_all(&t, &data[..4], 1);
     }
 
     #[test]

@@ -404,8 +404,11 @@ mod tests {
     fn join_is_thread_count_invariant() {
         // Collision-heavy keys: duplicate cross products and empty clusters.
         let dup = |n: u32, m: u32| (0..n).map(|i| Bun::new(i, i * 7 % m)).collect::<Vec<_>>();
+        // Every right key four times, and every other left key missing.
+        let half_hit: Vec<Bun> = (0..600).map(|i| Bun::new(i, i % 100 + i % 2 * 1000)).collect();
         let inputs = [
             (dup(600, 37), dup(400, 41)),
+            (half_hit, dup(400, 100)),
             (vec![], vec![]),
             (dup(50, 5), vec![]),
             (vec![], dup(50, 5)),

@@ -18,6 +18,14 @@
 //! §3.3.1. Workers take contiguous blocks of clusters and their results are
 //! concatenated thread-major, so the output is the one-thread cluster-major
 //! order at every thread count.
+//!
+//! Both kernels append through one branch-free emit, which writes every
+//! candidate pair and keeps it by its match flag (see the
+//! [`hashtable`](super::hashtable) module docs). A worker builds every
+//! cluster pair's table in one reused [`ChainedTable`]; the per-pair setup
+//! cost `w'_h` of `T_h` is still charged once per pair, because the model
+//! prices setting a table up over a new cluster, which the rebuild still
+//! does, not the allocation it saves.
 
 use std::ops::Range;
 
@@ -67,6 +75,11 @@ pub(super) fn join_pairs<M: MemTracker, H: KeyHash>(
     (out, counts)
 }
 
+/// Pairs a worker's output holds beyond its left clusters' length. [`emit`]
+/// writes one slot past the end, so under a key–foreign-key join, where a
+/// left tuple matches at most once, the output never grows.
+const EMIT_SLACK: usize = 1;
+
 /// One worker's share of [`join_pairs`]: the clusters `cs`, in order.
 fn join_block<M: MemTracker, H: KeyHash>(
     trk: &mut M,
@@ -79,60 +92,92 @@ fn join_block<M: MemTracker, H: KeyHash>(
     // Inside a cluster every key shares its low B hash bits, so the table
     // buckets on the bits above them.
     let bits = (lb.len() - 1).trailing_zeros();
-    let mut out = Vec::with_capacity((lb[cs.end] - lb[cs.start]) as usize);
+    let mut out = Vec::with_capacity((lb[cs.end] - lb[cs.start]) as usize + EMIT_SLACK);
+    let mut table = ChainedTable::default();
     for c in cs {
         let lc = &l[lb[c] as usize..lb[c + 1] as usize];
         let rc = &r[rb[c] as usize..rb[c + 1] as usize];
         if lc.is_empty() || rc.is_empty() {
             continue;
         }
-        match kernel {
-            Kernel::ChainedHash => {
-                // Per-cluster table create/destroy — the w'_h · H term of T_h.
-                ChainedTable::charge_setup(trk);
-                let table = ChainedTable::build(trk, h, rc, bits, DEFAULT_TUPLES_PER_BUCKET);
-                for lt in lc {
-                    if M::ENABLED {
-                        trk.read(lt as *const Bun as usize, 8);
-                        // w_h covers build + lookup + result per (outer) tuple.
-                        trk.work(Work::HashTuple, 1);
-                    }
-                    table.probe(trk, h, rc, lt.tail, |trk, pos| {
-                        emit(trk, &mut out, OidPair::new(lt.head, rc[pos as usize].head));
-                    });
-                }
-            }
-            Kernel::NestedLoop => {
-                for lt in lc {
-                    if M::ENABLED {
-                        trk.read(lt as *const Bun as usize, 8);
-                    }
-                    for rt in rc {
-                        if M::ENABLED {
-                            trk.read(rt as *const Bun as usize, 8);
-                            trk.work(Work::RadixCompare, 1);
-                        }
-                        if lt.tail == rt.tail {
-                            if M::ENABLED {
-                                trk.work(Work::RadixResult, 1);
-                            }
-                            emit(trk, &mut out, OidPair::new(lt.head, rt.head));
-                        }
-                    }
-                }
-            }
-        }
+        join_pair(trk, h, kernel, &mut table, bits, lc, rc, &mut out);
     }
     out
 }
 
-/// Append `pair` to the join index, charged as one 8-byte write.
+/// Join the cluster pair `lc ⋈ rc` with `kernel`, appending the pairs to
+/// `out` in left-major order. The chained-hash kernel rebuilds `table`, the
+/// worker's one table, over `rc`; `bits` is the clusters' radix bit count.
+#[allow(clippy::too_many_arguments)]
 #[inline]
-fn emit<M: MemTracker>(trk: &mut M, out: &mut Vec<OidPair>, pair: OidPair) {
-    if M::ENABLED {
-        trk.write(out.as_ptr() as usize + out.len() * 8, 8);
+fn join_pair<M: MemTracker, H: KeyHash>(
+    trk: &mut M,
+    h: H,
+    kernel: Kernel,
+    table: &mut ChainedTable,
+    bits: u32,
+    lc: &[Bun],
+    rc: &[Bun],
+    out: &mut Vec<OidPair>,
+) {
+    match kernel {
+        Kernel::ChainedHash => {
+            // Per-cluster table create/destroy — the w'_h · H term of T_h,
+            // charged per pair although the allocation is reused.
+            ChainedTable::charge_setup(trk);
+            table.rebuild(trk, h, rc, bits, DEFAULT_TUPLES_PER_BUCKET);
+            for lt in lc {
+                if M::ENABLED {
+                    trk.read(lt as *const Bun as usize, 8);
+                    // w_h covers build + lookup + result per (outer) tuple.
+                    trk.work(Work::HashTuple, 1);
+                }
+                table.probe(trk, h, rc, lt.tail, |trk, rt, hit| {
+                    emit(trk, out, OidPair::new(lt.head, rt.head), hit);
+                });
+            }
+        }
+        Kernel::NestedLoop => {
+            for lt in lc {
+                if M::ENABLED {
+                    trk.read(lt as *const Bun as usize, 8);
+                }
+                for rt in rc {
+                    let hit = lt.tail == rt.tail;
+                    if M::ENABLED {
+                        trk.read(rt as *const Bun as usize, 8);
+                        trk.work(Work::RadixCompare, 1);
+                        if hit {
+                            trk.work(Work::RadixResult, 1);
+                        }
+                    }
+                    emit(trk, out, OidPair::new(lt.head, rt.head), hit);
+                }
+            }
+        }
     }
-    out.push(pair);
+}
+
+/// The branch-free emit: write `pair` at the end of the join index and keep
+/// it exactly when `hit`, by advancing the length by `hit as usize`. The
+/// only branch is the capacity check, which almost never fails. A kept
+/// pair is charged as one 8-byte write; a dropped one, overwritten by the
+/// next emit, is not charged.
+#[inline(always)]
+fn emit<M: MemTracker>(trk: &mut M, out: &mut Vec<OidPair>, pair: OidPair, hit: bool) {
+    let len = out.len();
+    if len == out.capacity() {
+        out.reserve(1);
+    }
+    if M::ENABLED && hit {
+        trk.write(out.as_ptr() as usize + len * 8, 8);
+    }
+    // SAFETY: after the reserve, slot `len` lies inside the allocation, and
+    // the new length covers only slots written so far.
+    unsafe {
+        out.as_mut_ptr().add(len).write(pair);
+        out.set_len(len + hit as usize);
+    }
 }
 
 /// The relation's clusters as [`join_pairs`] takes them.
@@ -208,6 +253,86 @@ mod tests {
         let right: Vec<Bun> =
             keys.iter().enumerate().map(|(i, &k)| Bun::new(i as u32, k)).collect();
         (left, right)
+    }
+
+    /// The walk the branch-free emit replaced: push a pair on a match only.
+    fn match_then_push(kernel: Kernel, bits: u32, lc: &[Bun], rc: &[Bun]) -> Vec<OidPair> {
+        let mut out = Vec::new();
+        match kernel {
+            Kernel::ChainedHash => {
+                let table = ChainedTable::build(
+                    &mut NullTracker,
+                    FibHash,
+                    rc,
+                    bits,
+                    DEFAULT_TUPLES_PER_BUCKET,
+                );
+                for lt in lc {
+                    table.probe(&mut NullTracker, FibHash, rc, lt.tail, |_, rt, hit| {
+                        if hit {
+                            out.push(OidPair::new(lt.head, rt.head));
+                        }
+                    });
+                }
+            }
+            Kernel::NestedLoop => {
+                for lt in lc {
+                    for rt in rc.iter().filter(|rt| rt.tail == lt.tail) {
+                        out.push(OidPair::new(lt.head, rt.head));
+                    }
+                }
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn branch_free_emit_matches_match_then_push() {
+        // Keys repeat on both sides (M:N), many left keys miss, and at 8
+        // bits some clusters are empty on one side or both.
+        let keys = |n: u32, m: u32, step: u32| -> Vec<Bun> {
+            (0..n).map(|i| Bun::new(i, i * step % m)).collect()
+        };
+        let (l, r) = (keys(700, 97, 7), keys(300, 131, 11));
+        fn cluster(rel: &ClusteredRel, c: usize) -> &[Bun] {
+            &rel.data[rel.bounds[c] as usize..rel.bounds[c + 1] as usize]
+        }
+        for bits in [0u32, 3, 8] {
+            let passes = crate::strategy::plan_passes(bits, 64);
+            let lc = radix_cluster(&mut NullTracker, FibHash, l.clone(), bits, &passes);
+            let rc = radix_cluster(&mut NullTracker, FibHash, r.clone(), bits, &passes);
+            let ncl = 1usize << bits;
+            if bits == 8 {
+                assert!((0..ncl).any(|c| cluster(&lc, c).is_empty()), "an empty left cluster");
+                assert!((0..ncl).any(|c| cluster(&rc, c).is_empty()), "an empty right cluster");
+            }
+            for kernel in [Kernel::ChainedHash, Kernel::NestedLoop] {
+                let expect: Vec<OidPair> = (0..ncl)
+                    .flat_map(|c| match_then_push(kernel, bits, cluster(&lc, c), cluster(&rc, c)))
+                    .collect();
+                assert!(expect.len() > l.len(), "M:N: more pairs than left tuples");
+                // From no capacity (every emit may grow the output) and from
+                // exactly the final length (only a trailing miss grows it).
+                for capacity in [0, expect.len()] {
+                    let mut out = Vec::with_capacity(capacity);
+                    let mut table = ChainedTable::default();
+                    for c in 0..ncl {
+                        let (lcl, rcl) = (cluster(&lc, c), cluster(&rc, c));
+                        join_pair(
+                            &mut NullTracker,
+                            FibHash,
+                            kernel,
+                            &mut table,
+                            bits,
+                            lcl,
+                            rcl,
+                            &mut out,
+                        );
+                    }
+                    assert_eq!(out, expect, "{kernel:?} B={bits} capacity={capacity}");
+                }
+            }
+        }
     }
 
     #[test]
