@@ -25,10 +25,10 @@
 //! capacity check; `HashIndex::lookup_eq` filters on the flag.
 //!
 //! **The build slice.** Every position the table stores is `EMPTY` or below
-//! the length of the slice it was built over, and a probe asserts once that
-//! the slice it walks has that length. Its `tuples` and `next` reads keep
-//! their bounds checks: they never fail, so they predict perfectly, and
-//! unchecked reads measured no faster.
+//! the length of the slice it was built over, and a probe asserts that the
+//! slice it walks has that length. The walk's reads keep their bounds
+//! checks: they never fail, so they cost no misprediction, and unchecked
+//! reads measured no faster.
 //!
 //! **One table per worker.** [`ChainedTable::rebuild`] builds a table in
 //! the allocations of an earlier one, so a join worker builds every cluster
@@ -144,6 +144,9 @@ impl ChainedTable {
         }
         let mut pos = self.heads[b];
         while pos != EMPTY {
+            // Read `next` before `visit`: the compiler cannot hoist a read
+            // above the callback's store to the join index, and the walk's
+            // next step waits on this read.
             let (t, next) = (&tuples[pos as usize], self.next[pos as usize]);
             if M::ENABLED {
                 trk.read(t as *const Bun as usize, 8);
