@@ -8,17 +8,9 @@
 //! cache lines) avoids the miss explosion that a straightforward one-pass
 //! cluster (`pass_bits = [B]`, Figure 5) suffers for large `H`.
 //!
-//! Each pass runs the textbook two-phase histogram/scatter: count cluster
-//! sizes, prefix-sum into start offsets, then scatter tuples. Both phases
-//! read the input sequentially; the scatter writes `H_p` sequential streams.
-//!
-//! **Threads.** Pass 1 splits the input into one chunk per thread and lays
-//! the chunks out thread-major inside every cluster (thread 0's tuples
-//! precede thread 1's), which is the sequential stable order; later passes
-//! give each worker a contiguous block of source clusters. Either way each
-//! worker owns disjoint rows of the pass's one histogram and disjoint
-//! destination slots, so the output is bit-identical at every thread count.
-//! One thread is one chunk and one block: the sequential loop itself.
+//! Each pass is the crate's one stable counting-scatter pass (`join::radix`)
+//! on its `B_p` bits, which writes `H_p` sequential streams and whose output
+//! is bit-identical at every thread count.
 //!
 //! The output is radix-*ordered*: cluster `r` occupies
 //! `bounds[r]..bounds[r+1]` and all its tuples share radix value `r`. The
@@ -26,12 +18,11 @@
 //! without any extra boundary structure ([`cluster_bounds_from_data`]
 //! demonstrates that the bounds are recomputable from the data alone).
 
-use std::ops::Range;
-
 use memsim::{MemTracker, Work};
 
 use super::hash::{radix_of, KeyHash};
-use super::{fan_out, Bun};
+use super::radix::Pass;
+use super::Bun;
 
 /// A radix-clustered relation: the permuted tuples plus cluster boundaries.
 #[derive(Debug, Clone, PartialEq)]
@@ -124,7 +115,6 @@ pub fn cluster<M: MemTracker, H: KeyHash>(
     assert!(bits <= 28, "B = {bits} would allocate 2^{bits} cluster bounds");
     let n = input.len();
     assert!(n <= u32::MAX as usize, "cardinality exceeds u32 positions");
-    let threads = if M::ENABLED { 1 } else { threads.min(n / 2).max(1) };
     let mut src = input;
     let mut bounds: Vec<u32> = vec![0, n as u32];
     if bits == 0 {
@@ -135,57 +125,11 @@ pub fn cluster<M: MemTracker, H: KeyHash>(
     let mut remaining = bits;
     for &bp in pass_bits {
         remaining -= bp;
-        let hp = 1usize << bp;
-        // One histogram row per source range: pass 1 cuts its one source
-        // cluster into a chunk per thread, later passes take whole clusters.
-        let rows: Vec<Range<usize>> = if bounds.len() == 2 {
-            let chunk = n.div_ceil(threads);
-            (0..threads).map(|t| (t * chunk).min(n)..((t + 1) * chunk).min(n)).collect()
-        } else {
-            bounds.windows(2).map(|w| w[0] as usize..w[1] as usize).collect()
-        };
-        let per_cluster = rows.len() / (bounds.len() - 1);
-        // Pass 1's chunk rows are counted and scattered by different workers
-        // at once, tuple by tuple: 128 bytes of padding around each keeps
-        // every worker off the cache lines of the others, and of whatever
-        // the allocator placed next to the histogram.
-        let pad = if per_cluster > 1 { 32 } else { 0 };
-        let pass = Pass { h, shift: remaining, hp, stride: hp + pad };
-        let block = rows.len().div_ceil(threads);
-        let mut hist = vec![0u32; pad + rows.len() * pass.stride];
-        let hist = &mut hist[pad..];
-
-        // Phase 1: per-row histograms over this pass's bits.
-        let parts = rows.chunks(block).zip(hist.chunks_mut(block * pass.stride)).collect();
-        fan_out(trk, parts, |trk, (rows, hist)| pass.count(trk, &src, rows, hist));
-
-        // Prefix sums turn the counts into absolute start offsets, rows of
-        // one source cluster thread-major within each of its sub-clusters,
-        // and give the boundaries of the clustering this pass produces.
-        let mut new_bounds = Vec::with_capacity((bounds.len() - 1) * hp + 1);
-        let mut acc = 0u32;
-        for cl in hist.chunks_mut(per_cluster * pass.stride) {
-            for k in 0..hp {
-                new_bounds.push(acc);
-                for row in cl.chunks_mut(pass.stride) {
-                    let cnt = row[k];
-                    row[k] = acc;
-                    acc += cnt;
-                }
-            }
-        }
-        new_bounds.push(acc);
-        debug_assert_eq!(acc as usize, n);
-
-        // Phase 2: scatter. Each row fans out into its own hp sub-ranges of
-        // dst; the concurrently written regions are hp (plus the sequential
-        // read stream), which is what the TLB analysis of §3.4.2 is about.
-        let out = Dst(dst.as_mut_ptr(), n);
-        let parts = rows.chunks(block).zip(hist.chunks_mut(block * pass.stride)).collect();
-        fan_out(trk, parts, |trk, (rows, offsets)| pass.scatter(trk, &src, rows, offsets, out));
-
+        let (shift, mask) = (remaining, (1usize << bp) - 1);
+        let digit = move |t: &Bun| ((h.hash(t.tail) >> shift) as usize) & mask;
+        let pass = Pass { fan: 1 << bp, digit, gap: 0, work: Work::ClusterTuple };
+        bounds = pass.run(trk, &src, &bounds, &mut dst, threads);
         std::mem::swap(&mut src, &mut dst);
-        bounds = new_bounds;
     }
     ClusteredRel { data: src, bits, bounds }
 }
@@ -202,97 +146,6 @@ pub fn radix_cluster<M: MemTracker, H: KeyHash>(
     pass_bits: &[u32],
 ) -> ClusteredRel {
     cluster(trk, h, input, bits, pass_bits, 1)
-}
-
-/// One clustering pass over the hash bits `shift..shift + log2(hp)`, whose
-/// histogram rows lie `stride ≥ hp` counters apart.
-#[derive(Clone, Copy)]
-struct Pass<H> {
-    h: H,
-    shift: u32,
-    hp: usize,
-    stride: usize,
-}
-
-impl<H: KeyHash> Pass<H> {
-    /// The sub-cluster of `t` within its row.
-    #[inline]
-    fn bucket(&self, t: &Bun) -> usize {
-        ((self.h.hash(t.tail) >> self.shift) as usize) & (self.hp - 1)
-    }
-
-    /// Count each row's tuples into its `hp` slots of `hist`. Both phases
-    /// take the pass by value: a copy the scatter's raw writes cannot
-    /// alias, so its fields stay in registers.
-    fn count<M: MemTracker>(
-        self,
-        trk: &mut M,
-        src: &[Bun],
-        rows: &[Range<usize>],
-        hist: &mut [u32],
-    ) {
-        let hist_base = hist.as_ptr() as usize;
-        for (row, range) in rows.iter().enumerate() {
-            for t in &src[range.clone()] {
-                let idx = row * self.stride + self.bucket(t);
-                if M::ENABLED {
-                    trk.read(t as *const Bun as usize, 8);
-                    trk.write(hist_base + idx * 4, 4);
-                }
-                hist[idx] += 1;
-            }
-        }
-    }
-
-    /// Move each row's tuples to the slots `offsets` reserves for them.
-    fn scatter<M: MemTracker>(
-        self,
-        trk: &mut M,
-        src: &[Bun],
-        rows: &[Range<usize>],
-        offsets: &mut [u32],
-        dst: Dst,
-    ) {
-        let off_base = offsets.as_ptr() as usize;
-        for (row, range) in rows.iter().enumerate() {
-            for t in &src[range.clone()] {
-                let idx = row * self.stride + self.bucket(t);
-                let pos = offsets[idx] as usize;
-                offsets[idx] += 1;
-                dst.write(pos, t);
-                if M::ENABLED {
-                    trk.read(t as *const Bun as usize, 8);
-                    trk.write(off_base + idx * 4, 4);
-                    trk.write(dst.0 as usize + pos * 8, 8);
-                    trk.work(Work::ClusterTuple, 1);
-                }
-            }
-        }
-    }
-}
-
-/// The destination of a scatter (pointer, length), shared by its workers.
-#[derive(Clone, Copy)]
-struct Dst(*mut Bun, usize);
-
-// SAFETY: the pointer and length describe the pass's destination buffer.
-// The prefix sums give every (row, sub-cluster) its own slots, a row
-// belongs to one worker, and `KeyHash` is a pure function (its safety
-// contract), so no two workers write the same element, and nobody reads
-// the buffer until the workers' scope joins.
-unsafe impl Send for Dst {}
-unsafe impl Sync for Dst {}
-
-impl Dst {
-    /// Copy `t` to slot `pos`, as one 8-byte move.
-    #[inline]
-    fn write(self, pos: usize, t: &Bun) {
-        assert!(pos < self.1, "scatter slot out of range");
-        // SAFETY: in bounds (checked above) and owned by the caller's row
-        // (see the `Send` impl); `t` lies in the pass's source buffer, which
-        // never overlaps its destination.
-        unsafe { self.0.add(pos).copy_from_nonoverlapping(t, 1) }
-    }
 }
 
 /// Recompute cluster boundaries by scanning radix-ordered data — the §3.3.1

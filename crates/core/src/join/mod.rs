@@ -32,6 +32,7 @@ pub mod hash;
 pub mod hashtable;
 pub mod nljoin;
 pub mod pairs;
+pub(crate) mod radix;
 pub mod smjoin;
 
 pub use cluster::{cluster, cluster_bounds_from_data, radix_cluster, ClusteredRel};
@@ -41,11 +42,12 @@ pub use nljoin::nested_loop_join;
 pub use pairs::{join_clustered, radix_join_clustered, simple_hash_join};
 pub use smjoin::{merge_join_sorted, radix_sort_by_tail, sort_merge_join};
 
-use memsim::{track_read_slice, track_write_slice, MemTracker, Work};
+use memsim::{track_read_slice, track_write_slice, MemTracker, NullTracker, Work};
 
 use crate::storage::Oid;
 use crate::strategy::{Algorithm, JoinPlan};
 use pairs::{clusters, join_pairs, Kernel};
+use radix::Pass;
 
 /// Join `left ⋈ right` on tail equality as `plan` says, on `threads`
 /// threads: cluster both inputs on `plan.bits` bits in `plan.pass_bits`
@@ -270,37 +272,6 @@ fn order_runs<M: MemTracker>(trk: &mut M, pairs: &mut [OidPair]) {
     }
 }
 
-/// One stable counting pass: `src` scattered into `dst` by `digit`,
-/// `dst[at[d]..]` receiving digit `d`'s pairs. `at` holds the starts on
-/// entry and the ends on return.
-fn scatter(
-    src: &[OidPair],
-    dst: &mut [OidPair],
-    digit: impl Fn(&OidPair) -> usize,
-    at: &mut [u32],
-) {
-    for p in src {
-        let d = digit(p);
-        dst[at[d] as usize] = *p;
-        at[d] += 1;
-    }
-}
-
-/// Where each digit's pairs of `src` start in a packed destination: digit
-/// counts as exclusive prefix sums into `at`, one slot per digit.
-fn offsets(src: &[OidPair], digit: impl Fn(&OidPair) -> usize, at: &mut [u32]) {
-    at.fill(0);
-    for p in src {
-        at[digit(p)] += 1;
-    }
-    let mut acc = 0;
-    for slot in at.iter_mut() {
-        let count = *slot;
-        *slot = acc;
-        acc += count;
-    }
-}
-
 /// Charge one counting pass from `src` into `dst` (see [`canonicalize`]).
 fn charge_pass<M: MemTracker>(trk: &mut M, src: &[OidPair], dst: &[OidPair]) {
     if M::ENABLED {
@@ -325,14 +296,12 @@ fn sort_by_left<M: MemTracker>(
     let low = bits - top;
     let pad = if low == 0 { 0 } else { CANON_PAD };
 
-    // The top digit: contiguous left ranges, bucket `d` written from
-    // `starts[d] + d · pad` on.
-    let top_digit = |p: &OidPair| (key(p) >> low) as usize;
-    let mut starts = vec![0u32; 1 << top];
-    offsets(&pairs, top_digit, &mut starts);
-    let mut at: Vec<u32> = starts.iter().enumerate().map(|(d, &s)| s + (d * pad) as u32).collect();
-    let mut out = vec![OidPair::new(0, 0); n + starts.len() * pad];
-    scatter(&pairs, &mut out, top_digit, &mut at);
+    // The top digit: contiguous left ranges, each bucket followed by `pad`
+    // unused pairs. The passes run untracked; `charge_pass` charges them.
+    let top_digit = move |p: &OidPair| (key(p) >> low) as usize;
+    let top_pass = Pass { fan: 1 << top, digit: top_digit, gap: pad, work: Work::SortTuple };
+    let mut out = vec![OidPair::new(0, 0); n + (1 << top) * pad];
+    let bounds = top_pass.run(&mut NullTracker, &pairs, &[0, n as u32], &mut out, 1);
     charge_pass(trk, &pairs, &out[..n]);
     if low == 0 {
         track_read_slice(trk, &out[..n]);
@@ -350,19 +319,18 @@ fn sort_by_left<M: MemTracker>(
     let width = low.div_ceil(passes);
     let mask = (1u32 << width) - 1;
     let mut scratch = pairs;
-    let mut counts = vec![0u32; 1 << width];
-    for (d, (&s, &e)) in starts.iter().zip(&at).enumerate() {
-        let padded = s as usize + d * pad..e as usize;
-        let range = s as usize..e as usize - d * pad;
+    for (d, w) in bounds.windows(2).enumerate() {
+        let padded = w[0] as usize..w[1] as usize - pad;
+        let range = padded.start - d * pad..padded.end - d * pad;
         for pass in 0..passes {
-            let digit = |p: &OidPair| ((key(p) >> (pass * width)) & mask) as usize;
+            let digit = move |p: &OidPair| ((key(p) >> (pass * width)) & mask) as usize;
             let (src, dst) = match pass {
                 0 => (&out[padded.clone()], &mut scratch[range.clone()]),
                 _ if pass % 2 == 1 => (&scratch[range.clone()], &mut out[range.clone()]),
                 _ => (&out[range.clone()], &mut scratch[range.clone()]),
             };
-            offsets(src, digit, &mut counts);
-            scatter(src, dst, digit, &mut counts);
+            let low_pass = Pass { fan: 1 << width, digit, gap: 0, work: Work::SortTuple };
+            low_pass.run(&mut NullTracker, src, &[0, src.len() as u32], dst, 1);
             charge_pass(trk, src, dst);
         }
         let sorted = if passes % 2 == 1 { &mut scratch[range] } else { &mut out[range] };

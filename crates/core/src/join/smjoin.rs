@@ -3,13 +3,16 @@
 //! §3.2: "Merge-join is not a viable alternative as it requires sorting on
 //! both relations first, which would cause random access over even a larger
 //! memory region." The sorting phase here is an LSB radix-sort on the full
-//! 32-bit key (\[Knu68\], which the paper cites for radix-sort) — each of its
-//! four 8-bit passes is exactly a 256-way scatter, i.e. the same memory
-//! access pattern as a straightforward 8-bit cluster pass, which is why
-//! sort-merge loses: it runs four such passes over the *entire* relation.
+//! 32-bit key (\[Knu68\], which the paper cites for radix-sort), and each of
+//! its four 8-bit passes *is* a straightforward 8-bit cluster pass: the same
+//! counting-scatter code (`join::radix`) with the key byte as its digit, so
+//! the same 256-way scatter and the same simulated charges per tuple, only
+//! `SortTuple` instead of `ClusterTuple` work. That is why sort-merge loses:
+//! it runs four such passes over the *entire* relation.
 
 use memsim::{MemTracker, Work};
 
+use super::radix::Pass;
 use super::{Bun, OidPair};
 
 /// Stable LSB radix-sort by `tail`, 4 passes of 8 bits, instrumented.
@@ -17,37 +20,10 @@ pub fn radix_sort_by_tail<M: MemTracker>(trk: &mut M, input: Vec<Bun>) -> Vec<Bu
     let n = input.len();
     let mut src = input;
     let mut dst = vec![Bun::default(); n];
-    for pass in 0..4u32 {
-        let shift = pass * 8;
-        let mut hist = [0u32; 256];
-        let hist_base = hist.as_ptr() as usize;
-        for t in &src {
-            let b = ((t.tail >> shift) & 0xFF) as usize;
-            if M::ENABLED {
-                trk.read(t as *const Bun as usize, 8);
-                trk.write(hist_base + b * 4, 4);
-            }
-            hist[b] += 1;
-        }
-        let mut acc = 0u32;
-        for slot in hist.iter_mut() {
-            let c = *slot;
-            *slot = acc;
-            acc += c;
-        }
-        let dst_base = dst.as_ptr() as usize;
-        for t in &src {
-            let b = ((t.tail >> shift) & 0xFF) as usize;
-            let pos = hist[b] as usize;
-            hist[b] += 1;
-            dst[pos] = *t;
-            if M::ENABLED {
-                trk.read(t as *const Bun as usize, 8);
-                trk.write(hist_base + b * 4, 4);
-                trk.write(dst_base + pos * 8, 8);
-                trk.work(Work::SortTuple, 1);
-            }
-        }
+    for shift in [0, 8, 16, 24] {
+        let digit = move |t: &Bun| ((t.tail >> shift) & 0xFF) as usize;
+        let pass = Pass { fan: 256, digit, gap: 0, work: Work::SortTuple };
+        pass.run(trk, &src, &[0, n as u32], &mut dst, 1);
         std::mem::swap(&mut src, &mut dst);
     }
     src

@@ -22,7 +22,9 @@
 //!   ([`TableShard::oids`]); local OID `i` is global OID `oids[i]`, so
 //!   per-shard outputs map back into parent OID space order-preservingly.
 
-use crate::compress::CompressedColumn;
+use memsim::{NullTracker, Work};
+
+use crate::join::radix::Pass;
 use crate::storage::{Codes, Column, DecomposedTable, Oid, StorageError, StrColumn, ValueType};
 
 /// The multiplicative hash assigning a partition-key value to a shard.
@@ -84,20 +86,23 @@ impl ShardedTable {
         })?;
 
         // Rows per shard, in ascending position order — the monotone OID
-        // map the merge relies on.
-        let mut rows: Vec<Vec<usize>> = vec![Vec::new(); shards];
-        for (pos, &k) in keys.iter().enumerate() {
-            rows[shard_of(k, shards)].push(pos);
-        }
+        // map the merge relies on, which the stable scatter keeps.
+        let n = keys.len();
+        let positions: Vec<u32> = (0..n as u32).collect();
+        let mut rows = vec![0u32; n];
+        let digit = |&p: &u32| shard_of(keys[p as usize], shards);
+        let pass = Pass { fan: shards, digit, gap: 0, work: Work::ClusterTuple };
+        let bounds = pass.run(&mut NullTracker, &positions, &[0, n as u32], &mut rows, 1);
 
-        let built = rows
-            .into_iter()
+        let built = bounds
+            .windows(2)
             .enumerate()
-            .map(|(h, rows)| {
+            .map(|(h, w)| {
+                let rows = &rows[w[0] as usize..w[1] as usize];
                 let cols = parent
                     .columns()
                     .iter()
-                    .map(|c| (c.name.clone(), gather(c.bat.tail(), &rows)))
+                    .map(|c| (c.name.clone(), gather(c.bat.tail(), rows)))
                     .collect();
                 let mut table = DecomposedTable::from_columns(
                     &format!("{}[{h}/{shards}]", parent.name()),
@@ -109,8 +114,7 @@ impl ShardedTable {
                 for idx in parent.indexes() {
                     table.create_index(&idx.column, idx.index.kind())?;
                 }
-                let oids: Vec<Oid> =
-                    rows.iter().map(|&pos| parent.seqbase() + pos as Oid).collect();
+                let oids: Vec<Oid> = rows.iter().map(|&pos| parent.seqbase() + pos).collect();
                 Ok(TableShard { table, oids })
             })
             .collect::<Result<Vec<_>, StorageError>>()?;
@@ -176,36 +180,22 @@ impl ShardedTable {
 /// Gather `col` at `rows`. String columns keep the parent's dictionary and
 /// gather codes at the parent width — the invariant that makes shard
 /// results merge bit-identically (see the module docs).
-fn gather(col: &Column, rows: &[usize]) -> Column {
+fn gather(col: &Column, rows: &[u32]) -> Column {
     match col {
-        Column::U8(v) => Column::U8(rows.iter().map(|&i| v[i]).collect()),
-        Column::U16(v) => Column::U16(rows.iter().map(|&i| v[i]).collect()),
-        Column::I32(v) => Column::I32(rows.iter().map(|&i| v[i]).collect()),
-        Column::I64(v) => Column::I64(rows.iter().map(|&i| v[i]).collect()),
-        Column::F64(v) => Column::F64(rows.iter().map(|&i| v[i]).collect()),
-        Column::Oid(v) => Column::Oid(rows.iter().map(|&i| v[i]).collect()),
+        Column::U8(v) => Column::U8(rows.iter().map(|&i| v[i as usize]).collect()),
+        Column::U16(v) => Column::U16(rows.iter().map(|&i| v[i as usize]).collect()),
+        Column::I32(v) => Column::I32(rows.iter().map(|&i| v[i as usize]).collect()),
+        Column::I64(v) => Column::I64(rows.iter().map(|&i| v[i as usize]).collect()),
+        Column::F64(v) => Column::F64(rows.iter().map(|&i| v[i as usize]).collect()),
+        Column::Oid(v) => Column::Oid(rows.iter().map(|&i| v[i as usize]).collect()),
         Column::Str(sc) => Column::Str(StrColumn {
             codes: match &sc.codes {
-                Codes::U8(v) => Codes::U8(rows.iter().map(|&i| v[i]).collect()),
-                Codes::U16(v) => Codes::U16(rows.iter().map(|&i| v[i]).collect()),
+                Codes::U8(v) => Codes::U8(rows.iter().map(|&i| v[i as usize]).collect()),
+                Codes::U16(v) => Codes::U16(rows.iter().map(|&i| v[i as usize]).collect()),
             },
             dict: sc.dict.clone(),
         }),
     }
-}
-
-/// How many bytes of column data one shard's compressed representations
-/// save versus uncompressed tails (reporting helper for figures).
-pub fn compressed_savings(shard: &TableShard) -> usize {
-    shard
-        .table
-        .columns()
-        .iter()
-        .filter_map(|c| {
-            let cc: &CompressedColumn = shard.table.compressed_of(&c.name)?;
-            cc.uncompressed_bytes().checked_sub(cc.compressed_bytes())
-        })
-        .sum()
 }
 
 #[cfg(test)]

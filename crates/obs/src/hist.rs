@@ -1,9 +1,8 @@
 //! Mergeable log-bucketed histograms for latency percentiles.
 //!
-//! The service used to keep a bounded vector of recent samples per metric
-//! and sort it on every snapshot ([`service`'s `SampleWindow`]) — percentiles
-//! were exact but covered only the most recent window, and merging two
-//! windows is not meaningful. A [`LogHistogram`] inverts the trade:
+//! A bounded window of recent samples, sorted on every snapshot, gives exact
+//! percentiles of only the most recent window, and merging two windows is
+//! not meaningful. A [`LogHistogram`] inverts the trade:
 //! geometric buckets bound the *relative* quantile error by construction
 //! ([`LogHistogram::REL_ERROR`], under 5%), memory is bounded by the fixed
 //! bucket range however many samples arrive, and merging is exact —

@@ -94,7 +94,7 @@ mod shared;
 
 pub use config::{ConfigError, ServiceConfig};
 pub use dist::{CopyId, CopyStats, PlacePolicy, PlacedRun, ShardCluster};
-pub use metrics::{LatencySummary, SampleWindow, ServiceMetrics, SessionMetrics};
+pub use metrics::{LatencySummary, ServiceMetrics, SessionMetrics};
 pub use obs::TraceMode;
 pub use sched::{Admission, Grant, Scheduler};
 pub use service::{quote_plan, quote_plan_covered, QueryHandle, QueryService, SchedInfo, Session};

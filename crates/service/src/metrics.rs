@@ -56,44 +56,6 @@ impl LatencySummary {
     }
 }
 
-/// A bounded ring of the most recent latency samples, so a long-running
-/// service neither grows without bound nor sorts its whole history on
-/// every metrics snapshot.
-#[derive(Debug, Clone)]
-pub struct SampleWindow {
-    buf: Vec<f64>,
-    next: usize,
-    cap: usize,
-}
-
-impl SampleWindow {
-    /// A window retaining the most recent `cap` samples (`cap >= 1`).
-    pub fn new(cap: usize) -> Self {
-        let cap = cap.max(1);
-        Self { buf: Vec::with_capacity(cap.min(1024)), next: 0, cap }
-    }
-
-    /// Record one sample, evicting the oldest once the window is full.
-    pub fn push(&mut self, sample: f64) {
-        if self.buf.len() < self.cap {
-            self.buf.push(sample);
-        } else {
-            self.buf[self.next] = sample;
-        }
-        self.next = (self.next + 1) % self.cap;
-    }
-
-    /// The retained samples, in no particular order.
-    pub fn samples(&self) -> &[f64] {
-        &self.buf
-    }
-
-    /// Summarize the retained samples.
-    pub fn summary(&self) -> LatencySummary {
-        LatencySummary::of(&self.buf)
-    }
-}
-
 /// A snapshot of the service-wide state, taken by
 /// [`crate::QueryService::metrics`].
 #[derive(Debug, Clone, Default)]
@@ -213,45 +175,6 @@ mod tests {
     #[test]
     fn empty_summary_is_zero() {
         assert_eq!(LatencySummary::of(&[]), LatencySummary::default());
-    }
-
-    #[test]
-    fn sample_window_keeps_only_the_most_recent() {
-        let mut w = SampleWindow::new(4);
-        for v in 1..=3 {
-            w.push(v as f64);
-        }
-        assert_eq!(w.samples(), &[1.0, 2.0, 3.0], "fills in order while under capacity");
-        for v in 4..=6 {
-            w.push(v as f64);
-        }
-        let mut kept = w.samples().to_vec();
-        kept.sort_by(f64::total_cmp);
-        assert_eq!(kept, vec![3.0, 4.0, 5.0, 6.0], "oldest samples evicted first");
-        assert_eq!(w.summary().count, 4);
-        assert_eq!(w.summary().max_ms, 6.0);
-        // cap clamps to >= 1 and a cap-1 window holds the latest sample.
-        let mut one = SampleWindow::new(0);
-        one.push(1.0);
-        one.push(2.0);
-        assert_eq!(one.samples(), &[2.0]);
-    }
-
-    #[test]
-    fn sample_window_memory_is_bounded_at_a_million_samples() {
-        // Regression guard for the unbounded-history failure mode the
-        // window (and the histograms that superseded it for service
-        // metrics) exist to prevent: a long-running service must not
-        // accumulate per-sample state.
-        let mut w = SampleWindow::new(4096);
-        for i in 0..1_000_000u64 {
-            w.push(i as f64);
-        }
-        assert_eq!(w.samples().len(), 4096, "retention caps at the window size");
-        assert!(w.buf.capacity() <= 4096, "no hidden growth past the cap");
-        let s = w.summary();
-        assert_eq!(s.count, 4096);
-        assert_eq!(s.max_ms, 999_999.0, "the newest samples are the ones retained");
     }
 
     #[test]
