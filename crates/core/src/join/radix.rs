@@ -1,12 +1,9 @@
-//! The one stable counting-scatter pass (§3.3.1, Figure 6): the
-//! radix-cluster's passes, sort-merge's radix sort, `canonicalize`'s digit
-//! passes and shard partitioning all run on it.
-//!
-//! A [`Pass`] is the textbook two-phase histogram/scatter over a source cut
-//! into ranges: count each range's elements per digit, prefix-sum the counts
-//! into start offsets, then move every element to its slot. Both phases read
-//! the source sequentially; the scatter writes `fan` streams per range.
-//! Source range `s`'s digit `d` is bucket `s · fan + d`, in source order.
+//! The one stable counting-scatter pass (§3.3.1, Figure 6) that radix-cluster,
+//! sort-merge's radix sort, `canonicalize` and shard partitioning run on: a
+//! [`Pass`] counts each source range's elements per digit, prefix-sums the
+//! counts into start offsets, then moves every element to its slot, range
+//! `s`'s digit `d` forming bucket `s · fan + d` in source order. Both phases
+//! read the source sequentially; the scatter writes `fan` streams per range.
 //!
 //! **Histogram rows.** Each source range has one histogram row, except a
 //! single source range, which is cut into a chunk, and a row, per thread.
@@ -34,8 +31,9 @@ use super::fan_out;
 pub(crate) struct Pass<D> {
     /// Buckets per source range.
     pub fan: usize,
-    /// An element's bucket within its source range, below `fan`. Must be a
-    /// pure function: the count and the scatter must agree.
+    /// An element's bucket within its source range, below `fan`. Should be a
+    /// pure function: one that is not gives a wrong order or a panic, but
+    /// never a write outside the slots its row counted.
     pub digit: D,
     /// Unused destination slots after every bucket.
     pub gap: usize,
@@ -76,8 +74,6 @@ impl<D> Pass<D> {
         assert_eq!(dst.len(), n + ranges * self.fan * self.gap, "one gap per bucket");
         assert!(dst.len() <= u32::MAX as usize, "destination exceeds u32 positions");
         let threads = if M::ENABLED { 1 } else { threads.min(n / 2).max(1) };
-        // One histogram row per source range: a single source is cut into a
-        // chunk per thread, several are taken whole.
         let rows: Vec<Range<usize>> = if ranges == 1 {
             let chunk = n.div_ceil(threads);
             (0..threads).map(|t| (t * chunk).min(n)..((t + 1) * chunk).min(n)).collect()
@@ -88,25 +84,30 @@ impl<D> Pass<D> {
         let pad = if per_source > 1 { 32 } else { 0 };
         let stride = self.fan + pad;
         let block = rows.len().div_ceil(threads);
+        let cut = block * stride;
         let mut hist = vec![0u32; pad + rows.len() * stride];
         let hist = &mut hist[pad..];
 
         // Phase 1: per-row histograms.
-        let parts = rows.chunks(block).zip(hist.chunks_mut(block * stride)).collect();
+        let parts = rows.chunks(block).zip(hist.chunks_mut(cut)).collect();
         fan_out(trk, parts, |trk, (rows, hist)| self.count(trk, stride, src, rows, hist));
 
         // Prefix sums turn the counts into absolute start offsets, rows of
         // one source range thread-major within each of its buckets, and give
-        // the bounds of the buckets this pass produces.
+        // the bounds of the buckets this pass produces. `ends` keeps where
+        // each row's slots of each bucket end.
+        let mut ends = vec![0u32; hist.len()];
         let mut bounds = Vec::with_capacity(ranges * self.fan + 1);
         let mut acc = 0u32;
-        for source in hist.chunks_mut(per_source * stride) {
+        let per_source = per_source * stride;
+        for (source, ends) in hist.chunks_mut(per_source).zip(ends.chunks_mut(per_source)) {
             for d in 0..self.fan {
                 bounds.push(acc);
-                for row in source.chunks_mut(stride) {
+                for (row, end) in source.chunks_mut(stride).zip(ends.chunks_mut(stride)) {
                     let cnt = row[d];
                     row[d] = acc;
                     acc += cnt;
+                    end[d] = acc;
                 }
                 acc += self.gap as u32;
             }
@@ -116,9 +117,9 @@ impl<D> Pass<D> {
 
         // Phase 2: scatter. Each row writes `fan` regions of dst at once
         // (plus its sequential read), the count §3.4.2's TLB analysis is on.
-        let out = Dst(dst.as_mut_ptr(), dst.len());
-        let parts = rows.chunks(block).zip(hist.chunks_mut(block * stride)).collect();
-        fan_out(trk, parts, |trk, (rows, at)| self.scatter(trk, stride, src, rows, at, out));
+        let out = Dst(dst.as_mut_ptr());
+        let parts = rows.chunks(block).zip(hist.chunks_mut(cut)).zip(ends.chunks(cut)).collect();
+        fan_out(trk, parts, |trk, (part, ends)| self.scatter(trk, stride, src, part, ends, out));
         bounds
     }
 
@@ -151,14 +152,15 @@ impl<D> Pass<D> {
         }
     }
 
-    /// Move each row's elements to the slots `offsets` reserves for them.
+    /// Move each row's elements to the slots `offsets` reserves for them,
+    /// which end at `ends`.
     fn scatter<M: MemTracker, T: Copy>(
         self,
         trk: &mut M,
         stride: usize,
         src: &[T],
-        rows: &[Range<usize>],
-        offsets: &mut [u32],
+        (rows, offsets): (&[Range<usize>], &mut [u32]),
+        ends: &[u32],
         dst: Dst<T>,
     ) where
         D: Fn(&T) -> usize,
@@ -169,7 +171,7 @@ impl<D> Pass<D> {
                 let idx = row * stride + (self.digit)(t);
                 let pos = offsets[idx] as usize;
                 offsets[idx] += 1;
-                dst.write(pos, t);
+                dst.write(pos, ends[idx] as usize, t);
                 if M::ENABLED {
                     trk.read(t as *const T as usize, size_of::<T>());
                     trk.write(off_base + idx * 4, 4);
@@ -181,26 +183,28 @@ impl<D> Pass<D> {
     }
 }
 
-/// The destination of a scatter (pointer, length), shared by its workers.
+/// The destination of a scatter, shared by its workers.
 #[derive(Clone, Copy)]
-struct Dst<T>(*mut T, usize);
+struct Dst<T>(*mut T);
 
-// SAFETY: the pointer and length describe the pass's destination slice.
-// The prefix sums give every (row, bucket) its own slots, a row belongs to
-// one worker, and the digit is a pure function (see `Pass::digit`), so no
-// two workers write the same element, and nobody reads the slice until the
-// workers' scope joins.
+// SAFETY: the pointer is the start of the pass's destination slice. The
+// prefix sums give every (row, bucket) its own slots, which end at or
+// before the slice's end, a row belongs to one worker, and `write` stays
+// below its slots' end, so no two workers write the same element, even if
+// a digit answered differently when counting; nobody reads the slice until
+// the workers' scope joins.
 unsafe impl<T: Send> Send for Dst<T> {}
 unsafe impl<T: Send> Sync for Dst<T> {}
 
 impl<T: Copy> Dst<T> {
-    /// Copy `t` to slot `pos`.
+    /// Copy `t` to slot `pos` of slots that end at `end`.
     #[inline]
-    fn write(self, pos: usize, t: &T) {
-        assert!(pos < self.1, "scatter slot out of range");
-        // SAFETY: in bounds (checked above) and owned by the caller's row
-        // (see the `Send` impl); `t` lies in the pass's source slice, which
-        // never overlaps its destination.
+    fn write(self, pos: usize, end: usize, t: &T) {
+        assert!(pos < end, "scatter slot out of range");
+        // SAFETY: below the end of the caller's row's slots (checked above),
+        // which lie inside the destination and belong to that row alone (see
+        // the `Send` impl); `t` lies in the pass's source slice, which never
+        // overlaps its destination.
         unsafe { self.0.add(pos).copy_from_nonoverlapping(t, 1) }
     }
 }
@@ -325,6 +329,22 @@ mod tests {
             let work = n as f64 * machine.work.sort_tuple_ns;
             assert!((c.cpu_ns - work).abs() < 1e-9 * work, "fan={fan}: {} ns", c.cpu_ns);
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "scatter slot out of range")]
+    fn a_digit_that_changes_its_answer_cannot_overrun_its_slots() {
+        // Counted as 0, 1, 0 but scattered as 1, 0, 1: bucket 1 has one slot.
+        let calls = std::sync::atomic::AtomicUsize::new(0);
+        let digit = |_: &(u32, u32)| calls.fetch_add(1, std::sync::atomic::Ordering::Relaxed) % 2;
+        let mut dst = vec![(0, 0); 3];
+        Pass { fan: 2, digit, gap: 0, work: Work::SortTuple }.run(
+            &mut NullTracker,
+            &items(3, 5),
+            &[0, 3],
+            &mut dst,
+            1,
+        );
     }
 
     #[test]
