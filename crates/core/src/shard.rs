@@ -86,13 +86,13 @@ impl ShardedTable {
         })?;
 
         // Rows per shard, in ascending position order — the monotone OID
-        // map the merge relies on, which the stable scatter keeps.
-        let n = keys.len();
-        let positions: Vec<u32> = (0..n as u32).collect();
-        let mut rows = vec![0u32; n];
+        // map the merge relies on, which the stable scatter keeps. The
+        // scattered positions are freed before the gathers.
+        let n = u32::try_from(keys.len()).expect("a table has at most u32::MAX rows");
+        let mut rows = vec![0u32; keys.len()];
         let digit = |&p: &u32| shard_of(keys[p as usize], shards);
         let pass = Pass { fan: shards, digit, gap: 0, work: Work::ClusterTuple };
-        let bounds = pass.run(&mut NullTracker, &positions, &[0, n as u32], &mut rows, 1);
+        let bounds = pass.run(&mut NullTracker, &(0..n).collect::<Vec<_>>(), &[0, n], &mut rows, 1);
 
         let built = bounds
             .windows(2)
