@@ -11,10 +11,10 @@
 ///
 /// # Safety
 /// `hash` must be a pure function of `key`. A clustering pass counts with
-/// it and then scatters with it, on several threads at once, each worker
-/// writing only the destination slots its counts reserved; a hash that
-/// answers differently the second time would make workers write each
-/// other's slots.
+/// it and then scatters with it; a hash that answers differently the
+/// second time misorders the clusters or panics. Memory safety does not
+/// rest on it: the scatter checks every write against the slots its
+/// worker counted.
 pub unsafe trait KeyHash: Copy + Send + Sync {
     /// Hash a key.
     fn hash(&self, key: u32) -> u32;
