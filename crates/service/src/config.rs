@@ -38,7 +38,7 @@ pub const DEFAULT_DRIFT_BAND: f64 = 2.0;
 /// | `starvation_bound` | `MONET_SERVICE_STARVE` | 4 |
 /// | `shared_scans` | `MONET_SERVICE_SHARE` (`0`/`off` disables) | on |
 /// | `cache_bytes` | `MONET_SERVICE_CACHE` (`0` off, `on`, or bytes) | 4 MiB |
-/// | `chunk_rows` | `MONET_SERVICE_CHUNK` (`0` one-shot, values, or `64k`/`1m`) | 64K values |
+/// | `chunk_rows` | `MONET_SERVICE_CHUNK` (`0` whole column, values, or `64k`/`1m`) | 64K values |
 /// | `trace` | `MONET_TRACE` (`0` off, `on`/`ring`, `stderr`, or a path) | off |
 /// | `drift_band` | `MONET_DRIFT_BAND` (ratio >= 1) | 2.0 |
 #[derive(Debug, Clone)]
@@ -76,9 +76,9 @@ pub struct ServiceConfig {
     /// in chunks of this many tuples, letting late arrivals attach at
     /// chunk boundaries (and wrap around for the part they missed) and
     /// letting the scheduler preempt a long pass between chunks. `0`
-    /// disables chunking — every pass runs one-shot, all-or-nothing, the
-    /// pre-elevator behavior. Results are bit-identical at every chunk
-    /// size.
+    /// makes the chunk the whole column — every pass is one stream with no
+    /// boundary to attach or preempt at. Results are bit-identical at
+    /// every chunk size.
     pub chunk_rows: usize,
     /// Query lifecycle tracing ([`obs::TraceMode`]). Off by default: the
     /// submit path then carries no trace state at all and runs exactly the
@@ -207,7 +207,7 @@ impl ServiceConfig {
         self
     }
 
-    /// Set the elevator chunk size in values (`0` = one-shot passes).
+    /// Set the elevator chunk size in values (`0` = the whole column).
     pub fn with_chunk_rows(mut self, rows: usize) -> Self {
         self.chunk_rows = rows;
         self
@@ -268,7 +268,7 @@ fn read<T>(
 }
 
 /// Parse a chunk-size spec: a plain value count, or one with a `k`/`m`
-/// suffix (`64k` = 65536 values, `1m` = 1048576). `0` means one-shot.
+/// suffix (`64k` = 65536 values, `1m` = 1048576). `0` means the whole column.
 fn parse_chunk(v: &str) -> Option<usize> {
     let v = v.trim().to_ascii_lowercase();
     let (digits, mult) = match v.strip_suffix('k') {
@@ -320,7 +320,7 @@ mod tests {
         assert_eq!(parse_chunk("banana"), None);
         assert_eq!(parse_chunk("99999999999999999999m"), None, "overflow is unparsable");
         let cfg = ServiceConfig::new().with_chunk_rows(0);
-        assert_eq!(cfg.chunk_rows, 0, "zero = one-shot passes");
+        assert_eq!(cfg.chunk_rows, 0, "zero = one chunk per column");
     }
 
     #[test]

@@ -237,7 +237,8 @@ impl<'a> ShardCluster<'a> {
                 execute_shard(&mut NullTracker, &lowered, s, &opts)?
             };
             partials[s] = Some(partial);
-            for g in self.sched.release(grant.threads) {
+            self.sched.release(grant.threads);
+            while let Some(g) = self.sched.next_grant() {
                 let pos = queued
                     .iter()
                     .position(|&(id, _)| id == g.ticket)

@@ -29,11 +29,12 @@
 //!          └────────────────┬────────────────────────┘
 //!                           ▼
 //!          claim cooperative passes (own leaves + every queued
-//!          same-column request); short columns stream one-shot, long
-//!          ones run as chunked *elevators* — absorbing late arrivals at
-//!          chunk boundaries (riders wrap around for the prefix they
-//!          missed) and yielding the lease between chunks to cheaper
-//!          waiting queries; candidate lists publish to their tickets
+//!          same-column request); each runs as an *elevator* — a column
+//!          longer than the chunk streams chunk by chunk, absorbing late
+//!          arrivals at boundaries (riders wrap around for the prefix
+//!          they missed) and yielding the lease between chunks to
+//!          cheaper waiting queries; a shorter one is the one-chunk
+//!          case; candidate lists publish to their tickets
 //!                           ▼
 //!          execute_with_scans(plan, ticket, thread_cap = lease)
 //!                           ▼
@@ -43,8 +44,9 @@
 //! * [`config`] — [`ServiceConfig`] and the `MONET_SERVICE_*` env knobs
 //!   (including `MONET_SERVICE_CHUNK`, the elevator chunk size), refused
 //!   with a [`ConfigError`] when a value does not parse;
-//! * [`sched`] — the pure admission/budget state machine (deterministic
-//!   unit tests live there);
+//! * [`sched`] — the pure admission/budget state machine, which dispatches
+//!   on every transition (deterministic unit tests and an exhaustive
+//!   interleaving explorer live there);
 //! * [`service`] — [`QueryService`], [`Session`], [`QueryHandle`], the
 //!   single-flight table, the elevator runner, and the plan-to-quote walk;
 //! * `shared` (internal) — the cooperative-scan board (pending wants →
@@ -73,7 +75,7 @@
 //! never *what* it computes — the executor is bit-identical at every
 //! thread count, a cooperative pass produces exactly the candidate lists
 //! solo scans would at every chunk size (an elevator rider's per-chunk
-//! partials concatenate, in row order, to the one-shot kernel's output),
+//! partials concatenate, in row order, to the unchunked kernel's output),
 //! and cached or collapsed results share deterministic executions — so any
 //! mix of concurrent queries returns exactly the rows a sequential
 //! one-thread run would (asserted by `tests/service_stress.rs` at the

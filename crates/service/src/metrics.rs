@@ -129,8 +129,9 @@ pub struct ServiceMetrics {
     /// Time spent waiting in the admission queue (0 for immediate starts),
     /// same histogram treatment.
     pub queue_wait: LatencySummary,
-    /// Wall time of individual elevator chunk passes (empty when chunking
-    /// is off or no cooperative pass ran) — the grain the scheduler can
+    /// Wall time of individual cooperative-pass chunks, a pass whose column
+    /// fits in one chunk (or with chunking off) counting as one chunk
+    /// (empty when no cooperative pass ran) — the grain the scheduler can
     /// preempt at, so its tail bounds how long a cheap query waits behind
     /// a streaming one.
     pub chunk_latency: LatencySummary,

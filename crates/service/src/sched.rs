@@ -27,6 +27,12 @@
 //!   and to form deterministic admission waves — e.g. so a shared-scan
 //!   experiment can guarantee every member of a wave is queued before the
 //!   first one claims the cooperative pass.
+//! * **Dispatch.** Every transition that can free a thread or queue a
+//!   ticket — [`Scheduler::release`], [`Scheduler::requeue`],
+//!   [`Scheduler::resume`] — dispatches before it returns, into a grant
+//!   ledger the waiters pick up from ([`Scheduler::take_grant`]). So after
+//!   any public transition, an unpaused scheduler has an empty queue or a
+//!   fully leased budget: no caller can leave a free thread undispatched.
 
 /// One waiting query.
 #[derive(Debug, Clone)]
@@ -57,7 +63,8 @@ pub enum Admission {
     /// Capacity was free: the query starts immediately with this lease.
     Run(Grant),
     /// The budget is fully leased: the query waits in the admission queue
-    /// under this ticket until [`Scheduler::release`] grants it.
+    /// under this ticket until a dispatch grants it
+    /// ([`Scheduler::take_grant`]).
     Queued(u64),
     /// The queue is full: the query is shed at admission time.
     Rejected,
@@ -73,6 +80,9 @@ pub struct Scheduler {
     high_water: usize,
     paused: bool,
     waiting: Vec<Ticket>,
+    /// Leases dispatched to queued tickets and not yet picked up, in
+    /// dispatch order.
+    granted: Vec<Grant>,
     next_id: u64,
 }
 
@@ -87,6 +97,7 @@ impl Scheduler {
             high_water: 0,
             paused: false,
             waiting: Vec::new(),
+            granted: Vec::new(),
             next_id: 0,
         }
     }
@@ -96,41 +107,54 @@ impl Scheduler {
     pub fn submit(&mut self, cost_ns: f64, desired_threads: usize) -> Admission {
         let id = self.next_id;
         self.next_id += 1;
-        // Invariant (while unpaused): the queue is non-empty only while the
-        // budget is fully leased (dispatch drains it whenever a thread
-        // frees), so a free thread means nobody is waiting and the
-        // newcomer may start. A paused scheduler queues everyone.
-        if !self.paused && self.in_use < self.budget && self.waiting.is_empty() {
+        // By the dispatch invariant a free thread means nobody is waiting,
+        // so the newcomer may start. A paused scheduler queues everyone.
+        let admission = if !self.paused && self.in_use < self.budget && self.waiting.is_empty() {
             let threads = self.lease(desired_threads);
-            return Admission::Run(Grant { ticket: id, threads });
-        }
-        if self.waiting.len() >= self.queue_limit {
-            return Admission::Rejected;
-        }
-        self.waiting.push(Ticket { id, cost_ns, desired: desired_threads, bypassed: 0 });
-        Admission::Queued(id)
+            Admission::Run(Grant { ticket: id, threads })
+        } else if self.waiting.len() >= self.queue_limit {
+            Admission::Rejected
+        } else {
+            self.waiting.push(Ticket { id, cost_ns, desired: desired_threads, bypassed: 0 });
+            Admission::Queued(id)
+        };
+        self.assert_dispatched();
+        admission
     }
 
-    /// Return a finished query's thread lease and dispatch as many waiting
-    /// queries as now fit (none while paused). The caller delivers the
-    /// returned grants to the corresponding waiters.
-    pub fn release(&mut self, threads: usize) -> Vec<Grant> {
+    /// Return `threads` of a lease and dispatch as many waiting queries
+    /// as now fit (none while paused).
+    pub fn release(&mut self, threads: usize) {
         self.in_use = self.in_use.saturating_sub(threads);
-        self.dispatch()
+        self.dispatch();
     }
 
-    /// Re-queue a query that already held a lease and gave it back — a
-    /// preempted elevator runner yielding between chunks, or a query that
-    /// released its lease while waiting on an in-flight pass. Unlike
-    /// [`Scheduler::submit`] this never rejects (the query is already
-    /// admitted — shedding it now would lose work) and ignores the pause
-    /// gate's queue-limit bookkeeping. The caller should follow up with
-    /// `release(0)` to dispatch if threads are free.
-    pub fn requeue(&mut self, cost_ns: f64, desired_threads: usize) -> u64 {
+    /// Return `held` threads (`0` when the lease was already released) and
+    /// put an admitted query back in line under a new ticket, then
+    /// dispatch — a preempted elevator runner yielding between chunks, or a
+    /// query re-acquiring after it waited out another runner's pass. Unlike
+    /// [`Scheduler::submit`] this never rejects: the query is already
+    /// admitted, and shedding it now would lose work. The returned ticket
+    /// may already be granted.
+    pub fn requeue(&mut self, held: usize, cost_ns: f64, desired_threads: usize) -> u64 {
         let id = self.next_id;
         self.next_id += 1;
+        self.in_use = self.in_use.saturating_sub(held);
         self.waiting.push(Ticket { id, cost_ns, desired: desired_threads, bypassed: 0 });
+        self.dispatch();
         id
+    }
+
+    /// Pick up the lease a dispatch granted to queued `ticket`, once.
+    pub fn take_grant(&mut self, ticket: u64) -> Option<usize> {
+        let pos = self.granted.iter().position(|g| g.ticket == ticket)?;
+        Some(self.granted.remove(pos).threads)
+    }
+
+    /// Pick up the oldest lease not yet picked up — for a caller that runs
+    /// its queued work itself, in dispatch order.
+    pub fn next_grant(&mut self) -> Option<Grant> {
+        (!self.granted.is_empty()).then(|| self.granted.remove(0))
     }
 
     /// The cheapest cost quote among waiting queries (`None` when nobody
@@ -146,10 +170,10 @@ impl Scheduler {
     }
 
     /// Reopen admission and dispatch the accumulated wave as far as the
-    /// budget allows. The caller delivers the grants.
-    pub fn resume(&mut self) -> Vec<Grant> {
+    /// budget allows.
+    pub fn resume(&mut self) {
         self.paused = false;
-        self.dispatch()
+        self.dispatch();
     }
 
     /// Whether admission is currently gated.
@@ -157,12 +181,8 @@ impl Scheduler {
         self.paused
     }
 
-    fn dispatch(&mut self) -> Vec<Grant> {
-        let mut grants = Vec::new();
-        if self.paused {
-            return grants;
-        }
-        while self.in_use < self.budget && !self.waiting.is_empty() {
+    fn dispatch(&mut self) {
+        while !self.paused && self.in_use < self.budget && !self.waiting.is_empty() {
             let pos = self.pick();
             let ticket = self.waiting.remove(pos);
             for w in &mut self.waiting {
@@ -171,9 +191,20 @@ impl Scheduler {
                 }
             }
             let threads = self.lease(ticket.desired);
-            grants.push(Grant { ticket: ticket.id, threads });
+            self.granted.push(Grant { ticket: ticket.id, threads });
         }
-        grants
+        self.assert_dispatched();
+    }
+
+    /// The dispatch invariant every public transition re-establishes.
+    fn assert_dispatched(&self) {
+        debug_assert!(
+            self.paused || self.waiting.is_empty() || self.in_use >= self.budget,
+            "unpaused with {} waiting and {}/{} threads leased",
+            self.waiting.len(),
+            self.in_use,
+            self.budget
+        );
     }
 
     /// Lease `desired` threads, clamped to `1..=` the remaining budget.
@@ -246,6 +277,20 @@ mod tests {
         }
     }
 
+    /// Every grant not yet picked up, in dispatch order.
+    fn granted(s: &mut Scheduler) -> Vec<Grant> {
+        std::iter::from_fn(|| s.next_grant()).collect()
+    }
+
+    /// Release `threads` and return the one ticket that dispatch granted.
+    fn release_one(s: &mut Scheduler, threads: usize) -> u64 {
+        s.release(threads);
+        match granted(s)[..] {
+            [g] => g.ticket,
+            ref other => panic!("expected one grant, got {other:?}"),
+        }
+    }
+
     #[test]
     fn immediate_admission_clamps_leases_to_the_remaining_budget() {
         let mut s = Scheduler::new(4, 8, 4);
@@ -254,11 +299,12 @@ mod tests {
         assert_eq!(s.in_use(), 4);
         assert_eq!(s.high_water(), 4);
         // Budget full: next submission queues.
-        let q = s.submit(1e3, 2);
-        assert!(matches!(q, Admission::Queued(_)), "{q:?}");
-        // Release 4, the waiter gets its 2.
-        let grants = s.release(4);
-        assert_eq!(grants, vec![Grant { ticket: queued_id(&q), threads: 2 }]);
+        let q = queued_id(&s.submit(1e3, 2));
+        assert_eq!(s.take_grant(q), None, "nothing freed yet");
+        // Release 4, the waiter gets its 2 — once.
+        s.release(4);
+        assert_eq!(s.take_grant(q), Some(2));
+        assert_eq!(s.take_grant(q), None);
         assert_eq!(s.in_use(), 2);
         // A newcomer can only lease the 2 remaining threads.
         assert_eq!(run_threads(&s.submit(1e9, 8)), 2);
@@ -273,9 +319,9 @@ mod tests {
         let fast = queued_id(&s.submit(1e3, 1));
         let medium = queued_id(&s.submit(1e6, 1));
         // Each release admits exactly one (budget 1): cheapest first.
-        assert_eq!(s.release(1)[0].ticket, fast);
-        assert_eq!(s.release(1)[0].ticket, medium);
-        assert_eq!(s.release(1)[0].ticket, slow);
+        assert_eq!(release_one(&mut s, 1), fast);
+        assert_eq!(release_one(&mut s, 1), medium);
+        assert_eq!(release_one(&mut s, 1), slow);
     }
 
     #[test]
@@ -286,13 +332,13 @@ mod tests {
         // A stream of cheap queries keeps arriving; without the bound the
         // expensive one would wait forever.
         let c1 = queued_id(&s.submit(1e3, 1));
-        assert_eq!(s.release(1)[0].ticket, c1, "bypass 1");
+        assert_eq!(release_one(&mut s, 1), c1, "bypass 1");
         let c2 = queued_id(&s.submit(1e3, 1));
-        assert_eq!(s.release(1)[0].ticket, c2, "bypass 2 - at the bound now");
+        assert_eq!(release_one(&mut s, 1), c2, "bypass 2 - at the bound now");
         let c3 = queued_id(&s.submit(1e3, 1));
-        let got = s.release(1)[0].ticket;
+        let got = release_one(&mut s, 1);
         assert_eq!(got, expensive, "urgent ticket must beat cheaper newcomer {c3}");
-        assert_eq!(s.release(1)[0].ticket, c3);
+        assert_eq!(release_one(&mut s, 1), c3);
     }
 
     #[test]
@@ -303,8 +349,10 @@ mod tests {
         let a = queued_id(&s.submit(1e3, 1));
         let b = queued_id(&s.submit(2e3, 1));
         assert_eq!(s.in_use(), 0, "free threads stay free while paused");
-        assert!(s.release(0).is_empty(), "releases dispatch nothing while paused");
-        let grants = s.resume();
+        s.release(0);
+        assert!(granted(&mut s).is_empty(), "releases dispatch nothing while paused");
+        s.resume();
+        let grants = granted(&mut s);
         assert_eq!(grants.len(), 2, "resume dispatches the whole wave");
         assert_eq!(grants[0].ticket, a, "cheapest first");
         assert_eq!(grants[1].ticket, b);
@@ -335,7 +383,8 @@ mod tests {
         let b = queued_id(&s.submit(2e3, 1));
         let c = queued_id(&s.submit(3e3, 4));
         // The big query finishes: all three waiters fit (1 + 1 + 2-clamped).
-        let grants = s.release(4);
+        s.release(4);
+        let grants = granted(&mut s);
         assert_eq!(grants.len(), 3);
         assert_eq!(grants[0], Grant { ticket: a, threads: 1 });
         assert_eq!(grants[1], Grant { ticket: b, threads: 1 });
@@ -350,15 +399,18 @@ mod tests {
         let _running = s.submit(1.0, 1);
         assert!(matches!(s.submit(1.0, 1), Admission::Queued(_)));
         assert_eq!(s.submit(1.0, 1), Admission::Rejected, "queue full for newcomers");
-        // A preempted runner must always get back in line, full queue or not.
-        let back = s.requeue(0.0, 1);
-        assert_eq!(s.waiting(), 2);
-        // With cost 0 it wins the next dispatch.
-        assert_eq!(s.release(1)[0].ticket, back);
-        // A requeue into a free budget is granted by the follow-up dispatch.
+        // A preempted runner must always get back in line, full queue or
+        // not; giving its thread back in the same call, at cost 0 it wins
+        // the dispatch that call makes.
+        let back = s.requeue(1, 0.0, 1);
+        assert_eq!(s.waiting(), 1);
+        assert_eq!(s.take_grant(back), Some(1));
+        // A requeue into a free budget is granted by the requeue itself —
+        // the transition that once left the dispatch to its caller.
         let mut s = Scheduler::new(1, 8, 4);
-        let id = s.requeue(5.0, 1);
-        assert_eq!(s.release(0), vec![Grant { ticket: id, threads: 1 }]);
+        let id = s.requeue(0, 5.0, 1);
+        assert_eq!(s.take_grant(id), Some(1));
+        assert_eq!(s.in_use(), 1);
     }
 
     #[test]
@@ -386,7 +438,8 @@ mod tests {
             }
             if i % 3 == 0 {
                 if let Some(t) = live.pop() {
-                    for g in s.release(t) {
+                    s.release(t);
+                    for g in granted(&mut s) {
                         live.push(g.threads);
                         pending -= 1;
                     }
@@ -395,7 +448,8 @@ mod tests {
             assert!(s.in_use() <= 3, "i={i}");
         }
         while let Some(t) = live.pop() {
-            for g in s.release(t) {
+            s.release(t);
+            for g in granted(&mut s) {
                 live.push(g.threads);
                 pending -= 1;
             }
@@ -404,5 +458,223 @@ mod tests {
         assert_eq!(s.in_use(), 0);
         assert!(s.high_water() <= 3);
         assert!(s.high_water() >= 1);
+    }
+
+    /// The scheduler explorer: every interleaving of a few modelled
+    /// sessions, driven through the real [`Scheduler`] the service uses.
+    /// Each session is a program over its lease, mirroring one path of
+    /// `QueryService::run_plan`; a *state* is the scheduler plus every
+    /// program counter, and the explorer visits each reachable state once.
+    mod explore {
+        use super::*;
+        use std::collections::HashSet;
+
+        #[derive(Debug, Clone, Copy, PartialEq)]
+        enum Role {
+            /// Runs, then releases.
+            Plain,
+            /// Claims a cooperative pass when granted, publishes it, then
+            /// releases.
+            Runner,
+            /// When granted while the runner's pass is in flight: hands its
+            /// lease back, waits for the publication, re-queues at cost 0,
+            /// and releases once re-granted.
+            Waiter,
+            /// An expensive chunked pass: at each of two boundaries it
+            /// yields its lease (one `requeue`) when a cheaper query waits.
+            Elevator,
+        }
+
+        #[derive(Debug, Clone, Copy, PartialEq)]
+        enum Pc {
+            Start,
+            /// Queued under this ticket: blocked until a dispatch grants it.
+            Queued(u64),
+            /// Holding a lease of this many threads.
+            Running(usize),
+            /// Lease handed back: blocked until the pass publishes.
+            AwaitPublish,
+            Done,
+        }
+
+        #[derive(Debug)]
+        struct World {
+            sched: Scheduler,
+            roles: Vec<Role>,
+            pcs: Vec<Pc>,
+            /// Per session, how far through its program it is.
+            steps: Vec<u8>,
+            claimed: bool,
+            published: bool,
+        }
+
+        impl World {
+            /// The state after `path`: actor `i < roles.len()` is session
+            /// `i`, actor `roles.len()` reopens gated admission.
+            fn replay(roles: &[Role], budget: usize, gated: bool, path: &[usize]) -> Self {
+                let mut w = World {
+                    sched: Scheduler::new(budget, 16, 2),
+                    roles: roles.to_vec(),
+                    pcs: vec![Pc::Start; roles.len()],
+                    steps: vec![0; roles.len()],
+                    claimed: false,
+                    published: false,
+                };
+                if gated {
+                    w.sched.pause();
+                }
+                for &i in path {
+                    w.step(i).expect("a replayed step was enabled");
+                }
+                w
+            }
+
+            /// Take actor `i`'s next step; the scheduler transition it made
+            /// (`None`: the actor is blocked or done).
+            fn step(&mut self, i: usize) -> Option<&'static str> {
+                if i == self.roles.len() {
+                    if !self.sched.paused() {
+                        return None;
+                    }
+                    self.sched.resume();
+                    return Some("resume");
+                }
+                let role = self.roles[i];
+                let (cost, desired) = if role == Role::Elevator { (1e9, 2) } else { (1e3, 1) };
+                match self.pcs[i] {
+                    Pc::Start => {
+                        self.pcs[i] = match self.sched.submit(cost, desired) {
+                            Admission::Run(g) => self.grant(i, g.threads),
+                            Admission::Queued(t) => Pc::Queued(t),
+                            Admission::Rejected => unreachable!("the queue limit is large"),
+                        };
+                        Some("submit")
+                    }
+                    Pc::Queued(t) => {
+                        let threads = self.sched.take_grant(t)?;
+                        self.pcs[i] = self.grant(i, threads);
+                        Some("take_grant")
+                    }
+                    Pc::AwaitPublish => {
+                        if !self.published {
+                            return None;
+                        }
+                        self.pcs[i] = Pc::Queued(self.sched.requeue(0, 0.0, 1));
+                        Some("requeue")
+                    }
+                    Pc::Running(threads) => {
+                        let at = self.steps[i];
+                        self.steps[i] += 1;
+                        match role {
+                            Role::Runner if at == 0 => {
+                                self.published = true;
+                                Some("publish")
+                            }
+                            Role::Waiter if at == 0 && self.claimed && !self.published => {
+                                self.sched.release(threads);
+                                self.pcs[i] = Pc::AwaitPublish;
+                                Some("release")
+                            }
+                            Role::Elevator if at < 2 => {
+                                let remaining = cost * f64::from(2 - at) / 2.0;
+                                if self.sched.paused()
+                                    || self
+                                        .sched
+                                        .cheapest_waiting_cost()
+                                        .is_none_or(|c| c >= remaining)
+                                {
+                                    return Some("boundary");
+                                }
+                                let ticket = self.sched.requeue(threads, remaining, desired);
+                                self.pcs[i] = Pc::Queued(ticket);
+                                Some("requeue")
+                            }
+                            _ => {
+                                self.sched.release(threads);
+                                self.pcs[i] = Pc::Done;
+                                Some("release")
+                            }
+                        }
+                    }
+                    Pc::Done => None,
+                }
+            }
+
+            /// A session starts running on a grant; a runner claims its pass.
+            fn grant(&mut self, i: usize, threads: usize) -> Pc {
+                if self.roles[i] == Role::Runner {
+                    self.claimed = true;
+                }
+                Pc::Running(threads)
+            }
+        }
+
+        /// Visit every state reachable from the start; panics on a state
+        /// where every unfinished session is blocked, on a transition that
+        /// leaves a free thread beside a waiting ticket, or on a finish
+        /// with threads still leased. Returns the number of states.
+        fn explore(roles: &[Role], budget: usize, gated: bool) -> usize {
+            let mut seen = HashSet::new();
+            let mut stack: Vec<(Vec<usize>, &str)> = vec![(Vec::new(), "start")];
+            while let Some((path, last)) = stack.pop() {
+                let w = World::replay(roles, budget, gated, &path);
+                if !seen.insert(format!("{w:?}")) {
+                    continue;
+                }
+                let s = &w.sched;
+                let ctx = || format!("{roles:?} budget {budget} gated {gated}, path {path:?}");
+                assert!(
+                    s.paused() || s.waiting() == 0 || s.in_use() == budget,
+                    "after `{last}`: {} waiting beside {}/{budget} leased threads; {}",
+                    s.waiting(),
+                    s.in_use(),
+                    ctx()
+                );
+                let mut moved = false;
+                for i in 0..=roles.len() {
+                    let mut next = World::replay(roles, budget, gated, &path);
+                    if let Some(transition) = next.step(i) {
+                        moved = true;
+                        let mut p = path.clone();
+                        p.push(i);
+                        stack.push((p, transition));
+                    }
+                }
+                if !moved {
+                    assert!(
+                        w.pcs.iter().all(|pc| *pc == Pc::Done),
+                        "every session blocked after `{last}`: {:?}; {}",
+                        w.pcs,
+                        ctx()
+                    );
+                    assert_eq!((s.in_use(), s.waiting()), (0, 0), "{}", ctx());
+                    assert!(s.high_water() <= budget, "{}", ctx());
+                }
+            }
+            seen.len()
+        }
+
+        #[test]
+        fn no_interleaving_blocks_every_session_or_strands_a_lease() {
+            use Role::*;
+            let casts: [&[Role]; 7] = [
+                &[Runner, Waiter],
+                &[Elevator, Plain],
+                &[Runner, Waiter, Plain],
+                &[Runner, Waiter, Waiter],
+                &[Runner, Waiter, Elevator],
+                &[Elevator, Plain, Plain],
+                &[Elevator, Elevator, Plain],
+            ];
+            let mut states = 0;
+            for roles in casts {
+                for budget in 1..=3 {
+                    for gated in [false, true] {
+                        states += explore(roles, budget, gated);
+                    }
+                }
+            }
+            assert!(states > 1_000, "the explorer visited {states} states");
+        }
     }
 }

@@ -11,16 +11,17 @@
 //!   its flight entry and share the leader's `Arc<Executed>` (tables are
 //!   immutable and execution deterministic, so the shared result is
 //!   bit-identical to running each copy).
-//! * **Chunked elevator passes** — a claimed cooperative pass with a
-//!   non-zero `chunk_rows` streams its column in chunks, absorbing newly
-//!   posted same-column wants at every boundary (riders wrap around for
-//!   the prefix they missed) and yielding its lease between chunks when a
-//!   cheaper query waits. Saved-scan accounting happens at *delivery*
-//!   time, so late attaches are counted and aborted passes are not.
+//! * **Elevator passes** — every claimed cooperative pass streams its
+//!   column in chunks of `chunk_rows` (one chunk when that is `0` or the
+//!   column fits), absorbing newly posted same-column wants at every
+//!   boundary (riders wrap around for the prefix they missed) and yielding
+//!   its lease between chunks when a cheaper query waits. Saved-scan
+//!   accounting happens at *delivery* time, so late attaches are counted
+//!   and aborted passes are not.
 
 use std::cell::Cell;
 use std::collections::HashMap;
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::Instant;
 
 use costmodel::access::AccessPath;
@@ -33,7 +34,7 @@ use engine::plan::{LogicalPlan, PlanNode};
 use engine::shared::{scan_requests, ColumnId, ScanRequest, ScanTicket, ShareKey};
 use memsim::{EventCounters, MachineConfig, NullTracker, SimTracker};
 use monet_core::scan::{par_select, select, RowSet, ScanCol, ScanPred};
-use monet_core::storage::{Oid, StorageError};
+use monet_core::storage::Oid;
 use obs::{
     DriftMonitor, DriftReport, LogHistogram, QueryTrace, TraceBuilder, TraceEvent, TraceSink,
 };
@@ -84,7 +85,7 @@ struct SessionHists {
     latency: LogHistogram,
     /// Admission-queue wait, milliseconds (executed queries only).
     queue_wait: LogHistogram,
-    /// Wall time of individual elevator chunk passes, milliseconds.
+    /// Wall time of individual cooperative-pass chunks, milliseconds.
     chunk: LogHistogram,
 }
 
@@ -106,8 +107,6 @@ struct Flight {
 
 struct Inner {
     sched: Scheduler,
-    /// Leases granted to queued tickets, awaiting pickup by their waiter.
-    grants: HashMap<u64, usize>,
     /// Pending/in-flight/published cooperative-scan state.
     board: ScanBoard,
     /// The bounded LRU result cache.
@@ -132,6 +131,10 @@ struct Inner {
     sessions: Vec<SessionMetrics>,
     /// Parallel to `sessions`: per-session latency histograms.
     hists: Vec<SessionHists>,
+    /// Test-only: holds a session at a [`tests::Hold`] point while it
+    /// says so.
+    #[cfg(test)]
+    hold: Option<fn(tests::Hold, &Inner) -> bool>,
 }
 
 /// Settle a leader's flight: on success store the shared result for the
@@ -163,7 +166,6 @@ impl QueryService {
             exec: ExecOptions::cost_model(cfg.machine).with_threads(Threads::Auto),
             state: Mutex::new(Inner {
                 sched: Scheduler::new(cfg.budget, cfg.queue_limit, cfg.starvation_bound),
-                grants: HashMap::new(),
                 board: ScanBoard::default(),
                 cache: ResultCache::new(cfg.cache_bytes),
                 flights: HashMap::new(),
@@ -184,6 +186,8 @@ impl QueryService {
                 cache_misses: 0,
                 sessions: Vec::new(),
                 hists: Vec::new(),
+                #[cfg(test)]
+                hold: None,
             }),
             cv: Condvar::new(),
             cfg,
@@ -222,11 +226,7 @@ impl QueryService {
     /// Reopen admission and dispatch the accumulated wave as far as the
     /// thread budget allows.
     pub fn resume_admission(&self) {
-        let mut st = self.state.lock().expect("service lock");
-        for grant in st.sched.resume() {
-            st.grants.insert(grant.ticket, grant.threads);
-        }
-        drop(st);
+        self.state.lock().expect("service lock").sched.resume();
         self.cv.notify_all();
     }
 
@@ -541,12 +541,9 @@ impl QueryService {
                 st.board.post(ticket, &requests);
                 st.queued += 1;
                 self.tpush(&mut tb, TraceEvent::Queued { depth: st.sched.waiting() });
-                loop {
-                    if let Some(threads) = st.grants.remove(&ticket) {
-                        break (ticket, threads, true);
-                    }
-                    st = self.cv.wait(st).expect("service lock");
-                }
+                let threads;
+                (st, threads) = self.await_grant(st, ticket);
+                (ticket, threads, true)
             }
         };
         self.tpush(&mut tb, TraceEvent::LeaseGranted { threads });
@@ -576,38 +573,36 @@ impl QueryService {
             ticket_lists.provide(leaf, cands);
         }
         // Run the claimed passes (under the lease) and publish their lists
-        // *before* waiting on anyone else's — every runner publishes first,
-        // so waits always resolve.
-        self.run_batches(session, &work.batches, &requests, &lease, &mut ticket_lists, &mut tb);
+        // before waiting on anyone else's. Two invariants make every such
+        // wait resolve: no session waits on a publication while holding
+        // threads (a runner publishes or aborts its own passes first, and a
+        // session blocked on another runner's pass hands its lease back
+        // below), and the scheduler dispatches on every transition (a
+        // ticket never waits beside a free thread while admission is open,
+        // so a runner that yielded mid-pass is granted as threads free).
+        for batch in &work.batches {
+            let req = &requests[batch.anchor];
+            self.run_elevator(session, batch, req, &lease, &mut ticket_lists, &mut tb);
+        }
         if !work.waits.is_empty() {
             let mut st = self.state.lock().expect("service lock");
             if work.waits.iter().any(|k| st.board.in_flight(k)) {
                 // Hand the lease back while blocked on another runner's
-                // publication: a preempted elevator can only resume on a
-                // grant, and grants only come from released threads —
-                // idling ours here could deadlock the pool (and wastes
-                // budget besides). Re-acquire at cost 0 once the lists
-                // arrive.
+                // publication — a preempted runner can only resume on
+                // released threads — and re-acquire at cost 0 once the
+                // lists arrive.
                 self.tpush(&mut tb, TraceEvent::Preempted { remaining_ms: 0.0 });
-                let held = lease.threads.get();
-                lease.threads.set(0);
-                for grant in st.sched.release(held) {
-                    st.grants.insert(grant.ticket, grant.threads);
-                }
+                let held = lease.threads.replace(0);
+                st.sched.release(held);
                 self.cv.notify_all();
                 while work.waits.iter().any(|k| st.board.in_flight(k)) {
                     st = self.cv.wait(st).expect("service lock");
                 }
-                let tkt = st.sched.requeue(0.0, held.max(1));
-                self.cv.notify_all();
-                let got = loop {
-                    if let Some(t) = st.grants.remove(&tkt) {
-                        break t;
-                    }
-                    st = self.cv.wait(st).expect("service lock");
-                };
-                lease.threads.set(got);
-                self.tpush(&mut tb, TraceEvent::LeaseGranted { threads: got });
+                #[cfg(test)]
+                {
+                    st = self.hold(st, tests::Hold::Requeue);
+                }
+                st = self.requeue(st, &lease, 0.0, held.max(1), &mut tb);
             }
             // Delivered lists land under this ticket; a leaf whose pass
             // aborted simply stays unprovided and is evaluated below.
@@ -719,158 +714,23 @@ impl QueryService {
         })
     }
 
-    /// The compressed representation a cooperative pass over `req`'s column
-    /// streams instead of the plain buffer: the column has one, and it can
-    /// evaluate every merged predicate directly.
-    fn packed_for<'p>(
-        req: &ScanRequest<'p>,
-        preds: &[ScanPred],
-    ) -> Option<&'p monet_core::CompressedColumn> {
-        req.compressed.filter(|cc| preds.iter().all(|p| cc.supports(p)))
-    }
-
-    /// Stream `rows` of a cooperative pass through the scan-select kernel:
-    /// under the simulator when tracing (returning its counters), natively
-    /// otherwise — sharded over `threads` when the whole column is
-    /// presented.
-    fn stream(
-        &self,
-        req: &ScanRequest<'_>,
-        cc: Option<&monet_core::CompressedColumn>,
-        preds: &[ScanPred],
-        rows: RowSet<'_>,
-        threads: usize,
-    ) -> (Result<Vec<Vec<Oid>>, StorageError>, Option<EventCounters>) {
-        let col = match cc {
-            Some(cc) => ScanCol::Packed(cc, req.seqbase),
-            None => ScanCol::Plain(req.bat),
-        };
-        if self.obs.is_some() {
-            let mut trk = SimTracker::for_machine(self.cfg.machine);
-            let lists = select(&mut trk, col, preds, rows);
-            return (lists, Some(trk.counters()));
-        }
-        let lists = match rows {
-            RowSet::All => par_select(col, preds, threads).map(|(lists, _)| lists),
-            rows => select(&mut NullTracker, col, preds, rows),
-        };
-        (lists, None)
-    }
-
-    /// Execute claimed cooperative passes. A pass whose column fits in one
-    /// chunk (or with chunking off) runs one-shot: a single [`select`]
-    /// stream (sharded over the lease when it is worth forking). A longer
-    /// pass under a non-zero chunk size runs as an *elevator*
-    /// ([`QueryService::run_elevator`]). Either way, when the anchored
-    /// column carries a compressed representation that supports every
-    /// merged predicate, the pass streams the compressed bytes instead — bit-identical lists,
-    /// fewer bytes on the bus. Each claim is guarded: if the pass fails —
-    /// or a panic unwinds out of the kernel — its keys are aborted back
-    /// off the in-flight set so waiters evaluate for themselves instead
-    /// of blocking forever (the board-side analogue of [`LeaseGuard`]).
-    fn run_batches(
-        &self,
-        session: usize,
-        batches: &[Batch],
-        requests: &[ScanRequest<'_>],
-        lease: &LeaseGuard<'_>,
-        ticket_lists: &mut ScanTicket,
-        tb: &mut Option<TraceBuilder>,
-    ) {
-        for batch in batches {
-            let req = &requests[batch.anchor];
-            let chunk =
-                if self.cfg.chunk_rows == 0 { batch.rows.max(1) } else { self.cfg.chunk_rows };
-            if chunk >= batch.rows {
-                self.run_one_shot(session, batch, req, lease.threads.get(), ticket_lists, tb);
-            } else {
-                self.run_elevator(session, batch, req, chunk, lease, ticket_lists, tb);
-            }
-            self.cv.notify_all();
-        }
-    }
-
-    /// One all-or-nothing cooperative pass: stream the whole column once,
-    /// publish every predicate's list, and account the saved scans from
-    /// what was *actually delivered* (claim-time wants plus waiters that
-    /// registered while the pass ran — counting only the former is how
-    /// `scans_saved` used to undercount).
-    fn run_one_shot(
-        &self,
-        session: usize,
-        batch: &Batch,
-        req: &ScanRequest<'_>,
-        threads: usize,
-        ticket_lists: &mut ScanTicket,
-        tb: &mut Option<TraceBuilder>,
-    ) {
-        let mut claim =
-            ClaimGuard { svc: self, keys: batch.preds.iter().map(|p| p.key).collect(), col: None };
-        let preds: Vec<ScanPred> = batch.preds.iter().map(|p| p.key.pred.kernel_pred()).collect();
-        let cc = Self::packed_for(req, &preds);
-        // Tracing streams the pass under the simulator (sequentially — the
-        // simulator counts a single stream) for deterministic counters;
-        // the lists are bit-identical to the parallel driver's.
-        let (lists, sim) = self.stream(req, cc, &preds, RowSet::All, threads);
-        // Err is unreachable for validated plans (the predicate types
-        // were checked against these very columns); the guard's Drop
-        // aborts the claims so waiters evaluate for themselves.
-        if let Ok(lists) = lists {
-            if let Some(counters) = sim {
-                self.observe_pass(stored(batch.rows, req.stride, cc), preds.len(), &counters);
-                self.tpush(
-                    tb,
-                    TraceEvent::ChunkDone {
-                        col: format!("{}.{}", req.table, req.column),
-                        lo: 0,
-                        hi: batch.rows,
-                        preds: preds.len(),
-                        sim: Some(counters),
-                    },
-                );
-            }
-            let lists: Vec<Cands> = lists.into_iter().map(Arc::new).collect();
-            for (p, cands) in batch.preds.iter().zip(&lists) {
-                for &leaf in &p.own_leaves {
-                    ticket_lists.provide(leaf, cands.clone());
-                }
-            }
-            let mut st = self.state.lock().expect("service lock");
-            let delivered = st.board.publish(batch, &lists);
-            let own_total: usize = batch.preds.iter().map(|p| p.own_leaves.len()).sum();
-            st.shared_scan_batches += 1;
-            st.scans_saved += (own_total + delivered).saturating_sub(1) as u64;
-            st.scan_rows += batch.rows as u64;
-            if let Some(cc) = cc {
-                let cb = (batch.rows as f64 * cc.bits_per_value() / 8.0).ceil() as u64;
-                let saved = (batch.rows as u64 * req.stride as u64).saturating_sub(cb);
-                st.compressed_bytes += cb;
-                st.bytes_saved += saved;
-                let sm = &mut st.sessions[session];
-                sm.compressed_bytes_streamed += cb;
-                sm.bytes_saved += saved;
-            }
-            st.sessions[session].runner_covered += own_total.saturating_sub(1) as u64;
-            drop(st);
-            claim.keys.clear();
-        }
-    }
-
-    /// One chunked elevator pass: stream the column chunk by chunk,
-    /// absorbing newly posted same-column wants at every boundary (late
-    /// riders wrap around for the prefix they missed), delivering each
-    /// rider the moment it has seen every row, and yielding the lease
-    /// between chunks when a cheaper query waits. Every rider's partial
-    /// lists, concatenated in ascending row order, are exactly the
-    /// one-shot kernel's output — chunking changes scheduling, never
-    /// results.
-    #[allow(clippy::too_many_arguments)] // one call site; the pass needs the whole claim context
+    /// One cooperative pass, streamed as an *elevator*: chunk by chunk
+    /// when `chunk_rows` is shorter than the column — absorbing newly posted
+    /// same-column wants at every boundary (late riders wrap around for the
+    /// prefix they missed) and yielding the lease between chunks when a
+    /// cheaper query waits — else as its one chunk, sharded over the lease.
+    /// Each rider is delivered the moment it has seen every row; its partial
+    /// lists, concatenated in row order, are exactly the unchunked kernel's
+    /// output. The pass streams the packed codes when they can evaluate
+    /// every merged predicate. The claim is guarded: if the pass fails — or
+    /// a panic unwinds out of the kernel — its keys are aborted back off the
+    /// in-flight set so waiters evaluate for themselves instead of blocking
+    /// forever (the board-side analogue of [`LeaseGuard`]).
     fn run_elevator(
         &self,
         session: usize,
         batch: &Batch,
         req: &ScanRequest<'_>,
-        chunk: usize,
         lease: &LeaseGuard<'_>,
         ticket_lists: &mut ScanTicket,
         tb: &mut Option<TraceBuilder>,
@@ -885,6 +745,11 @@ impl QueryService {
             parts: Vec<(usize, Vec<Oid>)>,
         }
         let rows = batch.rows;
+        let chunk = match self.cfg.chunk_rows {
+            0 => rows.max(1),
+            c => c,
+        };
+        let chunked = chunk < rows;
         let mut riders: Vec<Rider> = batch
             .preds
             .iter()
@@ -898,13 +763,15 @@ impl QueryService {
         let mut claim = ClaimGuard {
             svc: self,
             keys: riders.iter().map(|r| r.key).collect(),
-            col: Some(req.col),
+            col: chunked.then_some(req.col),
         };
         // Model price of one streamed row, for the preemption comparison.
         let ns_per_row = {
             let model = ModelMachine::new(&self.cfg.machine);
             scan_cost(&model, rows.max(1), req.stride.max(1)).total_ns() / rows.max(1) as f64
         };
+        #[cfg(test)]
+        drop(self.hold(self.state.lock().expect("service lock"), tests::Hold::Pass));
         let mut cursor = 0usize;
         let mut streamed = 0usize;
         let mut charged_stream = false;
@@ -912,14 +779,30 @@ impl QueryService {
             let lo = cursor;
             let hi = (cursor + chunk).min(rows);
             let preds: Vec<ScanPred> = riders.iter().map(|r| r.key.pred.kernel_pred()).collect();
-            let cc = Self::packed_for(req, &preds);
+            let cc = req.compressed.filter(|cc| preds.iter().all(|p| cc.supports(p)));
+            let col = match cc {
+                Some(cc) => ScanCol::Packed(cc, req.seqbase),
+                None => ScanCol::Plain(req.bat),
+            };
             // Stream the chunk without the service lock — under the
-            // simulator when tracing, so the ChunkDone event carries
-            // deterministic counters.
+            // simulator when tracing (sequentially: the simulator counts a
+            // single stream), so the ChunkDone event carries deterministic
+            // counters.
+            let span = if chunked { RowSet::Range(lo, hi) } else { RowSet::All };
             let chunk_started = Instant::now();
-            let (lists, sim) = self.stream(req, cc, &preds, RowSet::Range(lo, hi), 1);
+            let (lists, sim) = match (&self.obs, span) {
+                (Some(_), span) => {
+                    let mut trk = SimTracker::for_machine(self.cfg.machine);
+                    (select(&mut trk, col, &preds, span), Some(trk.counters()))
+                }
+                (None, RowSet::All) => {
+                    (par_select(col, &preds, lease.threads.get()).map(|(l, _)| l), None)
+                }
+                (None, span) => (select(&mut NullTracker, col, &preds, span), None),
+            };
             let chunk_ms = chunk_started.elapsed().as_secs_f64() * 1e3;
-            // Unreachable for validated plans; the guard aborts the
+            // Unreachable for validated plans (the predicate types were
+            // checked against these very columns); the guard aborts the
             // remaining claims (delivered riders stay delivered).
             let Ok(lists) = lists else { return };
             if let Some(counters) = sim {
@@ -954,14 +837,20 @@ impl QueryService {
                 sm.bytes_saved += saved;
             }
             cursor = if hi == rows { 0 } else { hi };
-            st.board.set_progress(req.col, cursor);
 
             // Absorb newly posted same-column wants *before* delivering:
             // a want whose predicate already rides (even one completing
             // right now) just registers for that rider's delivery — no
-            // extra streaming at all.
+            // extra streaming at all. A one-chunk pass has no boundary to
+            // attach at.
             let mut attached = 0usize;
-            for (key, wants) in st.board.take_pending_for_col(&req.col) {
+            let late = if chunked {
+                st.board.set_progress(req.col, cursor);
+                st.board.take_pending_for_col(&req.col)
+            } else {
+                Vec::new()
+            };
+            for (key, wants) in late {
                 st.elevator_attaches += wants.len() as u64;
                 attached += wants.len();
                 let joined = riders.iter().any(|r| r.key == key);
@@ -988,9 +877,9 @@ impl QueryService {
             }
 
             // Deliver riders that have now seen every row: their parts,
-            // sorted by chunk position, concatenate to the one-shot list
+            // sorted by chunk position, concatenate to the unchunked list
             // (each part's OIDs ascend and the parts' row ranges are
-            // disjoint).
+            // disjoint); a single part is the list itself.
             let (mut still, mut done) = (Vec::with_capacity(riders.len()), Vec::new());
             for r in riders {
                 if streamed - r.attach >= rows {
@@ -1003,12 +892,11 @@ impl QueryService {
             let (mut own_done, mut delivered_done) = (0usize, 0usize);
             for mut r in done {
                 r.parts.sort_by_key(|&(plo, _)| plo);
-                let total: usize = r.parts.iter().map(|(_, p)| p.len()).sum();
-                let mut cands = Vec::with_capacity(total);
-                for (_, mut p) in r.parts {
-                    cands.append(&mut p);
-                }
-                let cands: Cands = Arc::new(cands);
+                let cands: Cands = Arc::new(if r.parts.len() == 1 {
+                    r.parts.pop().expect("one part").1
+                } else {
+                    r.parts.into_iter().flat_map(|(_, p)| p).collect()
+                });
                 for &leaf in &r.own_leaves {
                     ticket_lists.provide(leaf, cands.clone());
                 }
@@ -1035,8 +923,9 @@ impl QueryService {
                 st.sessions[session].runner_covered += (own_done - charge) as u64;
             }
             if riders.is_empty() {
-                st.board.clear_progress(&req.col);
-                claim.col = None;
+                if let Some(col) = claim.col.take() {
+                    st.board.clear_progress(&col);
+                }
                 drop(st);
                 self.cv.notify_all();
                 break;
@@ -1051,28 +940,53 @@ impl QueryService {
             let remaining = riders.iter().map(|r| rows - (streamed - r.attach)).max().unwrap_or(0);
             let remaining_ns = remaining as f64 * ns_per_row;
             let mut st = self.state.lock().expect("service lock");
+            #[cfg(test)]
+            {
+                st = self.hold(st, tests::Hold::Boundary);
+            }
             if !st.sched.paused()
                 && st.sched.cheapest_waiting_cost().is_some_and(|c| c < remaining_ns)
             {
                 st.preemptions += 1;
                 self.tpush(tb, TraceEvent::Preempted { remaining_ms: remaining_ns / 1e6 });
-                let give = lease.threads.get();
-                let tkt = st.sched.requeue(remaining_ns, give.max(1));
-                for grant in st.sched.release(give) {
-                    st.grants.insert(grant.ticket, grant.threads);
-                }
-                self.cv.notify_all();
-                let got = loop {
-                    if let Some(t) = st.grants.remove(&tkt) {
-                        break t;
-                    }
-                    st = self.cv.wait(st).expect("service lock");
-                };
-                lease.threads.set(got);
-                self.tpush(tb, TraceEvent::LeaseGranted { threads: got });
+                let desired = lease.threads.get().max(1);
+                drop(self.requeue(st, lease, remaining_ns, desired, tb));
             }
-            drop(st);
         }
+    }
+
+    /// Block until the scheduler grants queued `ticket`, and pick its lease
+    /// up — the one place a session waits for threads.
+    fn await_grant<'s>(
+        &'s self,
+        mut st: MutexGuard<'s, Inner>,
+        ticket: u64,
+    ) -> (MutexGuard<'s, Inner>, usize) {
+        loop {
+            if let Some(threads) = st.sched.take_grant(ticket) {
+                return (st, threads);
+            }
+            st = self.cv.wait(st).expect("service lock");
+        }
+    }
+
+    /// Give `lease` back, get back in line at `cost_ns` for `desired`
+    /// threads, and block until re-granted; the new lease lands on `lease`.
+    fn requeue<'s>(
+        &'s self,
+        mut st: MutexGuard<'s, Inner>,
+        lease: &LeaseGuard<'_>,
+        cost_ns: f64,
+        desired: usize,
+        tb: &mut Option<TraceBuilder>,
+    ) -> MutexGuard<'s, Inner> {
+        let ticket = st.sched.requeue(lease.threads.replace(0), cost_ns, desired);
+        self.cv.notify_all();
+        let threads;
+        (st, threads) = self.await_grant(st, ticket);
+        lease.threads.set(threads);
+        self.tpush(tb, TraceEvent::LeaseGranted { threads });
+        st
     }
 }
 
@@ -1099,13 +1013,13 @@ impl Drop for FlightGuard<'_> {
 
 /// Aborts undelivered cooperative-scan claims on drop, so a pass that
 /// errors — or panics mid-kernel — never strands its keys in flight
-/// (which would block every later same-key query forever). The elevator
-/// variant also clears its column cursor.
+/// (which would block every later same-key query forever). A chunked pass
+/// also clears its column cursor.
 struct ClaimGuard<'s> {
     svc: &'s QueryService,
     /// Keys still owed a delivery; shrinks as riders complete.
     keys: Vec<ShareKey>,
-    /// The elevator's column cursor to clear, when one is live.
+    /// The chunked pass's column cursor to clear, when one is live.
     col: Option<ColumnId>,
 }
 
@@ -1142,9 +1056,7 @@ impl Drop for LeaseGuard<'_> {
         // poisoned it; the scheduler state is a plain counter machine that
         // stays consistent, so recover the guard rather than double-panic.
         let mut st = self.svc.state.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-        for grant in st.sched.release(self.threads.get()) {
-            st.grants.insert(grant.ticket, grant.threads);
-        }
+        st.sched.release(self.threads.get());
         self.svc.cv.notify_all();
     }
 }
@@ -1335,6 +1247,33 @@ mod tests {
     use engine::exec::execute;
     use engine::plan::{Agg, Pred, Query};
     use monet_core::storage::{ColType, DecomposedTable, TableBuilder, Value};
+
+    /// Test-only points where `Inner::hold` can force an interleaving.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    pub(super) enum Hold {
+        /// A runner about to stream its claimed pass.
+        Pass,
+        /// A session about to re-queue after waiting out another runner's pass.
+        Requeue,
+        /// An elevator at a chunk boundary, before its preemption test.
+        Boundary,
+    }
+
+    impl QueryService {
+        /// Hold the caller at `at` while the test's predicate says so. Polls as
+        /// well as waking on the condvar: not every transition notifies.
+        pub(super) fn hold<'s>(
+            &'s self,
+            mut st: MutexGuard<'s, Inner>,
+            at: Hold,
+        ) -> MutexGuard<'s, Inner> {
+            while st.hold.is_some_and(|holds| holds(at, &st)) {
+                let tick = std::time::Duration::from_millis(1);
+                st = self.cv.wait_timeout(st, tick).expect("service lock").0;
+            }
+            st
+        }
+    }
 
     fn item(n: usize) -> DecomposedTable {
         let mut b = TableBuilder::new("item", 0)
@@ -1909,6 +1848,105 @@ mod tests {
         }
         // Chunk latencies landed in the histogram-backed metric.
         assert!(traced.metrics().chunk_latency.count > 0);
+    }
+
+    /// Run `f` on a thread of its own and fail if it has not returned
+    /// within 10 s. A session parked on the condvar cannot be unwound, so a
+    /// hung run is left behind and reported instead of hanging the suite.
+    fn within_deadline(f: impl FnOnce() + Send + 'static) {
+        use std::sync::mpsc::{channel, RecvTimeoutError};
+        let (done, finished) = channel();
+        std::thread::spawn(move || {
+            f();
+            let _ = done.send(());
+        });
+        match finished.recv_timeout(std::time::Duration::from_secs(10)) {
+            Ok(()) => {}
+            Err(RecvTimeoutError::Timeout) => panic!("hung: no result within the 10 s deadline"),
+            Err(RecvTimeoutError::Disconnected) => panic!("the run panicked (see its output)"),
+        }
+    }
+
+    #[test]
+    fn a_lease_handed_back_is_regranted_after_the_runner_released() {
+        // Two same-plan sessions granted in one wave. The runner streams
+        // its claimed pass only once its peer found the pass in flight and
+        // handed its lease back; the peer re-queues only once every lease
+        // is back — so the re-queue lands on an idle budget, and must
+        // dispatch itself.
+        within_deadline(|| {
+            let t = item(5_000);
+            let plan = Query::scan(&t).filter(Pred::range_i32("qty", 3, 17)).build().unwrap();
+            let expect = execute(&mut NullTracker, &plan, &seq_opts()).unwrap();
+            let svc = QueryService::new(
+                ServiceConfig::new()
+                    .with_budget(2)
+                    .with_cache_bytes(0)
+                    .with_chunk_rows(0)
+                    .with_trace(obs::TraceMode::Ring),
+            );
+            svc.state.lock().unwrap().hold = Some(|at, st| match at {
+                Hold::Pass => st.sched.in_use() > 1,
+                Hold::Requeue => st.sched.in_use() > 0,
+                Hold::Boundary => false,
+            });
+            svc.pause_admission();
+            std::thread::scope(|s| {
+                let svc = &svc;
+                let runs: Vec<_> =
+                    (0..2).map(|_| s.spawn(|| svc.session().run(&plan).expect("runs"))).collect();
+                while svc.metrics().queued < 2 {
+                    std::thread::yield_now();
+                }
+                svc.resume_admission();
+                for r in runs {
+                    assert!(r.join().unwrap().output().bitwise_eq(&expect.output));
+                }
+            });
+            let m = svc.metrics();
+            assert_eq!((m.completed, m.threads_in_use), (2, 0), "{m:?}");
+            assert_counters_balance(&svc);
+            let handed_back = svc
+                .traces()
+                .iter()
+                .flat_map(|t| &t.events)
+                .filter(|e| matches!(e.event, TraceEvent::Preempted { remaining_ms } if remaining_ms == 0.0))
+                .count();
+            assert_eq!(handed_back, 1, "one session waited out the other's pass");
+        });
+    }
+
+    #[test]
+    fn a_preempted_elevator_is_regranted_after_the_cheaper_query() {
+        // The elevator reaches its first boundary only once a cheaper query
+        // waits, so it yields exactly once: one requeue that gives its
+        // thread back, and is granted again when the cheap query releases.
+        within_deadline(|| {
+            let t = item(50_000);
+            let small = item(500);
+            let big = Query::scan(&t).filter(Pred::range_i32("qty", 1, 40)).build().unwrap();
+            let tiny = Query::scan(&small).filter(Pred::range_i32("qty", 1, 5)).build().unwrap();
+            let svc = QueryService::new(
+                ServiceConfig::new().with_budget(1).with_cache_bytes(0).with_chunk_rows(1 << 10),
+            );
+            svc.state.lock().unwrap().hold = Some(|at, st| {
+                at == Hold::Boundary && st.preemptions == 0 && st.sched.waiting() == 0
+            });
+            std::thread::scope(|s| {
+                let svc = &svc;
+                let b = s.spawn(|| svc.session().run(&big).expect("big runs"));
+                while svc.metrics().admitted_immediately == 0 {
+                    std::thread::yield_now();
+                }
+                let c = s.spawn(|| svc.session().run(&tiny).expect("tiny runs"));
+                for (h, p) in [(b, &big), (c, &tiny)] {
+                    let e = execute(&mut NullTracker, p, &seq_opts()).unwrap();
+                    assert!(h.join().unwrap().output().bitwise_eq(&e.output));
+                }
+            });
+            let m = svc.metrics();
+            assert_eq!((m.preemptions, m.completed, m.threads_in_use), (1, 2, 0), "{m:?}");
+        });
     }
 
     #[test]

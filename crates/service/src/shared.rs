@@ -18,23 +18,23 @@
 //! and waiters fall back to scanning themselves — sharing changes *who*
 //! streams a column, never *what* a query computes.
 //!
-//! ## Chunked elevator passes
+//! ## Elevator passes
 //!
-//! With a non-zero chunk size (`MONET_SERVICE_CHUNK`) a claimed pass runs
-//! as an *elevator*: the runner streams the column in fixed-size chunks
-//! ([`monet_core::scan::select`] over one `RowSet::Range` each) and, at every
-//! chunk boundary, absorbs newly posted same-column wants as fresh
+//! A claimed pass runs as an *elevator*: the runner streams the column in
+//! chunks of the configured size (`MONET_SERVICE_CHUNK`;
+//! [`monet_core::scan::select`] over one `RowSet::Range` each) and, at
+//! every chunk boundary, absorbs newly posted same-column wants as fresh
 //! *riders* ([`ScanBoard::take_pending_for_col`]). A rider attaching
 //! mid-pass keeps riding past the end of the column — the cursor wraps to
 //! row zero and re-streams only the prefix the rider missed. Each rider's
 //! per-chunk partial lists, reassembled in ascending row order, are
-//! bit-identical to the one-shot kernel, so attach order can never change
+//! bit-identical to the unchunked kernel, so attach order can never change
 //! what a query computes. The per-column cursor is published on the board
 //! ([`ScanBoard::coverage`]) so admission quotes can price a mid-pass
 //! attach as marginal CPU plus only the wrap-around re-stream
-//! ([`costmodel::scan::Select::covered`]). A zero chunk size
-//! degenerates to the pre-elevator all-or-nothing pass: one chunk, no
-//! boundaries, no attaches.
+//! ([`costmodel::scan::Select::covered`]). When the chunk is the whole
+//! column — a zero chunk size, or a column that fits in one chunk — the
+//! same pass is one stream over all rows: no boundaries, no attaches.
 //!
 //! ## Result cache
 //!
@@ -312,9 +312,10 @@ impl ScanBoard {
         }
     }
 
-    /// Deliver one completed rider's list: every registered want receives
-    /// it and the in-flight mark clears. Returns the number of deliveries
-    /// to *other* tickets.
+    /// Deliver one completed rider's list: every registered want —
+    /// including waiters that joined after the claim — receives it and the
+    /// in-flight mark clears. Returns the number of deliveries to *other*
+    /// tickets.
     pub fn deliver(&mut self, key: &ShareKey, cands: &Cands) -> usize {
         let wants = self.in_flight.remove(key).unwrap_or_default();
         let delivered = wants.len();
@@ -322,13 +323,6 @@ impl ScanBoard {
             self.ready.entry(w.ticket).or_default().push((w.leaf, cands.clone()));
         }
         delivered
-    }
-
-    /// Publish a pass's lists: deliver to every registered want (including
-    /// waiters that joined after the claim) and clear the in-flight marks.
-    /// Returns the number of deliveries to *other* tickets.
-    pub fn publish(&mut self, batch: &Batch, lists: &[Cands]) -> usize {
-        batch.preds.iter().zip(lists).map(|(p, cands)| self.deliver(&p.key, cands)).sum()
     }
 
     /// Abort claimed keys: they return to pending so a future wave can
@@ -573,12 +567,12 @@ mod tests {
         assert!(work7.batches.is_empty());
         assert_eq!(work7.waits, vec![r2[0].key()]);
 
-        // Publish: both ticket 7 and the waiter 9 get their lists.
-        let lists: Vec<Cands> = batch
+        // Deliver: both ticket 7 and the waiter 9 get their lists.
+        let delivered: usize = batch
             .preds
             .iter()
             .map(|p| {
-                Arc::new(
+                let cands = Arc::new(
                     monet_core::scan::select(
                         &mut NullTracker,
                         monet_core::scan::ScanCol::Plain(r1[0].bat),
@@ -587,10 +581,10 @@ mod tests {
                     )
                     .unwrap()
                     .remove(0),
-                )
+                );
+                board.deliver(&p.key, &cands)
             })
-            .collect();
-        let delivered = board.publish(batch, &lists);
+            .sum();
         assert_eq!(delivered, 2, "one delivery each to tickets 7 and 9, no duplicates");
         assert!(!board.in_flight(&r2[0].key()));
         let got7 = board.take_ready(7);
