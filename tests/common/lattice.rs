@@ -25,13 +25,21 @@
 //! asserting that it did, for every axis drawn. `tests/lattice_prop.rs`
 //! draws the whole lattice; the other suites check slices of it, with some
 //! axes pinned ([`Lattice::pin`]) and one swept in full on every case.
+//!
+//! A service case runs under a watchdog: if its sessions have not returned
+//! within [`SERVICE_DEADLINE`], the case's context is printed and the test
+//! binary exits with a failure instead of parking forever.
 
 // Each suite draws its own slice of the lattice.
 #![allow(dead_code)]
 
 use std::collections::BTreeMap;
 use std::fmt;
+use std::io::{self, Write};
 use std::panic::{self, AssertUnwindSafe};
+use std::sync::mpsc::{self, RecvTimeoutError};
+use std::thread;
+use std::time::Duration;
 
 use monet_mem::core::index::IndexKind;
 use monet_mem::core::shard::ShardedTable;
@@ -505,6 +513,27 @@ fn run(
     }
 }
 
+/// How long a service case may take before its watchdog fails the run.
+pub const SERVICE_DEADLINE: Duration = Duration::from_secs(10);
+
+/// Arm a watchdog over one service case; dropping the returned sender
+/// disarms it. A session parked on the service's condvar cannot be
+/// unwound — the scope that spawned it would wait on it forever — so on
+/// the deadline the watchdog prints `context` and exits the process.
+fn watchdog(context: String) -> mpsc::Sender<()> {
+    let (disarm, armed) = mpsc::channel();
+    thread::spawn(move || {
+        if let Err(RecvTimeoutError::Timeout) = armed.recv_timeout(SERVICE_DEADLINE) {
+            // Straight to stderr: the harness would capture `eprintln!`, and
+            // its buffer is lost on exit.
+            let _ =
+                writeln!(io::stderr(), "{context}\n  hung: no result within {SERVICE_DEADLINE:?}");
+            std::process::exit(101);
+        }
+    });
+    disarm
+}
+
 /// Draw `cases` cases — tables, a plan, and the paths `paths` draws for
 /// them — and assert every output of every path equals the reference's
 /// bit for bit; then that every axis drawn dealt all its values.
@@ -521,12 +550,14 @@ pub fn check(l: &mut Lattice, cases: usize, mut paths: impl FnMut(&mut Lattice) 
                 item.seqbase(),
                 supplier.len(),
             );
+            let armed = matches!(path, Path::Service(_)).then(|| watchdog(context.clone()));
             let outs =
                 panic::catch_unwind(AssertUnwindSafe(|| run(&path, &plan, &item, &supplier)))
                     .unwrap_or_else(|e| {
                         eprintln!("{context}");
                         panic::resume_unwind(e)
                     });
+            drop(armed);
             for got in outs {
                 assert!(
                     got.bitwise_eq(&expect),
