@@ -131,8 +131,8 @@ struct Inner {
     sessions: Vec<SessionMetrics>,
     /// Parallel to `sessions`: per-session latency histograms.
     hists: Vec<SessionHists>,
-    /// Test-only: holds a session at a [`tests::Hold`] point while it
-    /// says so.
+    /// Test-only: holds a session at a `tests::Hold` point while it says
+    /// so.
     #[cfg(test)]
     hold: Option<fn(tests::Hold, &Inner) -> bool>,
 }
