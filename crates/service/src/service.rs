@@ -879,7 +879,8 @@ impl QueryService {
             // Deliver riders that have now seen every row: their parts,
             // sorted by chunk position, concatenate to the unchunked list
             // (each part's OIDs ascend and the parts' row ranges are
-            // disjoint); a single part is the list itself.
+            // disjoint), grown in place from the first part, so a one-chunk
+            // pass delivers its list without a copy.
             let (mut still, mut done) = (Vec::with_capacity(riders.len()), Vec::new());
             for r in riders {
                 if streamed - r.attach >= rows {
@@ -892,11 +893,14 @@ impl QueryService {
             let (mut own_done, mut delivered_done) = (0usize, 0usize);
             for mut r in done {
                 r.parts.sort_by_key(|&(plo, _)| plo);
-                let cands: Cands = Arc::new(if r.parts.len() == 1 {
-                    r.parts.pop().expect("one part").1
-                } else {
-                    r.parts.into_iter().flat_map(|(_, p)| p).collect()
-                });
+                let total: usize = r.parts.iter().map(|(_, p)| p.len()).sum();
+                let mut parts = r.parts.into_iter().map(|(_, p)| p);
+                let mut cands = parts.next().unwrap_or_default();
+                cands.reserve_exact(total - cands.len());
+                for mut p in parts {
+                    cands.append(&mut p);
+                }
+                let cands: Cands = Arc::new(cands);
                 for &leaf in &r.own_leaves {
                     ticket_lists.provide(leaf, cands.clone());
                 }
