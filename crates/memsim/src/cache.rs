@@ -1,5 +1,8 @@
 //! An N-way set-associative cache model with true LRU replacement.
 //!
+//! Each set keeps its ways in recency order, most recent first, so the LRU
+//! line is always the tail and a hit on the most recent line writes nothing.
+//!
 //! The model tracks *presence* only (tags), not contents — sufficient for
 //! counting hits and misses, which is all the paper's methodology needs.
 //! Writes are modelled as write-allocate (a write miss fetches the line),
@@ -19,11 +22,9 @@ pub struct SetAssocCache {
     line_shift: u32,
     set_mask: u64,
     assoc: usize,
-    /// `sets * assoc` tags, row-major by set.
+    /// `sets * assoc` tags, row-major by set; each set most recent first,
+    /// with its invalid ways (if any) at the tail.
     tags: Vec<u64>,
-    /// LRU stamp per way; larger = more recently used.
-    stamps: Vec<u64>,
-    clock: u64,
 }
 
 impl SetAssocCache {
@@ -36,8 +37,6 @@ impl SetAssocCache {
             set_mask: (sets as u64) - 1,
             assoc: cfg.assoc,
             tags: vec![INVALID; sets * cfg.assoc],
-            stamps: vec![0; sets * cfg.assoc],
-            clock: 0,
         }
     }
 
@@ -55,37 +54,20 @@ impl SetAssocCache {
     }
 
     /// Access one cache line (by line number). Returns `true` on hit.
-    /// On miss the LRU way of the set is replaced.
+    /// On miss the tail of the set (an invalid way, else the LRU line) is
+    /// replaced. Either way the line moves to the front of its set.
     #[inline]
     pub fn access_line(&mut self, line: u64) -> bool {
-        self.clock += 1;
-        let set = (line & self.set_mask) as usize;
-        let base = set * self.assoc;
+        let base = (line & self.set_mask) as usize * self.assoc;
         let ways = &mut self.tags[base..base + self.assoc];
-        // Hit path: linear scan; assoc is small (1–16).
-        for (i, tag) in ways.iter().enumerate() {
-            if *tag == line {
-                self.stamps[base + i] = self.clock;
-                return true;
-            }
+        if ways[0] == line {
+            return true;
         }
-        // Miss: evict LRU way.
-        let mut victim = 0;
-        let mut oldest = u64::MAX;
-        for i in 0..self.assoc {
-            let s = self.stamps[base + i];
-            if self.tags[base + i] == INVALID {
-                victim = i;
-                break;
-            }
-            if s < oldest {
-                oldest = s;
-                victim = i;
-            }
-        }
-        self.tags[base + victim] = line;
-        self.stamps[base + victim] = self.clock;
-        false
+        // Linear scan; assoc is small (1–16).
+        let hit = ways.iter().position(|&tag| tag == line);
+        ways.copy_within(..hit.unwrap_or(self.assoc - 1), 1);
+        ways[0] = line;
+        hit.is_some()
     }
 
     /// Convenience: access by byte address (single line — the caller is
@@ -107,8 +89,6 @@ impl SetAssocCache {
     /// memory but not in any cache" starting condition).
     pub fn invalidate(&mut self) {
         self.tags.fill(INVALID);
-        self.stamps.fill(0);
-        self.clock = 0;
     }
 }
 

@@ -26,10 +26,12 @@
 //! * [`config`] — cache/TLB geometry, latencies, per-operation work costs.
 //! * [`profiles`] — the four machines of the paper's Figure 3 plus a modern
 //!   profile.
-//! * [`cache`] — an N-way set-associative cache with true LRU replacement.
+//! * [`cache`] — an N-way set-associative cache with true LRU replacement,
+//!   each set kept in recency order.
 //! * [`tlb`] — a fully associative LRU TLB.
 //! * [`system`] — [`MemorySystem`]: composes TLB + L1 + L2, accumulates
-//!   [`EventCounters`] and simulated nanoseconds.
+//!   [`EventCounters`] and simulated nanoseconds; a repeat of the last line
+//!   touched costs one counter increment.
 //! * [`tracker`] — the [`MemTracker`] abstraction that lets a *single*
 //!   algorithm implementation run either natively (zero overhead,
 //!   [`NullTracker`]) or under simulation ([`SimTracker`]).

@@ -35,7 +35,13 @@ pub struct MemorySystem {
     tlb: Tlb,
     vm: Option<VmState>,
     counters: EventCounters,
+    /// The line `touch_line` saw last; `NO_LINE` when none has been since
+    /// construction or `invalidate_caches`.
+    last_line: u64,
 }
+
+/// "No line touched yet". Line addresses are line-aligned, so never this.
+const NO_LINE: u64 = u64::MAX;
 
 /// Resident-page set with true LRU replacement (the §4 virtual-memory
 /// level). Residency is consulted on TLB misses only — a TLB-mapped page is
@@ -102,6 +108,7 @@ impl MemorySystem {
             tlb: Tlb::new(cfg.tlb),
             vm: cfg.vm.map(VmState::new),
             counters: EventCounters::default(),
+            last_line: NO_LINE,
         }
     }
 
@@ -115,13 +122,23 @@ impl MemorySystem {
     ///
     /// The access is split at L1-line boundaries (or L2-line boundaries when
     /// the machine has no L1); each line goes through TLB → L1 → L2 and the
-    /// clock advances by the paper's per-miss latencies.
+    /// clock advances by the paper's per-miss latencies. A zero-length access
+    /// counts as a read or write and touches no line.
+    ///
+    /// A line equal to the one touched just before only counts a line
+    /// access. That is exact: the previous touch left the line resident in
+    /// the first cache level and most recent in its set, so it would hit
+    /// there without changing the set's order, and it left the line's page
+    /// as the TLB's last page, which hits without any LRU bookkeeping (a
+    /// VM shootdown only ever unmaps a page other than the one faulted in).
     #[inline]
     pub fn touch(&mut self, addr: u64, len: usize, kind: Access) {
-        debug_assert!(len > 0, "zero-length access");
         match kind {
             Access::Read => self.counters.reads += 1,
             Access::Write => self.counters.writes += 1,
+        }
+        if len == 0 {
+            return;
         }
         let line_size = self.cfg.l1_line() as u64;
         let first = addr & !(line_size - 1);
@@ -139,6 +156,10 @@ impl MemorySystem {
     #[inline]
     fn touch_line(&mut self, addr: u64) {
         self.counters.line_accesses += 1;
+        if addr == self.last_line {
+            return;
+        }
+        self.last_line = addr;
         let lat = self.cfg.lat;
         if !self.tlb.access(addr) {
             self.counters.tlb_misses += 1;
@@ -216,6 +237,7 @@ impl MemorySystem {
         if let Some(vm) = self.vm.as_mut() {
             vm.invalidate();
         }
+        self.last_line = NO_LINE;
     }
 
     /// Convenience: run `f` and return the counter delta it produced.
@@ -360,6 +382,16 @@ mod tests {
         }
         assert_eq!(sys.counters().page_faults, 0);
         assert_eq!(sys.counters().stall_fault_ns, 0.0);
+    }
+
+    #[test]
+    fn zero_length_touch_counts_the_access_and_no_line() {
+        let mut sys = MemorySystem::new(profiles::origin2000());
+        sys.touch(0, 0, Access::Read); // line-aligned: once looped over 2^64
+        sys.touch(100, 0, Access::Write);
+        let c = sys.counters();
+        assert_eq!((c.reads, c.writes), (1, 1));
+        assert_eq!((c.line_accesses, c.l1_misses, c.tlb_misses), (0, 0, 0));
     }
 
     #[test]

@@ -21,6 +21,9 @@ pub struct Tlb {
     clock: u64,
     /// Fast path for the common sequential-access case.
     last_page: u64,
+    /// Direct-mapped page → slot hint; trusted only while `pages[slot]`
+    /// still holds the page, so stale entries need no invalidation.
+    hint: Vec<u32>,
 }
 
 impl Tlb {
@@ -33,6 +36,7 @@ impl Tlb {
             stamps: vec![0; cfg.entries],
             clock: 0,
             last_page: INVALID,
+            hint: vec![0; (4 * cfg.entries).next_power_of_two()],
         }
     }
 
@@ -60,30 +64,22 @@ impl Tlb {
             return true;
         }
         self.clock += 1;
-        for i in 0..self.pages.len() {
-            if self.pages[i] == page {
-                self.stamps[i] = self.clock;
-                self.last_page = page;
-                return true;
-            }
-        }
-        // Miss: replace LRU (or first invalid) entry.
-        let mut victim = 0;
-        let mut oldest = u64::MAX;
-        for i in 0..self.pages.len() {
-            if self.pages[i] == INVALID {
-                victim = i;
-                break;
-            }
-            if self.stamps[i] < oldest {
-                oldest = self.stamps[i];
-                victim = i;
-            }
-        }
-        self.pages[victim] = page;
-        self.stamps[victim] = self.clock;
+        let h = page as usize & (self.hint.len() - 1);
+        let slot = self.hint[h] as usize;
+        let found = if self.pages[slot] == page {
+            Some(slot)
+        } else {
+            self.pages.iter().position(|&p| p == page)
+        };
+        // A miss refills the least recent slot. Only an invalid slot has
+        // stamp 0, so the first invalid slot goes first.
+        let slot = found
+            .unwrap_or_else(|| (0..self.pages.len()).min_by_key(|&i| self.stamps[i]).unwrap_or(0));
+        self.pages[slot] = page;
+        self.stamps[slot] = self.clock;
+        self.hint[h] = slot as u32;
         self.last_page = page;
-        false
+        found.is_some()
     }
 
     /// Whether a page is resident (no side effects).
