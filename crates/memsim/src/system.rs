@@ -103,9 +103,13 @@ impl MemorySystem {
     pub fn new(cfg: MachineConfig) -> Self {
         Self {
             cfg,
+            // Built before the caches. The sizes and order of these
+            // allocations move where the caller's later buffers land, and so
+            // the misses they simulate: `tests/determinism.rs` bounds that
+            // drift between two identical runs.
+            tlb: Tlb::new(cfg.tlb),
             l1: cfg.l1.map(SetAssocCache::new),
             l2: SetAssocCache::new(cfg.l2),
-            tlb: Tlb::new(cfg.tlb),
             vm: cfg.vm.map(VmState::new),
             counters: EventCounters::default(),
             last_line: NO_LINE,
