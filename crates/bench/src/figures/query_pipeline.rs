@@ -99,45 +99,60 @@ pub fn run(opts: &RunOpts) {
         let scanned = execute(&mut NullTracker, plan, &scan_opts).unwrap();
         assert_eq!(scanned.output, native.output, "access paths must not change results");
 
-        // Parallel native execution (`--threads N|auto`): the per-operator
-        // thread counts land in the report, and the rows must be
-        // bit-identical to the sequential run.
-        if opts.threads != ThreadsOpt::Seq {
+        // Parallel execution (`--threads N|auto`), native and under the
+        // simulator: the per-operator thread counts land in the report, the
+        // rows must be bit-identical to the sequential run, and each
+        // operator's simulated work — the sum of its workers' — is printed
+        // beside the one-thread figures.
+        let parallel = (opts.threads != ThreadsOpt::Seq).then(|| {
             let popts = base_opts(machine).with_threads(opts.threads.exec_threads());
             let parallel = execute(&mut NullTracker, plan, &popts).unwrap();
-            assert_eq!(
-                parallel.output, native.output,
+            assert!(
+                parallel.output.bitwise_eq(&native.output),
                 "parallel execution must match sequential bit for bit"
             );
             println!("native parallel run ({:?}):", opts.threads);
             println!("{}", parallel.report);
-        }
-
-        let mut t = TextTable::new(
-            format!("{name}: per-operator simulated cost (origin2k)"),
-            &["operator", "rows in", "rows out", "ms", "L1 miss", "L2 miss", "TLB miss"],
-        );
-        for op in &executed.report.ops {
-            let (ms, l1, l2, tlb) = op.counters.as_ref().map_or(
-                ("-".to_owned(), "-".to_owned(), "-".to_owned(), "-".to_owned()),
-                |c| {
-                    (
-                        fmt_ms(c.elapsed_ms()),
-                        fmt_count(c.l1_misses as f64),
-                        fmt_count(c.l2_misses as f64),
-                        fmt_count(c.tlb_misses as f64),
-                    )
-                },
+            let mut trk = SimTracker::for_machine(machine);
+            let traced = execute(&mut trk, plan, &popts).unwrap();
+            assert!(
+                traced.output.bitwise_eq(&native.output),
+                "traced parallel execution must match sequential bit for bit"
             );
-            t.row(vec![
-                op.op.clone(),
-                fmt_card(op.rows_in),
-                fmt_card(op.rows_out),
-                ms,
-                l1,
-                l2,
-                tlb,
-            ]);
+            assert_eq!(traced.report.ops.len(), executed.report.ops.len());
+            traced
+        });
+
+        let at = match opts.threads {
+            ThreadsOpt::Fixed(n) => n.to_string(),
+            _ => "auto".to_owned(),
+        };
+        let (par_ms, par_l2) = (format!("ms @{at}"), format!("L2 miss @{at}"));
+        let mut headers =
+            vec!["operator", "rows in", "rows out", "ms", "L1 miss", "L2 miss", "TLB miss"];
+        if parallel.is_some() {
+            headers.extend([par_ms.as_str(), par_l2.as_str()]);
+        }
+        let mut t =
+            TextTable::new(format!("{name}: per-operator simulated cost (origin2k)"), &headers);
+        let cells = |c: Option<&memsim::EventCounters>| {
+            c.map_or(["-".to_owned(), "-".to_owned(), "-".to_owned(), "-".to_owned()], |c| {
+                [
+                    fmt_ms(c.elapsed_ms()),
+                    fmt_count(c.l1_misses as f64),
+                    fmt_count(c.l2_misses as f64),
+                    fmt_count(c.tlb_misses as f64),
+                ]
+            })
+        };
+        for (i, op) in executed.report.ops.iter().enumerate() {
+            let mut row = vec![op.op.clone(), fmt_card(op.rows_in), fmt_card(op.rows_out)];
+            row.extend(cells(op.counters.as_ref()));
+            if let Some(p) = &parallel {
+                let [ms, _, l2, _] = cells(p.report.ops[i].counters.as_ref());
+                row.extend([ms, l2]);
+            }
+            t.row(row);
         }
         super::emit(opts, &t);
 

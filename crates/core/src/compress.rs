@@ -872,7 +872,9 @@ mod tests {
                 select(&mut NullTracker, ScanCol::Packed(&cc, 500), &preds, RowSet::All).unwrap();
             assert_eq!(got, expect, "{:?}", cc.encoding());
             for threads in [1usize, 2, 4, 7, 64] {
-                let (par, counts) = par_select(ScanCol::Packed(&cc, 500), &preds, threads).unwrap();
+                let (par, counts) =
+                    par_select(&mut NullTracker, ScanCol::Packed(&cc, 500), &preds, threads)
+                        .unwrap();
                 assert_eq!(par, expect, "{:?} threads={threads}", cc.encoding());
                 assert_eq!(
                     counts.iter().sum::<usize>(),
@@ -958,7 +960,8 @@ mod tests {
             let got =
                 select(&mut NullTracker, ScanCol::Packed(&cc, 10), &preds, RowSet::All).unwrap();
             assert_eq!(got, expect, "code {code}");
-            let (par, _) = par_select(ScanCol::Packed(&cc, 10), &preds, 4).unwrap();
+            let (par, _) =
+                par_select(&mut NullTracker, ScanCol::Packed(&cc, 10), &preds, 4).unwrap();
             assert_eq!(par, expect);
         }
     }
@@ -1124,7 +1127,8 @@ mod tests {
         let err = select(&mut NullTracker, col, &[ScanPred::EqCode { code: 0 }], RowSet::All)
             .unwrap_err();
         assert!(matches!(err, StorageError::TypeMismatch { .. }), "{err:?}");
-        let err = par_select(col, &[ScanPred::RangeF64 { lo: 0.0, hi: 1.0 }], 2).unwrap_err();
+        let err = par_select(&mut NullTracker, col, &[ScanPred::RangeF64 { lo: 0.0, hi: 1.0 }], 2)
+            .unwrap_err();
         assert!(matches!(err, StorageError::TypeMismatch { .. }), "{err:?}");
     }
 

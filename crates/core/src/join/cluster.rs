@@ -96,7 +96,7 @@ fn check_passes(bits: u32, pass_bits: &[u32]) {
 /// `pass_bits[p]` is `B_p`; use [`crate::strategy::plan_passes`] for the
 /// paper's TLB-limited even split. With `pass_bits = [bits]` this *is* the
 /// straightforward algorithm of Figure 5. Every worker gets at least two
-/// tuples, and an enabled tracker always runs on one thread.
+/// tuples.
 ///
 /// # Panics
 /// Panics, at every thread count, if the pass layout is inconsistent

@@ -55,12 +55,14 @@ use radix::Pass;
 /// (see the module docs). `SimpleHash` ignores the plan's bits, and so does
 /// `SortMerge`, which runs [`sort_merge_join`].
 ///
-/// The output is the same at every thread count. An enabled tracker always
-/// runs on one thread, so simulated charges do not depend on `threads`.
-/// The second result holds each cluster-pair worker's pair count
-/// (thread-major, summing to the pair count) when `threads > 1` asked a
-/// partitioned algorithm to fan out, even if the clusters or the tracker
-/// left it one worker; otherwise `None`.
+/// The output is the same at every thread count. The simulated charges are
+/// not: every worker charges a cold hierarchy of its own (see
+/// [`crate::scan::fan_out`]), so they match across runs at each thread
+/// count, and match those of the one-thread forms below only at
+/// `threads = 1`. The second result holds each cluster-pair worker's pair
+/// count (thread-major, summing to the pair count) when `threads > 1` asked
+/// a partitioned algorithm to fan out, even if the clusters left it one
+/// worker; otherwise `None`.
 pub fn join<M: MemTracker, H: KeyHash>(
     trk: &mut M,
     h: H,
@@ -109,65 +111,6 @@ pub fn radix_join<M: MemTracker, H: KeyHash>(
 ) -> Vec<OidPair> {
     let plan = JoinPlan { algorithm: Algorithm::Radix, bits, pass_bits: pass_bits.to_vec() };
     join(trk, h, left, right, &plan, 1).0
-}
-
-/// A worker's tracker in [`fan_out`]: the caller's on the one inline
-/// worker, a no-op on spawned ones (which only an untracked run spawns).
-enum Lane<'a, M> {
-    Inline(&'a mut M),
-    Spawned,
-}
-
-impl<M: MemTracker> MemTracker for Lane<'_, M> {
-    const ENABLED: bool = M::ENABLED;
-
-    #[inline(always)]
-    fn read(&mut self, addr: usize, len: usize) {
-        if let Lane::Inline(trk) = self {
-            trk.read(addr, len);
-        }
-    }
-
-    #[inline(always)]
-    fn write(&mut self, addr: usize, len: usize) {
-        if let Lane::Inline(trk) = self {
-            trk.write(addr, len);
-        }
-    }
-
-    #[inline(always)]
-    fn work(&mut self, w: Work, count: u64) {
-        if let Lane::Inline(trk) = self {
-            trk.work(w, count);
-        }
-    }
-
-    #[inline(always)]
-    fn cpu_ns(&mut self, ns: f64) {
-        if let Lane::Inline(trk) = self {
-            trk.cpu_ns(ns);
-        }
-    }
-}
-
-/// Run `job` once per part, each on a scoped thread of its own, and return
-/// the results in part order. A single part runs inline on `trk`; several
-/// are only ever handed over by an untracked run.
-fn fan_out<M: MemTracker, P: Send, T: Send>(
-    trk: &mut M,
-    mut parts: Vec<P>,
-    job: impl Fn(&mut Lane<'_, M>, P) -> T + Sync,
-) -> Vec<T> {
-    if parts.len() == 1 {
-        return vec![job(&mut Lane::Inline(trk), parts.pop().unwrap())];
-    }
-    assert!(!M::ENABLED, "an enabled tracker runs on one thread");
-    let job = &job;
-    std::thread::scope(|s| {
-        let workers: Vec<_> =
-            parts.into_iter().map(|p| s.spawn(move || job(&mut Lane::Spawned, p))).collect();
-        workers.into_iter().map(|w| w.join().expect("join worker panicked")).collect()
-    })
 }
 
 /// One 8-byte BUN: `\[OID, value\]`, the unit of all join experiments.

@@ -34,7 +34,8 @@ use memsim::{MemTracker, Work};
 use super::cluster::ClusteredRel;
 use super::hash::KeyHash;
 use super::hashtable::{ChainedTable, DEFAULT_TUPLES_PER_BUCKET};
-use super::{fan_out, Bun, OidPair};
+use super::{Bun, OidPair};
+use crate::scan::fan_out;
 
 /// A relation's tuples in radix order and its `2^B + 1` cluster bounds.
 pub(super) type Clusters<'a> = (&'a [Bun], &'a [u32]);
@@ -49,8 +50,8 @@ pub(super) enum Kernel {
 }
 
 /// Join every non-empty cluster pair of `left` and `right` with `kernel` on
-/// `threads` threads (at most one per cluster; one under an enabled
-/// tracker). Returns the pairs and each worker's pair count.
+/// `threads` threads (at most one per cluster). Returns the pairs and each
+/// worker's pair count.
 ///
 /// # Panics
 /// Panics if the operands were clustered on different bit counts.
@@ -64,7 +65,7 @@ pub(super) fn join_pairs<M: MemTracker, H: KeyHash>(
 ) -> (Vec<OidPair>, Vec<usize>) {
     assert_eq!(left.1.len(), right.1.len(), "operands must share the radix bit count");
     let ncl = left.1.len() - 1;
-    let threads = if M::ENABLED { 1 } else { threads.min(ncl).max(1) };
+    let threads = threads.min(ncl).max(1);
     let block = ncl.div_ceil(threads);
     let blocks = (0..threads).map(|t| (t * block).min(ncl)..((t + 1) * block).min(ncl)).collect();
     let parts = fan_out(trk, blocks, |trk, cs| join_block(trk, h, kernel, left, right, cs));

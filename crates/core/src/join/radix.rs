@@ -24,7 +24,7 @@ use std::ops::Range;
 
 use memsim::{MemTracker, Work};
 
-use super::fan_out;
+use crate::scan::fan_out;
 
 /// One stable counting-scatter pass; see the module docs.
 #[derive(Clone, Copy)]
@@ -45,7 +45,7 @@ impl<D> Pass<D> {
     /// Scatter `src`, cut into the ranges `sources[s]..sources[s + 1]`, into
     /// `dst` on `threads` threads, and return the bucket bounds: bucket `b`
     /// occupies `dst[bounds[b]..bounds[b + 1] - gap]`. Every worker gets at
-    /// least two elements, and an enabled tracker always runs on one thread.
+    /// least two elements.
     ///
     /// Per element, an enabled tracker is charged a read of it and a write
     /// of its counter when counting, and a read of it, a write of its
@@ -73,7 +73,7 @@ impl<D> Pass<D> {
         assert!(sources[0] == 0 && sources[ranges] as usize == n, "sources must cover src");
         assert_eq!(dst.len(), n + ranges * self.fan * self.gap, "one gap per bucket");
         assert!(dst.len() <= u32::MAX as usize, "destination exceeds u32 positions");
-        let threads = if M::ENABLED { 1 } else { threads.min(n / 2).max(1) };
+        let threads = threads.min(n / 2).max(1);
         let rows: Vec<Range<usize>> = if ranges == 1 {
             let chunk = n.div_ceil(threads);
             (0..threads).map(|t| (t * chunk).min(n)..((t + 1) * chunk).min(n)).collect()

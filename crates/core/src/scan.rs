@@ -31,9 +31,10 @@
 //! candidates' values — with no knob, threshold or fallback beside it.
 //!
 //! [`par_select`] is the parallel driver: `All` splits into block-aligned
-//! contiguous `Range`s, each worker calls the same kernel over its chunk,
-//! and per-predicate lists merge thread-major — the same determinism
-//! discipline as every other parallel kernel in this workspace. It also
+//! contiguous `Range`s, each worker calls the same kernel over its chunk
+//! on its own tracker ([`fan_out`], the one parallel driver of the
+//! workspace), and per-predicate lists merge thread-major — the same
+//! determinism discipline as every other parallel kernel. It also
 //! returns per-thread match totals, feeding the sharded `rows_per_thread`
 //! accounting of execution reports.
 //!
@@ -50,7 +51,7 @@
 //! only, and a restricted pass over either layout is `k` touches
 //! `bits/8 · rows/k` bytes apart.
 
-use memsim::{track_read, MemTracker, NullTracker, Work};
+use memsim::{track_read, MemTracker, Work};
 
 use crate::compress::{CompressedColumn, FRAME_LEN};
 use crate::storage::{Bat, Codes, Column, Head, Oid, StorageError, ValueType};
@@ -456,24 +457,25 @@ pub fn select<M: MemTracker>(
     Ok(scan(trk, col, seqbase, preds, Rows::of(rows, seqbase, col.len())))
 }
 
-/// Parallel [`select`] over [`RowSet::All`] (native-only; no tracker):
-/// block-aligned contiguous chunks, per-predicate thread-major merge —
+/// Parallel [`select`] over [`RowSet::All`]: block-aligned contiguous
+/// chunks through [`fan_out`], per-predicate thread-major merge —
 /// bit-identical to the sequential kernel at every thread count. Also
 /// returns each worker's total match count summed across the K predicates
 /// (the sharded `rows_per_thread` accounting).
-pub fn par_select(
+pub fn par_select<M: MemTracker>(
+    trk: &mut M,
     col: ScanCol<'_>,
     preds: &[ScanPred],
     threads: usize,
 ) -> Result<(Vec<Vec<Oid>>, Vec<usize>), StorageError> {
     let seqbase = check(col, preds)?;
     let (n, block) = (col.len(), col.block_rows());
-    let parts = fan_out(n.div_ceil(block), threads, |lo, hi| {
-        scan(&mut NullTracker, col, seqbase, preds, Rows::Span(lo * block, (hi * block).min(n)))
+    let parts = fan_out(trk, chunks(n.div_ceil(block), threads), |trk, (lo, hi)| {
+        scan(trk, col, seqbase, preds, Rows::Span(lo * block, (hi * block).min(n)))
     });
     let counts = parts.iter().map(|p| p.iter().map(Vec::len).sum()).collect();
     let mut parts = parts.into_iter();
-    let mut out = parts.next().expect("fan_out yields at least one chunk");
+    let mut out = parts.next().expect("chunks yields at least one chunk");
     for part in parts {
         for (list, more) in out.iter_mut().zip(part) {
             list.extend(more);
@@ -482,33 +484,44 @@ pub fn par_select(
     Ok((out, counts))
 }
 
-/// Run `f(lo, hi)` over at most `threads` contiguous chunks of `0..n` and
-/// return the per-chunk results in chunk order. Clamps so every worker gets
-/// a non-empty range; `threads <= 1` (or `n <= 1`) runs inline without
-/// spawning.
-pub fn fan_out<R, F>(n: usize, threads: usize, f: F) -> Vec<R>
+/// Cut `0..n` into at most `threads` contiguous chunks `(lo, hi)`, in
+/// order. Clamps so every chunk is non-empty; `threads <= 1` (or `n <= 1`)
+/// gives the one chunk `(0, n)`.
+pub fn chunks(n: usize, threads: usize) -> Vec<(usize, usize)> {
+    let chunk = n.div_ceil(threads.clamp(1, n.max(1))).max(1);
+    (0..n.max(1)).step_by(chunk).map(|lo| (lo, (lo + chunk).min(n))).collect()
+}
+
+/// Run `job` once per part and return the results in part order. One part
+/// runs inline on `trk` and spawns nothing, so a one-thread run is the
+/// sequential kernel, charges included. Several parts run each on a scoped
+/// thread of its own: part 0 on `trk`, every other part on a
+/// [fork](MemTracker::fork) of it — a cold simulated hierarchy of its own —
+/// which is absorbed back in part order, so `f64` charges add up in the
+/// same order on every run.
+pub fn fan_out<M, P, T>(
+    trk: &mut M,
+    mut parts: Vec<P>,
+    job: impl Fn(&mut M, P) -> T + Sync,
+) -> Vec<T>
 where
-    R: Send,
-    F: Fn(usize, usize) -> R + Sync,
+    M: MemTracker,
+    P: Send,
+    T: Send,
 {
-    let threads = threads.min(n).max(1);
-    if threads == 1 {
-        return vec![f(0, n)];
+    if parts.len() == 1 {
+        return vec![job(trk, parts.pop().expect("one part"))];
     }
-    let chunk = n.div_ceil(threads);
-    let ranges: Vec<(usize, usize)> = (0..threads)
-        .map(|t| (t * chunk, ((t + 1) * chunk).min(n)))
-        .filter(|(a, b)| a < b)
-        .collect();
-    let mut parts = Vec::with_capacity(ranges.len());
-    let f = &f;
-    std::thread::scope(|s| {
-        let handles: Vec<_> = ranges.iter().map(|&(lo, hi)| s.spawn(move || f(lo, hi))).collect();
-        for h in handles {
-            parts.push(h.join().expect("fan-out worker panicked"));
-        }
+    let mut forks: Vec<M> = parts.iter().skip(1).map(|_| trk.fork()).collect();
+    let job = &job;
+    let out = std::thread::scope(|s| {
+        let trks = std::iter::once(&mut *trk).chain(&mut forks);
+        let workers: Vec<_> =
+            parts.into_iter().zip(trks).map(|(p, trk)| s.spawn(move || job(trk, p))).collect();
+        workers.into_iter().map(|w| w.join().expect("fan-out worker panicked")).collect()
     });
-    parts
+    forks.into_iter().for_each(|child| trk.absorb(child));
+    out
 }
 
 /// [`select`] over a whole plain BAT. Pinned by `bench/src/trace.rs`; goes
@@ -607,7 +620,8 @@ mod tests {
         ];
         let seq = select(&mut NullTracker, ScanCol::Plain(&b), &preds, RowSet::All).unwrap();
         for threads in [1usize, 2, 4, 7, 64] {
-            let (par, counts) = par_select(ScanCol::Plain(&b), &preds, threads).unwrap();
+            let (par, counts) =
+                par_select(&mut NullTracker, ScanCol::Plain(&b), &preds, threads).unwrap();
             assert_eq!(par, seq, "threads={threads}");
             assert_eq!(
                 counts.iter().sum::<usize>(),
@@ -622,7 +636,9 @@ mod tests {
     fn chunks_cover_the_range_in_order() {
         for n in [0usize, 1, 2, 7, 100, 101] {
             for threads in [1usize, 2, 3, 7, 64] {
-                let parts = fan_out(n, threads, |lo, hi| (lo..hi).collect::<Vec<_>>());
+                let parts = fan_out(&mut NullTracker, chunks(n, threads), |_, (lo, hi)| {
+                    (lo..hi).collect::<Vec<_>>()
+                });
                 assert!(parts.len() <= threads, "n={n} threads={threads}");
                 // No worker is handed an empty range (but the one of `n == 0`).
                 assert!(parts.iter().all(|p| !p.is_empty()) || n == 0, "n={n} threads={threads}");
@@ -635,10 +651,47 @@ mod tests {
 
     #[test]
     fn single_thread_runs_inline() {
-        let parts = fan_out(10, 1, |lo, hi| (lo, hi));
-        assert_eq!(parts, vec![(0, 10)]);
-        let parts = fan_out(0, 8, |lo, hi| (lo, hi));
-        assert_eq!(parts, vec![(0, 0)], "empty input must not spawn workers");
+        let caller = std::thread::current().id();
+        let on_caller = |_: &mut NullTracker, _| std::thread::current().id() == caller;
+        assert_eq!(chunks(10, 1), [(0, 10)]);
+        assert_eq!(fan_out(&mut NullTracker, chunks(10, 1), on_caller), [true]);
+        assert_eq!(chunks(0, 8), [(0, 0)], "empty input must not spawn workers");
+        assert_eq!(fan_out(&mut NullTracker, chunks(0, 8), on_caller), [true]);
+        assert_eq!(fan_out(&mut NullTracker, chunks(2, 2), on_caller), [false, false]);
+    }
+
+    /// Each worker of a traced fan-out charges a hierarchy of its own: part
+    /// 0 the caller's, every other part a cold fork, absorbed in part order.
+    #[test]
+    fn forked_workers_charge_cold_hierarchies_absorbed_in_part_order() {
+        let bufs: Vec<Vec<u64>> = (0..3).map(|i| vec![i; 5_000 + 1_000 * i as usize]).collect();
+        let touch = |trk: &mut SimTracker, buf: &Vec<u64>| {
+            buf.iter().for_each(|v| track_read(trk, v));
+            trk.work(Work::ScanIter, buf.len() as u64);
+            buf.len()
+        };
+        let fresh = || SimTracker::for_machine(memsim::profiles::origin2000());
+
+        let mut parent = fresh();
+        touch(&mut parent, &bufs[2]); // warm state a fork must not inherit
+        let mut expect = parent.clone();
+        touch(&mut expect, &bufs[0]);
+        let mut expect = expect.counters();
+        for buf in &bufs[1..] {
+            let mut cold = fresh();
+            touch(&mut cold, buf);
+            expect += cold.counters();
+        }
+
+        let lens = fan_out(&mut parent, bufs.iter().collect(), touch);
+        assert_eq!(lens, [5_000, 6_000, 7_000]);
+        let got = parent.counters();
+        assert_eq!(got, expect);
+        let times = |c: memsim::EventCounters| {
+            [c.cpu_ns, c.stall_l2_ns, c.stall_mem_ns, c.stall_tlb_ns, c.stall_fault_ns]
+                .map(f64::to_bits)
+        };
+        assert_eq!(times(got), times(expect), "the f64 fields, bit for bit");
     }
 
     #[test]
@@ -819,7 +872,9 @@ mod tests {
         )
         .unwrap_err();
         assert!(matches!(err, StorageError::TypeMismatch { .. }), "{err:?}");
-        let err = par_select(ScanCol::Plain(&b), &[ScanPred::EqCode { code: 0 }], 4).unwrap_err();
+        let err =
+            par_select(&mut NullTracker, ScanCol::Plain(&b), &[ScanPred::EqCode { code: 0 }], 4)
+                .unwrap_err();
         assert!(matches!(err, StorageError::TypeMismatch { .. }), "{err:?}");
         // Like the gather and aggregate kernels, the scan wants a void head.
         let mat = Bat::new(Head::Oids(vec![7, 3]), Column::I32(vec![1, 2])).unwrap();
@@ -855,7 +910,7 @@ mod tests {
     fn zero_predicates_is_a_no_op() {
         let b = i32_bat(100);
         assert!(select(&mut NullTracker, ScanCol::Plain(&b), &[], RowSet::All).unwrap().is_empty());
-        let (lists, counts) = par_select(ScanCol::Plain(&b), &[], 4).unwrap();
+        let (lists, counts) = par_select(&mut NullTracker, ScanCol::Plain(&b), &[], 4).unwrap();
         assert!(lists.is_empty());
         assert_eq!(counts.iter().sum::<usize>(), 0);
     }

@@ -85,13 +85,6 @@ impl Bat {
         Self { head: Head::Void { seqbase }, tail, props: TailProps::default() }
     }
 
-    /// Set tail properties (caller asserts them; `debug_assert`-validated).
-    pub fn with_props(mut self, props: TailProps) -> Self {
-        debug_assert!(!props.sorted || self.check_sorted(), "props claim sorted but tail is not");
-        self.props = props;
-        self
-    }
-
     /// Number of BUNs.
     pub fn len(&self) -> usize {
         self.tail.len()
@@ -205,21 +198,6 @@ impl Bat {
                 props: TailProps::default(),
             },
         }
-    }
-
-    fn check_sorted(&self) -> bool {
-        let n = self.len();
-        if n < 2 {
-            return true;
-        }
-        (1..n).all(|i| {
-            let a = self.tail.get(i - 1);
-            let b = self.tail.get(i);
-            match (a.as_f64(), b.as_f64()) {
-                (Some(x), Some(y)) => x <= y,
-                _ => true, // strings: property not validated here
-            }
-        })
     }
 }
 

@@ -170,11 +170,6 @@ impl DecomposedTable {
         self.cols.iter().map(|c| c.bat.bun_width()).sum()
     }
 
-    /// Per-column `(name, bun_width)` breakdown for reports.
-    pub fn width_breakdown(&self) -> Vec<(&str, usize)> {
-        self.cols.iter().map(|c| (c.name.as_str(), c.bat.bun_width())).collect()
-    }
-
     /// Convert to the N-ary (row-store) layout for baseline comparisons.
     /// Encoded string columns are widened to their code width in the record
     /// (matching what a relational system would at best store inline for a

@@ -910,7 +910,7 @@ fn eval_leaf<M: MemTracker>(
     let mut lists = match cands {
         Some(c) => select(trk, scol, preds, RowSet::Cands(c))?,
         None if threads > 1 => {
-            let (lists, counts) = par_select(scol, preds, threads)?;
+            let (lists, counts) = par_select(trk, scol, preds, threads)?;
             shards.add(&counts);
             lists
         }

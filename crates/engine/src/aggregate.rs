@@ -57,13 +57,15 @@
 //!   split. That holds the sum alone: exact columns beside an ungrouped
 //!   `f64` sum are folded apart from it, in row chunks.
 //!
-//! Parallel workers run untracked: the executor pins simulated runs to one
-//! thread (a shared simulated hierarchy would serialise on the simulator).
+//! Under a counting tracker each worker charges a simulated hierarchy of
+//! its own ([`fan_out`]), and the fold's counters are the sum of its
+//! workers' work. Row chunks charge the sequential totals; every
+//! group-domain slice charges the key reads of the whole stream again.
 
-use memsim::{track_read, MemTracker, NullTracker, Work};
+use memsim::{track_read, MemTracker, Work};
 use monet_core::compress::FRAME_LEN;
 use monet_core::join::OidPair;
-use monet_core::scan::fan_out;
+use monet_core::scan::{chunks, fan_out};
 use monet_core::storage::{Bat, Codes, Column, Head, Oid, StorageError};
 
 use crate::EngineError;
@@ -551,12 +553,12 @@ fn drive<M: MemTracker>(
     let parts = if threads <= 1 || has(Sink::Collect) || (ordered && key.is_none()) {
         vec![fold_span(trk, rows, key, cols, (0, n), (0, domain))]
     } else if ordered {
-        fan_out(domain, threads, |glo, ghi| {
-            fold_span(&mut NullTracker, rows, key, cols, (0, n), (glo, ghi))
+        fan_out(trk, chunks(domain, threads), |trk, codes| {
+            fold_span(trk, rows, key, cols, (0, n), codes)
         })
     } else {
-        fan_out(n, threads, |lo, hi| {
-            fold_span(&mut NullTracker, rows, key, cols, (lo, hi), (0, domain))
+        fan_out(trk, chunks(n, threads), |trk, span| {
+            fold_span(trk, rows, key, cols, span, (0, domain))
         })
     };
 
@@ -586,9 +588,9 @@ fn drive<M: MemTracker>(
 /// Fold the columns `cols` over the surviving `rows` of a stream, grouped by
 /// the codes of `key` when given: per group code the row count and, per
 /// column, what its [`Sink`] accumulates. One pass in stream order, a block
-/// at a time; with `threads > 1` (untracked runs only) split as the sinks
-/// allow, bit-identical to the sequential fold at every thread count — see
-/// the [module docs](self) for both contracts.
+/// at a time; with `threads > 1` split as the sinks allow, bit-identical to
+/// the sequential fold at every thread count — see the [module docs](self)
+/// for both contracts.
 ///
 /// Errors with [`StorageError::NonVoidHead`] when a column with a
 /// materialized head is addressed by OID, and with
@@ -605,7 +607,6 @@ pub fn fold<M: MemTracker>(
         .iter()
         .map(|&(input, sink)| Ok((resolve(input, rows, Some(sink))?, sink)))
         .collect::<Result<Vec<_>, EngineError>>()?;
-    let threads = if M::ENABLED { 1 } else { threads };
 
     // An ungrouped ordered sum holds only itself to one thread: the exact
     // columns beside it are a fold of their own, in row chunks, and the two
@@ -628,7 +629,7 @@ pub fn fold<M: MemTracker>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use memsim::{profiles, SimTracker};
+    use memsim::{profiles, NullTracker, SimTracker};
     use monet_core::storage::StrColumn;
 
     fn left(bat: &Bat) -> Input<'_> {
@@ -924,8 +925,17 @@ mod tests {
 
     /// Reads and CPU nanoseconds one fold charges a cold Origin2000.
     fn charged(rows: Rows<'_>, key: Option<Input<'_>>, cols: &[(Input<'_>, Sink)]) -> (u64, f64) {
+        charged_on(1, rows, key, cols)
+    }
+
+    fn charged_on(
+        threads: usize,
+        rows: Rows<'_>,
+        key: Option<Input<'_>>,
+        cols: &[(Input<'_>, Sink)],
+    ) -> (u64, f64) {
         let mut trk = SimTracker::for_machine(profiles::origin2000());
-        fold(&mut trk, rows, key, cols, 8).unwrap();
+        fold(&mut trk, rows, key, cols, threads).unwrap();
         let c = trk.counters();
         (c.reads, c.cpu_ns)
     }
@@ -959,5 +969,15 @@ mod tests {
         // Collected rows are gathered, not consumed.
         let ship = [(left(&qty), Sink::Collect)];
         assert_eq!(charged(Rows::Pairs(&pairs), None, &ship), (n64, nf * scan));
+
+        // Split over two workers, row chunks charge the sequential totals …
+        let exact = [(left(&qty), Sink::SumI64)];
+        let one = charged(Rows::Cands(&cands), Some(left(&key)), &exact);
+        assert_eq!(charged_on(2, Rows::Cands(&cands), Some(left(&key)), &exact), one);
+        // … and each group-domain slice reads and hashes every key again:
+        // the worker owning code 1 is the sequential fold, the other skips
+        // every value gather.
+        let two = charged_on(2, Rows::All(n), Some(left(&key)), &sum);
+        assert_eq!(two, (3 * n64, 2.0 * nf * hash));
     }
 }

@@ -60,8 +60,8 @@ use monet_core::storage::{DecomposedTable, Oid};
 
 use crate::aggregate::{fold, Acc, Folded, Input, Rows, Sink};
 use crate::exec::{
-    agg_output, agg_sinks, base_tables, execute, input_of, ExecOptions, ExecReport, Executed,
-    OpReport, QueryOutput,
+    agg_output, agg_sinks, base_tables, delta, execute, input_of, ExecOptions, ExecReport,
+    Executed, OpReport, QueryOutput,
 };
 use crate::plan::{Agg, LogicalPlan, PlanError, PlanNode};
 use crate::EngineError;
@@ -265,13 +265,6 @@ pub struct ShardPartial {
 #[inline]
 fn pair_key(l: Oid, r: Oid) -> u64 {
     ((l as u64) << 32) | r as u64
-}
-
-fn delta<M: MemTracker>(trk: &M, before: Option<EventCounters>) -> Option<EventCounters> {
-    match (trk.counters_snapshot(), before) {
-        (Some(after), Some(before)) => Some(after - before),
-        _ => None,
-    }
 }
 
 /// Execute shard `idx` of a lowered plan through the stock executor and

@@ -48,9 +48,11 @@
 //! [`crate::aggregate`]). A join folded only into exact aggregates (`COUNT`,
 //! ungrouped integer `SUM`, `MIN`/`MAX`) keeps the cluster order the join
 //! produced: those combine the same in any order
-//! ([`OpReport::cluster_order`]). Simulated runs (`SimTracker`) are pinned
-//! to one thread: threading a single shared simulated memory hierarchy would
-//! serialize on the simulator and model a machine the paper never measured.
+//! ([`OpReport::cluster_order`]). Simulated runs (`SimTracker`) fan out the
+//! same way: each worker charges a simulated hierarchy of its own, a cold
+//! fork of the caller's (see [`memsim::MemTracker`]), so an operator's
+//! counters are the sum of its workers' work and match across thread counts
+//! only at one thread.
 
 use std::fmt;
 use std::sync::Arc;
@@ -121,8 +123,7 @@ pub struct ExecOptions {
     /// Physical-plan chooser.
     pub planner: Planner,
     /// Degree of parallelism. Results are bit-identical at every setting;
-    /// simulated runs are pinned to one thread regardless (see the
-    /// [module docs](self)).
+    /// simulated charges are not (see the [module docs](self)).
     pub threads: Threads,
     /// Selection access-path policy (scan / index / auto). The constructors
     /// default to [`AccessMode::Auto`]. Results are bit-identical at every
@@ -211,18 +212,15 @@ const MAX_AUTO_THREADS: usize = 32;
 
 /// Resolve one operator's thread count (and, under [`Threads::Auto`], the
 /// model-predicted speedup): `seq_ns` is the operator's sequential model
-/// quote, `items` its uniform work items. Simulated runs pin to one thread.
-fn op_threads<M: MemTracker>(
-    opts: &ExecOptions,
-    seq_ns: f64,
-    items: usize,
-) -> (usize, Option<f64>) {
-    if M::ENABLED {
-        return (1, None);
-    }
+/// quote, `items` its uniform work items. Simulated runs get the same
+/// count as native ones: each worker charges a hierarchy of its own.
+fn op_threads(opts: &ExecOptions, seq_ns: f64, items: usize) -> (usize, Option<f64>) {
     let ceiling = opts.thread_cap.unwrap_or(usize::MAX).max(1);
     match opts.threads {
         Threads::Fixed(n) => (n.max(1).min(ceiling), None),
+        // A one-thread lease leaves the model nothing to choose, and asking
+        // the host for its parallelism costs file reads on every operator.
+        Threads::Auto if ceiling == 1 => (1, None),
         Threads::Auto => {
             let cap = std::thread::available_parallelism()
                 .map(|n| n.get())
@@ -607,7 +605,7 @@ fn exec_node<'a, M: MemTracker>(
             let model_ms = pplan.model_ms();
             // Phase 2: the parallel model only sees the scanning leaves
             // (index probes are a handful of node touches; never forked).
-            let (threads, speedup) = op_threads::<M>(opts, pplan.scan_work_ns(), table.len());
+            let (threads, speedup) = op_threads(opts, pplan.scan_work_ns(), table.len());
             let (selected, shards) = eval_planned(trk, table, pred, &pplan, threads)?;
             let merged = match cands {
                 Some(prior) => intersect(&prior, &selected),
@@ -676,7 +674,7 @@ fn exec_node<'a, M: MemTracker>(
             let (outer, inner) = (rows(left), rows(right));
             let (jplan, predicted, seq_ns) = choose_join(opts, outer, inner);
             let (threads, speedup) = if algorithm_parallelizes(jplan.algorithm) {
-                op_threads::<M>(opts, seq_ns, outer + inner)
+                op_threads(opts, seq_ns, outer + inner)
             } else {
                 (1, None)
             };
@@ -736,7 +734,7 @@ fn exec_node<'a, M: MemTracker>(
             } else {
                 0.0
             };
-            let (threads, speedup) = op_threads::<M>(opts, gather_ns, rows_in);
+            let (threads, speedup) = op_threads(opts, gather_ns, rows_in);
             let rows = match &stream {
                 Stream::Table { table, cands: None } => Rows::All(table.len()),
                 Stream::Table { cands: Some(cands), .. } => Rows::Cands(cands),
@@ -810,7 +808,11 @@ fn expect_stream(out: Output<'_>) -> Result<Stream<'_>, EngineError> {
     }
 }
 
-fn delta<M: MemTracker>(trk: &M, before: Option<EventCounters>) -> Option<EventCounters> {
+/// The counters `trk` gained since the snapshot `before`, when it counts.
+pub(crate) fn delta<M: MemTracker>(
+    trk: &M,
+    before: Option<EventCounters>,
+) -> Option<EventCounters> {
     match (trk.counters_snapshot(), before) {
         (Some(after), Some(before)) => Some(after - before),
         _ => None,
@@ -1600,7 +1602,7 @@ mod tests {
     }
 
     #[test]
-    fn auto_threads_stay_sequential_for_tiny_inputs_and_under_simulation() {
+    fn auto_threads_stay_sequential_for_tiny_inputs_and_simulation_forks_like_native() {
         let t = item();
         let plan = Query::scan(&t)
             .filter(Pred::range_f64("discnt", 0.0, 0.10))
@@ -1614,13 +1616,15 @@ mod tests {
         for op in &r.report.ops {
             assert!(!op.detail.contains("threads="), "tiny input forked: {}", op.detail);
         }
-        // Under the simulator, even Fixed(8) pins to one thread.
+        // Under the simulator, Fixed(8) forks as it does natively, and the
+        // output is the native one, bit for bit.
         let mut trk = SimTracker::for_machine(profiles::origin2000());
         let opts = ExecOptions::default().with_threads(Threads::Fixed(8));
         let sim = execute(&mut trk, &plan, &opts).unwrap();
-        assert_eq!(sim.output, r.output);
-        for op in &sim.report.ops {
-            assert!(!op.detail.contains("threads="), "simulated run forked: {}", op.detail);
-        }
+        let native = execute(&mut NullTracker, &plan, &opts).unwrap();
+        assert!(sim.output.bitwise_eq(&native.output), "{:?} vs {:?}", sim.output, native.output);
+        let forked = |r: &ExecReport| r.ops.iter().any(|op| op.detail.contains("threads="));
+        assert!(forked(&sim.report), "simulated run stayed on one thread: {:?}", sim.report);
+        assert_eq!(forked(&sim.report), forked(&native.report));
     }
 }

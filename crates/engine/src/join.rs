@@ -96,8 +96,7 @@ pub fn join_bats_with_plan<M: MemTracker>(
 }
 
 /// Execute `left ⋈ right` with an explicit plan on `threads` threads —
-/// bit-identical output to [`join_bats_with_plan`], native-only (the
-/// executor pins simulated runs to one thread). See
+/// bit-identical output to [`join_bats_with_plan`], untracked. See
 /// [`monet_core::join::join`] for what fans out.
 pub fn par_join_bats_with_plan(
     left: &Bat,

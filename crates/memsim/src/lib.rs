@@ -34,7 +34,12 @@
 //!   touched costs one counter increment.
 //! * [`tracker`] — the [`MemTracker`] abstraction that lets a *single*
 //!   algorithm implementation run either natively (zero overhead,
-//!   [`NullTracker`]) or under simulation ([`SimTracker`]).
+//!   [`NullTracker`]) or under simulation ([`SimTracker`]). A parallel
+//!   kernel gives each worker a hierarchy of its own, as the Origin2000's
+//!   CPUs each own their caches: a cold [`MemTracker::fork`] of the
+//!   caller's, whose counters [`MemTracker::absorb`] adds back. A parallel
+//!   operator's counters are the **sum** of its workers' work, not its wall
+//!   time.
 //! * [`stride`] — the paper's §2 "reality check": a scan of 200,000 one-byte
 //!   reads at a configurable stride.
 //!

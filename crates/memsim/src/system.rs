@@ -212,16 +212,16 @@ impl MemorySystem {
         self.counters.cpu_ns += ns;
     }
 
-    /// Account pure CPU work in cycles of this machine's clock.
-    #[inline]
-    pub fn cpu_cycles(&mut self, cycles: f64) {
-        self.counters.cpu_ns += cycles * self.cfg.ns_per_cycle();
-    }
-
     /// Snapshot of the counters so far.
     #[inline]
     pub fn counters(&self) -> EventCounters {
         self.counters
+    }
+
+    /// Add `c` to the counters, leaving cache/TLB state alone: where a
+    /// parallel kernel's forked workers report their work.
+    pub(crate) fn add_counters(&mut self, c: EventCounters) {
+        self.counters += c;
     }
 
     /// Reset counters to zero without touching cache/TLB state (use between
@@ -242,13 +242,6 @@ impl MemorySystem {
             vm.invalidate();
         }
         self.last_line = NO_LINE;
-    }
-
-    /// Convenience: run `f` and return the counter delta it produced.
-    pub fn measure<R>(&mut self, f: impl FnOnce(&mut Self) -> R) -> (R, EventCounters) {
-        let before = self.counters();
-        let r = f(self);
-        (r, self.counters() - before)
     }
 }
 
@@ -396,17 +389,5 @@ mod tests {
         let c = sys.counters();
         assert_eq!((c.reads, c.writes), (1, 1));
         assert_eq!((c.line_accesses, c.l1_misses, c.tlb_misses), (0, 0, 0));
-    }
-
-    #[test]
-    fn measure_returns_delta_only() {
-        let mut sys = MemorySystem::new(profiles::origin2000());
-        sys.touch(0, 8, Access::Read);
-        let (_, d) = sys.measure(|s| {
-            s.touch(1 << 20, 8, Access::Write);
-        });
-        assert_eq!(d.writes, 1);
-        assert_eq!(d.reads, 0);
-        assert_eq!(d.l1_misses, 1);
     }
 }

@@ -60,7 +60,16 @@ impl Work {
 /// Implementations must be cheap: the hooks sit in the innermost loops of
 /// every join. `ENABLED` lets algorithms skip *building* expensive arguments
 /// (not just the call) when tracking is off.
-pub trait MemTracker {
+///
+/// **Parallel workers.** A kernel that fans out gives every worker but the
+/// first a [`fork`](Self::fork) of its tracker and [`absorb`](Self::absorb)s
+/// the forks back in worker order. The Origin2000 is a multiprocessor whose
+/// CPUs each own their L1, L2 and TLB, so a worker is a CPU of its own: a
+/// fork starts **cold** on the same machine. A clone of the parent's state
+/// would copy a whole simulated hierarchy per worker and count the lines
+/// the parent left warm as hits on every CPU; a cold fork is the
+/// conservative per-CPU model.
+pub trait MemTracker: Send {
     /// `false` for [`NullTracker`]; lets call sites guard costly bookkeeping.
     const ENABLED: bool;
 
@@ -82,6 +91,14 @@ pub trait MemTracker {
     fn counters_snapshot(&self) -> Option<EventCounters> {
         None
     }
+
+    /// A tracker for one more worker of a parallel kernel: a cold hierarchy
+    /// on the same machine, with zero counters (see the trait docs).
+    fn fork(&self) -> Self;
+
+    /// Add the counters of `child`, a finished [`fork`](Self::fork), to this
+    /// tracker's.
+    fn absorb(&mut self, child: Self);
 }
 
 /// Track a read of one `T` value.
@@ -134,6 +151,14 @@ impl MemTracker for NullTracker {
 
     #[inline(always)]
     fn cpu_ns(&mut self, _ns: f64) {}
+
+    #[inline(always)]
+    fn fork(&self) -> Self {
+        NullTracker
+    }
+
+    #[inline(always)]
+    fn absorb(&mut self, _child: Self) {}
 }
 
 /// The simulating tracker: replays every access through a [`MemorySystem`].
@@ -167,11 +192,6 @@ impl SimTracker {
     pub fn system(&self) -> &MemorySystem {
         &self.sys
     }
-
-    /// Unwrap the memory system.
-    pub fn into_system(self) -> MemorySystem {
-        self.sys
-    }
 }
 
 impl MemTracker for SimTracker {
@@ -200,6 +220,14 @@ impl MemTracker for SimTracker {
 
     fn counters_snapshot(&self) -> Option<EventCounters> {
         Some(self.sys.counters())
+    }
+
+    fn fork(&self) -> Self {
+        Self::for_machine(*self.sys.machine())
+    }
+
+    fn absorb(&mut self, child: Self) {
+        self.sys.add_counters(child.counters());
     }
 }
 
@@ -244,6 +272,22 @@ mod tests {
         let c = t.counters();
         assert_eq!(c.reads, 1);
         assert!(c.l1_misses >= 128 && c.l1_misses <= 129);
+    }
+
+    #[test]
+    fn a_fork_starts_cold_and_its_counts_are_absorbed() {
+        let mut t = SimTracker::for_machine(profiles::origin2000());
+        let data = vec![0u64; 64];
+        track_read_slice(&mut t, &data);
+        let mut child = t.fork();
+        assert!(child.counters().is_empty());
+        // The parent's warm lines are not the child's.
+        track_read_slice(&mut child, &data);
+        assert_eq!(child.counters().l1_misses, t.counters().l1_misses);
+        child.work(Work::ScanIter, 3);
+        let expect = t.counters() + child.counters();
+        t.absorb(child);
+        assert_eq!(t.counters(), expect);
     }
 
     #[test]

@@ -32,9 +32,9 @@ use engine::access::{leaf_count, CompressMode};
 use engine::exec::{execute_with_scans, ExecOptions, ExecReport, Executed, QueryOutput, Threads};
 use engine::plan::{LogicalPlan, PlanNode};
 use engine::shared::{scan_requests, ColumnId, ScanRequest, ScanTicket, ShareKey};
-use memsim::{EventCounters, MachineConfig, NullTracker, SimTracker};
+use memsim::{EventCounters, MachineConfig, MemTracker, NullTracker, SimTracker};
 use monet_core::scan::{par_select, select, RowSet, ScanCol, ScanPred};
-use monet_core::storage::Oid;
+use monet_core::storage::{Oid, StorageError};
 use obs::{
     DriftMonitor, DriftReport, LogHistogram, QueryTrace, TraceBuilder, TraceEvent, TraceSink,
 };
@@ -614,8 +614,9 @@ impl QueryService {
 
         let opts = self.exec.with_thread_cap(lease.threads.get().max(1));
         // Tracing runs the executor under the memory simulator so every
-        // operator report carries deterministic counters (the executor
-        // pins simulated runs to one thread; results are bit-identical).
+        // operator report carries deterministic counters, at the threads
+        // the lease and the planner give it (each worker charges a
+        // simulated hierarchy of its own; results are bit-identical).
         let result = match &self.obs {
             Some(_) => {
                 let mut trk = SimTracker::for_machine(self.cfg.machine);
@@ -785,20 +786,17 @@ impl QueryService {
                 None => ScanCol::Plain(req.bat),
             };
             // Stream the chunk without the service lock — under the
-            // simulator when tracing (sequentially: the simulator counts a
-            // single stream), so the ChunkDone event carries deterministic
-            // counters.
+            // simulator when tracing, so the ChunkDone event carries
+            // deterministic counters.
             let span = if chunked { RowSet::Range(lo, hi) } else { RowSet::All };
+            let threads = lease.threads.get();
             let chunk_started = Instant::now();
-            let (lists, sim) = match (&self.obs, span) {
-                (Some(_), span) => {
+            let (lists, sim) = match &self.obs {
+                Some(_) => {
                     let mut trk = SimTracker::for_machine(self.cfg.machine);
-                    (select(&mut trk, col, &preds, span), Some(trk.counters()))
+                    (stream(&mut trk, col, &preds, span, threads), Some(trk.counters()))
                 }
-                (None, RowSet::All) => {
-                    (par_select(col, &preds, lease.threads.get()).map(|(l, _)| l), None)
-                }
-                (None, span) => (select(&mut NullTracker, col, &preds, span), None),
+                None => (stream(&mut NullTracker, col, &preds, span, threads), None),
             };
             let chunk_ms = chunk_started.elapsed().as_secs_f64() * 1e3;
             // Unreachable for validated plans (the predicate types were
@@ -1184,6 +1182,22 @@ pub fn quote_plan_covered(
     };
     shapes_of(&plan.root, &mut ops, &mut 0, &mut leaves.iter().peekable(), &select);
     quote_ops(&opts.machine, &ops)
+}
+
+/// Stream `span` of an elevator pass through its merged predicates: a
+/// one-chunk pass over the whole column on `threads` threads, a chunk of a
+/// longer pass on one.
+fn stream<M: MemTracker>(
+    trk: &mut M,
+    col: ScanCol<'_>,
+    preds: &[ScanPred],
+    span: RowSet<'_>,
+    threads: usize,
+) -> Result<Vec<Vec<Oid>>, StorageError> {
+    match span {
+        RowSet::All => par_select(trk, col, preds, threads).map(|(lists, _)| lists),
+        span => select(trk, col, preds, span),
+    }
 }
 
 /// The fresh full pass over `rows` rows of a column: at the packed width

@@ -95,7 +95,8 @@ pub fn assert_row_sets_agree(
             assert_eq!(acc, all, "{ctx}: K={k} {chunk}-row chunks concatenate to All");
         }
         for threads in PAR_THREADS {
-            let (par, counts) = par_select(col, preds, threads).expect("typed preds evaluate");
+            let (par, counts) =
+                par_select(&mut NullTracker, col, preds, threads).expect("typed preds evaluate");
             assert_eq!(par, all, "{ctx}: K={k} par_select at threads={threads}");
             assert_eq!(
                 counts.iter().sum::<usize>(),

@@ -47,7 +47,8 @@ fn assert_compressed_matches_uncompressed(
     let got = select(&mut NullTracker, col, preds, RowSet::All).expect("supported preds evaluate");
     assert_eq!(got, want, "{ctx}: sequential");
     for threads in THREADS {
-        let (par, counts) = par_select(col, preds, threads).expect("supported preds evaluate");
+        let (par, counts) =
+            par_select(&mut NullTracker, col, preds, threads).expect("supported preds evaluate");
         assert_eq!(par, want, "{ctx}: threads={threads}");
         assert_eq!(
             counts.iter().sum::<usize>(),

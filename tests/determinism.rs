@@ -3,7 +3,8 @@
 //! the properties that make "exact statistics on events" (the paper's
 //! hardware-counter methodology) meaningful in software.
 
-use monet_mem::core::join::{partitioned_hash_join, radix_cluster, FibHash};
+use monet_mem::core::join::{join, partitioned_hash_join, radix_cluster, FibHash};
+use monet_mem::core::strategy::{Algorithm, JoinPlan};
 use monet_mem::memsim::{profiles, Access, MemorySystem, SimTracker};
 use monet_mem::workload::{join_pair, unique_random_buns};
 
@@ -29,6 +30,30 @@ fn identical_runs_produce_identical_counters() {
     let rel = |a: u64, b: u64| (a as f64 - b as f64).abs() / (a.max(b).max(1) as f64);
     assert!(rel(c1.l1_misses, c2.l1_misses) < 0.10, "{} vs {}", c1.l1_misses, c2.l1_misses);
     assert!(rel(c1.tlb_misses, c2.tlb_misses) < 0.15, "{} vs {}", c1.tlb_misses, c2.tlb_misses);
+}
+
+/// A traced join that fans out gives every worker a hierarchy of its own:
+/// at each thread count two runs charge the same accesses and work, and
+/// the join index is the same at every thread count. Misses are left out:
+/// the simulator sees real heap addresses, which move between runs.
+#[test]
+fn parallel_traced_runs_repeat_their_access_counts() {
+    let plan = JoinPlan { algorithm: Algorithm::PartitionedHash, bits: 6, pass_bits: vec![3, 3] };
+    let run = |threads| {
+        let (l, r) = join_pair(30_000, 77);
+        let mut trk = SimTracker::for_machine(profiles::origin2000());
+        let (pairs, _) = join(&mut trk, FibHash, l, r, &plan, threads);
+        let c = trk.counters();
+        (pairs, (c.reads, c.writes, c.line_accesses, c.cpu_ns.to_bits()))
+    };
+    let (index, _) = run(1);
+    for threads in [1, 2, 3] {
+        let (p1, c1) = run(threads);
+        let (p2, c2) = run(threads);
+        assert_eq!(c1, c2, "threads={threads}: (reads, writes, line accesses, cpu_ns bits)");
+        assert_eq!(p1, index, "threads={threads}");
+        assert_eq!(p2, index, "threads={threads}");
+    }
 }
 
 #[test]

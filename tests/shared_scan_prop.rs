@@ -29,7 +29,8 @@ fn assert_k_way_matches_solo(bat: &Bat, preds: &[ScanPred], solo: &[Vec<u32>], c
         assert_eq!(&shared[k], want, "{ctx}: pred {k} (sequential)");
     }
     for threads in THREADS {
-        let (par, counts) = par_select(col, preds, threads).expect("typed preds evaluate");
+        let (par, counts) =
+            par_select(&mut NullTracker, col, preds, threads).expect("typed preds evaluate");
         assert_eq!(par, shared, "{ctx}: threads={threads}");
         assert_eq!(
             counts.iter().sum::<usize>(),
