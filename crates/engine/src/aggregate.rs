@@ -11,12 +11,16 @@
 //!
 //! [`fold`] keeps operator-at-a-time semantics at its boundary (BATs and a
 //! survivor list in, per-group totals out) but runs vector-at-a-time inside
-//! it: it walks the survivors **once, in stream order, in blocks of at most
-//! [`FRAME_LEN`] rows**. Per block it gathers the key codes, then per column
+//! it: it walks the survivors **once, in blocks of at most [`FRAME_LEN`]
+//! rows**. Per block it gathers the key codes, then per column
 //! gathers-and-converts the block's values into a cache-resident buffer and
 //! accumulates them into the group table — no survivor-length intermediate
-//! is ever materialised. Stream order is what makes every `f64` sum keep
-//! the association a row-at-a-time loop would give it.
+//! is ever materialised. Every sink is exact: integers sum in `i64`, and an
+//! `f64` sum is an [`ExactSum`], rounded once when the result is read, so
+//! no result depends on the order in which the rows arrive. A block of
+//! `f64` values reaches its accumulator as two values, the lane sums of
+//! the [block kernel](crate::exact): per group under a key, straight off
+//! the walk without one.
 //!
 //! # Charging contract
 //!
@@ -28,7 +32,7 @@
 //! * **consume** — each buffered value the accumulation takes costs one read
 //!   of its (L1-resident) buffer slot, plus one [`Work::HashTuple`] per row
 //!   when grouped or one [`Work::ScanIter`] per value when not (the
-//!   `Aggregate` shape). [`Sink::Collect`] copies out and consumes nothing.
+//!   `Aggregate` shape).
 //!
 //! Two cases read nothing twice. [`Rows::All`] is consumed where it lies:
 //! the read of the source is the value's only read (what the buffer holds is
@@ -41,26 +45,15 @@
 //!
 //! # Parallel decomposition
 //!
-//! Which way [`fold`] may split its work follows from its sinks, because
-//! results must be bit-identical at every thread count:
-//!
-//! * every sink exact (`i64` sums, extrema, counts) — contiguous **row
-//!   chunks**, partial tables combined thread-major: integer addition and
-//!   min/max are associative, so any split gives the sequential answer;
-//! * an ordered `f64` sum under a key — **group-domain slices**: each worker
-//!   walks the whole stream but owns a contiguous range of key codes and
-//!   accumulates only those, so every group's additions still happen in
-//!   stream order, and the slices concatenate into the table. A worker
-//!   skips the value gathers of a block none of whose rows it owns;
-//! * an ungrouped `f64` sum, or a [`Sink::Collect`] — **one thread**: a
-//!   single accumulator (or output vector) admits no order-preserving
-//!   split. That holds the sum alone: exact columns beside an ungrouped
-//!   `f64` sum are folded apart from it, in row chunks.
-//!
-//! Under a counting tracker each worker charges a simulated hierarchy of
-//! its own ([`fan_out`]), and the fold's counters are the sum of its
-//! workers' work. Row chunks charge the sequential totals; every
-//! group-domain slice charges the key reads of the whole stream again.
+//! With `threads > 1` [`fold`] cuts the stream into contiguous **row
+//! chunks**, one per worker, whatever its sinks: every sink combines
+//! exactly — integer sums, extrema and counts by integer arithmetic, `f64`
+//! sums by merging their accumulators — so the workers' tables, combined in
+//! any order, are the sequential fold's, bit for bit. Under a counting
+//! tracker each worker charges a simulated hierarchy of its own
+//! ([`fan_out`]), and the fold's counters are the sum of its workers' work:
+//! every value is read and consumed once, by one worker, so the reads and
+//! the work are the sequential fold's at every thread count.
 
 use memsim::{track_read, MemTracker, Work};
 use monet_core::compress::FRAME_LEN;
@@ -68,6 +61,7 @@ use monet_core::join::OidPair;
 use monet_core::scan::{chunks, fan_out};
 use monet_core::storage::{Bat, Codes, Column, Head, Oid, StorageError};
 
+use crate::exact::{ExactSum, Split};
 use crate::EngineError;
 
 /// The surviving rows of a stream, in stream order.
@@ -126,33 +120,20 @@ pub enum Sink {
     Min,
     /// Maximum of an `I32` column.
     Max,
-    /// `f64` sum of an `F64` or (exactly converted) `I32` column, added in
-    /// stream order.
+    /// Exact sum of an `F64` column, rounded to `f64` once.
     SumF64,
-    /// No accumulation: the column's values as `f64`, one per row in stream
-    /// order — what a shard ships so the coordinator can add them in global
-    /// order.
-    Collect,
 }
 
 impl Sink {
     /// A fresh accumulator for this sink: `width` slots holding its
-    /// identity, or room for `rows` collected values.
-    pub(crate) fn table(self, width: usize, rows: usize) -> Acc {
+    /// identity.
+    pub(crate) fn table(self, width: usize) -> Acc {
         match self {
             Sink::SumI64 => Acc::Exact(vec![0; width]),
             Sink::Min => Acc::Exact(vec![i64::MAX; width]),
             Sink::Max => Acc::Exact(vec![i64::MIN; width]),
-            Sink::SumF64 => Acc::F64(vec![0.0; width]),
-            Sink::Collect => Acc::F64(Vec::with_capacity(rows)),
+            Sink::SumF64 => Acc::F64(vec![None; width]),
         }
-    }
-
-    /// Whether the sink's result depends on the order of the stream's rows:
-    /// `f64` additions do not associate, and a collected column is its rows
-    /// in order. The exact sinks give the same result in any order.
-    pub(crate) fn observes_order(self) -> bool {
-        matches!(self, Sink::SumF64 | Sink::Collect)
     }
 
     /// Combine two partial results of an exact sink.
@@ -171,16 +152,17 @@ pub enum Acc {
     /// An exact sink's total per group code. A group without rows holds the
     /// sink's identity (`0`, `i64::MAX` for `Min`, `i64::MIN` for `Max`).
     Exact(Vec<i64>),
-    /// [`Sink::SumF64`]: the sum per group code. [`Sink::Collect`]: the
-    /// value of every row, in stream order.
-    F64(Vec<f64>),
+    /// [`Sink::SumF64`]: the exact sum per group code, allocated at the
+    /// group's first non-zero term (`None` sums to `+0.0`).
+    F64(Vec<Option<Box<ExactSum>>>),
 }
 
 impl Acc {
-    /// The column's `f64` values, when that is what it holds.
-    pub fn as_f64(&self) -> Option<&[f64]> {
+    /// The `f64` sum of group `code`, rounded once, when the column is a
+    /// [`Sink::SumF64`] one.
+    pub fn f64_sum(&self, code: usize) -> Option<f64> {
         match self {
-            Acc::F64(values) => Some(values),
+            Acc::F64(sums) => Some(sums[code].as_deref().map_or(0.0, ExactSum::finish)),
             Acc::Exact(_) => None,
         }
     }
@@ -195,26 +177,34 @@ pub struct Folded {
     pub counts: Vec<u64>,
     /// One entry per input column, in input order.
     pub cols: Vec<Acc>,
-    /// The group code of every row, in stream order — kept only when a
-    /// [`Sink::Collect`] column is folded under a key.
-    pub row_codes: Vec<u32>,
     /// Rows each worker accumulated (one entry for a sequential fold).
     pub shards: Vec<usize>,
 }
 
 impl Folded {
-    /// Take in `part`, a fold of other rows of the same stream: add its
-    /// counts and combine its exact columns by their `sinks` (an `f64`
-    /// column is order-sensitive and left to the caller).
-    pub(crate) fn absorb(&mut self, part: &Folded, sinks: impl IntoIterator<Item = Sink>) {
+    /// Take in `part`, a fold of other rows of the same stream under the
+    /// same `sinks`: add its counts and combine its columns.
+    pub(crate) fn absorb(&mut self, part: Folded, sinks: impl IntoIterator<Item = Sink>) {
         for (total, rows) in self.counts.iter_mut().zip(&part.counts) {
             *total += rows;
         }
-        for ((acc, more), sink) in self.cols.iter_mut().zip(&part.cols).zip(sinks) {
-            if let (Acc::Exact(acc), Acc::Exact(more)) = (acc, more) {
-                for (a, &b) in acc.iter_mut().zip(more) {
-                    *a = sink.combine(*a, b);
+        for ((acc, more), sink) in self.cols.iter_mut().zip(part.cols).zip(sinks) {
+            match (acc, more) {
+                (Acc::Exact(acc), Acc::Exact(more)) => {
+                    for (a, b) in acc.iter_mut().zip(more) {
+                        *a = sink.combine(*a, b);
+                    }
                 }
+                (Acc::F64(acc), Acc::F64(more)) => {
+                    for (a, b) in acc.iter_mut().zip(more) {
+                        match (a, b) {
+                            (Some(a), Some(b)) => a.merge(&b),
+                            (a, b @ Some(_)) => *a = b,
+                            (_, None) => {}
+                        }
+                    }
+                }
+                _ => unreachable!("both folds give a column the same sink"),
             }
         }
     }
@@ -245,8 +235,8 @@ struct Col<'a> {
 }
 
 /// Check `input` can be read at `rows` and holds what its role needs: key
-/// codes for the key (`sink` is `None`), `I32` for the exact sinks, `I32` or
-/// `F64` for the `f64` ones.
+/// codes for the key (`sink` is `None`), `I32` for the integer sinks, `F64`
+/// for the `f64` one.
 fn resolve<'a>(
     input: Input<'a>,
     rows: Rows<'_>,
@@ -258,8 +248,8 @@ fn resolve<'a>(
             Codes::U8(v) => Src::U8(v),
             Codes::U16(v) => Src::U16(v),
         },
-        (Column::I32(v), Some(_)) => Src::I32(v),
-        (Column::F64(v), Some(Sink::SumF64 | Sink::Collect)) => Src::F64(v),
+        (Column::I32(v), Some(Sink::SumI64 | Sink::Min | Sink::Max)) => Src::I32(v),
+        (Column::F64(v), Some(Sink::SumF64)) => Src::F64(v),
         (other, _) => {
             let op = match sink {
                 None => "group key",
@@ -315,13 +305,11 @@ pub(crate) fn gather_with<M: MemTracker, T: Copy, U>(
 }
 
 /// One block of the stream and what the folds of its columns share: the
-/// stream rows `span.0..span.1`, their key codes when grouped, and the first
-/// code `glo` of the tables' group-domain slice.
+/// stream rows `span.0..span.1` and their key codes when grouped.
 struct Block<'a> {
     rows: Rows<'a>,
     span: (usize, usize),
     codes: Option<&'a [u16]>,
-    glo: usize,
 }
 
 impl Block<'_> {
@@ -346,6 +334,13 @@ impl Block<'_> {
     /// Whether the block's values are gathered (not read where they lie).
     fn gathered(&self) -> bool {
         !matches!(self.rows, Rows::All(_))
+    }
+
+    /// Whether the block's values go through a buffer: when there are codes
+    /// to scatter by or a join index to project (see the
+    /// [module docs](self)).
+    fn buffers(&self) -> bool {
+        self.codes.is_some() || matches!(self.rows, Rows::Pairs(_))
     }
 
     /// Charge the reads of a [`walk`](Self::walk), and the gather work when
@@ -380,6 +375,56 @@ impl Block<'_> {
         &buf[..n]
     }
 
+    /// [`load`](Self::load) a column to consume from the buffer, charging
+    /// the consumption's reads and, ungrouped, its work.
+    fn buffered<'b, M: MemTracker, T: Copy, V>(
+        &self,
+        trk: &mut M,
+        buf: &'b mut [V; FRAME_LEN],
+        src: (&[T], At),
+        conv: impl Fn(T) -> V,
+    ) -> &'b [V] {
+        let vals = self.load(trk, buf, src, conv);
+        if M::ENABLED {
+            if self.gathered() {
+                vals.iter().for_each(|v| track_read(trk, v));
+            }
+            if self.codes.is_none() {
+                trk.work(Work::ScanIter, vals.len() as u64);
+            }
+        }
+        vals
+    }
+
+    /// Charge a column consumed straight off the walk: its reads, and one
+    /// iteration per value.
+    fn charge_direct<M: MemTracker, T>(&self, trk: &mut M, (data, at): (&[T], At)) {
+        self.charge_reads(trk, data, at);
+        if M::ENABLED && !self.gathered() {
+            trk.work(Work::ScanIter, (self.span.1 - self.span.0) as u64);
+        }
+    }
+
+    /// Fold the block's values of one column into an exact sink's `table`:
+    /// through `buf` when [`buffers`](Self::buffers), else straight off the
+    /// column (see the [module docs](self)).
+    fn fold<M: MemTracker, T: Copy, V: Copy>(
+        &self,
+        trk: &mut M,
+        src: (&[T], At),
+        buf: &mut [V; FRAME_LEN],
+        table: &mut [i64],
+        conv: impl Fn(T) -> V,
+        op: impl Fn(i64, V) -> i64,
+    ) {
+        if self.buffers() {
+            let vals = self.buffered(trk, buf, src, conv);
+            accumulate(table, self.codes, vals, op);
+        } else {
+            table[0] = self.reduce(trk, table[0], src, |a, v| op(a, conv(v)));
+        }
+    }
+
     /// Fold the block's values of one column straight off the walk, with no
     /// buffer between the load and the accumulator.
     #[inline(never)]
@@ -387,54 +432,53 @@ impl Block<'_> {
         &self,
         trk: &mut M,
         acc: A,
-        (data, at): (&[T], At),
+        src: (&[T], At),
         op: impl Fn(A, T) -> A,
     ) -> A {
-        self.charge_reads(trk, data, at);
-        if M::ENABLED && !self.gathered() {
-            trk.work(Work::ScanIter, (self.span.1 - self.span.0) as u64);
-        }
-        self.walk(data, at, acc, |a, &v| op(a, v))
+        self.charge_direct(trk, src);
+        self.walk(src.0, src.1, acc, |a, &v| op(a, v))
     }
 
-    /// Fold the block's values of one column into `table`: through `buf`
-    /// when there are codes to scatter by or a join index to project, else
-    /// straight off the column (see the [module docs](self)).
-    fn fold<M: MemTracker, T: Copy, V: Copy, A: Copy>(
+    /// Sum the block's values of an `f64` column into `sums`, a block at a
+    /// time through `split` (grouped: through the per-group partials
+    /// `parts`).
+    #[inline(never)]
+    fn sum<M: MemTracker>(
         &self,
         trk: &mut M,
-        src: (&[T], At),
-        buf: &mut [V; FRAME_LEN],
-        table: &mut [A],
-        conv: impl Fn(T) -> V,
-        op: impl Fn(A, V) -> A,
+        src: (&[f64], At),
+        buf: &mut [f64; FRAME_LEN],
+        split: &mut Split,
+        parts: &mut [(i64, f64)],
+        sums: &mut [Option<Box<ExactSum>>],
     ) {
-        if self.codes.is_some() || matches!(self.rows, Rows::Pairs(_)) {
-            let vals = self.load(trk, buf, src, conv);
-            if M::ENABLED {
-                if self.gathered() {
-                    vals.iter().for_each(|v| track_read(trk, v));
-                }
-                if self.codes.is_none() {
-                    trk.work(Work::ScanIter, vals.len() as u64);
-                }
+        if self.buffers() {
+            let vals = self.buffered(trk, buf, src, |v| v);
+            match self.codes {
+                Some(codes) => split.grouped(codes, vals, parts, sums),
+                None => split.block(slot0(sums), vals, |v| v),
             }
-            accumulate(table, self.glo, self.codes, vals, op);
-        } else {
-            table[0] = self.reduce(trk, table[0], src, |a, v| op(a, conv(v)));
+            return;
+        }
+        self.charge_direct(trk, src);
+        let ((data, at), (lo, hi)) = (src, self.span);
+        match self.rows {
+            Rows::All(_) => split.block(slot0(sums), &data[lo..hi], |v| v),
+            Rows::Cands(c) => {
+                split.block(slot0(sums), &c[lo..hi], |o| data[(o - at.seqbase) as usize])
+            }
+            Rows::Pairs(_) => unreachable!("a join index is projected through the buffer"),
         }
     }
 }
 
-/// The one accumulation loop: `table[code − glo] = op(table[code − glo],
-/// value)` for every row of the block whose code the table owns (`glo` is
-/// the first code of the worker's group-domain slice; a sequential table
-/// owns every code, and the miss is the bounds check). Without codes every
-/// row lands in slot 0.
+/// The one accumulation loop of the integer sinks: `table[code] =
+/// op(table[code], value)` for every row of the block (a code is below
+/// the table's width by construction, and the miss is the bounds check).
+/// Without codes every row lands in slot 0.
 #[inline(never)]
 fn accumulate<A: Copy, V: Copy>(
     table: &mut [A],
-    glo: usize,
     codes: Option<&[u16]>,
     vals: &[V],
     op: impl Fn(A, V) -> A,
@@ -442,7 +486,7 @@ fn accumulate<A: Copy, V: Copy>(
     match codes {
         Some(codes) => {
             for (&c, &v) in codes.iter().zip(vals) {
-                if let Some(slot) = table.get_mut((c as usize).wrapping_sub(glo)) {
+                if let Some(slot) = table.get_mut(c as usize) {
                     *slot = op(*slot, v);
                 }
             }
@@ -451,26 +495,29 @@ fn accumulate<A: Copy, V: Copy>(
     }
 }
 
-/// Fold stream rows `lo..hi` into tables over the group codes `glo..ghi`,
-/// a block at a time.
+/// The one accumulator of an ungrouped sum.
+fn slot0(sums: &mut [Option<Box<ExactSum>>]) -> &mut ExactSum {
+    sums[0].get_or_insert_with(Box::default)
+}
+
+/// Fold stream rows `lo..hi`, a block at a time.
 fn fold_span<M: MemTracker>(
     trk: &mut M,
     rows: Rows<'_>,
     key: Option<Col<'_>>,
     cols: &[(Col<'_>, Sink)],
     (lo, hi): (usize, usize),
-    (glo, ghi): (usize, usize),
 ) -> Folded {
-    let mut counts = vec![0u64; ghi - glo];
-    let mut accs: Vec<Acc> = cols.iter().map(|&(_, sink)| sink.table(ghi - glo, hi - lo)).collect();
-    // A worker of a group-domain split owns only some of the codes.
-    let sliced = ghi - glo < domain(key);
-    let keep_codes = key.is_some() && cols.iter().any(|&(_, sink)| sink == Sink::Collect);
-    let mut row_codes = Vec::with_capacity(if keep_codes { hi - lo } else { 0 });
+    let width = domain(key);
+    let mut counts = vec![0u64; width];
+    let mut accs: Vec<Acc> = cols.iter().map(|&(_, sink)| sink.table(width)).collect();
+    let mut splits = vec![Split::default(); cols.len()];
+    let grouped_sum = key.is_some() && cols.iter().any(|&(_, sink)| sink == Sink::SumF64);
+    let mut parts = vec![(0, 0.0); if grouped_sum { width } else { 0 }];
     let (mut kbuf, mut ibuf, mut fbuf) = ([0u16; FRAME_LEN], [0i32; FRAME_LEN], [0f64; FRAME_LEN]);
 
     for b in (lo..hi).step_by(FRAME_LEN) {
-        let mut blk = Block { rows, span: (b, (b + FRAME_LEN).min(hi)), codes: None, glo };
+        let mut blk = Block { rows, span: (b, (b + FRAME_LEN).min(hi)), codes: None };
         let n = blk.span.1 - b;
         if let Some(k) = key {
             let codes = match k.src {
@@ -484,47 +531,31 @@ fn fold_span<M: MemTracker>(
                 }
                 trk.work(Work::HashTuple, n as u64);
             }
-            // … and gathers no values for a block none of whose rows it
-            // owns.
-            if sliced && !codes.iter().any(|&c| (c as usize).wrapping_sub(glo) < ghi - glo) {
-                continue;
-            }
-            accumulate(&mut counts, glo, Some(codes), codes, |a, _| a + 1);
-            if keep_codes {
-                row_codes.extend(codes.iter().map(|&c| u32::from(c)));
-            }
+            accumulate(&mut counts, Some(codes), codes, |a, _| a + 1);
             blk.codes = Some(codes);
         } else {
             counts[0] += n as u64;
         }
-        for (&(col, sink), acc) in cols.iter().zip(&mut accs) {
+        for ((&(col, sink), acc), split) in cols.iter().zip(&mut accs).zip(&mut splits) {
+            let src = col.at;
             match (sink, col.src, acc) {
-                (Sink::Collect, Src::F64(d), Acc::F64(out)) => {
-                    out.extend_from_slice(blk.load(trk, &mut fbuf, (d, col.at), |v| v))
-                }
-                (Sink::Collect, Src::I32(d), Acc::F64(out)) => {
-                    out.extend_from_slice(blk.load(trk, &mut fbuf, (d, col.at), f64::from))
-                }
                 (Sink::SumF64, Src::F64(d), Acc::F64(t)) => {
-                    blk.fold(trk, (d, col.at), &mut fbuf, t, |v| v, |a, v| a + v)
-                }
-                (Sink::SumF64, Src::I32(d), Acc::F64(t)) => {
-                    blk.fold(trk, (d, col.at), &mut fbuf, t, f64::from, |a, v| a + v)
+                    blk.sum(trk, (d, src), &mut fbuf, split, &mut parts, t)
                 }
                 (Sink::SumI64, Src::I32(d), Acc::Exact(t)) => {
-                    blk.fold(trk, (d, col.at), &mut ibuf, t, |v| v, |a, v| a + i64::from(v))
+                    blk.fold(trk, (d, src), &mut ibuf, t, |v| v, |a, v| a + i64::from(v))
                 }
                 (Sink::Min, Src::I32(d), Acc::Exact(t)) => {
-                    blk.fold(trk, (d, col.at), &mut ibuf, t, |v| v, |a, v| a.min(v.into()))
+                    blk.fold(trk, (d, src), &mut ibuf, t, |v| v, |a, v| a.min(v.into()))
                 }
                 (Sink::Max, Src::I32(d), Acc::Exact(t)) => {
-                    blk.fold(trk, (d, col.at), &mut ibuf, t, |v| v, |a, v| a.max(v.into()))
+                    blk.fold(trk, (d, src), &mut ibuf, t, |v| v, |a, v| a.max(v.into()))
                 }
                 _ => unreachable!("resolve and Sink::table pair every sink with its types"),
             }
         }
     }
-    Folded { counts, cols: accs, row_codes, shards: Vec::new() }
+    Folded { counts, cols: accs, shards: Vec::new() }
 }
 
 /// Slots of a table indexed by the codes of `key`: the whole code domain of
@@ -537,60 +568,11 @@ fn domain(key: Option<Col<'_>>) -> usize {
     }
 }
 
-/// Fold resolved columns on up to `threads` workers, split the way their
-/// sinks allow (see the [module docs](self)), and put the parts together.
-fn drive<M: MemTracker>(
-    trk: &mut M,
-    rows: Rows<'_>,
-    key: Option<Col<'_>>,
-    cols: &[(Col<'_>, Sink)],
-    threads: usize,
-) -> Folded {
-    let (n, domain) = (rows.len(), domain(key));
-    let has = |sink| cols.iter().any(|&(_, s)| s == sink);
-    let ordered = has(Sink::SumF64);
-
-    let parts = if threads <= 1 || has(Sink::Collect) || (ordered && key.is_none()) {
-        vec![fold_span(trk, rows, key, cols, (0, n), (0, domain))]
-    } else if ordered {
-        fan_out(trk, chunks(domain, threads), |trk, codes| {
-            fold_span(trk, rows, key, cols, (0, n), codes)
-        })
-    } else {
-        fan_out(trk, chunks(n, threads), |trk, span| {
-            fold_span(trk, rows, key, cols, span, (0, domain))
-        })
-    };
-
-    let shards = parts.iter().map(|p| p.counts.iter().sum::<u64>() as usize).collect();
-    let mut parts = parts.into_iter();
-    let mut out = parts.next().expect("fan_out yields at least one part");
-    for part in parts {
-        if ordered {
-            // Group-domain slices partition the codes in order.
-            out.counts.extend(part.counts);
-            for (acc, more) in out.cols.iter_mut().zip(part.cols) {
-                match (acc, more) {
-                    (Acc::Exact(a), Acc::Exact(b)) => a.extend(b),
-                    (Acc::F64(a), Acc::F64(b)) => a.extend(b),
-                    _ => unreachable!("workers fold the same sinks"),
-                }
-            }
-        } else {
-            // Row chunks: every sink is exact, so partials combine.
-            out.absorb(&part, cols.iter().map(|&(_, sink)| sink));
-        }
-    }
-    out.shards = shards;
-    out
-}
-
 /// Fold the columns `cols` over the surviving `rows` of a stream, grouped by
 /// the codes of `key` when given: per group code the row count and, per
-/// column, what its [`Sink`] accumulates. One pass in stream order, a block
-/// at a time; with `threads > 1` split as the sinks allow, bit-identical to
-/// the sequential fold at every thread count — see the [module docs](self)
-/// for both contracts.
+/// column, what its [`Sink`] accumulates. One pass, a block at a time; with
+/// `threads > 1` in row chunks, bit-identical to the sequential fold at
+/// every thread count — see the [module docs](self) for both contracts.
 ///
 /// Errors with [`StorageError::NonVoidHead`] when a column with a
 /// materialized head is addressed by OID, and with
@@ -608,22 +590,17 @@ pub fn fold<M: MemTracker>(
         .map(|&(input, sink)| Ok((resolve(input, rows, Some(sink))?, sink)))
         .collect::<Result<Vec<_>, EngineError>>()?;
 
-    // An ungrouped ordered sum holds only itself to one thread: the exact
-    // columns beside it are a fold of their own, in row chunks, and the two
-    // results go back into input order.
-    let (sums, exact): (Vec<_>, Vec<_>) = cols.iter().partition(|&&(_, s)| s == Sink::SumF64);
-    if threads > 1 && key.is_none() && !sums.is_empty() && !exact.is_empty() {
-        let mut out = drive(trk, rows, key, &exact, threads);
-        let mut exact = std::mem::take(&mut out.cols).into_iter();
-        let mut sums = drive(trk, rows, key, &sums, 1).cols.into_iter();
-        out.cols = cols
-            .iter()
-            .map(|&(_, s)| if s == Sink::SumF64 { sums.next() } else { exact.next() })
-            .map(|acc| acc.expect("each column is folded by one of the two"))
-            .collect();
-        return Ok(out);
+    let parts = fan_out(trk, chunks(rows.len(), threads), |trk, span| {
+        fold_span(trk, rows, key, &cols, span)
+    });
+    let shards = parts.iter().map(|p| p.counts.iter().sum::<u64>() as usize).collect();
+    let mut parts = parts.into_iter();
+    let mut out = parts.next().expect("fan_out yields at least one part");
+    for part in parts {
+        out.absorb(part, cols.iter().map(|&(_, sink)| sink));
     }
-    Ok(drive(trk, rows, key, &cols, threads))
+    out.shards = shards;
+    Ok(out)
 }
 
 #[cfg(test)]
@@ -647,9 +624,10 @@ mod tests {
         }
     }
 
-    fn floats(acc: &Acc) -> &[f64] {
+    /// Every slot of an `f64` sum, rounded.
+    fn floats(acc: &Acc) -> Vec<f64> {
         match acc {
-            Acc::F64(t) => t,
+            Acc::F64(t) => (0..t.len()).map(|c| acc.f64_sum(c).unwrap()).collect(),
             Acc::Exact(_) => panic!("f64 sink expected"),
         }
     }
@@ -679,9 +657,12 @@ mod tests {
     fn a_column_that_cannot_feed_its_role_is_a_type_error() {
         let f = Bat::with_void_head(0, Column::F64(vec![1.0]));
         let i = i32_bat(0, vec![1]);
-        for (key, col, sink) in
-            [(None, &f, Sink::SumI64), (None, &f, Sink::Min), (Some(&i), &f, Sink::SumF64)]
-        {
+        for (key, col, sink) in [
+            (None, &f, Sink::SumI64),
+            (None, &f, Sink::Min),
+            (None, &i, Sink::SumF64),
+            (Some(&i), &f, Sink::SumF64),
+        ] {
             let got = fold(&mut NullTracker, Rows::All(1), key.map(left), &[(left(col), sink)], 1);
             assert!(matches!(got, Err(EngineError::UnsupportedType { .. })), "{sink:?}");
         }
@@ -720,7 +701,7 @@ mod tests {
         let v2 = i32_bat(0, vec![5, -2, 9, 7, 4, 1]);
         let cols = [
             (left(&v1), Sink::SumF64),
-            (left(&v2), Sink::SumF64),
+            (left(&v2), Sink::SumI64),
             (left(&v2), Sink::Min),
             (left(&v2), Sink::Max),
         ];
@@ -729,28 +710,14 @@ mod tests {
         assert_eq!(f.counts.len(), 256);
         assert_eq!(f.counts[..4], [3, 2, 1, 0]);
         assert_eq!(floats(&f.cols[0])[..3], [37.0, 18.0, 8.0]);
-        assert_eq!(floats(&f.cols[1])[..3], [15.0, 2.0, 7.0]);
+        assert_eq!(exact(&f.cols[1])[..3], [15, 2, 7]);
         assert_eq!(exact(&f.cols[2])[..3], [1, -2, 7]);
         assert_eq!(exact(&f.cols[3])[..3], [9, 4, 7]);
-        assert!(f.row_codes.is_empty(), "only Collect keeps per-row codes");
 
         // No value columns: still groups and counts. Raw U8 keys work too.
         let k = Bat::with_void_head(0, Column::U8(vec![3, 3, 1]));
         let f = fold(&mut NullTracker, Rows::All(3), Some(left(&k)), &[], 1).unwrap();
         assert_eq!((f.counts[1], f.counts[3], f.counts.iter().sum::<u64>()), (1, 2, 3));
-    }
-
-    #[test]
-    fn collect_ships_rows_and_their_codes_in_stream_order() {
-        let k = Bat::with_void_head(5, Column::U8(vec![2, 0, 2, 1]));
-        let v = i32_bat(5, vec![10, 20, 30, 40]);
-        let cands = [5, 7, 8];
-        let cols = [(left(&v), Sink::Collect), (left(&v), Sink::Max)];
-        let f = fold(&mut NullTracker, Rows::Cands(&cands), Some(left(&k)), &cols, 4).unwrap();
-        assert_eq!(floats(&f.cols[0]), [10.0, 30.0, 40.0]);
-        assert_eq!(f.row_codes, [2, 2, 1]);
-        assert_eq!(exact(&f.cols[1])[..3], [i64::MIN, 40, 30]);
-        assert_eq!(f.shards, [3], "a collecting fold stays on one thread");
     }
 
     #[test]
@@ -766,7 +733,8 @@ mod tests {
         sums: Vec<i64>,
         mins: Vec<i64>,
         maxs: Vec<i64>,
-        /// `f64` sums of the values' sevenths.
+        /// `f64` sums of the values' sevenths, added exactly one value at
+        /// a time and rounded once.
         fsums: Vec<f64>,
     }
 
@@ -776,16 +744,18 @@ mod tests {
             sums: vec![0; domain],
             mins: vec![i64::MAX; domain],
             maxs: vec![i64::MIN; domain],
-            fsums: vec![0.0; domain],
+            fsums: Vec::new(),
         };
+        let mut exact = vec![ExactSum::new(); domain];
         for &p in positions {
             let (c, v) = (codes[p] as usize, vals[p]);
             t.counts[c] += 1;
             t.sums[c] += v as i64;
             t.mins[c] = t.mins[c].min(v as i64);
             t.maxs[c] = t.maxs[c].max(v as i64);
-            t.fsums[c] += v as f64 / 7.0;
+            exact[c].add(v as f64 / 7.0);
         }
+        t.fsums = exact.iter().map(ExactSum::finish).collect();
         t
     }
 
@@ -801,7 +771,8 @@ mod tests {
             })
             .collect();
         let ints = i32_bat(SEQBASE, vals.clone());
-        // Not exactly representable: bit-identity must come from the order.
+        // Not exactly representable: a sum rounded more than once, or
+        // added in another order, shows in the low bits.
         let sevenths = vals.iter().map(|&v| v as f64 / 7.0).collect();
         let reals = Bat::with_void_head(SEQBASE, Column::F64(sevenths));
         let names: Vec<String> = (0..n).map(|i| format!("g{i}")).collect();
@@ -844,12 +815,12 @@ mod tests {
                         assert_eq!(exact(&f.cols[2]), maxs, "{ctx}");
                         assert_eq!(f.shards.iter().sum::<usize>(), survivors, "{ctx}");
 
-                        // An ordered sum beside an exact sink: domain slices.
+                        // An `f64` sum beside an exact sink.
                         let cols = [(right(&reals), Sink::SumF64), (right(&ints), Sink::Max)];
                         let f = fold(&mut NullTracker, rows, Some(right(&key)), &cols, threads)
                             .unwrap();
                         let bits = |t: &[f64]| t.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
-                        assert_eq!(bits(floats(&f.cols[0])), bits(&fsums), "{ctx}");
+                        assert_eq!(bits(&floats(&f.cols[0])), bits(&fsums), "{ctx}");
                         assert_eq!(exact(&f.cols[1]), maxs, "{ctx}");
                         assert_eq!(f.counts, counts, "{ctx}");
                         assert_eq!(f.shards.iter().sum::<usize>(), survivors, "{ctx}");
@@ -881,7 +852,7 @@ mod tests {
     }
 
     #[test]
-    fn exact_columns_beside_an_ungrouped_f64_sum_still_fold_in_row_chunks() {
+    fn exact_columns_beside_an_ungrouped_f64_sum_fold_in_row_chunks() {
         let n = 2 * FRAME_LEN + 77;
         let vals: Vec<i32> = (0..n as i64).map(|i| ((i * 2_654_435_761) % 5000) as i32).collect();
         let ints = i32_bat(700, vals.clone());
@@ -900,25 +871,22 @@ mod tests {
                 (left(&ints), Sink::Min),
                 (left(&reals), Sink::SumF64),
                 (left(&ints), Sink::SumI64),
-                (left(&ints), Sink::SumF64),
                 (left(&ints), Sink::Max),
             ];
-            let exact_sum = t.sums[0] as f64;
             for threads in [1usize, 2, 3, 7] {
                 let f = fold(&mut NullTracker, rows, None, &cols, threads).unwrap();
                 assert_eq!(f.counts, t.counts, "threads={threads}");
                 assert_eq!(exact(&f.cols[0]), t.mins, "threads={threads}");
                 assert_eq!(floats(&f.cols[1])[0].to_bits(), t.fsums[0].to_bits());
                 assert_eq!(exact(&f.cols[2]), t.sums, "threads={threads}");
-                assert_eq!(floats(&f.cols[3]), [exact_sum], "threads={threads}");
-                assert_eq!(exact(&f.cols[4]), t.maxs, "threads={threads}");
-                assert_eq!(f.shards.len(), threads, "the exact columns' row chunks");
+                assert_eq!(exact(&f.cols[3]), t.maxs, "threads={threads}");
+                assert_eq!(f.shards.len(), threads, "row chunks");
                 assert_eq!(f.shards.iter().sum::<usize>(), positions.len());
 
-                // Alone, the ordered sum is one worker's.
+                // Alone, the sum splits the same way.
                 let f = fold(&mut NullTracker, rows, None, &cols[1..2], threads).unwrap();
                 assert_eq!(floats(&f.cols[0])[0].to_bits(), t.fsums[0].to_bits());
-                assert_eq!(f.shards, [positions.len()], "threads={threads}");
+                assert_eq!(f.shards.len(), threads, "threads={threads}");
             }
         }
     }
@@ -947,10 +915,11 @@ mod tests {
         let (scan, hash) = (work.scan_iter_ns, work.hash_tuple_ns);
         let key = Bat::with_void_head(0, Column::U8(vec![1; n]));
         let qty = i32_bat(0, vec![1; n]);
+        let price = Bat::with_void_head(0, Column::F64(vec![1.0; n]));
         let cands: Vec<Oid> = (0..n as Oid).collect();
         let pairs: Vec<OidPair> = cands.iter().map(|&o| OidPair { left: o, right: o }).collect();
         let (n64, nf) = (n as u64, n as f64);
-        let sum = [(left(&qty), Sink::SumF64)];
+        let sum = [(left(&price), Sink::SumF64)];
 
         // Grouped: a whole table is read where it lies — once per value,
         // whatever conversion the sink wants …
@@ -966,18 +935,19 @@ mod tests {
         assert_eq!(charged(Rows::Cands(&cands), None, &sum), (n64, nf * scan));
         assert_eq!(charged(Rows::Pairs(&pairs), None, &sum), (2 * n64, nf * 2.0 * scan));
 
-        // Collected rows are gathered, not consumed.
-        let ship = [(left(&qty), Sink::Collect)];
-        assert_eq!(charged(Rows::Pairs(&pairs), None, &ship), (n64, nf * scan));
-
-        // Split over two workers, row chunks charge the sequential totals …
+        // Split over workers, row chunks charge the sequential totals,
+        // whatever the sinks.
         let exact = [(left(&qty), Sink::SumI64)];
-        let one = charged(Rows::Cands(&cands), Some(left(&key)), &exact);
-        assert_eq!(charged_on(2, Rows::Cands(&cands), Some(left(&key)), &exact), one);
-        // … and each group-domain slice reads and hashes every key again:
-        // the worker owning code 1 is the sequential fold, the other skips
-        // every value gather.
-        let two = charged_on(2, Rows::All(n), Some(left(&key)), &sum);
-        assert_eq!(two, (3 * n64, 2.0 * nf * hash));
+        for (rows, cols) in [
+            (Rows::Cands(&cands), &exact),
+            (Rows::All(n), &sum),
+            (Rows::Cands(&cands), &sum),
+            (Rows::Pairs(&pairs), &sum),
+        ] {
+            let one = charged(rows, Some(left(&key)), cols);
+            for threads in [2, 3] {
+                assert_eq!(charged_on(threads, rows, Some(left(&key)), cols), one, "{threads}");
+            }
+        }
     }
 }

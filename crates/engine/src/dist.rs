@@ -16,38 +16,37 @@
 //!
 //! # Why the merge is exact
 //!
-//! Every shard run arrives **strictly ascending** in one global sort key:
-//! shard tables are rebased to seqbase 0 with monotone local→global OID
-//! maps and the executor emits streams in ascending local order, so mapping
-//! a shard's stream to global keys needs no sort on the shard. The
-//! coordinator then makes **one streaming pass with `S` cursors**
-//! (`merge_runs`): each step takes the smallest of the live run heads, an
-//! exhausted run drops out, the last live run is drained as a slice. Keys
-//! are unique (global OIDs, global pairs), so this visits rows in exactly
-//! the order a sort of the concatenated runs would — without the
-//! concatenation, the `n log n` comparisons or the second pass over the
-//! sorted copy. A shard ships only what its merge shape consumes:
+//! A shard ships only what its merge shape consumes:
 //!
-//! * **Selections** ship their global OIDs; the cursor pass pushes them
-//!   into one pre-sized list — the unsharded ascending OID list.
-//! * **Joins** ship their global pairs packed as `(left << 32) | right`.
-//!   The executor returns a join index in canonical `(left, right)` order
-//!   (a shard plan of a join ends in the join, so its index is returned),
-//!   and a join whose sides are co-partitioned on the join keys puts every
-//!   matching pair inside one shard (equal keys hash to the same shard), so
-//!   the union of per-shard pair sets *is* the global pair set and the
-//!   cursor pass reproduces the canonical order.
-//! * **Exact aggregates** — `COUNT`, integer `SUM` (i64), `MIN`/`MAX` —
-//!   combine associatively, so a shard ships one value per aggregate (per
-//!   group code when grouped) and **no rows at all**: a MIN/MAX/COUNT root
-//!   merges in time independent of the stream.
-//! * **`f64` sums** — floating-point addition is *not* associative, so
-//!   shard partials are never combined. Only a root with an `f64` sum ships
-//!   rows: one key run (global OID for table streams, packed global pair
-//!   for join streams) plus a parallel value vector per sum (and the group
-//!   codes when grouped). The coordinator adds `vals[shard][row]` into the
-//!   accumulator as the cursor visits it: exactly the addition order of the
-//!   unsharded kernel.
+//! * **Aggregates** fold exactly on the shard — `COUNT`, integer `SUM`
+//!   (i64) and `MIN`/`MAX` in integers, every `f64` sum in an
+//!   [`ExactSum`](crate::exact::ExactSum) — so a shard ships one
+//!   accumulator per aggregate (per group code when grouped) and **no rows
+//!   at all**. The coordinator combines them per group code: integer
+//!   arithmetic, and accumulator merges, give the same totals in any shard
+//!   order, and an `f64` sum is rounded once, when the merged result is
+//!   read — the bits of the unsharded fold, whose sum is rounded once too.
+//!   An aggregate root merges in time independent of the stream.
+//! * **Stream roots** ship their rows, and every shard run arrives
+//!   **strictly ascending** in one global sort key: shard tables are
+//!   rebased to seqbase 0 with monotone local→global OID maps and the
+//!   executor emits streams in ascending local order, so mapping a shard's
+//!   stream to global keys needs no sort on the shard. The coordinator
+//!   then makes **one streaming pass with `S` cursors** (`merge_runs`):
+//!   each step takes the smallest of the live run heads, an exhausted run
+//!   drops out, the last live run is drained as a slice. Keys are unique
+//!   (global OIDs, global pairs), so this visits rows in exactly the order
+//!   a sort of the concatenated runs would — without the concatenation, the
+//!   `n log n` comparisons or the second pass over the sorted copy.
+//!   * **Selections** ship their global OIDs; the cursor pass pushes them
+//!     into one pre-sized list — the unsharded ascending OID list.
+//!   * **Joins** ship their global pairs packed as `(left << 32) | right`.
+//!     The executor returns a join index in canonical `(left, right)` order
+//!     (a shard plan of a join ends in the join, so its index is
+//!     returned), and a join whose sides are co-partitioned on the join
+//!     keys puts every matching pair inside one shard (equal keys hash to
+//!     the same shard), so the union of per-shard pair sets *is* the global
+//!     pair set and the cursor pass reproduces the canonical order.
 //! * **Dictionaries** — shard string columns share the parent's dictionary
 //!   ([`monet_core::shard`]), so group codes are globally consistent and a
 //!   merge ascending by code reproduces the unsharded group order.
@@ -58,7 +57,7 @@ use monet_core::join::OidPair;
 use monet_core::shard::{ShardedTable, TableShard};
 use monet_core::storage::{DecomposedTable, Oid};
 
-use crate::aggregate::{fold, Acc, Folded, Input, Rows, Sink};
+use crate::aggregate::{fold, Folded, Input, Rows, Sink};
 use crate::exec::{
     agg_output, agg_sinks, base_tables, delta, execute, input_of, ExecOptions, ExecReport,
     Executed, OpReport, QueryOutput,
@@ -210,8 +209,7 @@ pub fn lower<'a>(
 /// order, so a run is strictly ascending with no sort on the shard either.
 #[derive(Debug)]
 enum Keys {
-    /// The merge consumes no per-row order (no `f64` sum at the root), so
-    /// no row is shipped.
+    /// An aggregate root: the merge consumes no rows, so none is shipped.
     None,
     /// Table stream: global OIDs.
     Oids(Vec<Oid>),
@@ -246,11 +244,9 @@ impl Keys {
 /// One shard's contribution to a sharded execution.
 pub struct ShardPartial {
     keys: Keys,
-    /// The shard's stream folded into the root aggregation's partial — exact
-    /// sinks per group code, every `f64` sum as collected rows parallel to
-    /// `keys` (never added per shard: the coordinator accumulates the rows
-    /// of all shards in global key order). `None` for stream roots, whose
-    /// keys are the result.
+    /// The shard's stream folded into the root aggregation's partial: per
+    /// group code, integer totals and `f64` sum accumulators. `None` for
+    /// stream roots, whose keys are the result.
     folded: Option<Folded>,
     /// Stream rows this shard's plan produced (pre-aggregation).
     stream_rows: usize,
@@ -288,17 +284,14 @@ pub fn execute_shard<M: MemTracker>(
         MergeShape::Oids | MergeShape::Pairs => None,
         MergeShape::Agg { key, aggs } => {
             let key = key.as_deref().map(|k| ctx.input(k)).transpose()?;
-            let cols = agg_sinks(|col| ctx.input(col), key.is_some(), aggs, Sink::Collect)?;
+            let cols = agg_sinks(|col| ctx.input(col), aggs)?;
             Some(fold(trk, rows, key, &cols, 1)?)
         }
     };
 
-    // Ship per-row keys only to a merge that consumes row order: a stream
-    // root (the keys are its result) or a root with an `f64` sum.
-    let ships_rows =
-        folded.as_ref().is_none_or(|f| f.cols.iter().any(|col| col.as_f64().is_some()));
+    // Only a stream root ships its rows: the keys are its result.
     let keys = match rows {
-        _ if !ships_rows => Keys::None,
+        _ if folded.is_some() => Keys::None,
         Rows::Cands(locals) => {
             Keys::Oids(locals.iter().map(|&l| ctx.left.oids[l as usize]).collect())
         }
@@ -411,22 +404,14 @@ fn key_runs<'p, K>(
     partials.iter().map(|p| of(&p.keys)).collect()
 }
 
-/// Visit every shipped row of `partials` as `(shard, row)` in global key
-/// order — the unsharded kernel's accumulation order. Visits nothing when
-/// the shards shipped no rows.
-fn visit_shipped(partials: &[ShardPartial], visit: impl FnMut(usize, usize)) {
-    if let Some(runs) = key_runs(partials, Keys::oids) {
-        merge_runs(&runs, visit);
-    } else if let Some(runs) = key_runs(partials, Keys::pairs) {
-        merge_runs(&runs, visit);
-    }
-}
-
 /// Merge shard partials into the final result. The merged report carries
 /// one operator per shard-plan operator (rows and simulated counters summed
 /// across shards, with the per-shard counters preserved in
 /// [`OpReport::counters_per_shard`]) plus one coordinator `merge` operator.
-pub fn merge(lowered: &Lowered<'_>, partials: Vec<ShardPartial>) -> Result<Executed, EngineError> {
+pub fn merge(
+    lowered: &Lowered<'_>,
+    mut partials: Vec<ShardPartial>,
+) -> Result<Executed, EngineError> {
     assert_eq!(partials.len(), lowered.shard_count(), "one partial per shard");
     let n = partials.len();
     // The cursor merge trusts what the sort it replaced would have forgiven.
@@ -457,52 +442,20 @@ pub fn merge(lowered: &Lowered<'_>, partials: Vec<ShardPartial>) -> Result<Execu
             QueryOutput::JoinIndex(all)
         }
         MergeShape::Agg { key, aggs } => {
-            let parts: Vec<&Folded> = partials
-                .iter()
-                .map(|p| p.folded.as_ref().expect("aggregate roots fold every shard"))
-                .collect();
-            let domain = parts[0].counts.len();
-            debug_assert!(
-                parts
-                    .iter()
-                    .all(|p| p.counts.len() == domain && p.cols.len() == parts[0].cols.len()),
-                "shards agree on the group domain and the aggregates"
-            );
-
-            // Exact sinks combine per group code, whatever the shard order.
             let input = |col: &str| lowered.ctx[0].input(col);
-            let sinks: Vec<Sink> = agg_sinks(input, key.is_some(), aggs, Sink::SumF64)?
-                .into_iter()
-                .map(|(_, sink)| sink)
-                .collect();
-            let mut merged = Folded {
-                counts: vec![0; domain],
-                cols: sinks.iter().map(|sink| sink.table(domain, 0)).collect(),
-                row_codes: Vec::new(),
-                shards: Vec::new(),
-            };
-            for p in &parts {
-                merged.absorb(p, sinks.iter().copied());
-            }
-
-            // `f64` sums: add every shipped row into its group's
-            // accumulators as the cursor visits it.
-            let shipped: Vec<Vec<&[f64]>> =
-                parts.iter().map(|p| p.cols.iter().filter_map(Acc::as_f64).collect()).collect();
-            let mut sums: Vec<&mut Vec<f64>> = merged
-                .cols
+            let sinks: Vec<Sink> =
+                agg_sinks(input, aggs)?.into_iter().map(|(_, sink)| sink).collect();
+            let mut parts = partials
                 .iter_mut()
-                .filter_map(|col| match col {
-                    Acc::F64(sums) => Some(sums),
-                    Acc::Exact(_) => None,
-                })
-                .collect();
-            visit_shipped(&partials, |s, r| {
-                let code = parts[s].row_codes.get(r).map_or(0, |&c| c as usize);
-                for (sum, col) in sums.iter_mut().zip(&shipped[s]) {
-                    sum[code] += col[r];
-                }
-            });
+                .map(|p| p.folded.take().expect("aggregate roots fold every shard"));
+            let mut merged = parts.next().expect("one partial per shard");
+            for part in parts {
+                debug_assert!(
+                    part.counts.len() == merged.counts.len() && part.cols.len() == sinks.len(),
+                    "shards agree on the group domain and the aggregates"
+                );
+                merged.absorb(part, sinks.iter().copied());
+            }
 
             // Decode via the shared dictionary (shard 0's key column — all
             // shards clone the parent dict).
@@ -549,10 +502,8 @@ pub fn merge(lowered: &Lowered<'_>, partials: Vec<ShardPartial>) -> Result<Execu
     let what = match &lowered.merge {
         MergeShape::Oids => "cursor merge of ascending OID runs",
         MergeShape::Pairs => "cursor merge of canonical (left, right) pair runs",
-        MergeShape::Agg { key: None, .. } => "exact partial combine + key-ordered f64 accumulation",
-        MergeShape::Agg { key: Some(_), .. } => {
-            "per-group exact combine + key-ordered f64 accumulation"
-        }
+        MergeShape::Agg { key: None, .. } => "exact partial combine",
+        MergeShape::Agg { key: Some(_), .. } => "per-group exact combine",
     };
     report.ops.push(OpReport {
         op: format!("merge[{n} shards]"),
@@ -560,8 +511,8 @@ pub fn merge(lowered: &Lowered<'_>, partials: Vec<ShardPartial>) -> Result<Execu
         rows_out,
         detail: format!("coordinator: {what}"),
         counters: gather_total,
-        // Priced on the rows that reached the coordinator: exact partials
-        // arrive combined, so a root without an `f64` sum merges 0 rows.
+        // Priced on the rows that reached the coordinator: aggregate
+        // partials arrive folded, so an aggregate root merges 0 rows.
         shapes: vec![OpShape::Merge { rows: shipped_rows }],
         counters_per_shard: gather_per_shard
             .iter()
@@ -837,8 +788,8 @@ mod tests {
             run.unwrap().report.ops.pop().expect("merge op")
         };
 
-        // Exact aggregates arrive combined: nothing to merge, whatever the
-        // stream carried.
+        // Aggregates arrive folded, `f64` sums included: nothing to merge,
+        // whatever the stream carried.
         let exact = stream
             .clone()
             .group_by("shipmode")
@@ -852,9 +803,12 @@ mod tests {
         let int_sum = stream.clone().agg(Agg::sum("qty")).agg(Agg::max("qty")).build().unwrap();
         assert_eq!(merge_op(&int_sum).shapes, vec![OpShape::Merge { rows: 0 }]);
 
-        // An f64 sum and a bare stream ship every stream row.
         let f64_sum = stream.clone().agg(Agg::sum("price")).build().unwrap();
-        assert_eq!(merge_op(&f64_sum).shapes, vec![OpShape::Merge { rows: stream_rows }]);
+        assert_eq!(merge_op(&f64_sum).shapes, vec![OpShape::Merge { rows: 0 }]);
+        let grouped = stream.clone().group_by("shipmode").agg(Agg::sum("qty")).build().unwrap();
+        assert_eq!(merge_op(&grouped).shapes, vec![OpShape::Merge { rows: 0 }]);
+
+        // A bare stream ships every stream row.
         let op = merge_op(&stream.build().unwrap());
         assert_eq!((op.rows_in, op.rows_out), (stream_rows, stream_rows));
         assert_eq!(op.shapes, vec![OpShape::Merge { rows: stream_rows }]);

@@ -40,19 +40,19 @@
 //! share, against a per-thread fork overhead) — just like the join algorithm
 //! and radix bits. Results are **bit-identical** to sequential execution at
 //! every thread count: selections and gathers merge chunk results
-//! thread-major, a join index whose order a consumer observes — a returned
-//! index, or one folded with an order-sensitive sink (an `f64` sum, any
-//! grouped sum, or a collected column) — is put in canonical `(left, right)`
-//! order by [`monet_core::join::canonicalize`], and `f64` aggregate
-//! accumulation preserves the sequential per-group addition order (see
-//! [`crate::aggregate`]). A join folded only into exact aggregates (`COUNT`,
-//! ungrouped integer `SUM`, `MIN`/`MAX`) keeps the cluster order the join
-//! produced: those combine the same in any order
+//! thread-major, a returned join index is put in canonical `(left, right)`
+//! order by [`monet_core::join::canonicalize`], and every aggregate folds
+//! exactly — integers in `i64`, `f64` sums in an [`ExactSum`] rounded
+//! once — so it combines the same from any split of its rows (see
+//! [`crate::aggregate`]). A join folded into an aggregate is therefore
+//! passed on in the cluster order the join produced
 //! ([`OpReport::cluster_order`]). Simulated runs (`SimTracker`) fan out the
 //! same way: each worker charges a simulated hierarchy of its own, a cold
 //! fork of the caller's (see [`memsim::MemTracker`]), so an operator's
 //! counters are the sum of its workers' work and match across thread counts
 //! only at one thread.
+//!
+//! [`ExactSum`]: crate::exact::ExactSum
 
 use std::fmt;
 use std::sync::Arc;
@@ -310,9 +310,9 @@ pub struct OpReport {
     /// machine-readable form of facts `detail` renders as text.
     pub notes: Vec<AccessNote>,
     /// Joins: the index was passed on in the cluster order the join
-    /// produced it in, because its only consumer folds exact aggregates,
-    /// which do not observe row order — no canonical pass ran. `detail`
-    /// says so too.
+    /// produced it in, because its consumer is an aggregate, which folds
+    /// exactly and so does not observe row order — no canonical pass ran.
+    /// `detail` says so too.
     pub cluster_order: bool,
     /// The cost-model shapes for the work this operator performed *itself*
     /// (index probes and leaves fed by a shared pass are excluded): what the
@@ -321,11 +321,9 @@ pub struct OpReport {
     pub shapes: Vec<OpShape>,
     /// Parallel runs: this operator's row counters sharded per thread
     /// (select: matches produced per chunk, summed over scanning leaves;
-    /// aggregate: input rows each fold worker accumulated — per row chunk,
-    /// or per group-domain slice under an ordered `f64` sum; join: result
-    /// pairs produced per cluster-pair worker block). `rows_out` stays the
-    /// merged total; sequential runs carry `None`, as does an aggregate
-    /// whose fold ran on one worker whatever the budget.
+    /// aggregate: input rows each fold worker accumulated, one row chunk
+    /// each; join: result pairs produced per cluster-pair worker block).
+    /// `rows_out` stays the merged total; sequential runs carry `None`.
     pub rows_per_thread: Option<Vec<usize>>,
     /// Sharded runs (`crate::dist`): this operator's simulated counters per
     /// table shard, in shard order. `counters` stays the merged total (the
@@ -445,8 +443,8 @@ pub enum QueryOutput {
 impl QueryOutput {
     /// Representation-level equality: like `==`, but `f64` aggregates must
     /// match *bit for bit* — `==` would conflate `0.0` with `-0.0`, which
-    /// is weaker than the executor's determinism contract (parallel and
-    /// sequential runs preserve the exact floating-point addition order).
+    /// is weaker than the executor's determinism contract (every `f64` sum
+    /// is correctly rounded, the same bits at every thread and shard count).
     pub fn bitwise_eq(&self, other: &QueryOutput) -> bool {
         fn agg_eq(a: &AggValue, b: &AggValue) -> bool {
             match (a, b) {
@@ -683,13 +681,12 @@ fn exec_node<'a, M: MemTracker>(
             // pass takes its scratch copy of the index.
             drop((lc, rc));
             // Every join algorithm (and thread count) emits the same pair
-            // set, but in its own cluster order. Where the consumer observes
-            // order — a returned index, an `f64` or grouped sum — counting
-            // passes over the left OIDs restore (left, right) order in linear
-            // time. That makes the index, and every downstream f64
-            // accumulation order, independent of the physical plan, and is
-            // what lets co-partitioned shard joins merge bit-identically (see
-            // `crate::dist`). Exact aggregates take the pairs as they come.
+            // set, but in its own cluster order. A returned index is the
+            // result, so counting passes over the left OIDs restore (left,
+            // right) order in linear time: that makes it independent of the
+            // physical plan, and lets co-partitioned shard joins merge
+            // bit-identically (see `crate::dist`). An aggregate folds
+            // exactly and takes the pairs as they come.
             let pairs = if ordered { canonicalize(trk, pairs) } else { pairs };
 
             report.ops.push(OpReport {
@@ -711,23 +708,21 @@ fn exec_node<'a, M: MemTracker>(
             Ok(Output::Stream(Stream::Joined { pairs }))
         }
         PlanNode::GroupAgg { input, key, aggs } => {
-            // The fold observes its stream's order exactly when a column
-            // gets an order-sensitive sink — read off the sinks it will use.
+            // Every sink folds exactly, so the fold observes no row order.
             let (lt, rt) = base_tables(input)?;
-            let sinks = agg_sinks(|col| input_of(lt, rt, col), key.is_some(), aggs, Sink::SumF64)?;
-            let ordered = sinks.iter().any(|&(_, sink)| sink.observes_order());
+            let sinks = agg_sinks(|col| input_of(lt, rt, col), aggs)?;
             let stream =
-                expect_stream(exec_node(trk, input, opts, model, report, ticket, leafs, ordered)?)?;
+                expect_stream(exec_node(trk, input, opts, model, report, ticket, leafs, false)?)?;
             let rows_in = stream.rows();
             let before = trk.counters_snapshot();
-            // Parallel quote: what splits across threads is the gathers (one
-            // 8-byte-stride pass per gathered column plus the keys) — an
-            // ordered `f64` sum re-walks the stream per worker (see
-            // `crate::aggregate`), so the accumulation must not be sold to
-            // the model as divisible. An unrestricted scan stream is folded
-            // where it lies — nothing is gathered, so Auto keeps it
-            // sequential. A deliberate lower bound: gathers access randomly,
-            // so this only *under*-forks.
+            // Parallel quote: the gathers alone (one 8-byte-stride pass per
+            // gathered column plus the keys). The fold splits every sink in
+            // row chunks (see `crate::aggregate`), so the accumulation
+            // divides too, but it is left out of the quote: an unrestricted
+            // scan stream is folded where it lies — nothing is gathered, so
+            // Auto keeps it sequential. A deliberate lower bound: gathers
+            // access randomly and the accumulation is left out, so this only
+            // *under*-forks.
             let gathers = !matches!(&stream, Stream::Table { cands: None, .. });
             let gather_ns = if gathers {
                 scan_cost(model, rows_in.max(1), 8).total_ns() * (aggs.len() + 1) as f64
@@ -767,9 +762,7 @@ fn exec_node<'a, M: MemTracker>(
                     )
                 }
             };
-            // What each worker of a parallel fold accumulated: row chunks,
-            // or the rows of its group-domain slice. A fold its sinks held
-            // to one worker (an ungrouped `f64` sum alone) was not parallel.
+            // The rows each worker of a parallel fold accumulated.
             let shards = (folded.shards.len() > 1).then_some(folded.shards);
             // Mirror the quote's shape decomposition (and the fold's two
             // charges): one positional gather per column (plus the key),
@@ -900,15 +893,12 @@ pub(crate) fn base_tables<'a>(
 /// Each column aggregate of `aggs`, resolved by `input`, paired with the
 /// sink [`fold`] gives it — the one mapping from aggregates to sinks, for
 /// the executor's fold, the shard partial builder and the coordinator's
-/// merge. Extrema fold exactly, and so does an ungrouped integer sum, in
-/// `i64`. A grouped sum (always `f64`) and a sum of an `F64` column get
-/// `ordered`: [`Sink::SumF64`], or [`Sink::Collect`] on a shard, which
-/// ships the rows instead of adding them.
+/// merge. Extrema and integer sums fold in integers ([`Sink::SumI64`]: a
+/// grouped one is reported as its `f64`, see [`agg_output`]), a sum of an
+/// `F64` column in an exact `f64` sum ([`Sink::SumF64`]).
 pub(crate) fn agg_sinks<'a>(
     input: impl Fn(&str) -> Result<Input<'a>, EngineError>,
-    grouped: bool,
     aggs: &[Agg],
-    ordered: Sink,
 ) -> Result<Vec<(Input<'a>, Sink)>, EngineError> {
     let columns = aggs.iter().filter_map(|agg| Some((agg, agg.column()?)));
     columns
@@ -917,7 +907,7 @@ pub(crate) fn agg_sinks<'a>(
             let sink = match agg {
                 Agg::Min(_) => Sink::Min,
                 Agg::Max(_) => Sink::Max,
-                _ if grouped || matches!(col.bat.tail(), Column::F64(_)) => ordered,
+                _ if matches!(col.bat.tail(), Column::F64(_)) => Sink::SumF64,
                 _ => Sink::SumI64,
             };
             Ok((col, sink))
@@ -927,8 +917,10 @@ pub(crate) fn agg_sinks<'a>(
 
 /// The output rows of folded `aggs`: one [`GroupRow`] per occurring group
 /// (ascending by key code, decoded through `key`'s dictionary), or the bare
-/// aggregate values when ungrouped.
+/// aggregate values when ungrouped. A grouped sum is always an `f64`: an
+/// integer one is its exact `i64` total, rounded once.
 pub(crate) fn agg_output(key: Option<&Bat>, aggs: &[Agg], folded: &Folded) -> QueryOutput {
+    let grouped = key.is_some();
     let values = |code: usize| -> Vec<AggValue> {
         let rows = folded.counts[code];
         let mut cols = folded.cols.iter();
@@ -937,8 +929,9 @@ pub(crate) fn agg_output(key: Option<&Bat>, aggs: &[Agg], folded: &Folded) -> Qu
             .map(|agg| match agg {
                 Agg::Count => AggValue::Count(rows as usize),
                 Agg::Sum(_) => match next() {
+                    Acc::Exact(sums) if grouped => AggValue::F64(sums[code] as f64),
                     Acc::Exact(sums) => AggValue::I64(sums[code]),
-                    Acc::F64(sums) => AggValue::F64(sums[code]),
+                    sums => AggValue::F64(sums.f64_sum(code).expect("an f64 sink")),
                 },
                 Agg::Min(_) | Agg::Max(_) => match next() {
                     // A group without rows holds the sink's identity.
@@ -1160,25 +1153,26 @@ mod tests {
         }
         let dim = b.finish();
         let joined = || Query::scan(&t).join(&dim, ("qty", "q"));
-        // (aggregates, group key, whether the fold observes order)
-        let shapes: [(&[Agg], Option<&str>, bool); 10] = [
-            (&[Agg::count()], None, false),
-            (&[Agg::sum("qty"), Agg::sum("rank")], None, false),
-            (&[Agg::min("rank"), Agg::max("qty"), Agg::count()], None, false),
-            (&[Agg::sum("price")], None, true),
-            (&[Agg::sum("bonus"), Agg::count()], None, true),
-            (&[Agg::sum("rank"), Agg::sum("discnt")], None, true),
-            (&[Agg::count()], Some("shipmode"), false),
-            (&[Agg::min("qty"), Agg::max("rank"), Agg::count()], Some("shipmode"), false),
-            (&[Agg::sum("rank")], Some("shipmode"), true),
-            (&[Agg::max("qty"), Agg::sum("bonus")], Some("shipmode"), true),
+        // No aggregate observes order, `f64` sums included: they fold
+        // exactly.
+        let shapes: [(&[Agg], Option<&str>); 10] = [
+            (&[Agg::count()], None),
+            (&[Agg::sum("qty"), Agg::sum("rank")], None),
+            (&[Agg::min("rank"), Agg::max("qty"), Agg::count()], None),
+            (&[Agg::sum("price")], None),
+            (&[Agg::sum("bonus"), Agg::count()], None),
+            (&[Agg::sum("rank"), Agg::sum("discnt")], None),
+            (&[Agg::count()], Some("shipmode")),
+            (&[Agg::min("qty"), Agg::max("rank"), Agg::count()], Some("shipmode")),
+            (&[Agg::sum("rank")], Some("shipmode")),
+            (&[Agg::max("qty"), Agg::sum("bonus")], Some("shipmode")),
         ];
-        for (aggs, key, observes) in shapes {
+        for (aggs, key) in shapes {
             let q = key.map_or_else(joined, |k| joined().group_by(k));
             let r = run(aggs.iter().fold(q, |q, agg| q.agg(agg.clone())));
             let join = r.report.ops.iter().find(|o| o.op.starts_with("join")).unwrap();
-            assert_eq!(join.cluster_order, !observes, "{aggs:?} by {key:?}");
-            assert_eq!(join.detail.contains("cluster order"), !observes, "{}", join.detail);
+            assert!(join.cluster_order, "{aggs:?} by {key:?}");
+            assert!(join.detail.contains("cluster order"), "{}", join.detail);
         }
         // A returned index is observed.
         let r = run(joined());
@@ -1364,8 +1358,8 @@ mod tests {
         assert!(sel.access.iter().all(|d| !d.path.is_index()));
 
         // A pure index select has no per-thread scan work to shard, even
-        // under forced parallelism; the aggregate shards the rows of its
-        // exact column (the `f64` sum beside it folds on one thread).
+        // under forced parallelism; the aggregate shards its rows, `f64` sum
+        // and all.
         let opts = ExecOptions::cost_model(machine)
             .with_access(crate::access::AccessMode::Index)
             .with_compress(CompressMode::On)
@@ -1380,7 +1374,8 @@ mod tests {
         assert_eq!(shards.len(), 4);
         let alone = Query::scan(&t).agg(Agg::sum("price")).build().unwrap();
         let par = execute(&mut NullTracker, &alone, &opts).unwrap();
-        assert!(par.report.ops.iter().all(|o| o.rows_per_thread.is_none()), "one worker");
+        let agg = par.report.ops.iter().find(|o| o.op.starts_with("aggregate")).unwrap();
+        assert_eq!(agg.rows_per_thread.as_ref().map(Vec::len), Some(4), "row chunks");
     }
 
     #[test]
@@ -1489,7 +1484,7 @@ mod tests {
         assert_eq!(shards.iter().sum::<usize>(), join.rows_out, "pair counts merge to the total");
         let group = par.report.ops.iter().find(|o| o.op.starts_with("group")).unwrap();
         let shards = group.rows_per_thread.as_ref().expect("grouped-aggregate shards");
-        assert_eq!(shards.iter().sum::<usize>(), group.rows_in, "domain slices cover every row");
+        assert_eq!(shards.iter().sum::<usize>(), group.rows_in, "row chunks cover every row");
         // Sequential runs stay unsharded on both ops.
         assert!(seq.report.ops.iter().all(|o| o.rows_per_thread.is_none()));
     }

@@ -15,6 +15,9 @@
 //!   small, per §3.2), accumulated in one block-at-a-time pass over a
 //!   stream's survivors — a whole table, a candidate list or a join index —
 //!   with no survivor-length intermediate;
+//! * [`exact`] — exact `f64` summation: every `f64` sum is kept as an
+//!   integer and rounded once, so it does not depend on the order of its
+//!   terms;
 //! * [`candidates`] — candidate OID lists and their AND/OR combinators;
 //! * [`join`] — dispatch from BATs to the radix join kernels, including the
 //!   void-head positional fast path that "effectively eliminat\[es\] all join
@@ -35,7 +38,8 @@
 //! * [`dist`] — **sharded execution**: lowers one logical plan onto the hash
 //!   shards of a [`monet_core::shard::ShardedTable`] (one stream plan per
 //!   shard plus a coordinator merge) with results bit-identical to the
-//!   unsharded run at any shard count — including `f64` sum bits.
+//!   unsharded run at any shard count — including `f64` sum bits: shards
+//!   ship their aggregates' accumulators, not rows.
 //!
 //! Scan-shaped operators are generic over [`memsim::MemTracker`] so the
 //! examples can show their stride behaviour on the simulated Origin2000.
@@ -44,6 +48,7 @@ pub mod access;
 pub mod aggregate;
 pub mod candidates;
 pub mod dist;
+pub mod exact;
 pub mod exec;
 pub mod join;
 pub mod plan;

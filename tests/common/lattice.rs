@@ -181,6 +181,8 @@ fn item(l: &mut Lattice) -> DecomposedTable {
         _ => l.int(1, 5_000) as u32,
     };
     let qty = l.draw("qty shape", &[QtyShape::Uniform, QtyShape::Runs, QtyShape::Constant]);
+    let wide = l.draw("price", &["cents", "wide"]) == "wide";
+    let mut last_price = 0.0;
     let mut zipf = match l.draw("key skew", &["uniform", "zipf"]) {
         "zipf" => Some(ZipfGenerator::new(SUPPLIERS, 1.0, l.rng.next_u64())),
         _ => None,
@@ -207,7 +209,11 @@ fn item(l: &mut Lattice) -> DecomposedTable {
             Value::I32(supp as i32),
             Value::I32(qty as i32),
             Value::I32((i / 300) as i32),
-            Value::F64(l.int(0, 100_000) as f64 / 100.0),
+            Value::F64(if wide {
+                wide_price(l, &mut last_price)
+            } else {
+                l.int(0, 100_000) as f64 / 100.0
+            }),
             Value::F64(l.int(0, 11) as f64 / 100.0),
             Value::from(l.pick(&SHIPMODES)),
             Value::from(l.pick(&FLAGS)),
@@ -236,6 +242,23 @@ fn item(l: &mut Lattice) -> DecomposedTable {
         }
     }
     t
+}
+
+/// A `price` far from cents: either sign, magnitudes from 2^−60 to 2^60
+/// (now and then 2^±600), so one block's values span more binades than
+/// the sum kernel's split covers; the negation of the previous price, so
+/// sums cancel; rarely a subnormal or `-0.0`.
+fn wide_price(l: &mut Lattice, last: &mut f64) -> f64 {
+    let sign = if l.coin() { -1.0 } else { 1.0 };
+    let v = match l.int(0, 64) {
+        0 => -0.0,
+        1 => sign * f64::from_bits(l.rng.next_u64() & ((1 << 52) - 1)),
+        2..=9 => -*last,
+        10 | 11 => sign * 2f64.powi(l.int(-600, 601) as i32),
+        _ => sign * (1.0 + l.rng.next_f64()) * 2f64.powi(l.int(-60, 61) as i32),
+    };
+    *last = v;
+    v
 }
 
 /// The supplier dimension: `id` (repeating, some ids matching no item),

@@ -4,8 +4,10 @@
 //! candidate lists, indexes, compression, blocks or threads: filters test one
 //! record at a time, the join emits `(l, r)` ascending — a nested loop's
 //! order, with each left key looked up among the right records' instead of
-//! compared against every one — and every `f64` sum is added in that stream
-//! order, which is the order the executor's bit-identity contract promises.
+//! compared against every one — and every `f64` sum is [`exact_sum`]: its
+//! terms added exactly into a big integer of its own and the total rounded
+//! once, half to even, which is the correctly rounded sum the executor
+//! promises at every plan, thread count and shard count.
 
 use std::collections::BTreeMap;
 
@@ -144,16 +146,10 @@ fn aggregate(agg: &Agg, exact: bool, vals: &[&Value], rows: usize) -> AggValue {
         Agg::Min(_) => AggValue::MaybeI32(ints().min()),
         Agg::Max(_) => AggValue::MaybeI32(ints().max()),
         Agg::Sum(_) if exact => AggValue::I64(ints().map(i64::from).sum()),
-        Agg::Sum(_) => {
-            let mut sum = 0.0f64;
-            for v in vals {
-                sum += match v {
-                    Value::F64(x) => *x,
-                    other => other.as_i32().expect("numeric column") as f64,
-                };
-            }
-            AggValue::F64(sum)
-        }
+        Agg::Sum(_) => AggValue::F64(exact_sum(vals.iter().map(|v| match v {
+            Value::F64(x) => *x,
+            other => f64::from(other.as_i32().expect("numeric column")),
+        }))),
     }
 }
 
@@ -202,4 +198,134 @@ pub fn evaluate(plan: &LogicalPlan<'_>) -> QueryOutput {
             .map(|(&code, members)| GroupRow { key: s.decode(key, code), values: values(members) })
             .collect(),
     )
+}
+
+/// A natural number in 64-bit words, least significant first.
+#[derive(Default, Clone, PartialEq, Eq)]
+struct Nat(Vec<u64>);
+
+impl Nat {
+    /// Add `m * 2^shift`.
+    fn add_shifted(&mut self, m: u64, shift: usize) {
+        let (word, bit) = (shift / 64, shift % 64);
+        let wide = u128::from(m) << bit;
+        if self.0.len() < word + 3 {
+            self.0.resize(word + 3, 0);
+        }
+        let mut carry = 0u128;
+        for (i, part) in [wide as u64, (wide >> 64) as u64].into_iter().enumerate() {
+            let t = u128::from(self.0[word + i]) + u128::from(part) + carry;
+            self.0[word + i] = t as u64;
+            carry = t >> 64;
+        }
+        let mut i = word + 2;
+        while carry != 0 {
+            if i == self.0.len() {
+                self.0.push(0);
+            }
+            let t = u128::from(self.0[i]) + carry;
+            self.0[i] = t as u64;
+            carry = t >> 64;
+            i += 1;
+        }
+    }
+
+    fn bit(&self, i: usize) -> bool {
+        self.0.get(i / 64).is_some_and(|w| w >> (i % 64) & 1 == 1)
+    }
+
+    /// The position of the highest set bit.
+    fn top(&self) -> Option<usize> {
+        let i = self.0.iter().rposition(|&w| w != 0)?;
+        Some(64 * i + 63 - self.0[i].leading_zeros() as usize)
+    }
+
+    /// `self - other`, for `self >= other`.
+    fn minus(&self, other: &Nat) -> Nat {
+        let mut out = Vec::with_capacity(self.0.len());
+        let mut borrow = false;
+        for (i, &a) in self.0.iter().enumerate() {
+            let b = other.0.get(i).copied().unwrap_or(0);
+            let (d, o1) = a.overflowing_sub(b);
+            let (d, o2) = d.overflowing_sub(u64::from(borrow));
+            out.push(d);
+            borrow = o1 || o2;
+        }
+        assert!(!borrow, "minus needs self >= other");
+        Nat(out)
+    }
+
+    fn at_least(&self, other: &Nat) -> bool {
+        let words = self.0.len().max(other.0.len());
+        for i in (0..words).rev() {
+            let (a, b) =
+                (self.0.get(i).copied().unwrap_or(0), other.0.get(i).copied().unwrap_or(0));
+            if a != b {
+                return a > b;
+            }
+        }
+        true
+    }
+}
+
+/// The correctly rounded sum of `vals`: each finite term is added exactly,
+/// as a whole number of 2^-1074 units, into a positive or a negative big
+/// natural number; their difference is rounded to 53 significant bits once,
+/// half to even. NaN when a term is NaN or both infinities occur, the
+/// infinity when one does, and +0.0 for a zero sum.
+pub fn exact_sum(vals: impl IntoIterator<Item = f64>) -> f64 {
+    let (mut pos, mut neg) = (Nat::default(), Nat::default());
+    let (mut nan, mut pos_inf, mut neg_inf) = (false, false, false);
+    for v in vals {
+        if v.is_nan() {
+            nan = true;
+        } else if v.is_infinite() {
+            *if v > 0.0 { &mut pos_inf } else { &mut neg_inf } = true;
+        } else {
+            let bits = v.to_bits();
+            let biased = ((bits >> 52) & 0x7ff) as usize;
+            let frac = bits & ((1 << 52) - 1);
+            // A subnormal is `frac` units; a normal has the implicit bit and
+            // sits `biased - 1` places up.
+            let (m, shift) = if biased == 0 { (frac, 0) } else { (frac | 1 << 52, biased - 1) };
+            if v.is_sign_negative() { &mut neg } else { &mut pos }.add_shifted(m, shift);
+        }
+    }
+    if nan || (pos_inf && neg_inf) {
+        return f64::NAN;
+    }
+    if pos_inf || neg_inf {
+        return if pos_inf { f64::INFINITY } else { f64::NEG_INFINITY };
+    }
+    let (mag, negative) =
+        if pos.at_least(&neg) { (pos.minus(&neg), false) } else { (neg.minus(&pos), true) };
+    let Some(top) = mag.top() else { return 0.0 };
+    // Keep the 53 bits from the top (all of them when fewer), then look at
+    // the first dropped bit and whether anything below it is set.
+    let low = top.saturating_sub(52);
+    let mut m: u64 = 0;
+    for i in (low..=top).rev() {
+        m = m << 1 | u64::from(mag.bit(i));
+    }
+    let mut exp = low as i32 - 1074;
+    if low > 0 {
+        let guard = mag.bit(low - 1);
+        let sticky = (0..low - 1).any(|i| mag.bit(i));
+        if guard && (sticky || m & 1 == 1) {
+            m += 1;
+            if m == 1 << 53 {
+                m >>= 1;
+                exp += 1;
+            }
+        }
+    }
+    // `m` has at most 53 bits and `exp` >= -1074: the scalings are exact
+    // unless the result overflows, which they then round to infinity.
+    let first = exp.clamp(-1000, 1000);
+    let magnitude = m as f64 * 2f64.powi(first) * 2f64.powi(exp - first);
+    if negative {
+        -magnitude
+    } else {
+        magnitude
+    }
 }

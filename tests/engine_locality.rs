@@ -37,8 +37,8 @@ fn sum(trk: &mut SimTracker, bat: &Bat, rows: Rows<'_>) -> f64 {
     let sink = if bat.tail().as_f64().is_some() { Sink::SumF64 } else { Sink::SumI64 };
     let f = fold(trk, rows, None, &[(Input { bat, side: Side::Left }, sink)], 1).unwrap();
     match &f.cols[0] {
-        Acc::F64(s) => s[0],
         Acc::Exact(s) => s[0] as f64,
+        sums => sums.f64_sum(0).unwrap(),
     }
 }
 

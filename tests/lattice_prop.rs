@@ -15,10 +15,11 @@ use lattice::Lattice;
 const CASES: usize = if cfg!(debug_assertions) { 256 } else { 2048 };
 
 /// Every axis the lattice draws.
-const AXES: [&str; 24] = [
+const AXES: [&str; 25] = [
     "rows",
     "seqbase",
     "qty shape",
+    "price",
     "key skew",
     "indexes",
     "supplier rows",

@@ -1,8 +1,8 @@
 //! Parallel plan execution, checked against the row-at-a-time reference
 //! (`common/reference.rs`): slices of the knob lattice (`common/lattice.rs`)
 //! that run each drawn plan at every thread count — grouped `f64` sums,
-//! whose bits depend on the parallel group kernel keeping the sequential
-//! per-group addition order, join indexes, whose pair order must not move,
+//! whose bits must be the correctly rounded sums whatever the row chunks,
+//! join indexes, whose pair order must not move,
 //! and Zipf-skewed keys, which make chunk and cluster sizes maximally
 //! uneven — and two fixed anchors: a join the heuristic planner partitions,
 //! so `execute` routes it through the parallel radix kernels and says so in

@@ -38,11 +38,10 @@ fn scan_eq(table: &DecomposedTable, name: &str, needle: &str) -> Vec<Oid> {
 fn price_sums(table: &DecomposedTable, rows: Rows<'_>, grouped: bool) -> Vec<(String, f64)> {
     let key = grouped.then(|| col(table, "shipmode"));
     let f = fold(&mut NullTracker, rows, key, &[(col(table, "price"), Sink::SumF64)], 1).unwrap();
-    let Acc::F64(sums) = &f.cols[0] else { panic!("f64 sums") };
     let dict = &table.bat("shipmode").unwrap().tail().as_str_col().unwrap().dict;
     (0..f.counts.len())
         .filter(|&c| f.counts[c] > 0)
-        .map(|c| (dict.decode(c as u32).to_owned(), sums[c]))
+        .map(|c| (dict.decode(c as u32).to_owned(), f.cols[0].f64_sum(c).expect("f64 sums")))
         .collect()
 }
 

@@ -245,7 +245,9 @@ proptest! {
             Query::scan(&table)
         };
         let joined = stream.join(&dim, ("key", "id"));
-        // (consumer, whether it observes the join index's order)
+        // (consumer, whether it observes the join index's order): only a
+        // returned index does — every aggregate folds exactly, `f64` sums
+        // included.
         let consumers = [
             (joined.clone(), true),
             (
@@ -258,7 +260,7 @@ proptest! {
                     .agg(Agg::max("key")),
                 false,
             ),
-            (joined.clone().agg(Agg::sum("bonus")).agg(Agg::sum("value")).agg(Agg::count()), true),
+            (joined.clone().agg(Agg::sum("bonus")).agg(Agg::sum("value")).agg(Agg::count()), false),
             (
                 joined
                     .clone()
@@ -270,7 +272,7 @@ proptest! {
             ),
             (
                 joined.clone().group_by("mode").agg(Agg::sum("rating")).agg(Agg::count()),
-                true,
+                false,
             ),
         ];
         for (query, observes) in consumers {

@@ -4,8 +4,8 @@
 //! lattice (`common/lattice.rs`) run drawn plans over co-partitioned
 //! uniform and Zipf-skewed tables at every shard count; fixed anchors pin
 //! the degenerate layouts — empty shards, every row on one shard, empty
-//! tables — and `f64` sums whose addition order is visible in their low
-//! bits.
+//! tables — and `f64` sums whose low bits show any rounding but the one
+//! correctly rounded sum's.
 
 #[path = "common/lattice.rs"]
 mod lattice;
@@ -131,9 +131,9 @@ fn empty_tables_shard_and_merge_to_empty_results() {
 
 #[test]
 fn f64_group_sums_match_bit_for_bit_not_just_approximately() {
-    // A value distribution chosen to make floating-point addition order
-    // visible: magnitudes spanning ~12 orders, so any reassociation of the
-    // partial sums would change the low mantissa bits.
+    // A value distribution chosen to make rounding visible: magnitudes
+    // spanning ~12 orders, so a sum rounded more than once, in any order of
+    // its partials, would change the low mantissa bits.
     let mut b = TableBuilder::new("Item", 0)
         .column("supp", ColType::I32)
         .column("price", ColType::F64)
