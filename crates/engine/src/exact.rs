@@ -311,28 +311,9 @@ impl Split {
     }
 
     /// The block's lane totals — the `q`s in units of σ's ulp, the `r`s —
-    /// or `None` when a value does not fit: [`lanes_any`](Self::lanes_any),
-    /// compiled for AVX2 when the CPU has it. The lanes are then twice as
-    /// wide, and the arithmetic is the same IEEE arithmetic.
+    /// or `None` when a value does not fit.
     #[inline(always)]
     fn lanes<T: Copy>(&self, items: &[T], get: impl Fn(T) -> f64) -> Option<(i64, f64)> {
-        #[cfg(target_arch = "x86_64")]
-        if std::arch::is_x86_feature_detected!("avx2") {
-            // SAFETY: the CPU has AVX2, checked just above.
-            return unsafe { self.lanes_avx2(items, get) };
-        }
-        self.lanes_any(items, get)
-    }
-
-    #[cfg(target_arch = "x86_64")]
-    #[target_feature(enable = "avx2")]
-    fn lanes_avx2<T: Copy>(&self, items: &[T], get: impl Fn(T) -> f64) -> Option<(i64, f64)> {
-        self.lanes_any(items, get)
-    }
-
-    /// [`lanes`](Self::lanes) for any CPU.
-    #[inline(always)]
-    fn lanes_any<T: Copy>(&self, items: &[T], get: impl Fn(T) -> f64) -> Option<(i64, f64)> {
         let (mut t, mut r) = ([0u64; LANES], [0.0; LANES]);
         let (mut moved, mut tiny) = ([0u64; LANES], [0u64; LANES]);
         let chunks = items.chunks_exact(LANES);
@@ -391,22 +372,8 @@ impl Split {
         sums: &mut [Option<Box<ExactSum>>],
     ) {
         assert!(vals.len() <= BLOCK && codes.len() == vals.len(), "one code per value");
-        if self.lanes(vals, |v| v).is_none() {
-            match Split::measure(vals) {
-                Some(split) => *self = split,
-                None => {
-                    for (&c, &v) in codes.iter().zip(vals) {
-                        sums[c as usize].get_or_insert_with(Box::default).add(v);
-                    }
-                    return;
-                }
-            }
-        }
-        for (&c, &v) in codes.iter().zip(vals) {
-            let cut = self.cut(v);
-            let part = &mut parts[c as usize];
-            part.0 += cut.t.wrapping_sub(self.sigma) as i64;
-            part.1 += cut.r;
+        if !self.scatter(codes, vals, parts) && !self.rescatter(codes, vals, parts, sums) {
+            return;
         }
         // Flush the groups the block touched: found by a walk over the
         // table when it is no longer than the block, else over the codes.
@@ -414,6 +381,52 @@ impl Split {
             (0..parts.len()).for_each(|c| self.flush_group(c, parts, sums));
         } else {
             codes.iter().for_each(|&c| self.flush_group(c as usize, parts, sums));
+        }
+    }
+
+    /// Add the block's lane totals into `parts`, each value's to its
+    /// group's, checking the values in the same loop: whether they all fit.
+    #[inline(always)]
+    fn scatter(&self, codes: &[u16], vals: &[f64], parts: &mut [(i64, f64)]) -> bool {
+        let (mut moved, mut tiny) = (0, 0);
+        for (&c, &v) in codes.iter().zip(vals) {
+            let cut = self.cut(v);
+            let part = &mut parts[c as usize];
+            // Wrapping: a value that does not fit may move `t` anywhere,
+            // and its block's totals are then thrown away.
+            part.0 = part.0.wrapping_add(cut.t.wrapping_sub(self.sigma) as i64);
+            part.1 += cut.r;
+            moved |= cut.moved;
+            tiny |= cut.tiny;
+        }
+        Split::fit(moved, tiny)
+    }
+
+    /// A grouped block that failed the check: clear the totals it left in
+    /// `parts`, then scatter it again at its own split — `true`, its
+    /// totals still to flush — or add it value by value when it has none.
+    #[cold]
+    #[inline(never)]
+    fn rescatter(
+        &mut self,
+        codes: &[u16],
+        vals: &[f64],
+        parts: &mut [(i64, f64)],
+        sums: &mut [Option<Box<ExactSum>>],
+    ) -> bool {
+        codes.iter().for_each(|&c| parts[c as usize] = (0, 0.0));
+        match Split::measure(vals) {
+            Some(split) => {
+                *self = split;
+                assert!(self.scatter(codes, vals, parts), "a block fits its split");
+                true
+            }
+            None => {
+                for (&c, &v) in codes.iter().zip(vals) {
+                    sums[c as usize].get_or_insert_with(Box::default).add(v);
+                }
+                false
+            }
         }
     }
 
@@ -465,5 +478,39 @@ mod tests {
             split.block(&mut acc, block, |v| v);
             assert_eq!(acc.finish().to_bits(), sum(block).to_bits());
         }
+    }
+
+    #[test]
+    fn the_grouped_kernel_refits_and_falls_back_with_clean_partials() {
+        let vals: Vec<f64> = (0..BLOCK).map(|i| (i as f64 - 300.0) / 7.0).collect();
+        let codes: Vec<u16> = (0..BLOCK).map(|i| (i * i % 5) as u16).collect();
+        // A block whose magnitudes moved (refit at a new split), and one
+        // spanning more than `SPAN` binades (value by value).
+        let mut moved = vals.clone();
+        moved.iter_mut().for_each(|v| *v *= 1e9);
+        let mut wide = vals.clone();
+        wide[17] = 1e300;
+        wide[18] = -1e-300;
+        for width in [5, 5000] {
+            let mut split = Split::default();
+            let mut parts = vec![(0, 0.0); width];
+            let mut sums = vec![None; width];
+            let mut each = vec![ExactSum::new(); width];
+            for block in [&vals, &moved, &wide, &vals] {
+                split.grouped(&codes, block, &mut parts, &mut sums);
+                codes.iter().zip(block.iter()).for_each(|(&c, &v)| each[c as usize].add(v));
+                assert!(parts.iter().all(|&p| p == (0, 0.0)), "partials left over");
+            }
+            for (c, sum) in sums.iter().enumerate() {
+                let got = sum.as_deref().map_or(0.0, ExactSum::finish);
+                assert_eq!(got.to_bits(), each[c].finish().to_bits(), "group {c}");
+            }
+        }
+    }
+
+    #[test]
+    fn an_exact_sum_is_544_bytes() {
+        // The size `Acc::F64`'s docs quote per occupied group.
+        assert_eq!(std::mem::size_of::<ExactSum>(), 544);
     }
 }
