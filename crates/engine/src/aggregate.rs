@@ -154,9 +154,10 @@ pub enum Acc {
     Exact(Vec<i64>),
     /// [`Sink::SumF64`]: the exact sum per group code, allocated at the
     /// group's first non-zero term (`None` sums to `+0.0`). An allocated
-    /// sum is a boxed [`ExactSum`] of 544 bytes, where a running `f64` sum
-    /// was 8: over a `U16` key whose 65 536 codes all occur, a column
-    /// holds about 36 MB per fold worker, and a shard ships as much.
+    /// sum is a boxed [`ExactSum`] of 544 bytes (67 limbs, a carry count
+    /// and a flags byte), where a running `f64` sum was 8: over a `U16` key
+    /// whose 65 536 codes all occur, a column holds about 36 MB per fold
+    /// worker, and a shard ships as much.
     F64(Vec<Option<Box<ExactSum>>>),
 }
 

@@ -469,36 +469,29 @@ mod tests {
     #[test]
     fn the_block_kernel_refits_and_falls_back() {
         let vals: Vec<f64> = (0..BLOCK).map(|i| (i as f64 - 300.0) / 7.0).collect();
+        // A block whose magnitudes moved (summed at a new split), and one
+        // spanning more than `SPAN` binades (added value by value).
+        let moved: Vec<f64> = vals.iter().map(|v| v * 1e9).collect();
         let mut wide = vals.clone();
         wide[17] = 1e300;
         wide[18] = -1e-300;
+        let blocks = [&vals, &moved, &wide, &vals];
         let mut split = Split::default();
-        for block in [&vals, &wide, &vals] {
+        for block in blocks {
             let mut acc = ExactSum::new();
             split.block(&mut acc, block, |v| v);
             assert_eq!(acc.finish().to_bits(), sum(block).to_bits());
         }
-    }
-
-    #[test]
-    fn the_grouped_kernel_refits_and_falls_back_with_clean_partials() {
-        let vals: Vec<f64> = (0..BLOCK).map(|i| (i as f64 - 300.0) / 7.0).collect();
+        // Grouped, with the slot table walked (narrower than a block) and
+        // the codes walked (wider): every group's sum, and no partial left.
         let codes: Vec<u16> = (0..BLOCK).map(|i| (i * i % 5) as u16).collect();
-        // A block whose magnitudes moved (refit at a new split), and one
-        // spanning more than `SPAN` binades (value by value).
-        let mut moved = vals.clone();
-        moved.iter_mut().for_each(|v| *v *= 1e9);
-        let mut wide = vals.clone();
-        wide[17] = 1e300;
-        wide[18] = -1e-300;
         for width in [5, 5000] {
             let mut split = Split::default();
-            let mut parts = vec![(0, 0.0); width];
-            let mut sums = vec![None; width];
+            let (mut parts, mut sums) = (vec![(0, 0.0); width], vec![None; width]);
             let mut each = vec![ExactSum::new(); width];
-            for block in [&vals, &moved, &wide, &vals] {
+            for block in blocks {
                 split.grouped(&codes, block, &mut parts, &mut sums);
-                codes.iter().zip(block.iter()).for_each(|(&c, &v)| each[c as usize].add(v));
+                codes.iter().zip(block).for_each(|(&c, &v)| each[c as usize].add(v));
                 assert!(parts.iter().all(|&p| p == (0, 0.0)), "partials left over");
             }
             for (c, sum) in sums.iter().enumerate() {
@@ -506,11 +499,5 @@ mod tests {
                 assert_eq!(got.to_bits(), each[c].finish().to_bits(), "group {c}");
             }
         }
-    }
-
-    #[test]
-    fn an_exact_sum_is_544_bytes() {
-        // The size `Acc::F64`'s docs quote per occupied group.
-        assert_eq!(std::mem::size_of::<ExactSum>(), 544);
     }
 }
