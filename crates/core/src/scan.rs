@@ -421,27 +421,38 @@ fn scan<M: MemTracker>(
     rows: Rows<'_>,
 ) -> Vec<Vec<Oid>> {
     let mut out: Vec<Vec<Oid>> = preds.iter().map(|_| Vec::new()).collect();
+    scan_into(trk, col, seqbase, preds, rows, &mut out);
+    out
+}
+
+/// [`scan`], appending each predicate's survivors to its list in `out`.
+fn scan_into<M: MemTracker>(
+    trk: &mut M,
+    col: ScanCol<'_>,
+    seqbase: Oid,
+    preds: &[ScanPred],
+    rows: Rows<'_>,
+    out: &mut [Vec<Oid>],
+) {
+    assert_eq!(out.len(), preds.len(), "one list per predicate");
     if preds.is_empty() || rows.len() == 0 {
-        return out;
+        return;
     }
     if M::ENABLED {
         trk.work(Work::ScanIter, (rows.len() * preds.len()) as u64);
     }
     match col {
-        ScanCol::Packed(cc, _) => {
-            crate::compress::scan_packed(trk, cc, seqbase, preds, rows, &mut out)
-        }
+        ScanCol::Packed(cc, _) => crate::compress::scan_packed(trk, cc, seqbase, preds, rows, out),
         ScanCol::Plain(bat) => match bat.tail() {
-            Column::I32(data) => scan_plain(trk, data, seqbase, preds, rows, &mut out),
-            Column::F64(data) => scan_plain(trk, data, seqbase, preds, rows, &mut out),
+            Column::I32(data) => scan_plain(trk, data, seqbase, preds, rows, out),
+            Column::F64(data) => scan_plain(trk, data, seqbase, preds, rows, out),
             Column::Str(sc) => match &sc.codes {
-                Codes::U8(data) => scan_plain(trk, data, seqbase, preds, rows, &mut out),
-                Codes::U16(data) => scan_plain(trk, data, seqbase, preds, rows, &mut out),
+                Codes::U8(data) => scan_plain(trk, data, seqbase, preds, rows, out),
+                Codes::U16(data) => scan_plain(trk, data, seqbase, preds, rows, out),
             },
             _ => unreachable!("check rejected this column"),
         },
     }
-    out
 }
 
 /// One-pass K-predicate scan-select over `rows` of `col`: one ascending
@@ -455,6 +466,21 @@ pub fn select<M: MemTracker>(
 ) -> Result<Vec<Vec<Oid>>, StorageError> {
     let seqbase = check(col, preds)?;
     Ok(scan(trk, col, seqbase, preds, Rows::of(rows, seqbase, col.len())))
+}
+
+/// [`select`], appending each predicate's list to the one at its index in
+/// `out` instead of returning fresh ones: what an elevator pass uses to
+/// grow every rider's list chunk by chunk, with no per-chunk list to copy.
+pub fn select_into<M: MemTracker>(
+    trk: &mut M,
+    col: ScanCol<'_>,
+    preds: &[ScanPred],
+    rows: RowSet<'_>,
+    out: &mut [Vec<Oid>],
+) -> Result<(), StorageError> {
+    let seqbase = check(col, preds)?;
+    scan_into(trk, col, seqbase, preds, Rows::of(rows, seqbase, col.len()), out);
+    Ok(())
 }
 
 /// Parallel [`select`] over [`RowSet::All`]: block-aligned contiguous

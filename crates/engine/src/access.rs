@@ -280,6 +280,15 @@ impl PredPlan {
         self.leaves.iter().any(|l| l.decision.path.is_index())
     }
 
+    /// The list a shared scan pass delivered for the plan's only leaf: the
+    /// filter's result as it stands, to be borrowed rather than copied.
+    pub fn sole_provided(&self) -> Option<&Arc<CandList>> {
+        match &self.leaves[..] {
+            [LeafPlan { action: LeafAction::Provided(list), .. }] => Some(list),
+            _ => None,
+        }
+    }
+
     /// Leaves whose candidate lists were provided by a shared scan pass.
     pub fn provided_leaves(&self) -> usize {
         self.leaves.iter().filter(|l| l.decision.shared).count()

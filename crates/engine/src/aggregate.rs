@@ -12,15 +12,21 @@
 //! [`fold`] keeps operator-at-a-time semantics at its boundary (BATs and a
 //! survivor list in, per-group totals out) but runs vector-at-a-time inside
 //! it: it walks the survivors **once, in blocks of at most [`FRAME_LEN`]
-//! rows**. Per block it gathers the key codes, then per column
-//! gathers-and-converts the block's values into a cache-resident buffer and
-//! accumulates them into the group table — no survivor-length intermediate
-//! is ever materialised. Every sink is exact: integers sum in `i64`, and an
-//! `f64` sum is an [`ExactSum`], rounded once when the result is read, so
-//! no result depends on the order in which the rows arrive. A block of
-//! `f64` values reaches its accumulator as two values, the lane sums of
-//! the [block kernel](crate::exact): per group under a key, straight off
-//! the walk without one.
+//! rows**. Per block it gathers the key codes into a cache-resident buffer,
+//! then folds each *distinct* source column — one column at one side of the
+//! stream — once: **a column is gathered once per block, however many sinks
+//! read it**. A column one sink reads goes from its gather straight into
+//! that sink's table, gather, cut and scatter in one loop; a gathered column
+//! several sinks read (`MIN(qty)`, `MAX(qty)`, `SUM(qty)`) is gathered into
+//! a buffer each sink then reads, and ungrouped, the integer sinks of one
+//! column share one walk. The group counts ride the block's first scatter.
+//! No survivor-length intermediate is ever materialised. Every sink is
+//! exact: integers sum in `i64`, and an `f64` sum is an [`ExactSum`],
+//! rounded once when the result is read, so no result depends on the order
+//! in which the rows arrive. A block of `f64` values reaches its
+//! accumulator as two values, the lane sums of the [block
+//! kernel](crate::exact): per group under a key, straight off the walk
+//! without one.
 //!
 //! # Charging contract
 //!
@@ -28,20 +34,21 @@
 //!
 //! * **gather** — a value addressed through a candidate list or a join
 //!   index costs one read of the source plus one [`Work::ScanIter`] (what
-//!   `costmodel`'s `Gather` shape prices);
-//! * **consume** — each buffered value the accumulation takes costs one read
-//!   of its (L1-resident) buffer slot, plus one [`Work::HashTuple`] per row
-//!   when grouped or one [`Work::ScanIter`] per value when not (the
-//!   `Aggregate` shape).
+//!   `costmodel`'s `Gather` shape prices), once per distinct column
+//!   (and once for the key) — the gathers [`gathers`] counts;
+//! * **consume** — grouped, one [`Work::HashTuple`] per row, charged with
+//!   the key (and one read of a gathered key's buffered code); ungrouped, one
+//!   [`Work::ScanIter`] per value and sink (the `Aggregate` shape), a
+//!   gather's own iteration being the first sink's. A sink that reads a
+//!   buffered column also pays one read of the (L1-resident) buffer slot
+//!   per value.
 //!
-//! Two cases read nothing twice. [`Rows::All`] is consumed where it lies:
-//! the read of the source is the value's only read (what the buffer holds is
-//! a conversion — the `f64` of an `i32` a sum wants is a register move, not
-//! a second column), followed by the consumption's work as above. And an
-//! ungrouped fold over one table's candidate list has neither a table slot
-//! to address nor a pair to project, so it takes each value from the gather
-//! straight into the accumulator, with no buffer between: one read and one
-//! `ScanIter` per value in all.
+//! So a value reaches a sink with one read when nothing buffers it: a
+//! column one sink reads, grouped or not, and every column of an
+//! ungrouped integer fold. [`Rows::All`] is read where it lies, by each
+//! sink that reads it, and never buffered: there is no gather to share,
+//! and the buffer would only hold a conversion (the `f64` of an `i32` a
+//! sum wants is a register move, not a second column).
 //!
 //! # Parallel decomposition
 //!
@@ -162,6 +169,22 @@ pub enum Acc {
 }
 
 impl Acc {
+    /// An exact sink's table.
+    fn exact_mut(&mut self) -> &mut [i64] {
+        match self {
+            Acc::Exact(t) => t,
+            Acc::F64(_) => unreachable!("resolve pairs the exact sinks with I32 columns"),
+        }
+    }
+
+    /// An `f64` sum's accumulators.
+    fn f64_mut(&mut self) -> &mut [Option<Box<ExactSum>>] {
+        match self {
+            Acc::F64(sums) => sums,
+            Acc::Exact(_) => unreachable!("resolve pairs the f64 sum with F64 columns"),
+        }
+    }
+
     /// The `f64` sum of group `code`, rounded once, when the column is a
     /// [`Sink::SumF64`] one.
     pub fn f64_sum(&self, code: usize) -> Option<f64> {
@@ -308,6 +331,36 @@ pub(crate) fn gather_with<M: MemTracker, T: Copy, U>(
         .collect()
 }
 
+/// Bind `$items`, the block's rows of the stream, and `$get`, the read of
+/// the value an item addresses in a column, then evaluate `$body`: one copy
+/// per kind of stream and side, so the loop in `$body` is monomorphised
+/// with its addressing.
+macro_rules! with_rows {
+    ($blk:expr, $src:expr, |$items:ident, $get:ident| $body:expr) => {{
+        let (blk, (data, at)): (&Block<'_>, (&[_], At)) = ($blk, $src);
+        let (lo, hi) = blk.span;
+        let pos = move |oid: Oid| (oid - at.seqbase) as usize;
+        match (blk.rows, at.side) {
+            (Rows::All(_), _) => {
+                let ($items, $get) = (&data[lo..hi], std::convert::identity);
+                $body
+            }
+            (Rows::Cands(c), _) => {
+                let ($items, $get) = (&c[lo..hi], move |o: Oid| data[pos(o)]);
+                $body
+            }
+            (Rows::Pairs(p), Side::Left) => {
+                let ($items, $get) = (&p[lo..hi], move |p: OidPair| data[pos(p.left)]);
+                $body
+            }
+            (Rows::Pairs(p), Side::Right) => {
+                let ($items, $get) = (&p[lo..hi], move |p: OidPair| data[pos(p.right)]);
+                $body
+            }
+        }
+    }};
+}
+
 /// One block of the stream and what the folds of its columns share: the
 /// stream rows `span.0..span.1` and their key codes when grouped.
 struct Block<'a> {
@@ -317,6 +370,11 @@ struct Block<'a> {
 }
 
 impl Block<'_> {
+    /// Rows in the block.
+    fn len(&self) -> usize {
+        self.span.1 - self.span.0
+    }
+
     /// The block's walk over one column: fold `data`'s value at each of the
     /// block's rows, in stream order, into `acc`.
     #[inline(always)]
@@ -340,11 +398,11 @@ impl Block<'_> {
         !matches!(self.rows, Rows::All(_))
     }
 
-    /// Whether the block's values go through a buffer: when there are codes
-    /// to scatter by or a join index to project (see the
-    /// [module docs](self)).
-    fn buffers(&self) -> bool {
-        self.codes.is_some() || matches!(self.rows, Rows::Pairs(_))
+    /// Whether `sinks` sinks of one column take its values from a buffer:
+    /// when they are gathered and more than one sink reads them, so the
+    /// column is gathered once (see the [module docs](self)).
+    fn buffers(&self, sinks: usize) -> bool {
+        self.gathered() && sinks > 1
     }
 
     /// Charge the reads of a [`walk`](Self::walk), and the gather work when
@@ -353,16 +411,38 @@ impl Block<'_> {
         if M::ENABLED {
             self.walk(data, at, (), |(), v| track_read(trk, v));
             if self.gathered() {
-                trk.work(Work::ScanIter, (self.span.1 - self.span.0) as u64);
+                trk.work(Work::ScanIter, self.len() as u64);
             }
         }
     }
 
-    /// Gather-and-convert the block's values of one column into `buf`.
-    /// Every block loop is kept out of line, so the monomorphised copies do
-    /// not compete for registers inside the dispatch; a block has at most
-    /// `FRAME_LEN` rows, so the index mask is a no-op that spares the store
-    /// its bounds check.
+    /// Charge a column `sinks` ungrouped sinks take straight off the walk:
+    /// its reads, and one iteration per value and sink (a gather's
+    /// iteration is the first sink's).
+    fn charge_direct<M: MemTracker, T>(&self, trk: &mut M, (data, at): (&[T], At), sinks: usize) {
+        self.charge_reads(trk, data, at);
+        if M::ENABLED {
+            let more = sinks - usize::from(self.gathered());
+            trk.work(Work::ScanIter, (self.len() * more) as u64);
+        }
+    }
+
+    /// Charge one sink's consumption of a buffered block: a read of each
+    /// slot and, ungrouped, an iteration per value.
+    fn charge_buffer<M: MemTracker, V>(&self, trk: &mut M, vals: &[V]) {
+        if M::ENABLED {
+            vals.iter().for_each(|v| track_read(trk, v));
+            if self.codes.is_none() {
+                trk.work(Work::ScanIter, vals.len() as u64);
+            }
+        }
+    }
+
+    /// Gather-and-convert the block's values of one column into `buf`,
+    /// charging the reads. Every block loop is kept out of line, so the
+    /// monomorphised copies do not compete for registers inside the
+    /// dispatch; a block has at most `FRAME_LEN` rows, so the index mask is
+    /// a no-op that spares the store its bounds check.
     #[inline(never)]
     fn load<'b, M: MemTracker, T: Copy, V>(
         &self,
@@ -379,123 +459,160 @@ impl Block<'_> {
         &buf[..n]
     }
 
-    /// [`load`](Self::load) a column to consume from the buffer, charging
-    /// the consumption's reads and, ungrouped, its work.
-    fn buffered<'b, M: MemTracker, T: Copy, V>(
+    /// Fold the block's values of an `I32` column into the tables of its
+    /// exact `sinks` (by their index in `accs`). Grouped, the first sink
+    /// to scatter takes the count owed in `tally`.
+    #[inline(never)]
+    fn exact<M: MemTracker>(
         &self,
         trk: &mut M,
-        buf: &'b mut [V; FRAME_LEN],
-        src: (&[T], At),
-        conv: impl Fn(T) -> V,
-    ) -> &'b [V] {
-        let vals = self.load(trk, buf, src, conv);
-        if M::ENABLED {
-            if self.gathered() {
-                vals.iter().for_each(|v| track_read(trk, v));
-            }
-            if self.codes.is_none() {
-                trk.work(Work::ScanIter, vals.len() as u64);
-            }
-        }
-        vals
-    }
-
-    /// Charge a column consumed straight off the walk: its reads, and one
-    /// iteration per value.
-    fn charge_direct<M: MemTracker, T>(&self, trk: &mut M, (data, at): (&[T], At)) {
-        self.charge_reads(trk, data, at);
-        if M::ENABLED && !self.gathered() {
-            trk.work(Work::ScanIter, (self.span.1 - self.span.0) as u64);
-        }
-    }
-
-    /// Fold the block's values of one column into an exact sink's `table`:
-    /// through `buf` when [`buffers`](Self::buffers), else straight off the
-    /// column (see the [module docs](self)).
-    fn fold<M: MemTracker, T: Copy, V: Copy>(
-        &self,
-        trk: &mut M,
-        src: (&[T], At),
-        buf: &mut [V; FRAME_LEN],
-        table: &mut [i64],
-        conv: impl Fn(T) -> V,
-        op: impl Fn(i64, V) -> i64,
+        src: (&[i32], At),
+        sinks: &[(usize, Sink)],
+        accs: &mut [Acc],
+        buf: &mut [i32; FRAME_LEN],
+        tally: &mut &mut [u64],
     ) {
-        if self.buffers() {
-            let vals = self.buffered(trk, buf, src, conv);
-            accumulate(table, self.codes, vals, op);
-        } else {
-            table[0] = self.reduce(trk, table[0], src, |a, v| op(a, conv(v)));
+        let Some(codes) = self.codes else {
+            // Ungrouped: one walk takes every sink's total.
+            self.charge_direct(trk, src, sinks.len());
+            let (sum, min, max) = with_rows!(self, src, |items, get| totals(items, get));
+            for &(j, sink) in sinks {
+                let total = &mut accs[j].exact_mut()[0];
+                *total = match sink {
+                    Sink::Min => (*total).min(min.into()),
+                    Sink::Max => (*total).max(max.into()),
+                    _ => *total + sum,
+                };
+            }
+            return;
+        };
+        let vals = match self.buffers(sinks.len()) {
+            true => Some(self.load(trk, buf, src, |v| v)),
+            false => None,
+        };
+        for &(j, sink) in sinks {
+            let (table, tally) = (accs[j].exact_mut(), std::mem::take(tally));
+            match vals {
+                Some(vals) => {
+                    self.charge_buffer(trk, vals);
+                    scatter_exact(sink, table, codes, vals, |v| v, tally);
+                }
+                None => {
+                    self.charge_reads(trk, src.0, src.1);
+                    with_rows!(self, src, |items, get| scatter_exact(
+                        sink, table, codes, items, get, tally
+                    ));
+                }
+            }
         }
     }
 
-    /// Fold the block's values of one column straight off the walk, with no
-    /// buffer between the load and the accumulator.
+    /// Sum the block's values of an `F64` column into the accumulators of
+    /// its `sinks` (by their index in `accs` and `splits`), a block at a
+    /// time through each sink's split (grouped: through the per-group
+    /// partials `parts`, the first sink taking the count owed in `tally`).
+    #[allow(clippy::too_many_arguments)] // one block's buffers and tables
     #[inline(never)]
-    fn reduce<M: MemTracker, T: Copy, A>(
-        &self,
-        trk: &mut M,
-        acc: A,
-        src: (&[T], At),
-        op: impl Fn(A, T) -> A,
-    ) -> A {
-        self.charge_direct(trk, src);
-        self.walk(src.0, src.1, acc, |a, &v| op(a, v))
-    }
-
-    /// Sum the block's values of an `f64` column into `sums`, a block at a
-    /// time through `split` (grouped: through the per-group partials
-    /// `parts`).
-    #[inline(never)]
-    fn sum<M: MemTracker>(
+    fn sums<M: MemTracker>(
         &self,
         trk: &mut M,
         src: (&[f64], At),
+        sinks: &[(usize, Sink)],
+        accs: &mut [Acc],
+        splits: &mut [Split],
         buf: &mut [f64; FRAME_LEN],
-        split: &mut Split,
         parts: &mut [(i64, f64)],
-        sums: &mut [Option<Box<ExactSum>>],
+        tally: &mut &mut [u64],
     ) {
-        if self.buffers() {
-            let vals = self.buffered(trk, buf, src, |v| v);
-            match self.codes {
-                Some(codes) => split.grouped(codes, vals, parts, sums),
-                None => split.block(slot0(sums), vals, |v| v),
+        let vals = match self.buffers(sinks.len()) {
+            true => Some(self.load(trk, buf, src, |v| v)),
+            false => None,
+        };
+        for &(j, _) in sinks {
+            let (split, sums) = (&mut splits[j], accs[j].f64_mut());
+            match (vals, self.codes) {
+                (Some(vals), codes) => {
+                    self.charge_buffer(trk, vals);
+                    match codes {
+                        Some(codes) => {
+                            split.grouped(codes, vals, |v| v, std::mem::take(tally), parts, sums)
+                        }
+                        None => split.block(slot0(sums), vals, |v| v),
+                    }
+                }
+                (None, Some(codes)) => {
+                    self.charge_reads(trk, src.0, src.1);
+                    let tally = std::mem::take(tally);
+                    with_rows!(self, src, |items, get| split
+                        .grouped(codes, items, get, tally, parts, sums));
+                }
+                (None, None) => {
+                    self.charge_direct(trk, src, 1);
+                    with_rows!(self, src, |items, get| split.block(slot0(sums), items, get));
+                }
             }
-            return;
-        }
-        self.charge_direct(trk, src);
-        let ((data, at), (lo, hi)) = (src, self.span);
-        match self.rows {
-            Rows::All(_) => split.block(slot0(sums), &data[lo..hi], |v| v),
-            Rows::Cands(c) => {
-                split.block(slot0(sums), &c[lo..hi], |o| data[(o - at.seqbase) as usize])
-            }
-            Rows::Pairs(_) => unreachable!("a join index is projected through the buffer"),
         }
     }
 }
 
-/// The one accumulation loop of the integer sinks: `table[code] =
-/// op(table[code], value)` for every row of the block (a code is below
-/// the table's width by construction, and the miss is the bounds check).
-/// Without codes every row lands in slot 0.
+/// The sum, least and greatest of a block's `I32` values, in one walk.
 #[inline(never)]
-fn accumulate<A: Copy, V: Copy>(
-    table: &mut [A],
-    codes: Option<&[u16]>,
-    vals: &[V],
-    op: impl Fn(A, V) -> A,
+fn totals<I: Copy>(items: &[I], get: impl Fn(I) -> i32) -> (i64, i32, i32) {
+    items.iter().fold((0, i32::MAX, i32::MIN), |(sum, min, max), &item| {
+        let v = get(item);
+        (sum + i64::from(v), min.min(v), max.max(v))
+    })
+}
+
+/// Scatter a block's values into an exact sink's per-group `table`.
+#[inline(always)]
+fn scatter_exact<I: Copy>(
+    sink: Sink,
+    table: &mut [i64],
+    codes: &[u16],
+    items: &[I],
+    get: impl Fn(I) -> i32,
+    tally: &mut [u64],
 ) {
-    match codes {
-        Some(codes) => {
-            for (&c, &v) in codes.iter().zip(vals) {
-                if let Some(slot) = table.get_mut(c as usize) {
-                    *slot = op(*slot, v);
-                }
-            }
+    match sink {
+        Sink::SumI64 => scatter(table, codes, items, |a, i| a + i64::from(get(i)), tally),
+        Sink::Min => scatter(table, codes, items, |a, i| a.min(get(i).into()), tally),
+        Sink::Max => scatter(table, codes, items, |a, i| a.max(get(i).into()), tally),
+        Sink::SumF64 => unreachable!("resolve pairs the f64 sum with an F64 column"),
+    }
+}
+
+/// The one scatter loop of the integer sinks: `table[code] = op(table[code],
+/// item)` for every row of the block (a code is below the table's width by
+/// construction, and the miss is the bounds check), counting each row into
+/// `tally` on the way (an empty `tally` counts nothing).
+#[inline(never)]
+fn scatter<I: Copy>(
+    table: &mut [i64],
+    codes: &[u16],
+    items: &[I],
+    op: impl Fn(i64, I) -> i64,
+    tally: &mut [u64],
+) {
+    for (&c, &item) in codes.iter().zip(items) {
+        let c = usize::from(c);
+        if let Some(rows) = tally.get_mut(c) {
+            *rows += 1;
         }
-        None => table[0] = vals.iter().fold(table[0], |a, &v| op(a, v)),
+        if let Some(slot) = table.get_mut(c) {
+            *slot = op(*slot, item);
+        }
+    }
+}
+
+/// Count each row of a block into `tally` by its code (an empty `tally`
+/// counts nothing).
+#[inline(never)]
+fn count(tally: &mut [u64], codes: &[u16]) {
+    for &c in codes {
+        if let Some(rows) = tally.get_mut(usize::from(c)) {
+            *rows += 1;
+        }
     }
 }
 
@@ -504,59 +621,75 @@ fn slot0(sums: &mut [Option<Box<ExactSum>>]) -> &mut ExactSum {
     sums[0].get_or_insert_with(Box::default)
 }
 
-/// Fold stream rows `lo..hi`, a block at a time.
+/// A distinct source column of a fold — one column at one side of the
+/// stream — and the sinks that read it, by their index among the fold's
+/// columns.
+struct Source<'a> {
+    col: Col<'a>,
+    sinks: Vec<(usize, Sink)>,
+}
+
+/// Fold stream rows `lo..hi`, a block at a time: per block, the key codes,
+/// then each source column once, into the tables of `sinks` (the fold's
+/// columns' sinks, in input order).
 fn fold_span<M: MemTracker>(
     trk: &mut M,
     rows: Rows<'_>,
     key: Option<Col<'_>>,
-    cols: &[(Col<'_>, Sink)],
+    sources: &[Source<'_>],
+    sinks: &[Sink],
     (lo, hi): (usize, usize),
 ) -> Folded {
     let width = domain(key);
     let mut counts = vec![0u64; width];
-    let mut accs: Vec<Acc> = cols.iter().map(|&(_, sink)| sink.table(width)).collect();
-    let mut splits = vec![Split::default(); cols.len()];
-    let grouped_sum = key.is_some() && cols.iter().any(|&(_, sink)| sink == Sink::SumF64);
+    let mut accs: Vec<Acc> = sinks.iter().map(|sink| sink.table(width)).collect();
+    let mut splits = vec![Split::default(); sinks.len()];
+    let grouped_sum = key.is_some() && sinks.contains(&Sink::SumF64);
     let mut parts = vec![(0, 0.0); if grouped_sum { width } else { 0 }];
     let (mut kbuf, mut ibuf, mut fbuf) = ([0u16; FRAME_LEN], [0i32; FRAME_LEN], [0f64; FRAME_LEN]);
 
     for b in (lo..hi).step_by(FRAME_LEN) {
         let mut blk = Block { rows, span: (b, (b + FRAME_LEN).min(hi)), codes: None };
-        let n = blk.span.1 - b;
-        if let Some(k) = key {
-            let codes = match k.src {
-                Src::U8(d) => blk.load(trk, &mut kbuf, (d, k.at), u16::from),
-                Src::U16(d) => blk.load(trk, &mut kbuf, (d, k.at), |c| c),
-                _ => unreachable!("resolve admits only code columns as keys"),
-            };
-            if M::ENABLED {
-                if blk.gathered() {
-                    codes.iter().for_each(|c| track_read(trk, c));
+        // The block's row count per group, owed until a scatter takes it.
+        let mut tally: &mut [u64] = &mut [];
+        match key {
+            Some(k) => {
+                let codes = match k.src {
+                    Src::U8(d) => blk.load(trk, &mut kbuf, (d, k.at), u16::from),
+                    Src::U16(d) => blk.load(trk, &mut kbuf, (d, k.at), |c| c),
+                    _ => unreachable!("resolve admits only code columns as keys"),
+                };
+                if M::ENABLED {
+                    if blk.gathered() {
+                        codes.iter().for_each(|c| track_read(trk, c));
+                    }
+                    trk.work(Work::HashTuple, codes.len() as u64);
                 }
-                trk.work(Work::HashTuple, n as u64);
+                blk.codes = Some(codes);
+                tally = &mut counts;
             }
-            accumulate(&mut counts, Some(codes), codes, |a, _| a + 1);
-            blk.codes = Some(codes);
-        } else {
-            counts[0] += n as u64;
+            None => counts[0] += blk.len() as u64,
         }
-        for ((&(col, sink), acc), split) in cols.iter().zip(&mut accs).zip(&mut splits) {
-            let src = col.at;
-            match (sink, col.src, acc) {
-                (Sink::SumF64, Src::F64(d), Acc::F64(t)) => {
-                    blk.sum(trk, (d, src), &mut fbuf, split, &mut parts, t)
-                }
-                (Sink::SumI64, Src::I32(d), Acc::Exact(t)) => {
-                    blk.fold(trk, (d, src), &mut ibuf, t, |v| v, |a, v| a + i64::from(v))
-                }
-                (Sink::Min, Src::I32(d), Acc::Exact(t)) => {
-                    blk.fold(trk, (d, src), &mut ibuf, t, |v| v, |a, v| a.min(v.into()))
-                }
-                (Sink::Max, Src::I32(d), Acc::Exact(t)) => {
-                    blk.fold(trk, (d, src), &mut ibuf, t, |v| v, |a, v| a.max(v.into()))
-                }
-                _ => unreachable!("resolve and Sink::table pair every sink with its types"),
+        for s in sources {
+            let at = s.col.at;
+            match s.col.src {
+                Src::I32(d) => blk.exact(trk, (d, at), &s.sinks, &mut accs, &mut ibuf, &mut tally),
+                Src::F64(d) => blk.sums(
+                    trk,
+                    (d, at),
+                    &s.sinks,
+                    &mut accs,
+                    &mut splits,
+                    &mut fbuf,
+                    &mut parts,
+                    &mut tally,
+                ),
+                _ => unreachable!("resolve pairs every sink with a value column"),
             }
+        }
+        // No sink scattered the block: count it alone.
+        if let Some(codes) = blk.codes {
+            count(tally, codes);
         }
     }
     Folded { counts, cols: accs, shards: Vec::new() }
@@ -570,6 +703,35 @@ fn domain(key: Option<Col<'_>>) -> usize {
         Some(Src::U8(_)) => 256,
         Some(_) => 65536,
     }
+}
+
+/// The distinct source columns of `cols` (the same column at the same side
+/// of the stream is one source, however many sinks read it), checked.
+fn sources<'a>(rows: Rows<'_>, cols: &[(Input<'a>, Sink)]) -> Result<Vec<Source<'a>>, EngineError> {
+    let mut seen: Vec<(Input<'a>, Source<'a>)> = Vec::new();
+    for (j, &(input, sink)) in cols.iter().enumerate() {
+        let col = resolve(input, rows, Some(sink))?;
+        let same = |i: &Input<'_>| std::ptr::eq(i.bat, input.bat) && i.side == input.side;
+        match seen.iter_mut().find(|(i, _)| same(i)) {
+            Some((_, source)) => source.sinks.push((j, sink)),
+            None => seen.push((input, Source { col, sinks: vec![(j, sink)] })),
+        }
+    }
+    Ok(seen.into_iter().map(|(_, source)| source).collect())
+}
+
+/// How many columns a fold of `cols` over a gathered stream gathers per
+/// row: each distinct source column once, and the key when `grouped` —
+/// what the [`OpShape::Gather`](costmodel::quote::OpShape::Gather) shapes
+/// of its report, and the parallel quote, count.
+pub fn gathers(cols: &[(Input<'_>, Sink)], grouped: bool) -> usize {
+    let distinct = (0..cols.len())
+        .filter(|&j| {
+            let (a, _) = cols[j];
+            !cols[..j].iter().any(|(b, _)| std::ptr::eq(a.bat, b.bat) && a.side == b.side)
+        })
+        .count();
+    distinct + usize::from(grouped)
 }
 
 /// Fold the columns `cols` over the surviving `rows` of a stream, grouped by
@@ -589,19 +751,17 @@ pub fn fold<M: MemTracker>(
     threads: usize,
 ) -> Result<Folded, EngineError> {
     let key = key.map(|k| resolve(k, rows, None)).transpose()?;
-    let cols = cols
-        .iter()
-        .map(|&(input, sink)| Ok((resolve(input, rows, Some(sink))?, sink)))
-        .collect::<Result<Vec<_>, EngineError>>()?;
+    let sources = sources(rows, cols)?;
+    let sinks: Vec<Sink> = cols.iter().map(|&(_, sink)| sink).collect();
 
     let parts = fan_out(trk, chunks(rows.len(), threads), |trk, span| {
-        fold_span(trk, rows, key, &cols, span)
+        fold_span(trk, rows, key, &sources, &sinks, span)
     });
     let shards = parts.iter().map(|p| p.counts.iter().sum::<u64>() as usize).collect();
     let mut parts = parts.into_iter();
     let mut out = parts.next().expect("fan_out yields at least one part");
     for part in parts {
-        out.absorb(part, cols.iter().map(|&(_, sink)| sink));
+        out.absorb(part, sinks.iter().copied());
     }
     out.shards = shards;
     Ok(out)
@@ -819,13 +979,19 @@ mod tests {
                         assert_eq!(exact(&f.cols[2]), maxs, "{ctx}");
                         assert_eq!(f.shards.iter().sum::<usize>(), survivors, "{ctx}");
 
-                        // An `f64` sum beside an exact sink.
-                        let cols = [(right(&reals), Sink::SumF64), (right(&ints), Sink::Max)];
+                        // An `f64` sum beside an exact sink, and the same sum
+                        // twice: one gather feeds both from a buffer.
+                        let cols = [
+                            (right(&reals), Sink::SumF64),
+                            (right(&ints), Sink::Max),
+                            (right(&reals), Sink::SumF64),
+                        ];
                         let f = fold(&mut NullTracker, rows, Some(right(&key)), &cols, threads)
                             .unwrap();
                         let bits = |t: &[f64]| t.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
                         assert_eq!(bits(&floats(&f.cols[0])), bits(&fsums), "{ctx}");
                         assert_eq!(exact(&f.cols[1]), maxs, "{ctx}");
+                        assert_eq!(bits(&floats(&f.cols[2])), bits(&fsums), "{ctx}");
                         assert_eq!(f.counts, counts, "{ctx}");
                         assert_eq!(f.shards.iter().sum::<usize>(), survivors, "{ctx}");
                     }
@@ -870,12 +1036,14 @@ mod tests {
                 _ => cands.iter().map(|&o| (o - 700) as usize).collect(),
             };
             let t = row_at_a_time(&vec![0; n], &vals, &positions, 1);
-            // Input order interleaves the two kinds of sink.
+            // Input order interleaves the two kinds of sink; the second
+            // `f64` sum shares the first one's column.
             let cols = [
                 (left(&ints), Sink::Min),
                 (left(&reals), Sink::SumF64),
                 (left(&ints), Sink::SumI64),
                 (left(&ints), Sink::Max),
+                (left(&reals), Sink::SumF64),
             ];
             for threads in [1usize, 2, 3, 7] {
                 let f = fold(&mut NullTracker, rows, None, &cols, threads).unwrap();
@@ -884,6 +1052,7 @@ mod tests {
                 assert_eq!(floats(&f.cols[1])[0].to_bits(), t.fsums[0].to_bits());
                 assert_eq!(exact(&f.cols[2]), t.sums, "threads={threads}");
                 assert_eq!(exact(&f.cols[3]), t.maxs, "threads={threads}");
+                assert_eq!(floats(&f.cols[4])[0].to_bits(), t.fsums[0].to_bits());
                 assert_eq!(f.shards.len(), threads, "row chunks");
                 assert_eq!(f.shards.iter().sum::<usize>(), positions.len());
 
@@ -928,16 +1097,33 @@ mod tests {
         // Grouped: a whole table is read where it lies — once per value,
         // whatever conversion the sink wants …
         assert_eq!(charged(Rows::All(n), Some(left(&key)), &sum), (2 * n64, nf * hash));
-        // … and a gathered one pays the source and the buffer slot.
-        let gathered = (4 * n64, nf * (2.0 * scan + hash));
+        // … and a gathered column read by one sink is scattered straight
+        // off its gather; the key pays its gather and its buffer slot.
+        let gathered = (3 * n64, nf * (2.0 * scan + hash));
         assert_eq!(charged(Rows::Cands(&cands), Some(left(&key)), &sum), gathered);
         assert_eq!(charged(Rows::Pairs(&pairs), Some(left(&key)), &sum), gathered);
 
-        // Ungrouped: one read and one iteration per value off a table or its
-        // candidates, gather plus consumption off a join index.
-        assert_eq!(charged(Rows::All(n), None, &sum), (n64, nf * scan));
-        assert_eq!(charged(Rows::Cands(&cands), None, &sum), (n64, nf * scan));
-        assert_eq!(charged(Rows::Pairs(&pairs), None, &sum), (2 * n64, nf * 2.0 * scan));
+        // Ungrouped: one read and one iteration per value, however the rows
+        // are addressed.
+        for rows in [Rows::All(n), Rows::Cands(&cands), Rows::Pairs(&pairs)] {
+            assert_eq!(charged(rows, None, &sum), (n64, nf * scan));
+        }
+
+        // `MIN`, `MAX` and `SUM` of one column gather it once. Grouped, the
+        // gather fills a buffer each sink reads: the key's gather and slot,
+        // the column's gather, three slot reads per row …
+        let three = [Sink::Min, Sink::Max, Sink::SumI64].map(|sink| (left(&qty), sink));
+        let grouped = (6 * n64, nf * (2.0 * scan + hash));
+        // … and ungrouped, one walk takes all three totals: one read, and
+        // one iteration per sink.
+        let ungrouped = (n64, nf * 3.0 * scan);
+        for threads in [1, 2, 3] {
+            for rows in [Rows::Cands(&cands), Rows::Pairs(&pairs)] {
+                let keyed = charged_on(threads, rows, Some(left(&key)), &three);
+                assert_eq!(keyed, grouped, "{threads} threads");
+                assert_eq!(charged_on(threads, rows, None, &three), ungrouped, "{threads}");
+            }
+        }
 
         // Split over workers, row chunks charge the sequential totals,
         // whatever the sinks.

@@ -360,19 +360,26 @@ impl Split {
         }
     }
 
-    /// Sum a block of `vals` into the accumulators of their group `codes`
-    /// (allocated at a group's first non-zero lane total): the lane totals
-    /// per group in `parts` (all zero on entry and on return), flushed at
-    /// the block's end.
-    pub(crate) fn grouped(
+    /// Sum `get(item)` over the `items` of one block into the accumulators
+    /// of their group `codes` (allocated at a group's first non-zero lane
+    /// total): the lane totals per group in `parts` (all zero on entry and
+    /// on return), flushed at the block's end. The walk that cuts the
+    /// values also counts each row into `tally` by its code (an empty
+    /// `tally` counts nothing), so a fold takes its row counts in the same
+    /// pass.
+    pub(crate) fn grouped<T: Copy>(
         &mut self,
         codes: &[u16],
-        vals: &[f64],
+        items: &[T],
+        get: impl Fn(T) -> f64,
+        tally: &mut [u64],
         parts: &mut [(i64, f64)],
         sums: &mut [Option<Box<ExactSum>>],
     ) {
-        assert!(vals.len() <= BLOCK && codes.len() == vals.len(), "one code per value");
-        if !self.scatter(codes, vals, parts) && !self.rescatter(codes, vals, parts, sums) {
+        assert!(items.len() <= BLOCK && codes.len() == items.len(), "one code per value");
+        if !self.scatter(codes, items, &get, tally, parts)
+            && !self.rescatter(codes, items, get, parts, sums)
+        {
             return;
         }
         // Flush the groups the block touched: found by a walk over the
@@ -386,11 +393,22 @@ impl Split {
 
     /// Add the block's lane totals into `parts`, each value's to its
     /// group's, checking the values in the same loop: whether they all fit.
+    /// Counts each row into `tally` on the way.
     #[inline(always)]
-    fn scatter(&self, codes: &[u16], vals: &[f64], parts: &mut [(i64, f64)]) -> bool {
+    fn scatter<T: Copy>(
+        &self,
+        codes: &[u16],
+        items: &[T],
+        get: impl Fn(T) -> f64,
+        tally: &mut [u64],
+        parts: &mut [(i64, f64)],
+    ) -> bool {
         let (mut moved, mut tiny) = (0, 0);
-        for (&c, &v) in codes.iter().zip(vals) {
-            let cut = self.cut(v);
+        for (&c, &item) in codes.iter().zip(items) {
+            if let Some(rows) = tally.get_mut(c as usize) {
+                *rows += 1;
+            }
+            let cut = self.cut(get(item));
             let part = &mut parts[c as usize];
             // Wrapping: a value that does not fit may move `t` anywhere,
             // and its block's totals are then thrown away.
@@ -405,20 +423,25 @@ impl Split {
     /// A grouped block that failed the check: clear the totals it left in
     /// `parts`, then scatter it again at its own split — `true`, its
     /// totals still to flush — or add it value by value when it has none.
+    /// (Its rows were counted by the first scatter.)
     #[cold]
     #[inline(never)]
-    fn rescatter(
+    fn rescatter<T: Copy>(
         &mut self,
         codes: &[u16],
-        vals: &[f64],
+        items: &[T],
+        get: impl Fn(T) -> f64,
         parts: &mut [(i64, f64)],
         sums: &mut [Option<Box<ExactSum>>],
     ) -> bool {
         codes.iter().for_each(|&c| parts[c as usize] = (0, 0.0));
+        let mut buf = [0.0; BLOCK];
+        buf.iter_mut().zip(items).for_each(|(v, &item)| *v = get(item));
+        let vals = &buf[..items.len()];
         match Split::measure(vals) {
             Some(split) => {
                 *self = split;
-                assert!(self.scatter(codes, vals, parts), "a block fits its split");
+                assert!(self.scatter(codes, vals, |v| v, &mut [], parts), "a block fits its split");
                 true
             }
             None => {
@@ -490,7 +513,7 @@ mod tests {
             let (mut parts, mut sums) = (vec![(0, 0.0); width], vec![None; width]);
             let mut each = vec![ExactSum::new(); width];
             for block in blocks {
-                split.grouped(&codes, block, &mut parts, &mut sums);
+                split.grouped(&codes, block, |v| v, &mut [], &mut parts, &mut sums);
                 codes.iter().zip(block).for_each(|(&c, &v)| each[c as usize].add(v));
                 assert!(parts.iter().all(|&p| p == (0, 0.0)), "partials left over");
             }

@@ -72,7 +72,7 @@ use crate::access::{
     eval_planned, leaf_count, plan_pred_with, AccessDecision, AccessMode, CompressMode,
     PushdownMode,
 };
-use crate::aggregate::{fold, Acc, Folded, Input, Rows, Side, Sink};
+use crate::aggregate::{fold, gathers, Acc, Folded, Input, Rows, Side, Sink};
 use crate::candidates::{intersect, CandList};
 use crate::join::{join_operands, Operand};
 use crate::plan::{Agg, LogicalPlan, PlanError, PlanNode};
@@ -480,8 +480,10 @@ pub struct Executed {
 
 /// Rows flowing between operators during execution.
 enum Stream<'a> {
-    /// Rows of one table, optionally restricted to candidate OIDs.
-    Table { table: &'a DecomposedTable, cands: Option<Vec<Oid>> },
+    /// Rows of one table, optionally restricted to candidate OIDs — shared,
+    /// so a list a cooperative pass delivered flows to its consumer as it
+    /// stands.
+    Table { table: &'a DecomposedTable, cands: Option<Arc<CandList>> },
     /// Row pairs of the plan's join (its tables are the plan's
     /// [`base_tables`]).
     Joined { pairs: Vec<OidPair> },
@@ -490,7 +492,7 @@ enum Stream<'a> {
 impl Stream<'_> {
     fn rows(&self) -> usize {
         match self {
-            Stream::Table { table, cands } => cands.as_ref().map_or(table.len(), Vec::len),
+            Stream::Table { table, cands } => cands.as_ref().map_or(table.len(), |c| c.len()),
             Stream::Joined { pairs } => pairs.len(),
         }
     }
@@ -529,9 +531,10 @@ pub fn execute_with_scans<M: MemTracker>(
     // A returned join index must be canonical.
     let stream = exec_node(trk, &plan.root, opts, &model, &mut report, ticket, &mut leafs, true)?;
     let output = match stream {
-        Output::Stream(Stream::Table { table, cands }) => QueryOutput::Oids(
-            cands.unwrap_or_else(|| (0..table.len() as Oid).map(|i| table.seqbase() + i).collect()),
-        ),
+        Output::Stream(Stream::Table { table, cands }) => QueryOutput::Oids(match cands {
+            Some(cands) => Arc::try_unwrap(cands).unwrap_or_else(|shared| (*shared).clone()),
+            None => (0..table.len() as Oid).map(|i| table.seqbase() + i).collect(),
+        }),
         Output::Stream(Stream::Joined { pairs }) => QueryOutput::JoinIndex(pairs),
         Output::Final(out) => out,
     };
@@ -604,9 +607,17 @@ fn exec_node<'a, M: MemTracker>(
             // Phase 2: the parallel model only sees the scanning leaves
             // (index probes are a handful of node touches; never forked).
             let (threads, speedup) = op_threads(opts, pplan.scan_work_ns(), table.len());
-            let (selected, shards) = eval_planned(trk, table, pred, &pplan, threads)?;
+            // A list a shared pass delivered for the filter's only leaf is
+            // its result: borrowed, not copied.
+            let (selected, shards) = match pplan.sole_provided() {
+                Some(list) => (Arc::clone(list), None),
+                None => {
+                    let (selected, shards) = eval_planned(trk, table, pred, &pplan, threads)?;
+                    (Arc::new(selected), shards)
+                }
+            };
             let merged = match cands {
-                Some(prior) => intersect(&prior, &selected),
+                Some(prior) => Arc::new(intersect(&prior, &selected)),
                 None => selected,
             };
             let mut notes = Vec::new();
@@ -662,8 +673,8 @@ fn exec_node<'a, M: MemTracker>(
                 return Err(EngineError::Plan(PlanError::Unsupported("nested joins")));
             };
             let before = trk.counters_snapshot();
-            let left = (lt.bat(left_col)?, lc.as_deref());
-            let right = (rt.bat(right_col)?, rc.as_deref());
+            let left = (lt.bat(left_col)?, lc.as_deref().map(Vec::as_slice));
+            let right = (rt.bat(right_col)?, rc.as_deref().map(Vec::as_slice));
 
             // The physical decision: the executor, not the caller, asks the
             // planner which algorithm/bits to use for this inner cardinality
@@ -716,19 +727,18 @@ fn exec_node<'a, M: MemTracker>(
             let rows_in = stream.rows();
             let before = trk.counters_snapshot();
             // Parallel quote: the gathers alone (one 8-byte-stride pass per
-            // gathered column plus the keys). The fold splits every sink in
-            // row chunks (see `crate::aggregate`), so the accumulation
-            // divides too, but it is left out of the quote: an unrestricted
-            // scan stream is folded where it lies — nothing is gathered, so
-            // Auto keeps it sequential. A deliberate lower bound: gathers
-            // access randomly and the accumulation is left out, so this only
-            // *under*-forks.
-            let gathers = !matches!(&stream, Stream::Table { cands: None, .. });
-            let gather_ns = if gathers {
-                scan_cost(model, rows_in.max(1), 8).total_ns() * (aggs.len() + 1) as f64
-            } else {
-                0.0
+            // column the fold gathers — each distinct one once, plus the
+            // key). The fold splits every sink in row chunks (see
+            // `crate::aggregate`), so the accumulation divides too, but it
+            // is left out of the quote: an unrestricted scan stream is
+            // folded where it lies — nothing is gathered, so Auto keeps it
+            // sequential. A deliberate lower bound: gathers access randomly
+            // and the accumulation is left out, so this only *under*-forks.
+            let gathered = match &stream {
+                Stream::Table { cands: None, .. } => 0,
+                _ => gathers(&sinks, key.is_some()),
             };
+            let gather_ns = scan_cost(model, rows_in.max(1), 8).total_ns() * gathered as f64;
             let (threads, speedup) = op_threads(opts, gather_ns, rows_in);
             let rows = match &stream {
                 Stream::Table { table, cands: None } => Rows::All(table.len()),
@@ -765,15 +775,10 @@ fn exec_node<'a, M: MemTracker>(
             // The rows each worker of a parallel fold accumulated.
             let shards = (folded.shards.len() > 1).then_some(folded.shards);
             // Mirror the quote's shape decomposition (and the fold's two
-            // charges): one positional gather per column (plus the key),
-            // then the accumulation; unrestricted scans fold in place.
-            let columns = aggs.iter().filter(|a| a.column().is_some()).count();
-            let mut shapes = Vec::new();
-            if gathers {
-                for _ in 0..columns + usize::from(key.is_some()) {
-                    shapes.push(OpShape::Gather { rows: rows_in });
-                }
-            }
+            // charges): the gathers the fold made, then the accumulation;
+            // unrestricted scans fold in place.
+            let columns = sinks.len();
+            let mut shapes = vec![OpShape::Gather { rows: rows_in }; gathered];
             shapes.push(OpShape::Aggregate { rows: rows_in, columns, grouped: key.is_some() });
             report.ops.push(OpReport {
                 op,

@@ -33,7 +33,7 @@ use engine::exec::{execute_with_scans, ExecOptions, ExecReport, Executed, QueryO
 use engine::plan::{LogicalPlan, PlanNode};
 use engine::shared::{scan_requests, ColumnId, ScanRequest, ScanTicket, ShareKey};
 use memsim::{EventCounters, MachineConfig, MemTracker, NullTracker, SimTracker};
-use monet_core::scan::{par_select, select, RowSet, ScanCol, ScanPred};
+use monet_core::scan::{par_select, select_into, RowSet, ScanCol, ScanPred};
 use monet_core::storage::{Oid, StorageError};
 use obs::{
     DriftMonitor, DriftReport, LogHistogram, QueryTrace, TraceBuilder, TraceEvent, TraceSink,
@@ -720,9 +720,11 @@ impl QueryService {
     /// same-column wants at every boundary (late riders wrap around for the
     /// prefix they missed) and yielding the lease between chunks when a
     /// cheaper query waits — else as its one chunk, sharded over the lease.
-    /// Each rider is delivered the moment it has seen every row; its partial
-    /// lists, concatenated in row order, are exactly the unchunked kernel's
-    /// output. The pass streams the packed codes when they can evaluate
+    /// Each rider appends every chunk's survivors to one list of its own and
+    /// is delivered that list the moment it has seen every row: as it
+    /// stands for a rider that attached at row 0, rotated once into row
+    /// order for one that wrapped (see [`RiderList`]) — exactly the
+    /// unchunked kernel's output either way. The pass streams the packed codes when they can evaluate
     /// every merged predicate. The claim is guarded: if the pass fails — or
     /// a panic unwinds out of the kernel — its keys are aborted back off the
     /// in-flight set so waiters evaluate for themselves instead of blocking
@@ -742,8 +744,7 @@ impl QueryService {
             /// Rows the pass had streamed when this rider attached; the
             /// rider is complete once `streamed - attach >= rows`.
             attach: usize,
-            /// Per-chunk partial lists as `(chunk first row, matches)`.
-            parts: Vec<(usize, Vec<Oid>)>,
+            list: RiderList,
         }
         let rows = batch.rows;
         let chunk = match self.cfg.chunk_rows {
@@ -758,7 +759,7 @@ impl QueryService {
                 key: p.key,
                 own_leaves: p.own_leaves.clone(),
                 attach: 0,
-                parts: Vec::new(),
+                list: RiderList::default(),
             })
             .collect();
         let mut claim = ClaimGuard {
@@ -791,18 +792,21 @@ impl QueryService {
             let span = if chunked { RowSet::Range(lo, hi) } else { RowSet::All };
             let threads = lease.threads.get();
             let chunk_started = Instant::now();
-            let (lists, sim) = match &self.obs {
+            let lists = riders.iter_mut().map(|r| &mut r.list);
+            let (streamed_ok, sim) = match &self.obs {
                 Some(_) => {
                     let mut trk = SimTracker::for_machine(self.cfg.machine);
-                    (stream(&mut trk, col, &preds, span, threads), Some(trk.counters()))
+                    (stream(&mut trk, col, &preds, span, threads, lists), Some(trk.counters()))
                 }
-                None => (stream(&mut NullTracker, col, &preds, span, threads), None),
+                None => (stream(&mut NullTracker, col, &preds, span, threads, lists), None),
             };
             let chunk_ms = chunk_started.elapsed().as_secs_f64() * 1e3;
             // Unreachable for validated plans (the predicate types were
             // checked against these very columns); the guard aborts the
             // remaining claims (delivered riders stay delivered).
-            let Ok(lists) = lists else { return };
+            if streamed_ok.is_err() {
+                return;
+            }
             if let Some(counters) = sim {
                 self.observe_pass(stored(hi - lo, req.stride, cc), preds.len(), &counters);
                 self.tpush(
@@ -819,9 +823,6 @@ impl QueryService {
 
             let mut st = self.state.lock().expect("service lock");
             st.hists[session].chunk.record(chunk_ms);
-            for (r, part) in riders.iter_mut().zip(lists) {
-                r.parts.push((lo, part));
-            }
             let n = hi - lo;
             streamed += n;
             st.scan_rows += n as u64;
@@ -859,7 +860,7 @@ impl QueryService {
                         key,
                         own_leaves: Vec::new(),
                         attach: streamed,
-                        parts: Vec::new(),
+                        list: RiderList::default(),
                     });
                 }
             }
@@ -874,11 +875,8 @@ impl QueryService {
                 );
             }
 
-            // Deliver riders that have now seen every row: their parts,
-            // sorted by chunk position, concatenate to the unchunked list
-            // (each part's OIDs ascend and the parts' row ranges are
-            // disjoint), grown in place from the first part, so a one-chunk
-            // pass delivers its list without a copy.
+            // Deliver riders that have now seen every row, each its own
+            // list in row order: the unchunked list.
             let (mut still, mut done) = (Vec::with_capacity(riders.len()), Vec::new());
             for r in riders {
                 if streamed - r.attach >= rows {
@@ -889,16 +887,8 @@ impl QueryService {
             }
             riders = still;
             let (mut own_done, mut delivered_done) = (0usize, 0usize);
-            for mut r in done {
-                r.parts.sort_by_key(|&(plo, _)| plo);
-                let total: usize = r.parts.iter().map(|(_, p)| p.len()).sum();
-                let mut parts = r.parts.into_iter().map(|(_, p)| p);
-                let mut cands = parts.next().unwrap_or_default();
-                cands.reserve_exact(total - cands.len());
-                for mut p in parts {
-                    cands.append(&mut p);
-                }
-                let cands: Cands = Arc::new(cands);
+            for r in done {
+                let cands: Cands = Arc::new(r.list.finish());
                 for &leaf in &r.own_leaves {
                     ticket_lists.provide(leaf, cands.clone());
                 }
@@ -1184,20 +1174,61 @@ pub fn quote_plan_covered(
     quote_ops(&opts.machine, &ops)
 }
 
-/// Stream `span` of an elevator pass through its merged predicates: a
-/// one-chunk pass over the whole column on `threads` threads, a chunk of a
-/// longer pass on one.
-fn stream<M: MemTracker>(
+/// One elevator rider's survivors, appended chunk by chunk from the row the
+/// rider attached at. A rider that attached at row 0 holds them in row
+/// order; one that attached mid-pass holds the *tail* (its attach row to
+/// the column's end) before the *head* (row 0 up to its attach row).
+#[derive(Debug, Default)]
+struct RiderList {
+    oids: Vec<Oid>,
+    /// Where the head begins in `oids`.
+    head: usize,
+}
+
+impl RiderList {
+    /// The list in row order: the head and tail of a rider that wrapped,
+    /// joined once by rotating them in place.
+    fn finish(mut self) -> Vec<Oid> {
+        self.oids.rotate_left(self.head);
+        self.oids
+    }
+}
+
+/// Stream `span` of an elevator pass through its merged predicates (one per
+/// rider, in rider order), appending each predicate's survivors to its
+/// rider's list: a one-chunk pass over the whole column on `threads`
+/// threads, a chunk of a longer pass on one.
+fn stream<'r, M: MemTracker>(
     trk: &mut M,
     col: ScanCol<'_>,
     preds: &[ScanPred],
     span: RowSet<'_>,
     threads: usize,
-) -> Result<Vec<Vec<Oid>>, StorageError> {
-    match span {
-        RowSet::All => par_select(trk, col, preds, threads).map(|(lists, _)| lists),
-        span => select(trk, col, preds, span),
+    riders: impl IntoIterator<Item = &'r mut RiderList>,
+) -> Result<(), StorageError> {
+    let lo = match span {
+        RowSet::Range(lo, _) => lo,
+        _ => 0,
+    };
+    let mut riders: Vec<&mut RiderList> = riders.into_iter().collect();
+    let mut lists: Vec<Vec<Oid>> = riders
+        .iter_mut()
+        .map(|r| {
+            if lo == 0 {
+                r.head = r.oids.len();
+            }
+            std::mem::take(&mut r.oids)
+        })
+        .collect();
+    let streamed = match span {
+        // Only a one-chunk pass streams `All`, and its riders start empty.
+        RowSet::All => par_select(trk, col, preds, threads).map(|(out, _)| lists = out),
+        span => select_into(trk, col, preds, span, &mut lists),
+    };
+    for (r, list) in riders.into_iter().zip(lists) {
+        r.oids = list;
     }
+    streamed
 }
 
 /// The fresh full pass over `rows` rows of a column: at the packed width
@@ -1556,6 +1587,82 @@ mod tests {
             assert!(m.shared_scan_batches >= 1, "chunk {chunk}: {m:?}");
             assert!(m.scans_saved >= 2, "one pass covered the other two: chunk {chunk}: {m:?}");
             assert_counters_balance(&svc);
+        }
+    }
+
+    /// The pass `run_elevator` streams, with riders joining at the given
+    /// boundaries: chunk after chunk from row 0, wrapping at the end, each
+    /// rider attaching the first time the cursor reaches its row and
+    /// delivered once it has seen every row. Returns each rider's
+    /// predicate and delivered list, in delivery order.
+    fn ride(
+        col: ScanCol<'_>,
+        chunk: usize,
+        mut joining: Vec<(usize, ScanPred)>,
+    ) -> Vec<(ScanPred, Vec<Oid>)> {
+        let rows = col.len();
+        let (mut riders, mut delivered) = (Vec::<(ScanPred, RiderList, usize)>::new(), Vec::new());
+        let mut cursor = 0;
+        while !(riders.is_empty() && joining.is_empty()) {
+            joining.retain(|&(at, pred)| {
+                let joins = at == cursor;
+                if joins {
+                    riders.push((pred, RiderList::default(), 0));
+                }
+                !joins
+            });
+            let hi = (cursor + chunk).min(rows);
+            let preds: Vec<ScanPred> = riders.iter().map(|r| r.0).collect();
+            let lists = riders.iter_mut().map(|r| &mut r.1);
+            stream(&mut NullTracker, col, &preds, RowSet::Range(cursor, hi), 1, lists).unwrap();
+            riders.iter_mut().for_each(|r| r.2 += hi - cursor);
+            cursor = if hi == rows { 0 } else { hi };
+            let (done, still) = riders.into_iter().partition(|r| r.2 >= rows);
+            riders = still;
+            delivered.extend(done.into_iter().map(|(pred, list, _)| (pred, list.finish())));
+        }
+        delivered
+    }
+
+    #[test]
+    fn riders_attached_at_any_boundary_deliver_the_solo_list() {
+        use monet_core::compress::{CompressedColumn, ForColumn, RleColumn};
+        use monet_core::scan::select;
+        use monet_core::storage::{Bat, Column};
+
+        const ROWS: usize = 10_000;
+        const SEQBASE: Oid = 70;
+        // Not a divisor of the column, nor a multiple of a FOR frame.
+        const CHUNK: usize = 1_536;
+        let uniform: Vec<i32> = (0..ROWS as i32).map(|i| i * 7_919 % 97).collect();
+        let runs: Vec<i32> = (0..ROWS as i32).map(|i| i / 300 % 11).collect();
+        let plain = Bat::with_void_head(SEQBASE, Column::I32(uniform.clone()));
+        let packed = CompressedColumn::For(ForColumn::encode(&uniform));
+        let rle = CompressedColumn::Rle(RleColumn::encode(&runs));
+        let boundaries: Vec<usize> = (0..ROWS).step_by(CHUNK).collect();
+        let (middle, last) = (boundaries[boundaries.len() / 2], boundaries[boundaries.len() - 1]);
+        for (what, col, top) in [
+            ("plain", ScanCol::Plain(&plain), 97),
+            ("FOR", ScanCol::Packed(&packed, SEQBASE), 97),
+            ("RLE", ScanCol::Packed(&rle, SEQBASE), 11),
+        ] {
+            let band = |lo: i32| ScanPred::RangeI32 { lo, hi: lo + top / 3 };
+            let joining = vec![(0, band(1)), (middle, band(top / 3)), (last, band(top / 2))];
+            let delivered = ride(col, CHUNK, joining);
+            assert_eq!(delivered.len(), 3, "{what}: every rider delivered");
+            for (pred, list) in &delivered {
+                let solo = select(&mut NullTracker, col, &[*pred], RowSet::All).unwrap().remove(0);
+                assert!(!solo.is_empty(), "{what}: {pred:?} selects rows");
+                assert_eq!(list, &solo, "{what}: {pred:?}");
+            }
+            // A one-chunk pass streams the whole column, over two threads.
+            let mut lists = [RiderList::default(), RiderList::default()];
+            let preds = [band(1), band(top / 2)];
+            stream(&mut NullTracker, col, &preds, RowSet::All, 2, &mut lists).unwrap();
+            for (pred, list) in preds.iter().zip(lists) {
+                let solo = select(&mut NullTracker, col, &[*pred], RowSet::All).unwrap().remove(0);
+                assert_eq!(list.finish(), solo, "{what}: one chunk, {pred:?}");
+            }
         }
     }
 

@@ -22,14 +22,15 @@
 //!
 //! A claimed pass runs as an *elevator*: the runner streams the column in
 //! chunks of the configured size (`MONET_SERVICE_CHUNK`;
-//! [`monet_core::scan::select`] over one `RowSet::Range` each) and, at
+//! [`monet_core::scan::select_into`] over one `RowSet::Range` each) and, at
 //! every chunk boundary, absorbs newly posted same-column wants as fresh
 //! *riders* ([`ScanBoard::take_pending_for_col`]). A rider attaching
 //! mid-pass keeps riding past the end of the column — the cursor wraps to
 //! row zero and re-streams only the prefix the rider missed. Each rider's
-//! per-chunk partial lists, reassembled in ascending row order, are
-//! bit-identical to the unchunked kernel, so attach order can never change
-//! what a query computes. The per-column cursor is published on the board
+//! survivors are appended chunk by chunk to one list of its own; a wrapped
+//! rider's tail and head are rotated into ascending row order once, at
+//! delivery, so every delivered list is bit-identical to the unchunked
+//! kernel and attach order can never change what a query computes. The per-column cursor is published on the board
 //! ([`ScanBoard::coverage`]) so admission quotes can price a mid-pass
 //! attach as marginal CPU plus only the wrap-around re-stream
 //! ([`costmodel::scan::Select::covered`]). When the chunk is the whole

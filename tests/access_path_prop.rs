@@ -38,6 +38,6 @@ fn grouped_aggregates_are_access_path_invariant() {
     let mut l = Lattice::new("access_path_prop::grouped")
         .pin("indexes", &[ALL_INDEXES])
         .pin("filter", &FILTERED)
-        .pin("aggregate", &["grouped"]);
+        .pin("aggregate", &["grouped", "grouped by part"]);
     lattice::check(&mut l, SLICE_CASES, every_access_mode);
 }

@@ -168,8 +168,13 @@ enum QtyShape {
     Constant,
 }
 
+/// Distinct values the fact table's `part` column draws from: more than a
+/// 1-byte code holds, so on "frames"-sized tables `part` has 2-byte codes
+/// and a fold grouped by it runs on the 65 536-slot table.
+const PARTS: i64 = 1_000;
+
 /// The Item-shaped fact table: `supp` (the join key), `qty`, `batch`
-/// (sorted runs), `price`, `discnt`, `shipmode` and `flag`.
+/// (sorted runs), `price`, `discnt`, `shipmode`, `flag` and `part`.
 fn item(l: &mut Lattice) -> DecomposedTable {
     let rows = match l.draw("rows", &["empty", "few", "frames", "frames"]) {
         "empty" => 0,
@@ -194,7 +199,8 @@ fn item(l: &mut Lattice) -> DecomposedTable {
         .column("price", ColType::F64)
         .column("discnt", ColType::F64)
         .column("shipmode", ColType::Str)
-        .column("flag", ColType::Str);
+        .column("flag", ColType::Str)
+        .column("part", ColType::Str);
     for i in 0..rows {
         let supp = match &mut zipf {
             Some(z) => z.sample() as i64,
@@ -217,6 +223,7 @@ fn item(l: &mut Lattice) -> DecomposedTable {
             Value::F64(l.int(0, 11) as f64 / 100.0),
             Value::from(l.pick(&SHIPMODES)),
             Value::from(l.pick(&FLAGS)),
+            Value::from(format!("p{}", l.int(0, PARTS))),
         ];
         b.push_row(&row).unwrap();
     }
@@ -355,13 +362,16 @@ fn plan<'a>(
         desc += " join[supp = id]";
         q = q.join(supplier, ("supp", "id"));
     }
-    let shape = l.draw("aggregate", &["none", "scalar", "grouped"]);
+    let shape = l.draw("aggregate", &["none", "scalar", "grouped", "grouped by part"]);
     if shape == "none" {
         return (q.build().unwrap(), desc);
     }
-    if shape == "grouped" {
-        let keys: &[&str] =
-            if joined { &["shipmode", "flag", "nation"] } else { &["shipmode", "flag"] };
+    if shape != "scalar" {
+        let keys: &[&str] = match shape {
+            "grouped by part" => &["part"],
+            _ if joined => &["shipmode", "flag", "nation"],
+            _ => &["shipmode", "flag"],
+        };
         let key = l.pick(keys);
         desc += &format!(" group({key})");
         q = q.group_by(key);

@@ -38,7 +38,7 @@ fn uncapped(name: &str) -> Lattice {
 fn grouped_pipeline_is_thread_count_invariant() {
     let mut l = uncapped("parallel_exec_prop::grouped")
         .pin("join", &["false"])
-        .pin("aggregate", &["grouped"]);
+        .pin("aggregate", &["grouped", "grouped by part"]);
     lattice::check(&mut l, SLICE_CASES, every_thread_count);
 }
 
@@ -55,7 +55,7 @@ fn join_index_is_thread_count_invariant() {
 fn joined_aggregates_are_thread_count_invariant() {
     let mut l = uncapped("parallel_exec_prop::joined_aggregates")
         .pin("join", &["true"])
-        .pin("aggregate", &["scalar", "grouped"]);
+        .pin("aggregate", &["scalar", "grouped", "grouped by part"]);
     lattice::check(&mut l, SLICE_CASES, every_thread_count);
 }
 
