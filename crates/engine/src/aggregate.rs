@@ -486,10 +486,7 @@ impl Block<'_> {
             }
             return;
         };
-        let vals = match self.buffers(sinks.len()) {
-            true => Some(self.load(trk, buf, src, |v| v)),
-            false => None,
-        };
+        let vals = self.buffers(sinks.len()).then(|| self.load(trk, buf, src, |v| v));
         for &(j, sink) in sinks {
             let (table, tally) = (accs[j].exact_mut(), std::mem::take(tally));
             match vals {
@@ -524,10 +521,7 @@ impl Block<'_> {
         parts: &mut [(i64, f64)],
         tally: &mut &mut [u64],
     ) {
-        let vals = match self.buffers(sinks.len()) {
-            true => Some(self.load(trk, buf, src, |v| v)),
-            false => None,
-        };
+        let vals = self.buffers(sinks.len()).then(|| self.load(trk, buf, src, |v| v));
         for &(j, _) in sinks {
             let (split, sums) = (&mut splits[j], accs[j].f64_mut());
             match (vals, self.codes) {
@@ -605,8 +599,7 @@ fn scatter<I: Copy>(
     }
 }
 
-/// Count each row of a block into `tally` by its code (an empty `tally`
-/// counts nothing).
+/// Count each row of a block into `tally` by its code.
 #[inline(never)]
 fn count(tally: &mut [u64], codes: &[u16]) {
     for &c in codes {
@@ -688,7 +681,7 @@ fn fold_span<M: MemTracker>(
             }
         }
         // No sink scattered the block: count it alone.
-        if let Some(codes) = blk.codes {
+        if let (Some(codes), false) = (blk.codes, tally.is_empty()) {
             count(tally, codes);
         }
     }

@@ -724,11 +724,12 @@ impl QueryService {
     /// is delivered that list the moment it has seen every row: as it
     /// stands for a rider that attached at row 0, rotated once into row
     /// order for one that wrapped (see [`RiderList`]) — exactly the
-    /// unchunked kernel's output either way. The pass streams the packed codes when they can evaluate
-    /// every merged predicate. The claim is guarded: if the pass fails — or
-    /// a panic unwinds out of the kernel — its keys are aborted back off the
-    /// in-flight set so waiters evaluate for themselves instead of blocking
-    /// forever (the board-side analogue of [`LeaseGuard`]).
+    /// unchunked kernel's output either way. The pass streams the packed
+    /// codes when they can evaluate every merged predicate. The claim is
+    /// guarded: if the pass fails — or a panic unwinds out of the kernel —
+    /// its keys are aborted back off the in-flight set so waiters evaluate
+    /// for themselves instead of blocking forever (the board-side analogue
+    /// of [`LeaseGuard`]).
     fn run_elevator(
         &self,
         session: usize,
