@@ -21,9 +21,11 @@
 //! * grouped aggregation is one streaming pass over the keys plus one per
 //!   aggregated column.
 //!
-//! Estimates, not measurements: cardinalities after a filter are unknown at
-//! admission time, so callers feed the shapes with whatever selectivity
-//! guess they have. Ranking only needs *relative* accuracy.
+//! Estimates, not measurements: the shapes carry whatever cardinalities the
+//! caller knows before the run. The query service quotes the physical plan
+//! it is about to execute (`engine::physical`), so a filter's survivors are
+//! the access planner's estimates — exact where a B+-tree counted them —
+//! and a fold is quoted with the gathers it will make.
 
 use memsim::MachineConfig;
 

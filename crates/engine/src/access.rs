@@ -11,18 +11,19 @@
 //! thread count — the determinism property the PR-2 suites rely on.
 //!
 //! Planning runs in two phases so the degree of parallelism can be decided
-//! in between: `plan_pred_with` resolves one [`AccessDecision`] per leaf
+//! in between: `plan_pred` resolves one [`AccessDecision`] per leaf
 //! (range selectivity estimates are *exact* — two B+-tree descents count
-//! the matches), then `eval_planned` executes the decisions, fanning
-//! scan leaves out over the chosen thread count and running index probes
-//! sequentially (a probe is a handful of node touches; forking would cost
-//! more than the work).
+//! the matches) once, when [`crate::physical::plan`] lowers the query, then
+//! `eval_planned` executes the decisions, fanning scan leaves out over the
+//! chosen thread count and running index probes sequentially (a probe is a
+//! handful of node touches; forking would cost more than the work).
 //!
 //! [`AccessMode`] pins the choice: `scan` reproduces the pre-index executor
 //! exactly, `index` forces index paths wherever one is usable, `auto` (the
 //! default of every [`crate::exec::ExecOptions`]) lets the cost model
 //! decide.
 
+use std::borrow::Cow;
 use std::fmt;
 use std::sync::Arc;
 
@@ -208,10 +209,6 @@ enum LeafAction {
     Scan { col: String, pred: ScanPred },
     /// Provably empty: the equality constant is not in the dictionary.
     Empty,
-    /// The candidate list was produced by a cooperative shared-scan pass;
-    /// evaluation just consumes it (bit-identical to a solo scan by the
-    /// kernel's contract).
-    Provided(Arc<CandList>),
     /// Scan-select directly on the column's compressed representation
     /// (parallelizable; constants already translated into value/code space).
     Packed { col: String, pred: ScanPred },
@@ -275,18 +272,51 @@ impl PredPlan {
         self.leaves.iter().filter_map(|l| l.select.map(OpShape::Select)).collect()
     }
 
+    /// Per leaf: the select it streams itself (`None` for an index probe
+    /// or a provably empty leaf), and its predicted ms.
+    pub fn priced(&self) -> impl Iterator<Item = (Option<Select>, f64)> + '_ {
+        self.leaves.iter().map(|l| (l.select, l.decision.predicted_ms))
+    }
+
     /// True if any leaf takes an index path.
     pub fn uses_index(&self) -> bool {
         self.leaves.iter().any(|l| l.decision.path.is_index())
     }
 
-    /// The list a shared scan pass delivered for the plan's only leaf: the
-    /// filter's result as it stands, to be borrowed rather than copied.
-    pub fn sole_provided(&self) -> Option<&Arc<CandList>> {
-        match &self.leaves[..] {
-            [LeafPlan { action: LeafAction::Provided(list), .. }] => Some(list),
-            _ => None,
+    /// This plan with the leaves a shared scan pass `provided` settled:
+    /// each keeps its path and its place in the order, but reports the
+    /// provided count, no cost and no shape — it was scanned elsewhere.
+    pub fn settle(&self, provided: &[Option<Arc<CandList>>]) -> Cow<'_, PredPlan> {
+        if provided.iter().all(Option::is_none) {
+            return Cow::Borrowed(self);
         }
+        let mut plan = self.clone();
+        for (lp, list) in plan.leaves.iter_mut().zip(provided) {
+            if let Some(list) = list {
+                lp.decision.shared = true;
+                lp.decision.matches_est = list.len();
+                lp.decision.predicted_ms = 0.0;
+                lp.select = None;
+            }
+        }
+        Cow::Owned(plan)
+    }
+
+    /// Estimated fraction of `rows` that survive the predicate: each leaf's
+    /// [`leaf_selectivity`], combined over `pred`'s tree as independent
+    /// events (a product under AND, `a + b − ab` under OR).
+    pub fn selectivity(&self, pred: &Pred, rows: usize) -> f64 {
+        fn tree(pred: &Pred, leaves: &mut std::slice::Iter<'_, LeafPlan>, rows: usize) -> f64 {
+            match pred {
+                Pred::And(a, b) => tree(a, leaves, rows) * tree(b, leaves, rows),
+                Pred::Or(a, b) => {
+                    let (x, y) = (tree(a, leaves, rows), tree(b, leaves, rows));
+                    x + y - x * y
+                }
+                _ => leaves.next().map_or(1.0, |lp| leaf_selectivity(lp, rows)),
+            }
+        }
+        tree(pred, &mut self.leaves.iter(), rows)
     }
 
     /// Leaves whose candidate lists were provided by a shared scan pass.
@@ -315,15 +345,6 @@ impl PredPlan {
     /// [`AccessDecision::cands_in`] column, for reports).
     pub fn cands_in(&self) -> Vec<Option<usize>> {
         self.leaves.iter().map(|l| l.decision.cands_in).collect()
-    }
-}
-
-/// Number of leaves of a predicate tree (for cursor-skipping on
-/// short-circuited subtrees, and the executor's global leaf numbering).
-pub fn leaf_count(pred: &Pred) -> usize {
-    match pred {
-        Pred::And(a, b) | Pred::Or(a, b) => leaf_count(a) + leaf_count(b),
-        _ => 1,
     }
 }
 
@@ -414,12 +435,9 @@ pub fn is_pure_and(pred: &Pred) -> bool {
     }
 }
 
-/// Resolve one [`AccessDecision`] + action per predicate leaf, with
-/// externally provided candidate lists: `provided[i]`, when `Some`,
-/// short-circuits leaf `i` (in-order position within this predicate) to
-/// consume that list — no pricing, no probing, zero cost. Pass `&[]` for
-/// plain planning. Selectivity estimates that probe a B+-tree are tracked
-/// against `trk` (planning cost is execution cost).
+/// Resolve one [`AccessDecision`] + action per predicate leaf. Selectivity
+/// estimates that probe a B+-tree are tracked against `trk` (planning cost
+/// is execution cost).
 ///
 /// Under [`PushdownMode::On`], a multi-leaf pure-AND predicate is then
 /// planned *as one conjunction*: the leaf order minimizing the modelled
@@ -427,8 +445,7 @@ pub fn is_pure_and(pred: &Pred) -> bool {
 /// list) is searched exhaustively (≤ [`MAX_EXHAUSTIVE_LEAVES`] leaves;
 /// rank-greedy beyond), and each restricted leaf's planned candidate count
 /// and bytes saved are recorded on its [`AccessDecision`].
-#[allow(clippy::too_many_arguments)] // the planner's full policy surface
-pub(crate) fn plan_pred_with<M: MemTracker>(
+pub(crate) fn plan_pred<M: MemTracker>(
     trk: &mut M,
     table: &DecomposedTable,
     pred: &Pred,
@@ -436,18 +453,32 @@ pub(crate) fn plan_pred_with<M: MemTracker>(
     compress: CompressMode,
     pushdown: PushdownMode,
     model: &ModelMachine,
-    provided: &[Option<Arc<CandList>>],
 ) -> Result<PredPlan, EngineError> {
-    let mut leaves = Vec::with_capacity(leaf_count(pred));
-    plan_rec(trk, table, pred, mode, compress, model, provided, &mut leaves)?;
-    // Nothing to push down when every leaf is already settled by a shared
-    // pass — the evaluation just intersects the provided lists.
-    let unsettled =
-        leaves.iter().any(|lp| !matches!(lp.action, LeafAction::Provided(_) | LeafAction::Empty));
-    let order =
-        (pushdown == PushdownMode::On && leaves.len() > 1 && unsettled && is_pure_and(pred))
-            .then(|| plan_conjunction(model, table, &mut leaves));
+    let mut leaves: Vec<LeafPlan> = leaves_of(pred)
+        .into_iter()
+        .map(|leaf| plan_leaf(trk, table, leaf, mode, compress, model))
+        .collect::<Result<_, _>>()?;
+    let order = (pushdown == PushdownMode::On && leaves.len() > 1 && is_pure_and(pred))
+        .then(|| plan_conjunction(model, table, &mut leaves));
     Ok(PredPlan { leaves, order })
+}
+
+/// A predicate's leaves in in-order position — the order they are planned,
+/// numbered (for cursor-skipping on short-circuited subtrees, and the
+/// global leaf numbering) and evaluated in.
+pub(crate) fn leaves_of(pred: &Pred) -> Vec<&Pred> {
+    fn walk<'p>(pred: &'p Pred, out: &mut Vec<&'p Pred>) {
+        match pred {
+            Pred::And(a, b) | Pred::Or(a, b) => {
+                walk(a, out);
+                walk(b, out);
+            }
+            leaf => out.push(leaf),
+        }
+    }
+    let mut out = Vec::new();
+    walk(pred, &mut out);
+    out
 }
 
 /// Leaf count up to which the conjunction planner searches every
@@ -460,7 +491,6 @@ const MAX_EXHAUSTIVE_LEAVES: usize = 6;
 fn leaf_selectivity(lp: &LeafPlan, rows: usize) -> f64 {
     match &lp.action {
         LeafAction::Empty => 0.0,
-        LeafAction::Provided(c) => c.len() as f64 / rows.max(1) as f64,
         _ if lp.decision.matches_est > 0 => {
             (lp.decision.matches_est as f64 / rows.max(1) as f64).min(1.0)
         }
@@ -475,7 +505,7 @@ fn restricted_ms(model: &ModelMachine, lp: &LeafPlan, rows: usize, k: usize) -> 
     if let Some(stored) = lp.select {
         return select_cost(model, Select { cands: Some(k), ..stored }).total_ms();
     }
-    // Provided and provably empty leaves cost nothing either way.
+    // Provably empty leaves cost nothing either way.
     let Some(full) = lp.index_cost else { return 0.0 };
     let probed = lp.decision.matches_est;
     restrict_index_cost(model, full, probed, restricted_matches(rows, probed, k)).total_ms()
@@ -576,51 +606,17 @@ fn permute(items: &mut Vec<usize>, at: usize, visit: &mut impl FnMut(&[usize])) 
     }
 }
 
-/// The [`LeafPlan`] of a leaf whose candidates a shared pass already
-/// produced: everything about it is settled, nothing will be priced or
-/// executed.
-fn provided_leaf(col: &str, cands: Arc<CandList>) -> LeafPlan {
-    LeafPlan {
-        decision: AccessDecision {
-            column: col.to_owned(),
-            path: AccessPath::Scan,
-            predicted_ms: 0.0,
-            scan_ms: 0.0,
-            matches_est: cands.len(),
-            shared: true,
-            packed_bits: 0.0,
-            stride: 0,
-            cands_in: None,
-            bytes_saved: 0.0,
-        },
-        action: LeafAction::Provided(cands),
-        select: None,
-        index_cost: None,
-    }
-}
-
-#[allow(clippy::too_many_arguments)] // one call site; mirrors plan_pred_with
-fn plan_rec<M: MemTracker>(
+/// Plan one leaf: its cheapest path under the modes, priced on `model`.
+fn plan_leaf<M: MemTracker>(
     trk: &mut M,
     table: &DecomposedTable,
     pred: &Pred,
     mode: AccessMode,
     compress: CompressMode,
     model: &ModelMachine,
-    provided: &[Option<Arc<CandList>>],
-    out: &mut Vec<LeafPlan>,
-) -> Result<(), EngineError> {
-    if let Pred::And(a, b) | Pred::Or(a, b) = pred {
-        plan_rec(trk, table, a, mode, compress, model, provided, out)?;
-        return plan_rec(trk, table, b, mode, compress, model, provided, out);
-    }
+) -> Result<LeafPlan, EngineError> {
     let (col, kernel) = lower_leaf(table, pred)?;
     let stride = table.bat(col)?.tail().tail_width();
-    // Leaf positions are in-order: the next leaf's index is out.len().
-    if let Some(Some(cands)) = provided.get(out.len()) {
-        out.push(provided_leaf(col, cands.clone()));
-        return Ok(());
-    }
     // Range predicates can only use range-capable indexes. F64 columns
     // carry no indexes (no u32 key mapping) and no compressed
     // representation, so they always fall through to the plain scan.
@@ -638,8 +634,7 @@ fn plan_rec<M: MemTracker>(
         leaf.decision.predicted_ms = 0.0;
         leaf.select = None;
         leaf.index_cost = None;
-        out.push(leaf);
-        return Ok(());
+        return Ok(leaf);
     };
     let matches = if usable.is_empty() {
         // No index to count with: sniff the compressed metadata (frame
@@ -651,10 +646,7 @@ fn plan_rec<M: MemTracker>(
         estimate_matches(trk, table, col, &usable, kernel)
     };
     let packed = packed_candidate(table, col, kernel, compress);
-    out.push(leaf_plan(
-        model, table, col, kernel, stride, matches, eq, mode, &usable, packed, compress,
-    ));
-    Ok(())
+    Ok(leaf_plan(model, table, col, kernel, stride, matches, eq, mode, &usable, packed, compress))
 }
 
 /// The index key range of a leaf constant.
@@ -786,22 +778,27 @@ impl ShardAcc {
 
 /// Evaluate a planned predicate. Scan leaves fan out over `threads`
 /// (bit-identical chunked kernels); index leaves probe sequentially and
-/// sort their candidates back into OID order. Returns the candidate list
-/// plus, under parallel runs, the per-thread rows produced by the scanning
-/// leaves (summed across leaves — the sharded `ExecReport` counters).
+/// sort their candidates back into OID order. A leaf with a list in
+/// `provided` (in-order position) consumes it instead of evaluating —
+/// bit-identical to a solo scan by the cooperative kernel's contract.
+/// Returns the candidate list plus, under parallel runs, the per-thread
+/// rows produced by the scanning leaves (summed across leaves — the sharded
+/// `ExecReport` counters).
 pub(crate) fn eval_planned<M: MemTracker>(
     trk: &mut M,
     table: &DecomposedTable,
     pred: &Pred,
     plan: &PredPlan,
+    provided: &[Option<Arc<CandList>>],
     threads: usize,
 ) -> Result<(CandList, Option<Vec<usize>>), EngineError> {
     let mut shards = ShardAcc { counts: Vec::new() };
+    let mut run = Run { trk, table, plan, provided, threads, shards: &mut shards };
     let cands = if let Some(order) = plan.order() {
-        eval_ordered(trk, table, plan, order, threads, &mut shards)?
+        run.ordered(order)?
     } else {
         let mut cursor = 0usize;
-        let out = eval_rec(trk, table, pred, plan, &mut cursor, threads, &mut shards)?;
+        let out = run.tree(pred, &mut cursor)?;
         debug_assert_eq!(cursor, plan.leaves.len(), "every leaf consumed");
         out
     };
@@ -810,122 +807,113 @@ pub(crate) fn eval_planned<M: MemTracker>(
     Ok((cands, (threads > 1 && !shards.counts.is_empty()).then_some(shards.counts)))
 }
 
-/// Pushdown evaluation of a pure-AND conjunction: the first leaf in `order`
-/// evaluates full (parallelizable), every later leaf evaluates restricted
-/// to the running survivor list. Each restricted leaf returns exactly
-/// (full result ∩ candidates), so the running list *is* the conjunction so
-/// far — bit-identical to intersecting full-leaf results in any order. An
-/// empty running list short-circuits the rest.
-fn eval_ordered<M: MemTracker>(
-    trk: &mut M,
-    table: &DecomposedTable,
-    plan: &PredPlan,
-    order: &[usize],
+/// One evaluation of a planned predicate: what every leaf needs.
+struct Run<'r, M> {
+    trk: &'r mut M,
+    table: &'r DecomposedTable,
+    plan: &'r PredPlan,
+    provided: &'r [Option<Arc<CandList>>],
     threads: usize,
-    shards: &mut ShardAcc,
-) -> Result<CandList, EngineError> {
-    let mut running: Option<CandList> = None;
-    for &i in order {
-        if running.as_ref().is_some_and(Vec::is_empty) {
-            break;
-        }
-        running =
-            Some(eval_leaf(trk, table, &plan.leaves[i], running.as_deref(), threads, shards)?);
-    }
-    Ok(running.unwrap_or_default())
+    shards: &'r mut ShardAcc,
 }
 
-fn eval_rec<M: MemTracker>(
-    trk: &mut M,
-    table: &DecomposedTable,
-    pred: &Pred,
-    plan: &PredPlan,
-    cursor: &mut usize,
-    threads: usize,
-    shards: &mut ShardAcc,
-) -> Result<CandList, EngineError> {
-    match pred {
-        Pred::And(a, b) => {
-            let ca = eval_rec(trk, table, a, plan, cursor, threads, shards)?;
-            if ca.is_empty() {
-                *cursor += leaf_count(b); // short-circuit: AND with empty
-                return Ok(ca);
+impl<M: MemTracker> Run<'_, M> {
+    /// Pushdown evaluation of a pure-AND conjunction: the first leaf in
+    /// `order` evaluates full (parallelizable), every later leaf evaluates
+    /// restricted to the running survivor list. Each restricted leaf returns
+    /// exactly (full result ∩ candidates), so the running list *is* the
+    /// conjunction so far — bit-identical to intersecting full-leaf results
+    /// in any order. An empty running list short-circuits the rest.
+    fn ordered(&mut self, order: &[usize]) -> Result<CandList, EngineError> {
+        let mut running: Option<CandList> = None;
+        for &i in order {
+            if running.as_ref().is_some_and(Vec::is_empty) {
+                break;
             }
-            let cb = eval_rec(trk, table, b, plan, cursor, threads, shards)?;
-            Ok(crate::candidates::intersect(&ca, &cb))
+            running = Some(self.leaf(i, running.as_deref())?);
         }
-        Pred::Or(a, b) => {
-            let ca = eval_rec(trk, table, a, plan, cursor, threads, shards)?;
-            let cb = eval_rec(trk, table, b, plan, cursor, threads, shards)?;
-            Ok(crate::candidates::union(&ca, &cb))
-        }
-        _ => {
-            let lp = &plan.leaves[*cursor];
-            *cursor += 1;
-            eval_leaf(trk, table, lp, None, threads, shards)
+        Ok(running.unwrap_or_default())
+    }
+
+    fn tree(&mut self, pred: &Pred, cursor: &mut usize) -> Result<CandList, EngineError> {
+        match pred {
+            Pred::And(a, b) => {
+                let ca = self.tree(a, cursor)?;
+                if ca.is_empty() {
+                    *cursor += leaves_of(b).len(); // short-circuit: AND with empty
+                    return Ok(ca);
+                }
+                let cb = self.tree(b, cursor)?;
+                Ok(crate::candidates::intersect(&ca, &cb))
+            }
+            Pred::Or(a, b) => {
+                let ca = self.tree(a, cursor)?;
+                let cb = self.tree(b, cursor)?;
+                Ok(crate::candidates::union(&ca, &cb))
+            }
+            _ => {
+                *cursor += 1;
+                self.leaf(*cursor - 1, None)
+            }
         }
     }
-}
 
-/// Evaluate one planned leaf — over the full column, or restricted to an
-/// ascending candidate list, returning exactly (full leaf result ∩
-/// `cands`) in OID order. Unrestricted scan leaves fan out over `threads`
-/// and account their per-thread matches; restricted ones run sequentially.
-fn eval_leaf<M: MemTracker>(
-    trk: &mut M,
-    table: &DecomposedTable,
-    lp: &LeafPlan,
-    cands: Option<&[Oid]>,
-    threads: usize,
-    shards: &mut ShardAcc,
-) -> Result<CandList, EngineError> {
-    let (scol, pred) = match &lp.action {
-        LeafAction::Empty => return Ok(CandList::new()),
+    /// Evaluate leaf `i` — over the full column, or restricted to an
+    /// ascending candidate list, returning exactly (full leaf result ∩
+    /// `cands`) in OID order. Unrestricted scan leaves fan out over the
+    /// threads and account their per-thread matches; restricted ones run
+    /// sequentially.
+    fn leaf(&mut self, i: usize, cands: Option<&[Oid]>) -> Result<CandList, EngineError> {
+        let (trk, table) = (&mut *self.trk, self.table);
         // A shared pass already streamed the column; consuming the list is
         // free of scan work (and contributes no shard counts).
-        LeafAction::Provided(list) => {
+        if let Some(Some(list)) = self.provided.get(i) {
             return Ok(match cands {
                 Some(c) => crate::candidates::intersect(list, c),
                 None => (**list).clone(),
-            })
+            });
         }
-        LeafAction::BtreeRange { col, lo, hi } => {
-            let idx = table
-                .index_of(col, IndexKind::CsBTree)
-                .expect("planned btree leaf has a btree index");
-            let mut out = CandList::new();
-            match cands {
-                Some(c) => idx.lookup_range_cands(trk, *lo, *hi, c, |o| out.push(o)),
-                None => idx.lookup_range(trk, *lo, *hi, |o| out.push(o)),
-            };
-            return finish_index_leaf(trk, out);
-        }
-        LeafAction::IndexEq { col, kind, key } => {
-            let idx = table.index_of(col, *kind).expect("planned index leaf has its index");
-            let mut out = CandList::new();
-            match cands {
-                Some(c) => idx.lookup_eq_cands(trk, *key, c, |o| out.push(o)),
-                None => idx.lookup_eq(trk, *key, |o| out.push(o)),
-            };
-            return finish_index_leaf(trk, out);
-        }
-        LeafAction::Scan { col, pred } => (ScanCol::Plain(table.bat(col)?), pred),
-        LeafAction::Packed { col, pred } => {
-            let cc = table.compressed_of(col).expect("planned packed leaf has a compressed column");
-            (ScanCol::Packed(cc, table.seqbase()), pred)
-        }
-    };
-    let preds = std::slice::from_ref(pred);
-    let mut lists = match cands {
-        Some(c) => select(trk, scol, preds, RowSet::Cands(c))?,
-        None if threads > 1 => {
-            let (lists, counts) = par_select(trk, scol, preds, threads)?;
-            shards.add(&counts);
-            lists
-        }
-        None => select(trk, scol, preds, RowSet::All)?,
-    };
-    Ok(lists.remove(0))
+        let (scol, pred) = match &self.plan.leaves[i].action {
+            LeafAction::Empty => return Ok(CandList::new()),
+            LeafAction::BtreeRange { col, lo, hi } => {
+                let idx = table
+                    .index_of(col, IndexKind::CsBTree)
+                    .expect("planned btree leaf has a btree index");
+                let mut out = CandList::new();
+                match cands {
+                    Some(c) => idx.lookup_range_cands(trk, *lo, *hi, c, |o| out.push(o)),
+                    None => idx.lookup_range(trk, *lo, *hi, |o| out.push(o)),
+                };
+                return finish_index_leaf(trk, out);
+            }
+            LeafAction::IndexEq { col, kind, key } => {
+                let idx = table.index_of(col, *kind).expect("planned index leaf has its index");
+                let mut out = CandList::new();
+                match cands {
+                    Some(c) => idx.lookup_eq_cands(trk, *key, c, |o| out.push(o)),
+                    None => idx.lookup_eq(trk, *key, |o| out.push(o)),
+                };
+                return finish_index_leaf(trk, out);
+            }
+            LeafAction::Scan { col, pred } => (ScanCol::Plain(table.bat(col)?), pred),
+            LeafAction::Packed { col, pred } => {
+                let cc =
+                    table.compressed_of(col).expect("planned packed leaf has a compressed column");
+                (ScanCol::Packed(cc, table.seqbase()), pred)
+            }
+        };
+        let preds = std::slice::from_ref(pred);
+        let mut lists = match cands {
+            Some(c) => select(trk, scol, preds, RowSet::Cands(c))?,
+            None if self.threads > 1 => {
+                let (lists, counts) = par_select(trk, scol, preds, self.threads)?;
+                self.shards.add(&counts);
+                lists
+            }
+            None => select(trk, scol, preds, RowSet::All)?,
+        };
+        Ok(lists.remove(0))
+    }
 }
 
 /// Restore scan (ascending-OID) order over an index probe's matches —
@@ -987,9 +975,8 @@ mod tests {
         threads: usize,
     ) -> CandList {
         let m = model();
-        let plan =
-            plan_pred_with(&mut NullTracker, t, pred, mode, compress, pushdown, &m, &[]).unwrap();
-        eval_planned(&mut NullTracker, t, pred, &plan, threads).unwrap().0
+        let plan = plan_pred(&mut NullTracker, t, pred, mode, compress, pushdown, &m).unwrap();
+        eval_planned(&mut NullTracker, t, pred, &plan, &[], threads).unwrap().0
     }
 
     #[test]
@@ -1031,17 +1018,9 @@ mod tests {
         let t = table(true);
         let m = model();
         let pred = Pred::range_i32("k", 7, 7);
-        let plan = plan_pred_with(
-            &mut NullTracker,
-            &t,
-            &pred,
-            AccessMode::Auto,
-            CompressMode::On,
-            PD_OFF,
-            &m,
-            &[],
-        )
-        .unwrap();
+        let plan =
+            plan_pred(&mut NullTracker, &t, &pred, AccessMode::Auto, CompressMode::On, PD_OFF, &m)
+                .unwrap();
         let d = &plan.decisions()[0];
         assert!(d.path.is_index(), "{d:?}");
         assert_eq!(d.matches_est, 10, "exact count: 500 rows / 50 keys");
@@ -1058,23 +1037,13 @@ mod tests {
             let pred = Pred::range_i32("k", 7, 7).and(Pred::eq_str("s", "AIR"));
             // Compression on: still no index probes (packed scans are scans).
             let plan =
-                plan_pred_with(&mut NullTracker, t, &pred, mode, CompressMode::On, PD_OFF, &m, &[])
-                    .unwrap();
+                plan_pred(&mut NullTracker, t, &pred, mode, CompressMode::On, PD_OFF, &m).unwrap();
             assert!(!plan.uses_index());
             assert!(plan.decisions().iter().all(|d| !d.path.is_index()));
             assert!(plan.scan_work_ns() > 0.0);
             // Compression off: the exact pre-compression plan shape.
-            let plan = plan_pred_with(
-                &mut NullTracker,
-                t,
-                &pred,
-                mode,
-                CompressMode::Off,
-                PD_OFF,
-                &m,
-                &[],
-            )
-            .unwrap();
+            let plan =
+                plan_pred(&mut NullTracker, t, &pred, mode, CompressMode::Off, PD_OFF, &m).unwrap();
             assert!(plan.decisions().iter().all(|d| d.path == AccessPath::Scan));
         }
     }
@@ -1084,7 +1053,7 @@ mod tests {
         let t = table(true);
         let m = model();
         // Range over k: only the btree is range-capable; forced index uses it.
-        let plan = plan_pred_with(
+        let plan = plan_pred(
             &mut NullTracker,
             &t,
             &Pred::range_i32("k", -20, 20),
@@ -1092,12 +1061,11 @@ mod tests {
             CompressMode::On,
             PD_OFF,
             &m,
-            &[],
         )
         .unwrap();
         assert_eq!(plan.decisions()[0].path, AccessPath::BtreeRange);
         // F64 leaf: no index can exist; index mode scans it.
-        let plan = plan_pred_with(
+        let plan = plan_pred(
             &mut NullTracker,
             &t,
             &Pred::range_f64("x", 0.0, 1.0),
@@ -1105,7 +1073,6 @@ mod tests {
             CompressMode::On,
             PD_OFF,
             &m,
-            &[],
         )
         .unwrap();
         assert_eq!(plan.decisions()[0].path, AccessPath::Scan);
@@ -1116,18 +1083,10 @@ mod tests {
         let t = table(true);
         let m = model();
         let pred = Pred::range_f64("x", 0.0, 20.0).and(Pred::range_i32("k", 0, 0));
-        let plan = plan_pred_with(
-            &mut NullTracker,
-            &t,
-            &pred,
-            AccessMode::Auto,
-            CompressMode::On,
-            PD_OFF,
-            &m,
-            &[],
-        )
-        .unwrap();
-        let (cands, shards) = eval_planned(&mut NullTracker, &t, &pred, &plan, 4).unwrap();
+        let plan =
+            plan_pred(&mut NullTracker, &t, &pred, AccessMode::Auto, CompressMode::On, PD_OFF, &m)
+                .unwrap();
+        let (cands, shards) = eval_planned(&mut NullTracker, &t, &pred, &plan, &[], 4).unwrap();
         let shards = shards.expect("parallel run shards");
         assert_eq!(shards.len(), 4);
         // The f64 leaf scanned 201 matching rows across the threads; the
@@ -1135,7 +1094,7 @@ mod tests {
         assert_eq!(shards.iter().sum::<usize>(), 201);
         assert!(!cands.is_empty());
         // Sequential runs carry no shard vector.
-        let (_, none) = eval_planned(&mut NullTracker, &t, &pred, &plan, 1).unwrap();
+        let (_, none) = eval_planned(&mut NullTracker, &t, &pred, &plan, &[], 1).unwrap();
         assert!(none.is_none());
     }
 
@@ -1145,17 +1104,9 @@ mod tests {
         let m = model();
         let pred = Pred::range_i32("k", -5, 5).and(Pred::eq_str("s", "AIR"));
         for mode in [AccessMode::Scan, AccessMode::Index, AccessMode::Auto] {
-            let plan = plan_pred_with(
-                &mut NullTracker,
-                &t,
-                &pred,
-                mode,
-                CompressMode::Force,
-                PD_OFF,
-                &m,
-                &[],
-            )
-            .unwrap();
+            let plan =
+                plan_pred(&mut NullTracker, &t, &pred, mode, CompressMode::Force, PD_OFF, &m)
+                    .unwrap();
             for d in plan.decisions() {
                 assert_eq!(d.path, AccessPath::PackedScan, "mode={} {d:?}", mode.name());
                 assert!(d.packed_bits > 0.0 && d.packed_bits < 8.0 * d.stride as f64, "{d:?}");
@@ -1164,7 +1115,7 @@ mod tests {
             assert!(plan.scan_work_ns() > 0.0, "packed scans still fan out");
         }
         // The packed detail line names the encoding family and the bit rate.
-        let plan = plan_pred_with(
+        let plan = plan_pred(
             &mut NullTracker,
             &t,
             &Pred::range_i32("k", -5, 5),
@@ -1172,7 +1123,6 @@ mod tests {
             CompressMode::Force,
             PD_OFF,
             &m,
-            &[],
         )
         .unwrap();
         assert!(plan.detail().contains("packed-scan"), "{}", plan.detail());
@@ -1189,45 +1139,21 @@ mod tests {
         let t = b.finish();
         let m = model();
         let pred = Pred::range_i32("v", 100, 300);
-        let plan = plan_pred_with(
-            &mut NullTracker,
-            &t,
-            &pred,
-            AccessMode::Auto,
-            CompressMode::On,
-            PD_OFF,
-            &m,
-            &[],
-        )
-        .unwrap();
+        let plan =
+            plan_pred(&mut NullTracker, &t, &pred, AccessMode::Auto, CompressMode::On, PD_OFF, &m)
+                .unwrap();
         let d = &plan.decisions()[0];
         assert_eq!(d.path, AccessPath::PackedScan, "{d:?}");
         assert!(d.predicted_ms < d.scan_ms, "{d:?}");
         // Same plan under `off`: the plain scan.
-        let plan = plan_pred_with(
-            &mut NullTracker,
-            &t,
-            &pred,
-            AccessMode::Auto,
-            CompressMode::Off,
-            PD_OFF,
-            &m,
-            &[],
-        )
-        .unwrap();
+        let plan =
+            plan_pred(&mut NullTracker, &t, &pred, AccessMode::Auto, CompressMode::Off, PD_OFF, &m)
+                .unwrap();
         assert_eq!(plan.decisions()[0].path, AccessPath::Scan);
         // Scan mode under `on` also stays on the uncompressed reference.
-        let plan = plan_pred_with(
-            &mut NullTracker,
-            &t,
-            &pred,
-            AccessMode::Scan,
-            CompressMode::On,
-            PD_OFF,
-            &m,
-            &[],
-        )
-        .unwrap();
+        let plan =
+            plan_pred(&mut NullTracker, &t, &pred, AccessMode::Scan, CompressMode::On, PD_OFF, &m)
+                .unwrap();
         assert_eq!(plan.decisions()[0].path, AccessPath::Scan);
     }
 
@@ -1253,7 +1179,7 @@ mod tests {
         let pred = Pred::range_f64("x", 0.0, 40.0)
             .and(Pred::eq_str("s", "AIR"))
             .and(Pred::range_i32("k", 7, 7));
-        let plan = plan_pred_with(
+        let plan = plan_pred(
             &mut NullTracker,
             &t,
             &pred,
@@ -1261,7 +1187,6 @@ mod tests {
             CompressMode::Off,
             PushdownMode::On,
             &m,
-            &[],
         )
         .unwrap();
         let order = plan.order().expect("pure-AND multi-leaf filters get an order");
@@ -1280,22 +1205,14 @@ mod tests {
         // Restricted leaves run sequentially: only the first leaf fans out.
         assert!(plan.scan_work_ns() > 0.0);
         // Off: no order, no restriction annotations.
-        let off = plan_pred_with(
-            &mut NullTracker,
-            &t,
-            &pred,
-            AccessMode::Scan,
-            CompressMode::Off,
-            PD_OFF,
-            &m,
-            &[],
-        )
-        .unwrap();
+        let off =
+            plan_pred(&mut NullTracker, &t, &pred, AccessMode::Scan, CompressMode::Off, PD_OFF, &m)
+                .unwrap();
         assert!(off.order().is_none());
         assert!(off.decisions().iter().all(|d| d.cands_in.is_none()));
         // OR trees are never reordered even under On.
         let disj = Pred::range_i32("k", 7, 7).or(Pred::eq_str("s", "AIR"));
-        let plan = plan_pred_with(
+        let plan = plan_pred(
             &mut NullTracker,
             &t,
             &disj,
@@ -1303,7 +1220,6 @@ mod tests {
             CompressMode::Off,
             PushdownMode::On,
             &m,
-            &[],
         )
         .unwrap();
         assert!(plan.order().is_none());

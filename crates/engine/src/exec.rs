@@ -69,12 +69,12 @@ use monet_core::storage::{Bat, Column, DecomposedTable, Oid};
 use monet_core::strategy::{heuristic_plan, JoinPlan};
 
 use crate::access::{
-    eval_planned, leaf_count, plan_pred_with, AccessDecision, AccessMode, CompressMode,
-    PushdownMode,
+    eval_planned, leaves_of, AccessDecision, AccessMode, CompressMode, PushdownMode,
 };
 use crate::aggregate::{fold, gathers, Acc, Folded, Input, Rows, Side, Sink};
 use crate::candidates::{intersect, CandList};
 use crate::join::{join_operands, Operand};
+use crate::physical::{Filter, PhysicalPlan};
 use crate::plan::{Agg, LogicalPlan, PlanError, PlanNode};
 use crate::shared::ScanTicket;
 use crate::EngineError;
@@ -498,7 +498,9 @@ impl Stream<'_> {
     }
 }
 
-/// Execute a validated plan, returning results and the per-operator report.
+/// Execute a validated plan, returning results and the per-operator report:
+/// [`crate::physical::plan`] under `opts`, then [`execute_with_scans`]
+/// with nothing provided.
 ///
 /// Generic over [`MemTracker`]: run with `NullTracker` for native speed or a
 /// `SimTracker` to attribute simulated miss counts to each operator in the
@@ -508,58 +510,127 @@ pub fn execute<M: MemTracker>(
     plan: &LogicalPlan<'_>,
     opts: &ExecOptions,
 ) -> Result<Executed, EngineError> {
-    execute_with_scans(trk, plan, opts, &ScanTicket::new())
+    let physical = crate::physical::plan(trk, plan, opts)?;
+    execute_with_scans(trk, &physical, &ScanTicket::new())
 }
 
-/// [`execute`] with externally produced candidate lists: any predicate
-/// leaf covered by `ticket` (keyed by the global leaf numbering of
-/// [`crate::shared::scan_requests`]) consumes the provided list instead of
-/// being evaluated — the seam a multi-query scheduler uses to feed one
-/// cooperative scan pass into many executions. Results are bit-identical
-/// to [`execute`] provided the ticket honours [`ScanTicket::provide`]'s
-/// contract (the cooperative kernel does).
+/// Run a physical plan, with externally produced candidate lists: any
+/// predicate leaf covered by `ticket` (keyed by the leaf numbering of
+/// [`PhysicalPlan::requests`]) consumes the provided list instead of being
+/// evaluated — the seam a multi-query scheduler uses to feed one
+/// cooperative scan pass into many executions. The plan is not revisited:
+/// a shared leaf is never restricted, so its full list is what the plan
+/// evaluates anyway. Results are bit-identical to [`execute`] provided the
+/// ticket honours [`ScanTicket::provide`]'s contract.
 pub fn execute_with_scans<M: MemTracker>(
     trk: &mut M,
-    plan: &LogicalPlan<'_>,
-    opts: &ExecOptions,
+    physical: &PhysicalPlan<'_>,
     ticket: &ScanTicket,
 ) -> Result<Executed, EngineError> {
+    let opts = &physical.opts;
     let mut report = ExecReport { ops: Vec::new(), planner: opts.planner.name() };
     let model = ModelMachine::new(&opts.machine);
-
-    let mut leafs = 0usize;
-    // A returned join index must be canonical.
-    let stream = exec_node(trk, &plan.root, opts, &model, &mut report, ticket, &mut leafs, true)?;
-    let output = match stream {
-        Output::Stream(Stream::Table { table, cands }) => QueryOutput::Oids(match cands {
+    let mut filters = physical.filters();
+    // A returned join index must be canonical; a fold observes no row order
+    // (every sink folds exactly).
+    let (input, ordered) = match physical.root {
+        PlanNode::GroupAgg { input, .. } => (&**input, false),
+        root => (root, true),
+    };
+    let stream = exec_node(trk, input, opts, &mut report, ticket, &mut filters, ordered)?;
+    let output = match (physical.root, stream) {
+        (PlanNode::GroupAgg { input, key, aggs }, stream) => {
+            let key = key.as_deref();
+            let (lt, rt) = base_tables(input)?;
+            let sinks = agg_sinks(|col| input_of(lt, rt, col), aggs)?;
+            let rows_in = stream.rows();
+            let before = trk.counters_snapshot();
+            // Parallel quote: the gathers alone (one 8-byte-stride pass per
+            // column the fold gathers — each distinct one once, plus the
+            // key). The fold splits every sink in row chunks (see
+            // `crate::aggregate`), so the accumulation divides too, but it
+            // is left out of the quote: an unrestricted scan stream is
+            // folded where it lies — nothing is gathered, so Auto keeps it
+            // sequential. A deliberate lower bound: gathers access randomly
+            // and the accumulation is left out, so this only *under*-forks.
+            let gathered = match &stream {
+                Stream::Table { cands: None, .. } => 0,
+                _ => gathers(&sinks, key.is_some()),
+            };
+            let gather_ns = scan_cost(&model, rows_in.max(1), 8).total_ns() * gathered as f64;
+            let (threads, speedup) = op_threads(opts, gather_ns, rows_in);
+            let rows = match &stream {
+                Stream::Table { table, cands: None } => Rows::All(table.len()),
+                Stream::Table { cands: Some(cands), .. } => Rows::Cands(cands),
+                Stream::Joined { pairs } => Rows::Pairs(pairs),
+            };
+            let key_col = key.map(|k| input_of(lt, rt, k)).transpose()?;
+            let folded = fold(trk, rows, key_col, &sinks, threads)?;
+            let output = agg_output(key_col.map(|k| k.bat), aggs, &folded);
+            let (op, detail, rows_out) = match (key, &output) {
+                (Some(key), QueryOutput::Groups(groups)) => (
+                    format!("group({key})"),
+                    format!(
+                        "hash-group: direct-indexed, {}-slot table ({} occupied) fits cache{}",
+                        folded.counts.len(),
+                        groups.len(),
+                        threads_detail(threads, speedup)
+                    ),
+                    groups.len(),
+                ),
+                _ => {
+                    let labels: Vec<String> = aggs.iter().map(|a| a.to_string()).collect();
+                    (
+                        "aggregate".to_owned(),
+                        format!(
+                            "scan aggregate [{}]{}",
+                            labels.join(", "),
+                            threads_detail(threads, speedup)
+                        ),
+                        1,
+                    )
+                }
+            };
+            // The rows each worker of a parallel fold accumulated.
+            let shards = (folded.shards.len() > 1).then_some(folded.shards);
+            // Mirror the quote's shape decomposition (and the fold's two
+            // charges): the gathers the fold made, then the accumulation;
+            // unrestricted scans fold in place.
+            let columns = sinks.len();
+            let mut shapes = vec![OpShape::Gather { rows: rows_in }; gathered];
+            shapes.push(OpShape::Aggregate { rows: rows_in, columns, grouped: key.is_some() });
+            report.ops.push(OpReport {
+                op,
+                rows_in,
+                rows_out,
+                detail,
+                counters: delta(trk, before),
+                shapes,
+                rows_per_thread: shards,
+                ..OpReport::default()
+            });
+            output
+        }
+        (_, Stream::Table { table, cands }) => QueryOutput::Oids(match cands {
             Some(cands) => Arc::try_unwrap(cands).unwrap_or_else(|shared| (*shared).clone()),
             None => (0..table.len() as Oid).map(|i| table.seqbase() + i).collect(),
         }),
-        Output::Stream(Stream::Joined { pairs }) => QueryOutput::JoinIndex(pairs),
-        Output::Final(out) => out,
+        (_, Stream::Joined { pairs }) => QueryOutput::JoinIndex(pairs),
     };
     Ok(Executed { output, report })
 }
 
-/// Either still-flowing rows or the final aggregated output.
-enum Output<'a> {
-    Stream(Stream<'a>),
-    Final(QueryOutput),
-}
-
 /// Execute `node`; `ordered` says whether its consumer observes the order
 /// of the rows it streams.
-#[allow(clippy::too_many_arguments)] // internal recursion carrying executor context
-fn exec_node<'a, M: MemTracker>(
+fn exec_node<'a, 'f, 'g: 'f, M: MemTracker>(
     trk: &mut M,
     node: &PlanNode<'a>,
     opts: &ExecOptions,
-    model: &ModelMachine,
     report: &mut ExecReport,
     ticket: &ScanTicket,
-    leafs: &mut usize,
+    filters: &mut impl Iterator<Item = &'f Filter<'g>>,
     ordered: bool,
-) -> Result<Output<'a>, EngineError> {
+) -> Result<Stream<'a>, EngineError> {
     match node {
         PlanNode::Scan { table } => {
             report.ops.push(OpReport {
@@ -573,46 +644,33 @@ fn exec_node<'a, M: MemTracker>(
                 ),
                 ..OpReport::default()
             });
-            Ok(Output::Stream(Stream::Table { table, cands: None }))
+            Ok(Stream::Table { table, cands: None })
         }
         PlanNode::Filter { input, pred } => {
-            let upstream =
-                expect_stream(exec_node(trk, input, opts, model, report, ticket, leafs, ordered)?)?;
+            let upstream = exec_node(trk, input, opts, report, ticket, filters, ordered)?;
             let Stream::Table { table, cands } = upstream else {
-                return Err(EngineError::Plan(PlanError::Unsupported("filter over a join result")));
+                unreachable!("the physical plan admits no filter over a join result")
             };
-            // This filter's leaves occupy the next `leaf_count` global
-            // indices — the numbering `shared::scan_requests` emits.
-            let base = *leafs;
-            let nleaves = leaf_count(pred);
-            *leafs += nleaves;
+            let filter = filters
+                .next()
+                .filter(|f| std::ptr::eq(f.pred, pred))
+                .expect("the physical plan planned every filter, in execution order");
+            let nleaves = leaves_of(pred).len();
             let provided: Vec<Option<Arc<CandList>>> =
-                (0..nleaves).map(|i| ticket.get(base + i).cloned()).collect();
+                (0..nleaves).map(|i| ticket.get(filter.first_leaf + i).cloned()).collect();
+            let pplan = filter.plan.settle(&provided);
             let before = trk.counters_snapshot();
-            // Phase 1: pick an access path per predicate leaf (scan vs. the
-            // table's attached indexes, priced by costmodel::access) —
-            // B+-tree-backed selectivity estimates are exact. Leaves whose
-            // candidates a shared pass provided are settled already.
-            let pplan = plan_pred_with(
-                trk,
-                table,
-                pred,
-                opts.access,
-                opts.compress,
-                opts.pushdown,
-                model,
-                &provided,
-            )?;
             let model_ms = pplan.model_ms();
-            // Phase 2: the parallel model only sees the scanning leaves
-            // (index probes are a handful of node touches; never forked).
+            // The parallel model only sees the scanning leaves (index probes
+            // are a handful of node touches; never forked).
             let (threads, speedup) = op_threads(opts, pplan.scan_work_ns(), table.len());
             // A list a shared pass delivered for the filter's only leaf is
             // its result: borrowed, not copied.
-            let (selected, shards) = match pplan.sole_provided() {
-                Some(list) => (Arc::clone(list), None),
-                None => {
-                    let (selected, shards) = eval_planned(trk, table, pred, &pplan, threads)?;
+            let (selected, shards) = match &provided[..] {
+                [Some(list)] => (Arc::clone(list), None),
+                _ => {
+                    let (selected, shards) =
+                        eval_planned(trk, table, pred, &pplan, &provided, threads)?;
                     (Arc::new(selected), shards)
                 }
             };
@@ -652,25 +710,23 @@ fn exec_node<'a, M: MemTracker>(
                 rows_in: table.len(),
                 rows_out: merged.len(),
                 detail,
-                counters: delta(trk, before),
+                counters: delta(trk, before).map(|c| filter.planning.map_or(c, |p| c + p)),
                 access,
                 notes,
                 shapes: pplan.shapes(),
                 rows_per_thread: shards,
                 ..OpReport::default()
             });
-            Ok(Output::Stream(Stream::Table { table, cands: Some(merged) }))
+            Ok(Stream::Table { table, cands: Some(merged) })
         }
         PlanNode::Join { input, right, left_col, right_col } => {
             // Both sides are table streams, whose candidates ascend anyway.
-            let left_stream =
-                expect_stream(exec_node(trk, input, opts, model, report, ticket, leafs, true)?)?;
-            let right_stream =
-                expect_stream(exec_node(trk, right, opts, model, report, ticket, leafs, true)?)?;
+            let left_stream = exec_node(trk, input, opts, report, ticket, filters, true)?;
+            let right_stream = exec_node(trk, right, opts, report, ticket, filters, true)?;
             let (Stream::Table { table: lt, cands: lc }, Stream::Table { table: rt, cands: rc }) =
                 (left_stream, right_stream)
             else {
-                return Err(EngineError::Plan(PlanError::Unsupported("nested joins")));
+                unreachable!("the physical plan admits no nested joins")
             };
             let before = trk.counters_snapshot();
             let left = (lt.bat(left_col)?, lc.as_deref().map(Vec::as_slice));
@@ -716,93 +772,9 @@ fn exec_node<'a, M: MemTracker>(
                 rows_per_thread: join_shards,
                 ..OpReport::default()
             });
-            Ok(Output::Stream(Stream::Joined { pairs }))
+            Ok(Stream::Joined { pairs })
         }
-        PlanNode::GroupAgg { input, key, aggs } => {
-            // Every sink folds exactly, so the fold observes no row order.
-            let (lt, rt) = base_tables(input)?;
-            let sinks = agg_sinks(|col| input_of(lt, rt, col), aggs)?;
-            let stream =
-                expect_stream(exec_node(trk, input, opts, model, report, ticket, leafs, false)?)?;
-            let rows_in = stream.rows();
-            let before = trk.counters_snapshot();
-            // Parallel quote: the gathers alone (one 8-byte-stride pass per
-            // column the fold gathers — each distinct one once, plus the
-            // key). The fold splits every sink in row chunks (see
-            // `crate::aggregate`), so the accumulation divides too, but it
-            // is left out of the quote: an unrestricted scan stream is
-            // folded where it lies — nothing is gathered, so Auto keeps it
-            // sequential. A deliberate lower bound: gathers access randomly
-            // and the accumulation is left out, so this only *under*-forks.
-            let gathered = match &stream {
-                Stream::Table { cands: None, .. } => 0,
-                _ => gathers(&sinks, key.is_some()),
-            };
-            let gather_ns = scan_cost(model, rows_in.max(1), 8).total_ns() * gathered as f64;
-            let (threads, speedup) = op_threads(opts, gather_ns, rows_in);
-            let rows = match &stream {
-                Stream::Table { table, cands: None } => Rows::All(table.len()),
-                Stream::Table { cands: Some(cands), .. } => Rows::Cands(cands),
-                Stream::Joined { pairs } => Rows::Pairs(pairs),
-            };
-            let key_col = key.as_deref().map(|k| input_of(lt, rt, k)).transpose()?;
-            let folded = fold(trk, rows, key_col, &sinks, threads)?;
-            let output = agg_output(key_col.map(|k| k.bat), aggs, &folded);
-            let (op, detail, rows_out) = match (key, &output) {
-                (Some(key), QueryOutput::Groups(groups)) => (
-                    format!("group({key})"),
-                    format!(
-                        "hash-group: direct-indexed, {}-slot table ({} occupied) fits cache{}",
-                        folded.counts.len(),
-                        groups.len(),
-                        threads_detail(threads, speedup)
-                    ),
-                    groups.len(),
-                ),
-                _ => {
-                    let labels: Vec<String> = aggs.iter().map(|a| a.to_string()).collect();
-                    (
-                        "aggregate".to_owned(),
-                        format!(
-                            "scan aggregate [{}]{}",
-                            labels.join(", "),
-                            threads_detail(threads, speedup)
-                        ),
-                        1,
-                    )
-                }
-            };
-            // The rows each worker of a parallel fold accumulated.
-            let shards = (folded.shards.len() > 1).then_some(folded.shards);
-            // Mirror the quote's shape decomposition (and the fold's two
-            // charges): the gathers the fold made, then the accumulation;
-            // unrestricted scans fold in place.
-            let columns = sinks.len();
-            let mut shapes = vec![OpShape::Gather { rows: rows_in }; gathered];
-            shapes.push(OpShape::Aggregate { rows: rows_in, columns, grouped: key.is_some() });
-            report.ops.push(OpReport {
-                op,
-                rows_in,
-                rows_out,
-                detail,
-                counters: delta(trk, before),
-                shapes,
-                rows_per_thread: shards,
-                ..OpReport::default()
-            });
-            Ok(Output::Final(output))
-        }
-    }
-}
-
-fn expect_stream(out: Output<'_>) -> Result<Stream<'_>, EngineError> {
-    match out {
-        Output::Stream(s) => Ok(s),
-        // The builder always places GroupAgg at the root; a hand-built tree
-        // can violate that, and gets an error rather than a panic.
-        Output::Final(_) => {
-            Err(EngineError::Plan(PlanError::Unsupported("aggregation below another operator")))
-        }
+        PlanNode::GroupAgg { .. } => unreachable!("the physical plan aggregates at its root only"),
     }
 }
 
@@ -1518,7 +1490,8 @@ mod tests {
 
     #[test]
     fn provided_scan_tickets_are_bit_identical_to_solo_evaluation() {
-        use crate::shared::{scan_requests, ScanTicket};
+        use crate::physical;
+        use crate::shared::{ScanRequest, ScanTicket};
         let mut b = TableBuilder::new("big", 0)
             .column("qty", ColType::I32)
             .column("price", ColType::F64)
@@ -1540,13 +1513,11 @@ mod tests {
             .build()
             .unwrap();
         let solo = execute(&mut NullTracker, &plan, &ExecOptions::default()).unwrap();
+        let solo_sel = solo.report.ops.iter().find(|o| o.op.starts_with("select")).unwrap();
 
-        // Produce every leaf's list through the cooperative kernel, as the
+        // Produce a leaf's list through the cooperative kernel, as the
         // service's shared pass would.
-        let reqs = scan_requests(&plan, PushdownMode::On);
-        assert_eq!(reqs.len(), 2);
-        let mut ticket = ScanTicket::new();
-        for r in &reqs {
+        let list = |r: &ScanRequest<'_>| {
             let lists = monet_core::scan::select(
                 &mut NullTracker,
                 monet_core::scan::ScanCol::Plain(r.bat),
@@ -1554,19 +1525,24 @@ mod tests {
                 monet_core::scan::RowSet::All,
             )
             .unwrap();
-            ticket.provide(r.leaf, std::sync::Arc::new(lists.into_iter().next().unwrap()));
+            Arc::new(lists.into_iter().next().unwrap())
+        };
+        let physical = physical::plan(&mut NullTracker, &plan, &ExecOptions::default()).unwrap();
+        let reqs = physical.requests();
+        assert_eq!(reqs.len(), 2);
+        // Every leaf provided — even the restricted one a scheduler never
+        // shares, whose list meets the running survivors.
+        let mut ticket = ScanTicket::new();
+        for r in reqs {
+            ticket.provide(r.leaf, list(r));
         }
         for threads in [Threads::Fixed(1), Threads::Fixed(4)] {
             let opts = ExecOptions::default().with_threads(threads);
-            let fed = execute_with_scans(&mut NullTracker, &plan, &opts, &ticket).unwrap();
+            let physical = physical::plan(&mut NullTracker, &plan, &opts).unwrap();
+            let fed = execute_with_scans(&mut NullTracker, &physical, &ticket).unwrap();
             assert!(fed.output.bitwise_eq(&solo.output), "{threads:?}");
             let sel = fed.report.ops.iter().find(|o| o.op.starts_with("select")).unwrap();
-            assert_eq!(
-                sel.notes,
-                vec![AccessNote::SharedLeaves { provided: 2, total: 2 }],
-                "{}",
-                sel.detail
-            );
+            assert_eq!(sel.notes[0], AccessNote::SharedLeaves { provided: 2, total: 2 });
             assert!(sel.detail.contains("2/2 leaves via shared scan"), "{}", sel.detail);
             assert!(sel.access.iter().all(|d| d.shared), "{:?}", sel.access);
             assert!(
@@ -1577,26 +1553,20 @@ mod tests {
             assert!(sel.rows_per_thread.is_none(), "no scan work ran here");
         }
 
-        // A partial ticket: one leaf provided, the other evaluated here.
+        // The shareable leaf alone, as a scheduler provides it: the plan
+        // keeps its order, and the other leaf evaluates restricted to the
+        // provided survivors.
+        let first = reqs.iter().find(|r| !r.restricted).expect("one leaf leads the order");
         let mut partial = ScanTicket::new();
-        partial.provide(reqs[0].leaf, ticket.get(reqs[0].leaf).unwrap().clone());
-        let opts = ExecOptions::default().with_pushdown(PushdownMode::On);
-        let fed = execute_with_scans(&mut NullTracker, &plan, &opts, &partial).unwrap();
+        partial.provide(first.leaf, list(first));
+        let fed = execute_with_scans(&mut NullTracker, &physical, &partial).unwrap();
         assert!(fed.output.bitwise_eq(&solo.output));
         let sel = fed.report.ops.iter().find(|o| o.op.starts_with("select")).unwrap();
-        // The provided leaf costs nothing, so the pushdown planner orders it
-        // first and restricts the unprovided leaf to its survivors.
-        let provided_n = ticket.get(reqs[0].leaf).unwrap().len();
-        assert_eq!(
-            sel.notes,
-            vec![
-                AccessNote::SharedLeaves { provided: 1, total: 2 },
-                AccessNote::Pushdown { order: vec![0, 1], cands_in: vec![None, Some(provided_n)] },
-            ],
-            "{}",
-            sel.detail
-        );
+        assert_eq!(sel.notes[0], AccessNote::SharedLeaves { provided: 1, total: 2 });
+        assert_eq!(sel.notes[1..], solo_sel.notes[..], "the solo pushdown order: {}", sel.detail);
         assert!(sel.detail.contains("1/2 leaves via shared scan"), "{}", sel.detail);
+        let paths = |op: &OpReport| op.access.iter().map(|d| d.path).collect::<Vec<_>>();
+        assert_eq!(paths(sel), paths(solo_sel));
         assert_eq!(sel.access.iter().filter(|d| d.shared).count(), 1);
         assert_eq!(sel.shapes.len(), 1, "the unprovided leaf scanned here: {:?}", sel.shapes);
     }

@@ -29,6 +29,8 @@
 //!   ([`shared::ScanTicket`]), bit-identical to solo evaluation;
 //! * [`plan`] — the **logical layer**: a fluent [`plan::Query`] builder with
 //!   typed predicates/aggregates, validated into a [`plan::LogicalPlan`];
+//! * [`physical`] — the one planning walk, into a [`PhysicalPlan`] that
+//!   admission quotes and the executor runs;
 //! * [`exec`] — the **physical layer**: lowers logical plans onto the
 //!   kernels, choosing join algorithm, radix bits *and degree of
 //!   parallelism* from the paper's cost model
@@ -51,6 +53,7 @@ pub mod dist;
 pub mod exact;
 pub mod exec;
 pub mod join;
+pub mod physical;
 pub mod plan;
 pub mod reconstruct;
 pub mod shared;
@@ -62,8 +65,9 @@ pub use exec::{
     QueryOutput, Threads,
 };
 pub use join::{join_bats, JoinIndex};
+pub use physical::PhysicalPlan;
 pub use plan::{Agg, LogicalPlan, PlanError, Pred, Query};
-pub use shared::{scan_requests, ScanRequest, ScanTicket, ShareKey};
+pub use shared::{ScanRequest, ScanTicket, ShareKey};
 
 use monet_core::storage::StorageError;
 use std::fmt;

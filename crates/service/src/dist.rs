@@ -8,9 +8,10 @@
 //! data behind a slower memory hierarchy
 //! ([`memsim::profiles::with_latency_scale`]). Because every shard plan is
 //! an ordinary [`engine::plan::LogicalPlan`], [`crate::quote_plan`] prices
-//! it *per copy*, and the placer routes each task to the copy with the
-//! earliest model-predicted completion — steering work around the hot
-//! shard's queue instead of blindly alternating ([`PlacePolicy`]).
+//! its physical plan *per copy*, and the placer routes each task to the
+//! copy with the earliest model-predicted completion — steering work
+//! around the hot shard's queue instead of blindly alternating
+//! ([`PlacePolicy`]).
 //!
 //! Placement is accounted on a **virtual-time ledger**: each copy keeps a
 //! `busy_until` clock advanced by the model quote of every task placed on
@@ -34,14 +35,13 @@ use costmodel::quote::{quote_ops, QueryQuote};
 use engine::dist::{execute_shard, lower, merge, ShardPartial};
 use engine::exec::{ExecOptions, Executed};
 use engine::plan::LogicalPlan;
-use engine::shared::scan_requests;
 use memsim::profiles::with_latency_scale;
 use memsim::{MachineConfig, MemorySystem, NullTracker, SimTracker};
 use monet_core::shard::ShardedTable;
 use obs::{DriftMonitor, DriftReport};
 
 use crate::sched::{Admission, Grant, Scheduler};
-use crate::{quote_plan_covered, ServiceConfig, ServiceError};
+use crate::{quote_plan, ServiceConfig, ServiceError};
 
 /// How the cluster picks a copy for each shard task.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -105,9 +105,10 @@ pub struct ShardCluster<'a> {
     copies: Vec<CopyState>,
     policy: PlacePolicy,
     sched: Scheduler,
-    /// The executor policy on the primary's machine, held once so every
-    /// placement quote and shard task of this cluster runs under the same
-    /// one ([`Self::on`] swaps in a copy's machine).
+    /// The executor policy on the primary's machine: the default one
+    /// [`crate::quote_plan`] places under, so every shard task runs the
+    /// plan its copy was quoted for ([`Self::on`] swaps in a copy's
+    /// machine).
     exec: ExecOptions,
     drift_band: f64,
     sim_drift: bool,
@@ -210,33 +211,40 @@ impl<'a> ShardCluster<'a> {
         // quote, run grants as they come, release as tasks finish.
         let mut run_queue: VecDeque<(usize, Grant)> = VecDeque::new();
         let mut queued: Vec<(u64, usize)> = Vec::new();
+        let mut failed = None;
         for (s, quote) in quotes.iter().enumerate() {
             let desired = quote.best_threads(&self.exec.machine, self.sched.budget()).threads;
             match self.sched.submit(quote.seq_ns, desired) {
                 Admission::Run(g) => run_queue.push_back((s, g)),
                 Admission::Queued(id) => queued.push((id, s)),
                 Admission::Rejected => {
-                    return Err(ServiceError::Overloaded { queue_limit: self.sched.waiting() })
+                    failed = Some(ServiceError::Overloaded { queue_limit: self.sched.waiting() });
+                    break;
                 }
             }
         }
         let mut partials: Vec<Option<ShardPartial>> = (0..self.shards).map(|_| None).collect();
         while let Some((s, grant)) = run_queue.pop_front() {
-            let copy_idx = self
-                .copies
-                .iter()
-                .position(|c| c.id == placements[s])
-                .expect("placement refers to a copy");
-            let opts = self.on(self.copies[copy_idx].machine).with_thread_cap(grant.threads);
-            let partial = if self.sim_drift {
-                let mut trk = SimTracker::new(MemorySystem::new(self.copies[copy_idx].machine));
-                let p = execute_shard(&mut trk, &lowered, s, &opts)?;
-                record_drift(&mut self.copies[copy_idx], &p);
-                p
-            } else {
-                execute_shard(&mut NullTracker, &lowered, s, &opts)?
-            };
-            partials[s] = Some(partial);
+            // Once a task failed, the rest only hand their leases back.
+            if failed.is_none() {
+                let copy_idx = self
+                    .copies
+                    .iter()
+                    .position(|c| c.id == placements[s])
+                    .expect("placement refers to a copy");
+                let opts = self.on(self.copies[copy_idx].machine).with_thread_cap(grant.threads);
+                let partial = if self.sim_drift {
+                    let mut trk = SimTracker::new(MemorySystem::new(self.copies[copy_idx].machine));
+                    execute_shard(&mut trk, &lowered, s, &opts)
+                        .inspect(|p| record_drift(&mut self.copies[copy_idx], p))
+                } else {
+                    execute_shard(&mut NullTracker, &lowered, s, &opts)
+                };
+                match partial {
+                    Ok(p) => partials[s] = Some(p),
+                    Err(e) => failed = Some(e.into()),
+                }
+            }
             self.sched.release(grant.threads);
             while let Some(g) = self.sched.next_grant() {
                 let pos = queued
@@ -246,6 +254,9 @@ impl<'a> ShardCluster<'a> {
                 let (_, shard) = queued.remove(pos);
                 run_queue.push_back((shard, g));
             }
+        }
+        if let Some(e) = failed {
+            return Err(e);
         }
         debug_assert!(queued.is_empty(), "every task was dispatched");
 
@@ -276,12 +287,9 @@ impl<'a> ShardCluster<'a> {
     }
 
     /// Pick the copy for shard `s` by policy: an index into `self.copies`,
-    /// and the plan's quote on that copy's machine.
+    /// and the quote of the plan's physical plan on that copy's machine.
     fn place(&self, plan: &LogicalPlan<'_>, s: usize, arrival: f64) -> (usize, QueryQuote) {
-        let leaves = scan_requests(plan, self.exec.pushdown);
-        let quote = |i: usize| {
-            quote_plan_covered(&self.on(self.copies[i].machine), plan, &leaves, &|_| None)
-        };
+        let quote = |i: usize| quote_plan(&self.copies[i].machine, plan);
         let candidates: Vec<usize> = self
             .copies
             .iter()
@@ -362,7 +370,8 @@ fn record_drift(copy: &mut CopyState, partial: &ShardPartial) {
 mod tests {
     use super::*;
     use engine::exec::execute;
-    use engine::plan::{Agg, Pred, Query};
+    use engine::plan::{Agg, PlanError, PlanNode, Pred, Query};
+    use engine::EngineError;
     use monet_core::storage::{ColType, DecomposedTable, TableBuilder, Value};
 
     /// An item table whose `supp` keys are heavily skewed so one shard runs
@@ -456,6 +465,49 @@ mod tests {
             fast.tasks,
             slow.tasks
         );
+    }
+
+    #[test]
+    fn a_failed_run_hands_every_lease_back() {
+        let item = skewed_item(2000);
+        let mut b = TableBuilder::new("supplier", 0)
+            .column("id", ColType::I32)
+            .column("rating", ColType::F64);
+        for i in 0..40i32 {
+            b.push_row(&[Value::I32(i), Value::F64(f64::from(i) / 2.0)]).unwrap();
+        }
+        let supp = b.finish();
+        let si = ShardedTable::partition(&item, "supp", 2).unwrap();
+        let ss = ShardedTable::partition(&supp, "id", 2).unwrap();
+        let idle = |c: &ShardCluster<'_>| (c.sched.in_use(), c.sched.waiting()) == (0, 0);
+        let p = plan(&item);
+        let solo = execute(&mut NullTracker, &p, &ExecOptions::default()).unwrap();
+
+        // A budget of one runs the first shard task and queues the second.
+        // A hand-built filter over a join result fails — and the next,
+        // valid plan still runs, on the leases the failure gave back.
+        let cfg = ServiceConfig::new().with_budget(1);
+        let mut cluster = ShardCluster::new(vec![&si, &ss], PlacePolicy::CostPlaced, &cfg);
+        let joined = Query::scan(&item).join(&supp, ("supp", "id")).build().unwrap();
+        let bad = LogicalPlan {
+            root: PlanNode::Filter {
+                input: Box::new(joined.root),
+                pred: Pred::range_i32("qty", 1, 7),
+            },
+        };
+        let unsupported = PlanError::Unsupported("filter over a join result");
+        assert!(matches!(
+            cluster.run(&bad),
+            Err(ServiceError::Engine(EngineError::Plan(e))) if e == unsupported
+        ));
+        assert!(idle(&cluster));
+        assert!(cluster.run(&p).unwrap().executed.output.bitwise_eq(&solo.output));
+
+        // No queue: the second task is shed after the first was granted.
+        let cfg = ServiceConfig::new().with_budget(1).with_queue_limit(0);
+        let mut cluster = ShardCluster::new(vec![&si], PlacePolicy::CostPlaced, &cfg);
+        assert!(matches!(cluster.run(&p), Err(ServiceError::Overloaded { .. })));
+        assert!(idle(&cluster), "the first task's grant came back");
     }
 
     #[test]

@@ -14,11 +14,13 @@
 //!
 //! ```text
 //! clients ──► Session::run(plan)
+//!                 │  engine::physical::plan (before any lock)
 //!                 │  result cache? (fingerprint hit → answer, no lease)
 //!                 │  identical plan in flight? → collapse: wait for the
 //!                 │    leader's Arc'd result (single-flight, no lease)
-//!                 │  quote = costmodel::quote (covered scans at marginal,
-//!                 │    mid-pass elevator attaches at marginal + wrap)
+//!                 │  quote = the physical plan's (covered scans at
+//!                 │    marginal, mid-pass elevator attaches at marginal
+//!                 │    + wrap)
 //!                 ▼
 //!          ┌─ admission ─────────────────────────────┐
 //!          │ queue full?          → rejected         │
@@ -36,7 +38,7 @@
 //!          cheaper waiting queries; a shorter one is the one-chunk
 //!          case; candidate lists publish to their tickets
 //!                           ▼
-//!          execute_with_scans(plan, ticket, thread_cap = lease)
+//!          execute_with_scans(physical plan, ticket, thread_cap = lease)
 //!                           ▼
 //!          QueryHandle { output, ExecReport, SchedInfo }   (+ cache insert)
 //! ```
@@ -48,7 +50,7 @@
 //!   on every transition (deterministic unit tests and an exhaustive
 //!   interleaving explorer live there);
 //! * [`service`] — [`QueryService`], [`Session`], [`QueryHandle`], the
-//!   single-flight table, the elevator runner, and the plan-to-quote walk;
+//!   single-flight table, the elevator runner, and [`quote_plan`];
 //! * `shared` (internal) — the cooperative-scan board (pending wants →
 //!   claimed passes → published lists, plus per-column elevator cursors)
 //!   and the bounded LRU result cache keyed by normalized plan
@@ -99,7 +101,7 @@ pub use dist::{CopyId, CopyStats, PlacePolicy, PlacedRun, ShardCluster};
 pub use metrics::{LatencySummary, ServiceMetrics, SessionMetrics};
 pub use obs::TraceMode;
 pub use sched::{Admission, Grant, Scheduler};
-pub use service::{quote_plan, quote_plan_covered, QueryHandle, QueryService, SchedInfo, Session};
+pub use service::{quote_plan, QueryHandle, QueryService, SchedInfo, Session};
 
 use std::fmt;
 

@@ -1,6 +1,6 @@
-//! The blocking service front-end: sessions, the submit path (result
-//! cache → single-flight collapse → quote → admission → shared-scan claim
-//! → execution), and the plan-to-quote walk.
+//! The blocking service front-end: sessions and the submit path (physical
+//! plan → result cache → single-flight collapse → quote → admission →
+//! shared-scan claim → execution of that same plan).
 //!
 //! Two multi-query mechanisms live here on top of the board in
 //! `crate::shared`:
@@ -28,10 +28,10 @@ use costmodel::access::AccessPath;
 use costmodel::quote::{quote_ops, OpShape, QueryQuote};
 use costmodel::scan::{scan_cost, Select};
 use costmodel::ModelMachine;
-use engine::access::{leaf_count, CompressMode};
 use engine::exec::{execute_with_scans, ExecOptions, ExecReport, Executed, QueryOutput, Threads};
-use engine::plan::{LogicalPlan, PlanNode};
-use engine::shared::{scan_requests, ColumnId, ScanRequest, ScanTicket, ShareKey};
+use engine::physical;
+use engine::plan::LogicalPlan;
+use engine::shared::{ColumnId, ScanRequest, ScanTicket, ShareKey};
 use memsim::{EventCounters, MachineConfig, MemTracker, NullTracker, SimTracker};
 use monet_core::scan::{par_select, select_into, RowSet, ScanCol, ScanPred};
 use monet_core::storage::{Oid, StorageError};
@@ -377,14 +377,22 @@ impl QueryService {
         plan: &LogicalPlan<'_>,
     ) -> Result<QueryHandle, ServiceError> {
         let submitted_at = Instant::now();
-        // Every leaf with something to stream: what the quote prices.
-        let leaves = scan_requests(plan, self.exec.pushdown);
-        // Restricted leaves (the conjunction planner will evaluate them
-        // against an earlier leaf's survivors) stay off the shared-scan
-        // board: a cooperative full-column pass for them would stream bytes
-        // the solo plan never touches.
+        // The one physical plan, made before the lock: what admission
+        // quotes, the board shares and the executor runs. Tracing plans
+        // under the run's simulated tracker, so the B+-tree count probes
+        // planning makes are charged where they were before: to the run. A
+        // plan the planner refuses never reaches admission.
+        let mut sim = self.obs.as_ref().map(|_| SimTracker::for_machine(self.cfg.machine));
+        let physical = match &mut sim {
+            Some(trk) => physical::plan(trk, plan, &self.exec),
+            None => physical::plan(&mut NullTracker, plan, &self.exec),
+        }?;
+        // Restricted leaves (the conjunction planner evaluates them against
+        // an earlier leaf's survivors) stay off the shared-scan board: a
+        // cooperative full-column pass for them would stream bytes the plan
+        // never touches.
         let requests: Vec<ScanRequest<'_>> = if self.cfg.shared_scans {
-            leaves.iter().copied().filter(|r| !r.restricted).collect()
+            physical.requests().iter().copied().filter(|r| !r.restricted).collect()
         } else {
             Vec::new()
         };
@@ -509,8 +517,7 @@ impl QueryService {
             .iter()
             .filter_map(|r| st.board.coverage(&r.key()).map(|missed| (r.leaf, missed)))
             .collect();
-        let quote =
-            quote_plan_covered(&self.exec, plan, &leaves, &|leaf| covered.get(&leaf).copied());
+        let quote = physical.quote(|leaf| covered.get(&leaf).copied());
         let desired = quote.best_threads(&self.cfg.machine, self.cfg.budget).threads;
         self.tpush(
             &mut tb,
@@ -612,17 +619,14 @@ impl QueryService {
             }
         }
 
-        let opts = self.exec.with_thread_cap(lease.threads.get().max(1));
+        let physical = physical.with_thread_cap(lease.threads.get().max(1));
         // Tracing runs the executor under the memory simulator so every
         // operator report carries deterministic counters, at the threads
         // the lease and the planner give it (each worker charges a
         // simulated hierarchy of its own; results are bit-identical).
-        let result = match &self.obs {
-            Some(_) => {
-                let mut trk = SimTracker::for_machine(self.cfg.machine);
-                execute_with_scans(&mut trk, plan, &opts, &ticket_lists)
-            }
-            None => execute_with_scans(&mut NullTracker, plan, &opts, &ticket_lists),
+        let result = match &mut sim {
+            Some(trk) => execute_with_scans(trk, &physical, &ticket_lists),
+            None => execute_with_scans(&mut NullTracker, &physical, &ticket_lists),
         };
         let total_ms = submitted_at.elapsed().as_secs_f64() * 1e3;
         let final_threads = lease.threads.get();
@@ -681,11 +685,8 @@ impl QueryService {
             // Cache the *undiscounted* quote: the coverage discount was a
             // property of this admission's shared-scan state, not of the
             // plan — future hits should report the plan's standalone cost.
-            let solo_ms = if covered.is_empty() {
-                quote.seq_ms()
-            } else {
-                quote_plan_covered(&self.exec, plan, &leaves, &|_| None).seq_ms()
-            };
+            let solo_ms =
+                if covered.is_empty() { quote.seq_ms() } else { physical.quote(|_| None).seq_ms() };
             st.cache.insert(fp.clone(), &executed, solo_ms);
             finish_flight(&mut st, &fp, Some((Arc::clone(&executed), solo_ms)));
         }
@@ -809,7 +810,10 @@ impl QueryService {
                 return;
             }
             if let Some(counters) = sim {
-                self.observe_pass(stored(hi - lo, req.stride, cc), preds.len(), &counters);
+                let pass = cc.map_or(Select::plain(hi - lo, req.stride), |cc| {
+                    Select::packed(hi - lo, cc.bits_per_value())
+                });
+                self.observe_pass(pass, preds.len(), &counters);
                 self.tpush(
                     tb,
                     TraceEvent::ChunkDone {
@@ -1129,50 +1133,16 @@ impl QueryHandle {
     }
 }
 
-/// Price a logical plan into a whole-query quote by walking its nodes into
-/// [`OpShape`]s. Post-filter cardinalities are unknown at admission time;
-/// the walk assumes half the rows survive each filter — crude, but the
-/// scheduler only needs *relative* accuracy to rank queries.
-///
-/// The plan is priced under the default policy (`ExecOptions::cost_model`:
-/// compression and pushdown on); a caller that already holds its
-/// [`ExecOptions`] prices with [`quote_plan_covered`] directly.
+/// Price a logical plan into a whole-query quote: its physical plan under
+/// the default policy (`ExecOptions::cost_model`: compression and pushdown
+/// on), quoted with no shared-scan coverage
+/// ([`engine::PhysicalPlan::quote`]) — the shapes at the planner's
+/// cardinalities, and index leaves at their predicted probe cost. A plan
+/// the planner refuses quotes zero: executing it fails.
 pub fn quote_plan(machine: &MachineConfig, plan: &LogicalPlan<'_>) -> QueryQuote {
     let opts = ExecOptions::cost_model(*machine);
-    quote_plan_covered(&opts, plan, &scan_requests(plan, opts.pushdown), &|_| None)
-}
-
-/// [`quote_plan`] with shared-scan coverage. `leaves` is
-/// `scan_requests(plan, opts.pushdown)`, unfiltered — the submit path
-/// builds it once and prices straight from it: each request is one
-/// [`Select`] at the width the column is stored in (packed unless the
-/// policy turns compression off), restricted to the running survivors
-/// where the conjunction planner will restrict it, and — where `covered`
-/// returns `Some(missed)` for its leaf index — riding a cooperative pass
-/// that had streamed `missed` rows when the query could board. A leaf
-/// with no request is a dictionary miss: nothing runs, nothing is quoted.
-/// `opts` is the policy the plan will execute under; its machine prices
-/// the shapes.
-pub fn quote_plan_covered(
-    opts: &ExecOptions,
-    plan: &LogicalPlan<'_>,
-    leaves: &[ScanRequest<'_>],
-    covered: &dyn Fn(usize) -> Option<usize>,
-) -> QueryQuote {
-    let mut ops = Vec::new();
-    let select = |r: &ScanRequest<'_>, pos: usize| {
-        let cc = r.compressed.filter(|_| opts.compress != CompressMode::Off);
-        let fresh = stored(r.rows, r.stride, cc);
-        OpShape::Select(match covered(r.leaf) {
-            Some(missed) => Select { covered: Some(missed), ..fresh },
-            // Halve the candidates per prior leaf — the same prior the
-            // post-filter estimate of the walk uses.
-            None if r.restricted => Select { cands: Some((r.rows >> pos.min(63)).max(1)), ..fresh },
-            None => fresh,
-        })
-    };
-    shapes_of(&plan.root, &mut ops, &mut 0, &mut leaves.iter().peekable(), &select);
-    quote_ops(&opts.machine, &ops)
+    physical::plan(&mut NullTracker, plan, &opts)
+        .map_or_else(|_| quote_ops(machine, &[]), |p| p.quote(|_| None))
 }
 
 /// One elevator rider's survivors, appended chunk by chunk from the row the
@@ -1232,70 +1202,12 @@ fn stream<'r, M: MemTracker>(
     streamed
 }
 
-/// The fresh full pass over `rows` rows of a column: at the packed width
-/// when the pass streams its compressed representation `cc`, at the plain
-/// `stride` otherwise.
-fn stored(rows: usize, stride: usize, cc: Option<&monet_core::CompressedColumn>) -> Select {
-    match cc {
-        Some(cc) => Select::packed(rows, cc.bits_per_value()),
-        None => Select::plain(rows, stride),
-    }
-}
-
-/// Append `node`'s operator shapes to `ops`; returns the estimated output
-/// cardinality feeding the parent. `leaf` numbers predicate leaves in
-/// execution order (the global numbering shared with the engine), and
-/// `select` shapes the request of one leaf at its in-order position within
-/// its filter.
-fn shapes_of<'r, 'p: 'r>(
-    node: &PlanNode<'_>,
-    ops: &mut Vec<OpShape>,
-    leaf: &mut usize,
-    leaves: &mut std::iter::Peekable<std::slice::Iter<'r, ScanRequest<'p>>>,
-    select: &dyn Fn(&ScanRequest<'_>, usize) -> OpShape,
-) -> usize {
-    match node {
-        PlanNode::Scan { table } => table.len(),
-        PlanNode::Filter { input, pred } => {
-            let rows = shapes_of(input, ops, leaf, leaves, select);
-            let first = *leaf;
-            *leaf += leaf_count(pred);
-            while let Some(r) = leaves.next_if(|r| r.leaf < *leaf) {
-                ops.push(select(r, r.leaf - first));
-            }
-            (rows / 2).max(1)
-        }
-        PlanNode::Join { input, right, .. } => {
-            let outer = shapes_of(input, ops, leaf, leaves, select);
-            let inner = shapes_of(right, ops, leaf, leaves, select);
-            ops.push(OpShape::Join { outer, inner });
-            // Hit-rate <= 1 against the smaller side.
-            outer.min(inner).max(1)
-        }
-        PlanNode::GroupAgg { input, key, aggs } => {
-            let rows = shapes_of(input, ops, leaf, leaves, select);
-            let columns = aggs.iter().filter(|a| a.column().is_some()).count();
-            // A restricted or joined stream materializes each aggregated
-            // column (plus the group key, when grouping) through a
-            // positional gather before the accumulation pass; an
-            // unrestricted scan borrows in place.
-            if !matches!(input.as_ref(), PlanNode::Scan { .. }) {
-                for _ in 0..columns + usize::from(key.is_some()) {
-                    ops.push(OpShape::Gather { rows });
-                }
-            }
-            ops.push(OpShape::Aggregate { rows, columns, grouped: key.is_some() });
-            rows
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use engine::access::PushdownMode;
-    use engine::exec::execute;
-    use engine::plan::{Agg, Pred, Query};
+    use engine::access::{CompressMode, PushdownMode};
+    use engine::exec::{execute, AccessNote};
+    use engine::plan::{Agg, PlanNode, Pred, Query};
     use monet_core::storage::{ColType, DecomposedTable, TableBuilder, Value};
 
     /// Test-only points where `Inner::hold` can force an interleaving.
@@ -1384,10 +1296,8 @@ mod tests {
         let opts = ExecOptions::cost_model(machine).with_compress(CompressMode::On);
         for pred in [Pred::range_f64("price", 1.0, 2.0), Pred::range_i32("qty", 1, 2)] {
             let plan = Query::scan(&t).filter(pred).build().unwrap();
-            let leaves = scan_requests(&plan, opts.pushdown);
-            let quote = |missed: Option<usize>| {
-                quote_plan_covered(&opts, &plan, &leaves, &|_| missed).seq_ns
-            };
+            let physical = physical::plan(&mut NullTracker, &plan, &opts).unwrap();
+            let quote = |missed: Option<usize>| physical.quote(|_| missed).seq_ns;
             let (covered, attach, fresh) = (quote(Some(0)), quote(Some(25_000)), quote(None));
             assert!(covered < attach && attach < fresh, "{covered} {attach} {fresh}");
             assert!(quote(Some(50_000)) <= fresh, "a full wrap is at most a fresh scan");
@@ -1401,11 +1311,13 @@ mod tests {
         let q = |pred: Pred| Query::scan(&t).filter(pred).agg(Agg::count()).build().unwrap();
         let band = || Pred::range_i32("qty", 1, 20).and(Pred::range_f64("price", 1.0, 900.0));
         let with_miss = q(band().and(Pred::eq_str("shipmode", "WALRUS")));
-        // Admission: the miss leaf has no scan request, so it quotes 0 ns —
-        // the plan prices exactly like the plan without that leaf.
+        // Admission: the miss leaf quotes no shape of its own, and as the
+        // plan's first leaf — it keeps no row — it leaves the other two
+        // nothing to stream.
         let (miss, bare) = (quote_plan(&machine, &with_miss), quote_plan(&machine, &q(band())));
-        assert_eq!(miss.seq_ns, bare.seq_ns);
-        assert_eq!((miss.ops, miss.items), (bare.ops, bare.items));
+        assert_eq!(miss.ops, bare.ops);
+        assert!(miss.seq_ns * 100.0 < bare.seq_ns, "{miss:?} vs {bare:?}");
+        assert_eq!(miss.items, 0, "{miss:?}");
         // Execution: three leaves, two of which scanned; the `Empty` leaf
         // ran nothing and contributes no shape to split the op's time over.
         for pushdown in [PushdownMode::Off, PushdownMode::On] {
@@ -1416,6 +1328,55 @@ mod tests {
             assert_eq!(sel.shapes.len(), 2, "one shape fewer than leaves: {:?}", sel.shapes);
             assert_eq!(sel.rows_out, 0);
         }
+    }
+
+    #[test]
+    fn the_service_runs_the_plan_execute_runs() {
+        // The needle (`supp`) sits last in predicate order behind two wide
+        // bands; the planner leads with it. At the default chunk, a column
+        // this long gets an elevator even with nobody else waiting, and it
+        // provides that first leaf.
+        let mut b = TableBuilder::new("item", 0)
+            .column("batch", ColType::I32)
+            .column("date1", ColType::I32)
+            .column("supp", ColType::I32)
+            .column("price", ColType::F64);
+        for i in 0..100_000i32 {
+            let row = [i / 64, 9_000 + i * 7 % 1_500, i % 1_000 + 1];
+            let mut vals: Vec<Value> = row.iter().map(|&v| Value::I32(v)).collect();
+            vals.push(Value::F64(f64::from(i) / 8.0));
+            b.push_row(&vals).unwrap();
+        }
+        let t = b.finish();
+        let plan = Query::scan(&t)
+            .filter(
+                Pred::range_i32("batch", 100, 1_400)
+                    .and(Pred::range_i32("date1", 9_000, 10_000))
+                    .and(Pred::range_i32("supp", 7, 7)),
+            )
+            .agg(Agg::sum("price"))
+            .agg(Agg::count())
+            .build()
+            .unwrap();
+        let svc = QueryService::new(ServiceConfig::new());
+        assert_eq!(svc.config().chunk_rows, 64 << 10);
+        let served = svc.session().run(&plan).unwrap();
+        let solo = execute(&mut NullTracker, &plan, &svc.exec).unwrap();
+        assert!(served.output().bitwise_eq(&solo.output));
+        let select = |r: &ExecReport| r.ops[1].clone();
+        let (served, solo) = (select(served.report()), select(&solo.report));
+        let pushdown = |op: &engine::OpReport| {
+            op.notes.iter().find(|n| matches!(n, AccessNote::Pushdown { .. })).cloned()
+        };
+        let Some(AccessNote::Pushdown { order, .. }) = pushdown(&solo) else {
+            panic!("a pure-AND filter is ordered: {}", solo.detail)
+        };
+        assert_eq!(order[0], 2, "the needle leads: {}", solo.detail);
+        assert_eq!(pushdown(&served), pushdown(&solo), "{}", served.detail);
+        assert_eq!(served.notes[0], AccessNote::SharedLeaves { provided: 1, total: 3 });
+        assert!(served.access[order[0]].shared, "the elevator provided the first leaf");
+        let paths = |op: &engine::OpReport| op.access.iter().map(|d| d.path).collect::<Vec<_>>();
+        assert_eq!(paths(&served), paths(&solo));
     }
 
     #[test]

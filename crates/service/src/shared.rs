@@ -516,12 +516,12 @@ mod tests {
     use super::*;
     use engine::exec::{execute, ExecOptions};
     use engine::plan::{Agg, LogicalPlan, Pred, Query};
-    use engine::PushdownMode;
     use memsim::NullTracker;
     use monet_core::storage::{ColType, TableBuilder, Value};
 
     fn scan_requests<'p>(plan: &'p LogicalPlan<'_>) -> Vec<ScanRequest<'p>> {
-        engine::shared::scan_requests(plan, PushdownMode::On)
+        let opts = ExecOptions::default();
+        engine::physical::plan(&mut NullTracker, plan, &opts).unwrap().requests().to_vec()
     }
 
     fn table() -> DecomposedTable {

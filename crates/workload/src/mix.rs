@@ -458,7 +458,9 @@ mod tests {
         };
         assert_eq!(spec.label(), "selective");
         let plan = spec.build(&item, &supp).expect("selective plans validate");
-        let reqs = engine::shared::scan_requests(&plan, engine::PushdownMode::On);
+        let opts = engine::ExecOptions::default();
+        let physical = engine::physical::plan(&mut memsim::NullTracker, &plan, &opts).unwrap();
+        let reqs = physical.requests();
         assert_eq!(reqs.len(), 3);
         // The wide leaves ride compressed representations...
         assert_eq!(reqs[0].column, "batch");
@@ -466,8 +468,9 @@ mod tests {
         assert_eq!(reqs[1].column, "date1");
         assert!(reqs[1].compressed.is_some(), "date1 has narrow local ranges: FOR");
         // ...and the needle sits last in predicate order, so only leaf
-        // reordering can evaluate it first.
+        // reordering can evaluate it first — which the planner does.
         assert_eq!(reqs[2].column, "supp");
+        assert_eq!(reqs.iter().map(|r| r.restricted).collect::<Vec<_>>(), [true, true, false]);
     }
 
     #[test]
