@@ -377,25 +377,6 @@ impl QueryService {
         plan: &LogicalPlan<'_>,
     ) -> Result<QueryHandle, ServiceError> {
         let submitted_at = Instant::now();
-        // The one physical plan, made before the lock: what admission
-        // quotes, the board shares and the executor runs. Tracing plans
-        // under the run's simulated tracker, so the B+-tree count probes
-        // planning makes are charged where they were before: to the run. A
-        // plan the planner refuses never reaches admission.
-        let mut sim = self.obs.as_ref().map(|_| SimTracker::for_machine(self.cfg.machine));
-        let physical = match &mut sim {
-            Some(trk) => physical::plan(trk, plan, &self.exec),
-            None => physical::plan(&mut NullTracker, plan, &self.exec),
-        }?;
-        // Restricted leaves (the conjunction planner evaluates them against
-        // an earlier leaf's survivors) stay off the shared-scan board: a
-        // cooperative full-column pass for them would stream bytes the plan
-        // never touches.
-        let requests: Vec<ScanRequest<'_>> = if self.cfg.shared_scans {
-            physical.requests().iter().copied().filter(|r| !r.restricted).collect()
-        } else {
-            Vec::new()
-        };
         let fp = (self.cfg.cache_bytes > 0).then(|| fingerprint(plan));
         let mut tb = self.obs.as_ref().map(|o| o.sink.begin(session));
 
@@ -505,6 +486,28 @@ impl QueryService {
         // guard settles it as failed on every early exit — rejection,
         // engine error, or a panic unwinding out of execute().
         let mut flight = FlightGuard { svc: self, fp: fp.clone() };
+        drop(st);
+
+        // The one physical plan, made outside the lock (and only for a
+        // query that will run): what admission quotes, the board shares and
+        // the executor runs. Tracing plans under the run's simulated
+        // tracker, so the B+-tree count probes planning makes are charged
+        // to the run. A plan the planner refuses never reaches admission.
+        let mut sim = self.obs.as_ref().map(|_| SimTracker::for_machine(self.cfg.machine));
+        let physical = match &mut sim {
+            Some(trk) => physical::plan(trk, plan, &self.exec),
+            None => physical::plan(&mut NullTracker, plan, &self.exec),
+        }?;
+        // Restricted leaves (the conjunction planner evaluates them against
+        // an earlier leaf's survivors) stay off the shared-scan board: a
+        // cooperative full-column pass for them would stream bytes the plan
+        // never touches.
+        let requests: Vec<ScanRequest<'_>> = if self.cfg.shared_scans {
+            physical.requests().iter().copied().filter(|r| !r.restricted).collect()
+        } else {
+            Vec::new()
+        };
+        let mut st = self.state.lock().expect("service lock");
 
         // Quote for the scheduler, discounting leaves a pending or
         // in-flight cooperative pass already covers: a fully covered leaf
