@@ -14,10 +14,10 @@
 //!
 //! ```text
 //! clients ──► Session::run(plan)
-//!                 │  engine::physical::plan (before any lock)
 //!                 │  result cache? (fingerprint hit → answer, no lease)
 //!                 │  identical plan in flight? → collapse: wait for the
 //!                 │    leader's Arc'd result (single-flight, no lease)
+//!                 │  engine::physical::plan (outside the lock)
 //!                 │  quote = the physical plan's (covered scans at
 //!                 │    marginal, mid-pass elevator attaches at marginal
 //!                 │    + wrap)

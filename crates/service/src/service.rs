@@ -1,5 +1,5 @@
-//! The blocking service front-end: sessions and the submit path (physical
-//! plan → result cache → single-flight collapse → quote → admission →
+//! The blocking service front-end: sessions and the submit path (result
+//! cache → single-flight collapse → physical plan → quote → admission →
 //! shared-scan claim → execution of that same plan).
 //!
 //! Two multi-query mechanisms live here on top of the board in
