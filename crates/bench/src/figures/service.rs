@@ -194,7 +194,9 @@ fn run_naive(
     let opts = ExecOptions::cost_model(cfg.machine).with_threads(Threads::Auto);
     let started = Instant::now();
     let mut outputs: Vec<Vec<QueryOutput>> = Vec::with_capacity(clients);
-    let mut latencies: Vec<f64> = Vec::new();
+    // Summarized as the service summarizes its own: one percentile
+    // estimator for both columns of the figure.
+    let mut latencies = obs::LogHistogram::new();
     std::thread::scope(|s| {
         let handles: Vec<_> = (0..clients)
             .map(|c| {
@@ -218,16 +220,16 @@ fn run_naive(
             let rows = h.join().expect("client thread panicked");
             let (outs, lats): (Vec<_>, Vec<_>) = rows.into_iter().unzip();
             outputs.push(outs);
-            latencies.extend(lats);
+            lats.into_iter().for_each(|ms| latencies.record(ms));
         }
     });
     let wall_ms = started.elapsed().as_secs_f64() * 1e3;
-    let summary = service::LatencySummary::of(&latencies);
+    let summary = latencies.summary();
     ModeResult {
         mode: "naive auto",
         wall_ms,
-        p50_ms: summary.p50_ms,
-        p95_ms: summary.p95_ms,
+        p50_ms: summary.p50,
+        p95_ms: summary.p95,
         queued: 0,
         high_water: None,
         outputs,

@@ -147,10 +147,11 @@ pub struct AccessDecision {
     /// Model quote of the scan path in ms (what the decision was weighed
     /// against; equals `predicted_ms` when the scan was chosen).
     pub scan_ms: f64,
-    /// Estimated qualifying rows (exact when a B+-tree counted the range;
-    /// `len / distinct` for hash and T-tree equality estimates; 0 when no
-    /// index informed the decision).
-    pub matches_est: usize,
+    /// Estimated qualifying rows: exact when a B+-tree counted the range,
+    /// `len / distinct` for hash and T-tree equality estimates, sniffed from
+    /// compressed frame or run headers on an unindexed column; `None` when
+    /// no estimator applies.
+    pub matches_est: Option<usize>,
     /// True when the leaf's candidate list was *provided* by a shared
     /// (cooperative) scan pass — no evaluation of any kind ran here, and
     /// `matches_est` is the exact provided count.
@@ -174,7 +175,8 @@ pub struct AccessDecision {
 impl fmt::Display for AccessDecision {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         if self.shared {
-            write!(f, "{}=shared-scan ({} rows provided)", self.column, self.matches_est)?;
+            let provided = self.matches_est.unwrap_or(0);
+            write!(f, "{}=shared-scan ({provided} rows provided)", self.column)?;
         } else if self.path == AccessPath::PackedScan {
             write!(
                 f,
@@ -189,7 +191,7 @@ impl fmt::Display for AccessDecision {
                 self.path.name(),
                 self.predicted_ms,
                 self.scan_ms,
-                self.matches_est
+                self.matches_est.unwrap_or(0)
             )?;
         } else {
             write!(f, "{}=scan", self.column)?;
@@ -294,7 +296,7 @@ impl PredPlan {
         for (lp, list) in plan.leaves.iter_mut().zip(provided) {
             if let Some(list) = list {
                 lp.decision.shared = true;
-                lp.decision.matches_est = list.len();
+                lp.decision.matches_est = Some(list.len());
                 lp.decision.predicted_ms = 0.0;
                 lp.select = None;
             }
@@ -489,13 +491,12 @@ const MAX_EXHAUSTIVE_LEAVES: usize = 6;
 
 /// Estimated selectivity of one planned leaf (fraction of rows surviving).
 fn leaf_selectivity(lp: &LeafPlan, rows: usize) -> f64 {
-    match &lp.action {
-        LeafAction::Empty => 0.0,
-        _ if lp.decision.matches_est > 0 => {
-            (lp.decision.matches_est as f64 / rows.max(1) as f64).min(1.0)
-        }
-        // No index informed this leaf: the conventional half-survive guess.
-        _ => 0.5,
+    match (&lp.action, lp.decision.matches_est) {
+        (LeafAction::Empty, _) => 0.0,
+        (_, Some(matches)) => (matches as f64 / rows.max(1) as f64).min(1.0),
+        // No estimator informed this leaf: the conventional half-survive
+        // guess.
+        (_, None) => 0.5,
     }
 }
 
@@ -507,7 +508,8 @@ fn restricted_ms(model: &ModelMachine, lp: &LeafPlan, rows: usize, k: usize) -> 
     }
     // Provably empty leaves cost nothing either way.
     let Some(full) = lp.index_cost else { return 0.0 };
-    let probed = lp.decision.matches_est;
+    // An index path always carries its estimate.
+    let probed = lp.decision.matches_est.unwrap_or(0);
     restrict_index_cost(model, full, probed, restricted_matches(rows, probed, k)).total_ms()
 }
 
@@ -629,7 +631,7 @@ fn plan_leaf<M: MemTracker>(
         // but no cost, no shape and no probe to reprice.
         let any = ScanPred::EqCode { code: 0 };
         let mut leaf =
-            leaf_plan(model, table, col, any, stride, 0, eq, mode, &usable, None, compress);
+            leaf_plan(model, table, col, any, stride, Some(0), eq, mode, &usable, None, compress);
         leaf.action = LeafAction::Empty;
         leaf.decision.predicted_ms = 0.0;
         leaf.select = None;
@@ -641,9 +643,9 @@ fn plan_leaf<M: MemTracker>(
         // min/max, runs) for a selectivity estimate. This reads headers
         // only, so it's free even when the compress policy keeps the
         // evaluation on the uncompressed path.
-        table.compressed_of(col).and_then(|cc| cc.estimate_matches(&kernel)).unwrap_or(0)
+        table.compressed_of(col).and_then(|cc| cc.estimate_matches(&kernel))
     } else {
-        estimate_matches(trk, table, col, &usable, kernel)
+        Some(estimate_matches(trk, table, col, &usable, kernel))
     };
     let packed = packed_candidate(table, col, kernel, compress);
     Ok(leaf_plan(model, table, col, kernel, stride, matches, eq, mode, &usable, packed, compress))
@@ -683,7 +685,7 @@ fn estimate_matches<M: MemTracker>(
 /// the policy admits it, and a probe of every index in `usable` (none under
 /// `scan` access mode or on an unindexed column), then pick per the modes.
 /// `matches` is the selectivity estimate — index-counted, or sniffed from
-/// compressed frame/run headers; 0 when no estimator applies.
+/// compressed frame/run headers; `None` when no estimator applies.
 #[allow(clippy::too_many_arguments)] // the planner's full policy surface
 fn leaf_plan(
     model: &ModelMachine,
@@ -691,7 +693,7 @@ fn leaf_plan(
     col: &str,
     pred: ScanPred,
     stride: usize,
-    matches: usize,
+    matches: Option<usize>,
     eq: bool,
     mode: AccessMode,
     usable: &[(&ColumnIndex, IndexShape)],
@@ -706,7 +708,8 @@ fn leaf_plan(
     let q = SelectQuery {
         rows,
         stride,
-        matches,
+        // Only index quotes read it, and an indexed leaf always estimates.
+        matches: matches.unwrap_or(0),
         eq,
         packed_bits: packed.map(CompressedColumn::bits_per_value),
         cands: None,
@@ -1023,7 +1026,7 @@ mod tests {
                 .unwrap();
         let d = &plan.decisions()[0];
         assert!(d.path.is_index(), "{d:?}");
-        assert_eq!(d.matches_est, 10, "exact count: 500 rows / 50 keys");
+        assert_eq!(d.matches_est, Some(10), "exact count: 500 rows / 50 keys");
         assert!(d.predicted_ms < d.scan_ms, "{d:?}");
         assert!(plan.uses_index());
         assert_eq!(plan.scan_work_ns(), 0.0, "index leaves contribute no fan-out work");

@@ -2,17 +2,18 @@
 //!
 //! [`lower`] splits one [`LogicalPlan`] into `S` shard-local *stream* plans
 //! over a [`ShardedTable`]'s shards (the root `GroupAgg`, when present, is
-//! held back for the coordinator), [`execute_shard`] runs one shard plan
-//! through the stock executor and reduces its stream to a [`ShardPartial`],
+//! held back for the coordinator), [`execute_shard`] plans one shard plan
+//! and [`run_shard`]s it through the stock executor, reducing its stream to
+//! a [`ShardPartial`],
 //! and [`merge`] deterministically combines the partials into exactly the
 //! output the unsharded run produces — **bit-identical**, including the
 //! floating-point bits of every `f64` sum, at any shard count × thread
 //! count.
 //!
 //! The staging is deliberate: a placement layer (see `service`) can quote
-//! each shard plan per replica, lease threads per shard task, and run
-//! [`execute_shard`] wherever the cost model routes it; only [`merge`] must
-//! see all partials.
+//! each shard plan's physical plan per replica, lease threads per shard
+//! task, and [`run_shard`] the plan it placed wherever the cost model
+//! routes it; only [`merge`] must see all partials.
 //!
 //! # Why the merge is exact
 //!
@@ -59,10 +60,12 @@ use monet_core::storage::{DecomposedTable, Oid};
 
 use crate::aggregate::{fold, Folded, Input, Rows, Sink};
 use crate::exec::{
-    agg_output, agg_sinks, base_tables, delta, execute, input_of, ExecOptions, ExecReport,
-    Executed, OpReport, QueryOutput,
+    agg_output, agg_sinks, base_tables, delta, execute_with_scans, input_of, ExecOptions,
+    ExecReport, Executed, OpReport, QueryOutput,
 };
+use crate::physical::PhysicalPlan;
 use crate::plan::{Agg, LogicalPlan, PlanError, PlanNode};
+use crate::shared::ScanTicket;
 use crate::EngineError;
 
 /// How the coordinator turns shard partials into the final output.
@@ -95,7 +98,7 @@ impl<'a> ShardCtx<'a> {
 pub struct Lowered<'a> {
     /// The shard-local stream plans, in shard order. Each is an ordinary
     /// [`LogicalPlan`] over that shard's tables — quotable by
-    /// `costmodel::quote` and executable by [`execute`] anywhere.
+    /// `costmodel::quote` and executable by [`crate::exec::execute`] anywhere.
     pub plans: Vec<LogicalPlan<'a>>,
     ctx: Vec<ShardCtx<'a>>,
     merge: MergeShape,
@@ -263,16 +266,28 @@ fn pair_key(l: Oid, r: Oid) -> u64 {
     ((l as u64) << 32) | r as u64
 }
 
-/// Execute shard `idx` of a lowered plan through the stock executor and
-/// reduce its stream to a [`ShardPartial`]. Runs anywhere: the caller
-/// chooses tracker, machine, thread cap and placement per shard.
+/// Plan shard `idx` of a lowered plan under `opts` and [`run_shard`] it.
+/// Runs anywhere: the caller chooses tracker, machine, thread cap and
+/// placement per shard.
 pub fn execute_shard<M: MemTracker>(
     trk: &mut M,
     lowered: &Lowered<'_>,
     idx: usize,
     opts: &ExecOptions,
 ) -> Result<ShardPartial, EngineError> {
-    let Executed { output, report } = execute(trk, &lowered.plans[idx], opts)?;
+    let physical = crate::physical::plan(trk, &lowered.plans[idx], opts)?;
+    run_shard(trk, lowered, idx, &physical)
+}
+
+/// Run `physical`, the physical plan of shard `idx` of a lowered plan,
+/// through the stock executor and reduce its stream to a [`ShardPartial`].
+pub fn run_shard<M: MemTracker>(
+    trk: &mut M,
+    lowered: &Lowered<'_>,
+    idx: usize,
+    physical: &PhysicalPlan<'_>,
+) -> Result<ShardPartial, EngineError> {
+    let Executed { output, report } = execute_with_scans(trk, physical, &ScanTicket::new())?;
     let ctx = &lowered.ctx[idx];
     let before = trk.counters_snapshot();
     let rows = match &output {
@@ -543,6 +558,7 @@ pub fn execute_sharded<M: MemTracker>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::exec::execute;
     use crate::plan::{Pred, Query};
     use memsim::{NullTracker, SimTracker};
     use monet_core::storage::{ColType, TableBuilder, Value};

@@ -1,15 +1,16 @@
 //! The physical query layer: a cost-model-driven executor for
 //! [`LogicalPlan`]s.
 //!
-//! [`execute`] lowers each logical node onto the operator kernels of this
-//! crate — scan-selects, candidate combinators, positional fetches, the radix
-//! join family, hash-grouping — and makes every *physical* decision itself:
+//! [`execute`] plans a logical plan ([`crate::physical::plan`]) and runs the
+//! [`PhysicalPlan`]'s operators in order on the kernels of this crate —
+//! scan-selects, candidate combinators, positional fetches, the radix join
+//! family, hash-grouping. Every *physical* decision but the thread counts
+//! is the plan's:
 //!
-//! * **Joins** ask the paper's analytical cost model
+//! * **Joins** run the kernel the paper's analytical cost model chose
 //!   ([`costmodel::plan::plan_join`], the exhaustive Figure 12 search over
-//!   algorithm × radix bits × pass layout) which kernel to run, or the
-//!   cache-size heuristics of [`monet_core::strategy::heuristic_plan`] when
-//!   [`Planner::Heuristic`] is selected. Call sites never pick bits.
+//!   algorithm × radix bits × pass layout) at the planner's inner
+//!   cardinality. Call sites never pick bits.
 //! * **Selections** choose an *access path per predicate leaf*: the §2
 //!   stride-scan model prices a scan-select against every index attached to
 //!   the filtered column ([`costmodel::access`]; CsBTree range/eq, hash
@@ -37,8 +38,9 @@
 //! threads, and with [`Threads::Auto`] the degree of parallelism becomes a
 //! *physical decision of the cost model*, chosen per operator by
 //! [`costmodel::parallel::ParallelModel`] (speedup = work / max per-thread
-//! share, against a per-thread fork overhead) — just like the join algorithm
-//! and radix bits. Results are **bit-identical** to sequential execution at
+//! share, against a per-thread fork overhead) — the one decision made at
+//! run time, on the operator's actual rows and under the leased
+//! [`ExecOptions::thread_cap`]. Results are **bit-identical** to sequential execution at
 //! every thread count: selections and gathers merge chunk results
 //! thread-major, a returned join index is put in canonical `(left, right)`
 //! order by [`monet_core::join::canonicalize`], and every aggregate folds
@@ -58,7 +60,7 @@ use std::fmt;
 use std::sync::Arc;
 
 use costmodel::parallel::{algorithm_parallelizes, ParallelModel};
-use costmodel::plan::{best_plan, plan_cost};
+use costmodel::plan::plan_cost;
 use costmodel::quote::OpShape;
 use costmodel::scan::scan_cost;
 use costmodel::ModelMachine;
@@ -66,37 +68,26 @@ use costmodel::ModelParams;
 use memsim::{EventCounters, MachineConfig, MemTracker};
 use monet_core::join::{canonicalize, OidPair};
 use monet_core::storage::{Bat, Column, DecomposedTable, Oid};
-use monet_core::strategy::{heuristic_plan, JoinPlan};
 
 use crate::access::{
     eval_planned, leaves_of, AccessDecision, AccessMode, CompressMode, PushdownMode,
 };
-use crate::aggregate::{fold, gathers, Acc, Folded, Input, Rows, Side, Sink};
+use crate::aggregate::{fold, Acc, Folded, Input, Rows, Side, Sink};
 use crate::candidates::{intersect, CandList};
 use crate::join::{join_operands, Operand};
-use crate::physical::{Filter, PhysicalPlan};
+use crate::physical::{Op, PhysicalPlan};
 use crate::plan::{Agg, LogicalPlan, PlanError, PlanNode};
 use crate::shared::ScanTicket;
 use crate::EngineError;
 
-/// How the executor chooses physical join plans.
+/// How the physical plan is chosen: by the paper's cost model, the one
+/// planner. A single variant, kept so that options written out field by
+/// field keep naming it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Planner {
     /// Exhaustive search over the paper's analytical cost model
     /// ([`costmodel::plan::best_plan`]) — what a query optimizer would ship.
     CostModel,
-    /// The cache-size heuristics of [`monet_core::strategy::heuristic_plan`]
-    /// (no model evaluation; cheaper to plan, coarser choices).
-    Heuristic,
-}
-
-impl Planner {
-    fn name(self) -> &'static str {
-        match self {
-            Planner::CostModel => "cost model",
-            Planner::Heuristic => "heuristic",
-        }
-    }
 }
 
 /// How many threads parallel-capable operators may use.
@@ -113,14 +104,13 @@ pub enum Threads {
 }
 
 /// Executor configuration: the machine whose memory hierarchy the cost model
-/// prices, the planner flavour, the degree of parallelism, and the selection
-/// access-path policy.
+/// prices, the degree of parallelism, and the selection access-path policy.
 #[derive(Debug, Clone, Copy)]
 pub struct ExecOptions {
     /// Machine the cost model plans for (usually the machine you run on; the
     /// examples use the simulated Origin2000 so model and simulator agree).
     pub machine: MachineConfig,
-    /// Physical-plan chooser.
+    /// Physical-plan chooser (the cost model; see [`Planner`]).
     pub planner: Planner,
     /// Degree of parallelism. Results are bit-identical at every setting;
     /// simulated charges are not (see the [module docs](self)).
@@ -160,11 +150,6 @@ impl ExecOptions {
             compress: CompressMode::On,
             pushdown: PushdownMode::On,
         }
-    }
-
-    /// Heuristic execution on `machine`.
-    pub fn heuristic(machine: MachineConfig) -> Self {
-        Self { planner: Planner::Heuristic, ..Self::cost_model(machine) }
     }
 
     /// Set the degree of parallelism.
@@ -484,18 +469,8 @@ enum Stream<'a> {
     /// so a list a cooperative pass delivered flows to its consumer as it
     /// stands.
     Table { table: &'a DecomposedTable, cands: Option<Arc<CandList>> },
-    /// Row pairs of the plan's join (its tables are the plan's
-    /// [`base_tables`]).
+    /// Row pairs of the plan's join.
     Joined { pairs: Vec<OidPair> },
-}
-
-impl Stream<'_> {
-    fn rows(&self) -> usize {
-        match self {
-            Stream::Table { table, cands } => cands.as_ref().map_or(table.len(), |c| c.len()),
-            Stream::Joined { pairs } => pairs.len(),
-        }
-    }
 }
 
 /// Execute a validated plan, returning results and the per-operator report:
@@ -514,268 +489,231 @@ pub fn execute<M: MemTracker>(
     execute_with_scans(trk, &physical, &ScanTicket::new())
 }
 
-/// Run a physical plan, with externally produced candidate lists: any
-/// predicate leaf covered by `ticket` (keyed by the leaf numbering of
-/// [`PhysicalPlan::requests`]) consumes the provided list instead of being
-/// evaluated — the seam a multi-query scheduler uses to feed one
-/// cooperative scan pass into many executions. The plan is not revisited:
-/// a shared leaf is never restricted, so its full list is what the plan
-/// evaluates anyway. Results are bit-identical to [`execute`] provided the
-/// ticket honours [`ScanTicket::provide`]'s contract.
+/// Run a physical plan's operators in order, with externally produced
+/// candidate lists: any predicate leaf covered by `ticket` (keyed by the
+/// leaf numbering of [`PhysicalPlan::requests`]) consumes the provided list
+/// instead of being evaluated — the seam a multi-query scheduler uses to
+/// feed one cooperative scan pass into many executions. The plan is not
+/// revisited: a shared leaf is never restricted, so its full list is what
+/// the plan evaluates anyway. Results are bit-identical to [`execute`]
+/// provided the ticket honours [`ScanTicket::provide`]'s contract.
 pub fn execute_with_scans<M: MemTracker>(
     trk: &mut M,
     physical: &PhysicalPlan<'_>,
     ticket: &ScanTicket,
 ) -> Result<Executed, EngineError> {
     let opts = &physical.opts;
-    let mut report = ExecReport { ops: Vec::new(), planner: opts.planner.name() };
-    let model = ModelMachine::new(&opts.machine);
-    let mut filters = physical.filters();
-    // A returned join index must be canonical; a fold observes no row order
-    // (every sink folds exactly).
-    let (input, ordered) = match physical.root {
-        PlanNode::GroupAgg { input, .. } => (&**input, false),
-        root => (root, true),
-    };
-    let stream = exec_node(trk, input, opts, &mut report, ticket, &mut filters, ordered)?;
-    let output = match (physical.root, stream) {
-        (PlanNode::GroupAgg { input, key, aggs }, stream) => {
-            let key = key.as_deref();
-            let (lt, rt) = base_tables(input)?;
-            let sinks = agg_sinks(|col| input_of(lt, rt, col), aggs)?;
-            let rows_in = stream.rows();
-            let before = trk.counters_snapshot();
-            // Parallel quote: the gathers alone (one 8-byte-stride pass per
-            // column the fold gathers — each distinct one once, plus the
-            // key). The fold splits every sink in row chunks (see
-            // `crate::aggregate`), so the accumulation divides too, but it
-            // is left out of the quote: an unrestricted scan stream is
-            // folded where it lies — nothing is gathered, so Auto keeps it
-            // sequential. A deliberate lower bound: gathers access randomly
-            // and the accumulation is left out, so this only *under*-forks.
-            let gathered = match &stream {
-                Stream::Table { cands: None, .. } => 0,
-                _ => gathers(&sinks, key.is_some()),
-            };
-            let gather_ns = scan_cost(&model, rows_in.max(1), 8).total_ns() * gathered as f64;
-            let (threads, speedup) = op_threads(opts, gather_ns, rows_in);
-            let rows = match &stream {
-                Stream::Table { table, cands: None } => Rows::All(table.len()),
-                Stream::Table { cands: Some(cands), .. } => Rows::Cands(cands),
-                Stream::Joined { pairs } => Rows::Pairs(pairs),
-            };
-            let key_col = key.map(|k| input_of(lt, rt, k)).transpose()?;
-            let folded = fold(trk, rows, key_col, &sinks, threads)?;
-            let output = agg_output(key_col.map(|k| k.bat), aggs, &folded);
-            let (op, detail, rows_out) = match (key, &output) {
-                (Some(key), QueryOutput::Groups(groups)) => (
-                    format!("group({key})"),
-                    format!(
-                        "hash-group: direct-indexed, {}-slot table ({} occupied) fits cache{}",
-                        folded.counts.len(),
-                        groups.len(),
-                        threads_detail(threads, speedup)
+    let mut report = ExecReport { ops: Vec::new(), planner: "cost model" };
+    // The streams the operators so far left, the last on top: a join
+    // meets two.
+    let mut streams: Vec<Stream<'_>> = Vec::with_capacity(2);
+    let mut folded = None;
+    for op in &physical.ops {
+        let before = trk.counters_snapshot();
+        let done = match op {
+            Op::Scan(table) => {
+                streams.push(Stream::Table { table, cands: None });
+                OpReport {
+                    op: format!("scan({})", table.name()),
+                    rows_in: table.len(),
+                    rows_out: table.len(),
+                    detail: format!(
+                        "virtual: {} void BATs, {} B/tuple; no data touched until a kernel runs",
+                        table.columns().len(),
+                        table.bytes_per_tuple()
                     ),
-                    groups.len(),
-                ),
-                _ => {
-                    let labels: Vec<String> = aggs.iter().map(|a| a.to_string()).collect();
-                    (
-                        "aggregate".to_owned(),
-                        format!(
-                            "scan aggregate [{}]{}",
-                            labels.join(", "),
-                            threads_detail(threads, speedup)
-                        ),
-                        1,
-                    )
+                    ..OpReport::default()
                 }
-            };
-            // The rows each worker of a parallel fold accumulated.
-            let shards = (folded.shards.len() > 1).then_some(folded.shards);
-            // Mirror the quote's shape decomposition (and the fold's two
-            // charges): the gathers the fold made, then the accumulation;
-            // unrestricted scans fold in place.
-            let columns = sinks.len();
-            let mut shapes = vec![OpShape::Gather { rows: rows_in }; gathered];
-            shapes.push(OpShape::Aggregate { rows: rows_in, columns, grouped: key.is_some() });
-            report.ops.push(OpReport {
-                op,
-                rows_in,
-                rows_out,
-                detail,
-                counters: delta(trk, before),
-                shapes,
-                rows_per_thread: shards,
-                ..OpReport::default()
-            });
-            output
-        }
-        (_, Stream::Table { table, cands }) => QueryOutput::Oids(match cands {
+            }
+            Op::Filter(f) => {
+                let Some(Stream::Table { table, cands }) = streams.pop() else {
+                    unreachable!("the physical plan filters table streams only")
+                };
+                let (pred, nleaves) = (f.pred, leaves_of(f.pred).len());
+                let provided: Vec<Option<Arc<CandList>>> =
+                    (0..nleaves).map(|i| ticket.get(f.first_leaf + i).cloned()).collect();
+                let pplan = f.plan.settle(&provided);
+                let model_ms = pplan.model_ms();
+                // The parallel model only sees the scanning leaves (index
+                // probes are a handful of node touches; never forked).
+                let (threads, speedup) = op_threads(opts, pplan.scan_work_ns(), table.len());
+                // A list a shared pass delivered for the filter's only leaf
+                // is its result: borrowed, not copied.
+                let (selected, shards) = match &provided[..] {
+                    [Some(list)] => (Arc::clone(list), None),
+                    _ => {
+                        let (selected, shards) =
+                            eval_planned(trk, table, pred, &pplan, &provided, threads)?;
+                        (Arc::new(selected), shards)
+                    }
+                };
+                let merged = match cands {
+                    Some(prior) => Arc::new(intersect(&prior, &selected)),
+                    None => selected,
+                };
+                let mut notes = Vec::new();
+                if pplan.provided_leaves() > 0 {
+                    let provided = pplan.provided_leaves();
+                    notes.push(AccessNote::SharedLeaves { provided, total: nleaves });
+                }
+                if let Some(order) = pplan.order() {
+                    let (order, cands_in) = (order.to_vec(), pplan.cands_in());
+                    notes.push(AccessNote::Pushdown { order, cands_in });
+                }
+                let shared_note: String = notes.iter().map(|n| format!("; {n}")).collect();
+                let threads = threads_detail(threads, speedup);
+                let detail = if pplan.uses_index() || pplan.provided_leaves() > 0 {
+                    let via = pplan.detail();
+                    format!(
+                        "select [{pred}] via {via}; model {model_ms:.2} ms{threads}{shared_note}"
+                    )
+                } else {
+                    format!("scan-select [{pred}]; model {model_ms:.2} ms{threads}")
+                };
+                let done = OpReport {
+                    op: format!("select({})", table.name()),
+                    rows_in: table.len(),
+                    rows_out: merged.len(),
+                    detail,
+                    access: pplan.decisions(),
+                    notes,
+                    shapes: pplan.shapes(),
+                    rows_per_thread: shards,
+                    ..OpReport::default()
+                };
+                streams.push(Stream::Table { table, cands: Some(merged) });
+                done
+            }
+            Op::Join(j) => {
+                let (Some(Stream::Table { cands: rc, .. }), Some(Stream::Table { cands: lc, .. })) =
+                    (streams.pop(), streams.pop())
+                else {
+                    unreachable!("the physical plan joins two table streams")
+                };
+                let left = (j.left, lc.as_deref().map(Vec::as_slice));
+                let right = (j.right, rc.as_deref().map(Vec::as_slice));
+                let rows = |(bat, cands): Operand<'_>| cands.map_or(bat.len(), <[Oid]>::len);
+                let (outer, inner) = (rows(left), rows(right));
+                // The planned algorithm on the actual rows: its price, and
+                // how many threads are worth forking for it. The model is
+                // symmetric in C, so the price is taken at the larger side —
+                // otherwise an asymmetric join would be quoted at the
+                // dimension's size.
+                let params = ModelParams::implementation_matched();
+                let model = ModelMachine::with_params(&opts.machine, params);
+                let seq_ns = plan_cost(&model, &j.plan, outer.max(inner).max(1) as f64).total_ns();
+                let (threads, speedup) = if algorithm_parallelizes(j.plan.algorithm) {
+                    op_threads(opts, seq_ns, outer + inner)
+                } else {
+                    (1, None)
+                };
+                let (pairs, join_shards) = join_operands(trk, left, right, &j.plan, threads)?;
+                // The candidate lists are spent: free them before a
+                // canonical pass takes its scratch copy of the index.
+                drop((lc, rc));
+                // Every join algorithm (and thread count) emits the same
+                // pair set, but in its own cluster order. A returned index
+                // is the result, so counting passes over the left OIDs
+                // restore (left, right) order in linear time: that makes it
+                // independent of the physical plan, and lets co-partitioned
+                // shard joins merge bit-identically (see `crate::dist`). An
+                // aggregate folds exactly and takes the pairs as they come.
+                let pairs = if j.canonical { canonicalize(trk, pairs) } else { pairs };
+                let done = OpReport {
+                    op: format!("join[{} = {}]", j.left_col, j.right_col),
+                    rows_in: outer + inner,
+                    rows_out: pairs.len(),
+                    detail: format!(
+                        "cost model: {:?} B={} passes={:?}, predicted {:.2} ms{}{}",
+                        j.plan.algorithm,
+                        j.plan.bits,
+                        j.plan.pass_bits,
+                        seq_ns / 1e6,
+                        threads_detail(threads, speedup),
+                        if j.canonical { "" } else { "; index left in cluster order" }
+                    ),
+                    cluster_order: !j.canonical,
+                    shapes: vec![OpShape::Join { outer, inner }],
+                    rows_per_thread: join_shards,
+                    ..OpReport::default()
+                };
+                streams.push(Stream::Joined { pairs });
+                done
+            }
+            Op::Fold(f) => {
+                let rows = match streams.last() {
+                    Some(Stream::Table { table, cands: None }) => Rows::All(table.len()),
+                    Some(Stream::Table { cands: Some(cands), .. }) => Rows::Cands(cands),
+                    Some(Stream::Joined { pairs }) => Rows::Pairs(pairs),
+                    None => unreachable!("the physical plan folds a stream"),
+                };
+                let rows_in = rows.len();
+                // Parallel quote: the gathers alone (one 8-byte-stride pass
+                // per column the fold gathers — each distinct one once, plus
+                // the key). The fold splits every sink in row chunks (see
+                // `crate::aggregate`), so the accumulation divides too, but
+                // it is left out of the quote: an unrestricted scan stream
+                // is folded where it lies — nothing is gathered, so Auto
+                // keeps it sequential. A deliberate lower bound: gathers
+                // access randomly and the accumulation is left out, so this
+                // only *under*-forks.
+                let model = ModelMachine::new(&opts.machine);
+                let gather_ns = scan_cost(&model, rows_in.max(1), 8).total_ns() * f.gathered as f64;
+                let (threads, speedup) = op_threads(opts, gather_ns, rows_in);
+                let key_col = f.key.map(|(_, col)| col);
+                let acc = fold(trk, rows, key_col, &f.sinks, threads)?;
+                let output = agg_output(key_col.map(|k| k.bat), f.aggs, &acc);
+                let threads = threads_detail(threads, speedup);
+                let (op, detail, rows_out) = match (f.key, &output) {
+                    (Some((key, _)), QueryOutput::Groups(groups)) => (
+                        format!("group({key})"),
+                        format!(
+                            "hash-group: direct-indexed, {}-slot table ({} occupied) fits cache{threads}",
+                            acc.counts.len(),
+                            groups.len(),
+                        ),
+                        groups.len(),
+                    ),
+                    _ => {
+                        let labels: Vec<String> = f.aggs.iter().map(|a| a.to_string()).collect();
+                        let labels = labels.join(", ");
+                        ("aggregate".to_owned(), format!("scan aggregate [{labels}]{threads}"), 1)
+                    }
+                };
+                folded = Some(output);
+                OpReport {
+                    op,
+                    rows_in,
+                    rows_out,
+                    detail,
+                    // The fold's two charges: the gathers it made, then the
+                    // accumulation.
+                    shapes: f.shapes(rows_in),
+                    // The rows each worker of a parallel fold accumulated.
+                    rows_per_thread: (acc.shards.len() > 1).then_some(acc.shards),
+                    ..OpReport::default()
+                }
+            }
+        };
+        // Planning's B+-tree counts are booked to the filter they planned,
+        // so op counters still sum to the tracker's.
+        let counters = match op {
+            Op::Scan(_) => None,
+            Op::Filter(f) => delta(trk, before).map(|c| f.planning.map_or(c, |p| c + p)),
+            _ => delta(trk, before),
+        };
+        report.ops.push(OpReport { counters, ..done });
+    }
+    let output = match (folded, streams.pop()) {
+        (Some(output), _) => output,
+        (None, Some(Stream::Table { table, cands })) => QueryOutput::Oids(match cands {
             Some(cands) => Arc::try_unwrap(cands).unwrap_or_else(|shared| (*shared).clone()),
             None => (0..table.len() as Oid).map(|i| table.seqbase() + i).collect(),
         }),
-        (_, Stream::Joined { pairs }) => QueryOutput::JoinIndex(pairs),
+        (None, Some(Stream::Joined { pairs })) => QueryOutput::JoinIndex(pairs),
+        (None, None) => unreachable!("a physical plan yields a stream"),
     };
     Ok(Executed { output, report })
-}
-
-/// Execute `node`; `ordered` says whether its consumer observes the order
-/// of the rows it streams.
-fn exec_node<'a, 'f, 'g: 'f, M: MemTracker>(
-    trk: &mut M,
-    node: &PlanNode<'a>,
-    opts: &ExecOptions,
-    report: &mut ExecReport,
-    ticket: &ScanTicket,
-    filters: &mut impl Iterator<Item = &'f Filter<'g>>,
-    ordered: bool,
-) -> Result<Stream<'a>, EngineError> {
-    match node {
-        PlanNode::Scan { table } => {
-            report.ops.push(OpReport {
-                op: format!("scan({})", table.name()),
-                rows_in: table.len(),
-                rows_out: table.len(),
-                detail: format!(
-                    "virtual: {} void BATs, {} B/tuple; no data touched until a kernel runs",
-                    table.columns().len(),
-                    table.bytes_per_tuple()
-                ),
-                ..OpReport::default()
-            });
-            Ok(Stream::Table { table, cands: None })
-        }
-        PlanNode::Filter { input, pred } => {
-            let upstream = exec_node(trk, input, opts, report, ticket, filters, ordered)?;
-            let Stream::Table { table, cands } = upstream else {
-                unreachable!("the physical plan admits no filter over a join result")
-            };
-            let filter = filters
-                .next()
-                .filter(|f| std::ptr::eq(f.pred, pred))
-                .expect("the physical plan planned every filter, in execution order");
-            let nleaves = leaves_of(pred).len();
-            let provided: Vec<Option<Arc<CandList>>> =
-                (0..nleaves).map(|i| ticket.get(filter.first_leaf + i).cloned()).collect();
-            let pplan = filter.plan.settle(&provided);
-            let before = trk.counters_snapshot();
-            let model_ms = pplan.model_ms();
-            // The parallel model only sees the scanning leaves (index probes
-            // are a handful of node touches; never forked).
-            let (threads, speedup) = op_threads(opts, pplan.scan_work_ns(), table.len());
-            // A list a shared pass delivered for the filter's only leaf is
-            // its result: borrowed, not copied.
-            let (selected, shards) = match &provided[..] {
-                [Some(list)] => (Arc::clone(list), None),
-                _ => {
-                    let (selected, shards) =
-                        eval_planned(trk, table, pred, &pplan, &provided, threads)?;
-                    (Arc::new(selected), shards)
-                }
-            };
-            let merged = match cands {
-                Some(prior) => Arc::new(intersect(&prior, &selected)),
-                None => selected,
-            };
-            let mut notes = Vec::new();
-            if pplan.provided_leaves() > 0 {
-                notes.push(AccessNote::SharedLeaves {
-                    provided: pplan.provided_leaves(),
-                    total: nleaves,
-                });
-            }
-            if let Some(order) = pplan.order() {
-                notes.push(AccessNote::Pushdown {
-                    order: order.to_vec(),
-                    cands_in: pplan.cands_in(),
-                });
-            }
-            let shared_note: String = notes.iter().map(|n| format!("; {n}")).collect();
-            let detail = if pplan.uses_index() || pplan.provided_leaves() > 0 {
-                format!(
-                    "select [{pred}] via {}; model {model_ms:.2} ms{}{shared_note}",
-                    pplan.detail(),
-                    threads_detail(threads, speedup)
-                )
-            } else {
-                format!(
-                    "scan-select [{pred}]; model {model_ms:.2} ms{}",
-                    threads_detail(threads, speedup)
-                )
-            };
-            let access = pplan.decisions();
-            report.ops.push(OpReport {
-                op: format!("select({})", table.name()),
-                rows_in: table.len(),
-                rows_out: merged.len(),
-                detail,
-                counters: delta(trk, before).map(|c| filter.planning.map_or(c, |p| c + p)),
-                access,
-                notes,
-                shapes: pplan.shapes(),
-                rows_per_thread: shards,
-                ..OpReport::default()
-            });
-            Ok(Stream::Table { table, cands: Some(merged) })
-        }
-        PlanNode::Join { input, right, left_col, right_col } => {
-            // Both sides are table streams, whose candidates ascend anyway.
-            let left_stream = exec_node(trk, input, opts, report, ticket, filters, true)?;
-            let right_stream = exec_node(trk, right, opts, report, ticket, filters, true)?;
-            let (Stream::Table { table: lt, cands: lc }, Stream::Table { table: rt, cands: rc }) =
-                (left_stream, right_stream)
-            else {
-                unreachable!("the physical plan admits no nested joins")
-            };
-            let before = trk.counters_snapshot();
-            let left = (lt.bat(left_col)?, lc.as_deref().map(Vec::as_slice));
-            let right = (rt.bat(right_col)?, rc.as_deref().map(Vec::as_slice));
-
-            // The physical decision: the executor, not the caller, asks the
-            // planner which algorithm/bits to use for this inner cardinality
-            // — and the parallel model how many threads are worth forking.
-            let rows = |(bat, cands): Operand<'_>| cands.map_or(bat.len(), <[Oid]>::len);
-            let (outer, inner) = (rows(left), rows(right));
-            let (jplan, predicted, seq_ns) = choose_join(opts, outer, inner);
-            let (threads, speedup) = if algorithm_parallelizes(jplan.algorithm) {
-                op_threads(opts, seq_ns, outer + inner)
-            } else {
-                (1, None)
-            };
-            let (pairs, join_shards) = join_operands(trk, left, right, &jplan, threads)?;
-            // The candidate lists are spent: free them before a canonical
-            // pass takes its scratch copy of the index.
-            drop((lc, rc));
-            // Every join algorithm (and thread count) emits the same pair
-            // set, but in its own cluster order. A returned index is the
-            // result, so counting passes over the left OIDs restore (left,
-            // right) order in linear time: that makes it independent of the
-            // physical plan, and lets co-partitioned shard joins merge
-            // bit-identically (see `crate::dist`). An aggregate folds
-            // exactly and takes the pairs as they come.
-            let pairs = if ordered { canonicalize(trk, pairs) } else { pairs };
-
-            report.ops.push(OpReport {
-                op: format!("join[{left_col} = {right_col}]"),
-                rows_in: outer + inner,
-                rows_out: pairs.len(),
-                detail: format!(
-                    "{}{}{}",
-                    join_detail(opts.planner, &jplan, predicted),
-                    threads_detail(threads, speedup),
-                    if ordered { "" } else { "; index left in cluster order" }
-                ),
-                counters: delta(trk, before),
-                cluster_order: !ordered,
-                shapes: vec![OpShape::Join { outer, inner }],
-                rows_per_thread: join_shards,
-                ..OpReport::default()
-            });
-            Ok(Stream::Joined { pairs })
-        }
-        PlanNode::GroupAgg { .. } => unreachable!("the physical plan aggregates at its root only"),
-    }
 }
 
 /// The counters `trk` gained since the snapshot `before`, when it counts.
@@ -787,47 +725,6 @@ pub(crate) fn delta<M: MemTracker>(
         (Some(after), Some(before)) => Some(after - before),
         _ => None,
     }
-}
-
-/// Pick the physical join plan. The algorithm and radix bits follow the
-/// *inner* relation (cache residency of the build side is what the paper's
-/// strategies key on), but the model is symmetric in C, so the predicted
-/// cost prices the chosen plan at the larger of the two cardinalities —
-/// otherwise an asymmetric join would be quoted at the dimension's size.
-/// Returns the plan, the cost quote shown for the cost-model planner, and
-/// the model's sequential nanoseconds (always computed — the parallel model
-/// prices the *chosen* plan whichever planner chose it).
-fn choose_join(opts: &ExecOptions, outer: usize, inner: usize) -> (JoinPlan, Option<f64>, f64) {
-    let model = ModelMachine::with_params(&opts.machine, ModelParams::implementation_matched());
-    let c = outer.max(inner).max(1) as f64;
-    match opts.planner {
-        Planner::CostModel => {
-            let (plan, _) = best_plan(&model, &opts.machine, inner.max(1));
-            let ns = plan_cost(&model, &plan, c).total_ns();
-            (plan, Some(ns / 1e6), ns)
-        }
-        Planner::Heuristic => {
-            let plan = heuristic_plan(inner, &opts.machine);
-            let ns = plan_cost(&model, &plan, c).total_ns();
-            (plan, None, ns)
-        }
-    }
-}
-
-/// A join operator's `detail`. `tests/plan_exec_prop.rs` reads the radix
-/// bits back from its `B=<bits> ` field.
-fn join_detail(planner: Planner, plan: &JoinPlan, predicted: Option<f64>) -> String {
-    let mut s = format!(
-        "{}: {:?} B={} passes={:?}",
-        planner.name(),
-        plan.algorithm,
-        plan.bits,
-        plan.pass_bits
-    );
-    if let Some(ms) = predicted {
-        s.push_str(&format!(", predicted {ms:.2} ms"));
-    }
-    s
 }
 
 /// The column `col` of a stream over `left` (joined to `right`, if any) and
@@ -1070,13 +967,6 @@ mod tests {
         assert!(join_op.detail.starts_with("cost model:"), "{}", join_op.detail);
         assert!(join_op.detail.contains("predicted"), "{}", join_op.detail);
         assert_eq!(join_op.rows_out, 3);
-
-        // The heuristic planner takes the other path and agrees on results.
-        let r2 = execute(&mut NullTracker, &plan, &ExecOptions::heuristic(profiles::origin2000()))
-            .unwrap();
-        assert_eq!(r.output, r2.output);
-        let join_op2 = r2.report.ops.iter().find(|o| o.op.starts_with("join")).unwrap();
-        assert!(join_op2.detail.starts_with("heuristic:"), "{}", join_op2.detail);
     }
 
     #[test]
@@ -1324,7 +1214,7 @@ mod tests {
         let d = &sel.access[0];
         assert!(d.path.is_index(), "{d:?}");
         assert!(d.predicted_ms < d.scan_ms, "{d:?}");
-        assert_eq!(d.matches_est, 100, "exact btree count");
+        assert_eq!(d.matches_est, Some(100), "exact btree count");
         assert!(sel.detail.contains("via"), "{}", sel.detail);
         assert_eq!(sel.rows_out, 100);
 

@@ -29,13 +29,15 @@
 //!   ([`shared::ScanTicket`]), bit-identical to solo evaluation;
 //! * [`plan`] — the **logical layer**: a fluent [`plan::Query`] builder with
 //!   typed predicates/aggregates, validated into a [`plan::LogicalPlan`];
-//! * [`physical`] — the one planning walk, into a [`PhysicalPlan`] that
-//!   admission quotes and the executor runs;
-//! * [`exec`] — the **physical layer**: lowers logical plans onto the
-//!   kernels, choosing join algorithm, radix bits *and degree of
-//!   parallelism* from the paper's cost model
-//!   ([`costmodel::plan::best_plan`], [`costmodel::parallel`]) and returning
-//!   an [`exec::ExecReport`] with per-operator rows and simulated miss
+//! * [`physical`] — the one planning walk, into a [`PhysicalPlan`]: the
+//!   operators in execution order, each carrying its decisions — a
+//!   filter's access paths and leaf order, the join's algorithm and radix
+//!   bits from the paper's cost model ([`costmodel::plan::best_plan`]), the
+//!   fold's columns — which admission quotes and the executor runs;
+//! * [`exec`] — the **physical layer**: runs a [`PhysicalPlan`]'s
+//!   operators on the kernels, choosing only each operator's *degree of
+//!   parallelism* at run time ([`costmodel::parallel`]), and returns an
+//!   [`exec::ExecReport`] with per-operator rows and simulated miss
 //!   counts; parallel execution is bit-identical to sequential;
 //! * [`dist`] — **sharded execution**: lowers one logical plan onto the hash
 //!   shards of a [`monet_core::shard::ShardedTable`] (one stream plan per
@@ -59,7 +61,7 @@ pub mod reconstruct;
 pub mod shared;
 
 pub use access::{AccessDecision, AccessMode, CompressMode, PushdownMode};
-pub use dist::{execute_shard, execute_sharded, lower, merge, Lowered, ShardPartial};
+pub use dist::{execute_shard, execute_sharded, lower, merge, run_shard, Lowered, ShardPartial};
 pub use exec::{
     execute, execute_with_scans, AccessNote, ExecOptions, ExecReport, Executed, OpReport, Planner,
     QueryOutput, Threads,

@@ -6,20 +6,28 @@
 //! filters in execution order — the key of a
 //! [`ScanTicket`](crate::shared::ScanTicket)), plans each filter's access
 //! paths and conjunction order once ([`crate::access`]), lists the
-//! shareable leaves as [`ScanRequest`]s, and emits each operator's
-//! [`OpShape`]s at the planner's cardinalities. The join's algorithm and
-//! radix bits, and every operator's thread count, are still chosen at run
-//! time, on actual cardinalities and the leased threads.
+//! shareable leaves as [`ScanRequest`]s, picks the join's algorithm and
+//! radix bits from the paper's cost model at the planner's inner
+//! cardinality ([`costmodel::plan::plan_join`]), resolves the fold's
+//! columns, and emits each operator's [`OpShape`]s at the planner's
+//! cardinalities. The result is a list of operators in execution order,
+//! each carrying its decisions, which
+//! [`execute_with_scans`](crate::exec::execute_with_scans) runs as they
+//! stand. Only thread counts are decided at run time, on actual rows and
+//! under the leased ceiling.
 
+use costmodel::plan::plan_join;
 use costmodel::quote::{quote_ops, OpShape, QueryQuote};
 use costmodel::scan::Select;
 use costmodel::ModelMachine;
 use memsim::{EventCounters, MemTracker};
+use monet_core::storage::{Bat, DecomposedTable};
+use monet_core::strategy::JoinPlan;
 
 use crate::access::{leaves_of, lower_leaf, plan_pred, CompressMode, PredPlan};
-use crate::aggregate::gathers;
+use crate::aggregate::{gathers, Input, Sink};
 use crate::exec::{agg_sinks, base_tables, delta, input_of, ExecOptions};
-use crate::plan::{LogicalPlan, PlanError, PlanNode, Pred};
+use crate::plan::{Agg, LogicalPlan, PlanError, PlanNode, Pred};
 use crate::shared::{column_id, ScanRequest};
 use crate::EngineError;
 
@@ -27,20 +35,23 @@ use crate::EngineError;
 /// [module docs](self).
 #[derive(Debug, Clone)]
 pub struct PhysicalPlan<'p> {
-    pub(crate) root: &'p PlanNode<'p>,
     /// The policy it was planned under, and runs under.
     pub(crate) opts: ExecOptions,
-    ops: Vec<Op<'p>>,
+    /// The operators, in execution order — the order of the report's ops.
+    pub(crate) ops: Vec<Op<'p>>,
     requests: Vec<ScanRequest<'p>>,
 }
 
-/// One operator, in execution order — the order of the report's ops.
+/// One planned operator. Each reads the streams the operators before it
+/// left: a scan adds a table stream, a filter narrows the last one, a join
+/// meets the last two, and the fold consumes the last one.
 #[derive(Debug, Clone)]
-enum Op<'p> {
-    /// A scan, a join or the fold: its shapes, fixed at planning.
-    Fixed(Vec<OpShape>),
-    /// A filter, whose shapes follow its planned leaves.
+pub(crate) enum Op<'p> {
+    /// A base table, read in place.
+    Scan(&'p DecomposedTable),
     Filter(Filter<'p>),
+    Join(Join<'p>),
+    Fold(Fold<'p>),
 }
 
 /// One planned filter.
@@ -55,6 +66,61 @@ pub(crate) struct Filter<'p> {
     pub planning: Option<EventCounters>,
 }
 
+/// The planned join of the outer (left) stream with the inner (right) one.
+#[derive(Debug, Clone)]
+pub(crate) struct Join<'p> {
+    pub left_col: &'p str,
+    pub right_col: &'p str,
+    pub left: &'p Bat,
+    pub right: &'p Bat,
+    /// Algorithm, radix bits and pass layout.
+    pub plan: JoinPlan,
+    /// Whether the index is put in canonical `(left, right)` order: a
+    /// returned index is, a folded one is not — every sink folds exactly,
+    /// so a fold observes no row order.
+    pub canonical: bool,
+    /// The planner's cardinalities of the outer and inner sides.
+    pub outer: usize,
+    pub inner: usize,
+}
+
+/// The planned aggregation at the plan's root.
+#[derive(Debug, Clone)]
+pub(crate) struct Fold<'p> {
+    /// The group key's name and column, when grouped.
+    pub key: Option<(&'p str, Input<'p>)>,
+    pub aggs: &'p [Agg],
+    pub sinks: Vec<(Input<'p>, Sink)>,
+    /// Columns gathered per row (0 when the stream is a whole table, which
+    /// is folded where it lies).
+    pub gathered: usize,
+    /// The planner's cardinality of the stream.
+    pub rows: usize,
+}
+
+impl Fold<'_> {
+    /// The shapes of folding `rows` stream rows: the gathers, then the
+    /// accumulation.
+    pub fn shapes(&self, rows: usize) -> Vec<OpShape> {
+        let mut shapes = vec![OpShape::Gather { rows }; self.gathered];
+        let (columns, grouped) = (self.sinks.len(), self.key.is_some());
+        shapes.push(OpShape::Aggregate { rows, columns, grouped });
+        shapes
+    }
+}
+
+impl Op<'_> {
+    /// The operator's shapes at the planner's cardinalities.
+    fn shapes(&self) -> Vec<OpShape> {
+        match self {
+            Op::Scan(_) => Vec::new(),
+            Op::Filter(f) => f.plan.shapes(),
+            Op::Join(j) => vec![OpShape::Join { outer: j.outer, inner: j.inner }],
+            Op::Fold(f) => f.shapes(f.rows),
+        }
+    }
+}
+
 /// Plan `plan` under `opts`. Selectivity estimates that probe a B+-tree
 /// are charged to `trk`.
 pub fn plan<'p, M: MemTracker>(
@@ -62,8 +128,7 @@ pub fn plan<'p, M: MemTracker>(
     plan: &'p LogicalPlan<'_>,
     opts: &ExecOptions,
 ) -> Result<PhysicalPlan<'p>, EngineError> {
-    let mut physical =
-        PhysicalPlan { root: &plan.root, opts: *opts, ops: Vec::new(), requests: Vec::new() };
+    let mut physical = PhysicalPlan { opts: *opts, ops: Vec::new(), requests: Vec::new() };
     let model = ModelMachine::new(&opts.machine);
     physical.walk(trk, &model, &plan.root, &mut 0)?;
     Ok(physical)
@@ -80,7 +145,7 @@ impl<'p> PhysicalPlan<'p> {
     ) -> Result<f64, EngineError> {
         Ok(match node {
             PlanNode::Scan { table } => {
-                self.ops.push(Op::Fixed(Vec::new()));
+                self.ops.push(Op::Scan(table));
                 table.len() as f64
             }
             PlanNode::Filter { input, pred } => {
@@ -119,32 +184,51 @@ impl<'p> PhysicalPlan<'p> {
                 self.ops.push(Op::Filter(Filter { pred, first_leaf, plan, planning }));
                 survivors
             }
-            PlanNode::Join { input, right, .. } => {
+            PlanNode::Join { input, right, left_col, right_col } => {
                 let outer = self.walk(trk, model, input, leaves)?;
                 let inner = self.walk(trk, model, right, leaves)?;
-                let (_, Some(dim)) = base_tables(node)? else {
+                let (lt, Some(rt)) = base_tables(node)? else {
                     unreachable!("a join has two sides")
                 };
                 let (o, i) = (outer.round() as usize, inner.round() as usize);
-                self.ops.push(Op::Fixed(vec![OpShape::Join { outer: o, inner: i }]));
+                // The algorithm and radix bits follow the inner side: the
+                // cache residency of the build side is what the paper's
+                // strategies key on.
+                let (plan, _) = plan_join(&self.opts.machine, i);
+                self.ops.push(Op::Join(Join {
+                    left_col,
+                    right_col,
+                    left: lt.bat(left_col)?,
+                    right: rt.bat(right_col)?,
+                    plan,
+                    canonical: true,
+                    outer: o,
+                    inner: i,
+                }));
                 // Each outer row meets its one partner among the dimension's
                 // rows, which survive the inner side's filters.
-                outer * inner / dim.len().max(1) as f64
+                outer * inner / rt.len().max(1) as f64
             }
             PlanNode::GroupAgg { input, key, aggs } => {
                 let rows = self.walk(trk, model, input, leaves)?;
                 let (lt, rt) = base_tables(input)?;
                 let sinks = agg_sinks(|col| input_of(lt, rt, col), aggs)?;
+                let key = match key {
+                    Some(k) => Some((k.as_str(), input_of(lt, rt, k)?)),
+                    None => None,
+                };
                 // An unrestricted scan is folded where it lies.
                 let gathered = match **input {
                     PlanNode::Scan { .. } => 0,
                     _ => gathers(&sinks, key.is_some()),
                 };
-                let n = rows.round() as usize;
-                let mut shapes = vec![OpShape::Gather { rows: n }; gathered];
-                let grouped = key.is_some();
-                shapes.push(OpShape::Aggregate { rows: n, columns: sinks.len(), grouped });
-                self.ops.push(Op::Fixed(shapes));
+                // The fold observes no row order: a join it consumes passes
+                // its index on in the cluster order it produced.
+                if let Some(Op::Join(join)) = self.ops.last_mut() {
+                    join.canonical = false;
+                }
+                let rows_est = rows.round() as usize;
+                self.ops.push(Op::Fold(Fold { key, aggs, sinks, gathered, rows: rows_est }));
                 rows
             }
         })
@@ -156,22 +240,18 @@ impl<'p> PhysicalPlan<'p> {
         &self.requests
     }
 
-    /// The planned filters, in execution order.
-    pub(crate) fn filters(&self) -> impl Iterator<Item = &Filter<'p>> + '_ {
-        self.ops.iter().filter_map(|op| match op {
-            Op::Filter(f) => Some(f),
-            Op::Fixed(_) => None,
+    /// The join's algorithm, radix bits and pass layout, if the plan joins.
+    pub fn join_plan(&self) -> Option<&JoinPlan> {
+        self.ops.iter().find_map(|op| match op {
+            Op::Join(j) => Some(&j.plan),
+            _ => None,
         })
     }
 
     /// Each operator's shapes at the planner's cardinalities: what the
     /// report's [`crate::exec::OpReport::shapes`] holds after the run.
     pub fn shapes(&self) -> Vec<Vec<OpShape>> {
-        let shapes = |op: &Op<'_>| match op {
-            Op::Fixed(shapes) => shapes.clone(),
-            Op::Filter(f) => f.plan.shapes(),
-        };
-        self.ops.iter().map(shapes).collect()
+        self.ops.iter().map(Op::shapes).collect()
     }
 
     /// The whole-query quote on the plan's machine: every shape, plus each
@@ -183,12 +263,9 @@ impl<'p> PhysicalPlan<'p> {
     pub fn quote(&self, covered: impl Fn(usize) -> Option<usize>) -> QueryQuote {
         let (mut shapes, mut probe_ns, mut probes) = (Vec::new(), 0.0, 0);
         for op in &self.ops {
-            let f = match op {
-                Op::Fixed(fixed) => {
-                    shapes.extend_from_slice(fixed);
-                    continue;
-                }
-                Op::Filter(f) => f,
+            let Op::Filter(f) = op else {
+                shapes.extend(op.shapes());
+                continue;
             };
             for (i, (select, ms)) in f.plan.priced().enumerate() {
                 let leaf = f.first_leaf + i;
@@ -336,7 +413,11 @@ mod tests {
             .build()
             .unwrap();
         let physical = plan_of(&plan);
-        let order = physical.filters().next().unwrap().plan.order().unwrap().to_vec();
+        let order = physical.ops.iter().find_map(|op| match op {
+            Op::Filter(f) => f.plan.order(),
+            _ => None,
+        });
+        let order = order.unwrap().to_vec();
         let restricted: Vec<bool> = physical.requests().iter().map(|r| r.restricted).collect();
         assert_eq!(order, [1, 0]);
         assert_eq!(restricted, [true, false]);

@@ -7,11 +7,12 @@
 //! latency profile — a replica on remote or contended memory is the same
 //! data behind a slower memory hierarchy
 //! ([`memsim::profiles::with_latency_scale`]). Because every shard plan is
-//! an ordinary [`engine::plan::LogicalPlan`], [`crate::quote_plan`] prices
-//! its physical plan *per copy*, and the placer routes each task to the
-//! copy with the earliest model-predicted completion — steering work
-//! around the hot shard's queue instead of blindly alternating
-//! ([`PlacePolicy`]).
+//! an ordinary [`engine::plan::LogicalPlan`], the placer plans it *per
+//! copy* ([`engine::physical::plan`] on the copy's machine), quotes each
+//! physical plan, and routes each task to the copy with the earliest
+//! model-predicted completion — steering work around the hot shard's queue
+//! instead of blindly alternating ([`PlacePolicy`]). The task then runs the
+//! physical plan it was placed with.
 //!
 //! Placement is accounted on a **virtual-time ledger**: each copy keeps a
 //! `busy_until` clock advanced by the model quote of every task placed on
@@ -19,9 +20,10 @@
 //! plus the merge. The ledger is deterministic — policy comparisons (the
 //! `repro shard` figure) are exact re-runs, not wall-clock races. The
 //! *real* execution runs under the service's thread-lease discipline: each
-//! task submits its quote to the same [`Scheduler`] state machine the
-//! query service uses, and the pool-side high-water mark witnesses that
-//! the sum of leases never exceeded the budget.
+//! task submits its quote, and a request for the one thread it runs on, to
+//! the same [`Scheduler`] state machine the query service uses, and the
+//! pool-side high-water mark witnesses that the sum of leases never
+//! exceeded the budget.
 //!
 //! Each copy also owns a [`DriftMonitor`]: with [`ShardCluster::with_sim_drift`]
 //! on, tasks run under the copy's simulated memory system and every
@@ -32,16 +34,18 @@
 use std::collections::VecDeque;
 
 use costmodel::quote::{quote_ops, QueryQuote};
-use engine::dist::{execute_shard, lower, merge, ShardPartial};
+use engine::dist::{lower, merge, run_shard, ShardPartial};
 use engine::exec::{ExecOptions, Executed};
+use engine::physical::{self, PhysicalPlan};
 use engine::plan::LogicalPlan;
+use engine::EngineError;
 use memsim::profiles::with_latency_scale;
 use memsim::{MachineConfig, MemorySystem, NullTracker, SimTracker};
 use monet_core::shard::ShardedTable;
 use obs::{DriftMonitor, DriftReport};
 
 use crate::sched::{Admission, Grant, Scheduler};
-use crate::{quote_plan, ServiceConfig, ServiceError};
+use crate::{ServiceConfig, ServiceError};
 
 /// How the cluster picks a copy for each shard task.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -106,9 +110,8 @@ pub struct ShardCluster<'a> {
     policy: PlacePolicy,
     sched: Scheduler,
     /// The executor policy on the primary's machine: the default one
-    /// [`crate::quote_plan`] places under, so every shard task runs the
-    /// plan its copy was quoted for ([`Self::on`] swaps in a copy's
-    /// machine).
+    /// [`crate::quote_plan`] prices under, one thread per operator
+    /// ([`Self::on`] swaps in a copy's machine).
     exec: ExecOptions,
     drift_band: f64,
     sim_drift: bool,
@@ -189,14 +192,15 @@ impl<'a> ShardCluster<'a> {
         let arrival = self.clock_ns;
 
         // Place every task on a copy and advance the virtual ledger. Each
-        // (shard plan, candidate copy) is quoted once; the chosen copy's
-        // quote is both the ledger cost and the thread-lease request.
+        // (shard plan, candidate copy) is planned and quoted once; the
+        // chosen copy's quote is the ledger cost and the lease's priority,
+        // and its physical plan is what the task runs.
         let mut placements = Vec::with_capacity(self.shards);
-        let mut quotes = Vec::with_capacity(self.shards);
+        let mut planned = Vec::with_capacity(self.shards);
         let mut slowest_ns = arrival;
         self.rr_cursor = self.rr_cursor.wrapping_add(1);
         for s in 0..self.shards {
-            let (choice, quote) = self.place(&lowered.plans[s], s, arrival);
+            let (choice, physical, quote) = self.place(&lowered.plans[s], s, arrival)?;
             let copy = &mut self.copies[choice];
             let start = copy.busy_until_ns.max(arrival);
             copy.busy_until_ns = start + quote.seq_ns;
@@ -204,17 +208,18 @@ impl<'a> ShardCluster<'a> {
             copy.busy_ns += quote.seq_ns;
             slowest_ns = slowest_ns.max(copy.busy_until_ns);
             placements.push(copy.id);
-            quotes.push(quote);
+            planned.push((choice, Some(physical), quote));
         }
 
         // Real execution under the thread-lease budget: submit every task's
-        // quote, run grants as they come, release as tasks finish.
+        // quote, run grants as they come, release as tasks finish. A task
+        // runs on one thread (the cluster's policy is `Threads::Fixed(1)`),
+        // so it leases one.
         let mut run_queue: VecDeque<(usize, Grant)> = VecDeque::new();
         let mut queued: Vec<(u64, usize)> = Vec::new();
         let mut failed = None;
-        for (s, quote) in quotes.iter().enumerate() {
-            let desired = quote.best_threads(&self.exec.machine, self.sched.budget()).threads;
-            match self.sched.submit(quote.seq_ns, desired) {
+        for (s, (_, _, quote)) in planned.iter().enumerate() {
+            match self.sched.submit(quote.seq_ns, 1) {
                 Admission::Run(g) => run_queue.push_back((s, g)),
                 Admission::Queued(id) => queued.push((id, s)),
                 Admission::Rejected => {
@@ -227,18 +232,15 @@ impl<'a> ShardCluster<'a> {
         while let Some((s, grant)) = run_queue.pop_front() {
             // Once a task failed, the rest only hand their leases back.
             if failed.is_none() {
-                let copy_idx = self
-                    .copies
-                    .iter()
-                    .position(|c| c.id == placements[s])
-                    .expect("placement refers to a copy");
-                let opts = self.on(self.copies[copy_idx].machine).with_thread_cap(grant.threads);
+                let (copy_idx, physical, _) = &mut planned[s];
+                let physical =
+                    physical.take().expect("each task runs once").with_thread_cap(grant.threads);
+                let copy = &mut self.copies[*copy_idx];
                 let partial = if self.sim_drift {
-                    let mut trk = SimTracker::new(MemorySystem::new(self.copies[copy_idx].machine));
-                    execute_shard(&mut trk, &lowered, s, &opts)
-                        .inspect(|p| record_drift(&mut self.copies[copy_idx], p))
+                    let mut trk = SimTracker::new(MemorySystem::new(copy.machine));
+                    run_shard(&mut trk, &lowered, s, &physical).inspect(|p| record_drift(copy, p))
                 } else {
-                    execute_shard(&mut NullTracker, &lowered, s, &opts)
+                    run_shard(&mut NullTracker, &lowered, s, &physical)
                 };
                 match partial {
                     Ok(p) => partials[s] = Some(p),
@@ -287,9 +289,19 @@ impl<'a> ShardCluster<'a> {
     }
 
     /// Pick the copy for shard `s` by policy: an index into `self.copies`,
-    /// and the quote of the plan's physical plan on that copy's machine.
-    fn place(&self, plan: &LogicalPlan<'_>, s: usize, arrival: f64) -> (usize, QueryQuote) {
-        let quote = |i: usize| quote_plan(&self.copies[i].machine, plan);
+    /// and the plan's physical plan on that copy's machine with its quote.
+    fn place<'p>(
+        &self,
+        plan: &'p LogicalPlan<'_>,
+        s: usize,
+        arrival: f64,
+    ) -> Result<(usize, PhysicalPlan<'p>, QueryQuote), EngineError> {
+        let planned = |i: usize| {
+            let physical =
+                physical::plan(&mut NullTracker, plan, &self.on(self.copies[i].machine))?;
+            let quote = physical.quote(|_| None);
+            Ok((i, physical, quote))
+        };
         let candidates: Vec<usize> = self
             .copies
             .iter()
@@ -298,19 +310,17 @@ impl<'a> ShardCluster<'a> {
             .map(|(i, _)| i)
             .collect();
         match self.policy {
-            PlacePolicy::RoundRobin => {
-                let i = candidates[self.rr_cursor % candidates.len()];
-                (i, quote(i))
-            }
+            PlacePolicy::RoundRobin => planned(candidates[self.rr_cursor % candidates.len()]),
             PlacePolicy::CostPlaced => {
-                let done = |(i, q): &(usize, QueryQuote)| {
+                let done = |(i, _, q): &(usize, PhysicalPlan<'_>, QueryQuote)| {
                     self.copies[*i].busy_until_ns.max(arrival) + q.seq_ns
                 };
-                candidates
+                let planned: Vec<_> =
+                    candidates.into_iter().map(planned).collect::<Result<_, _>>()?;
+                Ok(planned
                     .into_iter()
-                    .map(|i| (i, quote(i)))
                     .min_by(|a, b| done(a).total_cmp(&done(b)))
-                    .expect("every shard has a primary copy")
+                    .expect("every shard has a primary copy"))
             }
         }
     }

@@ -1,18 +1,19 @@
 //! Service metrics: admission counters, latency percentiles, per-session
 //! accounting.
 
-/// Summary statistics over a set of millisecond samples.
+/// Summary statistics over a set of millisecond samples, read off an
+/// [`obs::LogHistogram`].
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct LatencySummary {
     /// Number of samples.
     pub count: usize,
     /// Arithmetic mean (0 when empty).
     pub mean_ms: f64,
-    /// Median (nearest-rank).
+    /// Median (within [`obs::LogHistogram::REL_ERROR`]).
     pub p50_ms: f64,
-    /// 95th percentile (nearest-rank).
+    /// 95th percentile (within the same error).
     pub p95_ms: f64,
-    /// 99th percentile (nearest-rank).
+    /// 99th percentile (within the same error).
     pub p99_ms: f64,
     /// Largest sample.
     pub max_ms: f64,
@@ -27,31 +28,6 @@ impl From<obs::HistSummary> for LatencySummary {
             p95_ms: h.p95,
             p99_ms: h.p99,
             max_ms: h.max,
-        }
-    }
-}
-
-impl LatencySummary {
-    /// Summarize `samples` (order irrelevant; empty yields all zeros).
-    pub fn of(samples: &[f64]) -> Self {
-        if samples.is_empty() {
-            return Self::default();
-        }
-        let mut sorted = samples.to_vec();
-        sorted.sort_by(f64::total_cmp);
-        let rank = |p: f64| -> f64 {
-            // Nearest-rank percentile: the smallest sample with at least
-            // p% of the distribution at or below it.
-            let idx = ((p / 100.0 * sorted.len() as f64).ceil() as usize).max(1) - 1;
-            sorted[idx.min(sorted.len() - 1)]
-        };
-        Self {
-            count: sorted.len(),
-            mean_ms: sorted.iter().sum::<f64>() / sorted.len() as f64,
-            p50_ms: rank(50.0),
-            p95_ms: rank(95.0),
-            p99_ms: rank(99.0),
-            max_ms: *sorted.last().expect("non-empty"),
         }
     }
 }
@@ -174,11 +150,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn empty_summary_is_zero() {
-        assert_eq!(LatencySummary::of(&[]), LatencySummary::default());
-    }
-
-    #[test]
     fn latency_summary_converts_from_histogram_summaries() {
         let mut h = obs::LogHistogram::new();
         for v in [1.0, 2.0, 4.0] {
@@ -188,20 +159,5 @@ mod tests {
         assert_eq!(s.count, 3);
         assert_eq!(s.max_ms, 4.0);
         assert!((s.mean_ms - 7.0 / 3.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn percentiles_are_nearest_rank() {
-        let samples: Vec<f64> = (1..=100).map(|i| i as f64).collect();
-        let s = LatencySummary::of(&samples);
-        assert_eq!(s.count, 100);
-        assert_eq!(s.p50_ms, 50.0);
-        assert_eq!(s.p95_ms, 95.0);
-        assert_eq!(s.p99_ms, 99.0);
-        assert_eq!(s.max_ms, 100.0);
-        assert!((s.mean_ms - 50.5).abs() < 1e-12);
-        // A single sample is every percentile.
-        let one = LatencySummary::of(&[7.0]);
-        assert_eq!((one.p50_ms, one.p95_ms, one.p99_ms, one.max_ms), (7.0, 7.0, 7.0, 7.0));
     }
 }

@@ -13,8 +13,8 @@
 //! * **a plan** — a filter tree of `i32`, `f64` and string leaves (ranges,
 //!   points, inverted ranges, dictionary misses), an optional join, and
 //!   bare, scalar or grouped aggregates, `f64` sums included;
-//! * **a configuration** — `execute` under [`ExecOptions`] (planner, access
-//!   path, compression, pushdown, thread count, thread cap) with a native
+//! * **a configuration** — `execute` under [`ExecOptions`] (access path,
+//!   compression, pushdown, thread count, thread cap) with a native
 //!   or a simulating tracker; `execute_sharded` at 1, 2, 4 or 7 shards of
 //!   both tables co-partitioned on the join key; or two concurrent
 //!   sessions of a [`QueryService`] under a [`ServiceConfig`] (shared scans,
@@ -401,7 +401,7 @@ fn plan<'a>(
 pub fn exec_options(l: &mut Lattice) -> ExecOptions {
     ExecOptions {
         machine: profiles::origin2000(),
-        planner: l.draw("planner", &[Planner::CostModel, Planner::Heuristic]),
+        planner: Planner::CostModel,
         threads: l.draw(
             "threads",
             &[
@@ -440,8 +440,7 @@ pub fn sweep<T: Copy>(
 /// The fields of executor options that vary, for failure messages.
 fn describe(o: &ExecOptions) -> String {
     format!(
-        "{:?} {:?} access={} compress={} pushdown={} cap={:?}",
-        o.planner,
+        "{:?} access={} compress={} pushdown={} cap={:?}",
         o.threads,
         o.access.name(),
         o.compress.name(),

@@ -15,7 +15,7 @@ use lattice::Lattice;
 const CASES: usize = if cfg!(debug_assertions) { 256 } else { 2048 };
 
 /// Every axis the lattice draws.
-const AXES: [&str; 25] = [
+const AXES: [&str; 24] = [
     "rows",
     "seqbase",
     "qty shape",
@@ -28,7 +28,6 @@ const AXES: [&str; 25] = [
     "join",
     "aggregate",
     "path",
-    "planner",
     "access",
     "compress",
     "pushdown",

@@ -4,7 +4,7 @@
 //! whose bits must be the correctly rounded sums whatever the row chunks,
 //! join indexes, whose pair order must not move,
 //! and Zipf-skewed keys, which make chunk and cluster sizes maximally
-//! uneven — and two fixed anchors: a join the heuristic planner partitions,
+//! uneven — and two fixed anchors: a join the cost model partitions,
 //! so `execute` routes it through the parallel radix kernels and says so in
 //! its report, and the model-chosen thread counts of `Threads::Auto` on a
 //! real Item workload.
@@ -83,22 +83,23 @@ fn run_at(plan: &monet_mem::engine::plan::LogicalPlan<'_>, threads: Threads) -> 
 
 #[test]
 fn partitioned_parallel_join_through_the_executor() {
-    // Inner side too big for L1: the heuristic planner picks a *partitioned*
-    // plan, so execute() routes through the parallel radix kernels (small
-    // inners get simple hash, which parallelism leaves sequential).
-    let lkeys: Vec<i32> = (0..20_000).map(|i| (i * 7) % 9000).collect();
-    let rkeys: Vec<i32> = (0..6_000).map(|i| (i * 13) % 9000).collect();
+    // An inner side the cost model partitions on the Origin2000, so
+    // execute() routes through the parallel radix kernels (small inners
+    // get simple hash, which parallelism leaves sequential).
+    let lkeys: Vec<i32> = (0..20_000).map(|i| (i * 7) % 15_000).collect();
+    let rkeys: Vec<i32> = (0..12_000).map(|i| (i * 13) % 15_000).collect();
     let lt = key_table("l", &lkeys, 0);
     let rt = key_table("r", &rkeys, 100_000);
     let plan = Query::scan(&lt).join(&rt, ("l_k", "r_k")).build().unwrap();
     let expect = reference::evaluate(&plan);
-    let machine = monet_mem::memsim::profiles::origin2000();
     for n in THREADS {
-        let opts = ExecOptions::heuristic(machine).with_threads(Threads::Fixed(n));
+        let opts = ExecOptions::default().with_threads(Threads::Fixed(n));
         let got = execute(&mut NullTracker, &plan, &opts).unwrap();
         assert!(got.output.bitwise_eq(&expect), "threads={n}");
         let jop = got.report.ops.iter().find(|o| o.op.starts_with("join")).unwrap();
-        assert!(jop.detail.contains("PartitionedHash"), "{}", jop.detail);
+        let bits = jop.detail.split_once("B=").and_then(|(_, rest)| rest.split(' ').next());
+        let bits: Option<u32> = bits.and_then(|b| b.parse().ok());
+        assert!(matches!(bits, Some(b) if b > 0), "partitioned: {}", jop.detail);
         if n > 1 {
             assert!(jop.detail.contains(&format!("threads={n}")), "{}", jop.detail);
         }

@@ -136,25 +136,20 @@ proptest! {
         let lt = key_table(&lkeys, 0);
         let rt = key_table(&rkeys, 10_000);
 
-        for opts in [
-            ExecOptions::default(),                         // cost model
-            ExecOptions::heuristic(profiles::origin2000()), // cache heuristics
-        ] {
-            let plan = Query::scan(&lt).join(&rt, ("k", "k")).build().unwrap();
-            let executed = execute(&mut NullTracker, &plan, &opts).unwrap();
-            let QueryOutput::JoinIndex(got) = executed.output else { panic!("join index") };
+        let plan = Query::scan(&lt).join(&rt, ("k", "k")).build().unwrap();
+        let executed = execute(&mut NullTracker, &plan, &ExecOptions::default()).unwrap();
+        let QueryOutput::JoinIndex(got) = executed.output else { panic!("join index") };
 
-            // Oracle: nested loop over the same [OID, key] tuples.
-            let lb: Vec<Bun> =
-                lkeys.iter().enumerate().map(|(i, &k)| Bun::new(i as u32, k as u32)).collect();
-            let rb: Vec<Bun> = rkeys
-                .iter()
-                .enumerate()
-                .map(|(i, &k)| Bun::new(10_000 + i as u32, k as u32))
-                .collect();
-            let expect = sort_pairs(nested_loop_join(&mut NullTracker, &lb, &rb));
-            prop_assert_eq!(sort_pairs(got), expect);
-        }
+        // Oracle: nested loop over the same [OID, key] tuples.
+        let lb: Vec<Bun> =
+            lkeys.iter().enumerate().map(|(i, &k)| Bun::new(i as u32, k as u32)).collect();
+        let rb: Vec<Bun> = rkeys
+            .iter()
+            .enumerate()
+            .map(|(i, &k)| Bun::new(10_000 + i as u32, k as u32))
+            .collect();
+        let expect = sort_pairs(nested_loop_join(&mut NullTracker, &lb, &rb));
+        prop_assert_eq!(sort_pairs(got), expect);
     }
 
     #[test]
@@ -201,9 +196,8 @@ proptest! {
     }
 }
 
-/// Dimension rows from which both planners partition the join on the
-/// Origin2000: the cost model radix-joins and the heuristic runs a
-/// partitioned hash-join.
+/// Dimension rows from which the cost model partitions the join on the
+/// Origin2000.
 const BIG_DIM: usize = 10_000;
 
 /// The join operator of `executed` and the radix bits it ran with, read off
@@ -278,24 +272,22 @@ proptest! {
         for (query, observes) in consumers {
             let plan = query.build().unwrap();
             let expect = reference::evaluate(&plan);
-            for base in [ExecOptions::default(), ExecOptions::heuristic(profiles::origin2000())] {
-                for threads in [1usize, 2, 3, 7] {
-                    let opts = base.with_threads(Threads::Fixed(threads));
-                    let got = execute(&mut NullTracker, &plan, &opts).unwrap();
-                    let (join, bits) = join_op(&got);
-                    let at = format!(
-                        "unique={unique} threads={threads} {}\n{}",
-                        join.detail,
-                        plan.explain()
-                    );
-                    prop_assert!(matches!(bits, Some(b) if b > 0), "partitioned: {at}");
-                    prop_assert_eq!(join.cluster_order, !observes, "{}", at);
-                    prop_assert!(
-                        got.output.bitwise_eq(&expect),
-                        "{at}:\n{:?}\nvs\n{expect:?}",
-                        got.output
-                    );
-                }
+            for threads in [1usize, 2, 3, 7] {
+                let opts = ExecOptions::default().with_threads(Threads::Fixed(threads));
+                let got = execute(&mut NullTracker, &plan, &opts).unwrap();
+                let (join, bits) = join_op(&got);
+                let at = format!(
+                    "unique={unique} threads={threads} {}\n{}",
+                    join.detail,
+                    plan.explain()
+                );
+                prop_assert!(matches!(bits, Some(b) if b > 0), "partitioned: {at}");
+                prop_assert_eq!(join.cluster_order, !observes, "{}", at);
+                prop_assert!(
+                    got.output.bitwise_eq(&expect),
+                    "{at}:\n{:?}\nvs\n{expect:?}",
+                    got.output
+                );
             }
         }
     }
