@@ -119,7 +119,7 @@ pub enum Algorithm {
 }
 
 /// Named strategies of §3.4.4 (plus the baselines), used by the figure
-/// harness and the planner.
+/// harness.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Strategy {
     /// `phash L2`.
@@ -186,38 +186,6 @@ impl Strategy {
             Strategy::SortMerge => (Algorithm::SortMerge, 0),
         };
         JoinPlan { algorithm, bits, pass_bits: plan_passes(bits, m.tlb.entries) }
-    }
-}
-
-/// Cache-heuristic auto-planner (no cost model): if the inner relation plus
-/// hash table fits L1, nothing beats a simple hash join; otherwise use the
-/// paper's empirically best partitioned hash-join (`phash min`), except at
-/// very large cardinalities where `radix min`'s stability wins ("it
-/// therefore is only a winner on the large cardinalities", §3.4.4).
-/// `costmodel::plan` refines this with the analytical model.
-pub fn heuristic_plan(inner_cardinality: usize, m: &MachineConfig) -> JoinPlan {
-    let inner_bytes = inner_cardinality * PHASH_BYTES_PER_TUPLE;
-    let l1 = m.l1.map_or(m.l2.capacity, |c| c.capacity);
-    if inner_bytes <= l1 {
-        return JoinPlan { algorithm: Algorithm::SimpleHash, bits: 0, pass_bits: vec![] };
-    }
-    // "Large" = clustering would need more passes than phash min can amortize;
-    // the paper's Fig. 13 crossover sits around 4M–16M tuples on the
-    // Origin2000. Expressed machine-independently: radix wins once the
-    // relation exceeds ~1000x the TLB span.
-    if inner_bytes > 1000 * m.tlb_span() {
-        let bits = bits_radix_min(inner_cardinality);
-        return JoinPlan {
-            algorithm: Algorithm::Radix,
-            bits,
-            pass_bits: plan_passes(bits, m.tlb.entries),
-        };
-    }
-    let bits = bits_phash_min(inner_cardinality);
-    JoinPlan {
-        algorithm: Algorithm::PartitionedHash,
-        bits,
-        pass_bits: plan_passes(bits, m.tlb.entries),
     }
 }
 
@@ -295,20 +263,6 @@ mod tests {
         let s = Strategy::SimpleHash.plan(8_000_000, &m);
         assert_eq!(s.bits, 0);
         assert!(s.pass_bits.is_empty());
-    }
-
-    #[test]
-    fn heuristic_planner_tiers() {
-        let m = profiles::origin2000();
-        // Tiny: fits L1 ⇒ simple hash.
-        assert_eq!(heuristic_plan(1_000, &m).algorithm, Algorithm::SimpleHash);
-        // Medium: phash min.
-        let mid = heuristic_plan(1_000_000, &m);
-        assert_eq!(mid.algorithm, Algorithm::PartitionedHash);
-        assert!(mid.bits > 0);
-        // Huge: radix min.
-        let big = heuristic_plan(100_000_000, &m);
-        assert_eq!(big.algorithm, Algorithm::Radix);
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! optimization over the *model* instead of experimental data, which is what
 //! a query optimizer would ship.
 
-use monet_core::strategy::{plan_passes, Algorithm, JoinPlan, Strategy};
+use monet_core::strategy::{plan_passes, Algorithm, JoinPlan};
 
 use crate::cluster::cluster_cost;
 use crate::machine::{ModelCost, ModelMachine};
@@ -62,19 +62,6 @@ pub fn plan_cost(m: &ModelMachine, plan: &JoinPlan, c: f64) -> ModelCost {
     }
 }
 
-/// Evaluate one of the paper's named strategies at cardinality `c` on the
-/// machine `cfg` (needed to resolve the strategy's bit formula).
-pub fn strategy_cost(
-    m: &ModelMachine,
-    cfg: &memsim::MachineConfig,
-    strategy: Strategy,
-    c: usize,
-) -> (JoinPlan, ModelCost) {
-    let plan = strategy.plan(c, cfg);
-    let cost = plan_cost(m, &plan, c as f64);
-    (plan, cost)
-}
-
 /// The model-optimal plan: exhaustive search over algorithm and `B`
 /// (with TLB-limited even pass splits), i.e. the "best" line of Figure 12.
 pub fn best_plan(m: &ModelMachine, cfg: &memsim::MachineConfig, c: usize) -> (JoinPlan, ModelCost) {
@@ -112,10 +99,12 @@ pub fn best_plan(m: &ModelMachine, cfg: &memsim::MachineConfig, c: usize) -> (Jo
 /// Executor-facing planner entry point: the model-optimal plan for joining
 /// two relations of `cardinality` tuples each on machine `cfg`.
 ///
-/// This is the seam `engine::exec` calls so that physical join choice lives
-/// in the cost model rather than at call sites. It builds the
-/// implementation-matched [`ModelMachine`] (our clustering re-reads its input
-/// for the histogram pass) and runs the exhaustive [`best_plan`] search.
+/// This is the seam `engine::physical` calls so that physical join choice
+/// lives in the cost model rather than at call sites; the chosen plan then
+/// travels with the join and is priced as it stands
+/// ([`crate::quote::OpShape::Join`]). It builds the implementation-matched
+/// [`ModelMachine`] (our clustering re-reads its input for the histogram
+/// pass) and runs the exhaustive [`best_plan`] search.
 pub fn plan_join(cfg: &memsim::MachineConfig, cardinality: usize) -> (JoinPlan, ModelCost) {
     let m = ModelMachine::with_params(cfg, crate::machine::ModelParams::implementation_matched());
     best_plan(&m, cfg, cardinality.max(1))
@@ -125,6 +114,7 @@ pub fn plan_join(cfg: &memsim::MachineConfig, cardinality: usize) -> (JoinPlan, 
 mod tests {
     use super::*;
     use memsim::profiles;
+    use monet_core::strategy::Strategy;
 
     fn setup() -> (ModelMachine, memsim::MachineConfig) {
         let cfg = profiles::origin2000();
@@ -139,11 +129,10 @@ mod tests {
         for c in [250_000usize, 1_000_000, 8_000_000] {
             let simple = simple_hash_total(&m, c as f64).total_ms();
             let smerge = sort_merge_total(&m, c as f64).total_ms();
-            let (_, pmin) = strategy_cost(&m, &cfg, Strategy::PhashMin, c);
+            let pmin = plan_cost(&m, &Strategy::PhashMin.plan(c, &cfg), c as f64).total_ms();
             assert!(
-                pmin.total_ms() < simple && pmin.total_ms() < smerge,
-                "C={c}: phash min {} vs simple {simple} / sort-merge {smerge}",
-                pmin.total_ms()
+                pmin < simple && pmin < smerge,
+                "C={c}: phash min {pmin} vs simple {simple} / sort-merge {smerge}"
             );
         }
     }
@@ -155,7 +144,7 @@ mod tests {
         let (m, cfg) = setup();
         let c = 2_000; // 24 KB inner + table: fits L1
         let simple = simple_hash_total(&m, c as f64).total_ms();
-        let (_, pl1) = strategy_cost(&m, &cfg, Strategy::PhashL1, c);
+        let pl1 = plan_cost(&m, &Strategy::PhashL1.plan(c, &cfg), c as f64);
         assert!(simple <= pl1.total_ms() * 1.05);
         let (best, _) = best_plan(&m, &cfg, c);
         assert_eq!(best.algorithm, Algorithm::SimpleHash);
@@ -167,7 +156,7 @@ mod tests {
         // improvement over [SKN94]); phash min is the per-algorithm best.
         let (m, cfg) = setup();
         let c = 8_000_000;
-        let t = |s: Strategy| strategy_cost(&m, &cfg, s, c).1.total_ms();
+        let t = |s: Strategy| plan_cost(&m, &s.plan(c, &cfg), c as f64).total_ms();
         assert!(t(Strategy::PhashTlb) < t(Strategy::PhashL2));
         assert!(t(Strategy::PhashMin) <= t(Strategy::PhashTlb));
         // The paper's measured data puts phash min marginally below phash
@@ -190,9 +179,9 @@ mod tests {
             assert!(plan.bits > 0);
             // The chosen plan can't be worse than any named strategy.
             for s in Strategy::ALL {
-                let (_, sc) = strategy_cost(&m, &cfg, s, c);
                 assert!(
-                    cost.total_ns() <= sc.total_ns() * 1.0001,
+                    cost.total_ns()
+                        <= plan_cost(&m, &s.plan(c, &cfg), c as f64).total_ns() * 1.0001,
                     "best worse than {} at C={c}",
                     s.name()
                 );

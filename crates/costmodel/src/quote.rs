@@ -15,9 +15,11 @@
 //!   survivors, or riding a cooperative pass — is one [`Select`] priced by
 //!   the §2 stride formula ([`crate::scan::select_cost`]); gathers are
 //!   8-byte stride scans ([`crate::scan::scan_cost`]);
-//! * joins are priced by the Figure 12 search ([`crate::plan::best_plan`]),
-//!   at the larger operand cardinality (the same convention the executor's
-//!   report uses);
+//! * a join carries the algorithm and radix bits its plan chose (the
+//!   Figure 12 search ran once, in the planner) and is priced as exactly
+//!   that plan ([`crate::plan::plan_cost`]) at the larger operand
+//!   cardinality — the one join price of the quote, the executor's report
+//!   and the drift ledger;
 //! * grouped aggregation is one streaming pass over the keys plus one per
 //!   aggregated column.
 //!
@@ -28,9 +30,10 @@
 //! and a fold is quoted with the gathers it will make.
 
 use memsim::MachineConfig;
+use monet_core::strategy::{plan_passes, Algorithm, JoinPlan};
 
 use crate::parallel::{ParPlan, ParallelModel};
-use crate::plan::{best_plan, plan_cost};
+use crate::plan::plan_cost;
 use crate::scan::{misses_per_iter, scan_cost, select_cost, Select};
 use crate::{ModelCost, ModelMachine, ModelParams};
 
@@ -43,12 +46,18 @@ pub enum OpShape {
     /// row or only the survivors of earlier leaves, and runs its own pass or
     /// rides someone else's.
     Select(Select),
-    /// An equi-join of `outer` against `inner` tuples.
+    /// An equi-join of `outer` against `inner` tuples by the planned
+    /// algorithm at `bits` radix bits (passes laid out by
+    /// [`plan_passes`]).
     Join {
         /// Outer (probe-side) cardinality.
         outer: usize,
         /// Inner (build-side) cardinality.
         inner: usize,
+        /// The planned join algorithm.
+        algorithm: Algorithm,
+        /// The planned radix bits `B` (0 for the unpartitioned algorithms).
+        bits: u32,
     },
     /// A (grouped) aggregation over `rows` tuples reading `columns` value
     /// columns plus the key column.
@@ -107,6 +116,11 @@ impl ShapeKind {
 }
 
 impl OpShape {
+    /// The join of `outer` against `inner` tuples by `plan`.
+    pub fn join(outer: usize, inner: usize, plan: &JoinPlan) -> Self {
+        OpShape::Join { outer, inner, algorithm: plan.algorithm, bits: plan.bits }
+    }
+
     /// This shape's [`ShapeKind`].
     pub fn kind(self) -> ShapeKind {
         match self {
@@ -122,7 +136,7 @@ impl OpShape {
     fn items(self) -> usize {
         match self {
             OpShape::Select(s) => s.items(),
-            OpShape::Join { outer, inner } => outer + inner,
+            OpShape::Join { outer, inner, .. } => outer + inner,
             OpShape::Aggregate { rows, .. } => rows,
             OpShape::Gather { rows } => rows,
             // The ordered interleave is inherently sequential — it exists
@@ -186,10 +200,12 @@ fn price_op(
         OpShape::Select(s) => {
             select_cost(scan_model, Select { rows: s.rows.max(1), ..s }).total_ns()
         }
-        OpShape::Join { outer, inner } => {
-            // Same convention as the executor: the plan follows the
-            // inner (build) side, the price follows the larger operand.
-            let (plan, _) = best_plan(join_model, cfg, inner.max(1));
+        OpShape::Join { outer, inner, algorithm, bits } => {
+            // The plan followed the inner (build) side; the model is
+            // symmetric in C, so the price follows the larger operand —
+            // otherwise an asymmetric join would be quoted at the
+            // dimension's size.
+            let plan = JoinPlan { algorithm, bits, pass_bits: plan_passes(bits, cfg.tlb.entries) };
             plan_cost(join_model, &plan, outer.max(inner).max(1) as f64).total_ns()
         }
         OpShape::Aggregate { rows, columns, grouped } => {
@@ -242,7 +258,9 @@ pub fn quote_ops(cfg: &MachineConfig, ops: &[OpShape]) -> QueryQuote {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::plan::plan_join;
     use memsim::profiles;
+    use monet_core::strategy::Strategy;
 
     #[test]
     fn empty_plan_quotes_zero() {
@@ -277,10 +295,29 @@ mod tests {
     #[test]
     fn join_shape_prices_the_larger_operand() {
         let cfg = profiles::origin2000();
+        let (plan, _) = plan_join(&cfg, 100);
         // Asymmetric join: quoting must not collapse to the tiny inner side.
-        let a = quote_ops(&cfg, &[OpShape::Join { outer: 1_000_000, inner: 100 }]);
-        let b = quote_ops(&cfg, &[OpShape::Join { outer: 100, inner: 100 }]);
+        let a = quote_ops(&cfg, &[OpShape::join(1_000_000, 100, &plan)]);
+        let b = quote_ops(&cfg, &[OpShape::join(100, 100, &plan)]);
         assert!(a.seq_ns > 100.0 * b.seq_ns, "{} vs {}", a.seq_ns, b.seq_ns);
+    }
+
+    #[test]
+    fn a_join_shape_quotes_the_plan_it_carries() {
+        // No search runs: each shape is priced as exactly its own plan, so
+        // a worse plan at the same cardinality quotes more.
+        let cfg = profiles::origin2000();
+        let c = 8_000_000;
+        let model = ModelMachine::with_params(&cfg, ModelParams::implementation_matched());
+        let (best, _) = plan_join(&cfg, c);
+        let simple = Strategy::SimpleHash.plan(c, &cfg);
+        assert_ne!(best.algorithm, simple.algorithm);
+        let [b, s] = [&best, &simple].map(|plan| {
+            let priced = op_costs_ns(&cfg, &[OpShape::join(c, c, plan)])[0];
+            assert_eq!(priced, plan_cost(&model, plan, c as f64).total_ns(), "{plan:?}");
+            priced
+        });
+        assert!(s > b, "simple hash {s} !> planned {best:?} {b}");
     }
 
     #[test]
@@ -314,7 +351,7 @@ mod tests {
         let cfg = profiles::origin2000();
         let ops = [
             OpShape::Select(Select::plain(100_000, 4)),
-            OpShape::Join { outer: 50_000, inner: 1_000 },
+            OpShape::join(50_000, 1_000, &plan_join(&cfg, 1_000).0),
             OpShape::Gather { rows: 25_000 },
             OpShape::Aggregate { rows: 25_000, columns: 2, grouped: true },
             OpShape::Select(Select { covered: Some(0), ..Select::packed(10_000, 3.0) }),

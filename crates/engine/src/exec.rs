@@ -60,11 +60,9 @@ use std::fmt;
 use std::sync::Arc;
 
 use costmodel::parallel::{algorithm_parallelizes, ParallelModel};
-use costmodel::plan::plan_cost;
-use costmodel::quote::OpShape;
+use costmodel::quote::{op_costs_ns, OpShape};
 use costmodel::scan::scan_cost;
 use costmodel::ModelMachine;
-use costmodel::ModelParams;
 use memsim::{EventCounters, MachineConfig, MemTracker};
 use monet_core::join::{canonicalize, OidPair};
 use monet_core::storage::{Bat, Column, DecomposedTable, Oid};
@@ -85,8 +83,9 @@ use crate::EngineError;
 /// field keep naming it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Planner {
-    /// Exhaustive search over the paper's analytical cost model
-    /// ([`costmodel::plan::best_plan`]) — what a query optimizer would ship.
+    /// The paper's analytical cost model: the physical plan's decisions,
+    /// the join's by one Figure 12 search ([`costmodel::plan::plan_join`])
+    /// — what a query optimizer would ship.
     CostModel,
 }
 
@@ -594,14 +593,11 @@ pub fn execute_with_scans<M: MemTracker>(
                 let right = (j.right, rc.as_deref().map(Vec::as_slice));
                 let rows = |(bat, cands): Operand<'_>| cands.map_or(bat.len(), <[Oid]>::len);
                 let (outer, inner) = (rows(left), rows(right));
-                // The planned algorithm on the actual rows: its price, and
-                // how many threads are worth forking for it. The model is
-                // symmetric in C, so the price is taken at the larger side —
-                // otherwise an asymmetric join would be quoted at the
-                // dimension's size.
-                let params = ModelParams::implementation_matched();
-                let model = ModelMachine::with_params(&opts.machine, params);
-                let seq_ns = plan_cost(&model, &j.plan, outer.max(inner).max(1) as f64).total_ns();
+                // The planned algorithm on the actual rows: its price (the
+                // quote's, at the larger side), and how many threads are
+                // worth forking for it.
+                let shape = OpShape::join(outer, inner, &j.plan);
+                let seq_ns = op_costs_ns(&opts.machine, &[shape])[0];
                 let (threads, speedup) = if algorithm_parallelizes(j.plan.algorithm) {
                     op_threads(opts, seq_ns, outer + inner)
                 } else {
@@ -633,7 +629,7 @@ pub fn execute_with_scans<M: MemTracker>(
                         if j.canonical { "" } else { "; index left in cluster order" }
                     ),
                     cluster_order: !j.canonical,
-                    shapes: vec![OpShape::Join { outer, inner }],
+                    shapes: vec![shape],
                     rows_per_thread: join_shards,
                     ..OpReport::default()
                 };
@@ -1105,9 +1101,10 @@ mod tests {
     }
 
     #[test]
-    fn asymmetric_join_is_priced_at_the_larger_cardinality() {
+    fn a_join_predicts_the_price_of_the_shape_it_reports() {
         // 5 fact rows against a 2-row dimension: the *plan* follows the tiny
-        // inner side (simple hash), but the quote must not be the 2x2 cost.
+        // inner side, and the predicted time is the one price of the shape
+        // the report carries — the plan that ran, at the actual rows.
         let t = item();
         let mut b = TableBuilder::new("dim", 0).column("q", ColType::I32);
         for q in [1, 2] {
@@ -1118,15 +1115,13 @@ mod tests {
         let r = execute(&mut NullTracker, &plan, &ExecOptions::default()).unwrap();
         let join_op = r.report.ops.iter().find(|o| o.op.starts_with("join")).unwrap();
 
-        let (jp, _) = costmodel::plan::plan_join(&memsim::profiles::origin2000(), 2);
-        let model = ModelMachine::with_params(
-            &memsim::profiles::origin2000(),
-            ModelParams::implementation_matched(),
-        );
-        let expect_ms = plan_cost(&model, &jp, 5.0).total_ms();
+        let machine = profiles::origin2000();
+        let (jp, _) = costmodel::plan::plan_join(&machine, 2);
+        assert_eq!(join_op.shapes, [OpShape::join(5, 2, &jp)]);
+        let expect_ms = op_costs_ns(&machine, &join_op.shapes)[0] / 1e6;
         assert!(
             join_op.detail.contains(&format!("predicted {expect_ms:.2} ms")),
-            "detail {:?} should price the outer side (expected {expect_ms:.2})",
+            "detail {:?} should predict its shape's price ({expect_ms:.2})",
             join_op.detail
         );
     }

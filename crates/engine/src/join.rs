@@ -1,9 +1,10 @@
 //! Joins of BATs: one [`monet_core::join::join`] over a [`JoinPlan`].
 //!
 //! Converts BAT operands into the 8-byte [`Bun`] arrays the radix family
-//! works on, picks (or accepts) a [`JoinPlan`], and hands both to the core
-//! `join` with a thread count, which clusters, joins the cluster pairs and
-//! returns the join index. Includes the §3.1 void fast path: joining an OID
+//! works on and hands them, with the caller's [`JoinPlan`] (the engine's
+//! comes from the cost model, in [`crate::physical`]), to the core `join`
+//! with a thread count, which clusters, joins the cluster pairs and returns
+//! the join index. Includes the §3.1 void fast path: joining an OID
 //! tail against a void head is pure positional lookup — no clustering, no
 //! hashing, no per-tuple search.
 //!
@@ -15,7 +16,7 @@
 use memsim::{track_read, MemTracker, Work};
 use monet_core::join::{self as kernels, Bun, FibHash, OidPair};
 use monet_core::storage::{Bat, Column, Head, Oid, StorageError};
-use monet_core::strategy::{heuristic_plan, JoinPlan};
+use monet_core::strategy::JoinPlan;
 
 use crate::aggregate::gather_with;
 use crate::reconstruct::reconstruct;
@@ -146,21 +147,10 @@ pub(crate) fn join_operands<M: MemTracker>(
     Ok(kernels::join(trk, FibHash, l, r, plan, threads))
 }
 
-/// Execute `left ⋈ right`, picking a plan with the cache heuristics of
-/// `monet_core::strategy` for the given machine.
-pub fn join_bats<M: MemTracker>(
-    trk: &mut M,
-    left: &Bat,
-    right: &Bat,
-    machine: &memsim::MachineConfig,
-) -> Result<JoinIndex, EngineError> {
-    let plan = heuristic_plan(right.len(), machine);
-    join_bats_with_plan(trk, left, right, &plan)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use costmodel::plan::plan_join;
     use memsim::{profiles, NullTracker};
     use monet_core::join::sort_pairs;
     use monet_core::strategy::Algorithm;
@@ -169,12 +159,17 @@ mod tests {
         Bat::with_void_head(seqbase, Column::I32(vals))
     }
 
+    /// `left ⋈ right` by the cost model's plan for `right`'s cardinality.
+    fn join_planned(left: &Bat, right: &Bat) -> Result<JoinIndex, EngineError> {
+        let plan = plan_join(&profiles::origin2000(), right.len()).0;
+        join_bats_with_plan(&mut NullTracker, left, right, &plan)
+    }
+
     #[test]
     fn auto_join_matches_expectation() {
         let l = bat_i32(0, vec![3, 1, 4, 1, 5]);
         let r = bat_i32(100, vec![1, 5, 9]);
-        let idx = join_bats(&mut NullTracker, &l, &r, &profiles::origin2000()).unwrap();
-        let got = sort_pairs(idx);
+        let got = sort_pairs(join_planned(&l, &r).unwrap());
         assert_eq!(got, vec![OidPair::new(1, 100), OidPair::new(3, 100), OidPair::new(4, 101)]);
     }
 
@@ -204,7 +199,7 @@ mod tests {
     fn negative_i32_keys_join_correctly() {
         let l = bat_i32(0, vec![-1, -2, 3]);
         let r = bat_i32(10, vec![-2, 3, -7]);
-        let got = sort_pairs(join_bats(&mut NullTracker, &l, &r, &profiles::origin2000()).unwrap());
+        let got = sort_pairs(join_planned(&l, &r).unwrap());
         assert_eq!(got, vec![OidPair::new(1, 10), OidPair::new(2, 11)]);
     }
 
@@ -216,9 +211,8 @@ mod tests {
         let got = void_positional_join(&mut NullTracker, &l, &r).unwrap();
         // OID 2000 is out of range: dropped.
         assert_eq!(got, vec![OidPair::new(0, 1003), OidPair::new(1, 1001)]);
-        // join_bats dispatches to the same path.
-        let auto = join_bats(&mut NullTracker, &l, &r, &profiles::origin2000()).unwrap();
-        assert_eq!(auto, got);
+        // A planned join dispatches to the same path.
+        assert_eq!(join_planned(&l, &r).unwrap(), got);
     }
 
     #[test]
@@ -313,9 +307,6 @@ mod tests {
     fn unsupported_tail_type_errors() {
         let l = Bat::with_void_head(0, Column::F64(vec![1.0]));
         let r = bat_i32(0, vec![1]);
-        assert!(matches!(
-            join_bats(&mut NullTracker, &l, &r, &profiles::origin2000()),
-            Err(EngineError::UnsupportedType { .. })
-        ));
+        assert!(matches!(join_planned(&l, &r), Err(EngineError::UnsupportedType { .. })));
     }
 }

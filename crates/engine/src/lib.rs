@@ -32,8 +32,9 @@
 //! * [`physical`] — the one planning walk, into a [`PhysicalPlan`]: the
 //!   operators in execution order, each carrying its decisions — a
 //!   filter's access paths and leaf order, the join's algorithm and radix
-//!   bits from the paper's cost model ([`costmodel::plan::best_plan`]), the
-//!   fold's columns — which admission quotes and the executor runs;
+//!   bits from the paper's cost model ([`costmodel::plan::plan_join`],
+//!   searched once and priced as planned), the fold's columns — which
+//!   admission quotes and the executor runs;
 //! * [`exec`] — the **physical layer**: runs a [`PhysicalPlan`]'s
 //!   operators on the kernels, choosing only each operator's *degree of
 //!   parallelism* at run time ([`costmodel::parallel`]), and returns an
@@ -66,7 +67,7 @@ pub use exec::{
     execute, execute_with_scans, AccessNote, ExecOptions, ExecReport, Executed, OpReport, Planner,
     QueryOutput, Threads,
 };
-pub use join::{join_bats, JoinIndex};
+pub use join::JoinIndex;
 pub use physical::PhysicalPlan;
 pub use plan::{Agg, LogicalPlan, PlanError, Pred, Query};
 pub use shared::{ScanRequest, ScanTicket, ShareKey};

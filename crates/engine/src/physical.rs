@@ -115,7 +115,7 @@ impl Op<'_> {
         match self {
             Op::Scan(_) => Vec::new(),
             Op::Filter(f) => f.plan.shapes(),
-            Op::Join(j) => vec![OpShape::Join { outer: j.outer, inner: j.inner }],
+            Op::Join(j) => vec![OpShape::join(j.outer, j.inner, &j.plan)],
             Op::Fold(f) => f.shapes(f.rows),
         }
     }

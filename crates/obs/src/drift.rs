@@ -18,7 +18,7 @@ use std::collections::BTreeMap;
 use costmodel::quote::{op_costs_ns, OpShape, ShapeKind};
 use memsim::MachineConfig;
 
-/// Default EWMA weight for the newest sample.
+/// The EWMA weight of the newest sample.
 pub const DEFAULT_ALPHA: f64 = 0.2;
 
 /// Default acceptance band: ratios within `[1/2, 2]` are healthy.
@@ -55,22 +55,15 @@ impl ShapeDrift {
 /// Accumulates model-vs-actual residuals per shape kind.
 #[derive(Debug, Clone)]
 pub struct DriftMonitor {
-    alpha: f64,
     band: f64,
     shapes: BTreeMap<ShapeKind, ShapeDrift>,
 }
 
 impl DriftMonitor {
     /// A monitor flagging EWMA ratios outside `[1/band, band]`
-    /// (`band >= 1`), with the default EWMA weight.
+    /// (`band >= 1`).
     pub fn new(band: f64) -> Self {
-        Self { alpha: DEFAULT_ALPHA, band: band.max(1.0), shapes: BTreeMap::new() }
-    }
-
-    /// Override the EWMA weight (`0 < alpha <= 1`).
-    pub fn with_alpha(mut self, alpha: f64) -> Self {
-        self.alpha = alpha.clamp(f64::MIN_POSITIVE, 1.0);
-        self
+        Self { band: band.max(1.0), shapes: BTreeMap::new() }
     }
 
     /// Record one residual: an operator of `kind` the model priced at
@@ -90,7 +83,7 @@ impl DriftMonitor {
             actual_ns: 0.0,
         });
         d.samples += 1;
-        d.ewma = self.alpha * ratio + (1.0 - self.alpha) * d.ewma;
+        d.ewma = DEFAULT_ALPHA * ratio + (1.0 - DEFAULT_ALPHA) * d.ewma;
         d.min = d.min.min(ratio);
         d.max = d.max.max(ratio);
         d.model_ns += model_ns;
@@ -187,14 +180,14 @@ mod tests {
 
     #[test]
     fn ewma_seeds_on_first_sample_and_tracks() {
-        let mut m = DriftMonitor::new(2.0).with_alpha(0.5);
+        let mut m = DriftMonitor::new(2.0);
         m.record(ShapeKind::Select, 100.0, 110.0);
         let r = m.report();
         assert_eq!(r.rows.len(), 1);
         assert!((r.rows[0].drift.ewma - 1.1).abs() < 1e-12, "seeded at the first ratio");
         m.record(ShapeKind::Select, 100.0, 90.0);
         let e = m.report().rows[0].drift.ewma;
-        assert!((e - (0.5 * 0.9 + 0.5 * 1.1)).abs() < 1e-12);
+        assert!((e - (0.2 * 0.9 + 0.8 * 1.1)).abs() < 1e-12);
         assert_eq!(m.report().rows[0].drift.samples, 2);
         assert!((m.report().rows[0].drift.mean_ratio() - 1.0).abs() < 1e-12);
     }

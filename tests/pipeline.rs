@@ -6,9 +6,10 @@ use monet_mem::core::join::{sort_pairs, OidPair};
 use monet_mem::core::scan::{select, RowSet, ScanCol, ScanPred};
 use monet_mem::core::storage::{Bat, Column, DecomposedTable, Oid, Value};
 use monet_mem::core::strategy::{Algorithm, JoinPlan};
+use monet_mem::costmodel::plan::plan_join;
 use monet_mem::engine::aggregate::{fold, Acc, Input, Rows, Side, Sink};
 use monet_mem::engine::exec::{execute, AggValue, ExecOptions, QueryOutput};
-use monet_mem::engine::join::{join_bats, join_bats_with_plan};
+use monet_mem::engine::join::join_bats_with_plan;
 use monet_mem::engine::plan::{Agg, Pred, Query};
 use monet_mem::engine::reconstruct::reconstruct;
 use monet_mem::memsim::{profiles, NullTracker};
@@ -152,11 +153,12 @@ fn reconstruct_roundtrip() {
 }
 
 #[test]
-fn engine_join_agrees_with_plans_and_machine_choice() {
+fn engine_join_agrees_across_plans_and_the_cost_model_choice() {
     // Two foreign-key-ish columns.
     let l = Bat::with_void_head(0, Column::I32((0..5_000).map(|i| i % 997).collect()));
     let r = Bat::with_void_head(9_000, Column::I32((0..997).collect()));
-    let auto = sort_pairs(join_bats(&mut NullTracker, &l, &r, &profiles::origin2000()).unwrap());
+    let planned = plan_join(&profiles::origin2000(), r.len()).0;
+    let auto = sort_pairs(join_bats_with_plan(&mut NullTracker, &l, &r, &planned).unwrap());
     assert_eq!(auto.len(), 5_000);
 
     for algorithm in
@@ -236,7 +238,8 @@ fn builder_join_agrees_with_direct_kernel_calls() {
     let QueryOutput::JoinIndex(got) = executed.output else { panic!("join index") };
 
     let supp = table.bat("supp").unwrap();
-    let expect = join_bats(&mut NullTracker, supp, supp, &profiles::origin2000()).unwrap();
+    let planned = plan_join(&profiles::origin2000(), supp.len()).0;
+    let expect = join_bats_with_plan(&mut NullTracker, supp, supp, &planned).unwrap();
     assert_eq!(sort_pairs(got), sort_pairs(expect));
 }
 
