@@ -14,7 +14,8 @@
 //! * with one replica of the hot shard, the cost-placed scheduler beats
 //!   the no-replica round-robin baseline on p95 latency;
 //! * the pool-side high-water mark of leased threads never exceeds the
-//!   global budget;
+//!   global budget, and equals the most shard tasks that ran at once —
+//!   every lease held a running task;
 //! * under simulated execution, every copy's cost-model drift stays
 //!   within the configured band.
 
@@ -62,7 +63,10 @@ pub fn run(opts: &RunOpts) -> Result<(), ConfigError> {
 
     let mut t = TextTable::new(
         "shard: cost-placed vs round-robin over replicated hash shards".to_owned(),
-        &["shards", "policy", "replica", "skew", "virt q/s", "p50 ms", "p95 ms", "hi-water"],
+        &[
+            "shards", "policy", "replica", "skew", "virt q/s", "p50 ms", "p95 ms", "hi-water",
+            "at once",
+        ],
     );
     let mut summary: Vec<(usize, f64, f64)> = Vec::new();
     for &s in &shard_counts {
@@ -93,6 +97,10 @@ pub fn run(opts: &RunOpts) -> Result<(), ConfigError> {
                 r.high_water,
                 cfg.budget
             );
+            assert_eq!(
+                r.peak_running, r.high_water,
+                "S={s} {label}: the most tasks running at once must equal the leases held"
+            );
             if policy == PlacePolicy::RoundRobin && !replica {
                 p95_of[0] = r.p95_ms;
             }
@@ -108,6 +116,7 @@ pub fn run(opts: &RunOpts) -> Result<(), ConfigError> {
                 fmt_ms(r.p50_ms),
                 fmt_ms(r.p95_ms),
                 r.high_water.to_string(),
+                r.peak_running.to_string(),
             ]);
         }
         assert!(
@@ -163,7 +172,8 @@ pub fn run(opts: &RunOpts) -> Result<(), ConfigError> {
     );
     println!(
         "\nEvery merged result was bit-identical to the unsharded one-thread run, and the \
-         scheduler's thread high-water mark never exceeded the budget.\n"
+         scheduler's thread high-water mark never exceeded the budget and equalled the most \
+         shard tasks that ran at once.\n"
     );
     Ok(())
 }
@@ -173,6 +183,7 @@ struct ClusterResult {
     p50_ms: f64,
     p95_ms: f64,
     high_water: usize,
+    peak_running: usize,
 }
 
 /// Drive every spec through one cluster configuration, asserting each
@@ -208,6 +219,7 @@ fn run_cluster(
         p50_ms: cluster.virtual_quantile_ms(0.50),
         p95_ms: cluster.virtual_quantile_ms(0.95),
         high_water: cluster.high_water(),
+        peak_running: cluster.peak_running(),
     }
 }
 

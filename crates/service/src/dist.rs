@@ -21,9 +21,15 @@
 //! `repro shard` figure) are exact re-runs, not wall-clock races. The
 //! *real* execution runs under the service's thread-lease discipline: each
 //! task submits its quote, and a request for the one thread it runs on, to
-//! the same [`Scheduler`] state machine the query service uses, and the
-//! pool-side high-water mark witnesses that the sum of leases never
-//! exceeded the budget.
+//! the same [`Scheduler`] state machine the query service uses. The
+//! initially granted tasks start together, each on the thread it leased —
+//! the caller's for the first grant, one scoped worker for each other —
+//! and a thread that finishes hands its lease back and runs the task that
+//! release dispatched. The pool-side high-water mark witnesses that the
+//! sum of leases never exceeded the budget, and
+//! [`ShardCluster::peak_running`] that every lease was held by a running
+//! task. Outcomes are applied in shard order, so results, drift and errors
+//! are the same at every budget.
 //!
 //! Each copy also owns a [`DriftMonitor`]: with [`ShardCluster::with_sim_drift`]
 //! on, tasks run under the copy's simulated memory system and every
@@ -31,7 +37,7 @@
 //! copies whose profile has diverged from reality (the recalibration
 //! signal of `obs::drift`, now per placement).
 
-use std::collections::VecDeque;
+use std::sync::{Condvar, Mutex, PoisonError};
 
 use costmodel::quote::{quote_ops, QueryQuote};
 use engine::dist::{lower, merge, run_shard, ShardPartial};
@@ -98,11 +104,16 @@ pub struct PlacedRun {
     pub virtual_ns: f64,
 }
 
+/// A test hook run ahead of shard `s`'s task.
+#[cfg(test)]
+type TaskHook = fn(usize) -> Result<(), EngineError>;
+
 /// A set of sharded tables with replicated, cost-placed shard copies.
 ///
-/// Queries run one at a time (`&mut self`); concurrency is modelled by the
-/// deterministic virtual-time ledger while real execution is serialized
-/// under the thread-lease budget, so every run is exactly reproducible.
+/// Queries run one at a time (`&mut self`); a query's shard tasks run
+/// concurrently, as many at once as the thread budget leases. Latencies
+/// come from the deterministic virtual-time ledger, and every outcome is
+/// applied in shard order, so a run reports the same at every budget.
 pub struct ShardCluster<'a> {
     tables: Vec<&'a ShardedTable>,
     shards: usize,
@@ -118,6 +129,10 @@ pub struct ShardCluster<'a> {
     rr_cursor: usize,
     clock_ns: f64,
     latencies_ns: Vec<f64>,
+    peak_running: usize,
+    /// Runs ahead of each shard task; its error fails the task.
+    #[cfg(test)]
+    before_task: Option<TaskHook>,
 }
 
 impl<'a> ShardCluster<'a> {
@@ -156,6 +171,9 @@ impl<'a> ShardCluster<'a> {
             rr_cursor: 0,
             clock_ns: 0.0,
             latencies_ns: Vec::new(),
+            peak_running: 0,
+            #[cfg(test)]
+            before_task: None,
         }
     }
 
@@ -184,9 +202,15 @@ impl<'a> ShardCluster<'a> {
     }
 
     /// Run one plan across the cluster: lower, place every shard task by
-    /// policy, execute each under its thread lease, merge. The result is
-    /// bit-identical to the unsharded run regardless of policy, replicas,
-    /// or budget.
+    /// policy, execute the tasks concurrently, each on the one thread it
+    /// leased, and merge. The result is bit-identical to the unsharded run
+    /// regardless of policy, replicas, or budget; when tasks fail, the
+    /// error is the lowest failing shard's.
+    ///
+    /// # Panics
+    ///
+    /// A panic in a shard task propagates to the caller once every other
+    /// task thread has finished.
     pub fn run(&mut self, plan: &LogicalPlan<'a>) -> Result<PlacedRun, ServiceError> {
         let lowered = lower(plan, &self.tables)?;
         let arrival = self.clock_ns;
@@ -196,7 +220,7 @@ impl<'a> ShardCluster<'a> {
         // chosen copy's quote is the ledger cost and the lease's priority,
         // and its physical plan is what the task runs.
         let mut placements = Vec::with_capacity(self.shards);
-        let mut planned = Vec::with_capacity(self.shards);
+        let (mut chosen, mut physicals, mut costs) = (Vec::new(), Vec::new(), Vec::new());
         let mut slowest_ns = arrival;
         self.rr_cursor = self.rr_cursor.wrapping_add(1);
         for s in 0..self.shards {
@@ -208,64 +232,112 @@ impl<'a> ShardCluster<'a> {
             copy.busy_ns += quote.seq_ns;
             slowest_ns = slowest_ns.max(copy.busy_until_ns);
             placements.push(copy.id);
-            planned.push((choice, Some(physical), quote));
+            chosen.push(choice);
+            physicals.push(physical.with_thread_cap(1));
+            costs.push(quote.seq_ns);
         }
 
-        // Real execution under the thread-lease budget: submit every task's
-        // quote, run grants as they come, release as tasks finish. A task
-        // runs on one thread (the cluster's policy is `Threads::Fixed(1)`),
-        // so it leases one.
-        let mut run_queue: VecDeque<(usize, Grant)> = VecDeque::new();
+        // Real execution under the thread-lease budget. A task runs on one
+        // thread (the cluster's policy is `Threads::Fixed(1)`), so it leases
+        // one.
+        let mut granted: Vec<(usize, Grant)> = Vec::new();
         let mut queued: Vec<(u64, usize)> = Vec::new();
-        let mut failed = None;
-        for (s, (_, _, quote)) in planned.iter().enumerate() {
-            match self.sched.submit(quote.seq_ns, 1) {
-                Admission::Run(g) => run_queue.push_back((s, g)),
+        for (s, &cost) in costs.iter().enumerate() {
+            match self.sched.submit(cost, 1) {
+                Admission::Run(g) => granted.push((s, g)),
                 Admission::Queued(id) => queued.push((id, s)),
                 Admission::Rejected => {
-                    failed = Some(ServiceError::Overloaded { queue_limit: self.sched.waiting() });
-                    break;
+                    // Shed: hand every lease back, running nothing.
+                    let overloaded = ServiceError::Overloaded { queue_limit: self.sched.waiting() };
+                    for (_, g) in granted {
+                        self.sched.release(g.threads);
+                    }
+                    while let Some(g) = self.sched.next_grant() {
+                        self.sched.release(g.threads);
+                    }
+                    return Err(overloaded);
                 }
             }
         }
-        let mut partials: Vec<Option<ShardPartial>> = (0..self.shards).map(|_| None).collect();
-        while let Some((s, grant)) = run_queue.pop_front() {
-            // Once a task failed, the rest only hand their leases back.
-            if failed.is_none() {
-                let (copy_idx, physical, _) = &mut planned[s];
-                let physical =
-                    physical.take().expect("each task runs once").with_thread_cap(grant.threads);
-                let copy = &mut self.copies[*copy_idx];
-                let partial = if self.sim_drift {
-                    let mut trk = SimTracker::new(MemorySystem::new(copy.machine));
-                    run_shard(&mut trk, &lowered, s, &physical).inspect(|p| record_drift(copy, p))
-                } else {
-                    run_shard(&mut NullTracker, &lowered, s, &physical)
-                };
-                match partial {
-                    Ok(p) => partials[s] = Some(p),
-                    Err(e) => failed = Some(e.into()),
-                }
-            }
-            self.sched.release(grant.threads);
-            while let Some(g) = self.sched.next_grant() {
-                let pos = queued
-                    .iter()
-                    .position(|&(id, _)| id == g.ticket)
-                    .expect("grant for a queued task");
-                let (_, shard) = queued.remove(pos);
-                run_queue.push_back((shard, g));
-            }
-        }
-        if let Some(e) = failed {
-            return Err(e);
-        }
-        debug_assert!(queued.is_empty(), "every task was dispatched");
 
-        let executed = merge(
-            &lowered,
-            partials.into_iter().map(|p| p.expect("every shard executed")).collect(),
-        )?;
+        // Every grant runs on its own thread: the caller's runs the first
+        // (so that task's buffers stay in the main malloc arena), one
+        // scoped worker each runs the others, and the initially granted
+        // tasks start together. A thread that finishes a task hands its
+        // lease back and runs the task that release dispatched, or exits
+        // when none was. At budget 1 nothing is spawned.
+        let sim_drift = self.sim_drift;
+        let machines: Vec<MachineConfig> = chosen.iter().map(|&c| self.copies[c].machine).collect();
+        #[cfg(test)]
+        let before_task = self.before_task;
+        let run_task = |s: usize| {
+            #[cfg(test)]
+            if let Some(hook) = before_task {
+                hook(s)?;
+            }
+            if sim_drift {
+                let mut trk = SimTracker::new(MemorySystem::new(machines[s]));
+                run_shard(&mut trk, &lowered, s, &physicals[s])
+            } else {
+                run_shard(&mut NullTracker, &lowered, s, &physicals[s])
+            }
+        };
+        let pool = Mutex::new(Pool {
+            sched: &mut self.sched,
+            queued,
+            running: 0,
+            peak: 0,
+            gate: granted.len(),
+            failed: None,
+        });
+        let started = Condvar::new();
+        let work = |mut task: Option<(usize, Grant)>| {
+            let mut done = Vec::new();
+            while let Some((s, grant)) = task {
+                let mut p = pool.lock().expect("pool lock");
+                let go = p.start(s);
+                // The gate: wait until every initially granted task has
+                // started.
+                if p.peak >= p.gate {
+                    started.notify_all();
+                }
+                drop(started.wait_while(p, |p| p.peak < p.gate).expect("pool lock"));
+                let result = go.then(|| run_task(s));
+                let failed = matches!(result, Some(Err(_)));
+                task = pool.lock().expect("pool lock").finish(s, grant, failed);
+                done.push((s, result));
+            }
+            done
+        };
+        let mut granted = granted.into_iter();
+        let first = granted.next();
+        let mut done = std::thread::scope(|scope| {
+            let _open = OpenOnDrop(&pool, &started);
+            let work = &work;
+            let workers: Vec<_> = granted.map(|t| scope.spawn(move || work(Some(t)))).collect();
+            let mut done = work(first);
+            for w in workers {
+                done.extend(w.join().unwrap_or_else(|panic| std::panic::resume_unwind(panic)));
+            }
+            done
+        });
+        let pool = pool.into_inner().expect("pool lock");
+        debug_assert!(pool.queued.is_empty(), "every task was dispatched");
+        self.peak_running = self.peak_running.max(pool.peak);
+
+        // Apply the outcomes in shard order, so results, drift and the
+        // returned error do not depend on the order tasks finished in.
+        done.sort_by_key(|&(s, _)| s);
+        let mut partials = Vec::with_capacity(self.shards);
+        for (s, result) in done {
+            let partial = result.expect("every task up to the first failure ran")?;
+            if sim_drift {
+                record_drift(&mut self.copies[chosen[s]], &partial);
+            }
+            partials.push(partial);
+        }
+
+        let executed = merge(&lowered, partials)?;
 
         // The coordinator merge runs after the slowest shard task.
         let merge_ns = executed
@@ -346,6 +418,12 @@ impl<'a> ShardCluster<'a> {
         self.sched.high_water()
     }
 
+    /// The most shard tasks that ran at once, across every run: each task
+    /// counts from the moment its thread starts it until it finishes.
+    pub fn peak_running(&self) -> usize {
+        self.peak_running
+    }
+
     /// The configured thread budget.
     pub fn budget(&self) -> usize {
         self.sched.budget()
@@ -365,6 +443,59 @@ impl<'a> ShardCluster<'a> {
     }
 }
 
+/// What a run's task threads share: the lease scheduler, the tasks still
+/// queued for a lease, and the tasks running.
+struct Pool<'s> {
+    sched: &'s mut Scheduler,
+    /// `(ticket, shard)` of every task waiting for a lease.
+    queued: Vec<(u64, usize)>,
+    running: usize,
+    peak: usize,
+    /// Tasks start once `peak` reaches this: the initially granted count.
+    gate: usize,
+    /// The lowest shard whose task failed so far.
+    failed: Option<usize>,
+}
+
+impl Pool<'_> {
+    /// Start shard `s`'s task on the calling thread. Returns whether it
+    /// must run: a task above a failed shard only holds its lease, since
+    /// the run returns the lowest failing shard's error.
+    fn start(&mut self, s: usize) -> bool {
+        self.running += 1;
+        self.peak = self.peak.max(self.running);
+        self.failed.is_none_or(|f| s < f)
+    }
+
+    /// Finish shard `s`'s task: hand its lease back and take the task the
+    /// release dispatched, if any.
+    fn finish(&mut self, s: usize, grant: Grant, failed: bool) -> Option<(usize, Grant)> {
+        self.running -= 1;
+        if failed {
+            self.failed = Some(self.failed.map_or(s, |f| f.min(s)));
+        }
+        self.sched.release(grant.threads);
+        let g = self.sched.next_grant()?;
+        let pos = self
+            .queued
+            .iter()
+            .position(|&(id, _)| id == g.ticket)
+            .expect("grant for a queued task");
+        Some((self.queued.remove(pos).1, g))
+    }
+}
+
+/// Opens a run's start gate when dropped, so a caller that panics while
+/// spawning workers does not leave the ones it spawned waiting.
+struct OpenOnDrop<'p, 's>(&'p Mutex<Pool<'s>>, &'p Condvar);
+
+impl Drop for OpenOnDrop<'_, '_> {
+    fn drop(&mut self) {
+        self.0.lock().unwrap_or_else(PoisonError::into_inner).gate = 0;
+        self.1.notify_all();
+    }
+}
+
 /// Compare each operator's simulated time with its model price on the
 /// copy's machine and feed the copy's drift monitor
 /// ([`DriftMonitor::record_op`]).
@@ -381,8 +512,9 @@ mod tests {
     use super::*;
     use engine::exec::execute;
     use engine::plan::{Agg, PlanError, PlanNode, Pred, Query};
-    use engine::EngineError;
     use monet_core::storage::{ColType, DecomposedTable, TableBuilder, Value};
+    use std::sync::atomic::{AtomicBool, Ordering};
+    use std::time::{Duration, Instant};
 
     /// An item table whose `supp` keys are heavily skewed so one shard runs
     /// hot (a crude Zipf stand-in: most rows hit supplier 0).
@@ -477,27 +609,34 @@ mod tests {
         );
     }
 
-    #[test]
-    fn a_failed_run_hands_every_lease_back() {
-        let item = skewed_item(2000);
+    fn supplier(n: i32) -> DecomposedTable {
         let mut b = TableBuilder::new("supplier", 0)
             .column("id", ColType::I32)
             .column("rating", ColType::F64);
-        for i in 0..40i32 {
+        for i in 0..n {
             b.push_row(&[Value::I32(i), Value::F64(f64::from(i) / 2.0)]).unwrap();
         }
-        let supp = b.finish();
+        b.finish()
+    }
+
+    /// An injected task failure that names its shard.
+    fn injected(s: usize) -> EngineError {
+        EngineError::Plan(PlanError::UnknownColumn {
+            column: format!("shard {s}"),
+            searched: vec![],
+        })
+    }
+
+    #[test]
+    fn a_failed_run_hands_every_lease_back() {
+        let item = skewed_item(2000);
+        let supp = supplier(40);
         let si = ShardedTable::partition(&item, "supp", 2).unwrap();
         let ss = ShardedTable::partition(&supp, "id", 2).unwrap();
+        let si4 = ShardedTable::partition(&item, "supp", 4).unwrap();
         let idle = |c: &ShardCluster<'_>| (c.sched.in_use(), c.sched.waiting()) == (0, 0);
         let p = plan(&item);
         let solo = execute(&mut NullTracker, &p, &ExecOptions::default()).unwrap();
-
-        // A budget of one runs the first shard task and queues the second.
-        // A hand-built filter over a join result fails — and the next,
-        // valid plan still runs, on the leases the failure gave back.
-        let cfg = ServiceConfig::new().with_budget(1);
-        let mut cluster = ShardCluster::new(vec![&si, &ss], PlacePolicy::CostPlaced, &cfg);
         let joined = Query::scan(&item).join(&supp, ("supp", "id")).build().unwrap();
         let bad = LogicalPlan {
             root: PlanNode::Filter {
@@ -506,18 +645,154 @@ mod tests {
             },
         };
         let unsupported = PlanError::Unsupported("filter over a join result");
-        assert!(matches!(
-            cluster.run(&bad),
-            Err(ServiceError::Engine(EngineError::Plan(e))) if e == unsupported
-        ));
-        assert!(idle(&cluster));
-        assert!(cluster.run(&p).unwrap().executed.output.bitwise_eq(&solo.output));
+        // Shards 1 and 3 fail, lower first or (on two threads) higher first:
+        // shard 1's failure waits until shard 3 has failed.
+        static SHARD_3_FAILED: AtomicBool = AtomicBool::new(false);
+        fn low_first(s: usize) -> Result<(), EngineError> {
+            match s {
+                1 | 3 => Err(injected(s)),
+                _ => Ok(()),
+            }
+        }
+        fn high_first(s: usize) -> Result<(), EngineError> {
+            if s == 1 {
+                let deadline = Instant::now() + Duration::from_secs(10);
+                while !SHARD_3_FAILED.load(Ordering::SeqCst) {
+                    assert!(Instant::now() < deadline, "shard 3 never ran beside shard 1");
+                    std::thread::yield_now();
+                }
+            } else if s == 3 {
+                SHARD_3_FAILED.store(true, Ordering::SeqCst);
+            }
+            low_first(s)
+        }
 
-        // No queue: the second task is shed after the first was granted.
-        let cfg = ServiceConfig::new().with_budget(1).with_queue_limit(0);
-        let mut cluster = ShardCluster::new(vec![&si], PlacePolicy::CostPlaced, &cfg);
-        assert!(matches!(cluster.run(&p), Err(ServiceError::Overloaded { .. })));
-        assert!(idle(&cluster), "the first task's grant came back");
+        for budget in [1, 2] {
+            // A hand-built filter over a join fails — and the next, valid
+            // plan still runs, on the leases the failure gave back.
+            let cfg = ServiceConfig::new().with_budget(budget);
+            let mut cluster = ShardCluster::new(vec![&si, &ss], PlacePolicy::CostPlaced, &cfg);
+            assert!(matches!(
+                cluster.run(&bad),
+                Err(ServiceError::Engine(EngineError::Plan(e))) if e == unsupported
+            ));
+            assert!(idle(&cluster));
+            assert!(cluster.run(&p).unwrap().executed.output.bitwise_eq(&solo.output));
+
+            // Tasks that fail while others run: the lowest failing shard's
+            // error comes back, whichever finished first, with every lease.
+            let mut cluster = ShardCluster::new(vec![&si4], PlacePolicy::CostPlaced, &cfg);
+            let hooks: &[TaskHook] =
+                if budget == 1 { &[low_first] } else { &[low_first, high_first] };
+            for &hook in hooks {
+                SHARD_3_FAILED.store(false, Ordering::SeqCst);
+                cluster.before_task = Some(hook);
+                match cluster.run(&p) {
+                    Err(ServiceError::Engine(e)) => assert_eq!(e, injected(1), "budget {budget}"),
+                    other => {
+                        panic!("budget {budget}: expected shard 1's error, got {:?}", other.err())
+                    }
+                }
+                assert!(idle(&cluster), "budget {budget}: a lease was kept");
+                cluster.before_task = None;
+                assert!(cluster.run(&p).unwrap().executed.output.bitwise_eq(&solo.output));
+            }
+
+            // No queue: the task after the budget's grants is shed, and
+            // the granted tasks hand their leases back.
+            let cfg = cfg.with_queue_limit(0);
+            let mut cluster = ShardCluster::new(vec![&si4], PlacePolicy::CostPlaced, &cfg);
+            assert!(matches!(cluster.run(&p), Err(ServiceError::Overloaded { .. })));
+            assert!(idle(&cluster), "budget {budget}: the granted tasks' leases came back");
+        }
+    }
+
+    #[test]
+    fn the_most_tasks_running_at_once_equal_the_leases_held() {
+        let item = skewed_item(4000);
+        let sharded = ShardedTable::partition(&item, "supp", 4).unwrap();
+        let p = plan(&item);
+        for budget in [1, 2, 3] {
+            let cfg = ServiceConfig::new().with_budget(budget);
+            let mut cluster = ShardCluster::new(vec![&sharded], PlacePolicy::CostPlaced, &cfg);
+            for _ in 0..3 {
+                cluster.run(&p).unwrap();
+            }
+            assert_eq!(cluster.high_water(), budget, "budget {budget}");
+            assert_eq!(cluster.peak_running(), cluster.high_water(), "budget {budget}");
+        }
+    }
+
+    #[test]
+    fn runs_report_the_same_at_every_budget() {
+        let item = skewed_item(3000);
+        let supp = supplier(40);
+        let si = ShardedTable::partition(&item, "supp", 4).unwrap();
+        let ss = ShardedTable::partition(&supp, "id", 4).unwrap();
+        let plans = [
+            plan(&item),
+            Query::scan(&item).filter(Pred::range_i32("qty", 2, 5)).build().unwrap(),
+            Query::scan(&item)
+                .join(&supp, ("supp", "id"))
+                .agg(Agg::sum("rating"))
+                .agg(Agg::count())
+                .build()
+                .unwrap(),
+            Query::scan(&item).join(&supp, ("supp", "id")).build().unwrap(),
+        ];
+        let solo: Vec<_> = plans
+            .iter()
+            .map(|p| execute(&mut NullTracker, p, &ExecOptions::default()).unwrap().output)
+            .collect();
+        for policy in [PlacePolicy::RoundRobin, PlacePolicy::CostPlaced] {
+            for sim_drift in [false, true] {
+                let mut first: Option<String> = None;
+                for budget in 1..=4 {
+                    let cfg = ServiceConfig::new().with_budget(budget);
+                    let mut cluster =
+                        ShardCluster::new(vec![&si, &ss], policy, &cfg).with_sim_drift(sim_drift);
+                    cluster.add_replica(si.hottest(), 1.5);
+                    for _ in 0..2 {
+                        for (p, want) in plans.iter().zip(&solo) {
+                            let run = cluster.run(p).unwrap();
+                            assert!(
+                                run.executed.output.bitwise_eq(want),
+                                "{policy:?} sim_drift={sim_drift} budget {budget}: result changed"
+                            );
+                        }
+                    }
+                    // A drift row's simulated time moves with the heap
+                    // addresses the simulator is fed, even between two runs
+                    // at one budget (ROADMAP item 1); which samples were
+                    // recorded, in which order, at which model price is
+                    // what a run decides.
+                    let drift: Vec<_> = cluster
+                        .drift_reports()
+                        .into_iter()
+                        .map(|(id, r)| {
+                            let rows: Vec<_> = r
+                                .rows
+                                .iter()
+                                .map(|row| (row.kind, row.drift.samples, row.drift.model_ns))
+                                .collect();
+                            (id, r.band, rows)
+                        })
+                        .collect();
+                    let record = format!(
+                        "{drift:?}\n{:?}\n{:?}",
+                        cluster.copy_stats(),
+                        cluster.latencies_ns()
+                    );
+                    match &first {
+                        None => first = Some(record),
+                        Some(at_1) => assert_eq!(
+                            at_1, &record,
+                            "{policy:?} sim_drift={sim_drift}: budget {budget} reports differently"
+                        ),
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -721,9 +721,10 @@ impl QueryService {
 
     /// One cooperative pass, streamed as an *elevator*: chunk by chunk
     /// when `chunk_rows` is shorter than the column — absorbing newly posted
-    /// same-column wants at every boundary (late riders wrap around for the
-    /// prefix they missed) and yielding the lease between chunks when a
-    /// cheaper query waits — else as its one chunk, sharded over the lease.
+    /// same-column wants at every boundary of its first cycle (late riders
+    /// wrap around for the prefix they missed) and yielding the lease
+    /// between chunks when a cheaper query waits — else as its one chunk,
+    /// sharded over the lease.
     /// Each rider appends every chunk's survivors to one list of its own and
     /// is delivered that list the moment it has seen every row: as it
     /// stands for a rider that attached at row 0, rotated once into row
@@ -846,13 +847,18 @@ impl QueryService {
             cursor = if hi == rows { 0 } else { hi };
 
             // Absorb newly posted same-column wants *before* delivering:
-            // a want whose predicate already rides (even one completing
-            // right now) just registers for that rider's delivery — no
-            // extra streaming at all. A one-chunk pass has no boundary to
-            // attach at.
+            // a want whose predicate already rides just registers for that
+            // rider's delivery — no extra streaming at all. A one-chunk
+            // pass has no boundary to attach at. Riders attach during the
+            // pass's first cycle only: one attaching at or past the wrap
+            // rides a whole further cycle, so the pass would stream at
+            // least two columns. Such a want stays pending and its owner
+            // claims it.
             let mut attached = 0usize;
-            let late = if chunked {
+            if chunked {
                 st.board.set_progress(req.col, cursor);
+            }
+            let late = if chunked && streamed < rows {
                 st.board.take_pending_for_col(&req.col)
             } else {
                 Vec::new()

@@ -23,8 +23,10 @@
 //! A claimed pass runs as an *elevator*: the runner streams the column in
 //! chunks of the configured size (`MONET_SERVICE_CHUNK`;
 //! [`monet_core::scan::select_into`] over one `RowSet::Range` each) and, at
-//! every chunk boundary, absorbs newly posted same-column wants as fresh
-//! *riders* ([`ScanBoard::take_pending_for_col`]). A rider attaching
+//! every chunk boundary of the pass's first cycle, absorbs newly posted
+//! same-column wants as fresh *riders*
+//! ([`ScanBoard::take_pending_for_col`]); a want posted later stays pending
+//! for its owner, so a pass streams less than two columns. A rider attaching
 //! mid-pass keeps riding past the end of the column — the cursor wraps to
 //! row zero and re-streams only the prefix the rider missed. Each rider's
 //! survivors are appended chunk by chunk to one list of its own; a wrapped
