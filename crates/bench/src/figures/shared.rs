@@ -25,6 +25,8 @@
 //! and caching change who streams a column and whether execution runs at
 //! all, never what a query computes.
 
+use std::sync::{Condvar, Mutex};
+
 use engine::exec::{execute, ExecOptions, Executed, QueryOutput, Threads};
 use memsim::NullTracker;
 use monet_core::index::IndexKind;
@@ -283,10 +285,13 @@ fn run_churn(opts: &RunOpts) {
     // Leg B — staggered attach: distinct per-client bands on the same hot
     // column (nothing collapses, nothing caches). Client 0 opens a chunked
     // elevator; the rest arrive mid-pass and can only avoid their own scan
-    // by attaching at a chunk boundary. The attach count depends on
-    // arrival timing, so the strict traffic bound is asserted only when
-    // every late client attached (retried a few times; bit-identity is
-    // asserted unconditionally every attempt).
+    // by attaching at a chunk boundary. The stragglers are started before
+    // client 0's pass and held at a gate that opens once the pass has
+    // streamed its first chunk, so they arrive early in it rather than
+    // after a thread start each. The attach count still depends on arrival
+    // timing, so the strict traffic bound is asserted only when every late
+    // client attached (retried a few times; bit-identity is asserted
+    // unconditionally every attempt).
     let chunk = (n / 64).max(1 << 10);
     let mut stagger: Option<(ServiceMetrics, u64, f64)> = None;
     let mut attempts = 0;
@@ -301,13 +306,24 @@ fn run_churn(opts: &RunOpts) {
         );
         let started = std::time::Instant::now();
         let mut outs: Vec<(usize, QueryOutput)> = Vec::with_capacity(clients);
-        std::thread::scope(|s| {
-            let (svc, item, supplier) = (&svc, &item, &supplier);
-            let run_client = move |c: usize| {
+        let plans: Vec<_> = (0..clients)
+            .map(|c| {
                 let spec = ChurnMix::stagger_spec(opts.seed, c);
-                let plan = spec.build(item, supplier).expect("stagger plans validate");
-                (c, svc.session().run(&plan).expect("stagger runs").into_executed().output)
+                spec.build(&item, &supplier).expect("stagger plans validate")
+            })
+            .collect();
+        let gate = Gate::default();
+        std::thread::scope(|s| {
+            let (svc, plans, gate) = (&svc, &plans, &gate);
+            let run_client = move |c: usize| {
+                if c > 0 {
+                    gate.park();
+                }
+                (c, svc.session().run(&plans[c]).expect("stagger runs").into_executed().output)
             };
+            let late: Vec<_> = (1..clients).map(|c| s.spawn(move || run_client(c))).collect();
+            // Only client 0 and this thread want a CPU during the pass.
+            gate.await_parked(clients - 1);
             let first = s.spawn(move || run_client(0));
             // Let the elevator get rolling before the stragglers arrive.
             loop {
@@ -317,7 +333,7 @@ fn run_churn(opts: &RunOpts) {
                 }
                 std::thread::yield_now();
             }
-            let late: Vec<_> = (1..clients).map(|c| s.spawn(move || run_client(c))).collect();
+            gate.open();
             outs.push(first.join().expect("client 0 panicked"));
             for h in late {
                 outs.push(h.join().expect("late client panicked"));
@@ -580,6 +596,44 @@ fn run_needles(
         }
     }
     (svc.metrics(), wall_ms)
+}
+
+/// Where the stagger leg's late clients wait, asleep, for client 0's pass:
+/// they park, the leg waits until all have, starts the pass, and opens the
+/// gate once the pass has streamed rows. Each side waits on its own
+/// condition variable, so parking wakes no parked client.
+#[derive(Default)]
+struct Gate {
+    /// Clients parked, and whether the gate is open.
+    state: Mutex<(usize, bool)>,
+    parked: Condvar,
+    opened: Condvar,
+}
+
+impl Gate {
+    /// Park until [`Gate::open`].
+    fn park(&self) {
+        let mut st = self.state.lock().expect("gate lock");
+        st.0 += 1;
+        self.parked.notify_one();
+        while !st.1 {
+            st = self.opened.wait(st).expect("gate lock");
+        }
+    }
+
+    /// Block until `clients` clients have parked.
+    fn await_parked(&self, clients: usize) {
+        let mut st = self.state.lock().expect("gate lock");
+        while st.0 < clients {
+            st = self.parked.wait(st).expect("gate lock");
+        }
+    }
+
+    /// Release every parked client, and any that parks later.
+    fn open(&self) {
+        self.state.lock().expect("gate lock").1 = true;
+        self.opened.notify_all();
+    }
 }
 
 #[cfg(test)]

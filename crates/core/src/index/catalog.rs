@@ -71,8 +71,11 @@ pub struct ColumnIndex {
 }
 
 impl ColumnIndex {
-    /// Build an index of `kind` over a BAT column. Fails with
-    /// [`StorageError::TypeMismatch`] for unindexable tails (`F64`, `I64`).
+    /// Build an index of `kind` over a BAT column, bulk-loaded from
+    /// [`build_entries`]: the column's `(key, oid)` pairs in key order, and
+    /// in OID order within a key, put in that order by stable radix passes
+    /// (no comparison sort). Fails with [`StorageError::TypeMismatch`] for
+    /// unindexable tails (`F64`, `I64`).
     pub fn build(bat: &Bat, kind: IndexKind) -> Result<Self, StorageError> {
         let entries = build_entries(bat)?;
         let distinct = distinct_keys(&entries);

@@ -204,7 +204,7 @@ pub fn canonicalize<M: MemTracker>(trk: &mut M, pairs: Vec<OidPair>) -> Vec<OidP
     let (lo, hi) = pairs[desc + 1..]
         .iter()
         .fold((pairs[0].left, pairs[desc].left), |(lo, hi), p| (lo.min(p.left), hi.max(p.left)));
-    sort_by_left(trk, pairs, lo, u32::BITS - (hi - lo).leading_zeros())
+    sort_by_key(trk, pairs, |p| p.left, lo, hi, order_runs)
 }
 
 /// Order each run of equal `left` in `pairs` (sorted by `left`) by `right`.
@@ -216,7 +216,7 @@ fn order_runs<M: MemTracker>(trk: &mut M, pairs: &mut [OidPair]) {
 }
 
 /// Charge one counting pass from `src` into `dst` (see [`canonicalize`]).
-fn charge_pass<M: MemTracker>(trk: &mut M, src: &[OidPair], dst: &[OidPair]) {
+fn charge_pass<M: MemTracker, T>(trk: &mut M, src: &[T], dst: &[T]) {
     if M::ENABLED {
         track_read_slice(trk, src);
         track_read_slice(trk, src);
@@ -225,48 +225,63 @@ fn charge_pass<M: MemTracker>(trk: &mut M, src: &[OidPair], dst: &[OidPair]) {
     }
 }
 
-/// Steps 2 and 3 of [`canonicalize`] for lefts in `lo..` whose offsets from
-/// `lo` have `bits` significant bits (0 when all lefts are equal).
-fn sort_by_left<M: MemTracker>(
+/// Steps 2 and 3 of [`canonicalize`] over any items with a `u32` key in
+/// `lo..=hi`: stable counting passes over the significant bits of
+/// `key − lo` order `items` by key, then `runs` is handed every range of
+/// the result that holds whole runs of equal keys, to order within each
+/// run (a no-op keeps each run in input order). Charged as
+/// [`canonicalize`] says.
+///
+/// # Panics
+/// Panics if `items` is empty.
+pub(crate) fn sort_by_key<M, T, K>(
     trk: &mut M,
-    pairs: Vec<OidPair>,
-    lo: Oid,
-    bits: u32,
-) -> Vec<OidPair> {
-    let n = pairs.len();
-    let key = |p: &OidPair| p.left - lo;
+    items: Vec<T>,
+    key: K,
+    lo: u32,
+    hi: u32,
+    mut runs: impl FnMut(&mut M, &mut [T]),
+) -> Vec<T>
+where
+    M: MemTracker,
+    T: Copy + Send + Sync,
+    K: Fn(&T) -> u32 + Copy + Sync,
+{
+    let n = items.len();
+    let bits = u32::BITS - (hi - lo).leading_zeros();
+    let key = move |t: &T| key(t) - lo;
     let top = bits.min(CANON_DIGIT_BITS).min(n.ilog2().saturating_sub(CANON_BUCKET_LOG).max(1));
     let low = bits - top;
     let pad = if low == 0 { 0 } else { CANON_PAD };
 
-    // The top digit: contiguous left ranges, each bucket followed by `pad`
-    // unused pairs. The passes run untracked; `charge_pass` charges them.
-    let top_digit = move |p: &OidPair| (key(p) >> low) as usize;
+    // The top digit: contiguous key ranges, each bucket followed by `pad`
+    // unused items. The passes run untracked; `charge_pass` charges them.
+    let top_digit = move |t: &T| (key(t) >> low) as usize;
     let top_pass = Pass { fan: 1 << top, digit: top_digit, gap: pad, work: Work::SortTuple };
-    let mut out = vec![OidPair::new(0, 0); n + (1 << top) * pad];
-    let bounds = top_pass.run(&mut NullTracker, &pairs, &[0, n as u32], &mut out, 1);
-    charge_pass(trk, &pairs, &out[..n]);
+    let mut out = vec![items[0]; n + (1 << top) * pad];
+    let bounds = top_pass.run(&mut NullTracker, &items, &[0, n as u32], &mut out, 1);
+    charge_pass(trk, &items, &out[..n]);
     if low == 0 {
         track_read_slice(trk, &out[..n]);
         out.truncate(n);
-        order_runs(trk, &mut out);
+        runs(trk, &mut out);
         return out;
     }
 
     // Each bucket's low bits, while it is in cache: the first pass reads
     // the padded bucket of `out` and writes the packed range of `scratch`,
     // later ones alternate between the packed ranges of the two (a packed
-    // range never reaches a later bucket's padded one). Equal lefts share
+    // range never reaches a later bucket's padded one). Equal keys share
     // a bucket, so the run pass rides along.
     let passes = low.div_ceil(CANON_DIGIT_BITS);
     let width = low.div_ceil(passes);
     let mask = (1u32 << width) - 1;
-    let mut scratch = pairs;
+    let mut scratch = items;
     for (d, w) in bounds.windows(2).enumerate() {
         let padded = w[0] as usize..w[1] as usize - pad;
         let range = padded.start - d * pad..padded.end - d * pad;
         for pass in 0..passes {
-            let digit = move |p: &OidPair| ((key(p) >> (pass * width)) & mask) as usize;
+            let digit = move |t: &T| ((key(t) >> (pass * width)) & mask) as usize;
             let (src, dst) = match pass {
                 0 => (&out[padded.clone()], &mut scratch[range.clone()]),
                 _ if pass % 2 == 1 => (&scratch[range.clone()], &mut out[range.clone()]),
@@ -277,7 +292,7 @@ fn sort_by_left<M: MemTracker>(
             charge_pass(trk, src, dst);
         }
         let sorted = if passes % 2 == 1 { &mut scratch[range] } else { &mut out[range] };
-        order_runs(trk, sorted);
+        runs(trk, sorted);
     }
     if passes % 2 == 1 {
         scratch

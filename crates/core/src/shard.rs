@@ -201,7 +201,7 @@ fn gather(col: &Column, rows: &[u32]) -> Column {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::index::IndexKind;
+    use crate::index::{key_of_i32, key_range_i32, ColumnIndex, IndexKind};
     use crate::storage::{ColType, TableBuilder, Value};
 
     fn table(n: usize) -> DecomposedTable {
@@ -266,18 +266,67 @@ mod tests {
         }
     }
 
+    /// `idx`'s eq matches of `v`, through `oid`, ascending.
+    fn eq_hits(idx: &ColumnIndex, v: i32, oid: impl Fn(Oid) -> Oid) -> Vec<Oid> {
+        let mut out = vec![];
+        idx.lookup_eq(&mut NullTracker, key_of_i32(v), |o| out.push(oid(o)));
+        out.sort_unstable();
+        out
+    }
+
+    /// `idx`'s matches of `lo..=hi` through `oid`, ascending; `None` if it
+    /// cannot range.
+    fn range_hits(
+        idx: &ColumnIndex,
+        lo: i32,
+        hi: i32,
+        oid: impl Fn(Oid) -> Oid,
+    ) -> Option<Vec<Oid>> {
+        let (lo, hi) = key_range_i32(lo, hi);
+        let mut out = vec![];
+        let ranged = idx.lookup_range(&mut NullTracker, lo, hi, |o| out.push(oid(o)));
+        out.sort_unstable();
+        ranged.then_some(out)
+    }
+
     #[test]
     fn indexes_and_compression_replicate_per_shard() {
+        let kinds = [IndexKind::Hash, IndexKind::CsBTree, IndexKind::TTree];
         let mut t = table(4000);
-        t.create_index("k", IndexKind::Hash).unwrap();
-        t.create_index("k", IndexKind::CsBTree).unwrap();
+        for kind in kinds {
+            t.create_index("k", kind).unwrap();
+        }
         let st = ShardedTable::partition(&t, "k", 3).unwrap();
-        for sh in st.shards() {
-            assert_eq!(sh.table.indexes().len(), 2);
-            assert!(sh.table.index_of("k", IndexKind::Hash).is_some());
+        for (s, sh) in st.shards().iter().enumerate() {
+            assert_eq!(sh.table.indexes().len(), kinds.len());
             // mode has 3 distinct values over thousands of rows: dictionary
             // compression survives sharding.
             assert!(sh.table.compressed_of("mode").is_some());
+            // Every replica answers, in parent OIDs, what the parent's index
+            // answers for this shard's rows.
+            let mine = |hits: Vec<Oid>| -> Vec<Oid> {
+                hits.into_iter().filter(|o| sh.oids.binary_search(o).is_ok()).collect()
+            };
+            let global = |local: Oid| sh.oids[local as usize];
+            for kind in kinds {
+                let parent = t.index_of("k", kind).unwrap();
+                let replica = sh.table.index_of("k", kind).unwrap();
+                assert_eq!(replica.len(), sh.table.len(), "shard {s} {}", kind.name());
+                for v in [-1, 0, 1, 17, 36, 37] {
+                    let expect = mine(eq_hits(parent, v, |o| o));
+                    assert_eq!(
+                        eq_hits(replica, v, global),
+                        expect,
+                        "shard {s} {} = {v}",
+                        kind.name()
+                    );
+                }
+                for (lo, hi) in [(-5, 2), (5, 20), (30, 40), (0, 36), (9, 8)] {
+                    let expect = range_hits(parent, lo, hi, |o| o).map(mine);
+                    let got = range_hits(replica, lo, hi, global);
+                    assert_eq!(got, expect, "shard {s} {} in [{lo}, {hi}]", kind.name());
+                }
+            }
         }
     }
 
