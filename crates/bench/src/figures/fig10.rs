@@ -10,7 +10,7 @@
 //! nested loop is O(C²/H)) and print the model across the whole bit range.
 
 use costmodel::rjoin::rjoin_cost;
-use costmodel::{ModelMachine, ModelParams};
+use costmodel::ModelMachine;
 use memsim::NullTracker;
 use memsim::SimTracker;
 use monet_core::join::{radix_cluster, radix_join_clustered, FibHash};
@@ -32,7 +32,7 @@ fn op_budget(scale: Scale) -> u64 {
 /// Run the Figure 10 reproduction.
 pub fn run(opts: &RunOpts) {
     let machine = opts.machine();
-    let model = ModelMachine::with_params(&machine, ModelParams::implementation_matched());
+    let model = ModelMachine::new(&machine);
     let budget = op_budget(opts.scale);
 
     let mut t = TextTable::new(

@@ -9,7 +9,7 @@
 //! get tiny and the per-cluster hash-table setup (`w'_h · H`) dominates.
 
 use costmodel::phash::phash_cost;
-use costmodel::{ModelMachine, ModelParams};
+use costmodel::ModelMachine;
 use memsim::{NullTracker, SimTracker};
 use monet_core::join::{join_clustered, radix_cluster, FibHash};
 use monet_core::strategy::{self, plan_passes};
@@ -21,7 +21,7 @@ use crate::runner::RunOpts;
 /// Run the Figure 11 reproduction.
 pub fn run(opts: &RunOpts) {
     let machine = opts.machine();
-    let model = ModelMachine::with_params(&machine, ModelParams::implementation_matched());
+    let model = ModelMachine::new(&machine);
 
     let mut t = TextTable::new(
         "Figure 11: partitioned hash-join join phase (simulated origin2k vs model)",

@@ -4,7 +4,7 @@
 //! and the per-algorithm optima ("phash min", "radix min") identified.
 
 use costmodel::plan::{phash_total, radix_total};
-use costmodel::{ModelMachine, ModelParams};
+use costmodel::ModelMachine;
 use memsim::SimTracker;
 use monet_core::join::{join_clustered, radix_cluster, radix_join_clustered, FibHash};
 use monet_core::strategy::{self, plan_passes};
@@ -24,7 +24,7 @@ fn radix_op_budget(scale: Scale) -> u64 {
 /// Run the Figure 12 reproduction.
 pub fn run(opts: &RunOpts) {
     let machine = opts.machine();
-    let model = ModelMachine::with_params(&machine, ModelParams::implementation_matched());
+    let model = ModelMachine::new(&machine);
     let budget = radix_op_budget(opts.scale);
 
     let mut t = TextTable::new(

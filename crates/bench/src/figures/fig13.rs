@@ -4,7 +4,7 @@
 //! hash and sort-merge by growing factors as relations grow.
 
 use costmodel::plan::{best_plan, plan_cost};
-use costmodel::{ModelMachine, ModelParams};
+use costmodel::ModelMachine;
 use memsim::SimTracker;
 use monet_core::join::{join, FibHash};
 use monet_core::strategy::Strategy;
@@ -30,7 +30,7 @@ fn measure(
 /// Run the Figure 13 reproduction.
 pub fn run(opts: &RunOpts) {
     let machine = opts.machine();
-    let model = ModelMachine::with_params(&machine, ModelParams::implementation_matched());
+    let model = ModelMachine::new(&machine);
 
     let mut headers: Vec<String> = vec!["strategy".into()];
     let cards = opts.overall_cards();

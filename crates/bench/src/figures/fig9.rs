@@ -7,7 +7,7 @@
 //! the thresholds are in *cluster counts*, not tuples).
 
 use costmodel::cluster::cluster_cost_even;
-use costmodel::{ModelMachine, ModelParams};
+use costmodel::ModelMachine;
 use workload::unique_random_buns;
 
 use crate::report::{fmt_count, fmt_ms, TextTable};
@@ -18,7 +18,7 @@ pub fn run(opts: &RunOpts) {
     let c = opts.cluster_card();
     let max_bits = opts.cluster_max_bits();
     let machine = opts.machine();
-    let model = ModelMachine::with_params(&machine, ModelParams::implementation_matched());
+    let model = ModelMachine::new(&machine);
     let input = unique_random_buns(c, opts.seed);
 
     let mut t = TextTable::new(

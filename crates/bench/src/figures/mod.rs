@@ -1,8 +1,5 @@
 //! One module per reproduced figure. Each exposes `run(&RunOpts)` printing
-//! the same series the paper plots (and optionally CSV); the two that read
-//! their service configuration from the environment (`service`, `shard`)
-//! return the [`service::ConfigError`](::service::ConfigError) of a value
-//! they cannot use.
+//! the same series the paper plots (and optionally CSV).
 
 pub mod access_paths;
 pub mod compress;

@@ -20,17 +20,17 @@ use engine::exec::{execute, ExecOptions, Executed, QueryOutput, Threads};
 use memsim::NullTracker;
 use monet_core::index::IndexKind;
 use monet_core::storage::DecomposedTable;
-use service::{ConfigError, QueryService, ServiceConfig, ServiceError};
+use service::{QueryService, ServiceConfig, ServiceError};
 use workload::{item_table, QueryMix};
 
 use crate::report::{fmt_ms, TextTable};
 use crate::runner::{RunOpts, Scale};
 
 /// Run the service throughput/latency experiment.
-pub fn run(opts: &RunOpts) -> Result<(), ConfigError> {
-    // Budget and knobs from the environment (MONET_SERVICE_*), queue deep
-    // enough that the closed-loop clients are never shed.
-    let cfg = ServiceConfig::from_env()?.with_queue_limit(1024);
+pub fn run(opts: &RunOpts) {
+    // Budget from `--threads`, queue deep enough that the closed-loop
+    // clients are never shed.
+    let cfg = opts.threads.service_config().with_queue_limit(1024);
     let (n, queries_per_client) = match opts.scale {
         Scale::Quick => (60_000, 5),
         Scale::Default => (300_000, 10),
@@ -102,7 +102,6 @@ pub fn run(opts: &RunOpts) -> Result<(), ConfigError> {
         "\nEvery result was bit-identical to a sequential one-thread run, and the \
          scheduler's thread high-water mark never exceeded the budget.\n"
     );
-    Ok(())
 }
 
 struct ModeResult {
@@ -270,7 +269,7 @@ mod tests {
 
     #[test]
     fn smoke() {
-        run(&RunOpts { scale: Scale::Quick, clients: Some(2), ..Default::default() }).unwrap();
+        run(&RunOpts { scale: Scale::Quick, clients: Some(2), ..Default::default() });
     }
 
     #[test]
@@ -278,7 +277,6 @@ mod tests {
         // A 4-client leg on the quick scale: exercises queueing against
         // the budget (when the host has fewer than 4 spare cores) and the
         // budgeted-vs-naive-vs-sequential identity assertions either way.
-        run(&RunOpts { scale: Scale::Quick, clients: Some(4), seed: 7, ..Default::default() })
-            .unwrap();
+        run(&RunOpts { scale: Scale::Quick, clients: Some(4), seed: 7, ..Default::default() });
     }
 }

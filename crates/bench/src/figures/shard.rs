@@ -23,15 +23,15 @@ use engine::exec::{execute, ExecOptions, QueryOutput};
 use memsim::NullTracker;
 use monet_core::shard::ShardedTable;
 use monet_core::storage::DecomposedTable;
-use service::{ConfigError, PlacePolicy, ServiceConfig, ShardCluster};
+use service::{PlacePolicy, ServiceConfig, ShardCluster};
 use workload::{QuerySpec, ShardMix};
 
 use crate::report::{fmt_ms, TextTable};
 use crate::runner::{RunOpts, Scale};
 
 /// Run the sharded-execution experiment.
-pub fn run(opts: &RunOpts) -> Result<(), ConfigError> {
-    let cfg = ServiceConfig::from_env()?.with_queue_limit(1024);
+pub fn run(opts: &RunOpts) {
+    let cfg = opts.threads.service_config().with_queue_limit(1024);
     let (n, queries, shard_counts, drift_queries) = match opts.scale {
         Scale::Quick => (4_000, 24, vec![1, 2, 4], 3),
         Scale::Default => (20_000, 48, vec![1, 2, 4, 8], 6),
@@ -175,7 +175,6 @@ pub fn run(opts: &RunOpts) -> Result<(), ConfigError> {
          scheduler's thread high-water mark never exceeded the budget and equalled the most \
          shard tasks that ran at once.\n"
     );
-    Ok(())
 }
 
 struct ClusterResult {
@@ -229,6 +228,6 @@ mod tests {
 
     #[test]
     fn smoke() {
-        run(&RunOpts { scale: Scale::Quick, ..Default::default() }).unwrap();
+        run(&RunOpts { scale: Scale::Quick, ..Default::default() });
     }
 }

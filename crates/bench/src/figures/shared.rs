@@ -30,7 +30,7 @@ use std::sync::{Condvar, Mutex};
 use engine::exec::{execute, ExecOptions, Executed, QueryOutput, Threads};
 use memsim::NullTracker;
 use monet_core::index::IndexKind;
-use monet_core::storage::DecomposedTable;
+use monet_core::storage::{Column, DecomposedTable};
 use service::{QueryService, ServiceConfig, ServiceMetrics};
 use workload::{item_table, ChurnMix, OverlapMix, QueryMix, QuerySpec};
 
@@ -214,7 +214,8 @@ fn run_churn(opts: &RunOpts) {
         execute(&mut NullTracker, &plan, &seq).unwrap().output
     };
     println!(
-        "service churn over {n} Item rows, {clients} clients, budget 1 thread, seed {}\n",
+        "service churn over {n} Item rows ({STAGGER_ROWS} for the stagger legs), {clients} \
+         clients, budget 1 thread, seed {}\n",
         opts.seed
     );
     let mut t = TextTable::new(
@@ -291,8 +292,15 @@ fn run_churn(opts: &RunOpts) {
     // after a thread start each. The attach count still depends on arrival
     // timing, so the strict traffic bound is asserted only when every late
     // client attached (retried a few times; bit-identity is asserted
-    // unconditionally every attempt).
-    let chunk = (n / 64).max(1 << 10);
+    // unconditionally every attempt). This leg and the next run on a table
+    // of their own, long enough for the stragglers to board on a loaded
+    // host ([`STAGGER_ROWS`]).
+    let (n, item) = (STAGGER_ROWS, band_table(STAGGER_ROWS, opts.seed));
+    let expect = |spec: &QuerySpec| {
+        let plan = spec.build(&item, &supplier).unwrap();
+        execute(&mut NullTracker, &plan, &seq).unwrap().output
+    };
+    let chunk = STAGGER_CHUNK;
     let mut stagger: Option<(ServiceMetrics, u64, f64)> = None;
     let mut attempts = 0;
     for attempt in 0..5 {
@@ -596,6 +604,36 @@ fn run_needles(
         }
     }
     (svc.metrics(), wall_ms)
+}
+
+/// Rows of the stagger and sharing-off legs' table, at every scale. Client
+/// 0's pass over it must outlast the stragglers' wake-up on a loaded host:
+/// over the storm's 60 000 rows it lasts ~0.3 ms, less than one scheduler
+/// time slice, and beside two busy loops the stragglers missed it in most
+/// runs.
+const STAGGER_ROWS: usize = 1 << 21;
+
+/// The stagger leg's elevator chunk in values: 512 boundaries to board at
+/// over [`STAGGER_ROWS`].
+const STAGGER_CHUNK: usize = 1 << 12;
+
+/// The two Item columns a band query reads, over `n` rows: `qty` in
+/// `1..=50` and `price`, drawn from a hash of the row and `seed` — cheaper
+/// than the whole Item at the size the stagger leg needs.
+fn band_table(n: usize, seed: u64) -> DecomposedTable {
+    let draw = |i: usize| {
+        let mut z = seed ^ (i as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z ^ (z >> 31)
+    };
+    let qty: Vec<i32> = (0..n).map(|i| 1 + (draw(i) % 50) as i32).collect();
+    let price: Vec<f64> = qty
+        .iter()
+        .enumerate()
+        .map(|(i, &q)| f64::from(q) * (draw(!i) % 10_000) as f64 / 100.0)
+        .collect();
+    let cols = vec![("qty".to_owned(), Column::I32(qty)), ("price".to_owned(), Column::F64(price))];
+    DecomposedTable::from_columns("Item", 1000, cols).expect("both columns hold n values")
 }
 
 /// Where the stagger leg's late clients wait, asleep, for client 0's pass:

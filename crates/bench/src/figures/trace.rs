@@ -15,8 +15,7 @@
 //! * **drill** — one grouped aggregation, so the drift observatory sees
 //!   gather and aggregate shapes, not just scans;
 //! * **shed** — a zero-length admission queue rejects a query (`Shed`),
-//!   with its trace exported through the `MONET_TRACE=<path>` JSONL file
-//!   mode and read back.
+//!   with its trace exported in `TraceMode::File` (JSONL) and read back.
 //!
 //! The figure then **asserts** the tentpole claims: 100% of traces
 //! validate against the lifecycle DFA with exactly the expected terminal

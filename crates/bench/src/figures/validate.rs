@@ -1,13 +1,14 @@
 //! **Model validation** — the "lines vs points" agreement the paper claims
 //! ("The model shows to be very accurate", §3.4.2), made explicit: relative
-//! error between the analytical model (implementation-matched parameters)
-//! and the trace-driven simulator, per experiment and metric.
+//! error between the analytical model (which charges this implementation's
+//! three streams per cluster pass) and the trace-driven simulator, per
+//! experiment and metric.
 
 use costmodel::cluster::cluster_cost_even;
 use costmodel::phash::phash_cost;
 use costmodel::rjoin::rjoin_cost;
 use costmodel::scan::scan_cost;
-use costmodel::{ModelMachine, ModelParams};
+use costmodel::ModelMachine;
 use memsim::stride::scan_sim;
 use memsim::{NullTracker, SimTracker};
 use monet_core::join::{join_clustered, radix_cluster, radix_join_clustered, FibHash};
@@ -36,9 +37,9 @@ fn pct(e: f64) -> String {
 /// Run the validation report.
 pub fn run(opts: &RunOpts) {
     let machine = opts.machine();
-    let model = ModelMachine::with_params(&machine, ModelParams::implementation_matched());
+    let model = ModelMachine::new(&machine);
     let mut t = TextTable::new(
-        "Model vs simulator: relative error (impl-matched parameters)",
+        "Model vs simulator: relative error",
         &["experiment", "point", "time err", "L1 err", "L2 err", "TLB err"],
     );
     let mut time_errors: Vec<f64> = Vec::new();
@@ -139,7 +140,7 @@ mod tests {
     #[test]
     fn scan_model_is_tight() {
         let machine = memsim::profiles::origin2000();
-        let model = ModelMachine::with_params(&machine, ModelParams::implementation_matched());
+        let model = ModelMachine::new(&machine);
         for stride in [1usize, 32, 256] {
             let sim = scan_sim(machine, 50_000, stride);
             let m = scan_cost(&model, 50_000, stride);
@@ -150,7 +151,7 @@ mod tests {
     #[test]
     fn cluster_model_tracks_simulator_within_2x_everywhere() {
         let machine = memsim::profiles::origin2000();
-        let model = ModelMachine::with_params(&machine, ModelParams::implementation_matched());
+        let model = ModelMachine::new(&machine);
         let c = 200_000;
         let input = unique_random_buns(c, 1);
         for (bits, passes) in [(4u32, 1u32), (10, 1), (10, 2), (14, 2)] {

@@ -5,6 +5,7 @@ use std::path::PathBuf;
 use memsim::{profiles, EventCounters, MachineConfig, SimTracker};
 use monet_core::join::Bun;
 use monet_core::join::{radix_cluster, ClusteredRel, FibHash};
+use service::ServiceConfig;
 
 /// How big to run the experiments.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -38,6 +39,16 @@ impl ThreadsOpt {
             ThreadsOpt::Seq => engine::exec::Threads::Fixed(1),
             ThreadsOpt::Fixed(n) => engine::exec::Threads::Fixed(n.max(1)),
             ThreadsOpt::Auto => engine::exec::Threads::Auto,
+        }
+    }
+
+    /// The service configuration this flag gives `service` and `shard`: a
+    /// budget of `N` threads for `--threads N`, else [`ServiceConfig::new`]'s
+    /// (the host's available parallelism) with no flag or `--threads auto`.
+    pub fn service_config(self) -> ServiceConfig {
+        match self {
+            ThreadsOpt::Fixed(n) => ServiceConfig::new().with_budget(n),
+            ThreadsOpt::Seq | ThreadsOpt::Auto => ServiceConfig::new(),
         }
     }
 }
@@ -188,6 +199,16 @@ mod tests {
         assert_eq!(o.join_cards(), vec![15_625, 125_000, 1_000_000, 8_000_000, 64_000_000]);
         assert_eq!(o.cluster_card(), 8_000_000);
         assert_eq!(o.overall_cards().len(), 7);
+    }
+
+    #[test]
+    fn threads_flag_sets_the_service_budget() {
+        let host = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
+        assert_eq!(ThreadsOpt::default().service_config().budget, host, "no flag: the host's");
+        assert_eq!(ThreadsOpt::Auto.service_config().budget, host, "`auto`: the host's");
+        for n in [1, 2, 3, 64] {
+            assert_eq!(ThreadsOpt::Fixed(n).service_config().budget, n, "`{n}`");
+        }
     }
 
     #[test]

@@ -10,9 +10,8 @@
 //! T_c(P, B, C)    = Σ_p [ C·w_c + M_L1,c·l_L2 + M_L2,c·l_Mem + M_TLB,c·l_TLB ]
 //! ```
 //!
-//! where `k` is the sequential-stream count (2 in the paper, 3 for this
-//! repository's histogram-re-reading implementation; see
-//! [`crate::ModelParams::cluster_seq_streams`]).
+//! where `k` is the sequential-stream count ([`CLUSTER_SEQ_STREAMS`]: 2 in
+//! the paper, 3 for this repository's histogram-re-reading implementation).
 //!
 //! **Reconstruction notes** (PDF garbling): the branch conditions are
 //! restored so both cache branches meet at `C` when `H_p = |Li|` and both
@@ -22,9 +21,15 @@
 //! paper omits for space — "a second more moderate increase in TLB misses …
 //! when the number of clusters exceeds the number of L2 cache lines" — is
 //! implemented in [`tlb_l2_interaction`] with the same `1 − lines/H_p`
-//! shape, gated by [`crate::ModelParams::tlb_l2_interaction`].
+//! shape and added to every pass's TLB misses.
 
 use crate::machine::{ModelCost, ModelMachine};
+
+/// Sequential streams per cluster pass. The paper charges `2·|Re|`: read
+/// the input and write the output, because Monet builds the histogram in
+/// the previous pass. This repository's radix-cluster re-reads its input
+/// for the histogram, so the model charges 3.
+pub const CLUSTER_SEQ_STREAMS: f64 = 3.0;
 
 /// Cache-miss count for one pass at one cache level, parameterized by the
 /// level's line count. See module docs.
@@ -56,13 +61,10 @@ pub fn tlb_l2_interaction(m: &ModelMachine, c: f64, hp: f64) -> f64 {
 /// Predicted cost of ONE clustering pass on `B_p` bits over `C` tuples.
 pub fn cluster_pass_cost(m: &ModelMachine, pass_bits: u32, c: f64) -> ModelCost {
     let hp = (1u64 << pass_bits) as f64;
-    let k = m.params.cluster_seq_streams;
+    let k = CLUSTER_SEQ_STREAMS;
     let l1 = cache_misses(k, m.rel_l1_lines(c), c, hp, m.l1_lines);
     let l2 = cache_misses(k, m.rel_l2_lines(c), c, hp, m.l2_lines);
-    let mut tlb = tlb_misses(k, m.rel_pages(c), c, hp, m.tlb_entries);
-    if m.params.tlb_l2_interaction {
-        tlb += tlb_l2_interaction(m, c, hp);
-    }
+    let tlb = tlb_misses(k, m.rel_pages(c), c, hp, m.tlb_entries) + tlb_l2_interaction(m, c, hp);
     ModelCost::assemble(c * m.work.cluster_tuple_ns, l1, l2, tlb, &m.lat)
 }
 
@@ -162,16 +164,16 @@ mod tests {
     }
 
     #[test]
-    fn seq_stream_param_shifts_baseline_only() {
-        let cfg = profiles::origin2000();
-        let paper = ModelMachine::new(&cfg);
-        let ours = ModelMachine::with_params(&cfg, crate::ModelParams::implementation_matched());
+    fn seq_streams_charge_three_relation_sweeps() {
+        // 16 clusters fit in L1, so a pass's L1 misses are its
+        // sequential streams plus the scatter term C·H_p/|L1|.
+        let m = origin();
         let c = 1e6;
-        let p = cluster_pass_cost(&paper, 4, c);
-        let o = cluster_pass_cost(&ours, 4, c);
-        assert!(o.l1_misses > p.l1_misses);
-        assert!((o.l1_misses - p.l1_misses - paper.rel_l1_lines(c)).abs() < 1.0);
-        assert_eq!(o.cpu_ns, p.cpu_ns);
+        let hp = 16.0;
+        let scatter = c * hp / m.l1_lines;
+        let l1 = cluster_pass_cost(&m, 4, c).l1_misses;
+        assert!((l1 - scatter - CLUSTER_SEQ_STREAMS * m.rel_l1_lines(c)).abs() < 1.0);
+        assert_eq!(CLUSTER_SEQ_STREAMS, 3.0, "input, histogram re-read, output");
     }
 
     #[test]
@@ -180,11 +182,6 @@ mod tests {
         let c = 8e6;
         assert_eq!(tlb_l2_interaction(&m, c, 32768.0), 0.0);
         assert!(tlb_l2_interaction(&m, c, 2.0 * 32768.0) > 0.0);
-        let mut no = m;
-        no.params.tlb_l2_interaction = false;
-        let with_bump = cluster_pass_cost(&m, 17, c).tlb_misses;
-        let without = cluster_pass_cost(&no, 17, c).tlb_misses;
-        assert!(with_bump > without);
     }
 
     #[test]

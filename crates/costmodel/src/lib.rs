@@ -55,6 +55,6 @@ pub mod rjoin;
 pub mod scan;
 
 pub use access::{AccessPath, IndexShape, SelectQuery};
-pub use machine::{ModelCost, ModelMachine, ModelParams};
+pub use machine::{ModelCost, ModelMachine};
 pub use parallel::{ParPlan, ParallelModel};
 pub use quote::{quote_ops, OpShape, QueryQuote};

@@ -10,47 +10,9 @@ pub const BUN_BYTES: f64 = 8.0;
 /// the `phash` strategies (§3.4.4's `C·12/‖L2‖` etc.).
 pub const PHASH_TUPLE_BYTES: f64 = 12.0;
 
-/// Tunable parameters where our implementation legitimately differs from the
-/// paper's Monet implementation; defaults reproduce the published formulas.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ModelParams {
-    /// Sequential streams per cluster pass. The paper charges `2·|Re|`
-    /// (read input + write output, Monet fuses histogram building into the
-    /// previous pass). Our implementation re-reads the input for the
-    /// histogram, so validation against the simulator uses `3.0`.
-    pub cluster_seq_streams: f64,
-    /// Sequential streams of a join phase: read both operands + write the
-    /// result (`3·|Re|` in the paper).
-    pub join_seq_streams: f64,
-    /// Model the paper's "second more moderate increase in TLB misses …
-    /// when the number of clusters exceeds the number of L2 cache lines"
-    /// (the formula the paper omits for space).
-    pub tlb_l2_interaction: bool,
-    /// Extra per-tuple build-side accesses of the hash join beyond the
-    /// outer-stream accesses modelled by `join_seq_streams`; the paper's
-    /// trash-regime factor ("up to 8 memory accesses per tuple … and
-    /// another two to access the actual tuple") is 10.
-    pub hash_accesses_per_tuple: f64,
-}
-
-impl Default for ModelParams {
-    fn default() -> Self {
-        Self {
-            cluster_seq_streams: 2.0,
-            join_seq_streams: 3.0,
-            tlb_l2_interaction: true,
-            hash_accesses_per_tuple: 10.0,
-        }
-    }
-}
-
-impl ModelParams {
-    /// Parameters matched to *this repository's* implementation (histogram
-    /// pass re-reads the input), used when validating model vs simulator.
-    pub fn implementation_matched() -> Self {
-        Self { cluster_seq_streams: 3.0, ..Self::default() }
-    }
-}
+/// Sequential streams of a join phase: read both operands and write the
+/// result (the paper's `3·|Re|`).
+pub const JOIN_SEQ_STREAMS: f64 = 3.0;
 
 /// A machine, pre-digested for the model: everything as `f64`.
 #[derive(Debug, Clone, Copy)]
@@ -77,18 +39,11 @@ pub struct ModelMachine {
     pub lat: Latencies,
     /// Calibrated per-operation work.
     pub work: WorkCosts,
-    /// Tunables (see [`ModelParams`]).
-    pub params: ModelParams,
 }
 
 impl ModelMachine {
-    /// Digest a simulator machine description with default parameters.
+    /// Digest a simulator machine description.
     pub fn new(cfg: &MachineConfig) -> Self {
-        Self::with_params(cfg, ModelParams::default())
-    }
-
-    /// Digest with explicit parameters.
-    pub fn with_params(cfg: &MachineConfig, params: ModelParams) -> Self {
         let l1 = cfg.l1.unwrap_or(cfg.l2);
         Self {
             l1_line: l1.line as f64,
@@ -102,7 +57,6 @@ impl ModelMachine {
             tlb_span: cfg.tlb_span() as f64,
             lat: cfg.lat,
             work: cfg.work,
-            params,
         }
     }
 

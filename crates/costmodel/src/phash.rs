@@ -14,8 +14,7 @@
 //! tuple). The factor 10 is the paper's own counting for the trash regime:
 //! "with a bucket-chain length of 4, up to 8 memory accesses per tuple are
 //! necessary while building the hash-table and doing the hash lookup, and
-//! another two to access the actual tuple" (configurable via
-//! [`crate::ModelParams::hash_accesses_per_tuple`]).
+//! another two to access the actual tuple" ([`HASH_ACCESSES_PER_TUPLE`]).
 //!
 //! **Reconstruction note:** the extracted text prints the TLB trash factor
 //! as `(1 − ‖Li‖/‖TLB‖)`, whose units cannot be right (it is constant in
@@ -24,7 +23,13 @@
 //! hash-table structure" that makes very fine clusterings lose (the upturn
 //! at the right edge of Fig. 11, cluster size ≲ 200 tuples).
 
-use crate::machine::{ModelCost, ModelMachine, PHASH_TUPLE_BYTES};
+use crate::machine::{ModelCost, ModelMachine, JOIN_SEQ_STREAMS, PHASH_TUPLE_BYTES};
+
+/// Build-side accesses per tuple of the hash join in the trash regime,
+/// beyond the outer-stream accesses [`JOIN_SEQ_STREAMS`] models: the
+/// paper's "up to 8 memory accesses per tuple … and another two to access
+/// the actual tuple".
+pub const HASH_ACCESSES_PER_TUPLE: f64 = 10.0;
 
 /// Inner-cluster-plus-table size in bytes at `B` bits (`‖Cl‖`).
 #[inline]
@@ -43,8 +48,8 @@ fn region_misses(accesses: f64, c: f64, cl_bytes: f64, region_bytes: f64) -> f64
 /// Predicted cost of the partitioned hash-join *join phase* (clustering not
 /// included — exactly what Figure 11 plots).
 pub fn phash_cost(m: &ModelMachine, bits: u32, c: f64) -> ModelCost {
-    let k = m.params.join_seq_streams;
-    let acc = m.params.hash_accesses_per_tuple;
+    let k = JOIN_SEQ_STREAMS;
+    let acc = HASH_ACCESSES_PER_TUPLE;
     let h = (1u64 << bits) as f64;
     let cl = cluster_bytes(bits, c);
 

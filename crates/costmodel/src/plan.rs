@@ -11,7 +11,7 @@
 use monet_core::strategy::{plan_passes, Algorithm, JoinPlan};
 
 use crate::cluster::cluster_cost;
-use crate::machine::{ModelCost, ModelMachine};
+use crate::machine::{ModelCost, ModelMachine, JOIN_SEQ_STREAMS};
 use crate::phash::phash_cost;
 use crate::rjoin::rjoin_cost;
 
@@ -44,9 +44,9 @@ pub fn sort_merge_total(m: &ModelMachine, c: f64) -> ModelCost {
     let merge_cpu = 2.0 * c * m.work.merge_tuple_ns;
     let merge = ModelCost::assemble(
         merge_cpu,
-        m.params.join_seq_streams * m.rel_l1_lines(c),
-        m.params.join_seq_streams * m.rel_l2_lines(c),
-        m.params.join_seq_streams * m.rel_pages(c),
+        JOIN_SEQ_STREAMS * m.rel_l1_lines(c),
+        JOIN_SEQ_STREAMS * m.rel_l2_lines(c),
+        JOIN_SEQ_STREAMS * m.rel_pages(c),
         &m.lat,
     );
     sort_one + sort_one + merge
@@ -102,11 +102,10 @@ pub fn best_plan(m: &ModelMachine, cfg: &memsim::MachineConfig, c: usize) -> (Jo
 /// This is the seam `engine::physical` calls so that physical join choice
 /// lives in the cost model rather than at call sites; the chosen plan then
 /// travels with the join and is priced as it stands
-/// ([`crate::quote::OpShape::Join`]). It builds the implementation-matched
-/// [`ModelMachine`] (our clustering re-reads its input for the histogram
-/// pass) and runs the exhaustive [`best_plan`] search.
+/// ([`crate::quote::OpShape::Join`]). It runs the exhaustive [`best_plan`]
+/// search over `cfg`'s [`ModelMachine`].
 pub fn plan_join(cfg: &memsim::MachineConfig, cardinality: usize) -> (JoinPlan, ModelCost) {
-    let m = ModelMachine::with_params(cfg, crate::machine::ModelParams::implementation_matched());
+    let m = ModelMachine::new(cfg);
     best_plan(&m, cfg, cardinality.max(1))
 }
 
@@ -204,18 +203,10 @@ mod tests {
         let (m, cfg) = setup();
         for c in [1usize, 1_000, 1_000_000] {
             let (plan, cost) = plan_join(&cfg, c);
-            let model = ModelMachine::with_params(
-                &cfg,
-                crate::machine::ModelParams::implementation_matched(),
-            );
-            let (expect, expect_cost) = best_plan(&model, &cfg, c.max(1));
+            let (expect, expect_cost) = best_plan(&m, &cfg, c.max(1));
             assert_eq!(plan, expect, "C={c}");
             assert!((cost.total_ns() - expect_cost.total_ns()).abs() < 1e-9);
         }
-        // plan_join uses implementation-matched params, so it may differ from
-        // the default-params best_plan — but never from its own model.
-        let (_, default_cost) = best_plan(&m, &cfg, 1_000_000);
-        assert!(default_cost.total_ns() > 0.0);
     }
 
     #[test]

@@ -35,7 +35,7 @@ use monet_core::strategy::{plan_passes, Algorithm, JoinPlan};
 use crate::parallel::{ParPlan, ParallelModel};
 use crate::plan::plan_cost;
 use crate::scan::{misses_per_iter, scan_cost, select_cost, Select};
-use crate::{ModelCost, ModelMachine, ModelParams};
+use crate::{ModelCost, ModelMachine};
 
 /// The shape of one operator of a logical plan, as much as an admission
 /// controller can know before execution.
@@ -174,39 +174,26 @@ impl QueryQuote {
     }
 }
 
-/// The two calibrated machines a quote prices against: the paper's
-/// parameters for scans, the implementation-matched ones for joins.
-fn models(cfg: &MachineConfig) -> (ModelMachine, ModelMachine) {
-    (ModelMachine::new(cfg), ModelMachine::with_params(cfg, ModelParams::implementation_matched()))
-}
-
-/// Price one operator shape sequentially, given prebuilt scan and join
-/// models (so a whole plan builds them once).
-fn price_op(
-    scan_model: &ModelMachine,
-    join_model: &ModelMachine,
-    cfg: &MachineConfig,
-    op: OpShape,
-) -> f64 {
+/// Price one operator shape sequentially, given `cfg`'s prebuilt model (so
+/// a whole plan builds it once).
+fn price_op(model: &ModelMachine, cfg: &MachineConfig, op: OpShape) -> f64 {
     // `n` tuples of `cpu_ns` work in total, read as `streams` sequential
     // 8-byte streams.
     let streamed = |n: f64, streams: f64, cpu_ns: f64| {
-        let (l1, l2, tlb) = misses_per_iter(scan_model, 8.0);
+        let (l1, l2, tlb) = misses_per_iter(model, 8.0);
         let touches = n * streams;
-        ModelCost::assemble(cpu_ns, touches * l1, touches * l2, touches * tlb, &scan_model.lat)
+        ModelCost::assemble(cpu_ns, touches * l1, touches * l2, touches * tlb, &model.lat)
             .total_ns()
     };
     match op {
-        OpShape::Select(s) => {
-            select_cost(scan_model, Select { rows: s.rows.max(1), ..s }).total_ns()
-        }
+        OpShape::Select(s) => select_cost(model, Select { rows: s.rows.max(1), ..s }).total_ns(),
         OpShape::Join { outer, inner, algorithm, bits } => {
             // The plan followed the inner (build) side; the model is
             // symmetric in C, so the price follows the larger operand —
             // otherwise an asymmetric join would be quoted at the
             // dimension's size.
             let plan = JoinPlan { algorithm, bits, pass_bits: plan_passes(bits, cfg.tlb.entries) };
-            plan_cost(join_model, &plan, outer.max(inner).max(1) as f64).total_ns()
+            plan_cost(model, &plan, outer.max(inner).max(1) as f64).total_ns()
         }
         OpShape::Aggregate { rows, columns, grouped } => {
             // One single-pass accumulation kernel: the memory side streams
@@ -217,19 +204,19 @@ fn price_op(
             let n = rows.max(1) as f64;
             let streams = (columns + usize::from(grouped)).max(1) as f64;
             let cpu = if grouped {
-                n * scan_model.work.hash_tuple_ns
+                n * model.work.hash_tuple_ns
             } else {
-                n * streams * scan_model.work.scan_iter_ns
+                n * streams * model.work.scan_iter_ns
             };
             streamed(n, streams, cpu)
         }
-        OpShape::Gather { rows } => scan_cost(scan_model, rows.max(1), 8).total_ns(),
+        OpShape::Gather { rows } => scan_cost(model, rows.max(1), 8).total_ns(),
         OpShape::Merge { rows } => {
             // One 8-byte stream over the shard partials, charged at the
             // calibrated merge-tuple work rate (the same constant the
             // sort-merge model uses for its interleave phase).
             let n = rows.max(1) as f64;
-            streamed(n, 1.0, n * scan_model.work.merge_tuple_ns)
+            streamed(n, 1.0, n * model.work.merge_tuple_ns)
         }
     }
 }
@@ -238,18 +225,18 @@ fn price_op(
 /// the per-operator residual API: a drift monitor compares these numbers
 /// against the simulated counters execution actually charged the operator.
 pub fn op_costs_ns(cfg: &MachineConfig, ops: &[OpShape]) -> Vec<f64> {
-    let (scan_model, join_model) = models(cfg);
-    ops.iter().map(|&op| price_op(&scan_model, &join_model, cfg, op)).collect()
+    let model = ModelMachine::new(cfg);
+    ops.iter().map(|&op| price_op(&model, cfg, op)).collect()
 }
 
 /// Price a sequence of operator shapes on machine `cfg` into one
 /// [`QueryQuote`]. An empty slice quotes zero cost.
 pub fn quote_ops(cfg: &MachineConfig, ops: &[OpShape]) -> QueryQuote {
-    let (scan_model, join_model) = models(cfg);
+    let model = ModelMachine::new(cfg);
     let mut seq_ns = 0.0;
     let mut items = 0usize;
     for &op in ops {
-        seq_ns += price_op(&scan_model, &join_model, cfg, op);
+        seq_ns += price_op(&model, cfg, op);
         items += op.items();
     }
     QueryQuote { seq_ns, items, ops: ops.len() }
@@ -308,7 +295,7 @@ mod tests {
         // a worse plan at the same cardinality quotes more.
         let cfg = profiles::origin2000();
         let c = 8_000_000;
-        let model = ModelMachine::with_params(&cfg, ModelParams::implementation_matched());
+        let model = ModelMachine::new(&cfg);
         let (best, _) = plan_join(&cfg, c);
         let simple = Strategy::SimpleHash.plan(c, &cfg);
         assert_ne!(best.algorithm, simple.algorithm);

@@ -16,7 +16,7 @@
 //! diagonal. For simplicity (following the paper) both operands and the
 //! result are assumed to have cardinality `C`.
 
-use crate::machine::{ModelCost, ModelMachine, BUN_BYTES};
+use crate::machine::{ModelCost, ModelMachine, BUN_BYTES, JOIN_SEQ_STREAMS};
 
 /// Mean tuples per cluster at `B` bits.
 #[inline]
@@ -33,7 +33,7 @@ fn cache_misses(join_streams: f64, rel_lines: f64, c: f64, cl_lines: f64, lines:
 /// Predicted cost of the radix-join *join phase* (clustering not included —
 /// exactly what Figure 10 plots).
 pub fn rjoin_cost(m: &ModelMachine, bits: u32, c: f64) -> ModelCost {
-    let k = m.params.join_seq_streams;
+    let k = JOIN_SEQ_STREAMS;
     let cl_tuples = cluster_tuples(bits, c);
     let cl_bytes = cl_tuples * BUN_BYTES;
 

@@ -9,8 +9,8 @@
 //! * [`trace`] — per-query lifecycle traces: logically-timestamped event
 //!   lists (admitted → queued → lease → elevator chunks → delivered, or
 //!   the cache-hit / collapse / shed short-circuits) recorded into
-//!   per-session ring buffers and exportable as JSONL
-//!   (`MONET_TRACE=path|stderr|0`). A legal-lifecycle DFA
+//!   per-session ring buffers and exportable as JSONL to a file
+//!   (`TraceMode::File`). A legal-lifecycle DFA
 //!   ([`trace::validate_lifecycle`]) makes "every query has a complete
 //!   story" a checkable invariant.
 //! * [`drift`] — the cost-model drift observatory: per-

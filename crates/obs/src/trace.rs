@@ -38,7 +38,7 @@ use std::sync::{Arc, Mutex};
 
 use memsim::EventCounters;
 
-/// Where completed traces go (`MONET_TRACE` / `ServiceConfig.trace`).
+/// Where completed traces go (`ServiceConfig.trace`).
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub enum TraceMode {
     /// Tracing disabled: no clock, no rings, no per-query overhead.
@@ -46,24 +46,11 @@ pub enum TraceMode {
     Off,
     /// Record into per-session rings only (inspect via the service API).
     Ring,
-    /// Rings plus one JSON line per completed trace on stderr.
-    Stderr,
     /// Rings plus JSONL appended to the given file path.
     File(String),
 }
 
 impl TraceMode {
-    /// Parse a `MONET_TRACE` value: `0`/`off`/empty → `Off`, `1`/`on`/
-    /// `ring` → `Ring`, `stderr` → `Stderr`, anything else is a file path.
-    pub fn parse(v: &str) -> Self {
-        match v.trim() {
-            "" | "0" | "off" | "false" => TraceMode::Off,
-            "1" | "on" | "true" | "ring" => TraceMode::Ring,
-            "stderr" => TraceMode::Stderr,
-            path => TraceMode::File(path.to_owned()),
-        }
-    }
-
     /// Whether tracing is on at all.
     pub fn enabled(&self) -> bool {
         *self != TraceMode::Off
@@ -444,11 +431,6 @@ impl TraceBuilder {
     }
 }
 
-enum SinkOut {
-    Stderr,
-    File(std::fs::File),
-}
-
 /// The service-wide trace collector: the logical clock, per-session rings,
 /// and the optional JSONL export stream.
 pub struct TraceSink {
@@ -456,7 +438,7 @@ pub struct TraceSink {
     next_query: AtomicU64,
     rings: Mutex<Vec<Arc<Mutex<TraceRing>>>>,
     ring_cap: usize,
-    out: Option<Mutex<SinkOut>>,
+    out: Option<Mutex<std::fs::File>>,
 }
 
 impl TraceSink {
@@ -467,9 +449,8 @@ impl TraceSink {
         let out = match mode {
             TraceMode::Off => return None,
             TraceMode::Ring => None,
-            TraceMode::Stderr => Some(SinkOut::Stderr),
             TraceMode::File(path) => match std::fs::File::create(path) {
-                Ok(f) => Some(SinkOut::File(f)),
+                Ok(f) => Some(f),
                 Err(e) => {
                     eprintln!("obs: cannot open trace file {path}: {e}; recording to rings only");
                     None
@@ -514,12 +495,8 @@ impl TraceSink {
             QueryTrace { query: builder.query, session: builder.session, events: builder.events };
         if let Some(out) = &self.out {
             let line = trace.to_jsonl();
-            let mut out = out.lock().expect("trace out lock");
-            let res = match &mut *out {
-                SinkOut::Stderr => writeln!(std::io::stderr().lock(), "{line}"),
-                SinkOut::File(f) => writeln!(f, "{line}"),
-            };
-            drop(res); // diagnostics must never fail a query
+            // Diagnostics must never fail a query.
+            drop(writeln!(out.lock().expect("trace out lock"), "{line}"));
         }
         let ring = {
             let rings = self.rings.lock().expect("trace rings lock");

@@ -43,9 +43,9 @@
 //!          QueryHandle { output, ExecReport, SchedInfo }   (+ cache insert)
 //! ```
 //!
-//! * [`config`] — [`ServiceConfig`] and the `MONET_SERVICE_*` env knobs
-//!   (including `MONET_SERVICE_CHUNK`, the elevator chunk size), refused
-//!   with a [`ConfigError`] when a value does not parse;
+//! * [`config`] — [`ServiceConfig`]: the machine, the thread budget, the
+//!   queue and starvation bounds, shared scans, the cache budget, the
+//!   elevator chunk size, tracing and the drift band, set in code;
 //! * [`sched`] — the pure admission/budget state machine, which dispatches
 //!   on every transition (deterministic unit tests and an exhaustive
 //!   interleaving explorer live there);
@@ -61,11 +61,11 @@
 //!   from mergeable per-session [`obs::LogHistogram`]s.
 //!
 //! **Observability** ([`obs`]): with [`ServiceConfig::trace`] on
-//! (`MONET_TRACE=on|stderr|<path>`), every submitted query records a
-//! [`obs::QueryTrace`] — logically-timestamped lifecycle events (admitted,
-//! queued, lease granted, chunk done, elevator attach, preempted,
-//! collapsed, cache hit, shed, per-operator completion, delivered) —
-//! retrievable via [`QueryService::traces`] and exportable as JSONL.
+//! ([`obs::TraceMode::Ring`], or `File` to append JSONL), every submitted
+//! query records a [`obs::QueryTrace`] — logically-timestamped lifecycle
+//! events (admitted, queued, lease granted, chunk done, elevator attach,
+//! preempted, collapsed, cache hit, shed, per-operator completion,
+//! delivered) — retrievable via [`QueryService::traces`].
 //! Tracing runs kernels under the [`memsim`] simulator (sequentially;
 //! results stay bit-identical), and the simulated counters feed the
 //! cost-model drift observatory ([`QueryService::drift`]): per-shape EWMA
@@ -96,7 +96,7 @@ pub mod sched;
 pub mod service;
 mod shared;
 
-pub use config::{ConfigError, ServiceConfig};
+pub use config::ServiceConfig;
 pub use dist::{CopyId, CopyStats, PlacePolicy, PlacedRun, ShardCluster};
 pub use metrics::{LatencySummary, ServiceMetrics, SessionMetrics};
 pub use obs::TraceMode;

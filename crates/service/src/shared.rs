@@ -21,7 +21,7 @@
 //! ## Elevator passes
 //!
 //! A claimed pass runs as an *elevator*: the runner streams the column in
-//! chunks of the configured size (`MONET_SERVICE_CHUNK`;
+//! chunks of the configured size (`ServiceConfig::chunk_rows`;
 //! [`monet_core::scan::select_into`] over one `RowSet::Range` each) and, at
 //! every chunk boundary of the pass's first cycle, absorbs newly posted
 //! same-column wants as fresh *riders*
@@ -45,7 +45,7 @@
 //! fingerprint (table buffer identities + every operator's constants, so
 //! equal keys mean the same computation over the same bytes). Tables are
 //! immutable, so entries never need invalidation; the budget is
-//! `ServiceConfig::cache_bytes` (`MONET_SERVICE_CACHE`), and `0` disables
+//! `ServiceConfig::cache_bytes`, and `0` disables
 //! caching entirely. Execution is deterministic, so serving a cached
 //! result is bit-identical to re-running the plan.
 

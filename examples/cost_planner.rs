@@ -9,12 +9,12 @@
 
 use monet_mem::core::strategy::Algorithm;
 use monet_mem::costmodel::plan::{best_plan, simple_hash_total, sort_merge_total};
-use monet_mem::costmodel::{ModelMachine, ModelParams};
+use monet_mem::costmodel::ModelMachine;
 use monet_mem::memsim::profiles;
 
 fn main() {
     let machine = profiles::origin2000();
-    let model = ModelMachine::with_params(&machine, ModelParams::implementation_matched());
+    let model = ModelMachine::new(&machine);
 
     println!("model-optimal join plans on the Origin2000 (paper-calibrated costs):\n");
     println!(

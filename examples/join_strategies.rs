@@ -10,14 +10,14 @@ use std::time::Instant;
 use monet_mem::core::join::{join, FibHash};
 use monet_mem::core::strategy::Strategy;
 use monet_mem::costmodel::plan::{best_plan, plan_cost};
-use monet_mem::costmodel::{ModelMachine, ModelParams};
+use monet_mem::costmodel::ModelMachine;
 use monet_mem::memsim::{profiles, NullTracker, SimTracker};
 use monet_mem::workload::join_pair;
 
 fn main() {
     let n: usize = std::env::args().nth(1).and_then(|a| a.parse().ok()).unwrap_or(250_000);
     let machine = profiles::origin2000();
-    let model = ModelMachine::with_params(&machine, ModelParams::implementation_matched());
+    let model = ModelMachine::new(&machine);
     let (l, r) = join_pair(n, 1);
 
     println!("join of two {n}-tuple BATs, hit rate 1\n");

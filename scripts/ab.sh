@@ -51,14 +51,6 @@ trace_seed=${4:-42}
 case $pairs in '' | *[!0-9]* | 0) usage ;; esac
 case $trace_seed in '' | *[!0-9]*) usage ;; esac
 
-# The benchmark pins every knob itself; an inherited MONET_* would be
-# refused by wallbench after both builds, so refuse it here first.
-if env | grep -q '^MONET_'; then
-    echo "ab.sh: unset every MONET_* variable first:" >&2
-    env | grep '^MONET_' >&2
-    exit 2
-fi
-
 root=$(git rev-parse --show-toplevel)
 cd "$root"
 base_sha=$(git rev-parse --verify "$base^{commit}")

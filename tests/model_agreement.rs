@@ -8,13 +8,13 @@ use monet_mem::costmodel::cluster::cluster_cost;
 use monet_mem::costmodel::phash::phash_cost;
 use monet_mem::costmodel::rjoin::rjoin_cost;
 use monet_mem::costmodel::scan::scan_cost;
-use monet_mem::costmodel::{ModelMachine, ModelParams};
+use monet_mem::costmodel::ModelMachine;
 use monet_mem::memsim::stride::scan_sim;
 use monet_mem::memsim::{profiles, NullTracker, SimTracker};
 use monet_mem::workload::{join_pair, unique_random_buns};
 
 fn model() -> ModelMachine {
-    ModelMachine::with_params(&profiles::origin2000(), ModelParams::implementation_matched())
+    ModelMachine::new(&profiles::origin2000())
 }
 
 fn rel_err(model: f64, sim: f64) -> f64 {
