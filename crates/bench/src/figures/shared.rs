@@ -372,7 +372,7 @@ fn run_churn(opts: &RunOpts) {
             "{clients} staggered clients must stream < 2x one client's rows: {m:?}"
         );
         assert!(m.scans_saved >= (clients - 1) as u64, "{m:?}");
-        assert_eq!(m.scans_saved, by_session, "delivery-time accounting balances: {m:?}");
+        assert_eq!(m.scans_saved, by_session, "saved scans are the session rows' sum: {m:?}");
     } else {
         println!(
             "note: only {} of {} stragglers attached after {attempts} attempts \

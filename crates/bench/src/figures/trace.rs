@@ -14,6 +14,9 @@
 //!   `Preempted` events inside `Delivered` lifecycles);
 //! * **drill** — one grouped aggregation, so the drift observatory sees
 //!   gather and aggregate shapes, not just scans;
+//! * **refused** — a plan the planner refuses (a filter above its
+//!   aggregation) fails before admission (`Failed` straight from the
+//!   start);
 //! * **shed** — a zero-length admission queue rejects a query (`Shed`),
 //!   with its trace exported in `TraceMode::File` (JSONL) and read back.
 //!
@@ -28,6 +31,7 @@
 use std::collections::BTreeMap;
 
 use engine::exec::{execute, ExecOptions, Threads};
+use engine::plan::{Agg, LogicalPlan, PlanNode, Pred, Query};
 use memsim::NullTracker;
 use obs::{validate_lifecycle, QueryTrace, Terminal, TraceEvent, TraceMode};
 use service::{QueryService, ServiceConfig, ServiceError};
@@ -150,7 +154,20 @@ pub fn run(opts: &RunOpts) {
     let got = svc.session().run(&plan).expect("drill runs").into_executed();
     assert!(got.output.bitwise_eq(&expect(&drill)), "traced drill must stay bit-identical");
 
-    // Leg E — shed, on its own zero-queue service with JSONL file export.
+    // Leg E — a plan the planner refuses: aggregation below a filter.
+    let grouped = Query::scan(&item).group_by("shipmode").agg(Agg::count()).build().unwrap();
+    let refused = LogicalPlan {
+        root: PlanNode::Filter {
+            input: Box::new(grouped.root),
+            pred: Pred::range_i32("qty", 0, 1),
+        },
+    };
+    assert!(
+        matches!(svc.session().run(&refused), Err(ServiceError::Engine(_))),
+        "a filter above its aggregation is refused"
+    );
+
+    // Leg F — shed, on its own zero-queue service with JSONL file export.
     let jsonl_path = std::env::temp_dir().join(format!("monet_trace_{}.jsonl", std::process::id()));
     let shed_svc = QueryService::new(
         ServiceConfig::new()
@@ -170,7 +187,7 @@ pub fn run(opts: &RunOpts) {
     // ---- The observability claims, asserted. ----
     let traces = svc.traces();
     let shed_traces = shed_svc.traces();
-    let expected = (clients * rounds + rounds + clients + 1, 1usize);
+    let expected = (clients * rounds + rounds + clients + 2, 1usize);
     assert_eq!(
         (traces.len(), shed_traces.len()),
         expected,
@@ -199,7 +216,7 @@ pub fn run(opts: &RunOpts) {
     assert_eq!(census.get("cache-hit"), Some(&rounds), "{census:?}");
     assert_eq!(census.get("shed"), Some(&1), "{census:?}");
     assert_eq!(census.get("delivered"), Some(&(rounds + clients + 1)), "{census:?}");
-    assert_eq!(census.get("failed"), None, "{census:?}");
+    assert_eq!(census.get("failed"), Some(&1), "the refused plan: {census:?}");
     assert!(events.get("ChunkDone").copied().unwrap_or(0) > 0, "elevators must chunk: {events:?}");
 
     // The JSONL file export carries the same (valid) lines.
@@ -257,7 +274,7 @@ pub fn run(opts: &RunOpts) {
 
     println!(
         "{} of {} traces DFA-complete (100%), terminals: {} delivered / {} collapsed / \
-         {} cache hits / 1 shed; all drift ratios within ±2x.\n",
+         {} cache hits / 1 refused / 1 shed; all drift ratios within ±2x.\n",
         traces.len() + shed_traces.len(),
         traces.len() + shed_traces.len(),
         rounds + clients + 1,

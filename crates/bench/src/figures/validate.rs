@@ -2,20 +2,21 @@
 //! ("The model shows to be very accurate", §3.4.2), made explicit: relative
 //! error between the analytical model (which charges this implementation's
 //! three streams per cluster pass) and the trace-driven simulator, per
-//! experiment and metric.
+//! experiment and metric, beside both sides' elapsed milliseconds — so a
+//! change that moves the model shows in the figure itself.
 
 use costmodel::cluster::cluster_cost_even;
 use costmodel::phash::phash_cost;
 use costmodel::rjoin::rjoin_cost;
 use costmodel::scan::scan_cost;
-use costmodel::ModelMachine;
+use costmodel::{ModelCost, ModelMachine};
 use memsim::stride::scan_sim;
-use memsim::{NullTracker, SimTracker};
+use memsim::{EventCounters, NullTracker, SimTracker};
 use monet_core::join::{join_clustered, radix_cluster, radix_join_clustered, FibHash};
 use monet_core::strategy::plan_passes;
 use workload::{join_pair, unique_random_buns};
 
-use crate::report::TextTable;
+use crate::report::{fmt_ms, TextTable};
 use crate::runner::{sim_cluster, RunOpts};
 
 fn rel_err(model: f64, sim: f64) -> f64 {
@@ -34,13 +35,38 @@ fn pct(e: f64) -> String {
     format!("{:.0}%", e * 100.0)
 }
 
+/// One experiment point: the model's and the simulator's elapsed time side
+/// by side, then the relative error of time and of each miss count. The
+/// time error is also collected into `errs`.
+fn row(
+    t: &mut TextTable,
+    errs: &mut Vec<f64>,
+    (experiment, point): (&str, String),
+    m: &ModelCost,
+    sim_ms: f64,
+    sim: &EventCounters,
+) {
+    let e = rel_err(m.total_ms(), sim_ms);
+    errs.push(e);
+    t.row(vec![
+        experiment.into(),
+        point,
+        fmt_ms(m.total_ms()),
+        fmt_ms(sim_ms),
+        pct(e),
+        pct(rel_err(m.l1_misses, sim.l1_misses as f64)),
+        pct(rel_err(m.l2_misses, sim.l2_misses as f64)),
+        pct(rel_err(m.tlb_misses, sim.tlb_misses as f64)),
+    ]);
+}
+
 /// Run the validation report.
 pub fn run(opts: &RunOpts) {
     let machine = opts.machine();
     let model = ModelMachine::new(&machine);
     let mut t = TextTable::new(
-        "Model vs simulator: relative error",
-        &["experiment", "point", "time err", "L1 err", "L2 err", "TLB err"],
+        "Model vs simulator: elapsed ms and relative error",
+        &["experiment", "point", "model ms", "sim ms", "time err", "L1 err", "L2 err", "TLB err"],
     );
     let mut time_errors: Vec<f64> = Vec::new();
 
@@ -48,16 +74,8 @@ pub fn run(opts: &RunOpts) {
     for stride in [1usize, 8, 32, 128, 256] {
         let sim = scan_sim(machine, 100_000, stride);
         let m = scan_cost(&model, 100_000, stride);
-        let e = rel_err(m.total_ms(), sim.elapsed_ms);
-        time_errors.push(e);
-        t.row(vec![
-            "scan".into(),
-            format!("stride {stride}"),
-            pct(e),
-            pct(rel_err(m.l1_misses, sim.counters.l1_misses as f64)),
-            pct(rel_err(m.l2_misses, sim.counters.l2_misses as f64)),
-            pct(rel_err(m.tlb_misses, sim.counters.tlb_misses as f64)),
-        ]);
+        let point = ("scan", format!("stride {stride}"));
+        row(&mut t, &mut time_errors, point, &m, sim.elapsed_ms, &sim.counters);
     }
 
     // Radix-cluster (Fig. 9).
@@ -67,16 +85,8 @@ pub fn run(opts: &RunOpts) {
         let pass_bits = crate::figures::fig9::even_split(bits, passes);
         let (_, sim) = sim_cluster(machine, input.clone(), bits, &pass_bits);
         let m = cluster_cost_even(&model, passes, bits, c as f64);
-        let e = rel_err(m.total_ms(), sim.elapsed_ms());
-        time_errors.push(e);
-        t.row(vec![
-            "radix-cluster".into(),
-            format!("B={bits} P={passes}"),
-            pct(e),
-            pct(rel_err(m.l1_misses, sim.l1_misses as f64)),
-            pct(rel_err(m.l2_misses, sim.l2_misses as f64)),
-            pct(rel_err(m.tlb_misses, sim.tlb_misses as f64)),
-        ]);
+        let point = ("radix-cluster", format!("B={bits} P={passes}"));
+        row(&mut t, &mut time_errors, point, &m, sim.elapsed_ms(), &sim);
     }
 
     // Join phases (Figs. 10–11).
@@ -90,16 +100,8 @@ pub fn run(opts: &RunOpts) {
         radix_join_clustered(&mut trk, FibHash, &lc, &rc);
         let sim = trk.counters();
         let m = rjoin_cost(&model, bits, cj as f64);
-        let e = rel_err(m.total_ms(), sim.elapsed_ms());
-        time_errors.push(e);
-        t.row(vec![
-            "radix-join".into(),
-            format!("B={bits}"),
-            pct(e),
-            pct(rel_err(m.l1_misses, sim.l1_misses as f64)),
-            pct(rel_err(m.l2_misses, sim.l2_misses as f64)),
-            pct(rel_err(m.tlb_misses, sim.tlb_misses as f64)),
-        ]);
+        let point = ("radix-join", format!("B={bits}"));
+        row(&mut t, &mut time_errors, point, &m, sim.elapsed_ms(), &sim);
     }
     for bits in [4u32, 8, 11] {
         let passes = plan_passes(bits, machine.tlb.entries);
@@ -109,16 +111,8 @@ pub fn run(opts: &RunOpts) {
         join_clustered(&mut trk, FibHash, &lc, &rc);
         let sim = trk.counters();
         let m = phash_cost(&model, bits, cj as f64);
-        let e = rel_err(m.total_ms(), sim.elapsed_ms());
-        time_errors.push(e);
-        t.row(vec![
-            "phash-join".into(),
-            format!("B={bits}"),
-            pct(e),
-            pct(rel_err(m.l1_misses, sim.l1_misses as f64)),
-            pct(rel_err(m.l2_misses, sim.l2_misses as f64)),
-            pct(rel_err(m.tlb_misses, sim.tlb_misses as f64)),
-        ]);
+        let point = ("phash-join", format!("B={bits}"));
+        row(&mut t, &mut time_errors, point, &m, sim.elapsed_ms(), &sim);
     }
 
     super::emit(opts, &t);

@@ -16,6 +16,7 @@
 //! ```text
 //! Start ──CacheHit──────────────────────────────▶ done
 //! Start ──Collapsed─────────────────────────────▶ done
+//! Start ──Failed────────────────────────────────▶ done   (plan refused)
 //! Start ──Admitted──┬─Shed──────────────────────▶ done
 //!                   ├─Queued─▶ LeaseGranted ─┐
 //!                   └─LeaseGranted ──────────┴▶ Running
@@ -360,6 +361,8 @@ pub fn validate_lifecycle(trace: &QueryTrace) -> Result<Terminal, LifecycleError
         state = match (state, ev) {
             (S::Start, TraceEvent::CacheHit) => S::Done(Terminal::CacheHit),
             (S::Start, TraceEvent::Collapsed { .. }) => S::Done(Terminal::Collapsed),
+            // The planner refused the plan: it never reached admission.
+            (S::Start, TraceEvent::Failed { .. }) => S::Done(Terminal::Failed),
             (S::Start, TraceEvent::Admitted { .. }) => S::Admitted,
             (S::Admitted, TraceEvent::Shed) => S::Done(Terminal::Shed),
             (S::Admitted, TraceEvent::Queued { .. }) => S::Queued,
@@ -589,6 +592,7 @@ mod tests {
         for (ev, term) in [
             (TraceEvent::CacheHit, Terminal::CacheHit),
             (TraceEvent::Collapsed { leader: 3 }, Terminal::Collapsed),
+            (TraceEvent::Failed { error: "refused".into() }, Terminal::Failed),
         ] {
             assert_eq!(validate_lifecycle(&trace(vec![entry(4, ev)])), Ok(term));
         }
@@ -642,6 +646,14 @@ mod tests {
             entry(1, TraceEvent::Admitted { quote_ms: 0.1, ops: 1, covered: 0 }),
             entry(2, TraceEvent::CacheHit),
         ]);
+        assert!(validate_lifecycle(&t).is_err());
+        // Failure without a lease is a refusal, legal only from Start: an
+        // admitted or queued query fails only once running.
+        let admitted = entry(1, TraceEvent::Admitted { quote_ms: 0.1, ops: 1, covered: 0 });
+        let failed = |t| entry(t, TraceEvent::Failed { error: "boom".into() });
+        let t = trace(vec![admitted.clone(), failed(2)]);
+        assert!(validate_lifecycle(&t).is_err());
+        let t = trace(vec![admitted, entry(2, TraceEvent::Queued { depth: 1 }), failed(3)]);
         assert!(validate_lifecycle(&t).is_err());
     }
 

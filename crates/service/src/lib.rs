@@ -56,16 +56,17 @@
 //!   and the bounded LRU result cache keyed by normalized plan
 //!   fingerprint;
 //! * [`metrics`] — global and per-session counters (admission, collapse,
-//!   shared-scan batches, delivery-time saved scans, elevator attaches and
-//!   preemptions, cache hits/misses/evictions) with latency percentiles
-//!   from mergeable per-session [`obs::LogHistogram`]s.
+//!   shared-scan batches, saved scans, elevator attaches and preemptions,
+//!   cache hits/misses/evictions) with latency percentiles from mergeable
+//!   per-session [`obs::LogHistogram`]s.
 //!
 //! **Observability** ([`obs`]): with [`ServiceConfig::trace`] on
 //! ([`obs::TraceMode::Ring`], or `File` to append JSONL), every submitted
 //! query records a [`obs::QueryTrace`] — logically-timestamped lifecycle
 //! events (admitted, queued, lease granted, chunk done, elevator attach,
-//! preempted, collapsed, cache hit, shed, per-operator completion,
-//! delivered) — retrievable via [`QueryService::traces`].
+//! preempted, collapsed, cache hit, shed, per-operator completion, failed,
+//! delivered) — retrievable via [`QueryService::traces`]. A plan the
+//! planner refuses is traced too: `Failed`, straight from the start.
 //! Tracing runs kernels under the [`memsim`] simulator (sequentially;
 //! results stay bit-identical), and the simulated counters feed the
 //! cost-model drift observatory ([`QueryService::drift`]): per-shape EWMA
@@ -83,11 +84,11 @@
 //! one-thread run would (asserted by `tests/service_stress.rs` at the
 //! workspace root).
 //!
-//! **Accounting invariant:** the global `scans_saved` counter equals the
-//! sum over sessions of `scans_saved + runner_covered` — every saved scan
-//! is attributed either to the beneficiary that picked the list up or to
-//! the runner that covered it, exactly once, on success and error paths
-//! alike.
+//! **Accounting, by construction:** every submission ends through one
+//! finishing step, which books it in its session's row and closes its
+//! trace. The global counters a session row also holds (`submitted`,
+//! `completed`, `scans_saved` = Σ `scans_saved + runner_covered`, …) are
+//! the rows' sums, so the two views cannot disagree on any path.
 
 pub mod config;
 pub mod dist;

@@ -33,7 +33,8 @@ impl From<obs::HistSummary> for LatencySummary {
 }
 
 /// A snapshot of the service-wide state, taken by
-/// [`crate::QueryService::metrics`].
+/// [`crate::QueryService::metrics`]. A counter a [`SessionMetrics`] row
+/// also holds is the sum of the rows, the one ledger for what it counts.
 #[derive(Debug, Clone, Default)]
 pub struct ServiceMetrics {
     /// The configured global thread budget.
@@ -42,8 +43,8 @@ pub struct ServiceMetrics {
     pub threads_in_use: usize,
     /// The most threads ever leased at once — must never exceed `budget`.
     pub high_water_threads: usize,
-    /// Queries submitted (admitted + queued + rejected + cache hits +
-    /// collapsed duplicates).
+    /// Queries submitted, plans the planner refused included: the sum of
+    /// the session rows' [`SessionMetrics::submitted`].
     pub submitted: u64,
     /// Queries that started immediately on submission.
     pub admitted_immediately: u64,
@@ -63,8 +64,10 @@ pub struct ServiceMetrics {
     pub shared_scan_batches: u64,
     /// Solo column scans avoided by merging: for a pass that ultimately
     /// delivered `m` predicate leaves (claimed up front or attached
-    /// mid-pass), `m - 1` scans were saved. Counted at delivery time, so
-    /// elevator attaches are included and aborted passes are not.
+    /// mid-pass), `m - 1` scans were saved: Σ `scans_saved + runner_covered`
+    /// over the session rows. Another query's leaf counts when that query
+    /// picks its list up, not when the pass delivers it, so elevator
+    /// attaches are included and aborted passes are not.
     pub scans_saved: u64,
     /// Predicate leaves that attached to an elevator pass already in
     /// flight (at a chunk boundary, wrapping around for the part they
@@ -129,9 +132,10 @@ pub struct SessionMetrics {
     /// Scan leaves of this session's queries that were answered by another
     /// query's cooperative pass (no scan ran on this session's behalf).
     pub scans_saved: u64,
-    /// Scan leaves of *other* sessions' queries this session's cooperative
-    /// passes covered while running them. Global `scans_saved` equals the
-    /// sum over sessions of `scans_saved + runner_covered`.
+    /// Scan leaves of this session's own queries that their cooperative
+    /// passes covered beyond the one stream each pass charges. Global
+    /// `scans_saved` is the sum over sessions of `scans_saved +
+    /// runner_covered`.
     pub runner_covered: u64,
     /// Bytes this session's own packed-scan leaves streamed from
     /// compressed representations.

@@ -15,9 +15,10 @@
 //!   column in chunks of `chunk_rows` (one chunk when that is `0` or the
 //!   column fits), absorbing newly posted same-column wants at every
 //!   boundary (riders wrap around for the prefix they missed) and yielding
-//!   its lease between chunks when a cheaper query waits. Saved-scan
-//!   accounting happens at *delivery* time, so late attaches are counted
-//!   and aborted passes are not.
+//!   its lease between chunks when a cheaper query waits. A saved scan is
+//!   booked once, in one session's row: the runner's for a leaf of its own
+//!   its pass covered, the beneficiary's when it picks a delivered list up
+//!   — so late attaches are counted and aborted passes are not.
 
 use std::cell::Cell;
 use std::collections::HashMap;
@@ -76,17 +77,56 @@ struct ServiceObs {
     drift: Mutex<DriftMonitor>,
 }
 
-/// One session's latency histograms ([`obs::LogHistogram`]): bounded
-/// memory however many queries run, merged into the global distributions
-/// by [`QueryService::metrics`].
+/// One session's entry: its ledger row, and its latency histograms
+/// ([`obs::LogHistogram`]: bounded memory however many queries run). The
+/// service-wide figures [`QueryService::metrics`] reports for what a row
+/// counts are the rows' sums, and its distributions are these histograms
+/// merged.
 #[derive(Default)]
-struct SessionHists {
+struct SessionEntry {
+    row: SessionMetrics,
     /// End-to-end latency (submission to result), milliseconds.
     latency: LogHistogram,
     /// Admission-queue wait, milliseconds (executed queries only).
     queue_wait: LogHistogram,
     /// Wall time of individual cooperative-pass chunks, milliseconds.
     chunk: LogHistogram,
+}
+
+/// The `Delivered` terminal of a traced execution: its latency and queue
+/// wait, the simulated time its operators were charged and its output rows.
+fn delivered_event(executed: &Executed, total_ms: f64, queue_ms: f64) -> TraceEvent {
+    let ops = &executed.report.ops;
+    let actual_ns = ops.iter().filter_map(|op| op.counters).fold(0.0, |ns, c| ns + c.elapsed_ns());
+    let rows = match &executed.output {
+        QueryOutput::Groups(g) => g.len(),
+        QueryOutput::Aggregates(a) => a.len(),
+        QueryOutput::Oids(o) => o.len(),
+        QueryOutput::JoinIndex(j) => j.len(),
+    };
+    TraceEvent::Delivered { total_ms, queue_ms, actual_ns, rows }
+}
+
+/// How a submission ended: what [`QueryService::finish`] books, traces and
+/// returns.
+enum Outcome {
+    /// Answered from the result cache.
+    CacheHit { executed: Arc<Executed>, cost_ms: f64 },
+    /// Answered by the concurrent identical execution `leader` led.
+    Collapsed { leader: u64, executed: Arc<Executed>, cost_ms: f64 },
+    /// Executed under a lease of its own; its latency ends at the return.
+    Delivered {
+        executed: Arc<Executed>,
+        queued: bool,
+        queue_ms: f64,
+        total_ms: f64,
+        cost_ms: f64,
+        threads: usize,
+    },
+    /// Shed at admission: the queue was full.
+    Shed,
+    /// Refused by the planner, or failed in the executor.
+    Failed(engine::EngineError),
 }
 
 /// One in-progress execution other identical submissions can collapse
@@ -114,46 +154,20 @@ struct Inner {
     /// Single-flight table: fingerprint → the execution in progress.
     flights: HashMap<String, Flight>,
     next_flight: u64,
+    // Counters no session row holds; the rest are summed from `sessions`.
     admitted_immediately: u64,
     queued: u64,
-    rejected: u64,
     collapsed: u64,
-    completed: u64,
     shared_scan_batches: u64,
-    scans_saved: u64,
     elevator_attaches: u64,
     preemptions: u64,
     scan_rows: u64,
-    compressed_bytes: u64,
-    bytes_saved: u64,
-    cache_hits: u64,
     cache_misses: u64,
-    sessions: Vec<SessionMetrics>,
-    /// Parallel to `sessions`: per-session latency histograms.
-    hists: Vec<SessionHists>,
+    sessions: Vec<SessionEntry>,
     /// Test-only: holds a session at a `tests::Hold` point while it says
     /// so.
     #[cfg(test)]
     hold: Option<fn(tests::Hold, &Inner) -> bool>,
-}
-
-/// Settle a leader's flight: on success store the shared result for the
-/// followers (the last one out removes the entry); on failure remove the
-/// entry outright so followers retry — and maybe lead — themselves.
-fn finish_flight(st: &mut Inner, fp: &str, result: Option<(Arc<Executed>, f64)>) {
-    let Some(f) = st.flights.get_mut(fp) else { return };
-    match result {
-        Some(r) => {
-            f.done = true;
-            f.result = Some(r);
-            if f.waiters == 0 {
-                st.flights.remove(fp);
-            }
-        }
-        None => {
-            st.flights.remove(fp);
-        }
-    }
 }
 
 impl QueryService {
@@ -172,20 +186,13 @@ impl QueryService {
                 next_flight: 0,
                 admitted_immediately: 0,
                 queued: 0,
-                rejected: 0,
                 collapsed: 0,
-                completed: 0,
                 shared_scan_batches: 0,
-                scans_saved: 0,
                 elevator_attaches: 0,
                 preemptions: 0,
                 scan_rows: 0,
-                compressed_bytes: 0,
-                bytes_saved: 0,
-                cache_hits: 0,
                 cache_misses: 0,
                 sessions: Vec::new(),
-                hists: Vec::new(),
                 #[cfg(test)]
                 hold: None,
             }),
@@ -204,8 +211,8 @@ impl QueryService {
     pub fn session(&self) -> Session<'_> {
         let mut st = self.state.lock().expect("service lock");
         let id = st.sessions.len();
-        st.sessions.push(SessionMetrics { session: id, ..SessionMetrics::default() });
-        st.hists.push(SessionHists::default());
+        let row = SessionMetrics { session: id, ..SessionMetrics::default() };
+        st.sessions.push(SessionEntry { row, ..SessionEntry::default() });
         if let Some(o) = &self.obs {
             // Under the state lock, so ring index == session id.
             o.sink.register_session();
@@ -233,51 +240,51 @@ impl QueryService {
     /// Snapshot the service-wide metrics.
     pub fn metrics(&self) -> ServiceMetrics {
         let st = self.state.lock().expect("service lock");
-        // Merge the per-session histograms into global distributions —
-        // exact by construction (elementwise bucket addition).
-        let mut latency = LogHistogram::new();
-        let mut queue_wait = LogHistogram::new();
-        let mut chunk = LogHistogram::new();
-        for h in &st.hists {
-            latency.merge(&h.latency);
-            queue_wait.merge(&h.queue_wait);
-            chunk.merge(&h.chunk);
-        }
-        ServiceMetrics {
+        let mut m = ServiceMetrics {
             budget: st.sched.budget(),
             threads_in_use: st.sched.in_use(),
             high_water_threads: st.sched.high_water(),
-            submitted: st.admitted_immediately
-                + st.queued
-                + st.rejected
-                + st.cache_hits
-                + st.collapsed,
             admitted_immediately: st.admitted_immediately,
             queued: st.queued,
-            rejected: st.rejected,
             collapsed: st.collapsed,
-            completed: st.completed,
             shared_scan_batches: st.shared_scan_batches,
-            scans_saved: st.scans_saved,
             elevator_attaches: st.elevator_attaches,
             preemptions: st.preemptions,
             scan_rows_streamed: st.scan_rows,
-            compressed_bytes_streamed: st.compressed_bytes,
-            bytes_saved: st.bytes_saved,
-            cache_hits: st.cache_hits,
             cache_misses: st.cache_misses,
             cache_evictions: st.cache.evictions,
             cache_bytes: st.cache.bytes(),
             cache_entries: st.cache.len(),
-            latency: latency.summary().into(),
-            queue_wait: queue_wait.summary().into(),
-            chunk_latency: chunk.summary().into(),
+            ..ServiceMetrics::default()
+        };
+        // The session rows are the ledger for what they count, and the
+        // per-session histograms merge exactly (elementwise bucket
+        // addition) into the global distributions.
+        let mut latency = LogHistogram::new();
+        let mut queue_wait = LogHistogram::new();
+        let mut chunk = LogHistogram::new();
+        for s in &st.sessions {
+            let r = &s.row;
+            m.submitted += r.submitted;
+            m.completed += r.completed;
+            m.rejected += r.rejected;
+            m.cache_hits += r.cache_hits;
+            m.scans_saved += r.scans_saved + r.runner_covered;
+            m.compressed_bytes_streamed += r.compressed_bytes_streamed;
+            m.bytes_saved += r.bytes_saved;
+            latency.merge(&s.latency);
+            queue_wait.merge(&s.queue_wait);
+            chunk.merge(&s.chunk);
         }
+        m.latency = latency.summary().into();
+        m.queue_wait = queue_wait.summary().into();
+        m.chunk_latency = chunk.summary().into();
+        m
     }
 
     /// Snapshot every session's accounting.
     pub fn session_metrics(&self) -> Vec<SessionMetrics> {
-        self.state.lock().expect("service lock").sessions.clone()
+        self.state.lock().expect("service lock").sessions.iter().map(|s| s.row.clone()).collect()
     }
 
     /// Snapshot every retained lifecycle trace, ordered by query id.
@@ -312,26 +319,15 @@ impl QueryService {
         }
     }
 
-    /// Fold a successful execution into the trace (per-operator `OpDone`
-    /// events plus the `Delivered` terminal) and feed the drift
-    /// observatory ([`DriftMonitor::record_op`]): each operator's model
-    /// price against the simulated counters the tracing run attributed to
-    /// it.
-    fn observe_delivery(
-        &self,
-        tb: &mut Option<TraceBuilder>,
-        executed: &Executed,
-        total_ms: f64,
-        queue_ms: f64,
-    ) {
+    /// Fold a successful execution's operators into the trace (`OpDone`
+    /// events) and feed the drift observatory ([`DriftMonitor::record_op`]):
+    /// each operator's model price against the simulated counters the
+    /// tracing run attributed to it.
+    fn observe_ops(&self, tb: &mut Option<TraceBuilder>, executed: &Executed) {
         let Some(o) = &self.obs else { return };
-        let mut actual_total = 0.0;
         let mut drift = o.drift.lock().expect("drift lock");
         for op in &executed.report.ops {
             let sim = op.counters;
-            if let Some(c) = &sim {
-                actual_total += c.elapsed_ns();
-            }
             // Drift wants apples to apples: skip operators whose work the
             // model cannot see (no self-owned shapes) or that ran on an
             // index path (priced per probe, not per scan shape).
@@ -349,14 +345,6 @@ impl QueryService {
                 },
             );
         }
-        drop(drift);
-        let rows = match &executed.output {
-            QueryOutput::Groups(g) => g.len(),
-            QueryOutput::Aggregates(a) => a.len(),
-            QueryOutput::Oids(o) => o.len(),
-            QueryOutput::JoinIndex(j) => j.len(),
-        };
-        self.tpush(tb, TraceEvent::Delivered { total_ms, queue_ms, actual_ns: actual_total, rows });
     }
 
     /// Feed one cooperative scan pass (or elevator chunk) into the drift
@@ -371,72 +359,64 @@ impl QueryService {
         drift.record_op(&self.cfg.machine, &shapes, counters.elapsed_ns());
     }
 
+    /// Serve one submission. Every exit of [`QueryService::serve`] returns
+    /// its outcome to [`QueryService::finish`], the one step that books and
+    /// traces it.
     fn run_plan(
         &self,
         session: usize,
         plan: &LogicalPlan<'_>,
     ) -> Result<QueryHandle, ServiceError> {
         let submitted_at = Instant::now();
-        let fp = (self.cfg.cache_bytes > 0).then(|| fingerprint(plan));
         let mut tb = self.obs.as_ref().map(|o| o.sink.begin(session));
+        // Outlives the state guard `serve` hands to `finish`: a leader that
+        // failed settles its flight once `finish` has released the lock.
+        let mut flight = FlightGuard { svc: self, fp: None };
+        let (st, outcome) = self.serve(session, plan, submitted_at, &mut tb, &mut flight);
+        self.finish(st, session, submitted_at, tb, outcome)
+    }
 
+    /// Take one submission to its outcome, and return that outcome with the
+    /// state lock held.
+    fn serve<'s>(
+        &'s self,
+        session: usize,
+        plan: &LogicalPlan<'_>,
+        submitted_at: Instant,
+        tb: &mut Option<TraceBuilder>,
+        flight: &mut FlightGuard<'s>,
+    ) -> (MutexGuard<'s, Inner>, Outcome) {
+        let fp = (self.cfg.cache_bytes > 0).then(|| fingerprint(plan));
         let mut st = self.state.lock().expect("service lock");
-        st.sessions[session].submitted += 1;
+        st.sessions[session].row.submitted += 1;
 
         // Result cache and single-flight collapse. Tables are immutable
         // and execution deterministic, so a fingerprint hit — cached or
         // collapsed onto a concurrent leader — is bit-identical to
-        // re-running the plan, without a lease. Neither path records a
-        // queue-wait sample: those queries never enter admission, and a
-        // 0.0 sample would dilute the queue-wait distribution the
-        // percentiles summarize.
-        if let Some(fp) = &fp {
+        // re-running the plan, without a lease.
+        if let Some(fp) = fp {
             loop {
-                if let Some((executed, cost_ms)) = st.cache.get(fp) {
-                    st.cache_hits += 1;
-                    st.completed += 1;
-                    let total_ms = submitted_at.elapsed().as_secs_f64() * 1e3;
-                    st.hists[session].latency.record(total_ms);
-                    let sm = &mut st.sessions[session];
-                    sm.cache_hits += 1;
-                    sm.completed += 1;
-                    sm.total_ms += total_ms;
-                    sm.max_ms = sm.max_ms.max(total_ms);
-                    self.tpush(&mut tb, TraceEvent::CacheHit);
-                    drop(st);
-                    self.tfinish(tb);
-                    return Ok(QueryHandle {
-                        executed,
-                        sched: SchedInfo {
-                            session,
-                            queued: false,
-                            cached: true,
-                            collapsed: false,
-                            queue_ms: 0.0,
-                            total_ms,
-                            cost_ms,
-                            threads: 0,
-                        },
-                    });
+                if let Some((executed, cost_ms)) = st.cache.get(&fp) {
+                    return (st, Outcome::CacheHit { executed, cost_ms });
                 }
-                if let Some(flight) = st.flights.get_mut(fp) {
+                if let Some(f) = st.flights.get_mut(&fp) {
                     // An identical plan is executing right now: collapse
                     // onto it instead of running a duplicate.
-                    let id = flight.id;
-                    flight.waiters += 1;
+                    let leader = f.id;
+                    f.waiters += 1;
                     loop {
-                        match st.flights.get(fp) {
-                            Some(f) if f.id == id && !f.done => {}
+                        match st.flights.get(&fp) {
+                            Some(f) if f.id == leader && !f.done => {}
                             _ => break,
                         }
                         st = self.cv.wait(st).expect("service lock");
                     }
-                    let outcome = match st.flights.get_mut(fp) {
-                        Some(f) if f.id == id => {
+                    let shared = match st.flights.get_mut(&fp) {
+                        Some(f) if f.id == leader => {
                             f.waiters -= 1;
                             let r = f.result.clone();
                             if f.done && f.waiters == 0 {
-                                st.flights.remove(fp);
+                                st.flights.remove(&fp);
                             }
                             r
                         }
@@ -444,48 +424,24 @@ impl QueryService {
                         // (and maybe lead) ourselves.
                         _ => None,
                     };
-                    match outcome {
-                        Some((executed, cost_ms)) => {
-                            st.collapsed += 1;
-                            st.completed += 1;
-                            let total_ms = submitted_at.elapsed().as_secs_f64() * 1e3;
-                            st.hists[session].latency.record(total_ms);
-                            let sm = &mut st.sessions[session];
-                            sm.completed += 1;
-                            sm.total_ms += total_ms;
-                            sm.max_ms = sm.max_ms.max(total_ms);
-                            self.tpush(&mut tb, TraceEvent::Collapsed { leader: id });
-                            drop(st);
-                            self.tfinish(tb);
-                            return Ok(QueryHandle {
-                                executed,
-                                sched: SchedInfo {
-                                    session,
-                                    queued: false,
-                                    cached: false,
-                                    collapsed: true,
-                                    queue_ms: 0.0,
-                                    total_ms,
-                                    cost_ms,
-                                    threads: 0,
-                                },
-                            });
-                        }
-                        None => continue,
+                    if let Some((executed, cost_ms)) = shared {
+                        st.collapsed += 1;
+                        return (st, Outcome::Collapsed { leader, executed, cost_ms });
                     }
+                    continue;
                 }
-                // No cached result and no flight: lead one.
+                // No cached result and no flight: lead one. From here on
+                // the guard settles it as failed on every early exit —
+                // refusal, rejection, engine error, or a panic unwinding out
+                // of execute().
                 let id = st.next_flight;
                 st.next_flight += 1;
                 st.flights.insert(fp.clone(), Flight { id, done: false, result: None, waiters: 0 });
                 st.cache_misses += 1;
+                flight.fp = Some(fp);
                 break;
             }
         }
-        // From here on this thread owns the flight (when fp is Some): the
-        // guard settles it as failed on every early exit — rejection,
-        // engine error, or a panic unwinding out of execute().
-        let mut flight = FlightGuard { svc: self, fp: fp.clone() };
         drop(st);
 
         // The one physical plan, made outside the lock (and only for a
@@ -494,10 +450,14 @@ impl QueryService {
         // tracker, so the B+-tree count probes planning makes are charged
         // to the run. A plan the planner refuses never reaches admission.
         let mut sim = self.obs.as_ref().map(|_| SimTracker::for_machine(self.cfg.machine));
-        let physical = match &mut sim {
+        let planned = match &mut sim {
             Some(trk) => physical::plan(trk, plan, &self.exec),
             None => physical::plan(&mut NullTracker, plan, &self.exec),
-        }?;
+        };
+        let physical = match planned {
+            Ok(physical) => physical,
+            Err(e) => return (self.state.lock().expect("service lock"), Outcome::Failed(e)),
+        };
         // Restricted leaves (the conjunction planner evaluates them against
         // an earlier leaf's survivors) stay off the shared-scan board: a
         // cooperative full-column pass for them would stream bytes the plan
@@ -523,7 +483,7 @@ impl QueryService {
         let quote = physical.quote(|leaf| covered.get(&leaf).copied());
         let desired = quote.best_threads(&self.cfg.machine, self.cfg.budget).threads;
         self.tpush(
-            &mut tb,
+            tb,
             TraceEvent::Admitted {
                 quote_ms: quote.seq_ms(),
                 ops: quote.ops,
@@ -539,33 +499,28 @@ impl QueryService {
                 st.admitted_immediately += 1;
                 (grant.ticket, grant.threads, false)
             }
-            Admission::Rejected => {
-                st.rejected += 1;
-                st.sessions[session].rejected += 1;
-                self.tpush(&mut tb, TraceEvent::Shed);
-                drop(st);
-                self.tfinish(tb);
-                return Err(ServiceError::Overloaded { queue_limit: self.cfg.queue_limit });
-            }
+            Admission::Rejected => return (st, Outcome::Shed),
             Admission::Queued(ticket) => {
                 st.board.post(ticket, &requests);
                 st.queued += 1;
-                self.tpush(&mut tb, TraceEvent::Queued { depth: st.sched.waiting() });
+                self.tpush(tb, TraceEvent::Queued { depth: st.sched.waiting() });
                 let threads;
                 (st, threads) = self.await_grant(st, ticket);
                 (ticket, threads, true)
             }
         };
-        self.tpush(&mut tb, TraceEvent::LeaseGranted { threads });
+        self.tpush(tb, TraceEvent::LeaseGranted { threads });
         // Runnable: harvest lists already published for this ticket, claim
         // cooperative passes over this plan's scan columns (absorbing every
         // queued same-column request), and note keys another runner is
-        // already streaming.
+        // already streaming. Every list picked up is a scan this session's
+        // query saved.
         let work = if self.cfg.shared_scans {
             st.board.runnable(ticket, &requests, self.cfg.chunk_rows)
         } else {
             Runnable::default()
         };
+        st.sessions[session].row.scans_saved += work.ready.len() as u64;
         drop(st);
         let queue_ms = submitted_at.elapsed().as_secs_f64() * 1e3;
 
@@ -578,7 +533,6 @@ impl QueryService {
         // query would strand its threads and deadlock every queued waiter.
         let lease = LeaseGuard { svc: self, threads: Cell::new(threads) };
         let mut ticket_lists = ScanTicket::new();
-        let mut provided_by_others = work.ready.len();
         for (leaf, cands) in work.ready {
             ticket_lists.provide(leaf, cands);
         }
@@ -592,7 +546,7 @@ impl QueryService {
         // so a runner that yielded mid-pass is granted as threads free).
         for batch in &work.batches {
             let req = &requests[batch.anchor];
-            self.run_elevator(session, batch, req, &lease, &mut ticket_lists, &mut tb);
+            self.run_elevator(session, batch, req, &lease, &mut ticket_lists, tb);
         }
         if !work.waits.is_empty() {
             let mut st = self.state.lock().expect("service lock");
@@ -601,7 +555,7 @@ impl QueryService {
                 // publication — a preempted runner can only resume on
                 // released threads — and re-acquire at cost 0 once the
                 // lists arrive.
-                self.tpush(&mut tb, TraceEvent::Preempted { remaining_ms: 0.0 });
+                self.tpush(tb, TraceEvent::Preempted { remaining_ms: 0.0 });
                 let held = lease.threads.replace(0);
                 st.sched.release(held);
                 self.cv.notify_all();
@@ -612,13 +566,14 @@ impl QueryService {
                 {
                     st = self.hold(st, tests::Hold::Requeue);
                 }
-                st = self.requeue(st, &lease, 0.0, held.max(1), &mut tb);
+                st = self.requeue(st, &lease, 0.0, held.max(1), tb);
             }
             // Delivered lists land under this ticket; a leaf whose pass
             // aborted simply stays unprovided and is evaluated below.
-            for (leaf, cands) in st.board.take_ready(ticket) {
+            let ready = st.board.take_ready(ticket);
+            st.sessions[session].row.scans_saved += ready.len() as u64;
+            for (leaf, cands) in ready {
                 ticket_lists.provide(leaf, cands);
-                provided_by_others += 1;
             }
         }
 
@@ -632,28 +587,20 @@ impl QueryService {
             None => execute_with_scans(&mut NullTracker, &physical, &ticket_lists),
         };
         let total_ms = submitted_at.elapsed().as_secs_f64() * 1e3;
-        let final_threads = lease.threads.get();
+        let threads = lease.threads.get();
         drop(lease);
 
+        // Drop what the board still holds for this ticket (stale wants,
+        // lists delivered after it stopped looking) on either outcome.
         let executed = match result {
             Ok(e) => Arc::new(e),
             Err(e) => {
-                self.tpush(&mut tb, TraceEvent::Failed { error: e.to_string() });
                 let mut st = self.state.lock().expect("service lock");
-                // Roll deliveries this query consumed (or never will) out
-                // of the global saved-scan counter: its session never
-                // records them, and the books must balance on error paths
-                // too.
-                let dropped = st.board.forget(ticket) + provided_by_others;
-                st.scans_saved = st.scans_saved.saturating_sub(dropped as u64);
-                drop(st);
-                self.tfinish(tb);
-                return Err(ServiceError::Engine(e));
+                st.board.forget(ticket);
+                return (st, Outcome::Failed(e));
             }
         };
-        if self.obs.is_some() {
-            self.observe_delivery(&mut tb, &executed, total_ms, queue_ms);
-        }
+        self.observe_ops(tb, &executed);
         // Scan traffic this query streamed itself: scan-path leaves
         // (uncompressed or packed) the shared mechanism did not cover —
         // index probes stream nothing. Packed leaves additionally account
@@ -676,14 +623,11 @@ impl QueryService {
         }
 
         let mut st = self.state.lock().expect("service lock");
-        st.completed += 1;
+        st.board.forget(ticket);
         st.scan_rows += self_scanned;
-        st.compressed_bytes += packed_bytes;
-        st.bytes_saved += packed_saved;
-        st.hists[session].latency.record(total_ms);
-        st.hists[session].queue_wait.record(queue_ms);
-        let dropped = st.board.forget(ticket);
-        st.scans_saved = st.scans_saved.saturating_sub(dropped as u64);
+        let row = &mut st.sessions[session].row;
+        row.compressed_bytes_streamed += packed_bytes;
+        row.bytes_saved += packed_saved;
         if let Some(fp) = flight.fp.take() {
             // Cache the *undiscounted* quote: the coverage discount was a
             // property of this admission's shared-scan state, not of the
@@ -691,32 +635,92 @@ impl QueryService {
             let solo_ms =
                 if covered.is_empty() { quote.seq_ms() } else { physical.quote(|_| None).seq_ms() };
             st.cache.insert(fp.clone(), &executed, solo_ms);
-            finish_flight(&mut st, &fp, Some((Arc::clone(&executed), solo_ms)));
+            // Settle the flight: the followers share the result, and the
+            // last one out removes the entry.
+            match st.flights.get_mut(&fp) {
+                Some(f) if f.waiters > 0 => {
+                    f.done = true;
+                    f.result = Some((Arc::clone(&executed), solo_ms));
+                }
+                _ => {
+                    st.flights.remove(&fp);
+                }
+            }
         }
-        let sm = &mut st.sessions[session];
-        sm.completed += 1;
-        sm.scans_saved += provided_by_others as u64;
-        sm.compressed_bytes_streamed += packed_bytes;
-        sm.bytes_saved += packed_saved;
-        sm.total_ms += total_ms;
-        sm.max_ms = sm.max_ms.max(total_ms);
-        drop(st);
-        self.cv.notify_all();
-        self.tfinish(tb);
+        let cost_ms = quote.seq_ms();
+        (st, Outcome::Delivered { executed, queued, queue_ms, total_ms, cost_ms, threads })
+    }
 
-        Ok(QueryHandle {
-            executed,
-            sched: SchedInfo {
-                session,
-                queued,
-                cached: false,
-                collapsed: false,
-                queue_ms,
-                total_ms,
-                cost_ms: quote.seq_ms(),
-                threads: final_threads,
-            },
-        })
+    /// The one finishing step every submission ends through: book the
+    /// outcome in its session's row and latency histograms, close its trace
+    /// with the terminal event, and build the handle or the error.
+    fn finish(
+        &self,
+        mut st: MutexGuard<'_, Inner>,
+        session: usize,
+        submitted_at: Instant,
+        mut tb: Option<TraceBuilder>,
+        outcome: Outcome,
+    ) -> Result<QueryHandle, ServiceError> {
+        // A delivering leader settled its flight: wake the followers.
+        let (total_ms, wake) = match outcome {
+            Outcome::Delivered { total_ms, .. } => (total_ms, true),
+            _ => (submitted_at.elapsed().as_secs_f64() * 1e3, false),
+        };
+        let s = &mut st.sessions[session];
+        let mut sched = SchedInfo {
+            session,
+            queued: false,
+            cached: false,
+            collapsed: false,
+            queue_ms: 0.0,
+            total_ms,
+            cost_ms: 0.0,
+            threads: 0,
+        };
+        let (terminal, answer) = match outcome {
+            Outcome::CacheHit { executed, cost_ms } => {
+                s.row.cache_hits += 1;
+                (sched.cached, sched.cost_ms) = (true, cost_ms);
+                (Some(TraceEvent::CacheHit), Ok(executed))
+            }
+            Outcome::Collapsed { leader, executed, cost_ms } => {
+                (sched.collapsed, sched.cost_ms) = (true, cost_ms);
+                (Some(TraceEvent::Collapsed { leader }), Ok(executed))
+            }
+            Outcome::Delivered { executed, queued, queue_ms, cost_ms, threads, .. } => {
+                // Only executed queries entered admission: a 0.0 sample for
+                // a hit or a collapse would dilute the queue-wait percentiles.
+                s.queue_wait.record(queue_ms);
+                sched = SchedInfo { queued, queue_ms, cost_ms, threads, ..sched };
+                let delivered =
+                    tb.is_some().then(|| delivered_event(&executed, total_ms, queue_ms));
+                (delivered, Ok(executed))
+            }
+            Outcome::Shed => {
+                s.row.rejected += 1;
+                let shed = ServiceError::Overloaded { queue_limit: self.cfg.queue_limit };
+                (Some(TraceEvent::Shed), Err(shed))
+            }
+            Outcome::Failed(e) => {
+                (Some(TraceEvent::Failed { error: e.to_string() }), Err(ServiceError::Engine(e)))
+            }
+        };
+        if answer.is_ok() {
+            s.row.completed += 1;
+            s.row.total_ms += total_ms;
+            s.row.max_ms = s.row.max_ms.max(total_ms);
+            s.latency.record(total_ms);
+        }
+        if let Some(terminal) = terminal {
+            self.tpush(&mut tb, terminal);
+        }
+        drop(st);
+        if wake {
+            self.cv.notify_all();
+        }
+        self.tfinish(tb);
+        answer.map(|executed| QueryHandle { executed, sched })
     }
 
     /// One cooperative pass, streamed as an *elevator*: chunk by chunk
@@ -831,18 +835,15 @@ impl QueryService {
             }
 
             let mut st = self.state.lock().expect("service lock");
-            st.hists[session].chunk.record(chunk_ms);
             let n = hi - lo;
             streamed += n;
             st.scan_rows += n as u64;
+            let s = &mut st.sessions[session];
+            s.chunk.record(chunk_ms);
             if let Some(cc) = cc {
                 let cb = (n as f64 * cc.bits_per_value() / 8.0).ceil() as u64;
-                let saved = (n as u64 * req.stride as u64).saturating_sub(cb);
-                st.compressed_bytes += cb;
-                st.bytes_saved += saved;
-                let sm = &mut st.sessions[session];
-                sm.compressed_bytes_streamed += cb;
-                sm.bytes_saved += saved;
+                s.row.compressed_bytes_streamed += cb;
+                s.row.bytes_saved += (n as u64 * req.stride as u64).saturating_sub(cb);
             }
             cursor = if hi == rows { 0 } else { hi };
 
@@ -900,34 +901,27 @@ impl QueryService {
                 }
             }
             riders = still;
-            let (mut own_done, mut delivered_done) = (0usize, 0usize);
+            let mut own_done = 0usize;
             for r in done {
                 let cands: Cands = Arc::new(r.list.finish());
                 for &leaf in &r.own_leaves {
                     ticket_lists.provide(leaf, cands.clone());
                 }
-                delivered_done += st.board.deliver(&r.key, &cands);
+                st.board.deliver(&r.key, &cands);
                 own_done += r.own_leaves.len();
                 claim.keys.retain(|k| *k != r.key);
             }
-            // Saved-scan accounting at delivery time: the pass charges
-            // its one real stream against the first wave (which always
-            // contains the runner's own anchor leaf), and every covered
-            // leaf beyond it is a scan that never ran. The runner's
-            // session books its own covered leaves (`runner_covered`);
-            // consumers book theirs when they pick the lists up — the two
-            // sides always sum to the global counter.
-            if own_done + delivered_done > 0 {
-                let charge = if !charged_stream && own_done > 0 {
-                    charged_stream = true;
-                    st.shared_scan_batches += 1;
-                    1
-                } else {
-                    0
-                };
-                st.scans_saved += (own_done + delivered_done - charge) as u64;
-                st.sessions[session].runner_covered += (own_done - charge) as u64;
+            // Saved scans of the runner's own leaves: the pass charges its
+            // one real stream against the first it delivers (the anchor
+            // leaf is among them), and every further one is a scan that
+            // never ran (`runner_covered`). Other tickets' sessions book
+            // theirs when they pick the lists up.
+            if own_done > 0 && !charged_stream {
+                charged_stream = true;
+                st.shared_scan_batches += 1;
+                own_done -= 1;
             }
+            st.sessions[session].row.runner_covered += own_done as u64;
             if riders.is_empty() {
                 if let Some(col) = claim.col.take() {
                     st.board.clear_progress(&col);
@@ -996,9 +990,9 @@ impl QueryService {
     }
 }
 
-/// Settles an unfinished flight as failed on drop, so a leader that
-/// errors — or panics — never strands its followers (they retry, and one
-/// of them leads the next attempt).
+/// Settles an unfinished flight as failed on drop — removes the entry
+/// outright — so a leader that errors, or panics, never strands its
+/// followers (they retry, and one of them leads the next attempt).
 struct FlightGuard<'s> {
     svc: &'s QueryService,
     fp: Option<String>,
@@ -1011,7 +1005,7 @@ impl Drop for FlightGuard<'_> {
         // data that stays consistent, so recover the guard rather than
         // double-panic.
         let mut st = self.svc.state.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-        finish_flight(&mut st, &fp, None);
+        st.flights.remove(&fp);
         drop(st);
         self.svc.cv.notify_all();
     }
@@ -1865,8 +1859,10 @@ mod tests {
 
     #[test]
     fn engine_errors_release_the_lease() {
+        use obs::{validate_lifecycle, Terminal};
         let t = item(100);
-        let svc = QueryService::new(ServiceConfig::new().with_budget(1));
+        let svc =
+            QueryService::new(ServiceConfig::new().with_budget(1).with_trace(obs::TraceMode::Ring));
         let session = svc.session();
         // A hand-built invalid tree: aggregation below a filter.
         let inner = Query::scan(&t).group_by("shipmode").agg(Agg::count()).build().unwrap();
@@ -1877,14 +1873,25 @@ mod tests {
             },
         };
         assert!(matches!(session.run(&bad), Err(ServiceError::Engine(_))));
-        // The lease came back: the next query is admitted immediately.
+        // The planner refused it before admission, and it still ended in a
+        // defined terminal: booked as submitted, traced as failed.
+        let m = svc.metrics();
+        let by_session: u64 = svc.session_metrics().iter().map(|s| s.submitted).sum();
+        assert_eq!((m.submitted, by_session), (1, 1), "{m:?}");
+        let traces = svc.traces();
+        assert_eq!(traces.len(), 1);
+        assert_eq!(validate_lifecycle(&traces[0]), Ok(Terminal::Failed));
+        // The refused plan never leased: the next query is admitted
+        // immediately.
         let ok = Query::scan(&t).agg(Agg::count()).build().unwrap();
-        let handle = session.run(&ok).expect("lease was released");
+        let handle = session.run(&ok).expect("no lease was held");
         assert!(!handle.sched.queued);
         assert_eq!(svc.metrics().threads_in_use, 0);
         // The failed leader's flight was settled, not stranded: the same
         // bad plan fails again (a stuck flight would hang this call).
         assert!(matches!(session.run(&bad), Err(ServiceError::Engine(_))));
+        let m = svc.metrics();
+        assert_eq!((m.submitted, m.completed, m.rejected), (3, 1, 0), "{m:?}");
     }
 
     #[test]

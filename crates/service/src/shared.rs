@@ -94,8 +94,8 @@ pub(crate) struct Batch {
 
 impl Batch {
     /// Leaves this pass covers across all queries (own + delivered) *as
-    /// claimed* — an elevator may pick up more mid-pass, which is why the
-    /// runner accounts saved scans at delivery time, not from this.
+    /// claimed* — an elevator may pick up more mid-pass, which is why saved
+    /// scans are booked as lists are delivered and picked up, not from this.
     #[cfg(test)]
     pub fn covered_leaves(&self) -> usize {
         self.preds.iter().map(|p| p.own_leaves.len() + p.others.len()).sum()
@@ -317,15 +317,11 @@ impl ScanBoard {
 
     /// Deliver one completed rider's list: every registered want —
     /// including waiters that joined after the claim — receives it and the
-    /// in-flight mark clears. Returns the number of deliveries to *other*
-    /// tickets.
-    pub fn deliver(&mut self, key: &ShareKey, cands: &Cands) -> usize {
-        let wants = self.in_flight.remove(key).unwrap_or_default();
-        let delivered = wants.len();
-        for w in wants {
+    /// in-flight mark clears.
+    pub fn deliver(&mut self, key: &ShareKey, cands: &Cands) {
+        for w in self.in_flight.remove(key).unwrap_or_default() {
             self.ready.entry(w.ticket).or_default().push((w.leaf, cands.clone()));
         }
-        delivered
     }
 
     /// Abort claimed keys: they return to pending so a future wave can
@@ -348,13 +344,11 @@ impl ScanBoard {
     }
 
     /// Drop every residue of a finished ticket (stale wants from aborted
-    /// passes, undelivered lists) so the board never accumulates state for
-    /// queries that already returned. Returns the number of *delivered but
-    /// never consumed* lists dropped — the caller rolls those out of the
-    /// saved-scan counters so global and per-session accounting stay in
-    /// balance even on error paths.
-    pub fn forget(&mut self, ticket: u64) -> usize {
-        let dropped = self.ready.remove(&ticket).map(|lists| lists.len()).unwrap_or(0);
+    /// passes, lists delivered after it stopped looking) so the board never
+    /// accumulates state for queries that already returned. A list dropped
+    /// here was never picked up, so no session booked it as a saved scan.
+    pub fn forget(&mut self, ticket: u64) {
+        self.ready.remove(&ticket);
         self.pending.retain(|_, wants| {
             wants.retain(|w| w.ticket != ticket);
             !wants.is_empty()
@@ -362,7 +356,6 @@ impl ScanBoard {
         for wants in self.in_flight.values_mut() {
             wants.retain(|w| w.ticket != ticket);
         }
-        dropped
     }
 }
 
@@ -571,29 +564,25 @@ mod tests {
         assert_eq!(work7.waits, vec![r2[0].key()]);
 
         // Deliver: both ticket 7 and the waiter 9 get their lists.
-        let delivered: usize = batch
-            .preds
-            .iter()
-            .map(|p| {
-                let cands = Arc::new(
-                    monet_core::scan::select(
-                        &mut NullTracker,
-                        monet_core::scan::ScanCol::Plain(r1[0].bat),
-                        &[p.key.pred.kernel_pred()],
-                        monet_core::scan::RowSet::All,
-                    )
-                    .unwrap()
-                    .remove(0),
-                );
-                board.deliver(&p.key, &cands)
-            })
-            .sum();
-        assert_eq!(delivered, 2, "one delivery each to tickets 7 and 9, no duplicates");
+        for p in &batch.preds {
+            let cands = Arc::new(
+                monet_core::scan::select(
+                    &mut NullTracker,
+                    monet_core::scan::ScanCol::Plain(r1[0].bat),
+                    &[p.key.pred.kernel_pred()],
+                    monet_core::scan::RowSet::All,
+                )
+                .unwrap()
+                .remove(0),
+            );
+            board.deliver(&p.key, &cands);
+        }
         assert!(!board.in_flight(&r2[0].key()));
         let got7 = board.take_ready(7);
         assert_eq!(got7.len(), 1, "ticket 7's absorbed + re-registered want delivers once");
         assert_eq!(got7[0].0, r2[0].leaf);
         assert_eq!(board.take_ready(9).len(), 1);
+        assert!(board.ready.is_empty(), "no duplicate, and no delivery to anyone else");
 
         // The delivered list is exactly the solo evaluation.
         let solo = execute(&mut NullTracker, &p2, &ExecOptions::default()).unwrap();
@@ -680,8 +669,9 @@ mod tests {
 
         // Delivery per rider: the late rider's list lands on its ticket.
         let cands: Cands = Arc::new(vec![1, 2, 3]);
-        assert_eq!(board.deliver(&r2[0].key(), &cands), 1);
+        board.deliver(&r2[0].key(), &cands);
         assert_eq!(board.take_ready(8).len(), 1);
+        assert!(board.ready.is_empty());
         board.clear_progress(&r[0].col);
         assert!(board.coverage(&r2[0].key()).is_none());
 

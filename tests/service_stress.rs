@@ -169,8 +169,12 @@ fn concurrent_sessions_are_bit_identical_to_sequential_single_thread() {
 /// attributed to exactly one session — either the beneficiary picked the
 /// list up (`scans_saved`) or the runner covered it while streaming
 /// (`runner_covered`) — and the compressed-byte ledgers balance the same
-/// way. Holds at any timing, any chunk size, and across error paths.
+/// way. Every submission ends answered or rejected (these suites raise no
+/// engine error). Holds at any timing and any chunk size.
 fn assert_counters_balance(m: &service::ServiceMetrics, sm: &[service::SessionMetrics]) {
+    for s in sm {
+        assert_eq!(s.submitted, s.completed + s.rejected, "session {}: {s:?}", s.session);
+    }
     let by_session: u64 = sm.iter().map(|s| s.scans_saved + s.runner_covered).sum();
     assert_eq!(m.scans_saved, by_session, "saved-scan ledger must balance: {m:?}\n{sm:?}");
     let bytes: u64 = sm.iter().map(|s| s.compressed_bytes_streamed).sum();
